@@ -34,37 +34,46 @@ EXIT_ORACLE = 4
 # ---------------------------------------------------------------------------
 
 
+class NonFiniteResultError(Exception):
+    """A computed result holds NaN or inf; reported as non-convergence."""
+
+
 def _fmt_num(v) -> str:
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise NonFiniteResultError(f"result holds the non-finite value {v}")
         return format(v, ".16e")
     return str(v)
 
 
-def _emit_csv(obj, out) -> None:
+def _csv_text(obj) -> str:
     rows = obj if isinstance(obj, list) else [obj]
     keys: list[str] = []
     for r in rows:
         for k in sorted(r):
             if k not in keys:
                 keys.append(k)
-    out.write(",".join(keys) + "\n")
-    for r in rows:
-        out.write(",".join(_fmt_num(r.get(k, "")) for k in keys) + "\n")
+    lines = [",".join(keys)]
+    lines += [",".join(_fmt_num(r.get(k, "")) for k in keys) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(obj, args) -> None:
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        if args.format == "csv":
-            _emit_csv(obj, out)
-        else:
-            json.dump(obj, out, sort_keys=True, indent=2)
-            out.write("\n")
-    finally:
-        if args.out:
-            out.close()
+    """Serialize in full first, so a refused result leaves no --out file."""
+    if args.format == "csv":
+        text = _csv_text(obj)
+    else:
+        try:
+            text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise NonFiniteResultError(f"result holds non-finite values ({exc})") from None
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +544,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (HankelConvergenceError, MellinError) as exc:
+    except (HankelConvergenceError, MellinError, NonFiniteResultError) as exc:
         print(f"error: non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except (

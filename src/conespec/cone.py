@@ -636,14 +636,25 @@ def index_first_order(spec: FirstOrderSpectrum, interior_term: complex) -> compl
 # ---------------------------------------------------------------------------
 
 
-def k_trace_operator(spec: CrossSectionSpectrum, t: float) -> complex:
-    """Fiber heat trace summed over the enumerated spectrum (finite data only)."""
+def _fiber_traces(spec: CrossSectionSpectrum, ts: np.ndarray) -> np.ndarray:
+    """sum_i weight_i * k_trace_lp(p_i, t) at every t of `ts`.
+
+    The (t x eigenvalue) Bessel matrix is evaluated in one array call and
+    contracted with the weights.
+    """
     if spec.tail is not None:
         raise ConeError("fiber trace needs a finite spectrum")
-    return sum(
-        (d.weight * k_trace_lp(spec.p_of(i), t) for i, d in enumerate(spec.data)),
-        0.0 + 0.0j,
-    )
+    if not np.all(ts > 0):
+        raise ConeError("t must be positive")
+    orders = np.array([spec.p_of(i) for i in range(len(spec.data))], dtype=float)
+    weights = np.array([d.weight for d in spec.data], dtype=complex)
+    z = 1.0 / (2.0 * ts[:, None])
+    return (z * bessel_i_scaled(orders, z)) @ weights
+
+
+def k_trace_operator(spec: CrossSectionSpectrum, t: float) -> complex:
+    """Fiber heat trace summed over the enumerated spectrum (finite data only)."""
+    return complex(_fiber_traces(spec, np.array([t], dtype=float))[0])
 
 
 def scalar_interior_coefficients(
@@ -668,7 +679,7 @@ def scalar_interior_coefficients(
     scale = np.linalg.norm(A, axis=0)
     scale[scale == 0] = 1.0
     As = A / scale
-    rhs = np.array([k_trace_operator(spec, float(t)) for t in ts], dtype=complex)
+    rhs = _fiber_traces(spec, ts)
     sol, *_ = np.linalg.lstsq(As, rhs, rcond=None)
     cond = float(np.linalg.cond(As))
     coeffs = tuple(complex(c) for c in sol / scale)

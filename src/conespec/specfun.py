@@ -1,12 +1,13 @@
 """Special-function kernel.
 
-Gamma-family wrappers, modified Bessel functions with a dual series /
-asymptotic route, Laguerre polynomials and the l_n^(p) eigenfamily of the
-Hankel transform, the Hankel transform itself (integration between Bessel
-zeros with Euler acceleration of the alternating tail), exact Bernoulli
-numbers, the asymptotic expansion of the Gamma ratio
-Gamma(nu-s+1)/Gamma(nu+s), Hurwitz zeta by Euler-Maclaurin, and Dirichlet
-series providers with meromorphic continuation.
+Gamma-family wrappers, Bessel J and the exponentially scaled modified
+Bessel I (the Amos routine behind scipy.special.ive), Laguerre polynomials
+and the l_n^(p) eigenfamily of the Hankel transform, the Hankel transform
+itself (integration between Bessel zeros with Euler acceleration of the
+alternating tail), exact Bernoulli numbers, the asymptotic expansion of
+the Gamma ratio Gamma(nu-s+1)/Gamma(nu+s), Hurwitz zeta by
+Euler-Maclaurin, and Dirichlet series providers with meromorphic
+continuation.
 """
 
 from __future__ import annotations
@@ -85,55 +86,24 @@ def bessel_j(p: float, x: float) -> float:
     return float(sps.jv(p, x))
 
 
-def _bessel_i_series(p: float, x: float) -> float:
-    """Power series sum (x/2)^(2m+p) / (m! Gamma(m+p+1)); all terms positive."""
-    half = x / 2.0
-    term = half**p * rgamma(p + 1).real
-    total = term
-    m = 0
-    while True:
-        m += 1
-        term *= half * half / (m * (m + p))
-        total += term
-        if term < 1e-18 * total or m > 300:
-            break
-    return total
+def bessel_i_scaled(p, x):
+    """I_p(x) * exp(-x) by the Amos routine (scipy.special.ive); overflow-safe.
 
-
-def _bessel_i_asymptotic_scaled(p: float, x: float) -> float:
-    """I_p(x) e^{-x} via the large-argument series; x well past the switch."""
-    mu = 4.0 * p * p
-    total = 1.0
-    term = 1.0
-    prev = math.inf
-    for m in range(1, 40):
-        term *= -(mu - (2 * m - 1) ** 2) / (8.0 * m * x)
-        if abs(term) >= prev:
-            break
-        prev = abs(term)
-        total += term
-        if abs(term) < 1e-18 * abs(total):
-            break
-    return total / math.sqrt(2.0 * math.pi * x)
-
-
-def _bessel_i_switch(p: float) -> float:
-    # past the switch the omitted subdominant e^{-x} branch of the asymptotic
-    # series is ~e^{-2x} relative, below double precision for x >= 19
-    return max(19.0, p * p / 2.0 + 5.0)
-
-
-def bessel_i_scaled(p: float, x: float) -> float:
-    """I_p(x) * exp(-x), overflow-safe for all x > 0."""
-    if p <= -1:
-        raise SpecfunError("order must exceed -1")
-    if x < 0:
-        raise SpecfunError("argument must be nonnegative")
-    if x == 0:
-        return 1.0 if p == 0 else 0.0
-    if x <= _bessel_i_switch(p):
-        return _bessel_i_series(p, x) * math.exp(-x)
-    return _bessel_i_asymptotic_scaled(p, x)
+    Domain: finite p > -1 and finite x >= 0, except x = 0 with p < 0, where
+    I_p has a pole.  Scalars return a float; arrays broadcast.
+    """
+    if isinstance(p, (int, float)) and isinstance(x, (int, float)):
+        if -1 < p < math.inf and 0 < x < math.inf:  # in-domain scalars skip np.asarray
+            return float(sps.ive(p, x))
+    p, x = np.asarray(p, dtype=float), np.asarray(x, dtype=float)
+    if not np.all((p > -1) & (p < math.inf)):
+        raise SpecfunError("order must be finite and exceed -1")
+    if not np.all((x >= 0) & (x < math.inf)):
+        raise SpecfunError("argument must be finite and nonnegative")
+    if np.any((x == 0) & (p < 0)):
+        raise SpecfunError("I_p(0) is infinite for p < 0")
+    out = sps.ive(p, x)
+    return float(out) if out.ndim == 0 else out
 
 
 def bessel_i(p: float, x: float) -> float:

@@ -94,6 +94,25 @@ class TestZetaLp:
         # floats carry 17 significant digits in scientific notation
         assert re.fullmatch(r"-?\d\.\d{16}e[+-]\d+", values[cols.index("value_re")])
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_result_is_nonconvergence(
+        self, capsys, monkeypatch, tmp_path, fmt, bad
+    ):
+        monkeypatch.setattr(cone, "zeta_hat_lp", lambda p, s: complex(bad, 0.0))
+        out_file = tmp_path / "out"
+        code, out, err = run(
+            capsys, "zeta-lp", "--p", "0.5", "--s-re", "1.0",
+            "--format", fmt, "--out", str(out_file),
+        )
+        assert code == 3
+        assert "non-convergence" in err
+        assert not out_file.exists()
+        code, out, _ = run(
+            capsys, "zeta-lp", "--p", "0.5", "--s-re", "1.0", "--format", fmt
+        )
+        assert code == 3 and out == ""
+
     def test_tol_outside_contract(self, capsys):
         code, _, _ = run(
             capsys, "zeta-lp", "--p", "0.5", "--s-re", "1.0", "--tol", "1e-2"
@@ -183,6 +202,32 @@ class TestHeatTrace:
             t for t in doc["terms"] if t["re_exp"] == 0.0 and t["log_pow"] == 0
         ]
         assert sum(t["re_coef"] for t in consts) == pytest.approx(1.0, rel=1e-9)
+
+    def test_high_bessel_orders_stay_finite(self, capsys):
+        # orders 40 and 50 at z = 1/(2t) up to 5e4 once emitted NaN coefficients
+        payload = json.dumps(
+            {
+                "spectrum": {
+                    "data": [
+                        {"lambda": 1600, "weight_re": 1},
+                        {"lambda": 2500, "weight_re": 1},
+                    ]
+                },
+                "phi_moments": [1, 1, 1],
+            }
+        )
+        code, out, _ = run(capsys, "heat-trace", "--in", payload)
+        assert code == 0
+
+        def refuse(name):
+            raise AssertionError(f"non-finite {name} in output")
+
+        doc = json.loads(out, parse_constant=refuse)
+        assert all(
+            math.isfinite(t[k])
+            for t in doc["terms"]
+            for k in ("re_coef", "im_coef")
+        )
 
     def test_missing_moments_is_schema_error(self, capsys):
         code, _, _ = run(

@@ -379,6 +379,49 @@ class TestHeatTrace:
         with pytest.raises(ConeError):
             k_trace_operator(circle_spectrum(), 0.1)
 
+    def test_fiber_trace_rejects_nonpositive_time(self):
+        empty = CrossSectionSpectrum(data=())
+        single = CrossSectionSpectrum(data=(SpectralDatum(1.0, 1.0),))
+        for spec in (empty, single):
+            for t in (0.0, -1e-3, math.nan):
+                with pytest.raises(ConeError):
+                    k_trace_operator(spec, t)
+
+    def test_fiber_trace_matches_scalar_loop(self):
+        # the array path against the per-eigenvalue sum of k_trace_lp, with
+        # complex weights, negative orders and an order-zero eigenvalue
+        rng = np.random.default_rng(5)
+        lams = [0.0, 0.04, 0.2] + [float(j * j) for j in range(1, 37)]
+        spec = CrossSectionSpectrum(
+            data=tuple(
+                SpectralDatum(lam, complex(rng.uniform(0.5, 3.0), rng.uniform(-1.0, 1.0)))
+                for lam in lams
+            ),
+            negative_below=0.25,
+        )
+        # both sums are within (n-1) 2^-53 sum|term| of the exact sum per
+        # component, plus one rounding per complex product: n 2^-51 sum|term|
+        # bounds their distance
+        ts = np.logspace(-5, -3, 48)
+        ref, tol = [], []
+        for t in list(ts) + [0.01, 0.3, 2.0]:
+            terms = [
+                d.weight * k_trace_lp(spec.p_of(i), float(t)) for i, d in enumerate(spec.data)
+            ]
+            ref.append(sum(terms, 0.0 + 0.0j))
+            tol.append(len(terms) * 2.0**-51 * sum(abs(w) for w in terms))
+            assert abs(k_trace_operator(spec, float(t)) - ref[-1]) <= tol[-1]
+        # the same fit on the loop traces; the sample bound carried through
+        # the pseudo-inverse bounds the coefficients
+        n_terms, m, mu = 4, 1, 2.0
+        A = np.stack([ts ** ((n - m) / mu) for n in range(n_terms)], axis=1)
+        scale = np.linalg.norm(A, axis=0)
+        sol, *_ = np.linalg.lstsq(A / scale, np.array(ref[:48]), rcond=None)
+        pinv = np.linalg.pinv(A / scale) / scale[:, None]
+        coeffs, _ = scalar_interior_coefficients(spec, 2.0, mu, m, n_terms)
+        bound = np.abs(pinv) @ np.array(tol[:48])
+        assert np.all(np.abs(np.array(coeffs) - sol / scale) <= bound)
+
     def test_interior_coefficients_tauberian(self):
         spec = CrossSectionSpectrum(data=(SpectralDatum(1.0, 1.0),))
         coeffs, cond = scalar_interior_coefficients(spec, 2.0, 2.0, 1, 4)

@@ -80,6 +80,56 @@ class TestBessel:
                 float(mpmath.besseli(p, x) * mpmath.exp(-x)), rel=1e-10
             )
 
+    # orders and arguments the heat-trace fits reach: sqrt(eigenvalue) up to 50
+    # and z = 1/(2t) up to 5000, through the band x ~ 600..p^2/2 where a
+    # truncated power series loses every digit
+    SWEEP_P = sorted({*np.linspace(0.0, 50.0, 21), 0.5, 2.5, 12.3, 29.5, 38.0, 45.0})
+    SWEEP_X = sorted({*np.geomspace(1e-3, 5000.0, 25), 600.0, 700.0, 1000.0})
+
+    def test_bessel_i_scaled_mpmath_sweep(self):
+        with mpmath.workdps(30):
+            for p in self.SWEEP_P:
+                for x in self.SWEEP_X:
+                    want = float(mpmath.besseli(p, x) * mpmath.exp(-x))
+                    assert bessel_i_scaled(float(p), float(x)) == pytest.approx(
+                        want, rel=1e-12
+                    ), (p, x)
+
+    def test_bessel_i_scaled_broadcasts(self):
+        p = np.array(self.SWEEP_P)[:, None]
+        x = np.array(self.SWEEP_X)[None, :]
+        got = bessel_i_scaled(p, x)
+        assert got.shape == (len(self.SWEEP_P), len(self.SWEEP_X))
+        want = [[bessel_i_scaled(float(a), float(b)) for b in self.SWEEP_X]
+                for a in self.SWEEP_P]
+        np.testing.assert_array_equal(got, want)
+        assert isinstance(bessel_i_scaled(0.5, 1.0), float)
+
+    def test_bessel_i_at_zero(self):
+        assert bessel_i_scaled(0.0, 0.0) == 1.0
+        assert bessel_i_scaled(0.5, 0.0) == 0.0
+        assert bessel_i(2.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "p, x",
+        [
+            (math.nan, 1.0),
+            (math.inf, 1.0),
+            (0.5, math.nan),
+            (0.5, math.inf),
+            (-1.0, 1.0),
+            (0.5, -1e-300),
+            (-0.5, 0.0),  # I_p(0) = +inf for -1 < p < 0
+        ],
+    )
+    def test_bessel_i_domain_edges(self, p, x):
+        with pytest.raises(SpecfunError):
+            bessel_i_scaled(p, x)
+        with pytest.raises(SpecfunError):
+            bessel_i(p, x)
+        with pytest.raises(SpecfunError):
+            bessel_i_scaled(np.array([0.5, p]), np.array([1.0, x]))
+
     def test_bessel_j_zeros(self):
         for m in range(1, 6):
             z = bessel_j_zero(0.5, m)
