@@ -496,54 +496,49 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_FLAG_SPECS = {
+    "--p": {"type": float},
+    "--s-re": {"dest": "s_re", "type": float},
+    "--s-im": {"dest": "s_im", "type": float},
+    "--in": {"dest": "infile"},
+    "--order": {"type": int},
+    "--tol": {"type": float},
+    "--grid": {},
+    "--seed": {"type": int},
+}
+
+# (handler, flags it reads besides --out and --format)
+_COMMANDS = {
+    "zeta-lp": (_cmd_zeta_lp, ("--p", "--s-re", "--s-im", "--in", "--tol", "--grid")),
+    "zeta-op": (_cmd_zeta_op, ("--s-re", "--s-im", "--in", "--tol", "--order")),
+    "eta": (_cmd_eta, ("--s-re", "--s-im", "--in", "--tol")),
+    "heat-trace": (_cmd_heat_trace, ("--in", "--tol")),
+    "deficiency": (_cmd_deficiency, ("--in",)),
+    "sal-expand": (_cmd_sal_expand, ("--in", "--tol", "--order")),
+    "verify": (_cmd_verify, ("--seed",)),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="conespec",
         description="Spectral invariants of model-cone operators.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--p", type=float, default=None)
-        sp.add_argument("--s-re", dest="s_re", type=float, default=None)
-        sp.add_argument("--s-im", dest="s_im", type=float, default=None)
-        sp.add_argument("--t", type=float, default=None)
-        sp.add_argument("--in", dest="infile", default=None)
+    for name, (_, flags) in _COMMANDS.items():
+        # no abbreviations: a flag the command does not read is an error
+        sp = sub.add_parser(name, allow_abbrev=False)
+        for flag in flags:
+            sp.add_argument(flag, default=None, **_FLAG_SPECS[flag])
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--order", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--grid", default=None)
-        sp.add_argument("--seed", type=int, default=None)
-
-    for name in (
-        "zeta-lp",
-        "zeta-op",
-        "eta",
-        "heat-trace",
-        "deficiency",
-        "sal-expand",
-        "verify",
-    ):
-        common(sub.add_parser(name))
     return ap
-
-
-_DISPATCH = {
-    "zeta-lp": _cmd_zeta_lp,
-    "zeta-op": _cmd_zeta_op,
-    "eta": _cmd_eta,
-    "heat-trace": _cmd_heat_trace,
-    "deficiency": _cmd_deficiency,
-    "sal-expand": _cmd_sal_expand,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (HankelConvergenceError, MellinError, NonFiniteResultError) as exc:
         print(f"error: non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .sal import ExpansionReport, ReportTerm
 from .specfun import (
     DirichletSeriesProvider,
-    SpecfunError,
+    HurwitzZetaProvider,
+    RiemannZetaProvider,
     _is_nonpositive_integer,
     _poly_eval,
     b_pos_fraction,
@@ -29,6 +30,7 @@ from .specfun import (
     gamma,
     gamma_ratio_expansion,
     hurwitz_zeta,
+    laurent_fit,
     log_gamma,
     rgamma,
 )
@@ -151,30 +153,38 @@ class SpectralDatum:
         )
 
 
-def _match_terms(data, provider, tol=1e-9):
-    """Split data into provider-matched and unmatched entries.
+def _head_terms(provider: DirichletSeriesProvider, v_max: float) -> list:
+    """The provider's (weight, value) terms with value up to v_max."""
+    return provider.terms_below(v_max * (1 + 1e-9) + 1e-12)
 
-    The provider enumerates (weight, value) pairs of the full series; data
-    entries are matched by value and must then agree in weight.  Entries the
-    provider does not list stand on their own.
+
+def _split_terms(pairs, head):
+    """Match explicit (weight, value) pairs against a provider's head terms.
+
+    A pair is matched by value to the first head term within relative 1e-9;
+    the two must then agree in weight.  Returns the unmatched pairs and the
+    head terms no pair claimed.
     """
-    if provider is None or not data:
-        return [], list(data)
-    v_max = max(abs(d.eigenvalue) for d in data)
-    remaining = list(provider.terms_below(v_max * (1 + 1e-9) + 1e-12))
-    matched, unmatched = [], []
-    for d in data:
-        hit = None
-        for i, (w, v) in enumerate(remaining):
-            if abs(v - abs(d.eigenvalue)) <= tol * max(1.0, abs(d.eigenvalue)):
-                hit = i
+    remaining = list(head)
+    unmatched = []
+    for w, v in pairs:
+        for j, (head_w, u) in enumerate(remaining):
+            if abs(u - v) <= 1e-9 * max(1.0, v):
                 break
-        if hit is None:
-            unmatched.append(d)
         else:
-            w, v = remaining.pop(hit)
-            matched.append(d)
-    return matched, unmatched
+            unmatched.append((w, v))
+            continue
+        del remaining[j]
+        if abs(head_w - w) > 1e-9 * (1.0 + abs(w)):
+            raise ConeError(f"tail provider disagrees with data weight at value {v}")
+    return unmatched, remaining
+
+
+def _unmatched_pairs(pairs, provider):
+    """The explicit (weight, value) pairs the provider does not enumerate."""
+    if provider is None or not pairs:
+        return list(pairs)
+    return _split_terms(pairs, _head_terms(provider, max(v for _, v in pairs)))[0]
 
 
 @dataclass(frozen=True)
@@ -215,16 +225,15 @@ class CrossSectionSpectrum:
         return self.p_value(self.data[i].eigenvalue)
 
     def _unmatched(self):
-        _, unmatched = _match_terms(self.data, self.tail)
-        return unmatched
+        pairs = [(d.weight, d.eigenvalue) for d in self.data]
+        return [(w, v) for w, v in _unmatched_pairs(pairs, self.tail) if v > 0]
 
     # -- zeta of A (eigenvalue variable), data and tail combined ------------
 
     def zeta_a(self, z: complex) -> complex:
         total = self.tail.zeta(z) if self.tail is not None else 0.0 + 0.0j
-        for d in self._unmatched():
-            if d.eigenvalue > 0:
-                total += d.weight * complex(d.eigenvalue) ** (-complex(z))
+        for w, v in self._unmatched():
+            total += w * complex(v) ** (-complex(z))
         return total
 
     def res1_zeta_a(self, z0: complex) -> complex:
@@ -232,27 +241,19 @@ class CrossSectionSpectrum:
 
     def res0_zeta_a(self, z0: complex) -> complex:
         total = self.tail.value_at(z0) if self.tail is not None else 0.0 + 0.0j
-        for d in self._unmatched():
-            if d.eigenvalue > 0:
-                total += d.weight * complex(d.eigenvalue) ** (-complex(z0))
+        for w, v in self._unmatched():
+            total += w * complex(v) ** (-complex(z0))
         return total
 
     def to_json_dict(self) -> dict:
-        tail: dict
-        if self.tail is None:
-            tail = {"kind": "none"}
-        else:
-            tail = getattr(self.tail, "json_dict", {"kind": "opaque"})
         return {
             "data": [d.to_json_dict() for d in self.data],
-            "tail": tail,
+            "tail": {"kind": "none"} if self.tail is None else self.tail.to_json_dict(),
             "p_choice": {"negative_below": self.negative_below},
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CrossSectionSpectrum":
-        from .specfun import HurwitzZetaProvider, RiemannZetaProvider
-
         data = tuple(SpectralDatum.from_json_dict(e) for e in d.get("data", []))
         tail_spec = d.get("tail", {"kind": "none"})
         kind = tail_spec.get("kind", "none")
@@ -273,8 +274,6 @@ class CrossSectionSpectrum:
             )
         else:
             raise ConeError(f"unknown tail kind {kind!r}")
-        if tail is not None:
-            tail.json_dict = dict(tail_spec)
         p_choice = d.get("p_choice", {})
         return cls(
             data=data,
@@ -308,28 +307,10 @@ def _phi_pieces(spec: CrossSectionSpectrum, s: complex, order: int, head_thresho
     lam_head = head_threshold * head_threshold
     if spec.data:
         lam_head = max(lam_head, max(d.eigenvalue for d in spec.data))
-    head = (
-        list(provider.terms_below(lam_head * (1 + 1e-9) + 1e-12))
-        if provider is not None
-        else []
-    )
-    remaining = list(head)
-    explicit = []  # (weight, order p)
-    for i, d in enumerate(spec.data):
-        hit = None
-        for j, (w, lam) in enumerate(remaining):
-            if abs(lam - d.eigenvalue) <= 1e-9 * max(1.0, d.eigenvalue):
-                hit = j
-                break
-        if hit is not None:
-            w, lam = remaining.pop(hit)
-            if abs(w - d.weight) > 1e-9 * (1.0 + abs(d.weight)):
-                raise ConeError(
-                    f"tail provider disagrees with data weight at lambda={d.eigenvalue}"
-                )
-        explicit.append((d.weight, spec.p_of(i)))
-    for w, lam in remaining:
-        explicit.append((w, math.sqrt(lam)))
+    head = _head_terms(provider, lam_head) if provider is not None else []
+    _, remaining = _split_terms([(d.weight, d.eigenvalue) for d in spec.data], head)
+    explicit = [(d.weight, spec.p_of(i)) for i, d in enumerate(spec.data)]  # (weight, order p)
+    explicit += [(w, math.sqrt(lam)) for w, lam in remaining]
 
     head_value = sum(w * _gamma_quotient(p, s) for w, p in explicit)
 
@@ -350,39 +331,37 @@ def _phi_pieces(spec: CrossSectionSpectrum, s: complex, order: int, head_thresho
     return head_value, tail_terms
 
 
-def zeta_hat_operator(
-    spec: CrossSectionSpectrum,
-    s: complex,
-    order: int = 6,
-    head_threshold: float = 8.0,
-) -> complex:
-    """Regularized zeta function of the cone operator with cross-section spectrum `spec`.
-
-    Enumerated eigenvalues (and provider terms below the head threshold) are
-    summed with exact Gamma quotients; the remainder is folded through the
-    provider's continuation against the Gamma-ratio asymptotics.
-    """
-    s = complex(s)
-    if _is_nonpositive_integer(s - 0.5):
-        raise ConeError(f"pole of the zeta function at s={s}")
-    head_value, tail_terms = _phi_pieces(spec, s, order, head_threshold)
-    phi = head_value + sum(tail_terms)
-    return gamma(s - 0.5) * rgamma(s) / (2.0 * SQRT_PI) * phi
-
-
 def zeta_hat_operator_report(
     spec: CrossSectionSpectrum,
     s: complex,
     order: int = 6,
     head_threshold: float = 8.0,
 ) -> dict:
-    """Value plus a truncation-error estimate (magnitude of the last tail term)."""
+    """Regularized zeta function of the cone operator with cross-section spectrum `spec`.
+
+    Enumerated eigenvalues (and provider terms below the head threshold) are
+    summed with exact Gamma quotients; the remainder is folded through the
+    provider's continuation against the Gamma-ratio asymptotics.  Returns the
+    value plus a truncation-error estimate (magnitude of the last tail term).
+    """
     s = complex(s)
+    if _is_nonpositive_integer(s - 0.5):
+        raise ConeError(f"pole of the zeta function at s={s}")
     head_value, tail_terms = _phi_pieces(spec, s, order, head_threshold)
     pref = gamma(s - 0.5) * rgamma(s) / (2.0 * SQRT_PI)
     value = pref * (head_value + sum(tail_terms))
     err = abs(pref) * (abs(tail_terms[-1]) if tail_terms else 0.0)
     return {"value": value, "error_estimate": err}
+
+
+def zeta_hat_operator(
+    spec: CrossSectionSpectrum,
+    s: complex,
+    order: int = 6,
+    head_threshold: float = 8.0,
+) -> complex:
+    """The value of `zeta_hat_operator_report`."""
+    return zeta_hat_operator_report(spec, s, order, head_threshold)["value"]
 
 
 def gamma_zeta_hat(spec: CrossSectionSpectrum, s: complex, order: int = 6) -> complex:
@@ -516,21 +495,20 @@ class FirstOrderSpectrum:
         )
 
     def _eta_unmatched(self):
-        class _Signed:
-            def __init__(self, d):
-                self.eigenvalue = abs(d.eigenvalue)
-                self.weight = (1 if d.eigenvalue > 0 else -1) * d.weight
-
-        signed = [_Signed(d) for d in self.s_data if d.eigenvalue != 0.0]
-        _, unmatched = _match_terms(signed, self.eta_provider)
-        return unmatched
+        """Signed eigenvalues as (sign * weight, |eigenvalue|) the eta provider omits."""
+        signed = [
+            ((1 if d.eigenvalue > 0 else -1) * d.weight, abs(d.eigenvalue))
+            for d in self.s_data
+            if d.eigenvalue != 0.0
+        ]
+        return _unmatched_pairs(signed, self.eta_provider)
 
     def eta_value(self, s: complex) -> complex:
         total = (
             self.eta_provider.zeta(s) if self.eta_provider is not None else 0.0 + 0.0j
         )
-        for d in self._eta_unmatched():
-            total += d.weight * complex(d.eigenvalue) ** (-complex(s))
+        for w, v in self._eta_unmatched():
+            total += w * complex(v) ** (-complex(s))
         return total
 
     def eta_res1(self, s0: complex) -> complex:
@@ -544,8 +522,8 @@ class FirstOrderSpectrum:
             if self.eta_provider is not None
             else 0.0 + 0.0j
         )
-        for d in self._eta_unmatched():
-            total += d.weight * complex(d.eigenvalue) ** (-complex(s0))
+        for w, v in self._eta_unmatched():
+            total += w * complex(v) ** (-complex(s0))
         return total
 
     # -- squared-shift spectra ---------------------------------------------
@@ -593,6 +571,16 @@ def eta_function_scalable(
     return gamma(s) * (plus - minus)
 
 
+def _alpha_terms(spec: FirstOrderSpectrum, k_max: int) -> list[complex]:
+    """alpha_k * Res_1 eta(S, 2k) for k = 1..k_max, skipping vanishing residues."""
+    out = []
+    for k in range(1, k_max + 1):
+        r = spec.eta_res1(2.0 * k)
+        if r != 0:
+            out.append(eta_alpha_constant(k) * r)
+    return out
+
+
 def eta_hat_residues(
     spec: FirstOrderSpectrum, k_max: int = 6
 ) -> tuple[complex, complex]:
@@ -610,24 +598,22 @@ def eta_hat_residues(
         - spec.kernel_weight()
         - 2.0 * spec.small_negative_weight()
     )
-    for k in range(1, k_max + 1):
-        r = spec.eta_res1(2.0 * k)
-        if r != 0:
-            res0 += eta_alpha_constant(k) * r
+    for term in _alpha_terms(spec, k_max):
+        res0 += term
     return res1, res0
 
 
-def index_first_order(spec: FirstOrderSpectrum, interior_term: complex) -> complex:
+def index_first_order(
+    spec: FirstOrderSpectrum, interior_term: complex, k_max: int = 6
+) -> complex:
     """Index of the minimal extension of d/dx + S/x with the given interior term."""
     out = (
         complex(interior_term)
         - 0.5 * (spec.eta_res0(0.0) + spec.kernel_weight())
         - spec.small_negative_weight()
     )
-    for k in range(1, 7):
-        r = spec.eta_res1(2.0 * k)
-        if r != 0:
-            out += 0.5 * eta_alpha_constant(k) * r
+    for term in _alpha_terms(spec, k_max):
+        out += 0.5 * term
     return out
 
 
@@ -659,21 +645,21 @@ def k_trace_operator(spec: CrossSectionSpectrum, t: float) -> complex:
 
 def scalar_interior_coefficients(
     spec: CrossSectionSpectrum,
-    nu: float,
     mu: float,
     m: int,
     n_terms: int,
-    t_lo: float = 1e-5,
-    t_hi: float = 1e-3,
-    n_samples: int = 48,
 ) -> tuple[tuple[complex, ...], float]:
     """Interior coefficients b_n fitted from the fiber trace.
 
-    Least-squares fit of k(t) against the powers t^((n-m)/mu) on a log grid;
+    Least-squares fit of k(t) against the powers t^((n-m)/mu) on a 48-point
+    log grid over [t_hi/100, t_hi], with t_hi = min(1e-3, 0.01/max(p^2, 1))
+    for the largest Bessel order p, so p^2 t stays in the small-time regime;
     returns the coefficients and the (column-scaled) condition number.
     """
-    ts = np.logspace(math.log10(t_lo), math.log10(t_hi), n_samples)
-    A = np.empty((n_samples, n_terms), dtype=float)
+    p_sq = max((spec.p_of(i) ** 2 for i in range(len(spec.data))), default=0.0)
+    t_hi = min(1e-3, 0.01 / max(p_sq, 1.0))
+    ts = np.logspace(math.log10(t_hi / 100.0), math.log10(t_hi), 48)
+    A = np.empty((len(ts), n_terms), dtype=float)
     for n in range(n_terms):
         A[:, n] = ts ** ((n - m) / mu)
     scale = np.linalg.norm(A, axis=0)
@@ -703,7 +689,7 @@ def heat_trace_expansion(
     """
     n_terms = len(phi_moments)
     if b_coeffs is None:
-        b_coeffs, _ = scalar_interior_coefficients(spec, nu, mu, m, max(n_terms, m + 1))
+        b_coeffs, _ = scalar_interior_coefficients(spec, mu, m, max(n_terms, m + 1))
     if len(b_coeffs) <= m:
         raise ConeError("b coefficients must reach index m")
     terms = []
@@ -741,24 +727,3 @@ def heat_trace_expansion(
         remainder_order=(n_terms - m) / mu,
         remainder_log_power=0,
     )
-
-
-# ---------------------------------------------------------------------------
-# Numeric Laurent fits
-# ---------------------------------------------------------------------------
-
-
-def laurent_fit(
-    f: Callable[[complex], complex], s0: complex = 0.0, h: float = 1e-3
-) -> tuple[complex, complex]:
-    """Richardson-refined central-difference fit of (Res_1, Res_0) at a simple pole."""
-
-    def odd(hh: float) -> complex:
-        return (f(s0 + hh) - f(s0 - hh)) * hh / 2.0
-
-    def even(hh: float) -> complex:
-        return (f(s0 + hh) + f(s0 - hh)) / 2.0
-
-    res1 = (4.0 * odd(h) - odd(2 * h)) / 3.0
-    res0 = (4.0 * even(h) - even(2 * h)) / 3.0
-    return res1, res0

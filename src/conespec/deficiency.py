@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
 
 import numpy as np
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Optional
 
 EXPONENT_TOL = 1e-12
 COEF_DROP_TOL = 0.0  # only exact zeros are dropped on construction

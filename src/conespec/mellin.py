@@ -20,18 +20,12 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
 
-from .expansions import (
-    AsymptoticExpansion,
-    ExpandableFunction,
-    Location,
-    rescale_argument,
-    times_monomial,
-)
+from .expansions import AsymptoticExpansion, ExpandableFunction
 
 QUAD_ABS_TOL = 1e-12
 QUAD_REL_TOL = 1e-10
@@ -145,22 +139,16 @@ def _quad_complex(fn: Callable[[float], complex], a: float, b: float) -> complex
     return complex(re, im)
 
 
-def _remainder_at_zero(f: ExpandableFunction) -> Callable[[float], complex]:
-    terms = f.expansion_at_zero.terms
+def _remainder(
+    f: ExpandableFunction, expansion: AsymptoticExpansion
+) -> Callable[[float], complex]:
+    """x -> f(x) minus each stored term of `expansion` in turn.
 
-    def rem(x: float) -> complex:
-        v = complex(f.evaluator(x))
-        if terms:
-            lx = math.log(x)
-            for t in terms:
-                v -= t.coefficient * complex(x) ** t.exponent * lx**t.log_power
-        return v
-
-    return rem
-
-
-def _remainder_at_infinity(f: ExpandableFunction) -> Callable[[float], complex]:
-    terms = f.expansion_at_infinity.terms
+    Subtracting term by term rounds differently from
+    `ExpandableFunction.remainder_at_*` (f minus the summed expansion); the
+    quadratures below are defined with this order.
+    """
+    terms = expansion.terms
 
     def rem(x: float) -> complex:
         v = complex(f.evaluator(x))
@@ -174,7 +162,7 @@ def _remainder_at_infinity(f: ExpandableFunction) -> Callable[[float], complex]:
 
 
 def _quad_zero_side(f: ExpandableFunction, z: complex, cut: float) -> complex:
-    rem = _remainder_at_zero(f)
+    rem = _remainder(f, f.expansion_at_zero)
 
     def integrand(x: float) -> complex:
         r = rem(x)
@@ -187,7 +175,7 @@ def _quad_zero_side(f: ExpandableFunction, z: complex, cut: float) -> complex:
 
 def _quad_infinity_side(f: ExpandableFunction, z: complex, cut: float) -> complex:
     # substitute x = cut/u to map [cut, inf) onto (0, 1]
-    rem = _remainder_at_infinity(f)
+    rem = _remainder(f, f.expansion_at_infinity)
     c = cut
 
     def integrand(u: float) -> complex:
@@ -334,8 +322,7 @@ def regularized_integral_partial(f: ExpandableFunction, c: float, side: Side) ->
                 total += t.coefficient * math.log(c) ** (t.log_power + 1) / (t.log_power + 1)
             else:
                 total += t.coefficient * monomial_block(w, t.log_power, c)
-        rem = _remainder_at_zero(f)
-        total += _quad_complex(lambda x: rem(x), 0.0, c)
+        total += _quad_complex(_remainder(f, f.expansion_at_zero), 0.0, c)
     elif side is Side.C_TO_INF:
         for t in f.expansion_at_infinity.terms:
             w = 1.0 + t.exponent
@@ -343,7 +330,7 @@ def regularized_integral_partial(f: ExpandableFunction, c: float, side: Side) ->
                 total -= t.coefficient * math.log(c) ** (t.log_power + 1) / (t.log_power + 1)
             else:
                 total -= t.coefficient * monomial_block(w, t.log_power, c)
-        rem = _remainder_at_infinity(f)
+        rem = _remainder(f, f.expansion_at_infinity)
 
         def integrand(u: float) -> complex:
             x = c / u

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -308,10 +308,11 @@ class SeparableSigma:
             seen.add(key)
 
 
-def _sample_remainder_bound(sigma: SeparableSigma, p: int) -> float:
-    """Observed constant sup |rem| * zeta^(p+1) / log^r zeta on a sample grid."""
+def _check_remainder_bound(sigma: SeparableSigma, p: int) -> None:
+    """Sample sup |rem| * zeta^(p+1) / log^r zeta on a grid; raise if it is
+    non-finite or exceeds the declared bound."""
     if sigma.remainder is None:
-        return 0.0
+        return
     r = sigma.remainder_log_power
     worst = 0.0
     for zeta in np.logspace(0.5, 3.0, 12):
@@ -326,7 +327,6 @@ def _sample_remainder_bound(sigma: SeparableSigma, p: int) -> float:
         raise SalError(
             f"declared remainder bound {sigma.remainder_bound} violated: observed {worst}"
         )
-    return worst
 
 
 def sal_separable(sigma: SeparableSigma, p: int) -> ExpansionReport:
@@ -348,7 +348,7 @@ def sal_separable(sigma: SeparableSigma, p: int) -> ExpansionReport:
     for _, alpha, _k in sigma.boundary_terms:
         if complex(alpha).real <= -p - 1:
             raise SalError(f"boundary family exponent {alpha} outside Re alpha > -p-1")
-    observed = _sample_remainder_bound(sigma, p)
+    _check_remainder_bound(sigma, p)
     terms: list[ReportTerm] = []
 
     for j in range(min(p, len(sigma.x_jets))):
@@ -373,9 +373,6 @@ def sal_separable(sigma: SeparableSigma, p: int) -> ExpansionReport:
             coef = phi.derivatives_at_zero[n] / (math.factorial(n) * (k + 1))
             terms.append(ReportTerm(a, k + 1, coef, "log-correction"))
 
-    report = ExpansionReport(
+    return ExpansionReport(
         "z", _merge_terms(terms), -(float(p) + 1.0), sigma.remainder_log_power + 1
     )
-    # stash the sampled constant for diagnostics
-    object.__setattr__(report, "sampled_remainder_constant", observed)
-    return report

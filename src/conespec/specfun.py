@@ -51,9 +51,9 @@ def gamma(z: complex) -> complex:
     if _is_nonpositive_integer(z):
         raise SpecfunError(f"gamma pole at z={z}")
     out = sps.gamma(complex(z))
-    if isinstance(out, complex) and abs(complex(z).imag) == 0:
-        return out
-    return complex(out)
+    # real z keeps numpy's complex128, whose arithmetic downstream rounds
+    # differently from Python's complex
+    return out if complex(z).imag == 0 else complex(out)
 
 
 def log_gamma(z: complex) -> complex:
@@ -523,12 +523,27 @@ def riemann_zeta(s: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def laurent_fit(
+    f: Callable[[complex], complex], s0: complex = 0.0, h: float = 1e-3
+) -> tuple[complex, complex]:
+    """Richardson-refined central-difference fit of (Res_1, Res_0) at a simple pole.
+
+    f is evaluated once at each of s0 +/- h and s0 +/- 2h; both coefficients
+    are second-order differences refined to fourth order.
+    """
+    f1p, f1m = f(s0 + h), f(s0 - h)
+    f2p, f2m = f(s0 + 2 * h), f(s0 - 2 * h)
+    res1 = (4.0 * ((f1p - f1m) * h / 2.0) - (f2p - f2m) * (2 * h) / 2.0) / 3.0
+    res0 = (4.0 * ((f1p + f1m) / 2.0) - (f2p + f2m) / 2.0) / 3.0
+    return res1, res0
+
+
 class DirichletSeriesProvider:
     """zeta(s) = sum_j a_j nu_j^-s with an explicit meromorphic continuation.
 
     Subclasses implement `zeta` and `term_iter`; the pole ledger defaults to
-    empty and residue/finite-part extraction to symmetric-difference fits,
-    which are second-order accurate and Richardson-refined.
+    empty and residue/finite-part extraction to the Richardson-refined
+    `laurent_fit` of `zeta` at the pole.
     """
 
     def zeta(self, s: complex) -> complex:
@@ -555,21 +570,16 @@ class DirichletSeriesProvider:
     def residue_at(self, s0: complex, h: float = 1e-3) -> complex:
         if not self.is_pole(s0, tol=1e-6):
             return 0.0
-
-        def odd(hh: float) -> complex:
-            return (self.zeta(s0 + hh) - self.zeta(s0 - hh)) * hh / 2.0
-
-        return (4.0 * odd(h) - odd(2 * h)) / 3.0
+        return laurent_fit(self.zeta, s0, h)[0]
 
     def value_at(self, s0: complex, h: float = 1e-3) -> complex:
         """Finite part (constant Laurent coefficient) at s0."""
         if not self.is_pole(s0, tol=1e-6):
             return self.zeta(s0)
+        return laurent_fit(self.zeta, s0, h)[1]
 
-        def even(hh: float) -> complex:
-            return (self.zeta(s0 + hh) + self.zeta(s0 - hh)) / 2.0
-
-        return (4.0 * even(h) - even(2 * h)) / 3.0
+    def to_json_dict(self) -> dict:
+        return {"kind": "opaque"}
 
     def partial_sum(self, s: complex, n_terms: int) -> complex:
         total = 0.0 + 0.0j
@@ -602,44 +612,14 @@ class FiniteSpectrumProvider(DirichletSeriesProvider):
         yield from self.pairs
 
 
-class RiemannZetaProvider(DirichletSeriesProvider):
-    """zeta(s) = scale * zeta_R(exponent * s) = sum_j scale * (j^exponent)^-s."""
-
-    def __init__(self, scale: float = 1.0, exponent: float = 1.0):
-        if exponent <= 0:
-            raise SpecfunError("exponent must be positive")
-        self.scale = scale
-        self.exponent = exponent
-
-    def zeta(self, s: complex) -> complex:
-        return self.scale * riemann_zeta(self.exponent * complex(s))
-
-    def term_iter(self):
-        j = 1
-        while True:
-            yield (self.scale, float(j) ** self.exponent)
-            j += 1
-
-    def pole_locations(self):
-        return (complex(1.0 / self.exponent),)
-
-    def residue_at(self, s0, h: float = 1e-3):
-        if abs(complex(s0) - 1.0 / self.exponent) <= 1e-6:
-            return self.scale / self.exponent
-        return 0.0
-
-    def value_at(self, s0, h: float = 1e-3):
-        if abs(complex(s0) - 1.0 / self.exponent) <= 1e-6:
-            return self.scale * EULER_GAMMA
-        return self.zeta(s0)
-
-
 class HurwitzZetaProvider(DirichletSeriesProvider):
     """zeta(s) = scale * zeta_H(exponent*s, a) = sum_j scale*((a+j)^exponent)^-s."""
 
     def __init__(self, a: float, scale: float = 1.0, exponent: float = 1.0):
         if a <= 0:
             raise SpecfunError("a must be positive")
+        if exponent <= 0:
+            raise SpecfunError("exponent must be positive")
         self.a = a
         self.scale = scale
         self.exponent = exponent
@@ -665,6 +645,17 @@ class HurwitzZetaProvider(DirichletSeriesProvider):
         if abs(complex(s0) - 1.0 / self.exponent) <= 1e-6:
             return -self.scale * digamma(self.a)
         return self.zeta(s0)
+
+    def to_json_dict(self) -> dict:
+        d = {"kind": "riemann"} if self.a == 1.0 else {"kind": "hurwitz", "a": self.a}
+        return {**d, "scale": self.scale, "exponent": self.exponent}
+
+
+class RiemannZetaProvider(HurwitzZetaProvider):
+    """zeta(s) = scale * zeta_R(exponent * s) = sum_j scale * (j^exponent)^-s."""
+
+    def __init__(self, scale: float = 1.0, exponent: float = 1.0):
+        super().__init__(1.0, scale, exponent)
 
 
 def _complex_binom(top: complex, m: int) -> complex:
@@ -725,43 +716,3 @@ class PowerShiftSquaredProvider(DirichletSeriesProvider):
             if abs(complex(s0) - loc) <= 1e-6:
                 return _complex_binom(-2 * complex(loc), m) * d**m / (2 * g)
         return 0.0
-
-
-# ---------------------------------------------------------------------------
-# Dirichlet-series Gamma-ratio sums
-# ---------------------------------------------------------------------------
-
-
-def dirichlet_phi(
-    provider: DirichletSeriesProvider,
-    s: complex,
-    n: int,
-    head_threshold: float = 8.0,
-) -> complex:
-    """Phi(s) = sum_j a_j Gamma(nu_j - s + 1)/Gamma(nu_j + s).
-
-    Head terms (nu_j <= head_threshold) are summed with exact Gamma
-    quotients; the tail is folded through the provider's zeta continuation
-    against the Q_k expansion:
-        tail = sum_{k<=n} Q_k(s) [zeta(2s-1+k) - head partial sum].
-    """
-    s = complex(s)
-    if n > MAX_RATIO_ORDER:
-        raise SpecfunError(f"order must be <= {MAX_RATIO_ORDER}")
-    head = provider.terms_below(head_threshold)
-    total = 0.0 + 0.0j
-    for w, nu in head:
-        total += w * cmath.exp(log_gamma(nu - s + 1) - log_gamma(nu + s))
-    exp_ = gamma_ratio_expansion(n)
-    for k in range(n + 1):
-        qk = exp_.q_polys[k]
-        if not qk:
-            continue
-        arg = 2 * s - 1 + k
-        if provider.is_pole(arg):
-            raise SpecfunError(f"provider pole at required argument {arg}")
-        tail_zeta = provider.zeta(arg) - sum(
-            w * complex(nu) ** (-arg) for w, nu in head
-        )
-        total += _poly_eval(qk, s) * tail_zeta
-    return total

@@ -300,3 +300,31 @@ class TestVerify:
         assert code == 0
         header = out.splitlines()[0].split(",")
         assert "check" in header and "residual" in header and "status" in header
+
+
+class TestFlags:
+    FLAG_VALUES = {
+        "--p": "1", "--s-re": "1.5", "--s-im": "0.5", "--in": "{}", "--order": "4",
+        "--tol": "1e-8", "--grid": "p=0.5:2.5:3", "--seed": "1",
+    }
+
+    def rejects(self, capsys, *argv) -> bool:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        capsys.readouterr()
+        return exc.value.code == 2
+
+    def test_unread_flag_is_input_error(self, capsys):
+        assert self.rejects(capsys, "deficiency", "--p", "1")
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_dead_t_flag_is_input_error(self, capsys, command):
+        # also not taken as an abbreviation of --tol
+        assert self.rejects(capsys, command, "--t", "1e-6")
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_only_read_flags_accepted(self, capsys, command):
+        _, reads = cli._COMMANDS[command]
+        for flag, value in self.FLAG_VALUES.items():
+            if flag not in reads:
+                assert self.rejects(capsys, command, flag, value), flag

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -30,6 +31,7 @@ from conespec.cone import (
     zeta_hat_operator_report,
 )
 from conespec.specfun import (
+    HurwitzZetaProvider,
     PowerShiftSquaredProvider,
     RiemannZetaProvider,
     digamma,
@@ -168,6 +170,10 @@ class TestSpectrumData:
         )
         with pytest.raises(ConeError):
             zeta_hat_operator(spec, 1.6)
+        with pytest.raises(ConeError):
+            spec.zeta_a(2.0)
+        with pytest.raises(ConeError):
+            residues_at_zero(spec)
 
     def test_json_round_trip_with_tail(self):
         d = {
@@ -179,8 +185,11 @@ class TestSpectrumData:
         assert spec.negative_below == 1.0
         assert spec.tail is not None and spec.tail.scale == 2.0
         d2 = spec.to_json_dict()
-        assert d2["tail"]["kind"] == "riemann"
+        assert d2["tail"] == {"kind": "riemann", "scale": 2, "exponent": 2.0}
         assert CrossSectionSpectrum.from_json_dict(d2).data == spec.data
+        tail = {"kind": "hurwitz", "a": 0.7, "scale": 1.5, "exponent": 2.3}
+        spec = CrossSectionSpectrum.from_json_dict({"data": [], "tail": tail})
+        assert spec.to_json_dict()["tail"] == tail
 
     def test_json_unknown_tail_kind(self):
         with pytest.raises(ConeError):
@@ -222,9 +231,30 @@ class TestZetaHatOperator:
         b = zeta_hat_operator(spec, 1.6, head_threshold=20.0)
         assert a == pytest.approx(b, rel=1e-10)
 
+    def test_integer_orders_against_direct_sum(self):
+        # eigenvalues j^2, weight 1: the Gamma-quotient sum has orders p = j
+        spec = CrossSectionSpectrum(data=(), tail=RiemannZetaProvider(1.0, 2.0))
+        s = 2.5
+        direct = sum(
+            float(mpmath.gamma(j - s + 1) / mpmath.gamma(j + s))
+            for j in range(1, 12000)
+        )
+        pref = sc_gamma(s - 0.5) / sc_gamma(s) / (2.0 * SQRT_PI)
+        assert zeta_hat_operator(spec, s) == pytest.approx(pref * direct, rel=1e-8)
+
     def test_provider_pole_collision_raises(self):
-        with pytest.raises(ConeError):
-            zeta_hat_operator(circle_spectrum(), 1.0)
+        # (2s - 1 + k)/2 hits the provider pole at 1/2 for s = 1, k = 0
+        unit = CrossSectionSpectrum(data=(), tail=RiemannZetaProvider(1.0, 2.0))
+        for spec in (circle_spectrum(), unit):
+            with pytest.raises(ConeError):
+                zeta_hat_operator(spec, 1.0)
+
+    def test_half_integer_poles_raise(self):
+        for s in (0.5, -0.5, -2.5):
+            with pytest.raises(ConeError):
+                zeta_hat_operator(circle_spectrum(), s)
+            with pytest.raises(ConeError):
+                zeta_hat_operator_report(circle_spectrum(), s)
 
     def test_pole_sampling_near_half(self):
         # (s - 1/2) zeta_hat stays bounded and stabilizes approaching the pole
@@ -344,6 +374,16 @@ class TestEta:
         assert res1 == pytest.approx(fit1, abs=1e-8)
         assert res0 == pytest.approx(fit0, abs=1e-8)
 
+    def test_weight_disagreement_raises(self):
+        # -1.5 is listed by the provider as 1.5 with weight +1
+        spec = FirstOrderSpectrum(
+            s_data=(SpectralDatum(-1.5, 1.0),),
+            eta_provider=HurwitzZetaProvider(0.5, 1.0, 1.0),
+        )
+        for query in (lambda: spec.eta_value(2.0), lambda: eta_hat_residues(spec)):
+            with pytest.raises(ConeError):
+                query()
+
     def test_consistency_check_on_providers(self):
         spec = FirstOrderSpectrum(
             s_data=(), eta_provider=ShiftedIntegerEtaProvider(0.25)
@@ -401,8 +441,10 @@ class TestHeatTrace:
         )
         # both sums are within (n-1) 2^-53 sum|term| of the exact sum per
         # component, plus one rounding per complex product: n 2^-51 sum|term|
-        # bounds their distance
-        ts = np.logspace(-5, -3, 48)
+        # bounds their distance.  The fit samples [t_hi/100, t_hi] with
+        # t_hi = 0.01 / max p^2.
+        t_hi = 0.01 / max(lams)
+        ts = np.logspace(math.log10(t_hi / 100.0), math.log10(t_hi), 48)
         ref, tol = [], []
         for t in list(ts) + [0.01, 0.3, 2.0]:
             terms = [
@@ -418,19 +460,29 @@ class TestHeatTrace:
         scale = np.linalg.norm(A, axis=0)
         sol, *_ = np.linalg.lstsq(A / scale, np.array(ref[:48]), rcond=None)
         pinv = np.linalg.pinv(A / scale) / scale[:, None]
-        coeffs, _ = scalar_interior_coefficients(spec, 2.0, mu, m, n_terms)
+        coeffs, _ = scalar_interior_coefficients(spec, mu, m, n_terms)
         bound = np.abs(pinv) @ np.array(tol[:48])
         assert np.all(np.abs(np.array(coeffs) - sol / scale) <= bound)
 
     def test_interior_coefficients_tauberian(self):
         spec = CrossSectionSpectrum(data=(SpectralDatum(1.0, 1.0),))
-        coeffs, cond = scalar_interior_coefficients(spec, 2.0, 2.0, 1, 4)
+        coeffs, cond = scalar_interior_coefficients(spec, 2.0, 1, 4)
         lead = 1.0 / math.sqrt(4.0 * math.pi)
         assert coeffs[0].real == pytest.approx(lead, rel=0.02)
         assert abs(coeffs[1]) < 0.02 * lead
         # second correction: -(4p^2-1)/4 * (4 pi)^{-1/2} at p = 1
         assert coeffs[2].real == pytest.approx(-0.75 * lead, rel=0.05)
         assert math.isfinite(cond)
+
+    def test_interior_coefficients_high_orders(self):
+        # orders 40 and 50: the fit window shrinks so p^2 t stays small
+        spec = CrossSectionSpectrum(
+            data=(SpectralDatum(1600.0, 1.0), SpectralDatum(2500.0, 1.0))
+        )
+        coeffs, _ = scalar_interior_coefficients(spec, 2.0, 1, 4)
+        lead = 2.0 / math.sqrt(4.0 * math.pi)
+        assert coeffs[0].real == pytest.approx(lead, rel=1e-4)
+        assert abs(coeffs[1]) < 0.005 * 2.0  # b_1 = 0; 0.005 per unit weight
 
     def test_expansion_assembly(self):
         spec = CrossSectionSpectrum(
@@ -457,3 +509,13 @@ class TestLaurentFit:
         res1, res0 = laurent_fit(lambda s: 2.0 / s + 3.0 + 5.0 * s)
         assert res1 == pytest.approx(2.0, rel=1e-9)
         assert res0 == pytest.approx(3.0, rel=1e-9)
+
+    def test_four_evaluations(self):
+        points = []
+
+        def f(s):
+            points.append(s)
+            return 2.0 / (s - 0.5) + 3.0
+
+        laurent_fit(f, 0.5, h=1e-3)
+        assert sorted(points) == [0.5 - 2e-3, 0.5 - 1e-3, 0.5 + 1e-3, 0.5 + 2e-3]

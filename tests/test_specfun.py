@@ -22,7 +22,6 @@ from conespec.specfun import (
     bessel_j,
     bessel_j_zero,
     digamma,
-    dirichlet_phi,
     evaluate_ratio,
     gamma,
     gamma_ratio_expansion,
@@ -300,16 +299,20 @@ class TestProviders:
         fit1 = (4.0 * odd1(h) - odd1(2 * h)) / 3.0
         assert fit1 == pytest.approx(prov.residue_at(loc1), rel=1e-5)
 
-    def test_dirichlet_phi_vs_direct_sum(self):
-        prov = RiemannZetaProvider()
-        s = 2.5
-        direct = sum(
-            float(mpmath.gamma(j - s + 1) / mpmath.gamma(j + s))
-            for j in range(1, 12000)
-        )
-        assert dirichlet_phi(prov, s, 6) == pytest.approx(direct, rel=1e-8)
+    def test_riemann_provider_is_hurwitz_at_one(self):
+        for scale, exponent in ((2.0, 2.0), (1.0, 0.5), (0.7, 2.37)):
+            riemann = RiemannZetaProvider(scale, exponent)
+            hurwitz = HurwitzZetaProvider(1.0, scale, exponent)
+            for s in (2.5, 0.3 + 4.0j, -1.7, 1.0 / exponent + 0.01):
+                assert riemann.zeta(s) == hurwitz.zeta(s)
+            assert riemann.terms_below(500.0) == hurwitz.terms_below(500.0)
+            assert riemann.to_json_dict() == {
+                "kind": "riemann", "scale": scale, "exponent": exponent
+            }
 
-    def test_dirichlet_phi_pole_collision_raises(self):
-        # 2s - 1 + k hits the provider pole at 1 for s = 1, k = 0
-        with pytest.raises(SpecfunError):
-            dirichlet_phi(RiemannZetaProvider(), 1.0, 6)
+    def test_provider_rejects_nonpositive_exponent(self):
+        for exponent in (0.0, -2.0):
+            with pytest.raises(SpecfunError):
+                RiemannZetaProvider(1.0, exponent)
+            with pytest.raises(SpecfunError):
+                HurwitzZetaProvider(0.5, 1.0, exponent)
