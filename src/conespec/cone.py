@@ -161,21 +161,25 @@ def _head_terms(provider: DirichletSeriesProvider, v_max: float) -> list:
 def _split_terms(pairs, head):
     """Match explicit (weight, value) pairs against a provider's head terms.
 
-    A pair is matched by value to the first head term within relative 1e-9;
-    the two must then agree in weight.  Returns the unmatched pairs and the
+    A pair claims the first unclaimed head term within relative 1e-9 of its
+    value whose weight agrees; if terms of that value remain but none agrees,
+    the provider contradicts the data.  Returns the unmatched pairs and the
     head terms no pair claimed.
     """
     remaining = list(head)
     unmatched = []
     for w, v in pairs:
-        for j, (head_w, u) in enumerate(remaining):
-            if abs(u - v) <= 1e-9 * max(1.0, v):
-                break
-        else:
+        near = [
+            j for j, (_, u) in enumerate(remaining) if abs(u - v) <= 1e-9 * max(1.0, v)
+        ]
+        if not near:
             unmatched.append((w, v))
             continue
-        del remaining[j]
-        if abs(head_w - w) > 1e-9 * (1.0 + abs(w)):
+        for j in near:
+            if abs(remaining[j][0] - w) <= 1e-9 * (1.0 + abs(w)):
+                del remaining[j]
+                break
+        else:
             raise ConeError(f"tail provider disagrees with data weight at value {v}")
     return unmatched, remaining
 
@@ -571,6 +575,10 @@ def eta_function_scalable(
     return gamma(s) * (plus - minus)
 
 
+# Cutoff of the alpha_k series shared by eta_hat_residues and index_first_order.
+_ALPHA_K_MAX = 6
+
+
 def _alpha_terms(spec: FirstOrderSpectrum, k_max: int) -> list[complex]:
     """alpha_k * Res_1 eta(S, 2k) for k = 1..k_max, skipping vanishing residues."""
     out = []
@@ -582,7 +590,7 @@ def _alpha_terms(spec: FirstOrderSpectrum, k_max: int) -> list[complex]:
 
 
 def eta_hat_residues(
-    spec: FirstOrderSpectrum, k_max: int = 6
+    spec: FirstOrderSpectrum, k_max: int = _ALPHA_K_MAX
 ) -> tuple[complex, complex]:
     """Laurent coefficients (Res_1, Res_0) of eta-hat at s=0.
 
@@ -603,16 +611,14 @@ def eta_hat_residues(
     return res1, res0
 
 
-def index_first_order(
-    spec: FirstOrderSpectrum, interior_term: complex, k_max: int = 6
-) -> complex:
+def index_first_order(spec: FirstOrderSpectrum, interior_term: complex) -> complex:
     """Index of the minimal extension of d/dx + S/x with the given interior term."""
     out = (
         complex(interior_term)
         - 0.5 * (spec.eta_res0(0.0) + spec.kernel_weight())
         - spec.small_negative_weight()
     )
-    for term in _alpha_terms(spec, k_max):
+    for term in _alpha_terms(spec, _ALPHA_K_MAX):
         out += 0.5 * term
     return out
 

@@ -388,6 +388,18 @@ class TestEta:
             with pytest.raises(ConeError):
                 query()
 
+    def test_symmetric_data_matches_in_any_order(self):
+        # the provider lists +0.5 and -0.5 as (+1, 0.5) and (-1, 0.5)
+        prov = ShiftedIntegerEtaProvider(0.5)
+        results = []
+        for order in ((-0.5, 0.5), (0.5, -0.5)):
+            spec = FirstOrderSpectrum(
+                s_data=tuple(SpectralDatum(x, 1.0) for x in order), eta_provider=prov
+            )
+            results.append((spec.eta_value(2.0), eta_hat_residues(spec)))
+        assert results[0] == results[1]
+        assert results[0][0] == prov.zeta(2.0)
+
     def test_consistency_check_on_providers(self):
         spec = FirstOrderSpectrum(
             s_data=(), eta_provider=ShiftedIntegerEtaProvider(0.25)
