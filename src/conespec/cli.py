@@ -12,7 +12,6 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional
 
@@ -105,16 +104,6 @@ def _complex_s(args, payload) -> complex:
     return complex(float(s_re), float(s_im))
 
 
-def _thread_cap() -> int:
-    env = os.environ.get("CONE_SPECTRA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError("CONE_SPECTRA_THREADS must be an integer")
-    return 4
-
-
 def _parse_grid(spec: str):
     """name=start:stop:count, inclusive linear grid."""
     name, _, rng = spec.partition("=")
@@ -128,11 +117,6 @@ def _parse_grid(spec: str):
         return name, [start]
     step = (stop - start) / (count - 1)
     return name, [start + i * step for i in range(count)]
-
-
-def _grid_map(fn, jobs):
-    with ThreadPoolExecutor(max_workers=min(_thread_cap(), max(1, len(jobs)))) as ex:
-        return list(ex.map(fn, jobs))
 
 
 def _check_tol(tol: Optional[float]) -> None:
@@ -199,40 +183,26 @@ def _cmd_zeta_lp(args) -> int:
     if args.grid:
         name, values = _parse_grid(args.grid)
         if name == "p":
-            jobs = [(float(v), s) for v in values]
+            ps, ss = values, [s] * len(values)
         elif name in ("s-re", "s_re"):
             if p_default is None:
                 raise ValueError("--p is required")
-            jobs = [(float(p_default), complex(v, s.imag)) for v in values]
+            # complex(v, s_im), not v + 1j*s_im, keeps the sign of s_im = -0.0
+            ps, ss = [float(p_default)] * len(values), [complex(v, s.imag) for v in values]
         else:
             raise ValueError(f"zeta-lp grids run over 'p' or 's-re', not {name!r}")
-        vals = _grid_map(lambda job: cone.zeta_hat_lp(*job), jobs)
-        out = [
-            {
-                "p": pj,
-                "s_re": sj.real,
-                "s_im": sj.imag,
-                "value_re": v.real,
-                "value_im": v.imag,
-            }
-            for (pj, sj), v in zip(jobs, vals)
-        ]
-        _emit(out, args)
+        vals = cone.zeta_hat_lp(ps, ss).tolist()
+        _emit([_lp_row(*row) for row in zip(ps, ss, vals)], args)
         return EXIT_OK
     if p_default is None:
         raise ValueError("--p is required")
-    v = cone.zeta_hat_lp(float(p_default), s)
-    _emit(
-        {
-            "p": float(p_default),
-            "s_re": s.real,
-            "s_im": s.imag,
-            "value_re": v.real,
-            "value_im": v.imag,
-        },
-        args,
-    )
+    p = float(p_default)
+    _emit(_lp_row(p, s, cone.zeta_hat_lp(p, s)), args)
     return EXIT_OK
+
+
+def _lp_row(p: float, s: complex, v: complex) -> dict:
+    return {"p": p, "s_re": s.real, "s_im": s.imag, "value_re": v.real, "value_im": v.imag}
 
 
 def _cmd_zeta_op(args) -> int:

@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.special import loggamma
 
 from .sal import ExpansionReport, ReportTerm
 from .specfun import (
@@ -23,6 +24,7 @@ from .specfun import (
     HurwitzZetaProvider,
     RiemannZetaProvider,
     _is_nonpositive_integer,
+    _nonpositive_integer_mask,
     _poly_eval,
     b_pos_fraction,
     bessel_i_scaled,
@@ -87,33 +89,68 @@ def heat_kernel_lp(p: float, t: float, x: float, y: float) -> float:
     )
 
 
-def k_trace_lp(p: float, t: float) -> float:
-    """Fiber trace k(t) = heat kernel of L_p on the diagonal at x=1."""
-    if t <= 0:
+def k_trace_lp(p, t):
+    """Fiber trace k(t) = heat kernel of L_p on the diagonal at x=1.
+
+    Scalars return a float; arrays of p and t broadcast.
+    """
+    scalar = isinstance(t, (int, float))
+    t = t if scalar else np.asarray(t, dtype=float)
+    if not (t > 0 if scalar else np.all(t > 0)):  # NaN fails too
         raise ConeError("t must be positive")
     z = 1.0 / (2.0 * t)
     return z * bessel_i_scaled(p, z)
 
 
-def zeta_hat_lp(p: float, s: complex) -> complex:
-    """Closed form of the regularized zeta function of L_p."""
-    if p <= -1:
-        raise ConeError("p must exceed -1")
+def zeta_hat_lp(p, s):
+    """Closed form Gamma(s-1/2) Gamma(p+1-s) / (2 sqrt(pi) Gamma(s) Gamma(p+s)).
+
+    The regularized zeta function of L_p.  Domain: finite p > -1 and finite s
+    off the poles s = 1/2 - n and s = p + 1 + n.  Python scalars return a
+    complex; arrays of p and s broadcast to a complex array whose entries are
+    bit-identical to the scalar values.
+    """
+    if not (isinstance(p, (int, float)) and isinstance(s, (int, float, complex))):
+        return _zeta_hat_lp_array(p, s)
+    if not -1 < p < math.inf:
+        raise ConeError(f"p must be finite and exceed -1, not {p}")
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise ConeError(f"s must be finite, not {s}")
     if _is_nonpositive_integer(s - 0.5) or _is_nonpositive_integer(p + 1 - s):
         raise ConeError(f"pole of zeta_hat(L_p) at s={s}")
     if _is_nonpositive_integer(s) or _is_nonpositive_integer(p + s):
         # a reciprocal-Gamma zero with no compensating pole
         return 0.0 + 0.0j
-    return (
-        cmath.exp(
-            log_gamma(s - 0.5)
-            + log_gamma(p + 1 - s)
-            - log_gamma(s)
-            - log_gamma(p + s)
-        )
-        / (2.0 * SQRT_PI)
-    )
+    log_v = log_gamma(s - 0.5) + log_gamma(p + 1 - s) - log_gamma(s) - log_gamma(p + s)
+    return cmath.exp(log_v) / (2.0 * SQRT_PI)
+
+
+def _zeta_hat_lp_array(p, s) -> np.ndarray | complex:
+    """`zeta_hat_lp` with one loggamma call per Gamma factor over the grid.
+
+    Points off the domain, on a pole, or with |Re log value| > 708 (where
+    cmath.exp rescales against overflow, and Python's complex division signs
+    an underflowed zero) go through the scalar path in grid order, so the
+    first bad point raises the scalar's error.
+    """
+    p, s = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(s, dtype=complex))
+    with np.errstate(all="ignore"):
+        bad = ~((p > -1) & (p < math.inf) & np.isfinite(s))
+        bad |= _nonpositive_integer_mask(s - 0.5) | _nonpositive_integer_mask(p + 1 - s)
+        zero = _nonpositive_integer_mask(s) | _nonpositive_integer_mask(p + s)
+        log_v = loggamma(s - 0.5) + loggamma(p + 1 - s) - loggamma(s) - loggamma(p + s)
+        v = np.exp(log_v)
+        scalar = bad | (~zero & (np.abs(log_v.real) > 708.0))
+    out = np.empty(p.shape, dtype=complex)
+    # part by part, as Python's complex / float rounds; numpy's complex
+    # division multiplies by a reciprocal
+    out.real = v.real / (2.0 * SQRT_PI)
+    out.imag = v.imag / (2.0 * SQRT_PI)
+    out[zero] = 0.0
+    for i in np.flatnonzero(scalar):
+        out.flat[i] = zeta_hat_lp(float(p.flat[i]), complex(s.flat[i]))
+    return complex(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -631,17 +668,14 @@ def index_first_order(spec: FirstOrderSpectrum, interior_term: complex) -> compl
 def _fiber_traces(spec: CrossSectionSpectrum, ts: np.ndarray) -> np.ndarray:
     """sum_i weight_i * k_trace_lp(p_i, t) at every t of `ts`.
 
-    The (t x eigenvalue) Bessel matrix is evaluated in one array call and
+    The (t x eigenvalue) trace matrix is evaluated in one array call and
     contracted with the weights.
     """
     if spec.tail is not None:
         raise ConeError("fiber trace needs a finite spectrum")
-    if not np.all(ts > 0):
-        raise ConeError("t must be positive")
     orders = np.array([spec.p_of(i) for i in range(len(spec.data))], dtype=float)
     weights = np.array([d.weight for d in spec.data], dtype=complex)
-    z = 1.0 / (2.0 * ts[:, None])
-    return (z * bessel_i_scaled(orders, z)) @ weights
+    return k_trace_lp(orders, ts[:, None]) @ weights
 
 
 def k_trace_operator(spec: CrossSectionSpectrum, t: float) -> complex:

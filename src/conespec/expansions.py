@@ -188,10 +188,19 @@ class ExpandableFunction:
         return self.expansion_at_infinity.remainder_order
 
     def remainder_at_zero(self, x: float) -> complex:
-        return self.evaluator(x) - self.expansion_at_zero.evaluate(x)
+        return _minus_terms(complex(self.evaluator(x)), self.expansion_at_zero, x)
 
     def remainder_at_infinity(self, x: float) -> complex:
-        return self.evaluator(x) - self.expansion_at_infinity.evaluate(x)
+        return _minus_terms(complex(self.evaluator(x)), self.expansion_at_infinity, x)
+
+
+def _minus_terms(v: complex, expansion: AsymptoticExpansion, x: float) -> complex:
+    """v minus each stored term of `expansion` at x in turn (log x computed once)."""
+    if expansion.terms:
+        lx = math.log(x)
+        for t in expansion.terms:
+            v -= t.coefficient * complex(x) ** t.exponent * lx**t.log_power
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .expansions import AsymptoticExpansion, ExpandableFunction
+from .expansions import ExpandableFunction
 
 QUAD_ABS_TOL = 1e-12
 QUAD_REL_TOL = 1e-10
@@ -139,33 +139,9 @@ def _quad_complex(fn: Callable[[float], complex], a: float, b: float) -> complex
     return complex(re, im)
 
 
-def _remainder(
-    f: ExpandableFunction, expansion: AsymptoticExpansion
-) -> Callable[[float], complex]:
-    """x -> f(x) minus each stored term of `expansion` in turn.
-
-    Subtracting term by term rounds differently from
-    `ExpandableFunction.remainder_at_*` (f minus the summed expansion); the
-    quadratures below are defined with this order.
-    """
-    terms = expansion.terms
-
-    def rem(x: float) -> complex:
-        v = complex(f.evaluator(x))
-        if terms:
-            lx = math.log(x)
-            for t in terms:
-                v -= t.coefficient * complex(x) ** t.exponent * lx**t.log_power
-        return v
-
-    return rem
-
-
 def _quad_zero_side(f: ExpandableFunction, z: complex, cut: float) -> complex:
-    rem = _remainder(f, f.expansion_at_zero)
-
     def integrand(x: float) -> complex:
-        r = rem(x)
+        r = f.remainder_at_zero(x)
         if r == 0:
             return 0.0
         return complex(x) ** (z - 1) * r
@@ -175,12 +151,11 @@ def _quad_zero_side(f: ExpandableFunction, z: complex, cut: float) -> complex:
 
 def _quad_infinity_side(f: ExpandableFunction, z: complex, cut: float) -> complex:
     # substitute x = cut/u to map [cut, inf) onto (0, 1]
-    rem = _remainder(f, f.expansion_at_infinity)
     c = cut
 
     def integrand(u: float) -> complex:
         x = c / u
-        r = rem(x)
+        r = f.remainder_at_infinity(x)
         if r == 0:
             return 0.0
         return complex(x) ** (z - 1) * r * (x / u)
@@ -322,7 +297,7 @@ def regularized_integral_partial(f: ExpandableFunction, c: float, side: Side) ->
                 total += t.coefficient * math.log(c) ** (t.log_power + 1) / (t.log_power + 1)
             else:
                 total += t.coefficient * monomial_block(w, t.log_power, c)
-        total += _quad_complex(_remainder(f, f.expansion_at_zero), 0.0, c)
+        total += _quad_complex(f.remainder_at_zero, 0.0, c)
     elif side is Side.C_TO_INF:
         for t in f.expansion_at_infinity.terms:
             w = 1.0 + t.exponent
@@ -330,11 +305,10 @@ def regularized_integral_partial(f: ExpandableFunction, c: float, side: Side) ->
                 total -= t.coefficient * math.log(c) ** (t.log_power + 1) / (t.log_power + 1)
             else:
                 total -= t.coefficient * monomial_block(w, t.log_power, c)
-        rem = _remainder(f, f.expansion_at_infinity)
 
         def integrand(u: float) -> complex:
             x = c / u
-            r = rem(x)
+            r = f.remainder_at_infinity(x)
             return 0.0 if r == 0 else r * (x / u)
 
         total += _quad_complex(integrand, 0.0, 1.0)

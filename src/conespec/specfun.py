@@ -46,6 +46,11 @@ def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
     return abs(z.imag) <= tol and z.real <= 0.5 and abs(z.real - round(z.real)) <= tol
 
 
+def _nonpositive_integer_mask(z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """`_is_nonpositive_integer` elementwise over a complex array."""
+    return (np.abs(z.imag) <= tol) & (z.real <= 0.5) & (np.abs(z.real - np.round(z.real)) <= tol)
+
+
 def gamma(z: complex) -> complex:
     """Gamma function; raises on the poles at 0, -1, -2, ..."""
     if _is_nonpositive_integer(z):

@@ -58,8 +58,7 @@ class TestZetaLp:
         code, out, _ = run(capsys, "zeta-lp", "--in", payload, "--p", "1.5")
         assert json.loads(out)["p"] == 1.5
 
-    def test_grid_ordering(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONE_SPECTRA_THREADS", "2")
+    def test_grid_ordering(self, capsys):
         code, out, _ = run(
             capsys, "zeta-lp", "--s-re", "0.8", "--grid", "p=0.5:2.5:5"
         )
@@ -75,12 +74,45 @@ class TestZetaLp:
         code, _, _ = run(capsys, "zeta-lp", "--s-re", "0.8", "--grid", "t=0:1:3")
         assert code == 2
 
-    def test_bad_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONE_SPECTRA_THREADS", "many")
-        code, _, _ = run(
-            capsys, "zeta-lp", "--s-re", "0.8", "--grid", "p=0.5:2.5:3"
+    def test_s_re_grid_keeps_negative_zero_s_im(self, capsys):
+        code, out, _ = run(
+            capsys, "zeta-lp", "--p", "1.5", "--s-im", "-0.0", "--grid", "s-re=0.3:0.9:3"
+        )
+        assert code == 0
+        rows = json.loads(out)
+        assert [math.copysign(1.0, r["s_im"]) for r in rows] == [-1.0] * 3
+        for r in rows:
+            v = cone.zeta_hat_lp(1.5, complex(r["s_re"], -0.0))
+            assert (r["value_re"], r["value_im"]) == (v.real, v.imag)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--p", "nan", "--s-re", "1.0"),
+            ("--p", "0.5", "--s-re", "nan"),
+            ("--p", "0.5", "--s-re", "1.0", "--s-im", "inf"),
+            ("--s-re", "0.8", "--grid", "p=nan:1:3"),
+            ("--s-re", "0.8", "--grid", "p=0:inf:3"),
+            ("--p", "0.5", "--grid", "s-re=0.3:nan:3"),
+        ],
+    )
+    def test_non_finite_input_is_schema_error(self, capsys, tmp_path, argv):
+        out_file = tmp_path / "out"
+        code, out, err = run(capsys, "zeta-lp", *argv, "--out", str(out_file))
+        assert code == 2
+        assert "invalid input" in err and "finite" in err
+        assert not out_file.exists()
+
+    def test_pole_inside_grid_is_schema_error(self, capsys, tmp_path):
+        # the third point, s = 0.5, is the pole s = 1/2
+        out_file = tmp_path / "out"
+        code, _, err = run(
+            capsys, "zeta-lp", "--p", "1.5", "--grid", "s-re=0.1:0.9:5",
+            "--out", str(out_file),
         )
         assert code == 2
+        assert "pole of zeta_hat(L_p) at s=(0.5+0j)" in err
+        assert not out_file.exists()
 
     def test_csv_format(self, capsys):
         code, out, _ = run(

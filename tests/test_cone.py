@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as sc_gamma
 
@@ -83,8 +85,17 @@ class TestHeatKernel:
     def test_domain_guards(self):
         with pytest.raises(ConeError):
             heat_kernel_lp(0.5, -1.0, 1.0, 1.0)
-        with pytest.raises(ConeError):
-            k_trace_lp(0.5, 0.0)
+        for t in (0.0, -1.0, math.nan, [0.1, 0.0], np.array([0.1, math.nan])):
+            with pytest.raises(ConeError):
+                k_trace_lp(0.5, t)
+
+    def test_fiber_trace_broadcasts(self):
+        ps = np.array([-0.5, 0.0, 0.5, 1.0, 2.5, 40.0])
+        ts = np.array([1e-4, 1e-2, 0.1, 1.0, 7.0])
+        got = k_trace_lp(ps[:, None], ts)
+        want = [[k_trace_lp(float(p), float(t)) for t in ts] for p in ps]
+        assert np.array_equal(got, np.array(want))
+        assert type(k_trace_lp(0.5, 0.1)) is float
 
     def test_small_time_fiber_trace(self):
         # k(t) = (4 pi t)^{-1/2} (1 - (4p^2-1) t/4 + O(t^2))
@@ -119,6 +130,90 @@ class TestZetaHatLp:
     def test_trivial_zeros(self):
         assert zeta_hat_lp(0.5, 0.0) == 0.0
         assert zeta_hat_lp(0.5, -1.0) == 0.0
+
+    def test_non_finite_arguments_raise(self):
+        for p, s in [(math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan),
+                     (0.5, complex(1.0, math.inf)), (0.5, -math.inf)]:
+            with pytest.raises(ConeError, match="finite"):
+                zeta_hat_lp(p, s)
+            with pytest.raises(ConeError, match="finite"):
+                zeta_hat_lp(np.array([0.5, p]), np.array([1.0, s]))
+
+    def test_scalars_return_python_complex(self):
+        assert type(zeta_hat_lp(0.5, 1.0)) is complex
+        assert type(zeta_hat_lp(np.float64(0.5), np.complex128(1.0))) is complex
+        assert type(zeta_hat_lp(np.array(0.5), 1.0)) is complex
+
+    @staticmethod
+    def assert_bits_equal(got, want):
+        # ==, and the sign of every zero part
+        got, want = (np.ascontiguousarray(v, dtype=complex) for v in (got, want))
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def scalar_loop(self, ps, ss):
+        return [zeta_hat_lp(float(p), complex(s)) for p, s in zip(ps, ss)]
+
+    def test_array_matches_scalar_loop_on_p_grid(self):
+        # zeros at s in {0, -2} and at p + s = -1, -2 (p = 0.7, -0.3 with
+        # s = -1.7); s = 250.3 + 1j at large p underflows to +-0
+        ps = np.concatenate([np.linspace(-0.95, 60.0, 1001), [0.7, -0.3, 2.0]])
+        ss = [0.8, 1.3 - 0.4j, complex(0.3, -0.0), complex(-1.7, -0.0), -2.0, 0.0,
+              25.3 + 2.0j, 250.3 + 1.0j]
+        grid = zeta_hat_lp(ps[:, None], np.array(ss)[None, :])
+        for j, s in enumerate(ss):
+            want = self.scalar_loop(ps, [s] * len(ps))
+            self.assert_bits_equal(grid[:, j], want)
+            self.assert_bits_equal(zeta_hat_lp(ps, s), want)
+        assert np.count_nonzero(grid == 0) > 2 * len(ps)
+        # |value| ~ 1e307, where cmath.exp rescales against overflow
+        ps, s = np.linspace(0.3, 0.7, 41), -98.3 + 0.3j
+        self.assert_bits_equal(zeta_hat_lp(ps, s), self.scalar_loop(ps, [s] * len(ps)))
+
+    def test_array_matches_scalar_loop_on_s_re_grid(self):
+        # p = 1.2: zeros at s = 0, -1, -2, -3 and p + s = 0, -1; poles at
+        # s = 1/2 - n and s = 2.2 + n are left out
+        s_re = [-3.0, -2.2, -2.0, -1.2, -1.0, -0.2, 0.0, 0.3, 0.8, 1.9, 2.1]
+        s_re += list(np.linspace(0.55, 2.15, 400))
+        for s_im in (0.0, -0.0, 0.7):
+            ss = np.array([complex(v, s_im) for v in s_re])
+            got = zeta_hat_lp(np.full(len(ss), 1.2), ss)
+            self.assert_bits_equal(got, self.scalar_loop([1.2] * len(ss), ss))
+            assert np.count_nonzero(got == 0) == (6 if s_im == 0 else 0)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-1.0, 60.0, exclude_min=True),
+                st.floats(-40.0, 40.0),
+                st.floats(-40.0, 40.0),
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_array_matches_scalar_sweep(self, points):
+        ps = [p for p, _, _ in points]
+        ss = [complex(re, im) for _, re, im in points]
+        try:
+            want = self.scalar_loop(ps, ss)
+        except ConeError:
+            assume(False)
+        self.assert_bits_equal(zeta_hat_lp(np.array(ps), np.array(ss)), want)
+
+    def test_array_raises_for_first_bad_point(self):
+        # index 1 is the pole Gamma(p+1-s) at p = 1, s = 2; index 2 has p <= -1
+        ps = np.array([0.5, 1.0, -1.5, 0.7])
+        with pytest.raises(ConeError) as scalar_err:
+            zeta_hat_lp(1.0, 2.0)
+        with pytest.raises(ConeError) as array_err:
+            zeta_hat_lp(ps, 2.0)
+        assert str(array_err.value) == str(scalar_err.value)
+        with pytest.raises(ConeError, match="exceed -1"):
+            zeta_hat_lp(ps[[0, 2, 1]], 2.0)
+        with pytest.raises(ConeError, match="pole"):
+            zeta_hat_lp(1.5, np.array([0.8, 0.5, -0.5]))
 
 
 class TestSpectrumData:
