@@ -86,8 +86,11 @@ def _load_payload(args) -> dict:
     text = args.infile
     if os.path.exists(text):
         with open(text) as fh:
-            return json.load(fh)
-    return json.loads(text)
+            text = fh.read()
+    payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError(f"--in must hold a JSON object, not {type(payload).__name__}")
+    return payload
 
 
 def _pick(args, payload: dict, flag: str, key: str, default=None):
@@ -101,7 +104,10 @@ def _pick(args, payload: dict, flag: str, key: str, default=None):
 def _complex_s(args, payload) -> complex:
     s_re = _pick(args, payload, "s_re", "s_re", 1.0)
     s_im = _pick(args, payload, "s_im", "s_im", 0.0)
-    return complex(float(s_re), float(s_im))
+    s = complex(float(s_re), float(s_im))
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise ValueError(f"s must be finite, not {s}")
+    return s
 
 
 def _parse_grid(spec: str):
@@ -125,28 +131,8 @@ def _check_tol(tol: Optional[float]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Spectra from JSON
+# Test functions
 # ---------------------------------------------------------------------------
-
-
-def _first_order_from_json(d: dict) -> cone.FirstOrderSpectrum:
-    data = tuple(
-        cone.SpectralDatum.from_json_dict(e) for e in d.get("s_data", [])
-    )
-    tail_spec = d.get("eta_tail", {"kind": "none"})
-    kind = tail_spec.get("kind", "none")
-    if kind == "none":
-        eta_provider = None
-    elif kind == "shifted-integer":
-        eta_provider = cone.ShiftedIntegerEtaProvider(float(tail_spec["a"]))
-    elif kind == "riemann":
-        eta_provider = specfun.RiemannZetaProvider(
-            scale=float(tail_spec.get("scale", 1.0)),
-            exponent=float(tail_spec.get("exponent", 1.0)),
-        )
-    else:
-        raise ValueError(f"unknown eta tail kind {kind!r}")
-    return cone.FirstOrderSpectrum(s_data=data, eta_provider=eta_provider)
 
 
 def _phi_test_function(name: str) -> sal.TestFunction:
@@ -175,9 +161,7 @@ def _phi_test_function(name: str) -> sal.TestFunction:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_zeta_lp(args) -> int:
-    payload = _load_payload(args)
-    _check_tol(args.tol)
+def _cmd_zeta_lp(args, payload: dict) -> int:
     s = _complex_s(args, payload)
     p_default = _pick(args, payload, "p", "p")
     if args.grid:
@@ -205,9 +189,7 @@ def _lp_row(p: float, s: complex, v: complex) -> dict:
     return {"p": p, "s_re": s.real, "s_im": s.imag, "value_re": v.real, "value_im": v.imag}
 
 
-def _cmd_zeta_op(args) -> int:
-    payload = _load_payload(args)
-    _check_tol(args.tol)
+def _cmd_zeta_op(args, payload: dict) -> int:
     spec_json = payload["spectrum"] if "spectrum" in payload else payload
     spec = cone.CrossSectionSpectrum.from_json_dict(spec_json)
     s = _complex_s(args, payload)
@@ -227,10 +209,8 @@ def _cmd_zeta_op(args) -> int:
     return EXIT_OK
 
 
-def _cmd_eta(args) -> int:
-    payload = _load_payload(args)
-    _check_tol(args.tol)
-    spec = _first_order_from_json(payload)
+def _cmd_eta(args, payload: dict) -> int:
+    spec = cone.FirstOrderSpectrum.from_json_dict(payload)
     res1, res0 = cone.eta_hat_residues(spec)
     out = {
         "res1_re": res1.real,
@@ -248,9 +228,7 @@ def _cmd_eta(args) -> int:
     return EXIT_OK
 
 
-def _cmd_heat_trace(args) -> int:
-    payload = _load_payload(args)
-    _check_tol(args.tol)
+def _cmd_heat_trace(args, payload: dict) -> int:
     spec = cone.CrossSectionSpectrum.from_json_dict(payload["spectrum"])
     nu = float(payload.get("nu", 2.0))
     mu = float(payload.get("mu", 2.0))
@@ -264,8 +242,7 @@ def _cmd_heat_trace(args) -> int:
     return EXIT_OK
 
 
-def _cmd_deficiency(args) -> int:
-    payload = _load_payload(args)
+def _cmd_deficiency(args, payload: dict) -> int:
     g = deficiency.GradedSpectrum.from_json_dict(payload)
     n_plus, n_minus = deficiency.deficiency_indices(g)
     if g.fredholm and n_plus != n_minus:
@@ -285,9 +262,7 @@ def _cmd_deficiency(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sal_expand(args) -> int:
-    payload = _load_payload(args)
-    _check_tol(args.tol)
+def _cmd_sal_expand(args, payload: dict) -> int:
     phi = _phi_test_function(payload.get("phi", "exp"))
     fams = payload.get("families", [])
     if not fams:
@@ -447,7 +422,7 @@ def _verify_checks(seed: int):
     return checks
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, payload: dict) -> int:
     seed = args.seed if args.seed is not None else 0
     checks = _verify_checks(seed)
     _emit(checks, args)
@@ -477,7 +452,7 @@ _FLAG_SPECS = {
     "--seed": {"type": int},
 }
 
-# (handler, flags it reads besides --out and --format)
+# (handler(args, payload), flags it reads besides --out and --format)
 _COMMANDS = {
     "zeta-lp": (_cmd_zeta_lp, ("--p", "--s-re", "--s-im", "--in", "--tol", "--grid")),
     "zeta-op": (_cmd_zeta_op, ("--s-re", "--s-im", "--in", "--tol", "--order")),
@@ -508,8 +483,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command][0](args)
-    except (HankelConvergenceError, MellinError, NonFiniteResultError) as exc:
+        payload = _load_payload(args)
+        _check_tol(getattr(args, "tol", None))
+        return _COMMANDS[args.command][0](args, payload)
+    except (HankelConvergenceError, MellinError, NonFiniteResultError, OverflowError) as exc:
         print(f"error: non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except (

@@ -295,32 +295,30 @@ class CrossSectionSpectrum:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CrossSectionSpectrum":
-        data = tuple(SpectralDatum.from_json_dict(e) for e in d.get("data", []))
-        tail_spec = d.get("tail", {"kind": "none"})
-        kind = tail_spec.get("kind", "none")
-        tail: Optional[DirichletSeriesProvider]
-        if kind == "none":
-            tail = None
-        elif kind == "riemann":
-            # eigenvalues j^e with weight `scale`
-            tail = RiemannZetaProvider(
-                scale=float(tail_spec.get("scale", 1.0)),
-                exponent=float(tail_spec.get("exponent", 2.0)),
-            )
-        elif kind == "hurwitz":
-            tail = HurwitzZetaProvider(
-                a=float(tail_spec["a"]),
-                scale=float(tail_spec.get("scale", 1.0)),
-                exponent=float(tail_spec.get("exponent", 2.0)),
-            )
-        else:
-            raise ConeError(f"unknown tail kind {kind!r}")
-        p_choice = d.get("p_choice", {})
+        """Data, a "riemann"/"hurwitz" tail (exponent 2 by default), p_choice."""
         return cls(
-            data=data,
-            tail=tail,
-            negative_below=float(p_choice.get("negative_below", 0.0)),
+            data=tuple(SpectralDatum.from_json_dict(e) for e in d.get("data", [])),
+            tail=_provider_from_json(d.get("tail", {}), ("riemann", "hurwitz"), 2.0),
+            negative_below=float(d.get("p_choice", {}).get("negative_below", 0.0)),
         )
+
+
+def _provider_from_json(
+    spec: dict, kinds: tuple, exponent: float
+) -> Optional[DirichletSeriesProvider]:
+    """The tail provider a JSON spec names: None for kind "none" (the default),
+    else one of `kinds`, with the caller's default exponent."""
+    kind = spec.get("kind", "none")
+    if kind == "none":
+        return None
+    if kind not in kinds:
+        raise ConeError(f"unknown tail kind {kind!r}")
+    if kind == "shifted-integer":
+        return ShiftedIntegerEtaProvider(float(spec["a"]))
+    scale, exponent = float(spec.get("scale", 1.0)), float(spec.get("exponent", exponent))
+    if kind == "riemann":
+        return RiemannZetaProvider(scale, exponent)
+    return HurwitzZetaProvider(float(spec["a"]), scale, exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +519,16 @@ class FirstOrderSpectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "s_data", tuple(self.s_data))
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "FirstOrderSpectrum":
+        """s_data and a "shifted-integer"/"riemann" eta_tail (exponent 1 by default)."""
+        return cls(
+            s_data=tuple(SpectralDatum.from_json_dict(e) for e in d.get("s_data", [])),
+            eta_provider=_provider_from_json(
+                d.get("eta_tail", {}), ("shifted-integer", "riemann"), 1.0
+            ),
+        )
 
     # -- simple spectral sums ----------------------------------------------
 

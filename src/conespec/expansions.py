@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
 EXPONENT_TOL = 1e-12
-COEF_DROP_TOL = 0.0  # only exact zeros are dropped on construction
 
 
 class Location(enum.Enum):

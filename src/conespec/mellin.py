@@ -11,7 +11,12 @@ The remainder pieces of f are integrated by adaptive Gauss-Kronrod quadrature.
 
 The regularized integral of f is the constant Laurent coefficient of Mf at
 z = 1; the regularized limit is the coefficient of x^0 log^0 x in the
-expansion.
+expansion.  One function of z computes that coefficient, over both sides of
+the cut c or over one: the term sum (each stored term's block, or the regular
+part of its block where it sits on the pole) plus the remainder quadrature.
+So the partial integrals over [0, c] and [c, inf) add up to the regularized
+integral with cut c.  One tolerance, POLE_TOL = 1e-8, decides that a point is
+on a pole, for the evaluator's guard, the pole ledger and the term sum.
 """
 
 from __future__ import annotations
@@ -25,12 +30,11 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .expansions import ExpandableFunction
+from .expansions import ExpandableFunction, LogPowerTerm
 
 QUAD_ABS_TOL = 1e-12
 QUAD_REL_TOL = 1e-10
-POLE_GUARD = 1e-9
-POLE_MERGE_TOL = 1e-10
+POLE_TOL = 1e-8
 POLE_DROP_TOL = 1e-13
 
 
@@ -39,7 +43,7 @@ class MellinError(Exception):
 
 
 class MellinPoleError(MellinError):
-    """Evaluation requested at (or too close to) a pole."""
+    """Evaluation requested within POLE_TOL of a ledger pole."""
 
 
 @dataclass(frozen=True)
@@ -60,21 +64,41 @@ class PoleData:
 
 @dataclass(frozen=True)
 class MeromorphicFunction:
-    """Evaluator off poles within a declared vertical strip, plus pole ledger."""
+    """Mf on a vertical strip: its pole ledger and its constant Laurent coefficient.
 
-    evaluator: Callable[[complex], complex]
+    `regular(z)` is the constant Laurent coefficient at z, which off the poles
+    is the value; calling the function evaluates it after refusing points
+    outside the strip or within POLE_TOL of a ledger pole.
+    """
+
+    regular: Callable[[complex], complex]
     poles: tuple[PoleData, ...]
     strip: tuple[float, float]
-    laurent: Optional[Callable[[complex, int], complex]] = None
 
     def __call__(self, z: complex) -> complex:
-        return self.evaluator(z)
+        z = complex(z)
+        if not (self.strip[0] - 1e-9 < z.real < self.strip[1] + 1e-9):
+            raise MellinError(f"z={z} outside strip {self.strip}")
+        pd = self.pole_at(z)
+        if pd is not None:
+            raise MellinPoleError(f"z={z} too close to pole at {pd.location}")
+        return self.regular(z)
 
-    def pole_at(self, z0: complex, tol: float = 1e-8) -> Optional[PoleData]:
+    def pole_at(self, z0: complex) -> Optional[PoleData]:
         for p in self.poles:
-            if abs(p.location - z0) <= tol:
+            if abs(p.location - z0) <= POLE_TOL:
                 return p
         return None
+
+    def laurent(self, z0: complex, j: int) -> complex:
+        """Laurent coefficient of (z-z0)**j of Mf at z0, for j <= 0."""
+        z0 = complex(z0)
+        if j > 0:
+            raise NotImplementedError("only principal and constant coefficients")
+        if j == 0:
+            return self.regular(z0)
+        pd = self.pole_at(z0)
+        return pd.principal_part[-j - 1] if pd is not None and -j <= pd.order else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -119,53 +143,116 @@ def monomial_block_regular_coefficient(j: int, k: int, c: float) -> complex:
 def monomial_integral_regularized(alpha: complex, k: int) -> complex:
     """Regularized integral of x**alpha log^k x over [0,1].
 
-    Equals (-1)^k k!/(alpha+1)^{k+1} for alpha != -1 and 0 for alpha = -1;
-    the [1,inf) side is the negative of this, so the global value vanishes.
+    Equals (-1)^k k!/(alpha+1)^{k+1} for alpha != -1 and 0 for alpha within
+    POLE_TOL of -1; the [1,inf) side is the negative of this, so the global
+    value vanishes.
     """
-    a1 = complex(alpha) + 1.0
-    if abs(a1) <= 1e-12:
-        return 0.0
-    return (-1.0) ** k * math.factorial(k) / a1 ** (k + 1)
+    return _term_sum([(1.0, LogPowerTerm(1.0, complex(alpha), k))], 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
-# Quadrature of the remainder pieces
+# The two sides of the regularized Mellin integral
 # ---------------------------------------------------------------------------
 
 
-def _quad_complex(fn: Callable[[float], complex], a: float, b: float) -> complex:
-    re, _ = quad(lambda x: fn(x).real, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=400)
-    im, _ = quad(lambda x: fn(x).imag, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=400)
+class Side(enum.Enum):
+    ZERO_TO_C = "zero_to_c"
+    C_TO_INF = "c_to_inf"
+
+
+def _signed_terms(f: ExpandableFunction, sides) -> list:
+    """(sign, term): + on [0, c], - on [c, inf), where a term's integral is minus its block."""
+    return [(1.0, t) for t in f.expansion_at_zero.terms if Side.ZERO_TO_C in sides] + [
+        (-1.0, t) for t in f.expansion_at_infinity.terms if Side.C_TO_INF in sides]
+
+
+def _term_sum(signed_terms, z: complex, c: float) -> complex:
+    """Exact integral of x^(z-1) times the signed terms, as regular parts at z.
+
+    A term with w = z + exponent within POLE_TOL of 0 contributes the regular
+    part log(c)^(k+1)/(k+1) of its block at w = 0; every other term its block
+    A_c(w, k).
+    """
+    total = 0.0 + 0.0j
+    for sign, t in signed_terms:
+        w = z + t.exponent
+        if abs(w) <= POLE_TOL:
+            block = monomial_block_regular_coefficient(0, t.log_power, c)
+        else:
+            block = monomial_block(w, t.log_power, c)
+        total += sign * t.coefficient * block
+    return total
+
+
+def _remainder_integral(f: ExpandableFunction, z: complex, c: float, side: Side) -> complex:
+    """Quadrature of x^(z-1) times f's remainder over [0, c] or [c, inf).
+
+    [c, inf) is mapped onto (0, 1] by x = c/u; the real and imaginary parts
+    are integrated separately.
+    """
+    power = z - 1
+
+    def zero_side(x: float) -> complex:
+        r = f.remainder_at_zero(x)
+        return 0.0 if r == 0 else complex(x) ** power * r
+
+    def infinity_side(u: float) -> complex:
+        x = c / u
+        r = f.remainder_at_infinity(x)
+        return 0.0 if r == 0 else complex(x) ** power * r * (x / u)
+
+    fn, b = (zero_side, c) if side is Side.ZERO_TO_C else (infinity_side, 1.0)
+    re, _ = quad(lambda x: fn(x).real, 0.0, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=400)
+    im, _ = quad(lambda x: fn(x).imag, 0.0, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=400)
     return complex(re, im)
 
 
-def _quad_zero_side(f: ExpandableFunction, z: complex, cut: float) -> complex:
-    def integrand(x: float) -> complex:
-        r = f.remainder_at_zero(x)
-        if r == 0:
-            return 0.0
-        return complex(x) ** (z - 1) * r
+def _regular_value(f: ExpandableFunction, z: complex, c: float, sides=tuple(Side)) -> complex:
+    """Constant Laurent coefficient at z of the Mellin integral of f over `sides`.
 
-    return _quad_complex(integrand, 0.0, cut)
+    Over both sides this is Mf at z (cut c) off its poles; one side is the
+    partial transform over [0, c] or [c, inf).
+    """
+    remainder = sum(_remainder_integral(f, z, c, side) for side in sides)
+    return _term_sum(_signed_terms(f, sides), z, c) + remainder
 
 
-def _quad_infinity_side(f: ExpandableFunction, z: complex, cut: float) -> complex:
-    # substitute x = cut/u to map [cut, inf) onto (0, 1]
-    c = cut
-
-    def integrand(u: float) -> complex:
-        x = c / u
-        r = f.remainder_at_infinity(x)
-        if r == 0:
-            return 0.0
-        return complex(x) ** (z - 1) * r * (x / u)
-
-    return _quad_complex(integrand, 0.0, 1.0)
+def _check(f: ExpandableFunction, cut: float) -> None:
+    if f.p <= 0 or f.q <= 0:
+        raise MellinError("need positive remainder orders p, q at both endpoints")
+    if cut <= 0:
+        raise MellinError("cut must be positive")
 
 
 # ---------------------------------------------------------------------------
 # The transform
 # ---------------------------------------------------------------------------
+
+
+def _pole_ledger(f: ExpandableFunction) -> tuple[PoleData, ...]:
+    """Poles of Mf, sorted: term a x^alpha log^k gives +-a (-1)^k k! at (z+alpha)^-(k+1).
+
+    Terms whose poles lie within POLE_TOL share one pole; a pole whose
+    principal part cancels below POLE_DROP_TOL is dropped.
+    """
+    acc: list[tuple[complex, dict[int, complex]]] = []
+    for sign, t in _signed_terms(f, tuple(Side)):
+        k = t.log_power
+        coef = sign * t.coefficient * (-1.0) ** k * math.factorial(k)
+        for loc, d in acc:
+            if abs(loc + t.exponent) <= POLE_TOL:
+                d[k + 1] = d.get(k + 1, 0.0) + coef
+                break
+        else:
+            acc.append((-t.exponent, {k + 1: coef}))
+    poles = []
+    for loc, d in acc:
+        m = max(d)
+        while m > 0 and abs(d.get(m, 0.0)) < POLE_DROP_TOL:
+            m -= 1
+        if m > 0:
+            poles.append(PoleData(loc, tuple(d.get(k, 0.0) for k in range(1, m + 1))))
+    return tuple(sorted(poles, key=lambda pd: (pd.location.real, pd.location.imag)))
 
 
 def mellin_transform(f: ExpandableFunction, cut: float = 1.0) -> MeromorphicFunction:
@@ -174,90 +261,14 @@ def mellin_transform(f: ExpandableFunction, cut: float = 1.0) -> MeromorphicFunc
     Poles sit at -alpha for zero-side exponents (order m+1 for log power m)
     and at -beta for infinity-side exponents; principal parts are assembled
     exactly from the monomial block, so cancellation between the two sides
-    (globally monomial f) is detected and such poles are dropped.
+    (globally monomial f) is detected and such poles are dropped.  Within
+    POLE_TOL of a ledger pole the evaluator raises MellinPoleError; at a
+    cancelled pole it returns the value, from the regular parts of the terms.
     """
-    p = f.expansion_at_zero.remainder_order
-    q = f.expansion_at_infinity.remainder_order
-    if p <= 0 or q <= 0:
-        raise MellinError("need positive remainder orders p, q at both endpoints")
-    if cut <= 0:
-        raise MellinError("cut must be positive")
-    strip = (1.0 - p, 1.0 + q)
-
-    zero_terms = f.expansion_at_zero.terms
-    inf_terms = f.expansion_at_infinity.terms
-
-    # pole ledger: -exponent -> {order k+1: coefficient}
-    pole_acc: list[tuple[complex, dict[int, complex]]] = []
-
-    def accumulate(location: complex, order: int, coef: complex):
-        for loc, d in pole_acc:
-            if abs(loc - location) <= POLE_MERGE_TOL:
-                d[order] = d.get(order, 0.0) + coef
-                return
-        pole_acc.append((location, {order: coef}))
-
-    for t in zero_terms:
-        accumulate(-t.exponent, t.log_power + 1,
-                   t.coefficient * (-1.0) ** t.log_power * math.factorial(t.log_power))
-    for t in inf_terms:
-        accumulate(-t.exponent, t.log_power + 1,
-                   -t.coefficient * (-1.0) ** t.log_power * math.factorial(t.log_power))
-
-    poles = []
-    for loc, d in pole_acc:
-        m = max(d)
-        if all(abs(d.get(k, 0.0)) < POLE_DROP_TOL for k in range(1, m + 1)):
-            continue
-        while m > 0 and abs(d.get(m, 0.0)) < POLE_DROP_TOL:
-            m -= 1
-        poles.append(PoleData(loc, tuple(d.get(k, 0.0) for k in range(1, m + 1))))
-    poles = tuple(sorted(poles, key=lambda pd: (pd.location.real, pd.location.imag)))
-
-    def term_sum(z: complex) -> complex:
-        total = 0.0 + 0.0j
-        for t in zero_terms:
-            total += t.coefficient * monomial_block(z + t.exponent, t.log_power, cut)
-        for t in inf_terms:
-            total -= t.coefficient * monomial_block(z + t.exponent, t.log_power, cut)
-        return total
-
-    def evaluator(z: complex) -> complex:
-        z = complex(z)
-        if not (strip[0] - 1e-9 < z.real < strip[1] + 1e-9):
-            raise MellinError(f"z={z} outside strip {strip}")
-        for pd in poles:
-            if abs(z - pd.location) < POLE_GUARD:
-                raise MellinPoleError(f"z={z} too close to pole at {pd.location}")
-        return term_sum(z) + _quad_zero_side(f, z, cut) + _quad_infinity_side(f, z, cut)
-
-    def laurent(z0: complex, j: int) -> complex:
-        """Laurent coefficient of (z-z0)**j of Mf at z0, for j <= 0."""
-        z0 = complex(z0)
-        if j < 0:
-            for pd in poles:
-                if abs(z0 - pd.location) <= 1e-8:
-                    k = -j
-                    return pd.principal_part[k - 1] if k <= pd.order else 0.0
-            return 0.0
-        if j > 0:
-            raise NotImplementedError("only principal and constant coefficients")
-        # constant coefficient: exact regular parts of terms hitting z0,
-        # full block values for the others, plus the remainder quadratures
-        total = 0.0 + 0.0j
-        for sign, terms in ((1.0, zero_terms), (-1.0, inf_terms)):
-            for t in terms:
-                w = z0 + t.exponent
-                if abs(w) <= 1e-8:
-                    total += sign * t.coefficient * monomial_block_regular_coefficient(
-                        0, t.log_power, cut
-                    )
-                else:
-                    total += sign * t.coefficient * monomial_block(w, t.log_power, cut)
-        total += _quad_zero_side(f, z0, cut) + _quad_infinity_side(f, z0, cut)
-        return total
-
-    return MeromorphicFunction(evaluator, poles, strip, laurent)
+    _check(f, cut)
+    return MeromorphicFunction(
+        lambda z: _regular_value(f, z, cut), _pole_ledger(f), (1.0 - f.p, 1.0 + f.q)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -270,51 +281,22 @@ def regularized_integral(f: ExpandableFunction, cut: float = 1.0) -> complex:
 
     Coincides with the Lebesgue integral whenever f is integrable.
     """
-    return mellin_transform(f, cut).laurent(1.0, 0)
-
-
-class Side(enum.Enum):
-    ZERO_TO_C = "zero_to_c"
-    C_TO_INF = "c_to_inf"
+    _check(f, cut)
+    return _regular_value(f, 1.0, cut)
 
 
 def regularized_integral_partial(f: ExpandableFunction, c: float, side: Side) -> complex:
     """Regularized integral over [0,c] or [c,infinity).
 
-    Computed through the antiderivative relation: the continued antiderivative
-    of the stored terms evaluated at c, plus ordinary quadrature of the
-    remainder; x**-1 log**k terms contribute log(c)**(k+1)/(k+1).
+    The side of the regularized integral with cut c: the continued
+    antiderivative of the stored terms at c plus ordinary quadrature of the
+    remainder, where x**-1 log**k terms contribute +-log(c)**(k+1)/(k+1).
+    So partial(0, c) + partial(c, inf) is the regularized integral with cut c.
     """
-    if c <= 0:
-        raise MellinError("c must be positive")
-    if f.p <= 0 or f.q <= 0:
-        raise MellinError("need positive remainder orders p, q")
-    total = 0.0 + 0.0j
-    if side is Side.ZERO_TO_C:
-        for t in f.expansion_at_zero.terms:
-            w = 1.0 + t.exponent
-            if abs(w) <= 1e-12:
-                total += t.coefficient * math.log(c) ** (t.log_power + 1) / (t.log_power + 1)
-            else:
-                total += t.coefficient * monomial_block(w, t.log_power, c)
-        total += _quad_complex(f.remainder_at_zero, 0.0, c)
-    elif side is Side.C_TO_INF:
-        for t in f.expansion_at_infinity.terms:
-            w = 1.0 + t.exponent
-            if abs(w) <= 1e-12:
-                total -= t.coefficient * math.log(c) ** (t.log_power + 1) / (t.log_power + 1)
-            else:
-                total -= t.coefficient * monomial_block(w, t.log_power, c)
-
-        def integrand(u: float) -> complex:
-            x = c / u
-            r = f.remainder_at_infinity(x)
-            return 0.0 if r == 0 else r * (x / u)
-
-        total += _quad_complex(integrand, 0.0, 1.0)
-    else:
+    if not isinstance(side, Side):
         raise ValueError(side)
-    return total
+    _check(f, c)
+    return _regular_value(f, 1.0, c, (side,))
 
 
 class At(enum.Enum):
@@ -332,20 +314,16 @@ def scale_rule(f: ExpandableFunction, lam: float, cut: float = 1.0) -> complex:
     """Regularized integral of x |-> f(lam x) via the stored x**-1 coefficients.
 
     (1/lam) ( reg-int f + sum_k b_{-1,k} log^{k+1}(lam)/(k+1)
-                        - sum_k a_{-1,k} log^{k+1}(lam)/(k+1) ).
+                        - sum_k a_{-1,k} log^{k+1}(lam)/(k+1) ),
+    the correction being minus the term sum of the x**-1 terms with cut lam.
     """
     if lam <= 0:
         raise MellinError("lam must be positive")
-    base = regularized_integral(f, cut)
-    ll = math.log(lam)
-    corr = 0.0 + 0.0j
-    for t in f.expansion_at_infinity.terms:
-        if abs(t.exponent + 1.0) <= 1e-12:
-            corr += t.coefficient * ll ** (t.log_power + 1) / (t.log_power + 1)
-    for t in f.expansion_at_zero.terms:
-        if abs(t.exponent + 1.0) <= 1e-12:
-            corr -= t.coefficient * ll ** (t.log_power + 1) / (t.log_power + 1)
-    return (base + corr) / lam
+    x_inverse = [
+        (sign, t) for sign, t in _signed_terms(f, tuple(Side))
+        if abs(1.0 + t.exponent) <= POLE_TOL
+    ]
+    return (regularized_integral(f, cut) - _term_sum(x_inverse, 1.0, lam)) / lam
 
 
 # ---------------------------------------------------------------------------

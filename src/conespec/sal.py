@@ -13,7 +13,10 @@ terms appear:
   (and the mirrored a-side family for the phi(x) F(x/t) variant).
 
 Every Taylor/boundary coefficient is produced by the regularized-integral
-machinery of the mellin module; there is no independent numeric path.
+machinery of the mellin module (pole tolerance mellin.POLE_TOL = 1e-8); there
+is no independent numeric path.  One helper emits the boundary and
+log-correction families of both engines; phi's jet is read through
+TestFunction.taylor_coefficient, which raises SalError when it is too short.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .expansions import (
     empty_expansion,
     times_monomial,
 )
-from .mellin import regularized_integral
+from .mellin import POLE_TOL, regularized_integral
 
 MAX_EXPANSION_ORDER = 12
 
@@ -84,13 +87,10 @@ class TestFunction:
             errs.append(abs(fd2 - d2) / max(1.0, abs(d2)))
         return max(errs) if errs else 0.0
 
-    def as_expandable(self, order: Optional[int] = None) -> ExpandableFunction:
+    def as_expandable(self) -> ExpandableFunction:
         """View phi as an expandable function (Taylor at 0, rapid decay at infinity)."""
-        n = len(self.derivatives_at_zero) if order is None else min(order, len(self.derivatives_at_zero))
-        terms = tuple(
-            LogPowerTerm(self.derivatives_at_zero[j] / math.factorial(j), float(j), 0)
-            for j in range(n)
-        )
+        n = len(self.derivatives_at_zero)
+        terms = tuple(LogPowerTerm(self.taylor_coefficient(j), float(j), 0) for j in range(n))
         return ExpandableFunction(
             lambda x: self.evaluator(x),
             AsymptoticExpansion(Location.AT_ZERO, terms, float(n)),
@@ -185,31 +185,54 @@ def _merge_terms(terms: Sequence[ReportTerm]) -> tuple[ReportTerm, ...]:
 
 
 def _is_negative_integer(beta: complex, lo: float) -> Optional[int]:
-    """Return -beta-1 >= 0 if beta is an integer in [lo, -1], else None."""
-    if abs(beta.imag) > 1e-12:
-        return None
+    """Return -beta-1 >= 0 if beta lies within POLE_TOL of an integer in [lo, -1]."""
     n = round(beta.real)
-    if abs(beta.real - n) > 1e-9:
-        return None
-    if -1 >= n >= lo - 1e-9:
+    if abs(beta - n) <= POLE_TOL and -1 >= n >= lo - 1e-9:
         return -n - 1
     return None
+
+
+def _log_correction(phi: TestFunction, beta: complex, k: int, exponent: complex,
+                    sign: float, lo: float, scale: complex = 1.0) -> list[ReportTerm]:
+    """For an integer beta = -n-1 in [lo, -1], the scale rule on phi's x^n term:
+    scale * sign^(k+1) phi^(n)(0)/n! log^(k+1)(u)/(k+1) at u^exponent."""
+    n = _is_negative_integer(beta, lo)
+    if n is None:
+        return []
+    coef = sign ** (k + 1) * phi.taylor_coefficient(n) * scale / (k + 1)
+    return [ReportTerm(exponent, k + 1, coef, "log-correction")]
+
+
+def _boundary_family(phi: TestFunction, beta: complex, k: int, exponent: complex,
+                     sign: float, lo: float, scale: complex = 1.0) -> list[ReportTerm]:
+    """scale * reg-int phi(x) x^beta log^k(x u^sign) dx as terms u^exponent log^i u.
+
+    log^k(x u^sign) expands binomially over log x + sign log u; an integer
+    beta in [lo, -1] adds the log-correction, whose jet is read first.
+    """
+    correction = _log_correction(phi, beta, k, exponent, sign, lo, scale)
+    phi_exp = phi.as_expandable()
+    return [
+        ReportTerm(exponent, k - i, scale * math.comb(k, i) * sign ** (k - i)
+                   * regularized_integral(times_monomial(phi_exp, beta, i)), "boundary")
+        for i in range(k + 1)
+    ] + correction
 
 
 def expand_phi_tx(
     phi: TestFunction, F: ExpandableFunction, q: Optional[float] = None
 ) -> ExpansionReport:
-    """Small-t expansion of reg-int phi(t x) F(x) dx through order t^q."""
-    if q is None:
-        q = F.expansion_at_infinity.remainder_order
-    if q > MAX_EXPANSION_ORDER + 1:
-        q = float(MAX_EXPANSION_ORDER + 1)
+    """Small-t expansion of reg-int phi(t x) F(x) dx through order t^q.
+
+    q (default F.q) is capped at MAX_EXPANSION_ORDER + 1 and may not exceed F.q.
+    """
+    q = min(F.q if q is None else q, float(MAX_EXPANSION_ORDER + 1))
+    if q > F.q:
+        raise SalError(f"order {q} exceeds F's remainder order {F.q} at infinity")
     terms: list[ReportTerm] = []
 
-    # Taylor family: t^j phi^(j)(0)/j! reg-int x^j F
-    j_max = min(int(math.ceil(q - 1e-9)) - 1, len(phi.derivatives_at_zero) - 1,
-                MAX_EXPANSION_ORDER)
-    for j in range(j_max + 1):
+    # Taylor family: t^j phi^(j)(0)/j! reg-int x^j F, for j < q
+    for j in range(int(math.ceil(q - 1e-9))):
         cj = phi.taylor_coefficient(j)
         if cj == 0:
             continue
@@ -217,29 +240,10 @@ def expand_phi_tx(
         terms.append(ReportTerm(float(j), 0, cj * moment, "taylor"))
 
     # Boundary family: each infinity-side term b x^beta log^k contributes
-    # t^(-beta-1) * b * reg-int phi(x) x^beta log^k(x/t) dx, expanded over
-    # log(x/t) = log x - log t.
-    phi_exp = phi.as_expandable()
+    # t^(-beta-1) * b * reg-int phi(x) x^beta log^k(x/t) dx.
     for t in F.expansion_at_infinity.terms:
-        beta, k, b = t.exponent, t.log_power, t.coefficient
-        moments = [
-            regularized_integral(times_monomial(phi_exp, beta, i)) for i in range(k + 1)
-        ]
-        for i in range(k + 1):
-            coef = b * math.comb(k, i) * (-1.0) ** (k - i) * moments[i]
-            terms.append(ReportTerm(-beta - 1, k - i, coef, "boundary"))
-
-        # log-correction for integer beta in [-q-1, -1]
-        n = _is_negative_integer(beta, -q - 1)
-        if n is not None and n < len(phi.derivatives_at_zero):
-            coef = (
-                (-1.0) ** (k + 1)
-                * phi.derivatives_at_zero[n]
-                / math.factorial(n)
-                * b
-                / (k + 1)
-            )
-            terms.append(ReportTerm(-beta - 1, k + 1, coef, "log-correction"))
+        beta = t.exponent
+        terms += _boundary_family(phi, beta, t.log_power, -beta - 1, -1.0, -q - 1, t.coefficient)
 
     return ExpansionReport("t", _merge_terms(terms), float(q))
 
@@ -259,17 +263,9 @@ def expand_phi_x_over_t(
     ]
     qv = base.remainder_order
     for t in F.expansion_at_zero.terms:
-        alpha, k, a = t.exponent, t.log_power, t.coefficient
-        n = _is_negative_integer(alpha, -qv - 1)
-        if n is not None and n < len(phi.derivatives_at_zero):
-            coef = (
-                (-1.0) ** k
-                * phi.derivatives_at_zero[n]
-                / math.factorial(n)
-                * a
-                / (k + 1)
-            )
-            terms.append(ReportTerm(-alpha, k + 1, coef, "log-correction"))
+        # a zero-side term enters the scale rule with the opposite sign
+        alpha = t.exponent
+        terms += _log_correction(phi, alpha, t.log_power, -alpha, -1.0, -qv - 1, -t.coefficient)
     return ExpansionReport("t", _merge_terms(terms), qv + 1.0)
 
 
@@ -358,20 +354,7 @@ def sal_separable(sigma: SeparableSigma, p: int) -> ExpansionReport:
 
     for phi, alpha, k in sigma.boundary_terms:
         a = complex(alpha)
-        phi_exp = phi.as_expandable()
-        for i in range(k + 1):
-            moment = regularized_integral(times_monomial(phi_exp, a, i))
-            terms.append(
-                ReportTerm(a, k - i, math.comb(k, i) * moment, "boundary")
-            )
-        n = _is_negative_integer(a, -float(p))
-        if n is not None:
-            if n >= len(phi.derivatives_at_zero):
-                raise SalError(
-                    f"need derivative order {n} of a boundary profile at 0"
-                )
-            coef = phi.derivatives_at_zero[n] / (math.factorial(n) * (k + 1))
-            terms.append(ReportTerm(a, k + 1, coef, "log-correction"))
+        terms += _boundary_family(phi, a, k, a, 1.0, -float(p))
 
     return ExpansionReport(
         "z", _merge_terms(terms), -(float(p) + 1.0), sigma.remainder_log_power + 1

@@ -311,6 +311,52 @@ class TestSalExpand:
         code, _, _ = run(capsys, "sal-expand", "--in", payload)
         assert code == 2
 
+    def test_order_beyond_remainder_is_schema_error(self, capsys):
+        # x^-1 carries remainder order 8 at infinity; order 40 is capped at 13
+        payload = json.dumps({"families": [{"alpha": -1.0}], "order": 40})
+        code, out, err = run(capsys, "sal-expand", "--in", payload)
+        assert code == 2
+        assert out == "" and "invalid input" in err and "remainder order" in err
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("payload", ["[1, 2]", "null", '"text"', "3.5"])
+    def test_non_object_payload_is_schema_error(self, capsys, tmp_path, payload):
+        path = tmp_path / "in.json"
+        path.write_text(payload)
+        for source in (payload, str(path)):
+            code, out, err = run(capsys, "deficiency", "--in", source)
+            assert code == 2
+            assert out == "" and "JSON object" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("zeta-op", "--in", CIRCLE_PAYLOAD, "--s-re", "nan"),
+            ("zeta-op", "--in", CIRCLE_PAYLOAD, "--s-re", "0.4", "--s-im", "inf"),
+            ("eta", "--in", json.dumps({"s_data": [{"lambda": 0.8}]}), "--s-re", "nan"),
+            ("eta", "--in", json.dumps({"s_data": [{"lambda": 0.8}], "s_re": "-inf"})),
+        ],
+    )
+    def test_non_finite_s_is_schema_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and "s must be finite" in err
+
+    def test_overflowing_value_is_nonconvergence(self, capsys, tmp_path):
+        code, out, err = run(capsys, "zeta-lp", "--p", "0.5", "--s-re", "-110", "--s-im", "0.3")
+        assert code == 3
+        assert out == "" and "non-convergence" in err
+        # a grid reaching the overflow point writes no --out file
+        out_file = tmp_path / "out"
+        code, _, err = run(
+            capsys, "zeta-lp", "--p", "0.5", "--s-im", "0.3",
+            "--grid", "s-re=-100:-120:5", "--out", str(out_file),
+        )
+        assert code == 3
+        assert "non-convergence" in err
+        assert not out_file.exists()
+
 
 class TestVerify:
     def test_all_checks_pass(self, capsys):

@@ -290,6 +290,28 @@ class TestSpectrumData:
         with pytest.raises(ConeError):
             CrossSectionSpectrum.from_json_dict({"data": [], "tail": {"kind": "x"}})
 
+    def test_json_tail_kinds_per_spectrum(self):
+        # one parser; each spectrum keeps its own tail kinds and default exponent
+        riemann = {"kind": "riemann", "scale": 2}
+        cross = CrossSectionSpectrum.from_json_dict({"tail": riemann})
+        first = FirstOrderSpectrum.from_json_dict({"eta_tail": riemann})
+        assert type(cross.tail) is type(first.eta_provider) is RiemannZetaProvider
+        assert (cross.tail.scale, cross.tail.exponent) == (2.0, 2.0)
+        assert (first.eta_provider.scale, first.eta_provider.exponent) == (2.0, 1.0)
+        hurwitz = CrossSectionSpectrum.from_json_dict({"tail": {"kind": "hurwitz", "a": 0.5}})
+        assert (hurwitz.tail.a, hurwitz.tail.exponent) == (0.5, 2.0)
+        shifted = {"kind": "shifted-integer", "a": 0.3}
+        eta = FirstOrderSpectrum.from_json_dict(
+            {"s_data": [{"lambda": -0.7, "weight_re": 2.0}], "eta_tail": shifted}
+        )
+        assert isinstance(eta.eta_provider, ShiftedIntegerEtaProvider)
+        assert eta.s_data == (SpectralDatum(-0.7, 2.0),)
+        assert FirstOrderSpectrum.from_json_dict({}).eta_provider is None
+        with pytest.raises(ConeError):
+            CrossSectionSpectrum.from_json_dict({"tail": shifted})
+        with pytest.raises(ConeError):
+            FirstOrderSpectrum.from_json_dict({"eta_tail": {"kind": "hurwitz", "a": 0.5}})
+
 
 class TestZetaHatOperator:
     def test_single_eigenvalue_reduces_to_fiber(self):

@@ -17,6 +17,7 @@ from conespec.expansions import (
     times_monomial,
 )
 from conespec.mellin import (
+    POLE_TOL,
     At,
     MellinError,
     MellinPoleError,
@@ -175,6 +176,28 @@ class TestMellinTransform:
         with pytest.raises(MellinPoleError):
             M(1e-12)
 
+    def test_pole_guard_is_pole_tol(self):
+        # the guard, pole_at and the ledger share POLE_TOL = 1e-8
+        assert POLE_TOL == 1e-8
+        M = mellin_transform(exponential_decay())
+        for z in (-1.0 + 0.9e-8, -1.0 - 0.9e-8j):
+            assert M.pole_at(z) is not None
+            with pytest.raises(MellinPoleError):
+                M(z)
+        assert M.pole_at(-1.0 + 1.1e-8) is None
+        assert abs(M(-1.0 + 1.1e-8)) > 1e7
+
+    def test_cancelled_pole_evaluates(self):
+        # the poles of global monomials cancel; the value there is the sum of
+        # the regular parts of the two terms, not a division by w = 0
+        assert mellin_transform(global_monomial(0.5))(-0.5) == 0
+        g = add_functions(cutoff_times_monomial(-0.3), tail_times_monomial(-0.3))
+        M = mellin_transform(g)
+        assert M.pole_at(0.3) is None
+        assert M(0.3) == pytest.approx(math.log(2.0), rel=1e-9)
+        mean = (M(0.3 + 1e-3) + M(0.3 - 1e-3)) / 2
+        assert M(0.3) == pytest.approx(mean, rel=1e-7)
+
     def test_global_monomial_poles_cancel(self):
         M = mellin_transform(global_monomial(-1.0, 0))
         assert M.pole_at(1.0) is None
@@ -195,12 +218,34 @@ class TestMellinTransform:
 class TestPartialsAndLimits:
     def test_partials_sum_to_global(self):
         f = exponential_decay()
-        c = 1.0
-        near = regularized_integral_partial(f, c, Side.ZERO_TO_C)
-        far = regularized_integral_partial(f, c, Side.C_TO_INF)
-        assert near == pytest.approx(1.0 - math.exp(-1.0), rel=1e-9)
-        assert far == pytest.approx(math.exp(-1.0), rel=1e-9)
-        assert near + far == pytest.approx(regularized_integral(f), rel=1e-9)
+        g = add_functions(
+            add_functions(f, cutoff_times_monomial(-1.0, 0)),
+            add_functions(tail_times_monomial(-1.0, 1), cutoff_times_monomial(-1.0, 2)),
+        )
+        for c in (1.0, 0.7, 1.6):
+            near = regularized_integral_partial(f, c, Side.ZERO_TO_C)
+            far = regularized_integral_partial(f, c, Side.C_TO_INF)
+            assert near == pytest.approx(1.0 - math.exp(-c), rel=1e-9)
+            assert far == pytest.approx(math.exp(-c), rel=1e-9)
+            assert near + far == pytest.approx(regularized_integral(f), rel=1e-9)
+            # x^-1 log^k terms: the cut-c partials add up to the cut-c integral,
+            # which does not depend on c
+            near = regularized_integral_partial(g, c, Side.ZERO_TO_C)
+            far = regularized_integral_partial(g, c, Side.C_TO_INF)
+            assert near + far == pytest.approx(regularized_integral(g, c), rel=1e-13)
+            assert near + far == pytest.approx(regularized_integral(g), rel=1e-9)
+
+    def test_exponent_next_to_minus_one(self):
+        # x^(-1 + 1e-10) sits within POLE_TOL of the pole: the partials, the
+        # integral and the scale rule all take the regular part of its block
+        f = cutoff_times_monomial(-1.0 + 1e-10)
+        for c in (1.0, 0.7, 1.6):
+            near = regularized_integral_partial(f, c, Side.ZERO_TO_C)
+            far = regularized_integral_partial(f, c, Side.C_TO_INF)
+            assert near + far == pytest.approx(regularized_integral(f, c), rel=1e-13)
+        for lam in (0.5, 2.0):
+            direct = regularized_integral(rescale_argument(f, lam))
+            assert scale_rule(f, lam) == pytest.approx(direct, rel=1e-8, abs=1e-8)
 
     def test_partial_of_pure_monomial(self):
         f = global_monomial(-1.0, 0)

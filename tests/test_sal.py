@@ -13,6 +13,7 @@ from conespec.expansions import (
     Location,
     LogPowerTerm,
     exponential_decay,
+    global_monomial,
     monomial_restricted,
 )
 from conespec.sal import (
@@ -120,6 +121,38 @@ class TestExpandPhiTx:
         assert abs(rep.coefficient(0.5, 0)) > 0
 
 
+    def test_short_jet_for_log_correction_raises(self):
+        # beta = -2 needs phi'(0); a jet holding only phi(0) cannot supply it
+        # (at q = 1 the Taylor family needs phi(0) alone)
+        F = monomial_restricted(-2.0, 0, support="unit_tail")
+        with pytest.raises(SalError, match="order 1"):
+            expand_phi_tx(exp_phi(1), F, q=1.0)
+
+    def test_short_jet_for_taylor_family_raises(self):
+        # through t^5 the Taylor family needs phi^(j)(0) for j <= 5
+        assert len(expand_phi_tx(exp_phi(6), exponential_decay(), q=6.0).terms) == 6
+        with pytest.raises(SalError, match="order 3"):
+            expand_phi_tx(exp_phi(3), exponential_decay(), q=6.0)
+
+    def test_order_beyond_remainder_raises(self):
+        # x^-1 on (0, inf), declared with remainder order 4 at infinity
+        F = global_monomial(-1.0, 0, order_margin=4.0)
+        assert expand_phi_tx(exp_phi(), F, q=4.0).remainder_order == 4.0
+        for q in (4.5, 40.0):
+            with pytest.raises(SalError):
+                expand_phi_tx(exp_phi(), F, q=q)
+
+    def test_log_correction_within_pole_tol(self):
+        # an exponent within POLE_TOL of -1 is treated as -1 by the moments
+        # (regular part of the block) and so also gets the log-correction
+        near = monomial_restricted(-1.0 + 5e-9, 0, support="unit_tail")
+        rep = expand_phi_tx(exp_phi(), near, q=2.0)
+        assert "log-correction" in {r.provenance for r in rep.terms}
+        far = monomial_restricted(-1.0 + 1e-6, 0, support="unit_tail")
+        rep = expand_phi_tx(exp_phi(), far, q=2.0)
+        assert "log-correction" not in {r.provenance for r in rep.terms}
+
+
 class TestExpandPhiXOverT:
     def test_zero_side_log_correction(self):
         # reg-int e^{-x} F(x/t) dx for F = x^{-1} on [0,1]:
@@ -137,6 +170,12 @@ class TestExpandPhiXOverT:
             (-t) ** j / (j * math.factorial(j)) for j in range(1, 30)
         )
         assert rep.evaluate(t) == pytest.approx(direct, abs=2 * t**5)
+
+
+    def test_short_jet_for_zero_side_log_correction_raises(self):
+        F = monomial_restricted(-2.0, 0, support="unit_interval")
+        with pytest.raises(SalError):
+            expand_phi_x_over_t(exp_phi(1), F, q=3.0)
 
 
 class TestSeparable:
