@@ -80,6 +80,15 @@ def _emit(obj, args) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer; one beyond the float range is an input error, not an
+    overflow of the float() that would read it."""
+    n = int(text)
+    if abs(n) > sys.float_info.max:
+        raise ValueError(f"integer of {len(text)} digits is beyond the float range")
+    return n
+
+
 def _load_payload(args) -> dict:
     if not getattr(args, "infile", None):
         return {}
@@ -87,7 +96,7 @@ def _load_payload(args) -> dict:
     if os.path.exists(text):
         with open(text) as fh:
             text = fh.read()
-    payload = json.loads(text)
+    payload = json.loads(text, parse_int=_json_int)
     if not isinstance(payload, dict):
         raise ValueError(f"--in must hold a JSON object, not {type(payload).__name__}")
     return payload
@@ -99,6 +108,13 @@ def _pick(args, payload: dict, flag: str, key: str, default=None):
     if v is not None:
         return v
     return payload.get(key, default)
+
+
+def _int_input(value, name: str) -> int:
+    """An integer input; infinity is an input error, not an overflow."""
+    if isinstance(value, float) and math.isinf(value):
+        raise ValueError(f"{name} must be finite, not {value}")
+    return int(value)
 
 
 def _complex_s(args, payload) -> complex:
@@ -193,7 +209,7 @@ def _cmd_zeta_op(args, payload: dict) -> int:
     spec_json = payload["spectrum"] if "spectrum" in payload else payload
     spec = cone.CrossSectionSpectrum.from_json_dict(spec_json)
     s = _complex_s(args, payload)
-    order = int(_pick(args, payload, "order", "order", 6))
+    order = _int_input(_pick(args, payload, "order", "order", 6), "order")
     rep = cone.zeta_hat_operator_report(spec, s, order=order)
     v = rep["value"]
     _emit(
@@ -232,7 +248,7 @@ def _cmd_heat_trace(args, payload: dict) -> int:
     spec = cone.CrossSectionSpectrum.from_json_dict(payload["spectrum"])
     nu = float(payload.get("nu", 2.0))
     mu = float(payload.get("mu", 2.0))
-    m = int(payload.get("m", 1))
+    m = _int_input(payload.get("m", 1), "m")
     phi_moments = [complex(v) for v in payload["phi_moments"]]
     b_coeffs = payload.get("b_coeffs")
     if b_coeffs is not None:
@@ -271,7 +287,7 @@ def _cmd_sal_expand(args, payload: dict) -> int:
     for fam in fams:
         piece = expansions.scale_function(
             expansions.global_monomial(
-                complex(fam["alpha"]), int(fam.get("k", 0))
+                complex(fam["alpha"]), _int_input(fam.get("k", 0), "k")
             ),
             complex(fam.get("coef", 1.0)),
         )

@@ -296,18 +296,27 @@ class CrossSectionSpectrum:
     @classmethod
     def from_json_dict(cls, d: dict) -> "CrossSectionSpectrum":
         """Data, a "riemann"/"hurwitz" tail (exponent 2 by default), p_choice."""
+        p_choice = _json_object(d.get("p_choice", {}), "p_choice")
         return cls(
             data=tuple(SpectralDatum.from_json_dict(e) for e in d.get("data", [])),
-            tail=_provider_from_json(d.get("tail", {}), ("riemann", "hurwitz"), 2.0),
-            negative_below=float(d.get("p_choice", {}).get("negative_below", 0.0)),
+            tail=_provider_from_json(d, "tail", ("riemann", "hurwitz"), 2.0),
+            negative_below=float(p_choice.get("negative_below", 0.0)),
         )
 
 
+def _json_object(value, name: str) -> dict:
+    """A nested JSON field that must be an object."""
+    if not isinstance(value, dict):
+        raise ConeError(f"{name} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
 def _provider_from_json(
-    spec: dict, kinds: tuple, exponent: float
+    d: dict, field: str, kinds: tuple, exponent: float
 ) -> Optional[DirichletSeriesProvider]:
-    """The tail provider a JSON spec names: None for kind "none" (the default),
+    """The tail provider d[field] names: None for kind "none" (the default),
     else one of `kinds`, with the caller's default exponent."""
+    spec = _json_object(d.get(field, {}), field)
     kind = spec.get("kind", "none")
     if kind == "none":
         return None
@@ -526,7 +535,7 @@ class FirstOrderSpectrum:
         return cls(
             s_data=tuple(SpectralDatum.from_json_dict(e) for e in d.get("s_data", [])),
             eta_provider=_provider_from_json(
-                d.get("eta_tail", {}), ("shifted-integer", "riemann"), 1.0
+                d, "eta_tail", ("shifted-integer", "riemann"), 1.0
             ),
         )
 

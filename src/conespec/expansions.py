@@ -7,6 +7,14 @@ Data model for functions f on (0, infinity) that admit finite expansions
 near an endpoint, with the remainder certified to be O(x**p) at 0 (resp.
 O(x**-q) at infinity).  All values are immutable after construction; the
 evaluator callables are expected to be pure.
+
+Each function carries its remainder at either endpoint as data: an evaluator
+and the interval outside which it vanishes (empty for a function that is
+exactly its expansion, such as a global monomial).  The stock functions state
+their remainders in closed form and the algebra (sum, scaling, monomial
+factor, dilation) builds the remainder of its result from its operands', so
+no rounding noise of a subtraction f - sum of terms enters; only a function
+with no stated remainder falls back to that subtraction over (0, infinity).
 """
 
 from __future__ import annotations
@@ -155,12 +163,52 @@ def empty_expansion(location: Location, remainder_order: float) -> AsymptoticExp
 
 
 @dataclass(frozen=True)
+class Remainder:
+    """f minus its stored terms at one endpoint; zero outside [lo, hi].
+
+    lo >= hi means the remainder is identically zero.
+    """
+
+    evaluator: Callable[[float], complex]
+    lo: float = 0.0
+    hi: float = math.inf
+
+    @property
+    def vanishes(self) -> bool:
+        return self.lo >= self.hi
+
+    def __call__(self, x: float) -> complex:
+        return self.evaluator(x) if self.lo <= x <= self.hi else 0.0
+
+
+_ZERO_REMAINDER = Remainder(lambda x: 0.0, math.inf, 0.0)
+
+
+def _sum_remainders(*rs: Remainder) -> Remainder:
+    """The sum of remainders, supported on the hull of the supports."""
+    live = [r for r in rs if not r.vanishes]
+    if len(live) <= 1:
+        return live[0] if live else _ZERO_REMAINDER
+    return Remainder(lambda x: sum(r(x) for r in live),
+                     min(r.lo for r in live), max(r.hi for r in live))
+
+
+def _terms_remainder(terms: tuple[LogPowerTerm, ...]) -> Remainder:
+    """Stored terms moved into the remainder (supported on all of (0, inf))."""
+    if not terms:
+        return _ZERO_REMAINDER
+    return Remainder(lambda x: sum((t.evaluate(x) for t in terms), 0.0 + 0.0j))
+
+
+@dataclass(frozen=True)
 class ExpandableFunction:
     """A function on (0, infinity) together with its two endpoint expansions.
 
     `differentiable` marks membership in the smooth-expansion subclass whose
     expansions may be differentiated termwise; `derivative` optionally supplies
-    a closed-form derivative evaluator for it.
+    a closed-form derivative evaluator for it.  `remainder_zero` and
+    `remainder_infinity` are f minus the stored terms at each endpoint; left
+    out, each is that subtraction, evaluated, over (0, infinity).
     """
 
     evaluator: Callable[[float], complex]
@@ -168,12 +216,20 @@ class ExpandableFunction:
     expansion_at_infinity: AsymptoticExpansion
     differentiable: bool = False
     derivative: Optional[Callable[[float], complex]] = None
+    remainder_zero: Optional[Remainder] = None
+    remainder_infinity: Optional[Remainder] = None
 
     def __post_init__(self):
         if self.expansion_at_zero.location is not Location.AT_ZERO:
             raise ValueError("expansion_at_zero has wrong location")
         if self.expansion_at_infinity.location is not Location.AT_INFINITY:
             raise ValueError("expansion_at_infinity has wrong location")
+        fe = self.evaluator
+        for name, e in (("remainder_zero", self.expansion_at_zero),
+                        ("remainder_infinity", self.expansion_at_infinity)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, Remainder(
+                    lambda x, e=e: _minus_terms(complex(fe(x)), e, x)))
 
     def __call__(self, x: float) -> complex:
         return self.evaluator(x)
@@ -187,10 +243,10 @@ class ExpandableFunction:
         return self.expansion_at_infinity.remainder_order
 
     def remainder_at_zero(self, x: float) -> complex:
-        return _minus_terms(complex(self.evaluator(x)), self.expansion_at_zero, x)
+        return complex(self.remainder_zero(x))
 
     def remainder_at_infinity(self, x: float) -> complex:
-        return _minus_terms(complex(self.evaluator(x)), self.expansion_at_infinity, x)
+        return complex(self.remainder_infinity(x))
 
 
 def _minus_terms(v: complex, expansion: AsymptoticExpansion, x: float) -> complex:
@@ -214,13 +270,24 @@ def evaluate_truncated(exp: AsymptoticExpansion, x: float) -> complex:
     return exp.evaluate(x)
 
 
-def _truncate_terms(
+def _truncate(
     terms: Iterable[LogPowerTerm], location: Location, order: float
-) -> tuple[LogPowerTerm, ...]:
-    """Drop terms the remainder of the stated order already absorbs."""
+) -> tuple[AsymptoticExpansion, tuple[LogPowerTerm, ...]]:
+    """The expansion of the terms a remainder of the stated order does not
+    absorb, and the terms it does."""
     if location is Location.AT_ZERO:
-        return tuple(t for t in terms if t.exponent.real <= order - 1 + 1e-9)
-    return tuple(t for t in terms if t.exponent.real >= -order - 1 - 1e-9)
+        kept = lambda t: t.exponent.real <= order - 1 + 1e-9
+    else:
+        kept = lambda t: t.exponent.real >= -order - 1 - 1e-9
+    terms = tuple(terms)
+    return (AsymptoticExpansion(location, tuple(t for t in terms if kept(t)), order),
+            tuple(t for t in terms if not kept(t)))
+
+
+def _add(a: AsymptoticExpansion, b: AsymptoticExpansion):
+    if a.location is not b.location:
+        raise ValueError("cannot add expansions at different locations")
+    return _truncate(a.terms + b.terms, a.location, min(a.remainder_order, b.remainder_order))
 
 
 def add(a: AsymptoticExpansion, b: AsymptoticExpansion) -> AsymptoticExpansion:
@@ -229,30 +296,38 @@ def add(a: AsymptoticExpansion, b: AsymptoticExpansion) -> AsymptoticExpansion:
     Terms of the finer summand beyond the weaker order are absorbed into the
     remainder.
     """
-    if a.location is not b.location:
-        raise ValueError("cannot add expansions at different locations")
-    order = min(a.remainder_order, b.remainder_order)
-    return AsymptoticExpansion(
-        a.location, _truncate_terms(a.terms + b.terms, a.location, order), order
-    )
+    return _add(a, b)[0]
 
 
 def add_functions(f: ExpandableFunction, g: ExpandableFunction) -> ExpandableFunction:
+    """f + g; the remainders add, together with the terms `add` absorbs."""
     fe, ge = f.evaluator, g.evaluator
     deriv = None
     if f.derivative is not None and g.derivative is not None:
         fd, gd = f.derivative, g.derivative
         deriv = lambda x: fd(x) + gd(x)
+    e0, absorbed0 = _add(f.expansion_at_zero, g.expansion_at_zero)
+    ei, absorbed_i = _add(f.expansion_at_infinity, g.expansion_at_infinity)
     return ExpandableFunction(
         lambda x: fe(x) + ge(x),
-        add(f.expansion_at_zero, g.expansion_at_zero),
-        add(f.expansion_at_infinity, g.expansion_at_infinity),
+        e0,
+        ei,
         differentiable=f.differentiable and g.differentiable,
         derivative=deriv,
+        remainder_zero=_sum_remainders(
+            f.remainder_zero, g.remainder_zero, _terms_remainder(absorbed0)),
+        remainder_infinity=_sum_remainders(
+            f.remainder_infinity, g.remainder_infinity, _terms_remainder(absorbed_i)),
     )
 
 
+def _transformed(r: Remainder, fn: Callable[[float], complex], scale: float = 1.0) -> Remainder:
+    """The remainder fn(x) on r's support divided by scale (a zero r stays zero)."""
+    return _ZERO_REMAINDER if r.vanishes else Remainder(fn, r.lo / scale, r.hi / scale)
+
+
 def scale_function(f: ExpandableFunction, c: complex) -> ExpandableFunction:
+    """c f, with the remainders scaled."""
     fe = f.evaluator
     fd = f.derivative
 
@@ -263,12 +338,18 @@ def scale_function(f: ExpandableFunction, c: complex) -> ExpandableFunction:
             e.remainder_order,
         )
 
+    def scale_rem(r: Remainder) -> Remainder:
+        re = r.evaluator
+        return _transformed(r, lambda x: c * re(x))
+
     return ExpandableFunction(
         lambda x: c * fe(x),
         scale_exp(f.expansion_at_zero),
         scale_exp(f.expansion_at_infinity),
         differentiable=f.differentiable,
         derivative=(None if fd is None else (lambda x: c * fd(x))),
+        remainder_zero=scale_rem(f.remainder_zero),
+        remainder_infinity=scale_rem(f.remainder_infinity),
     )
 
 
@@ -347,10 +428,7 @@ def fuchs_derivative(f: ExpandableFunction) -> ExpandableFunction:
     )
 
 
-def times_monomial_expansion(
-    e: AsymptoticExpansion, c: complex, beta: complex, k: int
-) -> AsymptoticExpansion:
-    """Expansion of c * x**beta * log(x)**k times the expanded function."""
+def _times_monomial(e: AsymptoticExpansion, c: complex, beta: complex, k: int):
     terms = tuple(
         LogPowerTerm(c * t.coefficient, t.exponent + beta, t.log_power + k)
         for t in e.terms
@@ -358,31 +436,45 @@ def times_monomial_expansion(
     sgn = 1.0 if e.location is Location.AT_ZERO else -1.0
     # a log factor costs an epsilon of order at the endpoint
     new_order = e.remainder_order + sgn * complex(beta).real - (0.25 if k > 0 else 0.0)
-    return AsymptoticExpansion(
-        e.location, _truncate_terms(terms, e.location, new_order), new_order
-    )
+    return _truncate(terms, e.location, new_order)
+
+
+def times_monomial_expansion(
+    e: AsymptoticExpansion, c: complex, beta: complex, k: int
+) -> AsymptoticExpansion:
+    """Expansion of c * x**beta * log(x)**k times the expanded function."""
+    return _times_monomial(e, c, beta, k)[0]
 
 
 def times_monomial(f: ExpandableFunction, beta: complex, k: int = 0) -> ExpandableFunction:
-    """x |-> x**beta * log(x)**k * f(x), expansions shifted exactly."""
+    """x |-> x**beta * log(x)**k * f(x), expansions shifted exactly.
+
+    The remainders take the same factor, as the stored terms' complex power,
+    plus the shifted terms the new remainder order absorbs.
+    """
     fe = f.evaluator
     b = complex(beta)
 
     def ev(x: float) -> complex:
         return x**b * math.log(x) ** k * fe(x)
 
-    return ExpandableFunction(
-        ev,
-        times_monomial_expansion(f.expansion_at_zero, 1.0, b, k),
-        times_monomial_expansion(f.expansion_at_infinity, 1.0, b, k),
-    )
+    def side(e: AsymptoticExpansion, r: Remainder):
+        shifted, absorbed = _times_monomial(e, 1.0, b, k)
+        re = r.evaluator
+        carried = _transformed(r, lambda x: complex(x) ** b * math.log(x) ** k * re(x))
+        return shifted, _sum_remainders(carried, _terms_remainder(absorbed))
+
+    e0, r0 = side(f.expansion_at_zero, f.remainder_zero)
+    ei, ri = side(f.expansion_at_infinity, f.remainder_infinity)
+    return ExpandableFunction(ev, e0, ei, remainder_zero=r0, remainder_infinity=ri)
 
 
 def rescale_argument(f: ExpandableFunction, lam: float) -> ExpandableFunction:
     """x |-> f(lam * x) with the expansions rewritten in log x.
 
     a (lam x)**alpha log**k(lam x) expands binomially over
-    log(lam x) = log lam + log x.
+    log(lam x) = log lam + log x, exactly, so the remainders are r(lam x) on
+    their supports divided by lam.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -403,11 +495,17 @@ def rescale_argument(f: ExpandableFunction, lam: float) -> ExpandableFunction:
                 )
         return AsymptoticExpansion(e.location, tuple(out), e.remainder_order)
 
+    def rescale_rem(r: Remainder) -> Remainder:
+        re = r.evaluator
+        return _transformed(r, lambda x: re(lam * x), lam)
+
     return ExpandableFunction(
         lambda x: fe(lam * x),
         transform(f.expansion_at_zero),
         transform(f.expansion_at_infinity),
         differentiable=f.differentiable,
+        remainder_zero=rescale_rem(f.remainder_zero),
+        remainder_infinity=rescale_rem(f.remainder_infinity),
     )
 
 
@@ -457,13 +555,19 @@ def global_monomial(alpha: complex, k: int = 0, order_margin: float = 8.0) -> Ex
         ev,
         AsymptoticExpansion(Location.AT_ZERO, term, pz),
         AsymptoticExpansion(Location.AT_INFINITY, term, qi),
+        remainder_zero=_ZERO_REMAINDER,
+        remainder_infinity=_ZERO_REMAINDER,
     )
 
 
 def monomial_restricted(
     alpha: complex, k: int = 0, support: str = "unit_interval", order_margin: float = 8.0
 ) -> ExpandableFunction:
-    """x**alpha log**k x on [0,1] (support="unit_interval") or [1,inf)."""
+    """x**alpha log**k x on [0,1] (support="unit_interval") or [1,inf).
+
+    The remainder is minus the monomial beyond 1 at the end the support
+    reaches, and the function itself at the other end.
+    """
     a = complex(alpha)
     term = (LogPowerTerm(1.0, a, k),)
     if support == "unit_interval":
@@ -471,14 +575,18 @@ def monomial_restricted(
             return x**a * math.log(x) ** k if x <= 1.0 else 0.0
         e0 = AsymptoticExpansion(Location.AT_ZERO, term, a.real + 1 + order_margin)
         ei = empty_expansion(Location.AT_INFINITY, 40.0)
+        r0 = Remainder(lambda x: -(x**a) * math.log(x) ** k if x > 1.0 else 0.0, 1.0)
+        ri = Remainder(ev, 0.0, 1.0)
     elif support == "unit_tail":
         def ev(x: float) -> complex:
             return x**a * math.log(x) ** k if x >= 1.0 else 0.0
         e0 = empty_expansion(Location.AT_ZERO, 40.0)
         ei = AsymptoticExpansion(Location.AT_INFINITY, term, -a.real - 1 + order_margin)
+        r0 = Remainder(ev, 1.0)
+        ri = Remainder(lambda x: -(x**a) * math.log(x) ** k if x < 1.0 else 0.0, 0.0, 1.0)
     else:
         raise ValueError("support must be 'unit_interval' or 'unit_tail'")
-    return ExpandableFunction(ev, e0, ei)
+    return ExpandableFunction(ev, e0, ei, remainder_zero=r0, remainder_infinity=ri)
 
 
 def exponential_decay(taylor_order: int = 12) -> ExpandableFunction:
@@ -536,7 +644,11 @@ def smooth_step_up(x: float) -> float:
 
 
 def cutoff_times_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
-    """phi(x) * x**alpha * log(x)**k with phi = smooth_cutoff (so ==1 near 0)."""
+    """phi(x) * x**alpha * log(x)**k with phi = smooth_cutoff (so ==1 near 0).
+
+    The remainder at 0, (phi - 1) x**alpha log**k x, vanishes on (0, 1]; the
+    one at infinity, f itself, on [2, inf).
+    """
     a = complex(alpha)
 
     def ev(x: float) -> complex:
@@ -548,11 +660,18 @@ def cutoff_times_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
         ev,
         AsymptoticExpansion(Location.AT_ZERO, term, a.real + 1 + 8.0),
         empty_expansion(Location.AT_INFINITY, 40.0),
+        remainder_zero=Remainder(
+            lambda x: (smooth_cutoff(x) - 1.0) * x**a * math.log(x) ** k, 1.0),
+        remainder_infinity=Remainder(ev, 0.0, 2.0),
     )
 
 
 def tail_times_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
-    """psi(x) * x**alpha * log(x)**k with psi = smooth_step_up (==1 for x>=1)."""
+    """psi(x) * x**alpha * log(x)**k with psi = smooth_step_up (==1 for x>=1).
+
+    The remainder at 0, f itself, vanishes on (0, 1/2]; the one at infinity,
+    (psi - 1) x**alpha log**k x, on [1, inf).
+    """
     a = complex(alpha)
 
     def ev(x: float) -> complex:
@@ -564,4 +683,7 @@ def tail_times_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
         ev,
         empty_expansion(Location.AT_ZERO, 40.0),
         AsymptoticExpansion(Location.AT_INFINITY, term, -a.real - 1 + 8.0),
+        remainder_zero=Remainder(ev, 0.5),
+        remainder_infinity=Remainder(
+            lambda x: (smooth_step_up(x) - 1.0) * x**a * math.log(x) ** k, 0.0, 1.0),
     )

@@ -7,7 +7,9 @@ entirely from the stored expansion terms, through the exact building block
     A_c(w, k) = integral_0^c x^{w-1} log(x)**k dx = (d/dw)^k [c^w / w],
 
 whose only singular Laurent coefficient at w = 0 is (-1)^k k! at w^{-(k+1)}.
-The remainder pieces of f are integrated by adaptive Gauss-Kronrod quadrature.
+The remainder pieces of f, which f carries with the interval outside which
+they vanish, are integrated by adaptive Gauss-Kronrod quadrature over that
+interval only; where it misses the side of the cut there is no quadrature.
 
 The regularized integral of f is the constant Laurent coefficient of Mf at
 z = 1; the regularized limit is the coefficient of x^0 log^0 x in the
@@ -169,41 +171,58 @@ def _signed_terms(f: ExpandableFunction, sides) -> list:
 def _term_sum(signed_terms, z: complex, c: float) -> complex:
     """Exact integral of x^(z-1) times the signed terms, as regular parts at z.
 
-    A term with w = z + exponent within POLE_TOL of 0 contributes the regular
-    part log(c)^(k+1)/(k+1) of its block at w = 0; every other term its block
-    A_c(w, k).
+    Terms of equal exponent and log power share one block, so a term stored
+    at both ends with one coefficient (a global monomial) cancels exactly.
+    A block with w = z + exponent within POLE_TOL of 0 is the regular part
+    log(c)^(k+1)/(k+1) of the block at w = 0; every other one is A_c(w, k).
     """
-    total = 0.0 + 0.0j
+    coefficients: dict = {}
     for sign, t in signed_terms:
-        w = z + t.exponent
+        key = (t.exponent, t.log_power)
+        coefficients[key] = coefficients.get(key, 0.0) + sign * t.coefficient
+    total = 0.0 + 0.0j
+    for (exponent, k), a in coefficients.items():
+        if a == 0:
+            continue
+        w = z + exponent
         if abs(w) <= POLE_TOL:
-            block = monomial_block_regular_coefficient(0, t.log_power, c)
+            block = monomial_block_regular_coefficient(0, k, c)
         else:
-            block = monomial_block(w, t.log_power, c)
-        total += sign * t.coefficient * block
+            block = monomial_block(w, k, c)
+        total += a * block
     return total
 
 
 def _remainder_integral(f: ExpandableFunction, z: complex, c: float, side: Side) -> complex:
-    """Quadrature of x^(z-1) times f's remainder over [0, c] or [c, inf).
+    """Quadrature of x^(z-1) times f's remainder over [0, c] or [c, inf),
+    clipped to the remainder's support; 0 without quadrature if that is empty.
 
     [c, inf) is mapped onto (0, 1] by x = c/u; the real and imaginary parts
     are integrated separately.
     """
     power = z - 1
+    rem = f.remainder_zero if side is Side.ZERO_TO_C else f.remainder_infinity
+    lo, hi = (rem.lo, min(c, rem.hi)) if side is Side.ZERO_TO_C else (max(c, rem.lo), rem.hi)
+    if lo >= hi:
+        return 0.0 + 0.0j
+    r_of = rem.evaluator
 
-    def zero_side(x: float) -> complex:
-        r = f.remainder_at_zero(x)
-        return 0.0 if r == 0 else complex(x) ** power * r
+    if side is Side.ZERO_TO_C:
+        a, b = lo, hi
 
-    def infinity_side(u: float) -> complex:
-        x = c / u
-        r = f.remainder_at_infinity(x)
-        return 0.0 if r == 0 else complex(x) ** power * r * (x / u)
+        def fn(x: float) -> complex:
+            r = r_of(x)
+            return 0.0 if r == 0 else complex(x) ** power * r
+    else:
+        a, b = c / hi, c / lo
 
-    fn, b = (zero_side, c) if side is Side.ZERO_TO_C else (infinity_side, 1.0)
-    re, _ = quad(lambda x: fn(x).real, 0.0, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=400)
-    im, _ = quad(lambda x: fn(x).imag, 0.0, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=400)
+        def fn(u: float) -> complex:
+            x = c / u
+            r = r_of(x)
+            return 0.0 if r == 0 else complex(x) ** power * r * (x / u)
+
+    re, _ = quad(lambda x: fn(x).real, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=400)
+    im, _ = quad(lambda x: fn(x).imag, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=400)
     return complex(re, im)
 
 

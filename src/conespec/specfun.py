@@ -262,10 +262,6 @@ def b_pos_fraction(k: int) -> Fraction:
     return (-1) ** (k - 1) * bernoulli_fraction(2 * k)
 
 
-def b_pos(k: int) -> float:
-    return float(b_pos_fraction(k))
-
-
 # ---------------------------------------------------------------------------
 # Gamma-ratio asymptotics
 # ---------------------------------------------------------------------------

@@ -302,6 +302,20 @@ class TestSalExpand:
         assert by_key[(0.0, 1)] == pytest.approx(-1.0)
         assert by_key[(0.0, 0)] == pytest.approx(-0.5772156649015329, rel=1e-8)
 
+    @pytest.mark.parametrize("order", [4, 5])
+    def test_log_family_taylor_moments_vanish(self, capsys, order):
+        # every Taylor moment of a global monomial is a regularized integral
+        # of x^(j + alpha) log x over (0, inf), which is 0
+        payload = json.dumps({"phi": "exp", "families": [
+            {"alpha": -1.3879733134941574, "k": 1, "coef": 1.3818610484966478}],
+            "order": order})
+        code, out, _ = run(capsys, "sal-expand", "--in", payload)
+        assert code == 0
+        doc = json.loads(out)
+        assert [t for t in doc["terms"] if t["provenance"] == "taylor"] == []
+        by_key = {(t["re_exp"], t["log_pow"]): t["re_coef"] for t in doc["terms"]}
+        assert by_key.get((3.0, 0), 0.0) == 0.0
+
     def test_empty_families(self, capsys):
         code, _, _ = run(capsys, "sal-expand", "--in", json.dumps({"phi": "exp"}))
         assert code == 2
@@ -342,6 +356,46 @@ class TestInputBoundary:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == "" and "s must be finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("zeta-op", "--in", '{"tail": 5}', "--s-re", "1.6"),
+            ("zeta-op", "--in", '{"p_choice": 5}', "--s-re", "1.6"),
+            ("eta", "--in", '{"eta_tail": 5}', "--s-re", "0.6"),
+        ],
+        ids=["tail", "p_choice", "eta_tail"],
+    )
+    def test_nested_field_of_wrong_type_is_schema_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and "must be a JSON object" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("zeta-op", "--in", '{"data": [], "tail": {"kind": "riemann", "scale": 2}, '
+             '"order": 1e999}', "--s-re", "1.6"),
+            ("heat-trace", "--in", '{"spectrum": {"data": [{"lambda": 1.0}]}, '
+             '"phi_moments": [1.0], "m": 1e999}'),
+            ("sal-expand", "--in", '{"families": [{"alpha": -1.0, "k": 1e999}]}'),
+        ],
+        ids=["order", "m", "k"],
+    )
+    def test_infinite_integer_input_is_schema_error(self, capsys, argv):
+        # int(inf) raises OverflowError; at the input boundary that is exit 2
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and "must be finite" in err
+
+    def test_integer_beyond_float_range_is_schema_error(self, capsys):
+        # float() of such an integer raises OverflowError; it is input, so exit 2
+        huge = "1" + "0" * 400
+        for argv in (("zeta-op", "--in", f'{{"tail": {{"kind": "riemann"}}, "s_re": {huge}}}'),
+                     ("zeta-lp", "--in", f'{{"p": {huge}, "s_re": 0.5}}')):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == "" and "beyond the float range" in err
 
     def test_overflowing_value_is_nonconvergence(self, capsys, tmp_path):
         code, out, err = run(capsys, "zeta-lp", "--p", "0.5", "--s-re", "-110", "--s-im", "0.3")

@@ -248,3 +248,59 @@ class TestCertification:
         assert min(errs) >= 4e-13
         slope = np.polyfit(np.log(xs), np.log(errs), 1)[0]
         assert slope == pytest.approx(12.0, abs=1.0)
+
+
+def _composites():
+    cut_exp = add_functions(scale_function(cutoff_times_monomial(-1.3, 1), 1.6),
+                            exponential_decay())
+    tails = add_functions(scale_function(tail_times_monomial(-0.7, 2), -1.2),
+                          monomial_restricted(-2.0, 1, "unit_tail"))
+    monomials = add_functions(scale_function(global_monomial(-1.5, 1), 1.6),
+                              scale_function(global_monomial(-2.4, 0), -0.7))
+    return {
+        "cutoff+exp": cut_exp,
+        "times_monomial": times_monomial(cut_exp, 0.5, 1),
+        "rescaled": rescale_argument(times_monomial(cut_exp, 0.5, 1), 2.3),
+        "tail+restricted": add_functions(tails, monomial_restricted(-2.0, 0, "unit_interval")),
+        "rescaled tails": rescale_argument(times_monomial(tails, -0.4, 2), 0.45),
+        "monomials": rescale_argument(times_monomial(monomials, 0.3, 1), 1.7),
+    }
+
+
+class TestCarriedRemainders:
+    def test_leaf_supports(self):
+        g = global_monomial(-1.5, 1)
+        assert g.remainder_zero.vanishes and g.remainder_infinity.vanishes
+        c = cutoff_times_monomial(-3.0, 2)
+        assert (c.remainder_zero.lo, c.remainder_zero.hi) == (1.0, math.inf)
+        assert (c.remainder_infinity.lo, c.remainder_infinity.hi) == (0.0, 2.0)
+        t = tail_times_monomial(-3.0, 2)
+        assert (t.remainder_zero.lo, t.remainder_zero.hi) == (0.5, math.inf)
+        assert (t.remainder_infinity.lo, t.remainder_infinity.hi) == (0.0, 1.0)
+        r = rescale_argument(scale_function(c, 1.6), 4.0)
+        assert (r.remainder_zero.lo, r.remainder_infinity.hi) == (0.25, 0.5)
+        e = exponential_decay()
+        assert (e.remainder_zero.lo, e.remainder_zero.hi) == (0.0, math.inf)
+
+    def test_monomial_sums_stay_exact(self):
+        f = _composites()["monomials"]
+        assert f.remainder_zero.vanishes and f.remainder_infinity.vanishes
+        # terms absorbed by a weaker remainder order join the remainder
+        g = times_monomial(add_functions(global_monomial(-1.5, 0), global_monomial(6.4, 0)), 0.0, 1)
+        assert not g.remainder_zero.vanishes
+        assert g.remainder_at_zero(0.3) == pytest.approx(0.3**6.4 * math.log(0.3))
+
+    @pytest.mark.parametrize("name", sorted(_composites()))
+    def test_composed_remainder_matches_subtraction(self, name):
+        # where f - sum of terms is well-conditioned, the carried remainder
+        # agrees with it to within n eps (|f| + sum |terms|), n the count
+        f = _composites()[name]
+        eps = np.finfo(float).eps
+        for x in np.logspace(math.log10(0.05), math.log10(4.0), 41):
+            x = float(x)
+            for carried, e in ((f.remainder_at_zero, f.expansion_at_zero),
+                               (f.remainder_at_infinity, f.expansion_at_infinity)):
+                values = [t.evaluate(x) for t in e.terms]
+                n = len(values) + 1
+                scale = abs(f(x)) + sum(abs(v) for v in values)
+                assert abs(carried(x) - (f(x) - sum(values))) <= 4 * n * eps * scale

@@ -2,9 +2,11 @@
 
 import math
 
+import mpmath
 import pytest
 from scipy.special import gamma as sc_gamma
 
+from conespec import mellin
 from conespec.expansions import (
     add_functions,
     cutoff_times_monomial,
@@ -13,6 +15,7 @@ from conespec.expansions import (
     global_monomial,
     monomial_restricted,
     rescale_argument,
+    scale_function,
     tail_times_monomial,
     times_monomial,
 )
@@ -290,6 +293,85 @@ class TestScaleRule:
         assert scale_rule(f, lam) == pytest.approx(
             regularized_integral(f) / lam, rel=1e-10
         )
+
+
+def _no_quad(*args, **kwargs):
+    raise AssertionError("quadrature called on a remainder that vanishes")
+
+
+def monomial_composite():
+    """Scaled sums of global monomials through times_monomial and rescale_argument."""
+    f = add_functions(
+        scale_function(global_monomial(-1.0, 1), 1.6),
+        scale_function(global_monomial(-2.4, 0), -0.7),
+    )
+    f = times_monomial(add_functions(f, scale_function(global_monomial(0.3, 2), 2.1)), 0.6, 1)
+    return rescale_argument(f, 1.7)
+
+
+class TestCarriedRemainders:
+    def test_global_monomials_need_no_quadrature(self, monkeypatch):
+        f = monomial_composite()
+        assert f.remainder_zero.vanishes and f.remainder_infinity.vanishes
+        monkeypatch.setattr(mellin, "quad", _no_quad)
+        # every regularized integral of a global monomial is 0
+        assert regularized_integral(f, 0.8) == pytest.approx(0.0, abs=1e-13)
+        zero_side = regularized_integral_partial(f, 0.8, Side.ZERO_TO_C)
+        inf_side = regularized_integral_partial(f, 0.8, Side.C_TO_INF)
+        assert zero_side + inf_side == pytest.approx(0.0, abs=1e-13)
+        assert scale_rule(f, 2.3) == pytest.approx(
+            regularized_integral(rescale_argument(f, 2.3)), abs=1e-12
+        )
+
+    def test_quadrature_only_over_the_support(self, monkeypatch):
+        # the remainder of phi(x) x^-3 at 0 lives on [1, 2]: with cut 1 the
+        # zero side needs no quadrature, and the infinity side only [1, 2]
+        f = cutoff_times_monomial(-3.0, 0)
+        limits = []
+        mellin_quad = mellin.quad
+
+        def recording_quad(fn, a, b, **kwargs):
+            limits.append((a, b))
+            return mellin_quad(fn, a, b, **kwargs)
+
+        monkeypatch.setattr(mellin, "quad", recording_quad)
+        regularized_integral_partial(f, 1.0, Side.ZERO_TO_C)
+        assert limits == []
+        regularized_integral_partial(f, 1.0, Side.C_TO_INF)
+        assert limits == [(0.5, 1.0)] * 2  # u = c/x over x in [1, 2]
+
+    @pytest.mark.parametrize("lam", [0.6, 1.9])
+    def test_scaled_cutoff_monomial_matches_mpmath(self, lam):
+        # f = 1.6 phi(x) x^-3 log^2 x, phi the smooth cutoff (1 on [0,1], 0 on [2,inf))
+        def phi(x):
+            if x <= 1:
+                return mpmath.mpf(1)
+            if x >= 2:
+                return mpmath.mpf(0)
+            g1, g2 = mpmath.exp(-1 / (x - 1)), mpmath.exp(-1 / (2 - x))
+            return g2 / (g1 + g2)
+
+        def reg_int_of_dilate(mu):
+            # reg-int of g(x) = f(mu x): its x^-3 log^j x terms at 0 are exact
+            # (log(mu x) = log mu + log x), their blocks over [0, 1] are
+            # (-1)^j j!/(-2)^(j+1), and g minus them lives on [1/mu, inf)
+            lm = mpmath.log(mu)
+            coefs = [1.6 * mu**-3 * c for c in (lm**2, 2 * lm, 1)]
+            blocks = sum(c * (-1) ** j * mpmath.factorial(j) / mpmath.mpf(-2) ** (j + 1)
+                         for j, c in enumerate(coefs))
+            g = lambda x: 1.6 * phi(mu * x) * (mu * x) ** -3 * mpmath.log(mu * x) ** 2
+            rest = lambda x: g(x) - sum(c * x**-3 * mpmath.log(x) ** j
+                                        for j, c in enumerate(coefs))
+            lo, hi = 1 / mu, 2 / mu
+            zero_side = mpmath.quad(rest, [lo] + [hi] * (hi < 1) + [1]) if lo < 1 else 0
+            inf_side = mpmath.quad(g, [1, hi]) if hi > 1 else 0
+            return complex(blocks + zero_side + inf_side)
+
+        f = scale_function(cutoff_times_monomial(-3.0, 2), 1.6)
+        with mpmath.workdps(30):
+            want, want_scaled = reg_int_of_dilate(1), reg_int_of_dilate(mpmath.mpf(lam))
+        assert regularized_integral(f) == pytest.approx(want, rel=1e-10)
+        assert scale_rule(f, lam) == pytest.approx(want_scaled, rel=1e-10)
 
 
 class TestStripDecay:

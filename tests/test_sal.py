@@ -7,14 +7,19 @@ import pytest
 from scipy.integrate import IntegrationWarning
 from scipy.special import exp1
 
+from conespec import mellin, sal
 from conespec.expansions import (
     AsymptoticExpansion,
     ExpandableFunction,
     Location,
     LogPowerTerm,
+    add_functions,
     exponential_decay,
     global_monomial,
     monomial_restricted,
+    rescale_argument,
+    scale_function,
+    times_monomial,
 )
 from conespec.sal import (
     ExpansionReport,
@@ -151,6 +156,32 @@ class TestExpandPhiTx:
         far = monomial_restricted(-1.0 + 1e-6, 0, support="unit_tail")
         rep = expand_phi_tx(exp_phi(), far, q=2.0)
         assert "log-correction" not in {r.provenance for r in rep.terms}
+
+
+    def test_moments_of_global_monomials_need_no_quadrature(self, monkeypatch):
+        # F is exactly its expansion, so each Taylor moment is an exact 0;
+        # only phi's remainder, in the boundary family, reaches quadrature
+        F = rescale_argument(times_monomial(add_functions(
+            scale_function(global_monomial(-1.5, 1), 1.6),
+            scale_function(global_monomial(-2.4, 0), -0.7)), 0.3), 1.7)
+        in_boundary = []
+        boundary, quad = sal._boundary_family, mellin.quad
+
+        def traced_boundary(*args, **kwargs):
+            in_boundary.append(True)
+            try:
+                return boundary(*args, **kwargs)
+            finally:
+                in_boundary.pop()
+
+        def guarded_quad(*args, **kwargs):
+            assert in_boundary, "quadrature outside the boundary family"
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(sal, "_boundary_family", traced_boundary)
+        monkeypatch.setattr(mellin, "quad", guarded_quad)
+        rep = expand_phi_tx(exp_phi(), F, q=4.0)
+        assert {r.provenance for r in rep.terms} == {"boundary"}
 
 
 class TestExpandPhiXOverT:
