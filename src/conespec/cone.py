@@ -169,6 +169,10 @@ class SpectralDatum:
     eigenvalue: float
     weight: complex
 
+    def __post_init__(self):
+        if not (math.isfinite(self.eigenvalue) and cmath.isfinite(self.weight)):
+            raise ConeError(f"spectral data must be finite, not {self}")
+
     def validate_non_equivariant(self) -> None:
         if abs(self.weight.imag) > 0 or self.weight.real < 0:
             raise ConeError(
@@ -219,6 +223,15 @@ def _split_terms(pairs, head):
         else:
             raise ConeError(f"tail provider disagrees with data weight at value {v}")
     return unmatched, remaining
+
+
+def _series_part(provider, part: str, z: complex, pairs=()) -> complex:
+    """provider.<part>(z) ("zeta", "value_at" or "residue_at"; 0 without a
+    provider) plus sum w * v^-z over the (weight, value) pairs."""
+    total = getattr(provider, part)(z) if provider is not None else 0.0 + 0.0j
+    for w, v in pairs:
+        total += w * complex(v) ** (-complex(z))
+    return total
 
 
 def _unmatched_pairs(pairs, provider):
@@ -272,19 +285,13 @@ class CrossSectionSpectrum:
     # -- zeta of A (eigenvalue variable), data and tail combined ------------
 
     def zeta_a(self, z: complex) -> complex:
-        total = self.tail.zeta(z) if self.tail is not None else 0.0 + 0.0j
-        for w, v in self._unmatched():
-            total += w * complex(v) ** (-complex(z))
-        return total
+        return _series_part(self.tail, "zeta", z, self._unmatched())
 
     def res1_zeta_a(self, z0: complex) -> complex:
-        return self.tail.residue_at(z0) if self.tail is not None else 0.0 + 0.0j
+        return _series_part(self.tail, "residue_at", z0)
 
     def res0_zeta_a(self, z0: complex) -> complex:
-        total = self.tail.value_at(z0) if self.tail is not None else 0.0 + 0.0j
-        for w, v in self._unmatched():
-            total += w * complex(v) ** (-complex(z0))
-        return total
+        return _series_part(self.tail, "value_at", z0, self._unmatched())
 
     def to_json_dict(self) -> dict:
         return {
@@ -562,51 +569,27 @@ class FirstOrderSpectrum:
         return _unmatched_pairs(signed, self.eta_provider)
 
     def eta_value(self, s: complex) -> complex:
-        total = (
-            self.eta_provider.zeta(s) if self.eta_provider is not None else 0.0 + 0.0j
-        )
-        for w, v in self._eta_unmatched():
-            total += w * complex(v) ** (-complex(s))
-        return total
+        return _series_part(self.eta_provider, "zeta", s, self._eta_unmatched())
 
     def eta_res1(self, s0: complex) -> complex:
-        if self.eta_provider is None:
-            return 0.0 + 0.0j
-        return self.eta_provider.residue_at(s0)
+        return _series_part(self.eta_provider, "residue_at", s0)
 
     def eta_res0(self, s0: complex) -> complex:
-        total = (
-            self.eta_provider.value_at(s0)
-            if self.eta_provider is not None
-            else 0.0 + 0.0j
-        )
-        for w, v in self._eta_unmatched():
-            total += w * complex(v) ** (-complex(s0))
-        return total
+        return _series_part(self.eta_provider, "value_at", s0, self._eta_unmatched())
 
     # -- squared-shift spectra ---------------------------------------------
 
-    def a_plus_spectrum(self) -> CrossSectionSpectrum:
+    def shifted_square_spectrum(self, sign: int) -> CrossSectionSpectrum:
+        """(S + sign/2)^2 with orders |lambda + sign/2|, signed for |lambda| < 1/2."""
+        shift = 0.5 * sign
         data, overrides = [], []
         for d in self.s_data:
             lam = d.eigenvalue
-            data.append(SpectralDatum((lam + 0.5) ** 2, d.weight))
-            overrides.append(abs(lam + 0.5))
+            data.append(SpectralDatum((lam + shift) ** 2, d.weight))
+            overrides.append(abs(lam + shift) if abs(lam) >= 0.5 else lam + shift)
         return CrossSectionSpectrum(
             data=tuple(data),
-            tail=self.a_plus_tail,
-            p_overrides=tuple(overrides),
-        )
-
-    def a_minus_spectrum(self) -> CrossSectionSpectrum:
-        data, overrides = [], []
-        for d in self.s_data:
-            lam = d.eigenvalue
-            data.append(SpectralDatum((lam - 0.5) ** 2, d.weight))
-            overrides.append(abs(lam - 0.5) if abs(lam) >= 0.5 else lam - 0.5)
-        return CrossSectionSpectrum(
-            data=tuple(data),
-            tail=self.a_minus_tail,
+            tail=self.a_plus_tail if sign > 0 else self.a_minus_tail,
             p_overrides=tuple(overrides),
         )
 
@@ -624,8 +607,8 @@ def eta_function_scalable(
 ) -> complex:
     """eta-hat of D = d/dx + S/x: Gamma(s) times the zeta-hat difference of D*D and DD*."""
     s = complex(s)
-    plus = zeta_hat_operator(spec.a_plus_spectrum(), s, order=order)
-    minus = zeta_hat_operator(spec.a_minus_spectrum(), s, order=order)
+    plus = zeta_hat_operator(spec.shifted_square_spectrum(1), s, order=order)
+    minus = zeta_hat_operator(spec.shifted_square_spectrum(-1), s, order=order)
     return gamma(s) * (plus - minus)
 
 
@@ -682,22 +665,18 @@ def index_first_order(spec: FirstOrderSpectrum, interior_term: complex) -> compl
 # ---------------------------------------------------------------------------
 
 
-def _fiber_traces(spec: CrossSectionSpectrum, ts: np.ndarray) -> np.ndarray:
-    """sum_i weight_i * k_trace_lp(p_i, t) at every t of `ts`.
-
-    The (t x eigenvalue) trace matrix is evaluated in one array call and
-    contracted with the weights.
-    """
+def _orders_and_weights(spec: CrossSectionSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Bessel orders and weights of a finite spectrum, as arrays."""
     if spec.tail is not None:
         raise ConeError("fiber trace needs a finite spectrum")
     orders = np.array([spec.p_of(i) for i in range(len(spec.data))], dtype=float)
-    weights = np.array([d.weight for d in spec.data], dtype=complex)
-    return k_trace_lp(orders, ts[:, None]) @ weights
+    return orders, np.array([d.weight for d in spec.data], dtype=complex)
 
 
 def k_trace_operator(spec: CrossSectionSpectrum, t: float) -> complex:
     """Fiber heat trace summed over the enumerated spectrum (finite data only)."""
-    return complex(_fiber_traces(spec, np.array([t], dtype=float))[0])
+    orders, weights = _orders_and_weights(spec)
+    return complex((k_trace_lp(orders, np.array([[t]], dtype=float)) @ weights)[0])
 
 
 def scalar_interior_coefficients(
@@ -705,28 +684,30 @@ def scalar_interior_coefficients(
     mu: float,
     m: int,
     n_terms: int,
-) -> tuple[tuple[complex, ...], float]:
-    """Interior coefficients b_n fitted from the fiber trace.
+) -> tuple[complex, ...]:
+    """Exact interior coefficients b_0, ..., b_{n_terms-1} of the fiber trace.
 
-    Least-squares fit of k(t) against the powers t^((n-m)/mu) on a 48-point
-    log grid over [t_hi/100, t_hi], with t_hi = min(1e-3, 0.01/max(p^2, 1))
-    for the largest Bessel order p, so p^2 t stays in the small-time regime;
-    returns the coefficients and the (column-scaled) condition number.
+    The Hankel expansion of I_p (DLMF 10.40.1) at z = 1/(2t) gives k(t) ~
+    (4 pi)^(-1/2) sum_k (-2)^k a_k(p) t^(k-1/2), a_k(p) = prod_{j=1..k}
+    (4p^2 - (2j-1)^2) / (k! 8^k).  b_n at n = m + mu (k - 1/2) sums these
+    weighted terms, and every other b_n is 0.  Raises ConeError when such an
+    n up to n_terms - 1 is not an integer >= 0.
     """
-    p_sq = max((spec.p_of(i) ** 2 for i in range(len(spec.data))), default=0.0)
-    t_hi = min(1e-3, 0.01 / max(p_sq, 1.0))
-    ts = np.logspace(math.log10(t_hi / 100.0), math.log10(t_hi), 48)
-    A = np.empty((len(ts), n_terms), dtype=float)
-    for n in range(n_terms):
-        A[:, n] = ts ** ((n - m) / mu)
-    scale = np.linalg.norm(A, axis=0)
-    scale[scale == 0] = 1.0
-    As = A / scale
-    rhs = _fiber_traces(spec, ts)
-    sol, *_ = np.linalg.lstsq(As, rhs, rcond=None)
-    cond = float(np.linalg.cond(As))
-    coeffs = tuple(complex(c) for c in sol / scale)
-    return coeffs, cond
+    if not 0 < mu < math.inf:
+        raise ConeError(f"mu must be finite and positive, not {mu}")
+    orders, weights = _orders_and_weights(spec)
+    a_k = np.ones_like(orders)
+    coeffs = [0.0 + 0.0j] * n_terms
+    k = 0
+    while (shift := mu * (k - 0.5)) <= n_terms - 1 - m:
+        # an integer shift at k = 0 makes mu an even integer, so n steps by >= 2
+        if shift != int(shift) or m + shift < 0:
+            raise ConeError(f"t^({k - 0.5:g}) is off the grid t^((n-m)/mu) at mu={mu}, m={m}")
+        coeffs[m + int(shift)] = complex((-2.0) ** k / (2.0 * SQRT_PI) * (weights @ a_k))
+        k += 1
+        # 4p^2 - (2k-1)^2 as a product, exact to rounding near its zeros
+        a_k *= (2.0 * orders - (2 * k - 1)) * (2.0 * orders + (2 * k - 1)) / (8.0 * k)
+    return tuple(coeffs)
 
 
 def heat_trace_expansion(
@@ -742,11 +723,21 @@ def heat_trace_expansion(
     Power terms b_n * (regularized phi moment) * t^((n-m)/mu), the constant
     (1/nu) Res_0(Gamma zeta_hat)(0), and the log term -(1/nu) b_m log t.
     `phi_moments[n]` is the regularized integral of phi(x) x^((nu/mu)(m-n)-1);
-    with `b_coeffs` omitted the b_n are fitted from the fiber trace.
+    with `b_coeffs` omitted the b_n are `scalar_interior_coefficients`.
+    Domain: nu nonzero and finite, mu finite and positive, m >= 0, and finite
+    moments and coefficients.
     """
+    if not (nu != 0 and math.isfinite(nu) and 0 < mu < math.inf and m >= 0):
+        raise ConeError(
+            "need nu nonzero and finite, mu finite and positive and m >= 0, "
+            f"not nu={nu}, mu={mu}, m={m}"
+        )
+    for name, values in (("phi_moments", phi_moments), ("b_coeffs", b_coeffs)):
+        if values is not None and not all(cmath.isfinite(complex(v)) for v in values):
+            raise ConeError(f"{name} must be finite")
     n_terms = len(phi_moments)
     if b_coeffs is None:
-        b_coeffs, _ = scalar_interior_coefficients(spec, mu, m, max(n_terms, m + 1))
+        b_coeffs = scalar_interior_coefficients(spec, mu, m, max(n_terms, m + 1))
     if len(b_coeffs) <= m:
         raise ConeError("b coefficients must reach index m")
     terms = []

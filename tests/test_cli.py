@@ -261,6 +261,53 @@ class TestHeatTrace:
             for k in ("re_coef", "im_coef")
         )
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"nu": 0},
+            {"nu": math.nan},
+            {"nu": math.inf},
+            {"mu": 0},
+            {"mu": -2},
+            {"mu": math.inf},
+            {"mu": 1},
+            {"m": -1},
+            {"phi_moments": [1, math.nan, 1, 1]},
+            {"b_coeffs": [1, 0, math.inf, 0]},
+        ],
+    )
+    def test_out_of_domain_is_schema_error(self, capsys, tmp_path, fields):
+        payload = {
+            "spectrum": {"data": [{"lambda": 1.0}, {"lambda": 4.0}]},
+            "phi_moments": [1, 1, 1, 1],
+        }
+        out_file = tmp_path / "out"
+        code, out, err = run(
+            capsys, "heat-trace", "--in", json.dumps({**payload, **fields}), "--out", str(out_file)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid input:") and "Traceback" not in err
+        assert not out_file.exists()
+
+    def test_exact_coefficients(self, capsys):
+        # b_n of eigenvalues 1, 4 (weights 1, 2): b_0 = 3/sqrt(4 pi),
+        # b_2 = -2 (3/8 + 2 * 15/8)/sqrt(4 pi) = -(33/4)/sqrt(4 pi), odd b_n = 0
+        payload = {
+            "spectrum": {"data": [{"lambda": 1.0}, {"lambda": 4.0, "weight_re": 2.0}]},
+            "phi_moments": [1, 1, 1, 1],
+        }
+        code, out, _ = run(capsys, "heat-trace", "--in", json.dumps(payload))
+        assert code == 0
+        powers = {
+            t["re_exp"]: t["re_coef"]
+            for t in json.loads(out)["terms"]
+            if t["provenance"] == "boundary"
+        }
+        lead = 1.0 / math.sqrt(4.0 * math.pi)
+        assert powers.keys() == {-0.5, 0.5}
+        assert powers[-0.5] == pytest.approx(3.0 * lead, rel=1e-15)
+        assert powers[0.5] == pytest.approx(-33.0 / 4.0 * lead, rel=1e-15)
+
     def test_missing_moments_is_schema_error(self, capsys):
         code, _, _ = run(
             capsys, "heat-trace", "--in", json.dumps({"spectrum": {"data": []}})
@@ -356,6 +403,24 @@ class TestInputBoundary:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == "" and "s must be finite" in err
+
+    @pytest.mark.parametrize(
+        "datum",
+        [{"lambda": math.nan}, {"lambda": math.inf}, {"lambda": 1.0, "weight_re": math.nan},
+         {"lambda": 1.0, "weight_im": -math.inf}],
+        ids=["lambda-nan", "lambda-inf", "weight_re-nan", "weight_im-inf"],
+    )
+    @pytest.mark.parametrize("command", ["zeta-op", "heat-trace", "eta"])
+    def test_non_finite_spectral_data_is_schema_error(self, capsys, command, datum):
+        spectrum = {"data": [datum]}
+        payload = {
+            "zeta-op": spectrum,
+            "heat-trace": {"spectrum": spectrum, "phi_moments": [1.0, 1.0]},
+            "eta": {"s_data": [datum]},
+        }[command]
+        code, out, err = run(capsys, command, "--in", json.dumps(payload))
+        assert code == 2
+        assert out == "" and "spectral data must be finite" in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -233,6 +233,25 @@ class TestSpectrumData:
         with pytest.raises(ConeError):
             CrossSectionSpectrum(data=(SpectralDatum(-1.0, 1.0),))
 
+    @pytest.mark.parametrize(
+        "lam, weight",
+        [
+            (math.nan, 1.0),
+            (math.inf, 1.0),
+            (1.0, complex(math.nan, 0.0)),
+            (1.0, complex(1.0, -math.inf)),
+        ],
+    )
+    def test_non_finite_data_rejected(self, lam, weight):
+        with pytest.raises(ConeError):
+            SpectralDatum(lam, weight)
+        weight = complex(weight)
+        entry = {"lambda": lam, "weight_re": weight.real, "weight_im": weight.imag}
+        with pytest.raises(ConeError):
+            CrossSectionSpectrum.from_json_dict({"data": [entry]})
+        with pytest.raises(ConeError):
+            FirstOrderSpectrum.from_json_dict({"s_data": [entry]})
+
     def test_p_overrides_must_align(self):
         with pytest.raises(ConeError):
             CrossSectionSpectrum(
@@ -517,6 +536,24 @@ class TestEta:
         assert results[0] == results[1]
         assert results[0][0] == prov.zeta(2.0)
 
+    def test_shifted_square_spectra(self):
+        # D*D and DD* see (S + 1/2)^2 and (S - 1/2)^2; inside (-1/2, 1/2) the
+        # order keeps its sign, so DD* gets a negative order
+        plus_tail, minus_tail = RiemannZetaProvider(1.0, 2.0), RiemannZetaProvider(2.0, 2.0)
+        xs = (-1.25, -0.3, 0.0, 0.2, 0.5, 2.0)
+        spec = FirstOrderSpectrum(
+            s_data=tuple(SpectralDatum(x, 1.5) for x in xs),
+            a_plus_tail=plus_tail,
+            a_minus_tail=minus_tail,
+        )
+        plus, minus = spec.shifted_square_spectrum(1), spec.shifted_square_spectrum(-1)
+        assert plus.tail is plus_tail and minus.tail is minus_tail
+        assert [d.eigenvalue for d in plus.data] == [(x + 0.5) ** 2 for x in xs]
+        assert [d.eigenvalue for d in minus.data] == [(x - 0.5) ** 2 for x in xs]
+        assert plus.p_overrides == (0.75, 0.2, 0.5, 0.7, 1.0, 2.5)
+        assert minus.p_overrides == (1.75, -0.8, -0.5, -0.3, 0.0, 1.5)
+        assert all(d.weight == 1.5 for d in plus.data + minus.data)
+
     def test_consistency_check_on_providers(self):
         spec = FirstOrderSpectrum(
             s_data=(), eta_provider=ShiftedIntegerEtaProvider(0.25)
@@ -574,48 +611,114 @@ class TestHeatTrace:
         )
         # both sums are within (n-1) 2^-53 sum|term| of the exact sum per
         # component, plus one rounding per complex product: n 2^-51 sum|term|
-        # bounds their distance.  The fit samples [t_hi/100, t_hi] with
-        # t_hi = 0.01 / max p^2.
+        # bounds their distance.  Small times reach p^2 t = 1e-4.
         t_hi = 0.01 / max(lams)
         ts = np.logspace(math.log10(t_hi / 100.0), math.log10(t_hi), 48)
-        ref, tol = [], []
         for t in list(ts) + [0.01, 0.3, 2.0]:
             terms = [
                 d.weight * k_trace_lp(spec.p_of(i), float(t)) for i, d in enumerate(spec.data)
             ]
-            ref.append(sum(terms, 0.0 + 0.0j))
-            tol.append(len(terms) * 2.0**-51 * sum(abs(w) for w in terms))
-            assert abs(k_trace_operator(spec, float(t)) - ref[-1]) <= tol[-1]
-        # the same fit on the loop traces; the sample bound carried through
-        # the pseudo-inverse bounds the coefficients
-        n_terms, m, mu = 4, 1, 2.0
-        A = np.stack([ts ** ((n - m) / mu) for n in range(n_terms)], axis=1)
-        scale = np.linalg.norm(A, axis=0)
-        sol, *_ = np.linalg.lstsq(A / scale, np.array(ref[:48]), rcond=None)
-        pinv = np.linalg.pinv(A / scale) / scale[:, None]
-        coeffs, _ = scalar_interior_coefficients(spec, mu, m, n_terms)
-        bound = np.abs(pinv) @ np.array(tol[:48])
-        assert np.all(np.abs(np.array(coeffs) - sol / scale) <= bound)
+            ref = sum(terms, 0.0 + 0.0j)
+            tol = len(terms) * 2.0**-51 * sum(abs(w) for w in terms)
+            assert abs(k_trace_operator(spec, float(t)) - ref) <= tol
 
     def test_interior_coefficients_tauberian(self):
         spec = CrossSectionSpectrum(data=(SpectralDatum(1.0, 1.0),))
-        coeffs, cond = scalar_interior_coefficients(spec, 2.0, 1, 4)
+        coeffs = scalar_interior_coefficients(spec, 2.0, 1, 4)
         lead = 1.0 / math.sqrt(4.0 * math.pi)
-        assert coeffs[0].real == pytest.approx(lead, rel=0.02)
-        assert abs(coeffs[1]) < 0.02 * lead
+        assert coeffs[0] == pytest.approx(lead, rel=1e-15)
         # second correction: -(4p^2-1)/4 * (4 pi)^{-1/2} at p = 1
-        assert coeffs[2].real == pytest.approx(-0.75 * lead, rel=0.05)
-        assert math.isfinite(cond)
+        assert coeffs[2] == pytest.approx(-0.75 * lead, rel=1e-15)
+        assert coeffs[1] == coeffs[3] == 0
 
     def test_interior_coefficients_high_orders(self):
-        # orders 40 and 50: the fit window shrinks so p^2 t stays small
+        # orders 40 and 50: b_2 = -2 sum (4p^2 - 1)/8 * (4 pi)^{-1/2}
         spec = CrossSectionSpectrum(
             data=(SpectralDatum(1600.0, 1.0), SpectralDatum(2500.0, 1.0))
         )
-        coeffs, _ = scalar_interior_coefficients(spec, 2.0, 1, 4)
-        lead = 2.0 / math.sqrt(4.0 * math.pi)
-        assert coeffs[0].real == pytest.approx(lead, rel=1e-4)
-        assert abs(coeffs[1]) < 0.005 * 2.0  # b_1 = 0; 0.005 per unit weight
+        coeffs = scalar_interior_coefficients(spec, 2.0, 1, 4)
+        lead = 1.0 / math.sqrt(4.0 * math.pi)
+        assert coeffs[0] == pytest.approx(2.0 * lead, rel=1e-15)
+        assert coeffs[2] == pytest.approx(-(6399.0 + 9999.0) / 4.0 * lead, rel=1e-14)
+        assert coeffs[1] == coeffs[3] == 0
+
+    def test_interior_coefficients_mixed_weights(self):
+        spec = CrossSectionSpectrum(
+            data=tuple(
+                SpectralDatum(lam, w)
+                for lam, w in ((1.0, 1.0), (4.0, 2.0), (9.0, 1.0), (1600.0, 1.0))
+            )
+        )
+        coeffs = scalar_interior_coefficients(spec, 2.0, 1, 6)
+        # sum w a_2(p) = 40897149 / 128, times (-2)^2 (4 pi)^{-1/2}
+        assert coeffs[4] == pytest.approx(40897149 / 32 / math.sqrt(4 * math.pi), rel=1e-14)
+        assert coeffs[4].real == pytest.approx(360527.27, abs=0.01)
+        assert coeffs[1] == coeffs[3] == coeffs[5] == 0
+
+    @pytest.mark.parametrize("mu, m, n_terms", [(2.0, 1, 12), (4.0, 2, 15)])
+    def test_interior_coefficients_match_hankel_oracle(self, mu, m, n_terms):
+        # b_n against DLMF 10.40.1 at 40 digits: k(t) ~ (4 pi)^{-1/2}
+        # sum_k (-2)^k a_k(p) t^{k-1/2} lands on n = m + mu (k - 1/2)
+        rng = np.random.default_rng(int(mu))
+        for _ in range(5):
+            size = int(rng.integers(1, 12))
+            lams = np.concatenate([rng.uniform(0.0, 0.99, 2), rng.uniform(0.0, 3600.0, size)])
+            weights = rng.uniform(-2.0, 3.0, lams.size) + 1j * rng.uniform(-1.0, 1.0, lams.size)
+            spec = CrossSectionSpectrum(
+                data=tuple(SpectralDatum(float(lam), complex(w)) for lam, w in zip(lams, weights)),
+                negative_below=1.0,
+            )
+            assert min(spec.p_of(i) for i in range(lams.size)) < 0
+            coeffs = scalar_interior_coefficients(spec, mu, m, n_terms)
+            on_grid = set()
+            for k in range(n_terms):
+                n = m + mu * (k - 0.5)
+                if n > n_terms - 1:
+                    break
+                on_grid.add(int(n))
+                with mpmath.workdps(40):
+                    terms = []
+                    for i, d in enumerate(spec.data):
+                        p = mpmath.mpf(spec.p_of(i))
+                        a_k = mpmath.fprod(4 * p**2 - (2 * j - 1) ** 2 for j in range(1, k + 1))
+                        a_k /= mpmath.factorial(k) * mpmath.mpf(8) ** k
+                        terms.append(mpmath.mpc(d.weight) * a_k)
+                    scale = (-2) ** k / mpmath.sqrt(4 * mpmath.pi)
+                    exact = complex(scale * mpmath.fsum(terms))
+                    bound = 1e-12 * float(abs(scale) * mpmath.fsum(abs(x) for x in terms))
+                assert abs(coeffs[int(n)] - exact) <= bound
+            assert all(coeffs[n] == 0 for n in range(n_terms) if n not in on_grid)
+
+    def test_interior_coefficients_certify_the_fiber_trace(self):
+        # with the first K coefficients c_k of t^(k-1/2) subtracted, the
+        # fiber trace over t^(K-1/2) tends to c_K, and the gap to c_K is
+        # c_(K+1) t to first order
+        spec = CrossSectionSpectrum(
+            data=tuple(
+                SpectralDatum(lam, w)
+                for lam, w in ((0.0, 1.0), (0.49, 0.5 + 0.5j), (1.0, 1.0), (4.0, 2.0), (9.0, 1.0))
+            ),
+            negative_below=0.5,
+        )
+        c = scalar_interior_coefficients(spec, 2.0, 1, 10)[::2]
+        for big_k in (1, 2, 3):
+            gaps = []
+            for t in (1e-2, 1e-3):
+                head = sum(c[k] * t ** (k - 0.5) for k in range(big_k))
+                ratio = (k_trace_operator(spec, t) - head) / t ** (big_k - 0.5)
+                gaps.append(abs((ratio - c[big_k]) / (c[big_k + 1] * t) - 1.0))
+            assert gaps[0] <= 0.05 and gaps[1] <= 0.005
+
+    @pytest.mark.parametrize(
+        "mu, m",
+        [(1.0, 1), (1.0, 0), (2.0, 0), (2.0, -1), (3.0, 1), (1e-300, 1)]
+        + [(mu, 1) for mu in (0.0, -2.0, math.inf, math.nan)],
+    )
+    def test_interior_coefficients_off_grid_raise(self, mu, m):
+        # a power t^(k-1/2) off the integer grid, or mu not finite and positive
+        spec = CrossSectionSpectrum(data=(SpectralDatum(1.0, 1.0),))
+        with pytest.raises(ConeError):
+            scalar_interior_coefficients(spec, mu, m, 4)
 
     def test_expansion_assembly(self):
         spec = CrossSectionSpectrum(
@@ -635,6 +738,27 @@ class TestHeatTrace:
         spec = CrossSectionSpectrum(data=(SpectralDatum(1.0, 1.0),))
         with pytest.raises(ConeError):
             heat_trace_expansion(spec, 2.0, 2.0, 1, (1.0,), (0.5,))
+
+    @pytest.mark.parametrize(
+        "nu, mu, m, moments, b",
+        [
+            (0.0, 2.0, 1, (1.0, 1.0), None),
+            (math.nan, 2.0, 1, (1.0, 1.0), None),
+            (math.inf, 2.0, 1, (1.0, 1.0), None),
+            (2.0, 0.0, 1, (1.0, 1.0), None),
+            (2.0, -2.0, 1, (1.0, 1.0), None),
+            (2.0, math.inf, 1, (1.0, 1.0), (0.5, 0.5)),
+            (2.0, math.nan, 1, (1.0, 1.0), (0.5, 0.5)),
+            (2.0, 2.0, -1, (1.0, 1.0), (0.5, 0.5)),
+            (2.0, 2.0, 1, (1.0, math.nan), None),
+            (2.0, 2.0, 1, (1.0, 1.0), (0.5, complex(0.0, math.inf))),
+            (2.0, 1.0, 1, (1.0, 1.0), None),
+        ],
+    )
+    def test_expansion_domain(self, nu, mu, m, moments, b):
+        spec = CrossSectionSpectrum(data=(SpectralDatum(1.0, 1.0),))
+        with pytest.raises(ConeError):
+            heat_trace_expansion(spec, nu, mu, m, moments, b)
 
 
 class TestLaurentFit:

@@ -68,6 +68,10 @@ EDGE_CASES = [
     (["eta", "--in", '"text"'], None),
     (["heat-trace", "--in", "@in"],
      {"spectrum": {"data": [{"lambda": 1.0}, {"lambda": 4.0}]}, "phi_moments": [1, 1, 1, 1]}),
+    (["heat-trace", "--in", "@in"],
+     {"spectrum": {"data": [{"lambda": 1600}, {"lambda": 2500}]}, "phi_moments": [1, 1, 1]}),
+    (["heat-trace", "--in", "@in", "--out", "@out"],
+     {"spectrum": {"data": [{"lambda": 1.0}]}, "mu": 1, "phi_moments": [1, 1, 1]}),
     (["deficiency", "--in", '{"kernel_plus": 1, "kernel_minus": 1, '
       '"positive": [{"mu": 0.3, "weight": 2}]}'], None),
     (["deficiency", "--in", "[1, 2]"], None),
