@@ -111,9 +111,10 @@ def _pick(args, payload: dict, flag: str, key: str, default=None):
 
 
 def _int_input(value, name: str) -> int:
-    """An integer input; infinity is an input error, not an overflow."""
-    if isinstance(value, float) and math.isinf(value):
-        raise ValueError(f"{name} must be finite, not {value}")
+    """An integer input; a non-finite or fractional number is an input error,
+    neither an overflow nor truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be finite and integral, not {value}")
     return int(value)
 
 

@@ -428,9 +428,11 @@ def gamma_zeta_hat(spec: CrossSectionSpectrum, s: complex, order: int = 6) -> co
 # ---------------------------------------------------------------------------
 
 
-def residues_at_zero(
-    spec: CrossSectionSpectrum, j_max: int = 6
-) -> tuple[complex, complex]:
+# Cutoff of the Bernoulli-weighted pole sum in residues_at_zero.
+_POLE_SUM_J_MAX = 6
+
+
+def residues_at_zero(spec: CrossSectionSpectrum) -> tuple[complex, complex]:
     """Laurent coefficients (Res_1, Res_0) of Gamma(s) * zeta_hat at s=0.
 
     Assembled from the residues and finite parts of the zeta function of A at
@@ -442,7 +444,7 @@ def residues_at_zero(
     res1 = -r1_half
     # Gamma'(-1/2) / (2 sqrt(pi)) = -psi(-1/2)
     res0 = -digamma(-0.5) * r1_half - r0_half
-    for j in range(1, j_max + 1):
+    for j in range(1, _POLE_SUM_J_MAX + 1):
         bj = float(b_pos_fraction(j))
         res0 += (-1) ** j * bj / j * spec.res1_zeta_a(j - 0.5)
     i_zero = 0.0 + 0.0j
@@ -523,13 +525,11 @@ class FirstOrderSpectrum:
     `s_data` lists signed eigenvalues with weights; `eta_provider` continues
     the signed series eta(S, s) (full spectrum; entries of `s_data` it does
     not enumerate are added on top).  `a_plus_tail` / `a_minus_tail` continue
-    the zeta functions of (S +/- 1/2)^2 for the assembled eta route, and
-    `zeta_provider` optionally carries zeta(S^2) for consistency checks.
+    the zeta functions of (S +/- 1/2)^2 for the assembled eta route.
     """
 
     s_data: tuple[SpectralDatum, ...]
     eta_provider: Optional[DirichletSeriesProvider] = None
-    zeta_provider: Optional[DirichletSeriesProvider] = None
     a_plus_tail: Optional[DirichletSeriesProvider] = None
     a_minus_tail: Optional[DirichletSeriesProvider] = None
 
@@ -594,12 +594,10 @@ class FirstOrderSpectrum:
         )
 
     def consistency_check(self, s_points=(4.0, 5.0, 6.0), n_terms: int = 4000) -> float:
-        """Three-point agreement of the continuations with direct partial sums."""
-        worst = 0.0
-        for prov in (self.eta_provider, self.zeta_provider):
-            if prov is not None:
-                worst = max(worst, prov.continuation_consistency(s_points, n_terms))
-        return worst
+        """Agreement of the eta continuation with direct partial sums."""
+        if self.eta_provider is None:
+            return 0.0
+        return self.eta_provider.continuation_consistency(s_points, n_terms)
 
 
 def eta_function_scalable(
@@ -616,19 +614,17 @@ def eta_function_scalable(
 _ALPHA_K_MAX = 6
 
 
-def _alpha_terms(spec: FirstOrderSpectrum, k_max: int) -> list[complex]:
-    """alpha_k * Res_1 eta(S, 2k) for k = 1..k_max, skipping vanishing residues."""
+def _alpha_terms(spec: FirstOrderSpectrum) -> list[complex]:
+    """alpha_k * Res_1 eta(S, 2k) for k = 1.._ALPHA_K_MAX, skipping vanishing residues."""
     out = []
-    for k in range(1, k_max + 1):
+    for k in range(1, _ALPHA_K_MAX + 1):
         r = spec.eta_res1(2.0 * k)
         if r != 0:
             out.append(eta_alpha_constant(k) * r)
     return out
 
 
-def eta_hat_residues(
-    spec: FirstOrderSpectrum, k_max: int = _ALPHA_K_MAX
-) -> tuple[complex, complex]:
+def eta_hat_residues(spec: FirstOrderSpectrum) -> tuple[complex, complex]:
     """Laurent coefficients (Res_1, Res_0) of eta-hat at s=0.
 
     Expressed through eta(S): its residue and finite part at 0, the kernel
@@ -643,7 +639,7 @@ def eta_hat_residues(
         - spec.kernel_weight()
         - 2.0 * spec.small_negative_weight()
     )
-    for term in _alpha_terms(spec, k_max):
+    for term in _alpha_terms(spec):
         res0 += term
     return res1, res0
 
@@ -655,7 +651,7 @@ def index_first_order(spec: FirstOrderSpectrum, interior_term: complex) -> compl
         - 0.5 * (spec.eta_res0(0.0) + spec.kernel_weight())
         - spec.small_negative_weight()
     )
-    for term in _alpha_terms(spec, _ALPHA_K_MAX):
+    for term in _alpha_terms(spec):
         out += 0.5 * term
     return out
 
@@ -679,6 +675,14 @@ def k_trace_operator(spec: CrossSectionSpectrum, t: float) -> complex:
     return complex((k_trace_lp(orders, np.array([[t]], dtype=float)) @ weights)[0])
 
 
+def _hankel_index(mu: float, m: int, k: int) -> int:
+    """n = m + mu (k - 1/2), where t^(k-1/2) lands; ConeError unless an integer >= 0."""
+    shift = mu * (k - 0.5)
+    if shift != int(shift) or m + shift < 0:
+        raise ConeError(f"t^({k - 0.5:g}) is off the grid t^((n-m)/mu) at mu={mu}, m={m}")
+    return m + int(shift)
+
+
 def scalar_interior_coefficients(
     spec: CrossSectionSpectrum,
     mu: float,
@@ -699,11 +703,9 @@ def scalar_interior_coefficients(
     a_k = np.ones_like(orders)
     coeffs = [0.0 + 0.0j] * n_terms
     k = 0
-    while (shift := mu * (k - 0.5)) <= n_terms - 1 - m:
+    while mu * (k - 0.5) <= n_terms - 1 - m:
         # an integer shift at k = 0 makes mu an even integer, so n steps by >= 2
-        if shift != int(shift) or m + shift < 0:
-            raise ConeError(f"t^({k - 0.5:g}) is off the grid t^((n-m)/mu) at mu={mu}, m={m}")
-        coeffs[m + int(shift)] = complex((-2.0) ** k / (2.0 * SQRT_PI) * (weights @ a_k))
+        coeffs[_hankel_index(mu, m, k)] = complex((-2.0) ** k / (2.0 * SQRT_PI) * (weights @ a_k))
         k += 1
         # 4p^2 - (2k-1)^2 as a product, exact to rounding near its zeros
         a_k *= (2.0 * orders - (2 * k - 1)) * (2.0 * orders + (2 * k - 1)) / (8.0 * k)
@@ -723,9 +725,10 @@ def heat_trace_expansion(
     Power terms b_n * (regularized phi moment) * t^((n-m)/mu), the constant
     (1/nu) Res_0(Gamma zeta_hat)(0), and the log term -(1/nu) b_m log t.
     `phi_moments[n]` is the regularized integral of phi(x) x^((nu/mu)(m-n)-1);
-    with `b_coeffs` omitted the b_n are `scalar_interior_coefficients`.
-    Domain: nu nonzero and finite, mu finite and positive, m >= 0, and finite
-    moments and coefficients.
+    with `b_coeffs` omitted the b_n are `scalar_interior_coefficients` (b_m
+    is then 0, so there is no log term).  Domain: nu nonzero and finite, mu
+    finite and positive, m >= 0, finite moments and coefficients, and
+    `b_coeffs` reaching index m and covering the moments.
     """
     if not (nu != 0 and math.isfinite(nu) and 0 < mu < math.inf and m >= 0):
         raise ConeError(
@@ -737,9 +740,14 @@ def heat_trace_expansion(
             raise ConeError(f"{name} must be finite")
     n_terms = len(phi_moments)
     if b_coeffs is None:
-        b_coeffs = scalar_interior_coefficients(spec, mu, m, max(n_terms, m + 1))
-    if len(b_coeffs) <= m:
-        raise ConeError("b coefficients must reach index m")
+        # the t^(-1/2) power must land on the grid even past the moments;
+        # b_m is 0, as n = m would need the power t^0
+        _hankel_index(mu, m, 0)
+        b_coeffs, b_m = scalar_interior_coefficients(spec, mu, m, n_terms), 0.0
+    elif len(b_coeffs) < max(n_terms, m + 1):
+        raise ConeError("b coefficients must reach index m and cover the moments")
+    else:
+        b_m = b_coeffs[m]
     terms = []
     for n in range(n_terms):
         coef = complex(b_coeffs[n]) * complex(phi_moments[n])
@@ -759,7 +767,7 @@ def heat_trace_expansion(
                 exponent=0.0, log_power=0, coefficient=res0 / nu, provenance="taylor"
             )
         )
-    log_coef = -complex(b_coeffs[m]) / nu
+    log_coef = -complex(b_m) / nu
     if log_coef != 0:
         terms.append(
             ReportTerm(

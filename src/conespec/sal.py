@@ -21,7 +21,6 @@ TestFunction.taylor_coefficient, which raises SalError when it is too short.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -54,13 +53,13 @@ class SalError(Exception):
 class TestFunction:
     """A rapidly decaying smooth function on [0, infinity) with jet data at 0.
 
-    derivatives_at_zero[j] is phi^(j)(0).  decay_order certifies that
-    x^n phi^(m)(x) stays bounded for n, m up to that order.
+    derivatives_at_zero[j] is phi^(j)(0).  The expansion at infinity is
+    empty with remainder order 40: x^n phi^(m)(x) stays bounded for n, m up
+    to 40.
     """
 
     evaluator: Callable[[float], float]
     derivatives_at_zero: tuple[float, ...]
-    decay_order: float = 40.0
 
     def __call__(self, x: float) -> float:
         return self.evaluator(x)
@@ -94,7 +93,7 @@ class TestFunction:
         return ExpandableFunction(
             lambda x: self.evaluator(x),
             AsymptoticExpansion(Location.AT_ZERO, terms, float(n)),
-            empty_expansion(Location.AT_INFINITY, self.decay_order),
+            empty_expansion(Location.AT_INFINITY, 40.0),
         )
 
 
@@ -156,9 +155,6 @@ class ExpansionReport:
                 for r in self.sorted_terms()
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _merge_terms(terms: Sequence[ReportTerm]) -> tuple[ReportTerm, ...]:

@@ -5,8 +5,9 @@ Bessel I (the Amos routine behind scipy.special.ive), Laguerre polynomials
 and the l_n^(p) eigenfamily of the Hankel transform, the Hankel transform
 itself (integration between Bessel zeros with Euler acceleration of the
 alternating tail), exact Bernoulli numbers, the asymptotic expansion of
-the Gamma ratio Gamma(nu-s+1)/Gamma(nu+s), Hurwitz zeta by
-Euler-Maclaurin, and Dirichlet series providers with meromorphic
+the Gamma ratio Gamma(nu-s+1)/Gamma(nu+s) up to order MAX_RATIO_ORDER = 10
+(exact coefficients from the Bernoulli polynomials of DLMF 5.11.8), Hurwitz
+zeta by Euler-Maclaurin, and Dirichlet series providers with meromorphic
 continuation.
 """
 
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.special as sps
@@ -174,14 +175,12 @@ def _euler_accelerate(partials: Sequence[float]) -> float:
     return row[0]
 
 
-def hankel_transform(
-    f: Callable[[float], float],
-    p: float,
-    x: float,
-    cutoff: Optional[float] = None,
-    tol: float = 1e-10,
-    max_panels: int = 80,
-) -> float:
+# Convergence tolerance and panel budget of hankel_transform.
+_HANKEL_TOL = 1e-10
+_HANKEL_MAX_PANELS = 80
+
+
+def hankel_transform(f: Callable[[float], float], p: float, x: float) -> float:
     """(H_p f)(x) = integral_0^inf (x y)^{1/2} J_p(x y) f(y) dy.
 
     The y-axis is split at the scaled zeros of J_p; panels are integrated
@@ -204,21 +203,17 @@ def hankel_transform(
     m = 1
     while True:
         b = bessel_j_zero(p, m) / x
-        if cutoff is not None and b > cutoff:
-            b = cutoff
         val, _ = quad(integrand, a, b, epsabs=1e-13, epsrel=1e-11, limit=200)
         panels.append(val)
         a = b
         m += 1
-        if cutoff is not None and a >= cutoff:
+        if len(panels) >= 6 and all(abs(v) < _HANKEL_TOL / 10 for v in panels[-3:]):
             break
-        if len(panels) >= 6 and all(abs(v) < tol / 10 for v in panels[-3:]):
-            break
-        if len(panels) >= max_panels:
+        if len(panels) >= _HANKEL_MAX_PANELS:
             partials = np.cumsum(panels)
             acc1 = _euler_accelerate(partials[-12:])
             acc2 = _euler_accelerate(partials[-13:-1])
-            if abs(acc1 - acc2) < tol:
+            if abs(acc1 - acc2) < _HANKEL_TOL:
                 return float(acc1)
             raise HankelConvergenceError(
                 f"Hankel transform tail did not stabilize at x={x} "
@@ -266,8 +261,7 @@ def b_pos_fraction(k: int) -> Fraction:
 # Gamma-ratio asymptotics
 # ---------------------------------------------------------------------------
 #
-# Polynomials in s are tuples of Fractions (index = degree); a "series" is a
-# list of such polynomials indexed by the power of w = 1/nu.
+# Polynomials in s are tuples of Fractions, index = degree.
 
 
 Poly = tuple[Fraction, ...]
@@ -303,13 +297,6 @@ def _poly_scale(a: Poly, c: Fraction) -> Poly:
     return _poly_trim([c * x for x in a])
 
 
-def _poly_pow(a: Poly, n: int) -> Poly:
-    out: Poly = (Fraction(1),)
-    for _ in range(n):
-        out = _poly_mul(out, a)
-    return out
-
-
 def _poly_eval(a: Poly, s: complex) -> complex:
     out = 0.0 + 0.0j
     for c in reversed(a):
@@ -317,85 +304,9 @@ def _poly_eval(a: Poly, s: complex) -> complex:
     return out
 
 
-def _series_add(a: list[Poly], b: list[Poly]) -> list[Poly]:
-    n = max(len(a), len(b))
-    return [
-        _poly_add(a[i] if i < len(a) else (), b[i] if i < len(b) else ())
-        for i in range(n)
-    ]
-
-
-def _series_mul(a: list[Poly], b: list[Poly], order: int) -> list[Poly]:
-    out = [() for _ in range(order + 1)]
-    for i, ai in enumerate(a):
-        if i > order or not ai:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order or not bj:
-                continue
-            out[i + j] = _poly_add(out[i + j], _poly_mul(ai, bj))
-    return out
-
-
-def _series_exp(c: list[Poly], order: int) -> list[Poly]:
-    """exp of a series with zero constant term, truncated at `order`."""
-    if c and c[0]:
-        raise SpecfunError("series_exp needs zero constant term")
-    out = [() for _ in range(order + 1)]
-    out[0] = (Fraction(1),)
-    power = [(Fraction(1),)] + [()] * order
-    fact = Fraction(1)
-    for m in range(1, order + 1):
-        power = _series_mul(power, c, order)
-        fact *= m
-        if all(not p for p in power):
-            break
-        out = _series_add(out, [_poly_scale(p, Fraction(1, 1) / fact) for p in power])
-    return out[: order + 1]
-
-
-def _stirling_tail_coeff(k: int) -> Fraction:
-    """c_k = B_{2k} / (2k (2k-1)) of the Stirling series."""
-    return bernoulli_fraction(2 * k) / (2 * k * (2 * k - 1))
-
-
-def _log_gamma_shift_series(u: Poly, order: int) -> list[Poly]:
-    """Series in w of log Gamma(nu(1+u w)) - [(nu-1/2) log nu - nu + const],
-    dropping the log-nu and constant bookkeeping shared by both arguments.
-
-    Concretely: (1/w + u - 1/2) log(1+u w) - u/w ... the caller combines two
-    of these, so only the pieces that differ matter; we return the full
-    series of (z - 1/2) log(1+u w) - z u w / (1 + ...)-free form:
-        (1/w + u - 1/2) * log(1 + u w)   minus   u   (the w^0 part is kept)
-    plus the Bernoulli tail  sum_k c_k (1+u w)^{1-2k} w^{2k-1}.
-    """
-    # log(1 + u w) = sum_{m>=1} (-1)^(m+1) u^m w^m / m
-    log_series = [() for _ in range(order + 2)]
-    for m in range(1, order + 2):
-        log_series[m] = _poly_scale(_poly_pow(u, m), Fraction((-1) ** (m + 1), m))
-    out = [() for _ in range(order + 1)]
-    # (1/w) * log(1+u w): shift down one power
-    for m in range(1, order + 2):
-        if m - 1 <= order:
-            out[m - 1] = _poly_add(out[m - 1], log_series[m])
-    # (u - 1/2) * log(1+u w)
-    u_half = _poly_add(u, (Fraction(-1, 2),))
-    for m in range(1, order + 1):
-        out[m] = _poly_add(out[m], _poly_mul(u_half, log_series[m]))
-    # Bernoulli tail: sum_k c_k w^(2k-1) (1+u w)^(1-2k)
-    k = 1
-    while 2 * k - 1 <= order:
-        ck = _stirling_tail_coeff(k)
-        # (1+u w)^(1-2k) = sum_j binom(1-2k, j) u^j w^j
-        for j in range(0, order - (2 * k - 1) + 1):
-            binom = Fraction(1)
-            for i in range(j):
-                binom *= Fraction(1 - 2 * k - i, i + 1)
-            out[2 * k - 1 + j] = _poly_add(
-                out[2 * k - 1 + j], _poly_scale(_poly_pow(u, j), ck * binom)
-            )
-        k += 1
-    return out
+def _bernoulli_poly(n: int, sign: int) -> Poly:
+    """B_n(sign * s) = sum_d C(n, d) B_(n-d) (sign s)^d."""
+    return tuple(math.comb(n, d) * bernoulli_fraction(n - d) * sign**d for d in range(n + 1))
 
 
 @dataclass(frozen=True)
@@ -439,41 +350,37 @@ class GammaRatioExpansion:
 
 @lru_cache(maxsize=None)
 def gamma_ratio_expansion(max_order: int) -> GammaRatioExpansion:
-    """Generate the Q_k (and the odd R_k of the symmetric log-ratio).
+    """The Q_k up to max_order <= MAX_RATIO_ORDER, and the odd R_k of the
+    symmetric ratio Gamma(nu-s)/Gamma(nu+s), in exact rational arithmetic.
 
-    Built from the Stirling/Bernoulli series in exact rational arithmetic:
-    log of the ratio is (1-2s) log nu + C(w), C without constant term, and
-    the Q_k are the coefficients of exp(C).
+    DLMF 5.11.8 gives log Gamma(nu+a)/Gamma(nu+b) = (a-b) log nu + sum_m
+    (-1)^(m+1) (B_(m+1)(a) - B_(m+1)(b)) / (m(m+1)) nu^-m.  At a = 1-s, b = s
+    the sum is sum_m c_m nu^-m with c_m = (1 - (-1)^(m+1)) B_(m+1)(s) / (m(m+1)),
+    0 for odd m, and Q_k = sum_(j=1..k) (j/k) c_j Q_(k-j) are the
+    coefficients of its exponential.  At a = -s, b = s the coefficients are
+    the R_m.
     """
-    if max_order > MAX_RATIO_ORDER:
-        raise SpecfunError(f"max_order must be <= {MAX_RATIO_ORDER}")
+    if not 0 <= max_order <= MAX_RATIO_ORDER:
+        raise SpecfunError(f"max_order must lie in [0, {MAX_RATIO_ORDER}], not {max_order}")
     n = max_order
-    s: Poly = (Fraction(0), Fraction(1))
-    one_minus_s: Poly = (Fraction(1), Fraction(-1))
-    minus_s: Poly = (Fraction(0), Fraction(-1))
-
-    # ratio Gamma(nu-s+1)/Gamma(nu+s): arguments nu(1+(1-s)w), nu(1+s w)
-    t1 = _log_gamma_shift_series(one_minus_s, n)
-    t2 = _log_gamma_shift_series(s, n)
-    c_series = [_poly_add(t1[i], _poly_scale(t2[i], Fraction(-1))) for i in range(n + 1)]
-    # the w^0 coefficient is (1-s) - s = 1-2s and cancels against the
-    # -(z1-z2) = -(1-2s) Stirling term; drop it
-    if c_series[0] != (Fraction(1), Fraction(-2)):
-        raise SpecfunError("internal: constant term of the log-ratio series")
-    c_series[0] = ()
-    q_series = _series_exp(c_series, n)
-
-    # symmetric ratio Gamma(nu-s)/Gamma(nu+s): arguments nu(1-s w), nu(1+s w)
-    t1s = _log_gamma_shift_series(minus_s, n)
-    d_series = [_poly_add(t1s[i], _poly_scale(t2[i], Fraction(-1))) for i in range(n + 1)]
-    # w^0 coefficient is -2s, cancelling -(z1-z2) = 2s ... net zero constant
-    if d_series[0] != (Fraction(0), Fraction(-2)):
-        raise SpecfunError("internal: constant term of the symmetric series")
-    if n >= 1 and d_series[1] != (Fraction(0), Fraction(1)):
-        raise SpecfunError("internal: w^1 coefficient of the symmetric series != s")
-    r_polys = [(), ()] + [d_series[k] for k in range(2, n + 1)]
-
-    exp_ = GammaRatioExpansion(tuple(q_series), tuple(r_polys), n)
+    c = [()] + [
+        _poly_scale(_bernoulli_poly(m + 1, 1), Fraction(1 - (-1) ** (m + 1), m * (m + 1)))
+        for m in range(1, n + 1)
+    ]
+    q_polys = [(Fraction(1),)]
+    for k in range(1, n + 1):
+        qk: Poly = ()
+        for j in range(1, k + 1):
+            qk = _poly_add(qk, _poly_mul(_poly_scale(c[j], Fraction(j, k)), q_polys[k - j]))
+        q_polys.append(qk)
+    r_polys = [(), ()] + [
+        _poly_scale(
+            _poly_add(_bernoulli_poly(m + 1, -1), _poly_scale(_bernoulli_poly(m + 1, 1), -1)),
+            Fraction((-1) ** (m + 1), m * (m + 1)),
+        )
+        for m in range(2, n + 1)
+    ]
+    exp_ = GammaRatioExpansion(tuple(q_polys), tuple(r_polys), n)
     exp_.validate()
     return exp_
 
@@ -495,21 +402,26 @@ def evaluate_ratio(exp_: GammaRatioExpansion, nu: float, s: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def hurwitz_zeta(s: complex, a: float, n_direct: int = 30, n_bernoulli: int = 12) -> complex:
+# Least number of direct terms, and number of Euler-Maclaurin corrections.
+_HURWITZ_N_DIRECT = 30
+_HURWITZ_N_BERNOULLI = 12
+
+
+def hurwitz_zeta(s: complex, a: float) -> complex:
     """zeta(s, a) = sum_{k>=0} (a+k)^-s, continued by Euler-Maclaurin."""
     s = complex(s)
     if abs(s - 1.0) < 1e-13:
         raise SpecfunError("Hurwitz zeta pole at s=1")
     if a <= 0:
         raise SpecfunError("a must be positive")
-    N = max(n_direct, int(abs(s.imag)) + 10)
+    N = max(_HURWITZ_N_DIRECT, int(abs(s.imag)) + 10)
     total = sum(complex(a + k) ** (-s) for k in range(N))
     aN = a + N
     total += aN ** (1 - s) / (s - 1)
     total += 0.5 * aN ** (-s)
     # sum_j B_2j/(2j)! * (s)_{2j-1} * aN^{-s-2j+1}
     poch = s  # (s)_1
-    for j in range(1, n_bernoulli + 1):
+    for j in range(1, _HURWITZ_N_BERNOULLI + 1):
         total += bernoulli(2 * j) / math.factorial(2 * j) * poch * aN ** (-s - 2 * j + 1)
         poch *= (s + 2 * j - 1) * (s + 2 * j)
     return total
@@ -539,6 +451,10 @@ def laurent_fit(
     return res1, res0
 
 
+# Most terms a provider enumerates below a threshold.
+_TERMS_CAP = 100000
+
+
 class DirichletSeriesProvider:
     """zeta(s) = sum_j a_j nu_j^-s with an explicit meromorphic continuation.
 
@@ -554,10 +470,10 @@ class DirichletSeriesProvider:
         """Yield (weight, nu) in nondecreasing nu order."""
         raise NotImplementedError
 
-    def terms_below(self, nu_max: float, cap: int = 100000):
+    def terms_below(self, nu_max: float):
         out = []
         for w, nu in self.term_iter():
-            if nu > nu_max or len(out) >= cap:
+            if nu > nu_max or len(out) >= _TERMS_CAP:
                 break
             out.append((w, nu))
         return out
@@ -568,16 +484,16 @@ class DirichletSeriesProvider:
     def is_pole(self, s: complex, tol: float = 1e-8) -> bool:
         return any(abs(complex(s) - p) <= tol for p in self.pole_locations())
 
-    def residue_at(self, s0: complex, h: float = 1e-3) -> complex:
+    def residue_at(self, s0: complex) -> complex:
         if not self.is_pole(s0, tol=1e-6):
             return 0.0
-        return laurent_fit(self.zeta, s0, h)[0]
+        return laurent_fit(self.zeta, s0)[0]
 
-    def value_at(self, s0: complex, h: float = 1e-3) -> complex:
+    def value_at(self, s0: complex) -> complex:
         """Finite part (constant Laurent coefficient) at s0."""
         if not self.is_pole(s0, tol=1e-6):
             return self.zeta(s0)
-        return laurent_fit(self.zeta, s0, h)[1]
+        return laurent_fit(self.zeta, s0)[1]
 
     def to_json_dict(self) -> dict:
         return {"kind": "opaque"}
@@ -637,12 +553,12 @@ class HurwitzZetaProvider(DirichletSeriesProvider):
     def pole_locations(self):
         return (complex(1.0 / self.exponent),)
 
-    def residue_at(self, s0, h: float = 1e-3):
+    def residue_at(self, s0):
         if abs(complex(s0) - 1.0 / self.exponent) <= 1e-6:
             return self.scale / self.exponent
         return 0.0
 
-    def value_at(self, s0, h: float = 1e-3):
+    def value_at(self, s0):
         if abs(complex(s0) - 1.0 / self.exponent) <= 1e-6:
             return -self.scale * digamma(self.a)
         return self.zeta(s0)
@@ -666,35 +582,38 @@ def _complex_binom(top: complex, m: int) -> complex:
     return out
 
 
+# Exact head n <= 12 and binomial terms m <= 26 of PowerShiftSquaredProvider.
+_POWER_SHIFT_HEAD = 12
+_POWER_SHIFT_TERMS = 26
+
+
 class PowerShiftSquaredProvider(DirichletSeriesProvider):
     """zeta(s) = sum_{n>=1} ((n^gamma + delta)^2)^-s, for |delta| < 1.
 
-    Continued by an exact head (n <= n_head) plus the binomial expansion of
-    (1 + delta n^-gamma)^(-2s) against Hurwitz zeta tails.
+    Continued by an exact head (n <= _POWER_SHIFT_HEAD) plus the binomial
+    expansion of (1 + delta n^-gamma)^(-2s) against Hurwitz zeta tails.
     """
 
-    def __init__(self, gamma_pow: float, delta: float, n_head: int = 12, m_terms: int = 26):
+    def __init__(self, gamma_pow: float, delta: float):
         if not (0 < gamma_pow):
             raise SpecfunError("gamma_pow must be positive")
         if abs(delta) >= 1:
             raise SpecfunError("|delta| must be < 1")
         self.gamma_pow = gamma_pow
         self.delta = delta
-        self.n_head = n_head
-        self.m_terms = m_terms
 
     def zeta(self, s: complex) -> complex:
         s = complex(s)
         g, d = self.gamma_pow, self.delta
         total = sum(
-            (float(n) ** g + d) ** (-2 * s) for n in range(1, self.n_head + 1)
+            (float(n) ** g + d) ** (-2 * s) for n in range(1, _POWER_SHIFT_HEAD + 1)
         )
-        for m in range(self.m_terms + 1):
+        for m in range(_POWER_SHIFT_TERMS + 1):
             arg = 2 * g * s + g * m
             total += (
                 _complex_binom(-2 * s, m)
                 * d**m
-                * hurwitz_zeta(arg, float(self.n_head + 1))
+                * hurwitz_zeta(arg, float(_POWER_SHIFT_HEAD + 1))
             )
         return total
 
@@ -707,12 +626,12 @@ class PowerShiftSquaredProvider(DirichletSeriesProvider):
     def pole_locations(self):
         g = self.gamma_pow
         return tuple(
-            complex((1 - g * m) / (2 * g)) for m in range(self.m_terms + 1)
+            complex((1 - g * m) / (2 * g)) for m in range(_POWER_SHIFT_TERMS + 1)
         )
 
-    def residue_at(self, s0, h: float = 1e-3):
+    def residue_at(self, s0):
         g, d = self.gamma_pow, self.delta
-        for m in range(self.m_terms + 1):
+        for m in range(_POWER_SHIFT_TERMS + 1):
             loc = (1 - g * m) / (2 * g)
             if abs(complex(s0) - loc) <= 1e-6:
                 return _complex_binom(-2 * complex(loc), m) * d**m / (2 * g)

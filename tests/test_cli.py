@@ -184,6 +184,12 @@ class TestZetaOp:
         code, _, _ = run(capsys, "zeta-op", "--in", "{not json", "--s-re", "1.6")
         assert code == 2
 
+    @pytest.mark.parametrize("order", ["-1", "11"])
+    def test_order_outside_the_expansion_is_schema_error(self, capsys, order):
+        code, out, err = run(capsys, "zeta-op", "--in", CIRCLE_PAYLOAD, "--s-re", "1.6",
+                             "--order", order)
+        assert (code, out) == (2, "") and "max_order must lie in [0, 10]" in err
+
 
 class TestEta:
     def test_shifted_integer_residues(self, capsys):
@@ -274,6 +280,7 @@ class TestHeatTrace:
             {"m": -1},
             {"phi_moments": [1, math.nan, 1, 1]},
             {"b_coeffs": [1, 0, math.inf, 0]},
+            {"b_coeffs": [1, 0]},
         ],
     )
     def test_out_of_domain_is_schema_error(self, capsys, tmp_path, fields):
@@ -452,6 +459,26 @@ class TestInputBoundary:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == "" and "must be finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("zeta-op", "--in", '{"data": [], "tail": {"kind": "riemann", "scale": 2}, '
+             '"order": 6.5}', "--s-re", "1.6"),
+            ("heat-trace", "--in", '{"spectrum": {"data": [{"lambda": 1.0}]}, '
+             '"phi_moments": [1, 1, 1], "m": 1.9}'),
+            ("sal-expand", "--in", '{"families": [{"alpha": -1.0, "k": 0.5}], "order": 3}'),
+        ],
+        ids=["order", "m", "k"],
+    )
+    def test_fractional_integer_input_is_schema_error(self, capsys, argv):
+        # int() would truncate: "m": 1.9 printed the "m": 1 expansion with exit 0
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and "must be finite and integral" in err
+        whole = [a.replace("6.5", "6.0").replace("1.9", "1.0").replace("0.5}", "0.0}")
+                 for a in argv]
+        assert run(capsys, *whole)[0] == 0
 
     def test_integer_beyond_float_range_is_schema_error(self, capsys):
         # float() of such an integer raises OverflowError; it is input, so exit 2

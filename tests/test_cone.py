@@ -1,6 +1,7 @@
 """Tests for cone heat kernels, zeta/eta functions, residues and heat traces."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -739,6 +740,28 @@ class TestHeatTrace:
         with pytest.raises(ConeError):
             heat_trace_expansion(spec, 2.0, 2.0, 1, (1.0,), (0.5,))
 
+    def test_expansion_past_the_moments_matches_full_coefficients(self):
+        # m beyond the moments: the same report as with all m + 1 exact b_n given
+        spec = CrossSectionSpectrum(data=(SpectralDatum(1.0, 2.0), SpectralDatum(9.0, 1.0)))
+        moments = (1.5, 2.0, 0.5)
+        for mu, m in ((2.0, 2), (2.0, 5), (2.0, 40), (4.0, 3), (6.0, 7)):
+            full = scalar_interior_coefficients(spec, mu, m, max(len(moments), m + 1))
+            got = heat_trace_expansion(spec, 2.0, mu, m, moments)
+            assert got == heat_trace_expansion(spec, 2.0, mu, m, moments, full)
+
+    def test_expansion_memory_independent_of_m(self):
+        # b_m is 0 (n = m would need t^0), so a huge m allocates nothing per unit
+        spec = CrossSectionSpectrum(data=(SpectralDatum(1.0, 1.0),))
+        small = heat_trace_expansion(spec, 2.0, 2.0, 10, (1.0,))
+        tracemalloc.start()
+        try:
+            rep = heat_trace_expansion(spec, 2.0, 2.0, 10**6, (1.0,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # a list of 10^6 coefficients alone takes 8 MB
+        assert rep.terms == small.terms and rep.remainder_order == (1 - 10**6) / 2.0
+
     @pytest.mark.parametrize(
         "nu, mu, m, moments, b",
         [
@@ -753,6 +776,14 @@ class TestHeatTrace:
             (2.0, 2.0, 1, (1.0, math.nan), None),
             (2.0, 2.0, 1, (1.0, 1.0), (0.5, complex(0.0, math.inf))),
             (2.0, 1.0, 1, (1.0, 1.0), None),
+            # b_n is read for every moment: a short list was an IndexError
+            (2.0, 2.0, 1, (1.0, 1.0, 1.0), (0.5, 0.5)),
+            # m past the moments: t^(-1/2) still lands off the grid, at
+            # n = m - mu/2 not an integer, or below 0
+            (2.0, 3.0, 10**6, (1.0,), None),
+            (2.0, 1.0, 5, (1.0,), None),
+            (2.0, 4.0, 1, (1.0,), None),
+            (2.0, 6.0, 2, (1.0,), None),
         ],
     )
     def test_expansion_domain(self, nu, mu, m, moments, b):

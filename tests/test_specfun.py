@@ -228,6 +228,43 @@ class TestGammaRatio:
     def test_rejects_large_order(self):
         with pytest.raises(SpecfunError):
             gamma_ratio_expansion(11)
+        # order -1 once built an empty fold: the head sum alone, error estimate 0
+        with pytest.raises(SpecfunError):
+            gamma_ratio_expansion(-1)
+
+    @staticmethod
+    def _at(poly, s: Fraction) -> Fraction:
+        return sum((c * s**d for d, c in enumerate(poly)), Fraction(0))
+
+    def test_q_at_integer_and_half_integer_s(self):
+        # there Gamma(nu-s+1)/Gamma(nu+s) is rational in nu: nu, 1, 1/nu at
+        # s = 0, 1/2, 1; nu^3 (1 - nu^-2) at s = -1; nu^-3 / (1 - nu^-2) at
+        # s = 2; nu^-5 / ((1 - nu^-2)(1 - 4 nu^-2)) at s = 3
+        exp_ = gamma_ratio_expansion(10)
+        for k in range(1, 11):
+            qk = exp_.q(k)
+            for s in (Fraction(0), Fraction(1, 2), Fraction(1)):
+                assert self._at(qk, s) == 0, (k, s)
+            assert self._at(qk, Fraction(-1)) == (-1 if k == 2 else 0), k
+            even = k % 2 == 0
+            assert self._at(qk, Fraction(2)) == (1 if even else 0), k
+            assert self._at(qk, Fraction(3)) == ((4 ** (k // 2 + 1) - 1) // 3 if even else 0), k
+
+    def test_r_at_half_integer_and_integer_s(self):
+        # log Gamma(nu-s)/Gamma(nu+s) + 2s log nu is -log(1 - 1/(2nu)) at
+        # s = 1/2 and -log(1 - 1/nu) at s = 1
+        exp_ = gamma_ratio_expansion(10)
+        for m in range(2, 11):
+            assert self._at(exp_.r_polys[m], Fraction(1, 2)) == Fraction(1, m * 2**m), m
+            assert self._at(exp_.r_polys[m], Fraction(1)) == Fraction(1, m), m
+
+    def test_orders_nest(self):
+        # every order is a prefix of the highest one
+        top = gamma_ratio_expansion(10)
+        for n in range(11):
+            exp_ = gamma_ratio_expansion(n)
+            assert exp_.q_polys == top.q_polys[: n + 1]
+            assert exp_.r_polys == top.r_polys[: max(n + 1, 2)]
 
 
 class TestZeta:

@@ -56,6 +56,10 @@ EDGE_CASES = [
     (["zeta-op", "--in", _HURWITZ, "--s-re", "0.7", "--s-im", "1.1", "--format", "csv"], None),
     (["zeta-op", "--in", "@in", "--order", "4"], {"spectrum": json.loads(_HURWITZ), "s_re": 1.3}),
     (["zeta-op", "--in", "[1, 2]"], None),
+    (["zeta-op", "--in", _CIRCLE, "--s-re", "1.6", "--order", "10"], None),
+    (["zeta-op", "--in", _CIRCLE, "--s-re", "1.6", "--order", "11"], None),
+    (["zeta-op", "--in", _CIRCLE, "--s-re", "1.6", "--order", "-1"], None),
+    (["zeta-op", "--in", "@in"], {"spectrum": json.loads(_CIRCLE), "s_re": 1.6, "order": 6.5}),
     (["eta", "--in", _ETA_DATA, "--s-re", "0.6"], None),
     (["eta", "--in", _ETA_DATA, "--s-re", "nan"], None),
     (["eta", "--in", '{"s_data": [], "eta_tail": {"kind": "shifted-integer", "a": 0.3}}'], None),
@@ -72,6 +76,8 @@ EDGE_CASES = [
      {"spectrum": {"data": [{"lambda": 1600}, {"lambda": 2500}]}, "phi_moments": [1, 1, 1]}),
     (["heat-trace", "--in", "@in", "--out", "@out"],
      {"spectrum": {"data": [{"lambda": 1.0}]}, "mu": 1, "phi_moments": [1, 1, 1]}),
+    (["heat-trace", "--in", "@in"],
+     {"spectrum": {"data": [{"lambda": 1.0}]}, "m": 1.9, "phi_moments": [1, 1, 1]}),
     (["deficiency", "--in", '{"kernel_plus": 1, "kernel_minus": 1, '
       '"positive": [{"mu": 0.3, "weight": 2}]}'], None),
     (["deficiency", "--in", "[1, 2]"], None),
