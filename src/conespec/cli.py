@@ -7,6 +7,7 @@ non-convergence, 4 internal oracle mismatch in verify mode.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -14,6 +15,8 @@ import random
 import sys
 from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 from . import cone, deficiency, expansions, mellin, sal, specfun
 from .cone import ConeError
@@ -68,6 +71,41 @@ def _emit(obj, args) -> None:
             text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
         except ValueError as exc:
             raise NonFiniteResultError(f"result holds non-finite values ({exc})") from None
+    _write(text, args)
+
+
+def _emit_table(columns: dict, args) -> None:
+    """Emit a table given column by column, with the bytes `_emit` writes for
+    the list of its row dicts.
+
+    A column is a float shared by every row, formatted once, or a float
+    array with one entry per row; at least one column is an array.  Cells
+    are formatted from Python floats: JSON takes float.__repr__ as `json`
+    does, and a numpy scalar would print its type.
+    """
+    csv = args.format == "csv"
+    cell = (lambda v: format(v, ".16e")) if csv else float.__repr__
+    fields, varying = [], []
+    for key in sorted(columns):
+        col = columns[key]
+        if not np.isfinite(col).all():
+            raise NonFiniteResultError(f"result holds non-finite values in {key}")
+        if isinstance(col, float):
+            text = cell(col)
+        else:
+            varying.append(list(map(cell, col.tolist())))
+            text = "%s"
+        fields.append(text if csv else f'    "{key}": {text}')
+    if csv:
+        row = ",".join(fields)
+        text = "\n".join([",".join(sorted(columns))] + [row % cells for cells in zip(*varying)])
+    else:
+        row = "  {\n" + ",\n".join(fields) + "\n  }"
+        text = "[\n" + ",\n".join(row % cells for cells in zip(*varying)) + "\n]"
+    _write(text + "\n", args)
+
+
+def _write(text: str, args) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -112,7 +150,9 @@ def _pick(args, payload: dict, flag: str, key: str, default=None):
 
 def _int_input(value, name: str) -> int:
     """An integer input; a non-finite or fractional number is an input error,
-    neither an overflow nor truncated."""
+    neither an overflow nor truncated, and so is a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{name} must be finite and integral, not {value}")
     return int(value)
@@ -128,7 +168,7 @@ def _complex_s(args, payload) -> complex:
 
 
 def _parse_grid(spec: str):
-    """name=start:stop:count, inclusive linear grid."""
+    """name=start:stop:count, inclusive linear grid start + i*step as an array."""
     name, _, rng = spec.partition("=")
     parts = rng.split(":")
     if not name or len(parts) != 3:
@@ -137,9 +177,10 @@ def _parse_grid(spec: str):
     if count < 1:
         raise ValueError("grid count must be >= 1")
     if count == 1:
-        return name, [start]
+        return name, np.array([start])
     step = (stop - start) / (count - 1)
-    return name, [start + i * step for i in range(count)]
+    with np.errstate(all="ignore"):  # zeta_hat_lp refuses a non-finite point
+        return name, start + np.arange(count) * step
 
 
 def _check_tol(tol: Optional[float]) -> None:
@@ -184,26 +225,29 @@ def _cmd_zeta_lp(args, payload: dict) -> int:
     if args.grid:
         name, values = _parse_grid(args.grid)
         if name == "p":
-            ps, ss = values, [s] * len(values)
+            vals = cone.zeta_hat_lp(values, s)
+            columns = {"p": values, "s_re": s.real}
         elif name in ("s-re", "s_re"):
             if p_default is None:
                 raise ValueError("--p is required")
-            # complex(v, s_im), not v + 1j*s_im, keeps the sign of s_im = -0.0
-            ps, ss = [float(p_default)] * len(values), [complex(v, s.imag) for v in values]
+            p = float(p_default)
+            # set part by part: v + 1j*s_im would lose the sign of s_im = -0.0
+            ss = np.empty(len(values), dtype=complex)
+            ss.real, ss.imag = values, s.imag
+            vals = cone.zeta_hat_lp(p, ss)
+            columns = {"p": p, "s_re": values}
         else:
             raise ValueError(f"zeta-lp grids run over 'p' or 's-re', not {name!r}")
-        vals = cone.zeta_hat_lp(ps, ss).tolist()
-        _emit([_lp_row(*row) for row in zip(ps, ss, vals)], args)
+        _emit_table({**columns, "s_im": s.imag, "value_re": vals.real, "value_im": vals.imag},
+                    args)
         return EXIT_OK
     if p_default is None:
         raise ValueError("--p is required")
     p = float(p_default)
-    _emit(_lp_row(p, s, cone.zeta_hat_lp(p, s)), args)
+    v = cone.zeta_hat_lp(p, s)
+    _emit({"p": p, "s_re": s.real, "s_im": s.imag, "value_re": v.real, "value_im": v.imag},
+          args)
     return EXIT_OK
-
-
-def _lp_row(p: float, s: complex, v: complex) -> dict:
-    return {"p": p, "s_re": s.real, "s_im": s.imag, "value_re": v.real, "value_im": v.imag}
 
 
 def _cmd_zeta_op(args, payload: dict) -> int:
@@ -481,7 +525,9 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later `main` call."""
     ap = argparse.ArgumentParser(
         prog="conespec",
         description="Spectral invariants of model-cone operators.",

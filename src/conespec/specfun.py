@@ -246,10 +246,6 @@ def bernoulli_fraction(n: int) -> Fraction:
     return -total / (n + 1)
 
 
-def bernoulli(n: int) -> float:
-    return float(bernoulli_fraction(n))
-
-
 def b_pos_fraction(k: int) -> Fraction:
     """b_k = (-1)^(k-1) B_{2k} > 0."""
     if k < 1:
@@ -402,13 +398,21 @@ def evaluate_ratio(exp_: GammaRatioExpansion, nu: float, s: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-# Least number of direct terms, and number of Euler-Maclaurin corrections.
+# Least number of direct terms, and the Euler-Maclaurin coefficients
+# B_2j/(2j)! for j = 1..12.
 _HURWITZ_N_DIRECT = 30
-_HURWITZ_N_BERNOULLI = 12
+_HURWITZ_EM_COEFFS = tuple(
+    float(bernoulli_fraction(2 * j)) / math.factorial(2 * j) for j in range(1, 13)
+)
 
 
 def hurwitz_zeta(s: complex, a: float) -> complex:
-    """zeta(s, a) = sum_{k>=0} (a+k)^-s, continued by Euler-Maclaurin."""
+    """zeta(s, a) = sum_{k>=0} (a+k)^-s, continued by Euler-Maclaurin.
+
+    The 12 corrections take B_2j/(2j)! from the float table
+    `_HURWITZ_EM_COEFFS`, built once at import from the exact Bernoulli
+    numbers.
+    """
     s = complex(s)
     if abs(s - 1.0) < 1e-13:
         raise SpecfunError("Hurwitz zeta pole at s=1")
@@ -421,8 +425,8 @@ def hurwitz_zeta(s: complex, a: float) -> complex:
     total += 0.5 * aN ** (-s)
     # sum_j B_2j/(2j)! * (s)_{2j-1} * aN^{-s-2j+1}
     poch = s  # (s)_1
-    for j in range(1, _HURWITZ_N_BERNOULLI + 1):
-        total += bernoulli(2 * j) / math.factorial(2 * j) * poch * aN ** (-s - 2 * j + 1)
+    for j, coeff in enumerate(_HURWITZ_EM_COEFFS, start=1):
+        total += coeff * poch * aN ** (-s - 2 * j + 1)
         poch *= (s + 2 * j - 1) * (s + 2 * j)
     return total
 

@@ -3,7 +3,9 @@
 import json
 import math
 import re
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from conespec import cli, cone
@@ -19,6 +21,38 @@ def run(capsys, *argv):
 CIRCLE_PAYLOAD = json.dumps(
     {"data": [], "tail": {"kind": "riemann", "scale": 2}, "p_choice": {"negative_below": 0.0}}
 )
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 2.0, 1e300]
+
+
+def table_oracle(rows: list, fmt: str) -> str:
+    """The bytes of a list of row dicts, as JSON or in the CSV layout."""
+    if fmt == "json":
+        return json.dumps(rows, sort_keys=True, indent=2) + "\n"
+    keys = sorted(rows[0])
+    lines = [",".join(keys)] + [",".join(format(r[k], ".16e") for k in keys) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def grid_oracle(argv: tuple) -> list:
+    """Row dicts of a zeta-lp grid, point by point through the scalar path."""
+    opts = dict(zip(argv[::2], argv[1::2]))
+    name, _, rng = opts["--grid"].partition("=")
+    start, stop, count = rng.split(":")
+    start, stop, count = float(start), float(stop), int(count)
+    if count == 1:
+        axis = [start]
+    else:
+        step = (stop - start) / (count - 1)
+        axis = [start + i * step for i in range(count)]
+    s_re, s_im = float(opts.get("--s-re", 1.0)), float(opts.get("--s-im", 0.0))
+    rows = []
+    for x in axis:
+        p, s = (x, complex(s_re, s_im)) if name == "p" else (float(opts["--p"]), complex(x, s_im))
+        v = cone.zeta_hat_lp(p, s)
+        rows.append({"p": p, "s_re": s.real, "s_im": s.imag,
+                     "value_re": v.real, "value_im": v.imag})
+    return rows
 
 
 class TestZetaLp:
@@ -69,6 +103,64 @@ class TestZetaLp:
             assert r["value_re"] == pytest.approx(
                 cone.zeta_hat_lp(r["p"], 0.8).real, rel=1e-12
             )
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--s-re", "0.8", "--grid", "p=0.5:2.5:5"),
+            ("--s-re", "1.5", "--s-im", "0.25", "--grid", "p=0:40:301"),
+            # start + 2*step is not 1.7: the last point is not the stop value
+            ("--s-re", "0.8", "--grid", "p=0.4:1.7:3"),
+            ("--s-re", "0.8", "--s-im", "-0.0", "--grid", "p=-0.0:2:1"),
+            ("--p", "1.2", "--s-im", "-0.0", "--grid", "s-re=-2.9:3.1:13"),
+            ("--p", "1.2", "--s-im", "2.5", "--grid", "s-re=0.7:0.9:1"),
+        ],
+        ids=["p", "p-301", "p-step", "p-count-1", "s-re", "s-re-count-1"],
+    )
+    def test_grid_matches_row_dict_oracle(self, capsys, argv, fmt):
+        code, out, _ = run(capsys, "zeta-lp", *argv, "--format", fmt)
+        assert code == 0
+        assert out == table_oracle(grid_oracle(argv), fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("constant", [("s_im", "s_re"), ("p", "s_im")], ids=["p", "s-re"])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_table_writer_matches_row_dicts(self, capsys, fmt, constant, n):
+        # every edge value in every column, shared or varying
+        keys = ("p", "s_im", "s_re", "value_im", "value_re")
+        columns = {}
+        for i, key in enumerate(keys):
+            if key in constant:
+                columns[key] = EDGE_FLOATS[i]
+            else:
+                columns[key] = np.roll(np.array(EDGE_FLOATS), i)[:n]
+        cli._emit_table(columns, SimpleNamespace(format=fmt, out=None))
+        rows = [{k: c if isinstance(c, float) else float(c[j]) for k, c in columns.items()}
+                for j in range(n)]
+        assert capsys.readouterr().out == table_oracle(rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid_value_is_nonconvergence(
+        self, capsys, monkeypatch, tmp_path, fmt, bad
+    ):
+        real = cone.zeta_hat_lp
+
+        def one_bad_point(p, s):
+            v = real(p, s)
+            v[3] = complex(0.5, bad)
+            return v
+
+        monkeypatch.setattr(cone, "zeta_hat_lp", one_bad_point)
+        out_file = tmp_path / "out"
+        code, out, err = run(
+            capsys, "zeta-lp", "--s-re", "0.8", "--grid", "p=0.5:2.5:5",
+            "--format", fmt, "--out", str(out_file),
+        )
+        assert code == 3
+        assert out == "" and "non-convergence" in err
+        assert not out_file.exists()
 
     def test_bad_grid_name(self, capsys):
         code, _, _ = run(capsys, "zeta-lp", "--s-re", "0.8", "--grid", "t=0:1:3")
@@ -480,6 +572,23 @@ class TestInputBoundary:
                  for a in argv]
         assert run(capsys, *whole)[0] == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("zeta-op", "--in", '{"data": [], "tail": {"kind": "riemann", "scale": 2}, '
+             '"order": "4"}', "--s-re", "1.6"),
+            ("heat-trace", "--in", '{"spectrum": {"data": [{"lambda": 1.0}]}, '
+             '"phi_moments": [1, 1, 1], "m": true}'),
+            ("sal-expand", "--in", '{"families": [{"alpha": -1.0, "k": "1"}], "order": 3}'),
+        ],
+        ids=["order", "m", "k"],
+    )
+    def test_non_numeric_integer_input_is_schema_error(self, capsys, argv):
+        # int() would take "m": true as m = 1 and "order": "4" as 4
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and "must be an integer" in err
+
     def test_integer_beyond_float_range_is_schema_error(self, capsys):
         # float() of such an integer raises OverflowError; it is input, so exit 2
         huge = "1" + "0" * 400
@@ -537,6 +646,31 @@ class TestFlags:
             cli.main(list(argv))
         capsys.readouterr()
         return exc.value.code == 2
+
+    def test_reused_parser_matches_fresh_parsers(self, capsys):
+        requests = [
+            ("zeta-lp", "--t", "1e-6"),
+            ("zeta-lp", "--p", "0.5", "--s-re", "1.0", "--format", "csv"),
+            ("deficiency", "--in", '{"kernel_plus": 1, "kernel_minus": 1}'),
+        ]
+
+        def outcome(argv):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            return (code, *capsys.readouterr())
+
+        assert cli._build_parser() is cli._build_parser()
+        reused = [outcome(argv) for argv in requests]
+        fresh = []
+        for argv in requests:
+            cli._build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert reused == fresh
+        assert reused[0][0] == ("exit", 2)
+        assert reused[0][2].startswith("usage: conespec") and "unrecognized" in reused[0][2]
+        assert [r[0] for r in reused[1:]] == [0, 0]
 
     def test_unread_flag_is_input_error(self, capsys):
         assert self.rejects(capsys, "deficiency", "--p", "1")

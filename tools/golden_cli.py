@@ -44,6 +44,13 @@ EDGE_CASES = [
     (["zeta-lp", "--s-re", "0.8", "--grid", "p=0.5:2.5:5", "--format", "csv"], None),
     (["zeta-lp", "--p", "1.2", "--s-im", "-0.0", "--grid", "s-re=-3:3:13"], None),
     (["zeta-lp", "--s-re", "1.5", "--grid", "p=0:40:2000", "--out", "@out"], None),
+    (["zeta-lp", "--s-re", "0.8", "--s-im", "-0.0", "--grid", "p=-0.0:2:1"], None),
+    (["zeta-lp", "--p", "1.2", "--s-im", "2.5", "--grid", "s-re=0.7:0.9:1", "--format", "csv"],
+     None),
+    (["zeta-lp", "--s-re", "1.5", "--s-im", "0.25", "--grid", "p=0:40:3000", "--format", "csv",
+      "--out", "@out"], None),
+    (["zeta-lp", "--p", "1.2", "--s-im", "-0.0", "--grid", "s-re=-2.9:3.1:13", "--format", "csv"],
+     None),
     (["zeta-lp", "--p", "-1.5", "--s-re", "1.0"], None),
     (["zeta-lp", "--p", "0.5", "--s-re", "nan"], None),
     (["zeta-lp", "--p", "0.5", "--s-re", "-110", "--s-im", "0.3"], None),
@@ -60,6 +67,7 @@ EDGE_CASES = [
     (["zeta-op", "--in", _CIRCLE, "--s-re", "1.6", "--order", "11"], None),
     (["zeta-op", "--in", _CIRCLE, "--s-re", "1.6", "--order", "-1"], None),
     (["zeta-op", "--in", "@in"], {"spectrum": json.loads(_CIRCLE), "s_re": 1.6, "order": 6.5}),
+    (["zeta-op", "--in", "@in"], {"spectrum": json.loads(_CIRCLE), "s_re": 1.6, "order": "4"}),
     (["eta", "--in", _ETA_DATA, "--s-re", "0.6"], None),
     (["eta", "--in", _ETA_DATA, "--s-re", "nan"], None),
     (["eta", "--in", '{"s_data": [], "eta_tail": {"kind": "shifted-integer", "a": 0.3}}'], None),
@@ -78,6 +86,8 @@ EDGE_CASES = [
      {"spectrum": {"data": [{"lambda": 1.0}]}, "mu": 1, "phi_moments": [1, 1, 1]}),
     (["heat-trace", "--in", "@in"],
      {"spectrum": {"data": [{"lambda": 1.0}]}, "m": 1.9, "phi_moments": [1, 1, 1]}),
+    (["heat-trace", "--in", "@in"],
+     {"spectrum": {"data": [{"lambda": 1.0}]}, "m": True, "phi_moments": [1, 1, 1]}),
     (["deficiency", "--in", '{"kernel_plus": 1, "kernel_minus": 1, '
       '"positive": [{"mu": 0.3, "weight": 2}]}'], None),
     (["deficiency", "--in", "[1, 2]"], None),
@@ -89,6 +99,7 @@ EDGE_CASES = [
     (["sal-expand", "--in", '{"families": [{"alpha": -1.0}], "order": 40}'], None),
     (["sal-expand", "--in", '{"families": [{"alpha": -1.0}]}', "--order", "7"], None),
     (["sal-expand", "--in", '{"families": []}'], None),
+    (["sal-expand", "--in", '{"families": [{"alpha": -1.0, "k": "1"}], "order": 3}'], None),
     (["verify", "--seed", "0"], None),
     (["verify", "--seed", "5", "--format", "csv"], None),
 ]
