@@ -526,25 +526,32 @@ _COMMANDS = {
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and reused by every later `main` call."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers, built on first use and reused
+    by every later `main` call."""
     ap = argparse.ArgumentParser(
         prog="conespec",
         description="Spectral invariants of model-cone operators.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, (_, flags) in _COMMANDS.items():
         # no abbreviations: a flag the command does not read is an error
-        sp = sub.add_parser(name, allow_abbrev=False)
+        sp = commands[name] = sub.add_parser(name, allow_abbrev=False)
         for flag in flags:
             sp.add_argument(flag, default=None, **_FLAG_SPECS[flag])
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-    return ap
+    return ap, commands
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    ap, commands = _build_parser()
+    # argparse hands a subcommand's unknown arguments up to the top-level
+    # parser; report them with the subcommand's usage, which lists its flags
+    args, unknown = ap.parse_known_args(argv)
+    if unknown:
+        commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         payload = _load_payload(args)
         _check_tol(getattr(args, "tol", None))

@@ -8,13 +8,15 @@ near an endpoint, with the remainder certified to be O(x**p) at 0 (resp.
 O(x**-q) at infinity).  All values are immutable after construction; the
 evaluator callables are expected to be pure.
 
-Each function carries its remainder at either endpoint as data: an evaluator
+Every function states its remainder at either endpoint as data: an evaluator
 and the interval outside which it vanishes (empty for a function that is
-exactly its expansion, such as a global monomial).  The stock functions state
-their remainders in closed form and the algebra (sum, scaling, monomial
-factor, dilation) builds the remainder of its result from its operands', so
-no rounding noise of a subtraction f - sum of terms enters; only a function
-with no stated remainder falls back to that subtraction over (0, infinity).
+exactly its expansion, such as a global monomial).  The monomial and cutoff
+leaves state theirs in closed form.  The Taylor leaves (e^-x, e^-x^2 and
+sal's test functions) subtract their terms only above the point x0 where
+the first omitted order falls under the rounding of the first term, and are
+0 below it.  The algebra (sum, scaling, monomial factor, dilation, power
+substitution, derivatives) builds the remainder of its result from its
+operands', so no subtraction f - sum of terms reaches down to 0.
 """
 
 from __future__ import annotations
@@ -164,7 +166,8 @@ def empty_expansion(location: Location, remainder_order: float) -> AsymptoticExp
 
 @dataclass(frozen=True)
 class Remainder:
-    """f minus its stored terms at one endpoint; zero outside [lo, hi].
+    """f minus its stored terms at one endpoint; zero, or below the rounding of
+    the stored terms, outside [lo, hi].
 
     lo >= hi means the remainder is identically zero.
     """
@@ -204,32 +207,26 @@ def _terms_remainder(terms: tuple[LogPowerTerm, ...]) -> Remainder:
 class ExpandableFunction:
     """A function on (0, infinity) together with its two endpoint expansions.
 
-    `differentiable` marks membership in the smooth-expansion subclass whose
-    expansions may be differentiated termwise; `derivative` optionally supplies
-    a closed-form derivative evaluator for it.  `remainder_zero` and
-    `remainder_infinity` are f minus the stored terms at each endpoint; left
-    out, each is that subtraction, evaluated, over (0, infinity).
+    `remainder_zero` and `remainder_infinity` are f minus the stored terms at
+    each endpoint, each with the interval where it lives.  `differentiable`
+    marks membership in the smooth-expansion subclass whose expansions may be
+    differentiated termwise; `derivative` optionally supplies a closed-form
+    derivative evaluator for it.
     """
 
     evaluator: Callable[[float], complex]
     expansion_at_zero: AsymptoticExpansion
     expansion_at_infinity: AsymptoticExpansion
+    remainder_zero: Remainder
+    remainder_infinity: Remainder
     differentiable: bool = False
     derivative: Optional[Callable[[float], complex]] = None
-    remainder_zero: Optional[Remainder] = None
-    remainder_infinity: Optional[Remainder] = None
 
     def __post_init__(self):
         if self.expansion_at_zero.location is not Location.AT_ZERO:
             raise ValueError("expansion_at_zero has wrong location")
         if self.expansion_at_infinity.location is not Location.AT_INFINITY:
             raise ValueError("expansion_at_infinity has wrong location")
-        fe = self.evaluator
-        for name, e in (("remainder_zero", self.expansion_at_zero),
-                        ("remainder_infinity", self.expansion_at_infinity)):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, Remainder(
-                    lambda x, e=e: _minus_terms(complex(fe(x)), e, x)))
 
     def __call__(self, x: float) -> complex:
         return self.evaluator(x)
@@ -312,18 +309,20 @@ def add_functions(f: ExpandableFunction, g: ExpandableFunction) -> ExpandableFun
         lambda x: fe(x) + ge(x),
         e0,
         ei,
+        _sum_remainders(f.remainder_zero, g.remainder_zero, _terms_remainder(absorbed0)),
+        _sum_remainders(f.remainder_infinity, g.remainder_infinity, _terms_remainder(absorbed_i)),
         differentiable=f.differentiable and g.differentiable,
         derivative=deriv,
-        remainder_zero=_sum_remainders(
-            f.remainder_zero, g.remainder_zero, _terms_remainder(absorbed0)),
-        remainder_infinity=_sum_remainders(
-            f.remainder_infinity, g.remainder_infinity, _terms_remainder(absorbed_i)),
     )
 
 
-def _transformed(r: Remainder, fn: Callable[[float], complex], scale: float = 1.0) -> Remainder:
-    """The remainder fn(x) on r's support divided by scale (a zero r stays zero)."""
-    return _ZERO_REMAINDER if r.vanishes else Remainder(fn, r.lo / scale, r.hi / scale)
+def _transformed(r: Remainder, fn: Callable[[float], complex],
+                 to_x: Callable[[float], float] = lambda u: u) -> Remainder:
+    """The remainder fn(x) on the image of r's support under the monotone map
+    to_x (a zero r stays zero)."""
+    if r.vanishes:
+        return _ZERO_REMAINDER
+    return Remainder(fn, *sorted((to_x(r.lo), to_x(r.hi))))
 
 
 def scale_function(f: ExpandableFunction, c: complex) -> ExpandableFunction:
@@ -346,41 +345,44 @@ def scale_function(f: ExpandableFunction, c: complex) -> ExpandableFunction:
         lambda x: c * fe(x),
         scale_exp(f.expansion_at_zero),
         scale_exp(f.expansion_at_infinity),
+        scale_rem(f.remainder_zero),
+        scale_rem(f.remainder_infinity),
         differentiable=f.differentiable,
         derivative=(None if fd is None else (lambda x: c * fd(x))),
-        remainder_zero=scale_rem(f.remainder_zero),
-        remainder_infinity=scale_rem(f.remainder_infinity),
     )
 
 
 def substitute_power(f: ExpandableFunction, sigma: float) -> ExpandableFunction:
     """g(x) = f(x**sigma).
 
-    Each term a x**alpha log**k maps to a*sigma**k x**(sigma*alpha) log**k;
-    for sigma < 0 the endpoint expansions swap roles.
+    Each term a x**alpha log**k maps to a*sigma**k x**(sigma*alpha) log**k,
+    exactly, so the remainders are r(x**sigma) on the preimages of their
+    supports; for sigma < 0 the endpoints swap roles.
     """
     if sigma == 0:
         raise ValueError("sigma must be nonzero")
     fe = f.evaluator
 
-    def transform(e: AsymptoticExpansion) -> tuple[tuple[LogPowerTerm, ...], float]:
+    def root(u: float) -> float:
+        return math.inf if u == 0 and sigma < 0 else u ** (1.0 / sigma)
+
+    def side(location: Location, e: AsymptoticExpansion, r: Remainder):
         terms = tuple(
             LogPowerTerm(t.coefficient * sigma**t.log_power, sigma * t.exponent, t.log_power)
             for t in e.terms
         )
-        return terms, abs(sigma) * e.remainder_order
+        re = r.evaluator
+        return (AsymptoticExpansion(location, terms, abs(sigma) * e.remainder_order),
+                _transformed(r, lambda x: re(x**sigma), root))
 
-    tz, pz = transform(f.expansion_at_zero)
-    ti, qi = transform(f.expansion_at_infinity)
-    if sigma > 0:
-        e0 = AsymptoticExpansion(Location.AT_ZERO, tz, pz)
-        ei = AsymptoticExpansion(Location.AT_INFINITY, ti, qi)
-    else:
-        e0 = AsymptoticExpansion(Location.AT_ZERO, ti, qi)
-        ei = AsymptoticExpansion(Location.AT_INFINITY, tz, pz)
-    return ExpandableFunction(
-        lambda x: fe(x**sigma), e0, ei, differentiable=f.differentiable
-    )
+    zero = (f.expansion_at_zero, f.remainder_zero)
+    infinity = (f.expansion_at_infinity, f.remainder_infinity)
+    if sigma < 0:
+        zero, infinity = infinity, zero
+    e0, r0 = side(Location.AT_ZERO, *zero)
+    ei, ri = side(Location.AT_INFINITY, *infinity)
+    return ExpandableFunction(lambda x: fe(x**sigma), e0, ei, r0, ri,
+                              differentiable=f.differentiable)
 
 
 def _differentiate_expansion(e: AsymptoticExpansion) -> AsymptoticExpansion:
@@ -396,7 +398,11 @@ def _differentiate_expansion(e: AsymptoticExpansion) -> AsymptoticExpansion:
 
 
 def differentiate(f: ExpandableFunction) -> ExpandableFunction:
-    """Termwise derivative of a function carrying the smoothness certificate."""
+    """Termwise derivative of a function carrying the smoothness certificate.
+
+    The remainders are the derivative minus its terms, on the operand's
+    remainder supports.
+    """
     if not f.differentiable:
         raise ValueError("function is not marked differentiable")
     if f.derivative is not None:
@@ -408,42 +414,30 @@ def differentiate(f: ExpandableFunction) -> ExpandableFunction:
             h = 1e-6 * max(x, 1e-3)
             return (fe(x + h) - fe(x - h)) / (2 * h)
 
-    return ExpandableFunction(
-        ev,
-        _differentiate_expansion(f.expansion_at_zero),
-        _differentiate_expansion(f.expansion_at_infinity),
-        differentiable=True,
-    )
+    def side(e: AsymptoticExpansion, r: Remainder):
+        de = _differentiate_expansion(e)
+        return de, _transformed(r, lambda x: _minus_terms(complex(ev(x)), de, x))
+
+    e0, r0 = side(f.expansion_at_zero, f.remainder_zero)
+    ei, ri = side(f.expansion_at_infinity, f.remainder_infinity)
+    return ExpandableFunction(ev, e0, ei, r0, ri, differentiable=True)
 
 
 def fuchs_derivative(f: ExpandableFunction) -> ExpandableFunction:
     """Df = -x f'(x), the degenerate derivative adapted to the cone axis."""
-    df = differentiate(f)
-    de = df.evaluator
-    return ExpandableFunction(
-        lambda x: -x * de(x),
-        times_monomial_expansion(df.expansion_at_zero, -1.0, 1.0, 0),
-        times_monomial_expansion(df.expansion_at_infinity, -1.0, 1.0, 0),
-        differentiable=f.differentiable,
-    )
+    return replace(scale_function(times_monomial(differentiate(f), 1), -1),
+                   differentiable=True)
 
 
-def _times_monomial(e: AsymptoticExpansion, c: complex, beta: complex, k: int):
+def _times_monomial(e: AsymptoticExpansion, beta: complex, k: int):
     terms = tuple(
-        LogPowerTerm(c * t.coefficient, t.exponent + beta, t.log_power + k)
+        LogPowerTerm(t.coefficient, t.exponent + beta, t.log_power + k)
         for t in e.terms
     )
     sgn = 1.0 if e.location is Location.AT_ZERO else -1.0
     # a log factor costs an epsilon of order at the endpoint
     new_order = e.remainder_order + sgn * complex(beta).real - (0.25 if k > 0 else 0.0)
     return _truncate(terms, e.location, new_order)
-
-
-def times_monomial_expansion(
-    e: AsymptoticExpansion, c: complex, beta: complex, k: int
-) -> AsymptoticExpansion:
-    """Expansion of c * x**beta * log(x)**k times the expanded function."""
-    return _times_monomial(e, c, beta, k)[0]
 
 
 def times_monomial(f: ExpandableFunction, beta: complex, k: int = 0) -> ExpandableFunction:
@@ -459,14 +453,14 @@ def times_monomial(f: ExpandableFunction, beta: complex, k: int = 0) -> Expandab
         return x**b * math.log(x) ** k * fe(x)
 
     def side(e: AsymptoticExpansion, r: Remainder):
-        shifted, absorbed = _times_monomial(e, 1.0, b, k)
+        shifted, absorbed = _times_monomial(e, b, k)
         re = r.evaluator
         carried = _transformed(r, lambda x: complex(x) ** b * math.log(x) ** k * re(x))
         return shifted, _sum_remainders(carried, _terms_remainder(absorbed))
 
     e0, r0 = side(f.expansion_at_zero, f.remainder_zero)
     ei, ri = side(f.expansion_at_infinity, f.remainder_infinity)
-    return ExpandableFunction(ev, e0, ei, remainder_zero=r0, remainder_infinity=ri)
+    return ExpandableFunction(ev, e0, ei, r0, ri)
 
 
 def rescale_argument(f: ExpandableFunction, lam: float) -> ExpandableFunction:
@@ -497,15 +491,15 @@ def rescale_argument(f: ExpandableFunction, lam: float) -> ExpandableFunction:
 
     def rescale_rem(r: Remainder) -> Remainder:
         re = r.evaluator
-        return _transformed(r, lambda x: re(lam * x), lam)
+        return _transformed(r, lambda x: re(lam * x), lambda u: u / lam)
 
     return ExpandableFunction(
         lambda x: fe(lam * x),
         transform(f.expansion_at_zero),
         transform(f.expansion_at_infinity),
+        rescale_rem(f.remainder_zero),
+        rescale_rem(f.remainder_infinity),
         differentiable=f.differentiable,
-        remainder_zero=rescale_rem(f.remainder_zero),
-        remainder_infinity=rescale_rem(f.remainder_infinity),
     )
 
 
@@ -555,8 +549,8 @@ def global_monomial(alpha: complex, k: int = 0, order_margin: float = 8.0) -> Ex
         ev,
         AsymptoticExpansion(Location.AT_ZERO, term, pz),
         AsymptoticExpansion(Location.AT_INFINITY, term, qi),
-        remainder_zero=_ZERO_REMAINDER,
-        remainder_infinity=_ZERO_REMAINDER,
+        _ZERO_REMAINDER,
+        _ZERO_REMAINDER,
     )
 
 
@@ -586,7 +580,35 @@ def monomial_restricted(
         ri = Remainder(lambda x: -(x**a) * math.log(x) ** k if x < 1.0 else 0.0, 0.0, 1.0)
     else:
         raise ValueError("support must be 'unit_interval' or 'unit_tail'")
-    return ExpandableFunction(ev, e0, ei, remainder_zero=r0, remainder_infinity=ri)
+    return ExpandableFunction(ev, e0, ei, r0, ri)
+
+
+def _taylor_leaf(f: Callable[[float], float], terms: tuple[LogPowerTerm, ...], order: float,
+                 derivative: Optional[Callable[[float], float]]) -> ExpandableFunction:
+    """f with Taylor terms of remainder order `order` at 0 and an empty
+    expansion at infinity, differentiable when a derivative is given.
+
+    The zero-side remainder is f minus the terms on [x0, inf) and 0 below
+    x0, where the first omitted order falls under rounding:
+    |c_last| x0**p = 2**-52 |c_first| x0**alpha_first.  For e^-x and e^-x^2
+    it is an alternating series bounded by its first term, so below x0 it is
+    under one ulp of the first term.  The remainder at infinity is f.
+    """
+    e0 = AsymptoticExpansion(Location.AT_ZERO, terms, order)
+    x0 = 0.0
+    if e0.terms:
+        first, last = e0.terms[0], e0.terms[-1]
+        x0 = (2.0**-52 * abs(first.coefficient) / abs(last.coefficient)) ** (
+            1.0 / (order - first.exponent.real))
+    return ExpandableFunction(
+        f,
+        e0,
+        empty_expansion(Location.AT_INFINITY, 40.0),
+        Remainder(lambda x: _minus_terms(complex(f(x)), e0, x), x0),
+        Remainder(f),
+        differentiable=derivative is not None,
+        derivative=derivative,
+    )
 
 
 def exponential_decay(taylor_order: int = 12) -> ExpandableFunction:
@@ -595,13 +617,8 @@ def exponential_decay(taylor_order: int = 12) -> ExpandableFunction:
         LogPowerTerm((-1.0) ** j / math.factorial(j), float(j), 0)
         for j in range(taylor_order)
     )
-    return ExpandableFunction(
-        lambda x: math.exp(-x),
-        AsymptoticExpansion(Location.AT_ZERO, terms, float(taylor_order)),
-        empty_expansion(Location.AT_INFINITY, 40.0),
-        differentiable=True,
-        derivative=lambda x: -math.exp(-x),
-    )
+    return _taylor_leaf(lambda x: math.exp(-x), terms, float(taylor_order),
+                        lambda x: -math.exp(-x))
 
 
 def gaussian_decay(taylor_order: int = 12) -> ExpandableFunction:
@@ -610,13 +627,8 @@ def gaussian_decay(taylor_order: int = 12) -> ExpandableFunction:
         LogPowerTerm((-1.0) ** m / math.factorial(m), float(2 * m), 0)
         for m in range(taylor_order // 2 + 1)
     )
-    return ExpandableFunction(
-        lambda x: math.exp(-(x**2)),
-        AsymptoticExpansion(Location.AT_ZERO, terms, float(2 * (taylor_order // 2) + 2)),
-        empty_expansion(Location.AT_INFINITY, 40.0),
-        differentiable=True,
-        derivative=lambda x: -2 * x * math.exp(-(x**2)),
-    )
+    return _taylor_leaf(lambda x: math.exp(-(x**2)), terms, float(2 * (taylor_order // 2) + 2),
+                        lambda x: -2 * x * math.exp(-(x**2)))
 
 
 def smooth_cutoff(x: float) -> float:
@@ -660,9 +672,8 @@ def cutoff_times_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
         ev,
         AsymptoticExpansion(Location.AT_ZERO, term, a.real + 1 + 8.0),
         empty_expansion(Location.AT_INFINITY, 40.0),
-        remainder_zero=Remainder(
-            lambda x: (smooth_cutoff(x) - 1.0) * x**a * math.log(x) ** k, 1.0),
-        remainder_infinity=Remainder(ev, 0.0, 2.0),
+        Remainder(lambda x: (smooth_cutoff(x) - 1.0) * x**a * math.log(x) ** k, 1.0),
+        Remainder(ev, 0.0, 2.0),
     )
 
 
@@ -683,7 +694,6 @@ def tail_times_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
         ev,
         empty_expansion(Location.AT_ZERO, 40.0),
         AsymptoticExpansion(Location.AT_INFINITY, term, -a.real - 1 + 8.0),
-        remainder_zero=Remainder(ev, 0.5),
-        remainder_infinity=Remainder(
-            lambda x: (smooth_step_up(x) - 1.0) * x**a * math.log(x) ** k, 0.0, 1.0),
+        Remainder(ev, 0.5),
+        Remainder(lambda x: (smooth_step_up(x) - 1.0) * x**a * math.log(x) ** k, 0.0, 1.0),
     )

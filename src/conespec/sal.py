@@ -27,14 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expansions import (
-    AsymptoticExpansion,
-    ExpandableFunction,
-    Location,
-    LogPowerTerm,
-    empty_expansion,
-    times_monomial,
-)
+from .expansions import ExpandableFunction, LogPowerTerm, _taylor_leaf, times_monomial
 from .mellin import POLE_TOL, regularized_integral
 
 MAX_EXPANSION_ORDER = 12
@@ -90,11 +83,7 @@ class TestFunction:
         """View phi as an expandable function (Taylor at 0, rapid decay at infinity)."""
         n = len(self.derivatives_at_zero)
         terms = tuple(LogPowerTerm(self.taylor_coefficient(j), float(j), 0) for j in range(n))
-        return ExpandableFunction(
-            lambda x: self.evaluator(x),
-            AsymptoticExpansion(Location.AT_ZERO, terms, float(n)),
-            empty_expansion(Location.AT_INFINITY, 40.0),
-        )
+        return _taylor_leaf(self.evaluator, terms, float(n), None)
 
 
 @dataclass(frozen=True)

@@ -56,10 +56,7 @@ def gamma(z: complex) -> complex:
     """Gamma function; raises on the poles at 0, -1, -2, ..."""
     if _is_nonpositive_integer(z):
         raise SpecfunError(f"gamma pole at z={z}")
-    out = sps.gamma(complex(z))
-    # real z keeps numpy's complex128, whose arithmetic downstream rounds
-    # differently from Python's complex
-    return out if complex(z).imag == 0 else complex(out)
+    return complex(sps.gamma(complex(z)))
 
 
 def log_gamma(z: complex) -> complex:

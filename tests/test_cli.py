@@ -672,6 +672,15 @@ class TestFlags:
         assert reused[0][2].startswith("usage: conespec") and "unrecognized" in reused[0][2]
         assert [r[0] for r in reused[1:]] == [0, 0]
 
+    def test_unknown_flag_shows_the_subcommand_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["zeta-lp", "--t", "1e-6"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: conespec zeta-lp")
+        assert "--s-re" in err
+        assert err.rstrip().endswith("error: unrecognized arguments: --t 1e-6")
+
     def test_unread_flag_is_input_error(self, capsys):
         assert self.rejects(capsys, "deficiency", "--p", "1")
 

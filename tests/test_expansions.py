@@ -1,6 +1,7 @@
 """Tests for the log-power expansion algebra."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conespec.expansions import (
     ExpandableFunction,
     Location,
     LogPowerTerm,
+    Remainder,
     add,
     add_functions,
     certify_remainder,
@@ -211,21 +213,20 @@ class TestDerivatives:
             )
 
     def test_differentiate_requires_flag(self):
+        ev = lambda x: math.exp(-x)
         f = ExpandableFunction(
-            lambda x: math.exp(-x),
+            ev,
             empty_expansion(Location.AT_ZERO, 1.0),
             empty_expansion(Location.AT_INFINITY, 1.0),
+            Remainder(ev),
+            Remainder(ev),
             differentiable=False,
         )
         with pytest.raises(ValueError):
             differentiate(f)
 
     def test_differentiate_log_term(self):
-        f = cutoff_times_monomial(0.0, 1)
-        e = ExpandableFunction(
-            f.evaluator, f.expansion_at_zero, f.expansion_at_infinity, differentiable=True
-        )
-        g = differentiate(e)
+        g = differentiate(replace(cutoff_times_monomial(0.0, 1), differentiable=True))
         # d/dx log x = x^{-1}
         assert g.expansion_at_zero.coefficient(-1.0, 0) == pytest.approx(1.0)
 
@@ -264,6 +265,10 @@ def _composites():
         "tail+restricted": add_functions(tails, monomial_restricted(-2.0, 0, "unit_interval")),
         "rescaled tails": rescale_argument(times_monomial(tails, -0.4, 2), 0.45),
         "monomials": rescale_argument(times_monomial(monomials, 0.3, 1), 1.7),
+        "squared": substitute_power(times_monomial(cut_exp, 0.5, 1), 2.0),
+        "inverted": substitute_power(add_functions(cut_exp, tails), -1.0),
+        "fuchs": fuchs_derivative(add_functions(
+            gaussian_decay(), scale_function(exponential_decay(), -0.8))),
     }
 
 
@@ -279,8 +284,26 @@ class TestCarriedRemainders:
         assert (t.remainder_infinity.lo, t.remainder_infinity.hi) == (0.0, 1.0)
         r = rescale_argument(scale_function(c, 1.6), 4.0)
         assert (r.remainder_zero.lo, r.remainder_infinity.hi) == (0.25, 0.5)
-        e = exponential_decay()
-        assert (e.remainder_zero.lo, e.remainder_zero.hi) == (0.0, math.inf)
+        # a Taylor leaf subtracts its terms only on [x0, inf), where x0 puts
+        # the first omitted order |c_last| x0**p at 2**-52 |c_first| x0**alpha_first
+        for leaf, c_last, p in ((exponential_decay(), 1 / math.factorial(11), 12),
+                                (gaussian_decay(), 1 / math.factorial(6), 14)):
+            x0 = leaf.remainder_zero.lo
+            assert c_last * x0**p == pytest.approx(2.0**-52, rel=1e-12)
+            assert leaf.remainder_zero.hi == math.inf
+            assert (leaf.remainder_infinity.lo, leaf.remainder_infinity.hi) == (0.0, math.inf)
+        x0 = exponential_decay().remainder_zero.lo
+        assert x0 == pytest.approx(0.213, abs=1e-3)
+        # derivatives keep the supports, x -> x**sigma maps them
+        d = differentiate(exponential_decay())
+        assert (d.remainder_zero.lo, d.remainder_zero.hi) == (x0, math.inf)
+        sq = substitute_power(exponential_decay(), 2.0)
+        assert sq.remainder_zero.lo == pytest.approx(math.sqrt(x0), rel=1e-14)
+        assert sq.remainder_zero.hi == math.inf
+        inv = substitute_power(exponential_decay(), -1.0)
+        assert (inv.remainder_zero.lo, inv.remainder_zero.hi) == (0.0, math.inf)
+        assert inv.remainder_infinity.lo == 0.0
+        assert inv.remainder_infinity.hi == pytest.approx(1 / x0, rel=1e-14)
 
     def test_monomial_sums_stay_exact(self):
         f = _composites()["monomials"]

@@ -1,17 +1,20 @@
 """Tests for Mellin transforms, regularized integrals and limits."""
 
 import math
+import warnings
 
 import mpmath
 import pytest
+from scipy.integrate import IntegrationWarning
 from scipy.special import gamma as sc_gamma
 
-from conespec import mellin
+from conespec import cli, mellin
 from conespec.expansions import (
     add_functions,
     cutoff_times_monomial,
     exponential_decay,
     fuchs_derivative,
+    gaussian_decay,
     global_monomial,
     monomial_restricted,
     rescale_argument,
@@ -372,6 +375,35 @@ class TestCarriedRemainders:
             want, want_scaled = reg_int_of_dilate(1), reg_int_of_dilate(mpmath.mpf(lam))
         assert regularized_integral(f) == pytest.approx(want, rel=1e-10)
         assert scale_rule(f, lam) == pytest.approx(want_scaled, rel=1e-10)
+
+
+# (phi, reg-int x^beta phi(x) dx as a function of beta)
+_TAYLOR_LEAVES = {
+    "exponential_decay": (exponential_decay, lambda b: math.gamma(b + 1)),
+    # -x (e^-x)' = x e^-x: its remainder is carried through differentiate
+    "fuchs_derivative": (lambda: fuchs_derivative(exponential_decay()),
+                         lambda b: math.gamma(b + 2)),
+    "gaussian_decay": (gaussian_decay, lambda b: math.gamma((b + 1) / 2) / 2),
+    "cli exp": (lambda: cli._phi_test_function("exp").as_expandable(),
+                lambda b: math.gamma(b + 1)),
+    "cli gauss": (lambda: cli._phi_test_function("gauss").as_expandable(),
+                  lambda b: math.gamma((b + 1) / 2) / 2),
+}
+
+
+class TestTaylorRemainders:
+    @pytest.mark.parametrize("beta", [-1.5, -2.703, -3.5, -5.2])
+    @pytest.mark.parametrize("leaf", sorted(_TAYLOR_LEAVES))
+    def test_regularized_integral_is_gamma(self, leaf, beta):
+        # reg-int x^beta e^-x dx = Gamma(beta+1), reg-int x^beta e^-x^2 dx =
+        # Gamma((beta+1)/2)/2; for Re beta < -1 the Taylor remainder near 0
+        # must not leave rounding noise for x^beta to amplify, which would be
+        # non-integrable at 0
+        make, want = _TAYLOR_LEAVES[leaf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            got = regularized_integral(times_monomial(make(), beta))
+        assert got == pytest.approx(want(beta), rel=1e-12)
 
 
 class TestStripDecay:

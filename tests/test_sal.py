@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import pytest
 from scipy.integrate import IntegrationWarning
 from scipy.special import exp1
@@ -13,6 +14,7 @@ from conespec.expansions import (
     ExpandableFunction,
     Location,
     LogPowerTerm,
+    Remainder,
     add_functions,
     exponential_decay,
     global_monomial,
@@ -203,6 +205,24 @@ class TestExpandPhiXOverT:
         assert rep.evaluate(t) == pytest.approx(direct, abs=2 * t**5)
 
 
+    def test_exponential_with_log_monomial_matches_mpmath(self):
+        # reg-int e^{-x} F(x/t) dx for F = e^{-x} + x^beta log x (a global
+        # monomial): Taylor terms (-1)^j t^(j+1), and at t^-beta the boundary
+        # terms -Gamma(beta+1) log t + Gamma'(beta+1)
+        beta = -2.703268218679219
+        F = add_functions(exponential_decay(), global_monomial(beta, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            rep = expand_phi_x_over_t(exp_phi(13), F, q=4.0)
+        with mpmath.workdps(30):
+            gamma_b = complex(mpmath.gamma(beta + 1))
+            dgamma_b = complex(mpmath.gamma(beta + 1) * mpmath.digamma(beta + 1))
+        assert rep.coefficient(-beta, 1) == pytest.approx(-gamma_b, rel=1e-12)
+        assert rep.coefficient(-beta, 0) == pytest.approx(dgamma_b, rel=1e-12)
+        for j in range(4):
+            assert rep.coefficient(float(j + 1), 0) == pytest.approx((-1.0) ** j, rel=1e-12)
+        assert len(rep.terms) == 6
+
     def test_short_jet_for_zero_side_log_correction_raises(self):
         F = monomial_restricted(-2.0, 0, support="unit_interval")
         with pytest.raises(SalError):
@@ -214,19 +234,25 @@ class TestSeparable:
     def frullani_sigma() -> SeparableSigma:
         # sigma(x, zeta) = e^{-x} (1 - e^{-zeta})/zeta; the x-integral of
         # sigma(x, x z) is log(1+z)/z exactly.
-        jet0 = ExpandableFunction(
-            lambda z: (1.0 - math.exp(-z)) / z,
-            AsymptoticExpansion(
-                Location.AT_ZERO,
-                tuple(
-                    LogPowerTerm((-1.0) ** j / math.factorial(j + 1), float(j), 0)
-                    for j in range(10)
-                ),
-                10.0,
+        # its Taylor remainder is below z^10/11! < 3e-18 on (0, 0.1); the
+        # one at infinity is -e^{-z}/z
+        f = lambda z: (1.0 - math.exp(-z)) / z
+        e0 = AsymptoticExpansion(
+            Location.AT_ZERO,
+            tuple(
+                LogPowerTerm((-1.0) ** j / math.factorial(j + 1), float(j), 0)
+                for j in range(10)
             ),
+            10.0,
+        )
+        jet0 = ExpandableFunction(
+            f,
+            e0,
             AsymptoticExpansion(
                 Location.AT_INFINITY, (LogPowerTerm(1.0, -1.0, 0),), 20.0
             ),
+            Remainder(lambda z: f(z) - e0.evaluate(z), 0.1),
+            Remainder(lambda z: -math.exp(-z) / z),
         )
         return SeparableSigma(
             boundary_terms=((exp_phi(), -1.0, 0),),
