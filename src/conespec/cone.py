@@ -26,6 +26,7 @@ from .specfun import (
     _is_nonpositive_integer,
     _nonpositive_integer_mask,
     _poly_eval,
+    _power_sum,
     b_pos_fraction,
     bessel_i_scaled,
     digamma,
@@ -351,11 +352,46 @@ def _gamma_quotient(p: float, s: complex) -> complex:
     return cmath.exp(log_gamma(p + 1 - s) - log_gamma(p + s))
 
 
+def _gamma_quotient_sum(explicit, s: complex) -> complex:
+    """sum w Gamma(p+1-s) / Gamma(p+s) over (weight, order p) pairs, with one
+    loggamma call per Gamma factor.
+
+    As in `_gamma_quotient`, the first pair on a pole raises, in order, and a
+    reciprocal-Gamma zero adds 0.  Only a real s can put p+1-s or p+s on a
+    nonpositive integer, so only then are the pairs checked, one by one (a
+    few Python checks cost less than numpy masks over a short list).  A sum
+    that overflows is redone pair by pair, so that the overflowing pair
+    raises as `cmath.exp` does.
+    """
+    if not explicit:
+        return 0.0 + 0.0j
+    zero = []
+    if abs(s.imag) <= 1e-12:
+        # a real part above 1/2 rules a pair out before the full check
+        for _, p in explicit:
+            if p + 1 - s.real <= 0.5 and _is_nonpositive_integer(p + 1 - s):
+                raise ConeError(f"Gamma pole in the quotient at p={p}, s={s}")
+        zero = [i for i, (_, p) in enumerate(explicit)
+                if p + s.real <= 0.5 and _is_nonpositive_integer(p + s)]
+    weights = np.array([w for w, _ in explicit], dtype=complex)
+    orders = np.array([p for _, p in explicit], dtype=float)
+    with np.errstate(all="ignore"):
+        q = np.exp(loggamma(orders + (1 - s)) - loggamma(orders + s))
+        if zero:
+            q[zero] = 0.0
+        total = complex(weights @ q)
+    if not cmath.isfinite(total):
+        return sum(w * _gamma_quotient(p, s) for w, p in explicit)
+    return total
+
+
 def _phi_pieces(spec: CrossSectionSpectrum, s: complex, order: int, head_threshold: float):
     """Head/tail decomposition of the Gamma-quotient sum over the spectrum.
 
     Returns (head_value, tail_terms) where tail_terms lists the successive
     Q_k corrections; their last magnitude is the truncation error estimate.
+    The tail makes one provider call over all shifts z_k = (2s-1+k)/2 whose
+    Q_k is nonzero.
     """
     s = complex(s)
     provider = spec.tail
@@ -367,22 +403,18 @@ def _phi_pieces(spec: CrossSectionSpectrum, s: complex, order: int, head_thresho
     explicit = [(d.weight, spec.p_of(i)) for i, d in enumerate(spec.data)]  # (weight, order p)
     explicit += [(w, math.sqrt(lam)) for w, lam in remaining]
 
-    head_value = sum(w * _gamma_quotient(p, s) for w, p in explicit)
+    head_value = _gamma_quotient_sum(explicit, s)
 
     tail_terms = []
     if provider is not None:
-        exp_ = gamma_ratio_expansion(order)
-        for k in range(order + 1):
-            qk = exp_.q_polys[k]
-            if not qk:
-                continue
-            z = (2 * s - 1 + k) / 2.0
-            if provider.is_pole(z):
-                raise ConeError(f"tail provider pole hit at argument {z}")
-            tz = provider.zeta(z) - sum(
-                w * complex(lam) ** (-z) for w, lam in head
-            )
-            tail_terms.append(_poly_eval(qk, s) * tz)
+        q = gamma_ratio_expansion(order).q_complex
+        ks = [k for k, qk in enumerate(q) if qk]
+        z = (2 * s - 1 + np.array(ks, dtype=float)) / 2.0
+        for zk in z:
+            if provider.is_pole(complex(zk)):
+                raise ConeError(f"tail provider pole hit at argument {complex(zk)}")
+        tz = provider.zeta(z) - _power_sum(head, z)
+        tail_terms = [_poly_eval(q[k], s) * complex(t) for k, t in zip(ks, tz)]
     return head_value, tail_terms
 
 
@@ -502,9 +534,13 @@ class ShiftedIntegerEtaProvider(DirichletSeriesProvider):
         if not 0 < a < 1:
             raise ConeError("a must lie in (0, 1)")
         self.a = a
+        self._a_pair = np.array([a, 1.0 - a])
 
-    def zeta(self, s: complex) -> complex:
-        return hurwitz_zeta(s, self.a) - hurwitz_zeta(s, 1.0 - self.a)
+    def zeta(self, s):
+        # a and 1-a on a leading axis of their own, against every element of s
+        both = hurwitz_zeta(s, self._a_pair.reshape((2,) + (1,) * np.ndim(s)))
+        out = both[0] - both[1]
+        return complex(out) if out.ndim == 0 else out
 
     def term_iter(self):
         pending = []
@@ -592,12 +628,6 @@ class FirstOrderSpectrum:
             tail=self.a_plus_tail if sign > 0 else self.a_minus_tail,
             p_overrides=tuple(overrides),
         )
-
-    def consistency_check(self, s_points=(4.0, 5.0, 6.0), n_terms: int = 4000) -> float:
-        """Agreement of the eta continuation with direct partial sums."""
-        if self.eta_provider is None:
-            return 0.0
-        return self.eta_provider.continuation_consistency(s_points, n_terms)
 
 
 def eta_function_scalable(

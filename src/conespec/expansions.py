@@ -357,11 +357,12 @@ def substitute_power(f: ExpandableFunction, sigma: float) -> ExpandableFunction:
 
     Each term a x**alpha log**k maps to a*sigma**k x**(sigma*alpha) log**k,
     exactly, so the remainders are r(x**sigma) on the preimages of their
-    supports; for sigma < 0 the endpoints swap roles.
+    supports; for sigma < 0 the endpoints swap roles.  A closed-form
+    derivative carries over by the chain rule, sigma x**(sigma-1) f'(x**sigma).
     """
     if sigma == 0:
         raise ValueError("sigma must be nonzero")
-    fe = f.evaluator
+    fe, fd = f.evaluator, f.derivative
 
     def root(u: float) -> float:
         return math.inf if u == 0 and sigma < 0 else u ** (1.0 / sigma)
@@ -381,8 +382,10 @@ def substitute_power(f: ExpandableFunction, sigma: float) -> ExpandableFunction:
         zero, infinity = infinity, zero
     e0, r0 = side(Location.AT_ZERO, *zero)
     ei, ri = side(Location.AT_INFINITY, *infinity)
-    return ExpandableFunction(lambda x: fe(x**sigma), e0, ei, r0, ri,
-                              differentiable=f.differentiable)
+    return ExpandableFunction(
+        lambda x: fe(x**sigma), e0, ei, r0, ri, differentiable=f.differentiable,
+        derivative=None if fd is None else (lambda x: sigma * x ** (sigma - 1) * fd(x**sigma)),
+    )
 
 
 def _differentiate_expansion(e: AsymptoticExpansion) -> AsymptoticExpansion:
@@ -468,11 +471,12 @@ def rescale_argument(f: ExpandableFunction, lam: float) -> ExpandableFunction:
 
     a (lam x)**alpha log**k(lam x) expands binomially over
     log(lam x) = log lam + log x, exactly, so the remainders are r(lam x) on
-    their supports divided by lam.
+    their supports divided by lam.  A closed-form derivative carries over by
+    the chain rule, lam f'(lam x).
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    fe = f.evaluator
+    fe, fd = f.evaluator, f.derivative
     ll = math.log(lam)
 
     def transform(e: AsymptoticExpansion) -> AsymptoticExpansion:
@@ -500,6 +504,7 @@ def rescale_argument(f: ExpandableFunction, lam: float) -> ExpandableFunction:
         rescale_rem(f.remainder_zero),
         rescale_rem(f.remainder_infinity),
         differentiable=f.differentiable,
+        derivative=None if fd is None else (lambda x: lam * fd(lam * x)),
     )
 
 

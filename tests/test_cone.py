@@ -1,5 +1,6 @@
 """Tests for cone heat kernels, zeta/eta functions, residues and heat traces."""
 
+import cmath
 import math
 import tracemalloc
 
@@ -11,12 +12,15 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as sc_gamma
 
+from dirichlet_checks import continuation_consistency
+
 from conespec.cone import (
     ConeError,
     CrossSectionSpectrum,
     FirstOrderSpectrum,
     ShiftedIntegerEtaProvider,
     SpectralDatum,
+    _split_terms,
     eta_alpha_constant,
     eta_function_scalable,
     eta_hat_residues,
@@ -38,6 +42,8 @@ from conespec.specfun import (
     PowerShiftSquaredProvider,
     RiemannZetaProvider,
     digamma,
+    gamma_ratio_expansion,
+    log_gamma,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -362,6 +368,60 @@ class TestZetaHatOperator:
         )
         assert zeta_hat_operator(spec, s) == pytest.approx(pref * direct, rel=1e-6)
 
+    @staticmethod
+    def _fold_per_shift(spec, s, order=6, head_threshold=8.0):
+        """zeta-hat by the Gamma-ratio fold one shift at a time: a scalar
+        provider call and a scalar head sum per z_k, and the head's Gamma
+        quotients term by term.  Also returns the sum of the magnitudes of
+        everything added, the scale of its rounding."""
+        s = complex(s)
+        lam_head = max([head_threshold**2] + [d.eigenvalue for d in spec.data])
+        head = spec.tail.terms_below(lam_head * (1 + 1e-9) + 1e-12)
+        _, remaining = _split_terms([(d.weight, d.eigenvalue) for d in spec.data], head)
+        explicit = [(d.weight, spec.p_of(i)) for i, d in enumerate(spec.data)]
+        explicit += [(w, math.sqrt(lam)) for w, lam in remaining]
+        terms = [w * cmath.exp(log_gamma(p + 1 - s) - log_gamma(p + s)) for w, p in explicit]
+        total, scale = sum(terms), sum(map(abs, terms))
+        for k, qk in enumerate(gamma_ratio_expansion(order).q_polys):
+            if qk:
+                z = (2 * s - 1 + k) / 2
+                head_terms = [w * complex(lam) ** -z for w, lam in head]
+                zeta, q = spec.tail.zeta(z), sum(float(c) * s**d for d, c in enumerate(qk))
+                total += q * (zeta - sum(head_terms))
+                scale += abs(q) * (abs(zeta) + sum(map(abs, head_terms)))
+        pref = sc_gamma(s - 0.5) / sc_gamma(s) / (2.0 * SQRT_PI)
+        return pref * total, abs(pref) * scale
+
+    def test_batched_fold_matches_the_per_shift_loop(self):
+        # to 1e-12 relative, or, where zeta(z_k) and the head sum cancel (at
+        # order 10 and s = 2.3-4i the summands reach 1e9 times the value), to
+        # a few roundings of the summands
+        hurwitz = CrossSectionSpectrum(
+            data=(SpectralDatum(0.25, 1.0), SpectralDatum(3.0, 2.0), SpectralDatum(90.0, 0.5)),
+            tail=HurwitzZetaProvider(1.5, 1.0, 2.0), negative_below=0.5)
+        for spec in (circle_spectrum(), hurwitz,
+                     CrossSectionSpectrum(data=(), tail=PowerShiftSquaredProvider(1.0 / 3.0, 0.3))):
+            for s in (0.5 + 0.3j, 0.7 + 1.1j, 1.6, 2.3 - 4.0j, 0.9 + 12.0j):
+                for order in (2, 6, 10):
+                    want, scale = self._fold_per_shift(spec, s, order)
+                    got = zeta_hat_operator(spec, s, order=order)
+                    assert abs(got - want) <= max(1e-12 * abs(want), 2e-15 * scale), (s, order)
+
+    def test_explicit_head_pole_zero_and_overflow_rules(self):
+        # a Gamma(p+1-s) pole raises at the first pair in order (p = 2, then 1)
+        spec = CrossSectionSpectrum(data=(SpectralDatum(4.0, 1.0), SpectralDatum(1.0, 1.0)))
+        with pytest.raises(ConeError, match="p=2.0"):
+            zeta_hat_operator(spec, 3.0)
+        # a reciprocal-Gamma zero, p + s = 0, adds nothing
+        lone = CrossSectionSpectrum(data=(SpectralDatum(2.25, 1.0),))
+        both = CrossSectionSpectrum(data=(SpectralDatum(0.09, 1.0), SpectralDatum(2.25, 1.0)))
+        assert zeta_hat_operator(both, -0.3) == pytest.approx(zeta_hat_operator(lone, -0.3),
+                                                              rel=1e-15)
+        # Gamma(401.25)/Gamma(-200.25) overflows: the quotient raises as cmath.exp does
+        big = CrossSectionSpectrum(data=(SpectralDatum(1e4, 1.0),))
+        with pytest.raises(OverflowError):
+            zeta_hat_operator(big, -300.25)
+
     def test_head_threshold_independence(self):
         spec = circle_spectrum()
         a = zeta_hat_operator(spec, 1.6, head_threshold=8.0)
@@ -471,6 +531,12 @@ class TestEta:
         )
         with pytest.raises(ConeError):
             ShiftedIntegerEtaProvider(1.5)
+        # one Hurwitz call for a and 1-a broadcasts over s of any shape
+        for s in (np.array([0.0, 3.0, 0.6 + 2.0j]), np.array([[2.5, 1.2 - 7.0j], [0.9, 4.0]])):
+            got = prov.zeta(s)
+            assert got.shape == s.shape
+            for idx in np.ndindex(s.shape):
+                assert got[idx] == prov.zeta(complex(s[idx]))
 
     def test_symmetric_spectrum_is_eta_trivial(self):
         spec = FirstOrderSpectrum(
@@ -559,7 +625,7 @@ class TestEta:
         spec = FirstOrderSpectrum(
             s_data=(), eta_provider=ShiftedIntegerEtaProvider(0.25)
         )
-        assert spec.consistency_check(s_points=(4.0, 5.0)) < 1e-6
+        assert continuation_consistency(spec.eta_provider, (4.0, 5.0)) < 1e-6
 
 
 class TestIndex:

@@ -173,6 +173,16 @@ class TestAlgebra:
         with pytest.raises(ValueError):
             substitute_power(exponential_decay(), 0.0)
 
+    def test_chain_rule_carries_the_derivative(self):
+        # d/dx e^(-x^2), d/dx e^(-1/x) and d/dx e^(-2.5x) by the chain rule
+        x = 0.9
+        assert substitute_power(exponential_decay(), 2.0).derivative(x) == pytest.approx(
+            -2 * x * math.exp(-x * x), rel=1e-14)
+        assert substitute_power(exponential_decay(), -1.0).derivative(x) == pytest.approx(
+            x**-2 * math.exp(-1 / x), rel=1e-14)
+        assert rescale_argument(exponential_decay(), 2.5).derivative(x) == pytest.approx(
+            -2.5 * math.exp(-2.5 * x), rel=1e-14)
+
     def test_substitute_negative_power_swaps_locations(self):
         f = substitute_power(exponential_decay(), -1.0)
         # e^{-1/x}: flat at zero, Taylor-like in 1/x at infinity

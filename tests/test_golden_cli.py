@@ -26,6 +26,29 @@ def test_compare_lists_requests_that_differ(tmp_path, capsys):
     assert golden_cli.compare(str(pa), str(pa)) == 0
 
 
+def test_compare_gives_the_largest_relative_change_of_numbers_only_differences(
+        tmp_path, capsys):
+    a = {"json": [0, '{"value_re": 1.5, "error_estimate": 2e-10, "b_5": 0.0}\n', None],
+         "csv": [0, "", "s,v\n0.5,-4.0\n"], "text": [0, "ok 1\n", None],
+         "exit": [0, "1.0\n", None]}
+    b = {"json": [0, '{"value_re": 1.5000000000000004, "error_estimate": 3e-10, "b_5": 0.0}\n',
+                  None],
+         "csv": [0, "", "s,v\n0.5,-4.4\n"], "text": [0, "fail 1\n", None],
+         "exit": [3, "1.0\n", None]}
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps(a))
+    pb.write_text(json.dumps(b))
+    assert golden_cli.compare(str(pa), str(pb)) == 1
+    lines = dict(reversed(line.split(": ", 1)) for line in capsys.readouterr().out.splitlines()[:-1])
+    assert lines == {
+        "json": "exit 0 -> 0, numbers only, max rel change 3.3e-01",
+        "csv": "exit 0 -> 0, numbers only, max rel change 9.1e-02",
+        "text": "exit 0 -> 0",
+        "exit": "exit 0 -> 3",
+    }
+    assert golden_cli.numeric_change(a["json"], a["json"]) == 0.0
+
+
 def test_corpus_holds_generator_pools_and_edge_cases():
     reqs = golden_cli._requests()
     assert len(reqs) == 24 * len(golden_cli.GEN_SEEDS) + len(golden_cli.EDGE_CASES)

@@ -405,6 +405,17 @@ class TestTaylorRemainders:
             got = regularized_integral(times_monomial(make(), beta))
         assert got == pytest.approx(want(beta), rel=1e-12)
 
+    @pytest.mark.parametrize("beta", [-0.5, -1.5, -3.5])
+    def test_fuchs_derivative_of_a_rescaled_leaf(self, beta):
+        # -x (e^-2x)' = 2x e^-2x, so reg-int x^beta of it is 2 Gamma(beta+2) /
+        # 2^(beta+2); the rescaling carries the closed-form derivative by the
+        # chain rule, so no difference quotient leaves its rounding behind
+        f = fuchs_derivative(rescale_argument(exponential_decay(), 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            got = regularized_integral(times_monomial(f, beta))
+        assert got == pytest.approx(2 * math.gamma(beta + 2) / 2 ** (beta + 2), rel=1e-12)
+
 
 class TestStripDecay:
     def test_exponential_strip_decay(self):

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
+from dirichlet_checks import continuation_consistency
+
 from conespec.specfun import (
     EULER_GAMMA,
     FiniteSpectrumProvider,
@@ -15,6 +17,7 @@ from conespec.specfun import (
     PowerShiftSquaredProvider,
     RiemannZetaProvider,
     SpecfunError,
+    _poly_eval,
     b_pos_fraction,
     bernoulli_fraction,
     bessel_i,
@@ -250,6 +253,21 @@ class TestGammaRatio:
             assert self._at(qk, Fraction(2)) == (1 if even else 0), k
             assert self._at(qk, Fraction(3)) == ((4 ** (k // 2 + 1) - 1) // 3 if even else 0), k
 
+    def test_float_coefficients_evaluate_as_the_fractions(self):
+        # the Q_k are rounded once; Horner's rule over them is bit for bit
+        # Horner's rule over the Fractions, each rounded as it is used
+        def horner(poly, s):
+            out = 0.0 + 0.0j
+            for c in reversed(poly):
+                out = out * s + complex(Fraction(c))
+            return out
+
+        for order in range(11):
+            exp_ = gamma_ratio_expansion(order)
+            for qk, qc in zip(exp_.q_polys, exp_.q_complex):
+                for s in (0.3, 1.2 - 0.7j, -4.25 + 17.5j, 33.0):
+                    assert _poly_eval(qc, s) == horner(qk, s)
+
     def test_r_at_half_integer_and_integer_s(self):
         # log Gamma(nu-s)/Gamma(nu+s) + 2s log nu is -log(1 - 1/(2nu)) at
         # s = 1/2 and -log(1 - 1/nu) at s = 1
@@ -293,6 +311,35 @@ class TestZeta:
             hurwitz_zeta(1.0, 0.5)
         with pytest.raises(SpecfunError):
             hurwitz_zeta(2.0, -1.0)
+        for s, a in (([2.0, 1.0], 0.5), ([2.0, np.nan], 0.5), ([2.0, 3.0 + np.inf * 1j], 0.5),
+                     (2.0, [0.5, 0.0]), (complex("nan"), 0.5)):
+            with pytest.raises(SpecfunError):
+                hurwitz_zeta(s, a)
+
+    def test_array_equals_elementwise_bit_for_bit(self):
+        # ragged term counts N = max(30, |Im s| + 10), one past a block of
+        # 4096 terms, a broadcast against s, and a 2-d batch
+        s = np.array([2.5, 0.6 + 3.0j, 5.0 - 45.2j, 0.75 + 4200.5j, 3.3 + 60.0j, 1.0 + 1e-3j])
+        a = np.array([[0.3], [1.0], [13.0]])
+        got = hurwitz_zeta(s, a)
+        assert got.shape == (3, 6) and got.dtype == complex
+        for i in range(3):
+            for j in range(6):
+                assert got[i, j] == hurwitz_zeta(complex(s[j]), float(a[i, 0]))
+        assert isinstance(hurwitz_zeta(2.5, 1), complex)
+        assert isinstance(hurwitz_zeta(np.asarray(2.5), 1.0), complex)
+
+    def test_matches_mpmath_for_re_s_from_half(self):
+        mpmath.mp.dps = 30
+        try:
+            for a in (0.05, 0.3, 1.0, 2.5, 13.0):
+                for re in np.linspace(0.5, 10.0, 8):
+                    for im in np.linspace(-50.0, 50.0, 11):
+                        s = complex(re, im)
+                        want = complex(mpmath.zeta(s, a))
+                        assert abs(hurwitz_zeta(s, a) - want) <= 5e-13 * abs(want), (s, a)
+        finally:
+            mpmath.mp.dps = 15
 
 
 class TestProviders:
@@ -305,7 +352,7 @@ class TestProviders:
     def test_riemann_provider_continuation(self):
         prov = RiemannZetaProvider(scale=2.0, exponent=2.0)
         assert prov.zeta(1.0) == pytest.approx(2.0 * math.pi**2 / 6.0, rel=1e-12)
-        assert prov.continuation_consistency((2.0, 3.0), n_terms=4000) < 1e-6
+        assert continuation_consistency(prov, (2.0, 3.0), n_terms=4000) < 1e-6
         assert prov.is_pole(0.5)
         assert prov.residue_at(0.5) == pytest.approx(1.0)
         assert prov.value_at(0.5) == pytest.approx(2.0 * EULER_GAMMA)
@@ -322,7 +369,7 @@ class TestProviders:
 
     def test_power_shift_squared_provider(self):
         prov = PowerShiftSquaredProvider(1.0 / 3.0, 0.3)
-        assert prov.continuation_consistency((4.0, 5.0), n_terms=60000) < 1e-6
+        assert continuation_consistency(prov, (4.0, 5.0), n_terms=60000) < 1e-6
         # residue closed form vs a numeric Laurent fit at the leading pole
         loc = 1.5  # (1 - gamma*0)/(2 gamma)
         h = 1e-4
@@ -335,6 +382,35 @@ class TestProviders:
         odd1 = lambda hh: (prov.zeta(loc1 + hh) - prov.zeta(loc1 - hh)) * hh / 2.0
         fit1 = (4.0 * odd1(h) - odd1(2 * h)) / 3.0
         assert fit1 == pytest.approx(prov.residue_at(loc1), rel=1e-5)
+
+    def test_power_shift_batch_matches_the_per_term_loop(self):
+        # the continuation one binomial term at a time, with scalar Hurwitz calls
+        def per_term(prov, s):
+            g, d = prov.gamma_pow, prov.delta
+            total = sum((float(n) ** g + d) ** (-2 * s) for n in range(1, 13))
+            binom = 1.0 + 0.0j
+            for m in range(27):
+                total += binom * d**m * hurwitz_zeta(2 * g * s + g * m, 13.0)
+                binom *= (-2 * s - m) / (m + 1)
+            return total
+
+        s = np.array([0.55, 0.8 + 2.0j, 1.7 - 11.0j, 3.1, 6.5 + 40.0j])
+        for prov in (PowerShiftSquaredProvider(1.0 / 3.0, 0.3),
+                     PowerShiftSquaredProvider(1.0, -0.5), PowerShiftSquaredProvider(0.25, 0.5)):
+            got = prov.zeta(s)
+            for j, sj in enumerate(s):
+                want = per_term(prov, complex(sj))
+                assert got[j] == pytest.approx(want, rel=1e-12)
+                assert prov.zeta(complex(sj)) == pytest.approx(got[j], rel=1e-14)
+
+    def test_providers_broadcast_over_s(self):
+        s = np.array([[0.9 + 1.0j, 2.0], [3.5 - 7.0j, 1.2]])
+        for prov in (FiniteSpectrumProvider([(2.0, 4.0), (1.0 - 0.5j, 1.0)]),
+                     HurwitzZetaProvider(0.25, 1.5, 2.0), RiemannZetaProvider(2.0, 2.0)):
+            got = prov.zeta(s)
+            assert got.shape == (2, 2)
+            for idx in np.ndindex(2, 2):
+                assert got[idx] == pytest.approx(prov.zeta(complex(s[idx])), rel=1e-14)
 
     def test_riemann_provider_is_hurwitz_at_one(self):
         for scale, exponent in ((2.0, 2.0), (1.0, 0.5), (0.7, 2.37)):

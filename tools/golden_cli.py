@@ -12,6 +12,8 @@ the recording maps the request, written as one command line, to
 ``"raise:<type>"`` for an exception it let escape) and out-file is the text
 of the ``--out`` file, or null.  ``--compare`` prints every request whose
 entry differs, or that only one recording holds, and exits 1 if there is any.
+Where two entries agree in exit code and in their text apart from the
+numbers, it also prints the largest relative change over those numbers.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shlex
 import sys
 import tempfile
@@ -160,6 +163,25 @@ def record(path: str) -> None:
     print(f"{len(corpus)} requests recorded in {path}")
 
 
+# a decimal number not inside a name (b_5) or another number
+_NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+
+
+def numeric_change(ea, eb):
+    """The largest relative change between the numbers of two entries whose
+    exit codes and text apart from the numbers agree; None otherwise."""
+    if ea is None or eb is None or ea[0] != eb[0]:
+        return None
+    ta, tb = f"{ea[1]}\0{ea[2]}", f"{eb[1]}\0{eb[2]}"
+    if _NUMBER.sub("#", ta) != _NUMBER.sub("#", tb):
+        return None
+    worst = 0.0
+    for x, y in zip(map(float, _NUMBER.findall(ta)), map(float, _NUMBER.findall(tb))):
+        if x != y:
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
 def compare(path_a: str, path_b: str) -> int:
     with open(path_a) as fh:
         a = json.load(fh)
@@ -169,6 +191,9 @@ def compare(path_a: str, path_b: str) -> int:
     for key in differ:
         ea, eb = a.get(key), b.get(key)
         exits = f"exit {ea[0] if ea else '-'} -> {eb[0] if eb else '-'}"
+        change = numeric_change(ea, eb)
+        if change is not None:
+            exits += f", numbers only, max rel change {change:.1e}"
         print(f"{exits}: {key}")
     print(f"{len(differ)} of {len(set(a) | set(b))} requests differ")
     return 1 if differ else 0
