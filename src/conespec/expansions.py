@@ -15,8 +15,21 @@ leaves state theirs in closed form.  The Taylor leaves (e^-x, e^-x^2 and
 sal's test functions) subtract their terms only above the point x0 where
 the first omitted order falls under the rounding of the first term, and are
 0 below it.  The algebra (sum, scaling, monomial factor, dilation, power
-substitution, derivatives) builds the remainder of its result from its
-operands', so no subtraction f - sum of terms reaches down to 0.
+substitution) builds the remainder of its result from its operands', so no
+subtraction f - sum of terms reaches down to 0.
+
+A function has a derivative exactly when it states one, as an expandable
+function built on demand; `differentiate` refuses a function that states
+none, and no derivative is approximated.  The leaves state theirs in closed
+form: e^-x and e^-x^2 the termwise derivative of their Taylor terms, with
+values (-1)**n e^-x and (-1)**n H_n(x) e^-x^2; the global monomial
+a x**(a-1) log**k x + k x**(a-1) log**(k-1) x; the cutoff and step leaves
+the product rule, whose slope term, from the closed form of exp(-1/u), is a
+compactly supported leaf that states no derivative of its own.
+`monomial_restricted` (it jumps at 1) and sal's test functions (known by
+their values only) state none.  The algebra builds each derivative out of
+itself: sum, scaling, the chain rule for dilation and power substitution,
+and the product rule for a monomial factor.
 """
 
 from __future__ import annotations
@@ -126,6 +139,9 @@ class AsymptoticExpansion:
         return 0.0
 
     def evaluate(self, x: float) -> complex:
+        """Sum of the stored terms at x > 0."""
+        if x <= 0:
+            raise ValueError("x must be positive")
         return sum((t.evaluate(x) for t in self.terms), 0.0 + 0.0j)
 
     # -- serialization ---------------------------------------------------
@@ -208,10 +224,10 @@ class ExpandableFunction:
     """A function on (0, infinity) together with its two endpoint expansions.
 
     `remainder_zero` and `remainder_infinity` are f minus the stored terms at
-    each endpoint, each with the interval where it lives.  `differentiable`
-    marks membership in the smooth-expansion subclass whose expansions may be
-    differentiated termwise; `derivative` optionally supplies a closed-form
-    derivative evaluator for it.
+    each endpoint, each with the interval where it lives.  `derivative`, when
+    the function states one, builds f' as an ExpandableFunction; it is
+    called on demand, since a chain of derivatives (e^-x's) need not end.
+    `differentiate` refuses a function that states none.
     """
 
     evaluator: Callable[[float], complex]
@@ -219,8 +235,7 @@ class ExpandableFunction:
     expansion_at_infinity: AsymptoticExpansion
     remainder_zero: Remainder
     remainder_infinity: Remainder
-    differentiable: bool = False
-    derivative: Optional[Callable[[float], complex]] = None
+    derivative: Optional[Callable[[], "ExpandableFunction"]] = None
 
     def __post_init__(self):
         if self.expansion_at_zero.location is not Location.AT_ZERO:
@@ -260,13 +275,6 @@ def _minus_terms(v: complex, expansion: AsymptoticExpansion, x: float) -> comple
 # ---------------------------------------------------------------------------
 
 
-def evaluate_truncated(exp: AsymptoticExpansion, x: float) -> complex:
-    """Sum of the stored terms coefficient * x**exponent * log(x)**log_power."""
-    if x <= 0:
-        raise ValueError("x must be positive")
-    return exp.evaluate(x)
-
-
 def _truncate(
     terms: Iterable[LogPowerTerm], location: Location, order: float
 ) -> tuple[AsymptoticExpansion, tuple[LogPowerTerm, ...]]:
@@ -296,13 +304,22 @@ def add(a: AsymptoticExpansion, b: AsymptoticExpansion) -> AsymptoticExpansion:
     return _add(a, b)[0]
 
 
+def differentiate(f: ExpandableFunction) -> ExpandableFunction:
+    """f', as f states it; ValueError when f states no derivative."""
+    if f.derivative is None:
+        raise ValueError("function states no derivative")
+    return f.derivative()
+
+
+def _stated(derivative: Callable[[], ExpandableFunction],
+            *operands: ExpandableFunction) -> Optional[Callable[[], ExpandableFunction]]:
+    """The derivative of a result, when every operand states its own."""
+    return derivative if all(g.derivative is not None for g in operands) else None
+
+
 def add_functions(f: ExpandableFunction, g: ExpandableFunction) -> ExpandableFunction:
     """f + g; the remainders add, together with the terms `add` absorbs."""
     fe, ge = f.evaluator, g.evaluator
-    deriv = None
-    if f.derivative is not None and g.derivative is not None:
-        fd, gd = f.derivative, g.derivative
-        deriv = lambda x: fd(x) + gd(x)
     e0, absorbed0 = _add(f.expansion_at_zero, g.expansion_at_zero)
     ei, absorbed_i = _add(f.expansion_at_infinity, g.expansion_at_infinity)
     return ExpandableFunction(
@@ -311,8 +328,7 @@ def add_functions(f: ExpandableFunction, g: ExpandableFunction) -> ExpandableFun
         ei,
         _sum_remainders(f.remainder_zero, g.remainder_zero, _terms_remainder(absorbed0)),
         _sum_remainders(f.remainder_infinity, g.remainder_infinity, _terms_remainder(absorbed_i)),
-        differentiable=f.differentiable and g.differentiable,
-        derivative=deriv,
+        _stated(lambda: add_functions(differentiate(f), differentiate(g)), f, g),
     )
 
 
@@ -328,7 +344,6 @@ def _transformed(r: Remainder, fn: Callable[[float], complex],
 def scale_function(f: ExpandableFunction, c: complex) -> ExpandableFunction:
     """c f, with the remainders scaled."""
     fe = f.evaluator
-    fd = f.derivative
 
     def scale_exp(e: AsymptoticExpansion) -> AsymptoticExpansion:
         return AsymptoticExpansion(
@@ -347,8 +362,7 @@ def scale_function(f: ExpandableFunction, c: complex) -> ExpandableFunction:
         scale_exp(f.expansion_at_infinity),
         scale_rem(f.remainder_zero),
         scale_rem(f.remainder_infinity),
-        differentiable=f.differentiable,
-        derivative=(None if fd is None else (lambda x: c * fd(x))),
+        _stated(lambda: scale_function(differentiate(f), c), f),
     )
 
 
@@ -357,24 +371,25 @@ def substitute_power(f: ExpandableFunction, sigma: float) -> ExpandableFunction:
 
     Each term a x**alpha log**k maps to a*sigma**k x**(sigma*alpha) log**k,
     exactly, so the remainders are r(x**sigma) on the preimages of their
-    supports; for sigma < 0 the endpoints swap roles.  A closed-form
-    derivative carries over by the chain rule, sigma x**(sigma-1) f'(x**sigma).
+    supports, plus the mapped terms that the order |sigma| p (or |sigma| q)
+    absorbs; for sigma < 0 the endpoints swap roles.  The derivative is the
+    chain rule, sigma x**(sigma-1) f'(x**sigma).
     """
     if sigma == 0:
         raise ValueError("sigma must be nonzero")
-    fe, fd = f.evaluator, f.derivative
+    fe = f.evaluator
 
     def root(u: float) -> float:
         return math.inf if u == 0 and sigma < 0 else u ** (1.0 / sigma)
 
     def side(location: Location, e: AsymptoticExpansion, r: Remainder):
-        terms = tuple(
-            LogPowerTerm(t.coefficient * sigma**t.log_power, sigma * t.exponent, t.log_power)
-            for t in e.terms
-        )
+        expansion, absorbed = _truncate(
+            (LogPowerTerm(t.coefficient * sigma**t.log_power, sigma * t.exponent, t.log_power)
+             for t in e.terms),
+            location, abs(sigma) * e.remainder_order)
         re = r.evaluator
-        return (AsymptoticExpansion(location, terms, abs(sigma) * e.remainder_order),
-                _transformed(r, lambda x: re(x**sigma), root))
+        return expansion, _sum_remainders(_transformed(r, lambda x: re(x**sigma), root),
+                                          _terms_remainder(absorbed))
 
     zero = (f.expansion_at_zero, f.remainder_zero)
     infinity = (f.expansion_at_infinity, f.remainder_infinity)
@@ -383,8 +398,9 @@ def substitute_power(f: ExpandableFunction, sigma: float) -> ExpandableFunction:
     e0, r0 = side(Location.AT_ZERO, *zero)
     ei, ri = side(Location.AT_INFINITY, *infinity)
     return ExpandableFunction(
-        lambda x: fe(x**sigma), e0, ei, r0, ri, differentiable=f.differentiable,
-        derivative=None if fd is None else (lambda x: sigma * x ** (sigma - 1) * fd(x**sigma)),
+        lambda x: fe(x**sigma), e0, ei, r0, ri,
+        _stated(lambda: scale_function(
+            times_monomial(substitute_power(differentiate(f), sigma), sigma - 1), sigma), f),
     )
 
 
@@ -400,36 +416,20 @@ def _differentiate_expansion(e: AsymptoticExpansion) -> AsymptoticExpansion:
     return AsymptoticExpansion(e.location, tuple(out), e.remainder_order - 1)
 
 
-def differentiate(f: ExpandableFunction) -> ExpandableFunction:
-    """Termwise derivative of a function carrying the smoothness certificate.
-
-    The remainders are the derivative minus its terms, on the operand's
-    remainder supports.
-    """
-    if not f.differentiable:
-        raise ValueError("function is not marked differentiable")
-    if f.derivative is not None:
-        ev = f.derivative
-    else:
-        fe = f.evaluator
-
-        def ev(x: float) -> complex:
-            h = 1e-6 * max(x, 1e-3)
-            return (fe(x + h) - fe(x - h)) / (2 * h)
-
-    def side(e: AsymptoticExpansion, r: Remainder):
-        de = _differentiate_expansion(e)
-        return de, _transformed(r, lambda x: _minus_terms(complex(ev(x)), de, x))
-
-    e0, r0 = side(f.expansion_at_zero, f.remainder_zero)
-    ei, ri = side(f.expansion_at_infinity, f.remainder_infinity)
-    return ExpandableFunction(ev, e0, ei, r0, ri, differentiable=True)
-
-
 def fuchs_derivative(f: ExpandableFunction) -> ExpandableFunction:
     """Df = -x f'(x), the degenerate derivative adapted to the cone axis."""
-    return replace(scale_function(times_monomial(differentiate(f), 1), -1),
-                   differentiable=True)
+    return scale_function(times_monomial(differentiate(f), 1), -1)
+
+
+def _monomial_rule(d: ExpandableFunction, times: Callable[[complex, int], ExpandableFunction],
+                   a: complex, k: int) -> ExpandableFunction:
+    """d plus the derivative of the factor x**a log(x)**k of times(a, k),
+    a times(a-1, k) + k times(a-1, k-1), without the terms whose factor is 0."""
+    if a != 0:
+        d = add_functions(d, scale_function(times(a - 1, k), a))
+    if k:
+        d = add_functions(d, scale_function(times(a - 1, k - 1), k))
+    return d
 
 
 def _times_monomial(e: AsymptoticExpansion, beta: complex, k: int):
@@ -447,7 +447,8 @@ def times_monomial(f: ExpandableFunction, beta: complex, k: int = 0) -> Expandab
     """x |-> x**beta * log(x)**k * f(x), expansions shifted exactly.
 
     The remainders take the same factor, as the stored terms' complex power,
-    plus the shifted terms the new remainder order absorbs.
+    plus the shifted terms the new remainder order absorbs.  The derivative
+    is the product rule.
     """
     fe = f.evaluator
     b = complex(beta)
@@ -463,7 +464,8 @@ def times_monomial(f: ExpandableFunction, beta: complex, k: int = 0) -> Expandab
 
     e0, r0 = side(f.expansion_at_zero, f.remainder_zero)
     ei, ri = side(f.expansion_at_infinity, f.remainder_infinity)
-    return ExpandableFunction(ev, e0, ei, r0, ri)
+    return ExpandableFunction(ev, e0, ei, r0, ri, _stated(lambda: _monomial_rule(
+        times_monomial(differentiate(f), b, k), lambda c, j: times_monomial(f, c, j), b, k), f))
 
 
 def rescale_argument(f: ExpandableFunction, lam: float) -> ExpandableFunction:
@@ -471,12 +473,12 @@ def rescale_argument(f: ExpandableFunction, lam: float) -> ExpandableFunction:
 
     a (lam x)**alpha log**k(lam x) expands binomially over
     log(lam x) = log lam + log x, exactly, so the remainders are r(lam x) on
-    their supports divided by lam.  A closed-form derivative carries over by
-    the chain rule, lam f'(lam x).
+    their supports divided by lam.  The derivative is the chain rule,
+    lam f'(lam x).
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    fe, fd = f.evaluator, f.derivative
+    fe = f.evaluator
     ll = math.log(lam)
 
     def transform(e: AsymptoticExpansion) -> AsymptoticExpansion:
@@ -503,49 +505,31 @@ def rescale_argument(f: ExpandableFunction, lam: float) -> ExpandableFunction:
         transform(f.expansion_at_infinity),
         rescale_rem(f.remainder_zero),
         rescale_rem(f.remainder_infinity),
-        differentiable=f.differentiable,
-        derivative=None if fd is None else (lambda x: lam * fd(lam * x)),
+        _stated(lambda: scale_function(rescale_argument(differentiate(f), lam), lam), f),
     )
 
 
 # ---------------------------------------------------------------------------
-# Certification and convenience constructors
+# Convenience constructors
 # ---------------------------------------------------------------------------
 
 
-def certify_remainder(
-    f: ExpandableFunction,
-    location: Location,
-    lo: float = 1e-6,
-    hi: float = 1e-1,
-    n: int = 50,
-) -> float:
-    """Empirical sup of |remainder| / x**(+-order) on a log-spaced grid.
-
-    The certificate assumes the remainder is continuous on the sampled range;
-    a finite return value is the stored constant of the membership invariant.
-    """
-    import numpy as np
-
-    xs = np.logspace(math.log10(lo), math.log10(hi), n)
-    sup = 0.0
-    for x in xs:
-        x = float(x)
-        if location is Location.AT_ZERO:
-            r = abs(f.remainder_at_zero(x)) / x**f.p
-        else:
-            xi = 1.0 / x
-            r = abs(f.remainder_at_infinity(xi)) / xi ** (-f.q)
-        sup = max(sup, r)
-    return sup
-
-
 def global_monomial(alpha: complex, k: int = 0, order_margin: float = 8.0) -> ExpandableFunction:
-    """x**alpha * log(x)**k on all of (0, infinity); both expansions exact."""
+    """x**alpha * log(x)**k on all of (0, infinity); both expansions exact.
+
+    Its derivative is alpha x**(alpha-1) log**k x + k x**(alpha-1) log**(k-1) x
+    (a zero function for alpha = k = 0).
+    """
     a = complex(alpha)
 
     def ev(x: float) -> complex:
         return x**a * math.log(x) ** k
+
+    def derivative() -> ExpandableFunction:
+        d = scale_function(global_monomial(a - 1, k, order_margin), a)
+        if k:
+            d = add_functions(d, scale_function(global_monomial(a - 1, k - 1, order_margin), k))
+        return d
 
     pz = a.real + 1 + order_margin
     qi = -a.real - 1 + order_margin
@@ -556,6 +540,7 @@ def global_monomial(alpha: complex, k: int = 0, order_margin: float = 8.0) -> Ex
         AsymptoticExpansion(Location.AT_INFINITY, term, qi),
         _ZERO_REMAINDER,
         _ZERO_REMAINDER,
+        derivative,
     )
 
 
@@ -565,7 +550,8 @@ def monomial_restricted(
     """x**alpha log**k x on [0,1] (support="unit_interval") or [1,inf).
 
     The remainder is minus the monomial beyond 1 at the end the support
-    reaches, and the function itself at the other end.
+    reaches, and the function itself at the other end.  It jumps at 1, so
+    it states no derivative.
     """
     a = complex(alpha)
     term = (LogPowerTerm(1.0, a, k),)
@@ -589,31 +575,40 @@ def monomial_restricted(
 
 
 def _taylor_leaf(f: Callable[[float], float], terms: tuple[LogPowerTerm, ...], order: float,
-                 derivative: Optional[Callable[[float], float]]) -> ExpandableFunction:
+                 nth_derivative: Optional[Callable[[int], Callable[[float], float]]]
+                 ) -> ExpandableFunction:
     """f with Taylor terms of remainder order `order` at 0 and an empty
-    expansion at infinity, differentiable when a derivative is given.
+    expansion at infinity; nth_derivative(n) is the closed form of f's n-th
+    derivative, or None for a leaf that states no derivative.
 
     The zero-side remainder is f minus the terms on [x0, inf) and 0 below
     x0, where the first omitted order falls under rounding:
     |c_last| x0**p = 2**-52 |c_first| x0**alpha_first.  For e^-x and e^-x^2
     it is an alternating series bounded by its first term, so below x0 it is
-    under one ulp of the first term.  The remainder at infinity is f.
+    under one ulp of the first term.  The remainder at infinity is f.  Each
+    derivative is the same kind of leaf: the closed form, with the termwise
+    derivative of both expansions and the x0 of its own terms.
     """
-    e0 = AsymptoticExpansion(Location.AT_ZERO, terms, order)
-    x0 = 0.0
-    if e0.terms:
-        first, last = e0.terms[0], e0.terms[-1]
-        x0 = (2.0**-52 * abs(first.coefficient) / abs(last.coefficient)) ** (
-            1.0 / (order - first.exponent.real))
-    return ExpandableFunction(
-        f,
-        e0,
-        empty_expansion(Location.AT_INFINITY, 40.0),
-        Remainder(lambda x: _minus_terms(complex(f(x)), e0, x), x0),
-        Remainder(f),
-        differentiable=derivative is not None,
-        derivative=derivative,
-    )
+    def leaf(g: Callable[[float], float], e0: AsymptoticExpansion, ei: AsymptoticExpansion,
+             n: int) -> ExpandableFunction:
+        x0 = 0.0
+        if e0.terms:
+            first, last = e0.terms[0], e0.terms[-1]
+            x0 = (2.0**-52 * abs(first.coefficient) / abs(last.coefficient)) ** (
+                1.0 / (e0.remainder_order - first.exponent.real))
+        return ExpandableFunction(
+            g,
+            e0,
+            ei,
+            Remainder(lambda x: _minus_terms(complex(g(x)), e0, x), x0),
+            Remainder(g),
+            None if nth_derivative is None else lambda: leaf(
+                nth_derivative(n + 1), _differentiate_expansion(e0),
+                _differentiate_expansion(ei), n + 1),
+        )
+
+    return leaf(f, AsymptoticExpansion(Location.AT_ZERO, terms, order),
+                empty_expansion(Location.AT_INFINITY, 40.0), 0)
 
 
 def exponential_decay(taylor_order: int = 12) -> ExpandableFunction:
@@ -623,17 +618,26 @@ def exponential_decay(taylor_order: int = 12) -> ExpandableFunction:
         for j in range(taylor_order)
     )
     return _taylor_leaf(lambda x: math.exp(-x), terms, float(taylor_order),
-                        lambda x: -math.exp(-x))
+                        lambda n: lambda x: (-1.0) ** n * math.exp(-x))
+
+
+def _hermite(n: int, x: float) -> float:
+    """The physicists' Hermite polynomial H_n(x), by its three-term recurrence."""
+    h0, h1 = 1.0, 2.0 * x
+    for j in range(1, n):
+        h0, h1 = h1, 2.0 * x * h1 - 2.0 * j * h0
+    return h0 if n == 0 else h1
 
 
 def gaussian_decay(taylor_order: int = 12) -> ExpandableFunction:
-    """e^{-x^2} with its Taylor expansion at 0."""
+    """e^{-x^2} with its Taylor expansion at 0; its n-th derivative is
+    (-1)**n H_n(x) e^{-x^2}."""
     terms = tuple(
         LogPowerTerm((-1.0) ** m / math.factorial(m), float(2 * m), 0)
         for m in range(taylor_order // 2 + 1)
     )
     return _taylor_leaf(lambda x: math.exp(-(x**2)), terms, float(2 * (taylor_order // 2) + 2),
-                        lambda x: -2 * x * math.exp(-(x**2)))
+                        lambda n: lambda x: (-1.0) ** n * _hermite(n, x) * math.exp(-(x**2)))
 
 
 def smooth_cutoff(x: float) -> float:
@@ -660,11 +664,33 @@ def smooth_step_up(x: float) -> float:
     return g1 / (g1 + g2)
 
 
+def _step_slope(u: float) -> float:
+    """d/du of g1/(g1+g2), g1 = exp(-1/u), g2 = exp(-1/(1-u)), for 0 < u < 1:
+    g1 g2 (1/u**2 + 1/(1-u)**2) / (g1+g2)**2.  smooth_cutoff' is
+    -_step_slope(x-1) and smooth_step_up' is 2 _step_slope(2x-1)."""
+    g1 = math.exp(-1.0 / u)
+    g2 = math.exp(-1.0 / (1.0 - u))
+    return g1 * g2 * (1.0 / u**2 + 1.0 / (1.0 - u) ** 2) / (g1 + g2) ** 2
+
+
+def _compact_leaf(fn: Callable[[float], complex], lo: float, hi: float) -> ExpandableFunction:
+    """fn on (lo, hi) and 0 outside: empty expansions, with the function as
+    both remainders.  It states no derivative."""
+    def ev(x: float) -> complex:
+        return fn(x) if lo < x < hi else 0.0
+
+    return ExpandableFunction(ev, empty_expansion(Location.AT_ZERO, 40.0),
+                              empty_expansion(Location.AT_INFINITY, 40.0),
+                              Remainder(ev, lo, hi), Remainder(ev, lo, hi))
+
+
 def cutoff_times_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
     """phi(x) * x**alpha * log(x)**k with phi = smooth_cutoff (so ==1 near 0).
 
     The remainder at 0, (phi - 1) x**alpha log**k x, vanishes on (0, 1]; the
-    one at infinity, f itself, on [2, inf).
+    one at infinity, f itself, on [2, inf).  The derivative is the product
+    rule: phi' x**alpha log**k x, a leaf on (1, 2) that states no derivative,
+    plus phi times the monomial's derivative.
     """
     a = complex(alpha)
 
@@ -679,6 +705,9 @@ def cutoff_times_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
         empty_expansion(Location.AT_INFINITY, 40.0),
         Remainder(lambda x: (smooth_cutoff(x) - 1.0) * x**a * math.log(x) ** k, 1.0),
         Remainder(ev, 0.0, 2.0),
+        lambda: _monomial_rule(
+            _compact_leaf(lambda x: -_step_slope(x - 1.0) * x**a * math.log(x) ** k, 1.0, 2.0),
+            cutoff_times_monomial, a, k),
     )
 
 
@@ -686,7 +715,9 @@ def tail_times_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
     """psi(x) * x**alpha * log(x)**k with psi = smooth_step_up (==1 for x>=1).
 
     The remainder at 0, f itself, vanishes on (0, 1/2]; the one at infinity,
-    (psi - 1) x**alpha log**k x, on [1, inf).
+    (psi - 1) x**alpha log**k x, on [1, inf).  The derivative is the product
+    rule: psi' x**alpha log**k x, a leaf on (1/2, 1) that states no
+    derivative, plus psi times the monomial's derivative.
     """
     a = complex(alpha)
 
@@ -701,4 +732,8 @@ def tail_times_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
         AsymptoticExpansion(Location.AT_INFINITY, term, -a.real - 1 + 8.0),
         Remainder(ev, 0.5),
         Remainder(lambda x: (smooth_step_up(x) - 1.0) * x**a * math.log(x) ** k, 0.0, 1.0),
+        lambda: _monomial_rule(
+            _compact_leaf(lambda x: 2.0 * _step_slope(2.0 * x - 1.0) * x**a * math.log(x) ** k,
+                          0.5, 1.0),
+            tail_times_monomial, a, k),
     )

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
 from scipy.integrate import quad
 
 from .expansions import ExpandableFunction, LogPowerTerm
@@ -344,56 +343,3 @@ def scale_rule(f: ExpandableFunction, lam: float, cut: float = 1.0) -> complex:
     ]
     return (regularized_integral(f, cut) - _term_sum(x_inverse, 1.0, lam)) / lam
 
-
-# ---------------------------------------------------------------------------
-# Vertical strip decay
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StripDecayReport:
-    strip: tuple[float, float]
-    order: int
-    samples: tuple[tuple[complex, float], ...]
-    observed_constant: float
-    decay_slope: float
-    pole_in_strip: bool
-
-
-def vertical_strip_decay(
-    f: ExpandableFunction,
-    strip: tuple[float, float],
-    order: int,
-    im_max: float = 100.0,
-    n_samples: int = 30,
-    cut: float = 1.0,
-) -> StripDecayReport:
-    """Empirical rapid-decay certificate for Mf on a closed substrip.
-
-    Samples |Mf| on the two boundary lines up to |Im z| = im_max, reports the
-    observed constant sup |z|**order * |Mf(z)| and the log-log decay slope
-    fitted on the samples with |Im z| >= 10.
-    """
-    if not f.differentiable:
-        raise MellinError("strip decay requires the smoothness certificate")
-    m = mellin_transform(f, cut)
-    a, b = strip
-    pole_in_strip = any(a - 1e-9 <= pd.location.real <= b + 1e-9 for pd in m.poles)
-    if pole_in_strip:
-        return StripDecayReport(strip, order, (), math.inf, 0.0, True)
-    ys = np.logspace(0.0, math.log10(im_max), n_samples)
-    samples = []
-    for re_part in (a, b):
-        for y in ys:
-            z = complex(re_part, float(y))
-            samples.append((z, abs(m(z))))
-    observed = max(abs(z) ** order * v for z, v in samples)
-    fit_pts = [(math.log10(abs(z.imag)), math.log10(v))
-               for z, v in samples if abs(z.imag) >= 10.0 and v > 0]
-    if len(fit_pts) >= 2:
-        xs = np.array([u for u, _ in fit_pts])
-        vs = np.array([v for _, v in fit_pts])
-        slope = float(np.polyfit(xs, vs, 1)[0])
-    else:
-        slope = 0.0
-    return StripDecayReport(strip, order, tuple(samples), observed, slope, False)

@@ -62,25 +62,9 @@ class TestFunction:
             raise SalError(f"derivative data at 0 missing for order {j}")
         return self.derivatives_at_zero[j] / math.factorial(j)
 
-    def jet_consistency_error(self, scale: float = 1e-3) -> float:
-        """Max relative error of the declared low-order jet vs finite differences."""
-        phi = self.evaluator
-        h = scale
-        errs = []
-        if len(self.derivatives_at_zero) >= 1:
-            errs.append(abs(phi(0.0) - self.derivatives_at_zero[0]))
-        if len(self.derivatives_at_zero) >= 2:
-            fd1 = (-3 * phi(0.0) + 4 * phi(h) - phi(2 * h)) / (2 * h)
-            d1 = self.derivatives_at_zero[1]
-            errs.append(abs(fd1 - d1) / max(1.0, abs(d1)))
-        if len(self.derivatives_at_zero) >= 3:
-            fd2 = (2 * phi(0.0) - 5 * phi(h) + 4 * phi(2 * h) - phi(3 * h)) / h**2
-            d2 = self.derivatives_at_zero[2]
-            errs.append(abs(fd2 - d2) / max(1.0, abs(d2)))
-        return max(errs) if errs else 0.0
-
     def as_expandable(self) -> ExpandableFunction:
-        """View phi as an expandable function (Taylor at 0, rapid decay at infinity)."""
+        """View phi as an expandable function (Taylor at 0, rapid decay at
+        infinity).  Only phi's values are known, so it states no derivative."""
         n = len(self.derivatives_at_zero)
         terms = tuple(LogPowerTerm(self.taylor_coefficient(j), float(j), 0) for j in range(n))
         return _taylor_leaf(self.evaluator, terms, float(n), None)

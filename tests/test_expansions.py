@@ -1,8 +1,8 @@
 """Tests for the log-power expansion algebra."""
 
 import math
-from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,11 +14,9 @@ from conespec.expansions import (
     Remainder,
     add,
     add_functions,
-    certify_remainder,
     cutoff_times_monomial,
     differentiate,
     empty_expansion,
-    evaluate_truncated,
     exponential_decay,
     fuchs_derivative,
     gaussian_decay,
@@ -32,6 +30,9 @@ from conespec.expansions import (
     tail_times_monomial,
     times_monomial,
 )
+from conespec.sal import TestFunction
+
+TestFunction.__test__ = False  # not a test class, despite the name
 
 
 class TestAsymptoticExpansion:
@@ -74,12 +75,13 @@ class TestAsymptoticExpansion:
         x = 0.1
         assert e.evaluate(x) == pytest.approx(2.0 / x + 3.0 * math.log(x))
 
-    def test_evaluate_truncated_rejects_nonpositive(self):
+    def test_evaluate_rejects_nonpositive(self):
+        # an empty sum would be 0 at x = 0; x <= 0 is outside the domain
         e = empty_expansion(Location.AT_ZERO, 2.0)
         with pytest.raises(ValueError):
-            evaluate_truncated(e, 0.0)
+            e.evaluate(0.0)
         with pytest.raises(ValueError):
-            evaluate_truncated(e, -1.0)
+            e.evaluate(-1.0)
 
     def test_json_round_trip(self):
         e = AsymptoticExpansion(
@@ -91,6 +93,17 @@ class TestAsymptoticExpansion:
         assert e2.location is Location.AT_INFINITY
         assert e2.remainder_order == e.remainder_order
         assert e2.terms == e.terms
+
+
+def _assert_rounding_point(leaf):
+    """A Taylor leaf subtracts its terms only on [x0, inf), where the last
+    stored order |c_last| x0**p meets 2**-52 |c_first| x0**alpha_first."""
+    terms = leaf.expansion_at_zero.terms
+    first, last = terms[0], terms[-1]
+    x0 = leaf.remainder_zero.lo
+    assert abs(last.coefficient) * x0**leaf.p == pytest.approx(
+        2.0**-52 * abs(first.coefficient) * x0**first.exponent.real, rel=1e-12)
+    assert leaf.remainder_zero.hi == math.inf
 
 
 class TestLibraryFunctions:
@@ -107,6 +120,23 @@ class TestLibraryFunctions:
         g = differentiate(gaussian_decay())
         for x in (0.3, 1.2):
             assert g(x) == pytest.approx(-2.0 * x * math.exp(-x * x), rel=1e-10)
+
+    def test_taylor_leaf_derivatives_are_closed_forms(self):
+        # n-th derivatives (-1)^n e^-x and (-1)^n H_n(x) e^-x^2, each a Taylor
+        # leaf of the termwise-differentiated terms with its own x0
+        hermite = {1: lambda x: 2 * x, 2: lambda x: 4 * x * x - 2,
+                   3: lambda x: 8 * x**3 - 12 * x, 4: lambda x: 16 * x**4 - 48 * x * x + 12}
+        e, g = exponential_decay(), gaussian_decay()
+        for n in range(1, 5):
+            e, g = differentiate(e), differentiate(g)
+            for x in (0.3, 1.2, 3.5):
+                assert e(x) == pytest.approx((-1) ** n * math.exp(-x), rel=1e-15)
+                assert g(x) == pytest.approx((-1) ** n * hermite[n](x) * math.exp(-x * x),
+                                             rel=1e-13)
+            assert e.p == 12 - n
+            assert e.expansion_at_zero.coefficient(0.0, 0) == pytest.approx((-1) ** n)
+            for leaf in (e, g):
+                _assert_rounding_point(leaf)
 
     def test_global_monomial(self):
         f = global_monomial(-1.5, 1)
@@ -174,13 +204,16 @@ class TestAlgebra:
             substitute_power(exponential_decay(), 0.0)
 
     def test_chain_rule_carries_the_derivative(self):
-        # d/dx e^(-x^2), d/dx e^(-1/x) and d/dx e^(-2.5x) by the chain rule
+        # d/dx e^(-x^2), d/dx e^(-1/x), d/dx e^(-sqrt x) and d/dx e^(-2.5x)
+        # by the chain rule
         x = 0.9
-        assert substitute_power(exponential_decay(), 2.0).derivative(x) == pytest.approx(
+        assert differentiate(substitute_power(exponential_decay(), 2.0))(x) == pytest.approx(
             -2 * x * math.exp(-x * x), rel=1e-14)
-        assert substitute_power(exponential_decay(), -1.0).derivative(x) == pytest.approx(
+        assert differentiate(substitute_power(exponential_decay(), -1.0))(x) == pytest.approx(
             x**-2 * math.exp(-1 / x), rel=1e-14)
-        assert rescale_argument(exponential_decay(), 2.5).derivative(x) == pytest.approx(
+        assert differentiate(substitute_power(exponential_decay(), 0.5))(x) == pytest.approx(
+            -0.5 * x**-0.5 * math.exp(-math.sqrt(x)), rel=1e-14)
+        assert differentiate(rescale_argument(exponential_decay(), 2.5))(x) == pytest.approx(
             -2.5 * math.exp(-2.5 * x), rel=1e-14)
 
     def test_substitute_negative_power_swaps_locations(self):
@@ -222,7 +255,7 @@ class TestDerivatives:
                 -j * (-1.0) ** j / math.factorial(j)
             )
 
-    def test_differentiate_requires_flag(self):
+    def test_differentiate_requires_a_stated_derivative(self):
         ev = lambda x: math.exp(-x)
         f = ExpandableFunction(
             ev,
@@ -230,25 +263,81 @@ class TestDerivatives:
             empty_expansion(Location.AT_INFINITY, 1.0),
             Remainder(ev),
             Remainder(ev),
-            differentiable=False,
         )
-        with pytest.raises(ValueError):
-            differentiate(f)
+        phi = TestFunction(ev, (1.0, -1.0, 1.0)).as_expandable()
+        restricted = monomial_restricted(-0.5, 1, "unit_tail")
+        for g in (f, phi, restricted, add_functions(exponential_decay(), restricted),
+                  times_monomial(phi, 1.5)):
+            assert g.derivative is None
+            with pytest.raises(ValueError):
+                differentiate(g)
+        # a cutoff's derivative holds the leaf phi' x^a log^k x, which states none
+        for leaf in (cutoff_times_monomial(-1.3, 1), tail_times_monomial(0.5, 2)):
+            with pytest.raises(ValueError):
+                differentiate(differentiate(leaf))
 
     def test_differentiate_log_term(self):
-        g = differentiate(replace(cutoff_times_monomial(0.0, 1), differentiable=True))
+        g = differentiate(cutoff_times_monomial(0.0, 1))
         # d/dx log x = x^{-1}
         assert g.expansion_at_zero.coefficient(-1.0, 0) == pytest.approx(1.0)
+
+    def test_global_monomial_derivative(self):
+        # (x^a log^k x)' = a x^(a-1) log^k x + k x^(a-1) log^(k-1) x, exactly
+        for a, k in ((-1.5, 1), (2.3, 2), (0.0, 0), (0.0, 1)):
+            g = differentiate(global_monomial(a, k))
+            assert g.remainder_zero.vanishes and g.remainder_infinity.vanishes
+            for x in (0.4, 2.5):
+                want = a * x ** (a - 1) * math.log(x) ** k + (
+                    k * x ** (a - 1) * math.log(x) ** (k - 1) if k else 0.0)
+                assert g(x) == pytest.approx(want, rel=1e-14, abs=1e-300)
+            for e in (g.expansion_at_zero, g.expansion_at_infinity):
+                assert e.coefficient(a - 1, k) == pytest.approx(a)
+                if k:
+                    assert e.coefficient(a - 1, k - 1) == pytest.approx(k)
+
+    @pytest.mark.parametrize("leaf,lo,hi", [(smooth_cutoff, 1.0, 2.0),
+                                            (smooth_step_up, 0.5, 1.0)])
+    def test_cutoff_derivatives_match_mpmath(self, leaf, lo, hi):
+        def exp_pair(u):
+            return mpmath.exp(-1 / u), mpmath.exp(-1 / (1 - u))
+
+        def mp_leaf(x):  # the same closed form in mpmath
+            if leaf is smooth_cutoff:
+                g1, g2 = exp_pair(x - 1)
+                return g2 / (g1 + g2)
+            g1, g2 = exp_pair(2 * x - 1)
+            return g1 / (g1 + g2)
+
+        make = cutoff_times_monomial if leaf is smooth_cutoff else tail_times_monomial
+        with mpmath.workdps(30):
+            for a, k in ((0.0, 0), (-1.3, 1), (0.5, 2), (2.0, 0)):
+                g = differentiate(make(a, k))
+                for x in np.linspace(lo, hi, 41)[1:-1]:
+                    x = float(x)
+                    want = complex(mpmath.diff(
+                        lambda t: mp_leaf(t) * t**a * mpmath.log(t) ** k, mpmath.mpf(x)))
+                    assert abs(g(x) - want) <= 1e-13 * abs(want)
 
 
 class TestCertification:
     def test_certify_exponential_at_zero(self):
-        # sample above the cancellation floor for a 12th-order remainder
-        sup = certify_remainder(exponential_decay(), Location.AT_ZERO, lo=0.3, hi=1.0)
-        assert sup <= 1.0 / math.factorial(12) * 2.0
+        # e^-x minus its 12 Taylor terms is an alternating series, bounded by
+        # its first term x^12/12!; on [0.3, 1] that bound is above rounding
+        f = exponential_decay()
+        for x in np.linspace(0.3, 1.0, 50):
+            x = float(x)
+            assert abs(f.remainder_at_zero(x)) <= x**12 / math.factorial(12)
 
     def test_certify_tail_monomial_at_infinity(self):
-        assert certify_remainder(tail_times_monomial(-2.0), Location.AT_INFINITY) < 10.0
+        # (psi - 1) x^-2 vanishes on [1, inf) and is at most x^-2 below it
+        f = tail_times_monomial(-2.0)
+        for x in np.logspace(-3, 6, 60):
+            x = float(x)
+            r = abs(f.remainder_at_infinity(x))
+            if x >= 1.0:
+                assert r == 0.0
+            else:
+                assert r <= x**-2 * (1 + 1e-15)
 
     def test_truncation_error_decay_rate(self):
         # on [0.5, 2] the remainder of the 12-term Taylor expansion of e^{-x}
@@ -261,6 +350,18 @@ class TestCertification:
         assert slope == pytest.approx(12.0, abs=1.0)
 
 
+def _termwise_derivative(e):
+    """(exponent, log power) -> coefficient of the termwise derivative of e."""
+    out = {}
+    for t in e.terms:
+        for c, k in ((t.coefficient * t.exponent, t.log_power),
+                     (t.coefficient * t.log_power, t.log_power - 1)):
+            if c != 0 and k >= 0:
+                key = (round(t.exponent.real - 1, 9), round(t.exponent.imag, 9), k)
+                out[key] = out.get(key, 0) + c
+    return out
+
+
 def _composites():
     cut_exp = add_functions(scale_function(cutoff_times_monomial(-1.3, 1), 1.6),
                             exponential_decay())
@@ -268,7 +369,7 @@ def _composites():
                           monomial_restricted(-2.0, 1, "unit_tail"))
     monomials = add_functions(scale_function(global_monomial(-1.5, 1), 1.6),
                               scale_function(global_monomial(-2.4, 0), -0.7))
-    return {
+    base = {
         "cutoff+exp": cut_exp,
         "times_monomial": times_monomial(cut_exp, 0.5, 1),
         "rescaled": rescale_argument(times_monomial(cut_exp, 0.5, 1), 2.3),
@@ -279,7 +380,12 @@ def _composites():
         "inverted": substitute_power(add_functions(cut_exp, tails), -1.0),
         "fuchs": fuchs_derivative(add_functions(
             gaussian_decay(), scale_function(exponential_decay(), -0.8))),
+        "sqrt": substitute_power(scale_function(gaussian_decay(), 1.4), 0.5),
     }
+    # the derivative of each that states one, named with a prime
+    derivatives = {name + "'": differentiate(f) for name, f in base.items()
+                   if f.derivative is not None}
+    return {**base, **derivatives}
 
 
 class TestCarriedRemainders:
@@ -304,9 +410,13 @@ class TestCarriedRemainders:
             assert (leaf.remainder_infinity.lo, leaf.remainder_infinity.hi) == (0.0, math.inf)
         x0 = exponential_decay().remainder_zero.lo
         assert x0 == pytest.approx(0.213, abs=1e-3)
-        # derivatives keep the supports, x -> x**sigma maps them
+        # a derivative puts x0 by the same rule on its own terms, where its
+        # first omitted order meets rounding: 0.149 for (e^-x)'
         d = differentiate(exponential_decay())
-        assert (d.remainder_zero.lo, d.remainder_zero.hi) == (x0, math.inf)
+        _assert_rounding_point(d)
+        assert d.remainder_zero.lo == pytest.approx(0.149, abs=1e-3)
+        assert (d.remainder_infinity.lo, d.remainder_infinity.hi) == (0.0, math.inf)
+        # x -> x**sigma maps the supports
         sq = substitute_power(exponential_decay(), 2.0)
         assert sq.remainder_zero.lo == pytest.approx(math.sqrt(x0), rel=1e-14)
         assert sq.remainder_zero.hi == math.inf
@@ -322,6 +432,24 @@ class TestCarriedRemainders:
         g = times_monomial(add_functions(global_monomial(-1.5, 0), global_monomial(6.4, 0)), 0.0, 1)
         assert not g.remainder_zero.vanishes
         assert g.remainder_at_zero(0.3) == pytest.approx(0.3**6.4 * math.log(0.3))
+
+    @pytest.mark.parametrize("name", sorted(n for n in _composites() if not n.endswith("'")))
+    def test_derivative_is_termwise(self, name):
+        # the algebra's derivative carries the termwise derivative of each
+        # expansion (orders aside), whenever the composite states one
+        f = _composites()[name]
+        if f.derivative is None:
+            assert name in ("inverted", "rescaled tails", "tail+restricted")
+            return
+        g = differentiate(f)
+        for e, de in ((f.expansion_at_zero, g.expansion_at_zero),
+                      (f.expansion_at_infinity, g.expansion_at_infinity)):
+            want = _termwise_derivative(e)
+            got = {(round(t.exponent.real, 9), round(t.exponent.imag, 9), t.log_power):
+                   t.coefficient for t in de.terms}
+            assert set(got) == {key for key, c in want.items() if abs(c) > 1e-14}
+            for key, c in got.items():
+                assert abs(c - want[key]) <= 1e-12 * abs(want[key])
 
     @pytest.mark.parametrize("name", sorted(_composites()))
     def test_composed_remainder_matches_subtraction(self, name):

@@ -19,6 +19,7 @@ from conespec.expansions import (
     monomial_restricted,
     rescale_argument,
     scale_function,
+    substitute_power,
     tail_times_monomial,
     times_monomial,
 )
@@ -37,7 +38,6 @@ from conespec.mellin import (
     regularized_integral_partial,
     regularized_limit,
     scale_rule,
-    vertical_strip_decay,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -409,22 +409,54 @@ class TestTaylorRemainders:
     def test_fuchs_derivative_of_a_rescaled_leaf(self, beta):
         # -x (e^-2x)' = 2x e^-2x, so reg-int x^beta of it is 2 Gamma(beta+2) /
         # 2^(beta+2); the rescaling carries the closed-form derivative by the
-        # chain rule, so no difference quotient leaves its rounding behind
+        # chain rule
         f = fuchs_derivative(rescale_argument(exponential_decay(), 2.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error", IntegrationWarning)
             got = regularized_integral(times_monomial(f, beta))
         assert got == pytest.approx(2 * math.gamma(beta + 2) / 2 ** (beta + 2), rel=1e-12)
 
+    @pytest.mark.parametrize("beta", [-0.5, -1.5, -3.5])
+    def test_fuchs_derivative_of_a_monomial_factor(self, beta):
+        # g = x^beta e^-2x: M(-x g')(1) = 1 * Mg(1) = Gamma(beta+1) / 2^(beta+1);
+        # times_monomial carries the derivative by the product rule
+        g = times_monomial(rescale_argument(exponential_decay(), 2.0), beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            got = regularized_integral(fuchs_derivative(g))
+        assert got == pytest.approx(math.gamma(beta + 1) / 2 ** (beta + 1), rel=1e-12)
 
-class TestStripDecay:
-    def test_exponential_strip_decay(self):
-        rep = vertical_strip_decay(exponential_decay(), (0.5, 3.0), 2, im_max=60)
-        assert not rep.pole_in_strip
-        assert math.isfinite(rep.observed_constant)
-        # Gamma decays faster than any power on vertical lines
-        assert rep.decay_slope < -1.5
 
-    def test_pole_in_strip_flagged(self):
-        rep = vertical_strip_decay(exponential_decay(), (-0.5, 0.5), 1, im_max=30)
-        assert rep.pole_in_strip
+# the ten strip points of acceptance test 03
+_STRIP_POINTS = (0.6, 0.9, 1.3, 1.7, 2.1, 0.8 + 0.5j, 1.2 - 0.7j, 1.5 + 1.0j, 0.7 + 1.5j,
+                 2.0 + 0.3j)
+
+
+class TestFuchsPowers:
+    @pytest.mark.parametrize("name", ["exp", "gauss", "exp+gauss"])
+    def test_mellin_of_fuchs_power_is_z_power(self, name):
+        # M(theta^N f)(z) = z^N Mf(z), theta = -x d/dx: the identity that
+        # gives the rapid decay of Mf in vertical strips
+        f = {"exp": exponential_decay, "gauss": gaussian_decay,
+             "exp+gauss": lambda: add_functions(exponential_decay(), gaussian_decay())}[name]()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            mf = [mellin_transform(f)(z) for z in _STRIP_POINTS]
+            g = f
+            for n in range(1, 5):
+                g = fuchs_derivative(g)
+                mg = mellin_transform(g)
+                for z, v in zip(_STRIP_POINTS, mf):
+                    assert mg(z) == pytest.approx(z**n * v, rel=1e-12)
+
+    def test_root_substitution(self):
+        # e^-sqrt(x): Mf(z) = 2 Gamma(2z) and M(-x f')(z) = 2z Gamma(2z); the
+        # Taylor terms past the order |sigma| p join the remainder
+        f = substitute_power(exponential_decay(), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            mf, md = mellin_transform(f), mellin_transform(fuchs_derivative(f))
+            for z in (0.7, 1.5 + 1j, 2.2, 0.4 - 2j):
+                want = 2 * complex(mpmath.gamma(2 * z))
+                assert mf(z) == pytest.approx(want, rel=1e-12)
+                assert md(z) == pytest.approx(z * want, rel=1e-12)

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import IntegrationWarning
 from scipy.special import exp1
 
-from conespec import mellin, sal
+from conespec import cli, mellin, sal
 from conespec.expansions import (
     AsymptoticExpansion,
     ExpandableFunction,
@@ -54,9 +54,17 @@ class TestTestFunction:
             phi.taylor_coefficient(99)
 
     def test_jet_consistency(self):
-        assert exp_phi().jet_consistency_error() < 1e-5
-        bad = TestFunction(lambda x: math.exp(-x), (1.0, 5.0, 1.0))
-        assert bad.jet_consistency_error() > 1.0
+        # the declared jets are the Taylor coefficients of the functions
+        # (mpmath's numerical derivatives leave ~1e-36 where they vanish)
+        for phi, mp_phi in ((exp_phi(), lambda x: mpmath.exp(-x)),
+                            (cli._phi_test_function("exp"), lambda x: mpmath.exp(-x)),
+                            (cli._phi_test_function("gauss"), lambda x: mpmath.exp(-x * x))):
+            n = len(phi.derivatives_at_zero)
+            with mpmath.workdps(30):
+                want = mpmath.taylor(mp_phi, 0, n - 1)
+            for j in range(n):
+                assert phi.taylor_coefficient(j) == pytest.approx(float(want[j]), rel=1e-15,
+                                                                  abs=1e-20)
 
     def test_as_expandable(self):
         f = exp_phi().as_expandable()
