@@ -561,7 +561,9 @@ class FirstOrderSpectrum:
     `s_data` lists signed eigenvalues with weights; `eta_provider` continues
     the signed series eta(S, s) (full spectrum; entries of `s_data` it does
     not enumerate are added on top).  `a_plus_tail` / `a_minus_tail` continue
-    the zeta functions of (S +/- 1/2)^2 for the assembled eta route.
+    the zeta functions of (S +/- 1/2)^2 for the assembled eta route; a
+    spectrum with an eta provider needs both there, since nothing derives
+    them from it (`from_json_dict` sets the eta provider only).
     """
 
     s_data: tuple[SpectralDatum, ...]
@@ -616,18 +618,22 @@ class FirstOrderSpectrum:
     # -- squared-shift spectra ---------------------------------------------
 
     def shifted_square_spectrum(self, sign: int) -> CrossSectionSpectrum:
-        """(S + sign/2)^2 with orders |lambda + sign/2|, signed for |lambda| < 1/2."""
+        """(S + sign/2)^2 with orders |lambda + sign/2|, signed for |lambda| < 1/2.
+
+        ConeError when S has an eta provider but (S + sign/2)^2 no tail:
+        the spectrum beyond s_data would be dropped.
+        """
+        tail = self.a_plus_tail if sign > 0 else self.a_minus_tail
+        if tail is None and self.eta_provider is not None:
+            raise ConeError("the eta tail continues eta(S) only; the eta value needs the "
+                            "zeta functions of (S +/- 1/2)^2 as tails too")
         shift = 0.5 * sign
         data, overrides = [], []
         for d in self.s_data:
             lam = d.eigenvalue
             data.append(SpectralDatum((lam + shift) ** 2, d.weight))
             overrides.append(abs(lam + shift) if abs(lam) >= 0.5 else lam + shift)
-        return CrossSectionSpectrum(
-            data=tuple(data),
-            tail=self.a_plus_tail if sign > 0 else self.a_minus_tail,
-            p_overrides=tuple(overrides),
-        )
+        return CrossSectionSpectrum(data=tuple(data), tail=tail, p_overrides=tuple(overrides))
 
 
 def eta_function_scalable(

@@ -8,6 +8,13 @@ near an endpoint, with the remainder certified to be O(x**p) at 0 (resp.
 O(x**-q) at infinity).  All values are immutable after construction; the
 evaluator callables are expected to be pure.
 
+Every evaluator maps a flat float array to an array of values, so that one
+call evaluates a whole batch of points.  Calling a function or a remainder
+on an array evaluates it as one batch, and on a scalar as a batch of one,
+which gives the same value bit for bit as in any batch.  A remainder's
+evaluator sees only the points of its support, and the leaves mask what
+would overflow or divide by 0 outside their own (exp(-1/u) in the cutoffs).
+
 Every function states its remainder at either endpoint as data: an evaluator
 and the interval outside which it vanishes (empty for a function that is
 exactly its expansion, such as a global monomial).  The monomial and cutoff
@@ -39,6 +46,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
+import numpy as np
+
 EXPONENT_TOL = 1e-12
 
 
@@ -59,9 +68,30 @@ class LogPowerTerm:
         if self.log_power < 0:
             raise ValueError("log_power must be >= 0")
 
-    def evaluate(self, x: float) -> complex:
-        lx = math.log(x)
-        return self.coefficient * complex(x) ** self.exponent * lx**self.log_power
+    def evaluate(self, x):
+        """The term at x > 0, a float or an array."""
+        return _term_value(self, x, np.log(x))
+
+
+def _term_value(t: LogPowerTerm, x, lx):
+    """a x**alpha log(x)**k, with log x given."""
+    v = t.coefficient * np.power(x, t.exponent)
+    return v * lx**t.log_power if t.log_power else v
+
+
+def _terms_sum(terms: tuple[LogPowerTerm, ...], x):
+    """The sum of the terms at x, added in turn (log x computed once)."""
+    lx = np.log(x) if any(t.log_power for t in terms) else None
+    total = 0.0 + 0.0j
+    for t in terms:
+        total = total + _term_value(t, x, lx)
+    return total
+
+
+def _monomial(x, a: complex, k: int):
+    """x**a log(x)**k."""
+    v = np.power(x, a)
+    return v * np.log(x) ** k if k else v
 
 
 def _term_sort_key(location: Location):
@@ -138,11 +168,11 @@ class AsymptoticExpansion:
                 return t.coefficient
         return 0.0
 
-    def evaluate(self, x: float) -> complex:
-        """Sum of the stored terms at x > 0."""
-        if x <= 0:
+    def evaluate(self, x):
+        """Sum of the stored terms at x > 0, a float or an array."""
+        if np.any(np.asarray(x) <= 0):
             raise ValueError("x must be positive")
-        return sum((t.evaluate(x) for t in self.terms), 0.0 + 0.0j)
+        return _terms_sum(self.terms, x)
 
     # -- serialization ---------------------------------------------------
 
@@ -180,15 +210,34 @@ def empty_expansion(location: Location, remainder_order: float) -> AsymptoticExp
     return AsymptoticExpansion(location, (), remainder_order)
 
 
+def _batch(fn: Callable[[np.ndarray], np.ndarray], x):
+    """fn on x as a flat float array, shaped like x: a complex array, or a
+    complex for a scalar x, which is evaluated as a batch of one so that it
+    is bit for bit the same as in any batch."""
+    xs = np.asarray(x, dtype=float)
+    out = np.asarray(fn(xs.reshape(-1)), dtype=complex).reshape(xs.shape)
+    return complex(out) if out.ndim == 0 else out
+
+
+def _where(x: np.ndarray, mask: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]
+           ) -> np.ndarray:
+    """fn(x) where mask holds and 0 elsewhere; fn sees the masked points only."""
+    out = np.zeros(x.shape, dtype=complex)
+    if mask.any():
+        out[mask] = fn(x[mask])
+    return out
+
+
 @dataclass(frozen=True)
 class Remainder:
     """f minus its stored terms at one endpoint; zero, or below the rounding of
     the stored terms, outside [lo, hi].
 
-    lo >= hi means the remainder is identically zero.
+    The evaluator maps a float array of points in [lo, hi] to an array of
+    values.  lo >= hi means the remainder is identically zero.
     """
 
-    evaluator: Callable[[float], complex]
+    evaluator: Callable[[np.ndarray], np.ndarray]
     lo: float = 0.0
     hi: float = math.inf
 
@@ -196,11 +245,16 @@ class Remainder:
     def vanishes(self) -> bool:
         return self.lo >= self.hi
 
-    def __call__(self, x: float) -> complex:
-        return self.evaluator(x) if self.lo <= x <= self.hi else 0.0
+    def _masked(self, x: np.ndarray) -> np.ndarray:
+        return _where(x, (self.lo <= x) & (x <= self.hi), self.evaluator)
+
+    def __call__(self, x):
+        """The remainder at x, a float or an array; 0 outside [lo, hi], where
+        the evaluator is not called."""
+        return _batch(self._masked, x)
 
 
-_ZERO_REMAINDER = Remainder(lambda x: 0.0, math.inf, 0.0)
+_ZERO_REMAINDER = Remainder(lambda x: np.zeros(x.shape, dtype=complex), math.inf, 0.0)
 
 
 def _sum_remainders(*rs: Remainder) -> Remainder:
@@ -208,7 +262,7 @@ def _sum_remainders(*rs: Remainder) -> Remainder:
     live = [r for r in rs if not r.vanishes]
     if len(live) <= 1:
         return live[0] if live else _ZERO_REMAINDER
-    return Remainder(lambda x: sum(r(x) for r in live),
+    return Remainder(lambda x: sum(r._masked(x) for r in live),
                      min(r.lo for r in live), max(r.hi for r in live))
 
 
@@ -216,7 +270,7 @@ def _terms_remainder(terms: tuple[LogPowerTerm, ...]) -> Remainder:
     """Stored terms moved into the remainder (supported on all of (0, inf))."""
     if not terms:
         return _ZERO_REMAINDER
-    return Remainder(lambda x: sum((t.evaluate(x) for t in terms), 0.0 + 0.0j))
+    return Remainder(lambda x: _terms_sum(terms, x))
 
 
 @dataclass(frozen=True)
@@ -230,7 +284,7 @@ class ExpandableFunction:
     `differentiate` refuses a function that states none.
     """
 
-    evaluator: Callable[[float], complex]
+    evaluator: Callable[[np.ndarray], np.ndarray]
     expansion_at_zero: AsymptoticExpansion
     expansion_at_infinity: AsymptoticExpansion
     remainder_zero: Remainder
@@ -243,8 +297,9 @@ class ExpandableFunction:
         if self.expansion_at_infinity.location is not Location.AT_INFINITY:
             raise ValueError("expansion_at_infinity has wrong location")
 
-    def __call__(self, x: float) -> complex:
-        return self.evaluator(x)
+    def __call__(self, x):
+        """f at x, a float or an array."""
+        return _batch(self.evaluator, x)
 
     @property
     def p(self) -> float:
@@ -254,19 +309,19 @@ class ExpandableFunction:
     def q(self) -> float:
         return self.expansion_at_infinity.remainder_order
 
-    def remainder_at_zero(self, x: float) -> complex:
-        return complex(self.remainder_zero(x))
+    def remainder_at_zero(self, x):
+        return self.remainder_zero(x)
 
-    def remainder_at_infinity(self, x: float) -> complex:
-        return complex(self.remainder_infinity(x))
+    def remainder_at_infinity(self, x):
+        return self.remainder_infinity(x)
 
 
-def _minus_terms(v: complex, expansion: AsymptoticExpansion, x: float) -> complex:
+def _minus_terms(v: np.ndarray, expansion: AsymptoticExpansion, x: np.ndarray) -> np.ndarray:
     """v minus each stored term of `expansion` at x in turn (log x computed once)."""
-    if expansion.terms:
-        lx = math.log(x)
-        for t in expansion.terms:
-            v -= t.coefficient * complex(x) ** t.exponent * lx**t.log_power
+    terms = expansion.terms
+    lx = np.log(x) if any(t.log_power for t in terms) else None
+    for t in terms:
+        v = v - _term_value(t, x, lx)
     return v
 
 
@@ -332,7 +387,7 @@ def add_functions(f: ExpandableFunction, g: ExpandableFunction) -> ExpandableFun
     )
 
 
-def _transformed(r: Remainder, fn: Callable[[float], complex],
+def _transformed(r: Remainder, fn: Callable[[np.ndarray], np.ndarray],
                  to_x: Callable[[float], float] = lambda u: u) -> Remainder:
     """The remainder fn(x) on the image of r's support under the monotone map
     to_x (a zero r stays zero)."""
@@ -424,11 +479,15 @@ def fuchs_derivative(f: ExpandableFunction) -> ExpandableFunction:
 def _monomial_rule(d: ExpandableFunction, times: Callable[[complex, int], ExpandableFunction],
                    a: complex, k: int) -> ExpandableFunction:
     """d plus the derivative of the factor x**a log(x)**k of times(a, k),
-    a times(a-1, k) + k times(a-1, k-1), without the terms whose factor is 0."""
+    a times(a-1, k) + k times(a-1, k-1), without the terms whose factor is 0
+    and without a scaling by 1."""
+    def scaled(g: ExpandableFunction, c: complex) -> ExpandableFunction:
+        return g if c == 1 else scale_function(g, c)
+
     if a != 0:
-        d = add_functions(d, scale_function(times(a - 1, k), a))
+        d = add_functions(d, scaled(times(a - 1, k), a))
     if k:
-        d = add_functions(d, scale_function(times(a - 1, k - 1), k))
+        d = add_functions(d, scaled(times(a - 1, k - 1), k))
     return d
 
 
@@ -444,22 +503,25 @@ def _times_monomial(e: AsymptoticExpansion, beta: complex, k: int):
 
 
 def times_monomial(f: ExpandableFunction, beta: complex, k: int = 0) -> ExpandableFunction:
-    """x |-> x**beta * log(x)**k * f(x), expansions shifted exactly.
+    """x |-> x**beta * log(x)**k * f(x), expansions shifted exactly; f
+    itself for the factor 1 (beta = k = 0).
 
     The remainders take the same factor, as the stored terms' complex power,
     plus the shifted terms the new remainder order absorbs.  The derivative
     is the product rule.
     """
-    fe = f.evaluator
     b = complex(beta)
+    if b == 0 and k == 0:
+        return f
+    fe = f.evaluator
 
-    def ev(x: float) -> complex:
-        return x**b * math.log(x) ** k * fe(x)
+    def ev(x: np.ndarray) -> np.ndarray:
+        return _monomial(x, b, k) * fe(x)
 
     def side(e: AsymptoticExpansion, r: Remainder):
         shifted, absorbed = _times_monomial(e, b, k)
         re = r.evaluator
-        carried = _transformed(r, lambda x: complex(x) ** b * math.log(x) ** k * re(x))
+        carried = _transformed(r, lambda x: _monomial(x, b, k) * re(x))
         return shifted, _sum_remainders(carried, _terms_remainder(absorbed))
 
     e0, r0 = side(f.expansion_at_zero, f.remainder_zero)
@@ -522,8 +584,8 @@ def global_monomial(alpha: complex, k: int = 0, order_margin: float = 8.0) -> Ex
     """
     a = complex(alpha)
 
-    def ev(x: float) -> complex:
-        return x**a * math.log(x) ** k
+    def ev(x: np.ndarray) -> np.ndarray:
+        return _monomial(x, a, k)
 
     def derivative() -> ExpandableFunction:
         d = scale_function(global_monomial(a - 1, k, order_margin), a)
@@ -555,27 +617,30 @@ def monomial_restricted(
     """
     a = complex(alpha)
     term = (LogPowerTerm(1.0, a, k),)
+    mono = lambda x: _monomial(x, a, k)
+    minus = lambda x: -_monomial(x, a, k)
     if support == "unit_interval":
-        def ev(x: float) -> complex:
-            return x**a * math.log(x) ** k if x <= 1.0 else 0.0
+        def ev(x: np.ndarray) -> np.ndarray:
+            return _where(x, x <= 1.0, mono)
         e0 = AsymptoticExpansion(Location.AT_ZERO, term, a.real + 1 + order_margin)
         ei = empty_expansion(Location.AT_INFINITY, 40.0)
-        r0 = Remainder(lambda x: -(x**a) * math.log(x) ** k if x > 1.0 else 0.0, 1.0)
+        r0 = Remainder(lambda x: _where(x, x > 1.0, minus), 1.0)
         ri = Remainder(ev, 0.0, 1.0)
     elif support == "unit_tail":
-        def ev(x: float) -> complex:
-            return x**a * math.log(x) ** k if x >= 1.0 else 0.0
+        def ev(x: np.ndarray) -> np.ndarray:
+            return _where(x, x >= 1.0, mono)
         e0 = empty_expansion(Location.AT_ZERO, 40.0)
         ei = AsymptoticExpansion(Location.AT_INFINITY, term, -a.real - 1 + order_margin)
         r0 = Remainder(ev, 1.0)
-        ri = Remainder(lambda x: -(x**a) * math.log(x) ** k if x < 1.0 else 0.0, 0.0, 1.0)
+        ri = Remainder(lambda x: _where(x, x < 1.0, minus), 0.0, 1.0)
     else:
         raise ValueError("support must be 'unit_interval' or 'unit_tail'")
     return ExpandableFunction(ev, e0, ei, r0, ri)
 
 
-def _taylor_leaf(f: Callable[[float], float], terms: tuple[LogPowerTerm, ...], order: float,
-                 nth_derivative: Optional[Callable[[int], Callable[[float], float]]]
+def _taylor_leaf(f: Callable[[np.ndarray], np.ndarray], terms: tuple[LogPowerTerm, ...],
+                 order: float,
+                 nth_derivative: Optional[Callable[[int], Callable[[np.ndarray], np.ndarray]]]
                  ) -> ExpandableFunction:
     """f with Taylor terms of remainder order `order` at 0 and an empty
     expansion at infinity; nth_derivative(n) is the closed form of f's n-th
@@ -589,7 +654,7 @@ def _taylor_leaf(f: Callable[[float], float], terms: tuple[LogPowerTerm, ...], o
     derivative is the same kind of leaf: the closed form, with the termwise
     derivative of both expansions and the x0 of its own terms.
     """
-    def leaf(g: Callable[[float], float], e0: AsymptoticExpansion, ei: AsymptoticExpansion,
+    def leaf(g: Callable[[np.ndarray], np.ndarray], e0: AsymptoticExpansion, ei: AsymptoticExpansion,
              n: int) -> ExpandableFunction:
         x0 = 0.0
         if e0.terms:
@@ -600,7 +665,7 @@ def _taylor_leaf(f: Callable[[float], float], terms: tuple[LogPowerTerm, ...], o
             g,
             e0,
             ei,
-            Remainder(lambda x: _minus_terms(complex(g(x)), e0, x), x0),
+            Remainder(lambda x: _minus_terms(g(x), e0, x), x0),
             Remainder(g),
             None if nth_derivative is None else lambda: leaf(
                 nth_derivative(n + 1), _differentiate_expansion(e0),
@@ -617,11 +682,11 @@ def exponential_decay(taylor_order: int = 12) -> ExpandableFunction:
         LogPowerTerm((-1.0) ** j / math.factorial(j), float(j), 0)
         for j in range(taylor_order)
     )
-    return _taylor_leaf(lambda x: math.exp(-x), terms, float(taylor_order),
-                        lambda n: lambda x: (-1.0) ** n * math.exp(-x))
+    return _taylor_leaf(lambda x: np.exp(-x), terms, float(taylor_order),
+                        lambda n: lambda x: (-1.0) ** n * np.exp(-x))
 
 
-def _hermite(n: int, x: float) -> float:
+def _hermite(n: int, x: np.ndarray) -> np.ndarray:
     """The physicists' Hermite polynomial H_n(x), by its three-term recurrence."""
     h0, h1 = 1.0, 2.0 * x
     for j in range(1, n):
@@ -636,48 +701,53 @@ def gaussian_decay(taylor_order: int = 12) -> ExpandableFunction:
         LogPowerTerm((-1.0) ** m / math.factorial(m), float(2 * m), 0)
         for m in range(taylor_order // 2 + 1)
     )
-    return _taylor_leaf(lambda x: math.exp(-(x**2)), terms, float(2 * (taylor_order // 2) + 2),
-                        lambda n: lambda x: (-1.0) ** n * _hermite(n, x) * math.exp(-(x**2)))
+    return _taylor_leaf(lambda x: np.exp(-(x**2)), terms, float(2 * (taylor_order // 2) + 2),
+                        lambda n: lambda x: (-1.0) ** n * _hermite(n, x) * np.exp(-(x**2)))
 
 
-def smooth_cutoff(x: float) -> float:
-    """Smooth decreasing cutoff: 1 for x <= 1, 0 for x >= 2."""
-    if x <= 1.0:
-        return 1.0
-    if x >= 2.0:
-        return 0.0
-    u = x - 1.0
-    g1 = math.exp(-1.0 / u)
-    g2 = math.exp(-1.0 / (1.0 - u))
-    return g2 / (g1 + g2)
+def _step_pair(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g1 = exp(-1/u) and g2 = exp(-1/(1-u)), for 0 < u < 1 only: outside,
+    exp(-1/u) overflows or divides by 0."""
+    return np.exp(-1.0 / u), np.exp(-1.0 / (1.0 - u))
 
 
-def smooth_step_up(x: float) -> float:
-    """Smooth increasing step: 0 for x <= 1/2, 1 for x >= 1."""
-    if x <= 0.5:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    u = 2.0 * (x - 0.5)
-    g1 = math.exp(-1.0 / u)
-    g2 = math.exp(-1.0 / (1.0 - u))
-    return g1 / (g1 + g2)
+def _smooth_step(x, lo: float, hi: float, rising: bool):
+    """The step from 1 at lo to 0 at hi (or 0 to 1 when rising), with
+    u = (x - lo)/(hi - lo): g2/(g1+g2) falling, g1/(g1+g2) rising."""
+    x = np.asarray(x, dtype=float)
+    out = np.array(x >= hi if rising else x <= lo, dtype=float)
+    mid = (lo < x) & (x < hi)
+    g1, g2 = _step_pair((x[mid] - lo) / (hi - lo))
+    out[mid] = (g1 if rising else g2) / (g1 + g2)
+    return out[()]
 
 
-def _step_slope(u: float) -> float:
+def smooth_cutoff(x):
+    """Smooth decreasing cutoff: 1 for x <= 1, 0 for x >= 2 (a float or an array)."""
+    return _smooth_step(x, 1.0, 2.0, False)
+
+
+def smooth_step_up(x):
+    """Smooth increasing step: 0 for x <= 1/2, 1 for x >= 1 (a float or an array)."""
+    return _smooth_step(x, 0.5, 1.0, True)
+
+
+def _step_slope(u: np.ndarray) -> np.ndarray:
     """d/du of g1/(g1+g2), g1 = exp(-1/u), g2 = exp(-1/(1-u)), for 0 < u < 1:
     g1 g2 (1/u**2 + 1/(1-u)**2) / (g1+g2)**2.  smooth_cutoff' is
-    -_step_slope(x-1) and smooth_step_up' is 2 _step_slope(2x-1)."""
-    g1 = math.exp(-1.0 / u)
-    g2 = math.exp(-1.0 / (1.0 - u))
+    -_step_slope(x-1) and smooth_step_up' is 2 _step_slope(2x-1); for float
+    x inside their supports, u and 1-u are at least 2**-53, so nothing
+    overflows."""
+    g1, g2 = _step_pair(u)
     return g1 * g2 * (1.0 / u**2 + 1.0 / (1.0 - u) ** 2) / (g1 + g2) ** 2
 
 
-def _compact_leaf(fn: Callable[[float], complex], lo: float, hi: float) -> ExpandableFunction:
+def _compact_leaf(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
+                  ) -> ExpandableFunction:
     """fn on (lo, hi) and 0 outside: empty expansions, with the function as
     both remainders.  It states no derivative."""
-    def ev(x: float) -> complex:
-        return fn(x) if lo < x < hi else 0.0
+    def ev(x: np.ndarray) -> np.ndarray:
+        return _where(x, (lo < x) & (x < hi), fn)
 
     return ExpandableFunction(ev, empty_expansion(Location.AT_ZERO, 40.0),
                               empty_expansion(Location.AT_INFINITY, 40.0),
@@ -694,19 +764,18 @@ def cutoff_times_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
     """
     a = complex(alpha)
 
-    def ev(x: float) -> complex:
-        c = smooth_cutoff(x)
-        return c * x**a * math.log(x) ** k if c != 0.0 else 0.0
+    def ev(x: np.ndarray) -> np.ndarray:
+        return _where(x, x < 2.0, lambda y: smooth_cutoff(y) * _monomial(y, a, k))
 
     term = (LogPowerTerm(1.0, a, k),)
     return ExpandableFunction(
         ev,
         AsymptoticExpansion(Location.AT_ZERO, term, a.real + 1 + 8.0),
         empty_expansion(Location.AT_INFINITY, 40.0),
-        Remainder(lambda x: (smooth_cutoff(x) - 1.0) * x**a * math.log(x) ** k, 1.0),
+        Remainder(lambda x: (smooth_cutoff(x) - 1.0) * _monomial(x, a, k), 1.0),
         Remainder(ev, 0.0, 2.0),
         lambda: _monomial_rule(
-            _compact_leaf(lambda x: -_step_slope(x - 1.0) * x**a * math.log(x) ** k, 1.0, 2.0),
+            _compact_leaf(lambda x: -_step_slope(x - 1.0) * _monomial(x, a, k), 1.0, 2.0),
             cutoff_times_monomial, a, k),
     )
 
@@ -721,9 +790,8 @@ def tail_times_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
     """
     a = complex(alpha)
 
-    def ev(x: float) -> complex:
-        c = smooth_step_up(x)
-        return c * x**a * math.log(x) ** k if c != 0.0 else 0.0
+    def ev(x: np.ndarray) -> np.ndarray:
+        return _where(x, x > 0.5, lambda y: smooth_step_up(y) * _monomial(y, a, k))
 
     term = (LogPowerTerm(1.0, a, k),)
     return ExpandableFunction(
@@ -731,9 +799,9 @@ def tail_times_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
         empty_expansion(Location.AT_ZERO, 40.0),
         AsymptoticExpansion(Location.AT_INFINITY, term, -a.real - 1 + 8.0),
         Remainder(ev, 0.5),
-        Remainder(lambda x: (smooth_step_up(x) - 1.0) * x**a * math.log(x) ** k, 0.0, 1.0),
+        Remainder(lambda x: (smooth_step_up(x) - 1.0) * _monomial(x, a, k), 0.0, 1.0),
         lambda: _monomial_rule(
-            _compact_leaf(lambda x: 2.0 * _step_slope(2.0 * x - 1.0) * x**a * math.log(x) ** k,
+            _compact_leaf(lambda x: 2.0 * _step_slope(2.0 * x - 1.0) * _monomial(x, a, k),
                           0.5, 1.0),
             tail_times_monomial, a, k),
     )

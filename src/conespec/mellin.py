@@ -8,8 +8,13 @@ entirely from the stored expansion terms, through the exact building block
 
 whose only singular Laurent coefficient at w = 0 is (-1)^k k! at w^{-(k+1)}.
 The remainder pieces of f, which f carries with the interval outside which
-they vanish, are integrated by adaptive Gauss-Kronrod quadrature over that
-interval only; where it misses the side of the cut there is no quadrature.
+they vanish, are integrated over that interval only; where it misses the
+side of the cut there is no quadrature.  Remainders take arrays, and `quad`
+is one adaptive, complex-valued Gauss-Kronrod rule (QUADPACK's G10/K21
+pair, Piessens et al. 1983) that evaluates all open subintervals' nodes in
+one call per round and bisects the subintervals with the largest error
+estimates until the total meets QUAD_ABS_TOL or QUAD_REL_TOL; it raises
+MellinError when QUAD_LIMIT subintervals do not.
 
 The regularized integral of f is the constant Laurent coefficient of Mf at
 z = 1; the regularized limit is the coefficient of x^0 log^0 x in the
@@ -29,12 +34,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from scipy.integrate import quad
+import numpy as np
 
 from .expansions import ExpandableFunction, LogPowerTerm
 
 QUAD_ABS_TOL = 1e-12
 QUAD_REL_TOL = 1e-10
+QUAD_LIMIT = 400
 POLE_TOL = 1e-8
 POLE_DROP_TOL = 1e-13
 
@@ -100,6 +106,102 @@ class MeromorphicFunction:
             return self.regular(z0)
         pd = self.pole_at(z0)
         return pd.principal_part[-j - 1] if pd is not None and -j <= pd.order else 0.0
+
+
+# ---------------------------------------------------------------------------
+# Batched adaptive Gauss-Kronrod quadrature
+# ---------------------------------------------------------------------------
+
+# The Kronrod nodes x_0 > ... > x_9 > 0 on (0, 1] (QUADPACK qk21), whose
+# mirror images complete the 21; the 10 Gauss nodes are +-x_1, +-x_3, ...,
+# +-x_9.  The weights are listed node by node, a Gauss weight 0 off them.
+_KRONROD_X = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0])
+_KRONROD_W = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208005525353, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_GAUSS_W = np.array([
+    0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651338, 0.0])
+
+
+def _symmetric(half: np.ndarray) -> np.ndarray:
+    """Values at the nodes -x_0 .. -x_9, 0, x_9 .. x_0 from those at x_0 .. x_9, 0."""
+    return np.concatenate([half[:-1], half[::-1]])
+
+
+_NODES = np.concatenate([-_KRONROD_X[:-1], _KRONROD_X[::-1]])
+_WK = _symmetric(_KRONROD_W)
+_WKG = np.stack([_WK, _symmetric(_GAUSS_W)], axis=1)
+
+
+def _gauss_kronrod(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
+    """K21 values and QUADPACK error estimates on the intervals [lo, hi], from
+    one call of fn on all their nodes."""
+    half = 0.5 * (hi - lo)
+    x = (lo + half)[:, None] + half[:, None] * _NODES
+    f = np.asarray(fn(x.reshape(-1)), dtype=complex).reshape(x.shape)
+    if not np.isfinite(f).all():
+        raise MellinError("non-finite integrand value")
+    k, g = (f @ _WKG).T
+    resabs = np.abs(f) @ _WK * half
+    resasc = np.abs(f - 0.5 * k[:, None]) @ _WK * half
+    # QUADPACK scales |K - G| by the spread of f (a constant f has none and
+    # is integrated exactly), and floors it at the rounding of the sum
+    ratio = np.divide(200.0 * np.abs(k - g) * half, resasc, out=np.ones_like(resasc),
+                      where=resasc > 0)
+    err = resasc * np.minimum(1.0, ratio) ** 1.5
+    return k * half, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+
+
+# The first round's equal subintervals.  A remainder that decays like
+# e^(-c/u) at an end of its mapped interval needs four or five bisections
+# there from one piece, a round each; from eight it needs one or two.
+_START_PIECES = 8
+_START = np.arange(_START_PIECES) / _START_PIECES
+
+
+def quad(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[complex, float]:
+    """(integral of fn over [a, b], error estimate) for a complex-valued fn
+    that maps a float array to an array.
+
+    The first round splits [a, b] into _START_PIECES equal subintervals.
+    Each round calls fn once, on the 21 nodes of every new subinterval, and
+    then bisects the subintervals with the largest error estimates, as many
+    as leave the others' sum within half the tolerance
+    max(QUAD_ABS_TOL, QUAD_REL_TOL |integral|).  MellinError when
+    QUAD_LIMIT subintervals do not meet it, or fn is not finite.
+    """
+    lo = a + (b - a) * _START
+    hi = np.append(lo[1:], b)
+    val, err = _gauss_kronrod(fn, lo, hi)
+    while True:
+        total, abserr = val.sum(), err.sum()
+        tol = max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total))
+        if abserr <= tol:
+            return complex(total), float(abserr)
+        room = QUAD_LIMIT - len(lo)
+        if room <= 0:
+            raise MellinError(f"quadrature over [{a}, {b}] missed its tolerance {tol:.3g} "
+                              f"with {QUAD_LIMIT} subintervals (error estimate {abserr:.3g})")
+        order = np.argsort(err)
+        split = order[np.cumsum(err[order]) > tol / 2][::-1][:room]
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        new_val, new_err = _gauss_kronrod(fn, new_lo, new_hi)
+        keep = np.ones(len(lo), dtype=bool)
+        keep[split] = False
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        val, err = np.concatenate([val[keep], new_val]), np.concatenate([err[keep], new_err])
 
 
 # ---------------------------------------------------------------------------
@@ -196,33 +298,29 @@ def _remainder_integral(f: ExpandableFunction, z: complex, c: float, side: Side)
     """Quadrature of x^(z-1) times f's remainder over [0, c] or [c, inf),
     clipped to the remainder's support; 0 without quadrature if that is empty.
 
-    [c, inf) is mapped onto (0, 1] by x = c/u; the real and imaginary parts
-    are integrated separately.
+    [c, inf) is mapped onto (0, 1] by x = c/u, where x**(z-1) dx is
+    c**z u**(-z-1) du: the power of the node u itself, not of the rounded
+    c/u, whose rounding the phase Im(z) log x would amplify.  The power is
+    taken only where the remainder is nonzero, so a power that overflows
+    where the remainder has underflowed to 0 does not arise.
     """
-    power = z - 1
     rem = f.remainder_zero if side is Side.ZERO_TO_C else f.remainder_infinity
     lo, hi = (rem.lo, min(c, rem.hi)) if side is Side.ZERO_TO_C else (max(c, rem.lo), rem.hi)
     if lo >= hi:
         return 0.0 + 0.0j
     r_of = rem.evaluator
 
+    def weighted(t: np.ndarray, x: np.ndarray, power: complex) -> np.ndarray:
+        """t**power r(x), where r(x) is nonzero, and 0 elsewhere."""
+        r = np.asarray(r_of(x), dtype=complex)
+        live = r != 0
+        out = np.zeros(t.shape, dtype=complex)
+        out[live] = np.power(t[live], power) * r[live]
+        return out
+
     if side is Side.ZERO_TO_C:
-        a, b = lo, hi
-
-        def fn(x: float) -> complex:
-            r = r_of(x)
-            return 0.0 if r == 0 else complex(x) ** power * r
-    else:
-        a, b = c / hi, c / lo
-
-        def fn(u: float) -> complex:
-            x = c / u
-            r = r_of(x)
-            return 0.0 if r == 0 else complex(x) ** power * r * (x / u)
-
-    re, _ = quad(lambda x: fn(x).real, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=400)
-    im, _ = quad(lambda x: fn(x).imag, a, b, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL, limit=400)
-    return complex(re, im)
+        return quad(lambda x: weighted(x, x, z - 1), lo, hi)[0]
+    return c**z * quad(lambda u: weighted(u, c / u, -z - 1), c / hi, c / lo)[0]
 
 
 def _regular_value(f: ExpandableFunction, z: complex, c: float, sides=tuple(Side)) -> complex:

@@ -64,10 +64,16 @@ class TestFunction:
 
     def as_expandable(self) -> ExpandableFunction:
         """View phi as an expandable function (Taylor at 0, rapid decay at
-        infinity).  Only phi's values are known, so it states no derivative."""
+        infinity), whose evaluator maps phi over an array of points.  Only
+        phi's values are known, so it states no derivative."""
         n = len(self.derivatives_at_zero)
         terms = tuple(LogPowerTerm(self.taylor_coefficient(j), float(j), 0) for j in range(n))
-        return _taylor_leaf(self.evaluator, terms, float(n), None)
+        phi = self.evaluator
+
+        def mapped(x: np.ndarray) -> np.ndarray:
+            return np.array([phi(v) for v in x.tolist()], dtype=float)
+
+        return _taylor_leaf(mapped, terms, float(n), None)
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,18 @@ class TestEta:
         doc = json.loads(out)
         assert "value_re" in doc and math.isfinite(doc["value_re"])
 
+    @pytest.mark.parametrize("tail", [{"kind": "shifted-integer", "a": 0.3}, {"kind": "riemann"}])
+    def test_value_with_an_eta_tail_is_refused(self, capsys, tail):
+        # the eta tail continues eta(S) but not the zeta functions of
+        # (S +/- 1/2)^2 that the value is assembled from: a value from s_data
+        # alone (-0.0146... - 0.0136...i for the first) must not be printed
+        payload = json.dumps({"s_data": [{"lambda": 0.8, "weight_re": 1.0}], "eta_tail": tail})
+        code, out, err = run(capsys, "eta", "--in", payload, "--s-re", "1.3", "--s-im", "2")
+        assert (code, out) == (2, "") and "(S +/- 1/2)^2" in err
+        # the residues need no squared tails
+        code, out, _ = run(capsys, "eta", "--in", payload)
+        assert code == 0 and "value_re" not in json.loads(out)
+
     def test_unknown_tail(self, capsys):
         payload = json.dumps({"s_data": [], "eta_tail": {"kind": "spooky"}})
         code, _, _ = run(capsys, "eta", "--in", payload)

@@ -581,6 +581,19 @@ class TestEta:
         assert res1 == pytest.approx(fit1, abs=1e-8)
         assert res0 == pytest.approx(fit0, abs=1e-8)
 
+    def test_eta_provider_without_squared_tails_refuses_the_value(self):
+        # the value is assembled from (S +/- 1/2)^2; with only eta(S)
+        # continued, those spectra would be s_data alone
+        gamma_pow = 0.25
+        for plus, minus in ((None, None), (PowerShiftSquaredProvider(gamma_pow, 0.5), None)):
+            spec = FirstOrderSpectrum(s_data=(SpectralDatum(0.8, 1.0),),
+                                      eta_provider=RiemannZetaProvider(1.0, gamma_pow),
+                                      a_plus_tail=plus, a_minus_tail=minus)
+            with pytest.raises(ConeError):
+                eta_function_scalable(spec, 1.3 + 2.0j)
+            # the residues read eta(S) only
+            assert all(cmath.isfinite(r) for r in eta_hat_residues(spec))
+
     def test_weight_disagreement_raises(self):
         # -1.5 is listed by the provider as 1.5 with weight +1
         spec = FirstOrderSpectrum(

@@ -465,3 +465,68 @@ class TestCarriedRemainders:
                 n = len(values) + 1
                 scale = abs(f(x)) + sum(abs(v) for v in values)
                 assert abs(carried(x) - (f(x) - sum(values))) <= 4 * n * eps * scale
+
+
+def _array_cases():
+    """Every leaf and algebra result whose evaluators and remainders take arrays."""
+    exp_phi = TestFunction(lambda x: math.exp(-x), tuple((-1.0) ** j for j in range(8)))
+    leaves = {
+        "global_monomial": global_monomial(-1.3 + 0.4j, 2),
+        "restricted interval": monomial_restricted(-0.5, 1, "unit_interval"),
+        "restricted tail": monomial_restricted(-2.2, 0, "unit_tail"),
+        "exp": exponential_decay(),
+        "gauss": gaussian_decay(),
+        "gauss'''": differentiate(differentiate(differentiate(gaussian_decay()))),
+        "cutoff": cutoff_times_monomial(0.7, 1),
+        "tail": tail_times_monomial(-0.4, 2),
+        "cutoff'": differentiate(cutoff_times_monomial(-1.3, 1)),
+        "tail'": differentiate(tail_times_monomial(0.5, 0)),
+        "test function": exp_phi.as_expandable(),
+        # a power that is neither a square nor a square root
+        "power 1.5": substitute_power(cutoff_times_monomial(-0.5, 0), 1.5),
+        "absorbed terms": times_monomial(
+            add_functions(global_monomial(-1.5, 0), global_monomial(6.4, 0)), 0.0, 1),
+    }
+    return {**leaves, **_composites()}
+
+
+class TestArrayContract:
+    # points below, inside and above every support, ends included
+    XS = np.concatenate([np.logspace(-3.0, 2.5, 40), [0.5, 1.0, 2.0, 0.149, 0.213]])
+
+    @pytest.mark.parametrize("name", sorted(_array_cases()))
+    def test_batch_equals_points_bit_for_bit(self, name):
+        f = _array_cases()[name]
+        for ev in (f, f.remainder_zero, f.remainder_infinity):
+            batch = ev(self.XS)
+            assert batch.dtype == complex and batch.shape == self.XS.shape
+            for x, v in zip(self.XS, batch):
+                alone = ev(float(x))
+                assert isinstance(alone, complex)
+                assert alone == v and np.isfinite(v), (x, alone, v)
+            # any shape, batched as one flat array
+            assert np.array_equal(ev(self.XS[:44].reshape(4, 11)), batch[:44].reshape(4, 11))
+
+    def test_remainder_evaluator_sees_only_its_support(self):
+        seen = []
+
+        def ev(x):
+            seen.append(x.copy())
+            return np.exp(-x)
+
+        r = Remainder(ev, 0.5, 2.0)
+        v = r(self.XS)
+        inside = (0.5 <= self.XS) & (self.XS <= 2.0)
+        assert np.array_equal(v[~inside], np.zeros((~inside).sum()))
+        assert np.array_equal(v[inside], np.exp(-self.XS[inside]))
+        assert len(seen) == 1 and np.array_equal(seen[0], self.XS[inside])
+        # no point in the support: no call at all
+        assert r(np.array([0.1, 3.0])).tolist() == [0j, 0j]
+        assert len(seen) == 1
+
+    def test_steps_take_arrays(self):
+        xs = np.linspace(0.0, 3.0, 61)
+        for step in (smooth_cutoff, smooth_step_up):
+            batch = step(xs)
+            assert batch.dtype == float
+            assert [step(float(x)) for x in xs] == batch.tolist()

@@ -4,6 +4,7 @@ import math
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 from scipy.special import gamma as sc_gamma
@@ -341,7 +342,7 @@ class TestCarriedRemainders:
         regularized_integral_partial(f, 1.0, Side.ZERO_TO_C)
         assert limits == []
         regularized_integral_partial(f, 1.0, Side.C_TO_INF)
-        assert limits == [(0.5, 1.0)] * 2  # u = c/x over x in [1, 2]
+        assert limits == [(0.5, 1.0)]  # u = c/x over x in [1, 2], one complex rule
 
     @pytest.mark.parametrize("lam", [0.6, 1.9])
     def test_scaled_cutoff_monomial_matches_mpmath(self, lam):
@@ -460,3 +461,74 @@ class TestFuchsPowers:
                 want = 2 * complex(mpmath.gamma(2 * z))
                 assert mf(z) == pytest.approx(want, rel=1e-12)
                 assert md(z) == pytest.approx(z * want, rel=1e-12)
+
+
+class TestQuad:
+    @staticmethod
+    def _check(fn, want, a, b):
+        value, abserr = mellin.quad(fn, a, b)
+        # the rule met its tolerance, and its error estimate bounds the error
+        assert abserr <= max(mellin.QUAD_ABS_TOL, mellin.QUAD_REL_TOL * abs(value))
+        assert abs(value - want) <= abserr
+
+    @staticmethod
+    def _mp_quad(fn, a, b, pieces=1):
+        with mpmath.workdps(30):
+            return complex(mpmath.quad(fn, mpmath.linspace(a, b, pieces + 1)))
+
+    def test_smooth_integrand(self):
+        w = -1.0 + 3.0j
+        want = self._mp_quad(lambda x: mpmath.exp(w * x) + 1j * x**2 / (1 + x**2), 0.0, 5.0)
+        self._check(lambda x: np.exp(w * x) + 1j * x**2 / (1.0 + x**2), want, 0.0, 5.0)
+
+    def test_vertical_line(self):
+        # x^(z-1) e^-x at Im z = 30 turns 16 times over [0.2, 6]
+        z = 0.5 + 30.0j
+        want = self._mp_quad(lambda x: x ** (z - 1) * mpmath.exp(-x), 0.2, 6.0, pieces=60)
+        self._check(lambda x: np.power(x, z - 1) * np.exp(-x), want, 0.2, 6.0)
+
+    def test_endpoint_singularity(self):
+        # integral_0^1 x^-0.9 dx = 10 (which mpmath's tanh-sinh misses by
+        # 1e-2), bisected towards 0 within the cap
+        self._check(lambda x: x**-0.9, 10.0, 0.0, 1.0)
+
+    def test_one_call_per_round(self):
+        sizes = []
+
+        def fn(x):
+            sizes.append(x.size)
+            return np.sqrt(x)
+
+        mellin.quad(fn, 0.0, 1.0)
+        assert sizes[0] == 8 * 21 and all(n % 42 == 0 for n in sizes[1:])
+        assert len(sizes) > 1
+
+    def test_kronrod_and_gauss_degrees(self):
+        # K21 is exact through degree 31 and G10 through degree 19
+        nodes = mellin._NODES
+        wk, wg = mellin._WKG.T
+        for d in range(32):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert abs(wk @ nodes**d - exact) <= 1e-15
+            if d < 20:
+                assert abs(wg @ nodes**d - exact) <= 1e-15
+
+    def test_cap_raises(self, monkeypatch):
+        # a jump at 0.3 is never a bisection point: with a tolerance no rule
+        # meets, the 400 subintervals run out
+        monkeypatch.setattr(mellin, "QUAD_ABS_TOL", 1e-300)
+        monkeypatch.setattr(mellin, "QUAD_REL_TOL", 0.0)
+        calls = []
+
+        def jump(x):
+            calls.append(x.size // 21)
+            return np.where(x < 0.3, 1.0, 0.0)
+
+        with pytest.raises(MellinError, match="400 subintervals"):
+            mellin.quad(jump, 0.0, 1.0)
+        # every subinterval evaluated: the 8 first ones and two per bisection
+        assert (sum(calls) + 8) // 2 == mellin.QUAD_LIMIT
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(MellinError, match="non-finite"):
+            mellin.quad(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0)

@@ -4,6 +4,7 @@ import math
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 from scipy.special import exp1
@@ -244,7 +245,7 @@ class TestSeparable:
         # sigma(x, x z) is log(1+z)/z exactly.
         # its Taylor remainder is below z^10/11! < 3e-18 on (0, 0.1); the
         # one at infinity is -e^{-z}/z
-        f = lambda z: (1.0 - math.exp(-z)) / z
+        f = lambda z: (1.0 - np.exp(-z)) / z
         e0 = AsymptoticExpansion(
             Location.AT_ZERO,
             tuple(
@@ -260,7 +261,7 @@ class TestSeparable:
                 Location.AT_INFINITY, (LogPowerTerm(1.0, -1.0, 0),), 20.0
             ),
             Remainder(lambda z: f(z) - e0.evaluate(z), 0.1),
-            Remainder(lambda z: -math.exp(-z) / z),
+            Remainder(lambda z: -np.exp(-z) / z),
         )
         return SeparableSigma(
             boundary_terms=((exp_phi(), -1.0, 0),),
