@@ -103,6 +103,75 @@ def _term_sort_key(location: Location):
     return key
 
 
+def _separated(keys: list[tuple[float, float, int]]) -> bool:
+    """Whether the keys (Re alpha, Im alpha, k) are finite and no two unequal
+    keys of one log power lie within 2 EXPONENT_TOL of each other.  Sorted
+    by (k, Re, Im), two such keys leave between them a neighbouring pair
+    that is unequal and as close in Re, or equal in Re and as close in Im."""
+    if len(keys) < 2:
+        return True
+    ordered = sorted([(k, re, im) for re, im, k in keys])
+    if not math.isfinite(sum([re + im for _, re, im in ordered])):
+        return False
+    return not any(a[0] == b[0] and a != b and b[1] - a[1] <= 2.0 * EXPONENT_TOL
+                   and (b[1] != a[1] or b[2] - a[2] <= 2.0 * EXPONENT_TOL)
+                   for a, b in zip(ordered, ordered[1:]))
+
+
+# The side of the square cells in which _merge_keys files exponents: the
+# exponents within EXPONENT_TOL of z lie in the 2 x 2 cells nearest to z,
+# with a margin of a quarter cell for the rounding of z / _CELL.
+_CELL = 4.0 * EXPONENT_TOL
+
+
+def _cell(v: float):
+    """The cell index of v, and the two indices nearest to v (v's own among
+    them); v itself stands for its index where v / _CELL is not finite."""
+    c = v / _CELL
+    if not math.isfinite(c):
+        return v, (v,)
+    i = math.floor(c)
+    return i, ((i - 1, i) if c - i < 0.5 else (i, i + 1))
+
+
+def _merge_keys(terms: tuple[LogPowerTerm, ...]) -> list[tuple[tuple[float, float, int], complex]]:
+    """(key, summed coefficient) per key (Re alpha, Im alpha, k), in the order
+    the keys first appear.  A term joins the first key of its log power whose
+    real and imaginary parts both lie within EXPONENT_TOL of its exponent's,
+    and else starts a key of its own.
+
+    Where the terms' keys are _separated, that merges the equal ones, by
+    dictionary.  Else the keys are filed by cell, and a term looks at the
+    keys of the four cells nearest to it: O(n log n) either way, where a
+    loop over the keys found so far is quadratic.
+    """
+    keys = [(t.exponent.real, t.exponent.imag, t.log_power) for t in terms]
+    if _separated(keys):
+        merged: dict = {}
+        for key, t in zip(keys, terms):
+            merged[key] = merged[key] + t.coefficient if key in merged else t.coefficient
+        return list(merged.items())
+    found: list[tuple[float, float, int]] = []
+    coefficients: list = []
+    cells: dict = {}
+    for (re, im, k), t in zip(keys, terms):
+        (own_re, near_re), (own_im, near_im) = _cell(re), _cell(im)
+        hit = None
+        for cr in near_re:
+            for ci in near_im:
+                for i in cells.get((cr, ci, k), ()):
+                    if (abs(found[i][0] - re) <= EXPONENT_TOL and abs(found[i][1] - im) <= EXPONENT_TOL
+                            and (hit is None or i < hit)):
+                        hit = i
+        if hit is None:
+            cells.setdefault((own_re, own_im, k), []).append(len(found))
+            found.append((re, im, k))
+            coefficients.append(t.coefficient)
+        else:
+            coefficients[hit] = coefficients[hit] + t.coefficient
+    return list(zip(found, coefficients))
+
+
 @dataclass(frozen=True)
 class AsymptoticExpansion:
     """A finite, sorted, deduplicated log-power expansion with remainder order.
@@ -116,27 +185,9 @@ class AsymptoticExpansion:
     remainder_order: float
 
     def __post_init__(self):
-        merged: dict[tuple[float, float, int], complex] = {}
-        order: list[tuple[float, float, int]] = []
-        for t in self.terms:
-            key = None
-            for k in merged:
-                if (
-                    abs(k[0] - t.exponent.real) <= EXPONENT_TOL
-                    and abs(k[1] - t.exponent.imag) <= EXPONENT_TOL
-                    and k[2] == t.log_power
-                ):
-                    key = k
-                    break
-            if key is None:
-                key = (t.exponent.real, t.exponent.imag, t.log_power)
-                order.append(key)
-                merged[key] = t.coefficient
-            else:
-                merged[key] = merged[key] + t.coefficient
         out = [
             LogPowerTerm(c, complex(k[0], k[1]), k[2])
-            for k, c in merged.items()
+            for k, c in _merge_keys(self.terms)
             if c != 0
         ]
         out.sort(key=_term_sort_key(self.location))

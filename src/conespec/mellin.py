@@ -14,7 +14,11 @@ is one adaptive, complex-valued Gauss-Kronrod rule (QUADPACK's G10/K21
 pair, Piessens et al. 1983) that evaluates all open subintervals' nodes in
 one call per round and bisects the subintervals with the largest error
 estimates until the total meets QUAD_ABS_TOL or QUAD_REL_TOL; it raises
-MellinError when QUAD_LIMIT subintervals do not.
+MellinError when QUAD_LIMIT subintervals do not.  It is the package's only
+quadrature (specfun's Hankel transform runs on it too).  Its integrand may
+return a block of integrands that share one evaluation, each meeting its
+own tolerance: `regularized_moments` takes the moments x^beta log^k x of a
+function that way, one quadrature per side for all of them.
 
 The regularized integral of f is the constant Laurent coefficient of Mf at
 z = 1; the regularized limit is the coefficient of x^0 log^0 x in the
@@ -36,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expansions import ExpandableFunction, LogPowerTerm
+from .expansions import ExpandableFunction, LogPowerTerm, _times_monomial
 
 QUAD_ABS_TOL = 1e-12
 QUAD_REL_TOL = 1e-10
@@ -142,16 +146,25 @@ def _symmetric(half: np.ndarray) -> np.ndarray:
 _NODES = np.concatenate([-_KRONROD_X[:-1], _KRONROD_X[::-1]])
 _WK = _symmetric(_KRONROD_W)
 _WKG = np.stack([_WK, _symmetric(_GAUSS_W)], axis=1)
+# the rounding floor of an error estimate, per unit of integral of |f|
+_ROUNDING = 50.0 * np.finfo(float).eps
 
 
 def _gauss_kronrod(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
     """K21 values and QUADPACK error estimates on the intervals [lo, hi], from
-    one call of fn on all their nodes."""
+    one call of fn on all their nodes: one per interval, or, when fn returns
+    a block, one row per interval with one column per integrand."""
     half = 0.5 * (hi - lo)
     x = (lo + half)[:, None] + half[:, None] * _NODES
-    f = np.asarray(fn(x.reshape(-1)), dtype=complex).reshape(x.shape)
+    f = np.asarray(fn(x.reshape(-1)), dtype=complex)
     if not np.isfinite(f).all():
         raise MellinError("non-finite integrand value")
+    m = f.shape[1] if f.ndim == 2 else 0
+    if m:  # one row of 21 node values per interval and integrand
+        f = f.reshape(len(lo), _NODES.size, m).transpose(0, 2, 1).reshape(-1, _NODES.size)
+        half = np.repeat(half, m)
+    else:
+        f = f.reshape(x.shape)
     k, g = (f @ _WKG).T
     resabs = np.abs(f) @ _WK * half
     resasc = np.abs(f - 0.5 * k[:, None]) @ _WK * half
@@ -160,7 +173,24 @@ def _gauss_kronrod(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: n
     ratio = np.divide(200.0 * np.abs(k - g) * half, resasc, out=np.ones_like(resasc),
                       where=resasc > 0)
     err = resasc * np.minimum(1.0, ratio) ** 1.5
-    return k * half, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+    err = np.maximum(err, _ROUNDING * resabs)
+    if m:
+        return (k * half).reshape(-1, m), err.reshape(-1, m)
+    return k * half, err
+
+
+def _worst(err: np.ndarray, abserr, tol) -> np.ndarray:
+    """The subintervals to bisect, worst first: those of largest error
+    estimate, as many as leave the others' sum within tol/2.  In a block,
+    each integrand that misses its tol_j has its own sum within tol_j/2, and
+    a subinterval ranks by its worst error over tol_j among them."""
+    if err.ndim == 1:
+        order = np.argsort(err)
+        return order[np.cumsum(err[order]) > tol / 2][::-1]
+    missed = abserr > tol
+    e, t = err[:, missed], tol[missed]
+    order = np.argsort((e / t).max(axis=1))
+    return order[(np.cumsum(e[order], axis=0) > t / 2).any(axis=1)][::-1]
 
 
 # The first round's equal subintervals.  A remainder that decays like
@@ -170,31 +200,44 @@ _START_PIECES = 8
 _START = np.arange(_START_PIECES) / _START_PIECES
 
 
-def quad(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[complex, float]:
+def quad(fn: Callable[[np.ndarray], np.ndarray], a, b):
     """(integral of fn over [a, b], error estimate) for a complex-valued fn
-    that maps a float array to an array.
+    that maps a float array of n points to n values, or to an (n, m) block
+    of m integrands that share one evaluation, whose integrals and error
+    estimates come back as arrays of m.
 
-    The first round splits [a, b] into _START_PIECES equal subintervals.
-    Each round calls fn once, on the 21 nodes of every new subinterval, and
-    then bisects the subintervals with the largest error estimates, as many
-    as leave the others' sum within half the tolerance
-    max(QUAD_ABS_TOL, QUAD_REL_TOL |integral|).  MellinError when
+    The first round splits [a, b] into _START_PIECES equal subintervals, or,
+    for arrays a and b, starts from the subintervals [a_i, b_i] and
+    integrates over their union.  Each round calls fn once, on the 21 nodes
+    of every new subinterval, and then bisects the subintervals with the
+    largest error estimates, as many as leave the others' sum within half
+    the tolerance max(QUAD_ABS_TOL, QUAD_REL_TOL |integral|), which each
+    integrand of a block meets on its own (see _worst).  MellinError when
     QUAD_LIMIT subintervals do not meet it, or fn is not finite.
     """
-    lo = a + (b - a) * _START
-    hi = np.append(lo[1:], b)
+    if np.ndim(a) == 0:
+        lo = a + (b - a) * _START
+        hi = np.append(lo[1:], b)
+    else:
+        lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     val, err = _gauss_kronrod(fn, lo, hi)
     while True:
-        total, abserr = val.sum(), err.sum()
-        tol = max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total))
-        if abserr <= tol:
-            return complex(total), float(abserr)
+        total, abserr = val.sum(axis=0), err.sum(axis=0)
+        if val.ndim == 1:  # one integrand: Python scalars, cheaper than numpy's
+            tol = max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total))
+            if abserr <= tol:
+                return complex(total), float(abserr)
+        else:
+            tol = np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(total))
+            if (abserr <= tol).all():
+                return total, abserr
         room = QUAD_LIMIT - len(lo)
         if room <= 0:
-            raise MellinError(f"quadrature over [{a}, {b}] missed its tolerance {tol:.3g} "
-                              f"with {QUAD_LIMIT} subintervals (error estimate {abserr:.3g})")
-        order = np.argsort(err)
-        split = order[np.cumsum(err[order]) > tol / 2][::-1][:room]
+            worst = np.argmax(np.ravel(abserr / tol))
+            raise MellinError(f"quadrature over [{lo.min()}, {hi.max()}] missed its tolerance "
+                              f"{np.ravel(tol)[worst]:.3g} with {QUAD_LIMIT} subintervals "
+                              f"(error estimate {np.ravel(abserr)[worst]:.3g})")
+        split = _worst(err, abserr, tol)[:room]
         mid = 0.5 * (lo[split] + hi[split])
         new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
         new_val, new_err = _gauss_kronrod(fn, new_lo, new_hi)
@@ -294,13 +337,15 @@ def _term_sum(signed_terms, z: complex, c: float) -> complex:
     return total
 
 
-def _remainder_integral(f: ExpandableFunction, z: complex, c: float, side: Side) -> complex:
+def _remainder_integral(f: ExpandableFunction, z: complex, c: float, side: Side, monomials):
     """Quadrature of x^(z-1) times f's remainder over [0, c] or [c, inf),
     clipped to the remainder's support; 0 without quadrature if that is empty.
+    With `monomials` a sequence of (beta, k), the integrand is a block with
+    one column x^beta log^k x per pair, and the result an array.
 
     [c, inf) is mapped onto (0, 1] by x = c/u, where x**(z-1) dx is
     c**z u**(-z-1) du: the power of the node u itself, not of the rounded
-    c/u, whose rounding the phase Im(z) log x would amplify.  The power is
+    c/u, whose rounding the phase Im(z) log x would amplify.  The powers are
     taken only where the remainder is nonzero, so a power that overflows
     where the remainder has underflowed to 0 does not arise.
     """
@@ -309,13 +354,25 @@ def _remainder_integral(f: ExpandableFunction, z: complex, c: float, side: Side)
     if lo >= hi:
         return 0.0 + 0.0j
     r_of = rem.evaluator
+    if monomials is not None:
+        betas = np.array([complex(beta) for beta, _ in monomials])
+        if not betas.imag.any():
+            betas = betas.real
+        ks = np.array([k for _, k in monomials])
 
     def weighted(t: np.ndarray, x: np.ndarray, power: complex) -> np.ndarray:
-        """t**power r(x), where r(x) is nonzero, and 0 elsewhere."""
+        """t**power r(x), times each monomial of x, where r(x) is nonzero, and
+        0 elsewhere."""
         r = np.asarray(r_of(x), dtype=complex)
         live = r != 0
-        out = np.zeros(t.shape, dtype=complex)
-        out[live] = np.power(t[live], power) * r[live]
+        w = np.power(t[live], power) * r[live]
+        if monomials is None:
+            out = np.zeros(t.shape, dtype=complex)
+            out[live] = w
+        else:
+            xl = x[live][:, None]
+            out = np.zeros((t.size, len(monomials)), dtype=complex)
+            out[live] = np.power(xl, betas) * np.log(xl) ** ks * w[:, None]
         return out
 
     if side is Side.ZERO_TO_C:
@@ -329,7 +386,7 @@ def _regular_value(f: ExpandableFunction, z: complex, c: float, sides=tuple(Side
     Over both sides this is Mf at z (cut c) off its poles; one side is the
     partial transform over [0, c] or [c, inf).
     """
-    remainder = sum(_remainder_integral(f, z, c, side) for side in sides)
+    remainder = sum(_remainder_integral(f, z, c, side, None) for side in sides)
     return _term_sum(_signed_terms(f, sides), z, c) + remainder
 
 
@@ -413,6 +470,32 @@ def regularized_integral_partial(f: ExpandableFunction, c: float, side: Side) ->
         raise ValueError(side)
     _check(f, c)
     return _regular_value(f, 1.0, c, (side,))
+
+
+def regularized_moments(f: ExpandableFunction, monomials) -> np.ndarray:
+    """The regularized integrals of x**beta log(x)**k f(x) over (0, inf),
+    cut at 1, for each (beta, k) of `monomials`: the values of
+    regularized_integral(times_monomial(f, beta, k)), as a complex array.
+
+    The remainder integrals of all the moments come from one quadrature per
+    side of the cut, over a block of one column per moment, so f's
+    remainders are evaluated once per node.  Each moment's term part is
+    exact: the term sum of f's terms shifted by (beta, k), with the ones its
+    remainder order absorbs, which times_monomial would leave to quadrature.
+    MellinError where a shifted remainder order is not positive.
+    """
+    if not monomials:
+        return np.zeros(0, dtype=complex)
+    terms = []
+    for beta, k in monomials:
+        e0, absorbed0 = _times_monomial(f.expansion_at_zero, beta, k)
+        ei, absorbed_i = _times_monomial(f.expansion_at_infinity, beta, k)
+        if e0.remainder_order <= 0 or ei.remainder_order <= 0:
+            raise MellinError("need positive remainder orders p, q at both endpoints")
+        terms.append([(1.0, t) for t in e0.terms + absorbed0]
+                     + [(-1.0, t) for t in ei.terms + absorbed_i])
+    remainder = sum(_remainder_integral(f, 1.0, 1.0, side, monomials) for side in Side)
+    return np.array([_term_sum(signed, 1.0, 1.0) for signed in terms]) + remainder
 
 
 class At(enum.Enum):

@@ -12,11 +12,13 @@ terms appear:
   [-q-1, -1], with coefficient (-1)^(k+1) phi^(-beta-1)(0)/(-beta-1)! * b/(k+1)
   (and the mirrored a-side family for the phi(x) F(x/t) variant).
 
-Every Taylor/boundary coefficient is produced by the regularized-integral
-machinery of the mellin module (pole tolerance mellin.POLE_TOL = 1e-8); there
-is no independent numeric path.  One helper emits the boundary and
-log-correction families of both engines; phi's jet is read through
-TestFunction.taylor_coefficient, which raises SalError when it is too short.
+Every Taylor/boundary coefficient is a regularized moment from the mellin
+module (pole tolerance mellin.POLE_TOL = 1e-8), and all the moments of one
+function come from one mellin.regularized_moments call: one quadrature per
+side of the cut; there is no independent numeric path.  One helper emits
+the boundary and log-correction families of both engines; phi's jet is read
+through TestFunction.taylor_coefficient, which raises SalError when it is
+too short.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expansions import ExpandableFunction, LogPowerTerm, _taylor_leaf, times_monomial
-from .mellin import POLE_TOL, regularized_integral
+from .expansions import ExpandableFunction, LogPowerTerm, _taylor_leaf
+from .mellin import POLE_TOL, regularized_moments
 
 MAX_EXPANSION_ORDER = 12
 
@@ -168,7 +170,7 @@ def _is_negative_integer(beta: complex, lo: float) -> Optional[int]:
 
 
 def _log_correction(phi: TestFunction, beta: complex, k: int, exponent: complex,
-                    sign: float, lo: float, scale: complex = 1.0) -> list[ReportTerm]:
+                    sign: float, lo: float, scale: complex) -> list[ReportTerm]:
     """For an integer beta = -n-1 in [lo, -1], the scale rule on phi's x^n term:
     scale * sign^(k+1) phi^(n)(0)/n! log^(k+1)(u)/(k+1) at u^exponent."""
     n = _is_negative_integer(beta, lo)
@@ -178,20 +180,29 @@ def _log_correction(phi: TestFunction, beta: complex, k: int, exponent: complex,
     return [ReportTerm(exponent, k + 1, coef, "log-correction")]
 
 
-def _boundary_family(phi: TestFunction, beta: complex, k: int, exponent: complex,
-                     sign: float, lo: float, scale: complex = 1.0) -> list[ReportTerm]:
-    """scale * reg-int phi(x) x^beta log^k(x u^sign) dx as terms u^exponent log^i u.
+def _boundary_family(families, sign: float, lo: float) -> list[ReportTerm]:
+    """For each family (phi, beta, k, exponent, scale), scale * reg-int
+    phi(x) x^beta log^k(x u^sign) dx as terms u^exponent log^i u, and then
+    the log-correction of an integer beta in [lo, -1].
 
-    log^k(x u^sign) expands binomially over log x + sign log u; an integer
-    beta in [lo, -1] adds the log-correction, whose jet is read first.
+    log^k(x u^sign) expands binomially over log x + sign log u.  Every
+    family's jet is read first; then the moments x^beta log^i x of each
+    phi, over all its families, come from one regularized_moments call.
     """
-    correction = _log_correction(phi, beta, k, exponent, sign, lo, scale)
-    phi_exp = phi.as_expandable()
-    return [
-        ReportTerm(exponent, k - i, scale * math.comb(k, i) * sign ** (k - i)
-                   * regularized_integral(times_monomial(phi_exp, beta, i)), "boundary")
-        for i in range(k + 1)
-    ] + correction
+    corrections = [_log_correction(phi, beta, k, exponent, sign, lo, scale)
+                   for phi, beta, k, exponent, scale in families]
+    wanted: dict = {}
+    for phi, beta, k, _, _ in families:
+        wanted.setdefault(id(phi), (phi, []))[1].extend((beta, i) for i in range(k + 1))
+    moments = {key: iter(regularized_moments(phi.as_expandable(), monomials).tolist())
+               for key, (phi, monomials) in wanted.items()}
+    out: list[ReportTerm] = []
+    for (phi, beta, k, exponent, scale), correction in zip(families, corrections):
+        mk = moments[id(phi)]
+        out += [ReportTerm(exponent, k - i, scale * math.comb(k, i) * sign ** (k - i) * next(mk),
+                           "boundary") for i in range(k + 1)]
+        out += correction
+    return out
 
 
 def expand_phi_tx(
@@ -204,21 +215,19 @@ def expand_phi_tx(
     q = min(F.q if q is None else q, float(MAX_EXPANSION_ORDER + 1))
     if q > F.q:
         raise SalError(f"order {q} exceeds F's remainder order {F.q} at infinity")
-    terms: list[ReportTerm] = []
 
     # Taylor family: t^j phi^(j)(0)/j! reg-int x^j F, for j < q
-    for j in range(int(math.ceil(q - 1e-9))):
-        cj = phi.taylor_coefficient(j)
-        if cj == 0:
-            continue
-        moment = regularized_integral(times_monomial(F, float(j), 0))
-        terms.append(ReportTerm(float(j), 0, cj * moment, "taylor"))
+    taylor = [(j, phi.taylor_coefficient(j)) for j in range(int(math.ceil(q - 1e-9)))]
+    taylor = [(j, cj) for j, cj in taylor if cj != 0]
+    moments = regularized_moments(F, [(float(j), 0) for j, _ in taylor]).tolist()
+    terms = [ReportTerm(float(j), 0, cj * moment, "taylor")
+             for (j, cj), moment in zip(taylor, moments)]
 
     # Boundary family: each infinity-side term b x^beta log^k contributes
     # t^(-beta-1) * b * reg-int phi(x) x^beta log^k(x/t) dx.
-    for t in F.expansion_at_infinity.terms:
-        beta = t.exponent
-        terms += _boundary_family(phi, beta, t.log_power, -beta - 1, -1.0, -q - 1, t.coefficient)
+    terms += _boundary_family(
+        [(phi, t.exponent, t.log_power, -t.exponent - 1, t.coefficient)
+         for t in F.expansion_at_infinity.terms], -1.0, -q - 1)
 
     return ExpansionReport("t", _merge_terms(terms), float(q))
 
@@ -323,13 +332,11 @@ def sal_separable(sigma: SeparableSigma, p: int) -> ExpansionReport:
     terms: list[ReportTerm] = []
 
     for j in range(min(p, len(sigma.x_jets))):
-        jet = sigma.x_jets[j]
-        moment = regularized_integral(times_monomial(jet, float(j), 0))
+        moment = regularized_moments(sigma.x_jets[j], [(float(j), 0)]).tolist()[0]
         terms.append(ReportTerm(float(-j - 1), 0, moment, "taylor"))
 
-    for phi, alpha, k in sigma.boundary_terms:
-        a = complex(alpha)
-        terms += _boundary_family(phi, a, k, a, 1.0, -float(p))
+    terms += _boundary_family([(phi, complex(alpha), k, complex(alpha), 1.0)
+                              for phi, alpha, k in sigma.boundary_terms], 1.0, -float(p))
 
     return ExpansionReport(
         "z", _merge_terms(terms), -(float(p) + 1.0), sigma.remainder_log_power + 1

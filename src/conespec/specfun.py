@@ -1,14 +1,20 @@
 """Special-function kernel.
 
-Gamma-family wrappers, Bessel J and the exponentially scaled modified
-Bessel I (the Amos routine behind scipy.special.ive), Laguerre polynomials
-and the l_n^(p) eigenfamily of the Hankel transform, the Hankel transform
-itself (integration between Bessel zeros with Euler acceleration of the
-alternating tail), exact Bernoulli numbers, the asymptotic expansion of
-the Gamma ratio Gamma(nu-s+1)/Gamma(nu+s) up to order MAX_RATIO_ORDER = 10
+Gamma-family wrappers, Bessel J and its zeros, the exponentially scaled
+modified Bessel I (the Amos routine behind scipy.special.ive), Laguerre
+polynomials and the l_n^(p) eigenfamily of the Hankel transform, the Hankel
+transform itself, exact Bernoulli numbers, the asymptotic expansion of the
+Gamma ratio Gamma(nu-s+1)/Gamma(nu+s) up to order MAX_RATIO_ORDER = 10
 (exact coefficients from the Bernoulli polynomials of DLMF 5.11.8), Hurwitz
 zeta by Euler-Maclaurin, and Dirichlet series providers with meromorphic
 continuation.
+
+Arrays: the zeros of J_p come as a batch from one vectorized Newton pass;
+laguerre and l_fn broadcast over an array x (a scalar keeps its math path);
+hankel_transform takes an f that maps a float array to an array.  Its only
+quadrature is mellin's quad, the package's one Gauss-Kronrod rule, which it
+calls on batches of panels between consecutive zeros of J_p with an
+integrand block of one column per panel; scipy.integrate is not imported.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.special as sps
-from scipy.integrate import quad
+
+from .mellin import MellinError, quad
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -115,22 +122,60 @@ def bessel_i(p: float, x: float) -> float:
     return bessel_i_scaled(p, x) * math.exp(x)
 
 
-def bessel_j_zero(p: float, m: int) -> float:
-    """m-th positive zero of J_p (m >= 1); McMahon start + Newton refinement."""
-    if m < 1:
-        raise SpecfunError("m must be >= 1")
-    beta = (m + p / 2.0 - 0.25) * math.pi
-    mu = 4.0 * p * p
-    # McMahon expansion
-    x = beta - (mu - 1) / (8 * beta) - 4 * (mu - 1) * (7 * mu - 31) / (3 * (8 * beta) ** 3)
+def _airy_zero(m: np.ndarray) -> np.ndarray:
+    """The m-th negative zero a_m of Ai, from its asymptotic expansion in
+    t = 3 pi (4m - 1)/8 (DLMF 9.9.6, 9.9.18): within 6e-4 of it for m >= 1."""
+    t = 3.0 * math.pi * (4.0 * m - 1.0) / 8.0
+    return -(t ** (2.0 / 3.0)) * (1.0 + 5.0 / 48.0 * t**-2 - 5.0 / 36.0 * t**-4)
+
+
+def _olver_z(w: np.ndarray) -> np.ndarray:
+    """The z > 1 with sqrt(z^2 - 1) - arcsec z = w (DLMF 10.20.3, with
+    w = (2/3)(-zeta)^(3/2)).  The left side is convex and increasing in z,
+    and exceeds w at z = w + pi/2, so Newton's method from there decreases
+    monotonically to the root; twelve steps reach it to rounding for every
+    w >= 1e-5 (p up to 2e5 in bessel_j_zero), each element on its own."""
+    z = w + 0.5 * math.pi
+    for _ in range(12):
+        r = np.sqrt(z * z - 1.0)
+        z = z - (r - np.arccos(1.0 / z) - w) * z / r
+    return z
+
+
+def bessel_j_zero(p: float, m):
+    """The m-th positive zero j_(p,m) of J_p, for p > -1 and m >= 1, an int
+    or an int array (then an array of the zeros).
+
+    Newton's method from a start within 0.2 of the zero, well inside its
+    half-spacing (at least 1.5): McMahon's expansion in 1/(m + p/2 - 1/4)
+    (DLMF 10.21.19) for p < 1, and for p >= 1 the leading term p z(zeta),
+    zeta = p^(-2/3) a_m, of Olver's expansion (DLMF 10.21.43), which is
+    uniform in m where McMahon's fails for m small against p.  The batch
+    takes one vectorized Newton pass; each zero stops where its own step
+    falls under 1e-14 max(1, x), so its value does not depend on the batch.
+    """
+    if p <= -1:
+        raise SpecfunError("order must exceed -1")
+    ms = np.asarray(m)
+    if ms.dtype.kind not in "iu" or np.any(ms < 1):
+        raise SpecfunError("m must be an integer >= 1")
+    ms = ms.astype(float)
+    if p < 1.0:
+        beta = (ms + p / 2.0 - 0.25) * math.pi
+        mu = 4.0 * p * p
+        x = beta - (mu - 1) / (8 * beta) - 4 * (mu - 1) * (7 * mu - 31) / (3 * (8 * beta) ** 3)
+    else:
+        x = p * _olver_z((2.0 / 3.0) * (-_airy_zero(ms)) ** 1.5 / p)
+    x = np.atleast_1d(x)
+    active = np.ones(x.shape, dtype=bool)
     for _ in range(50):
-        f = sps.jv(p, x)
-        fp = sps.jvp(p, x)
-        step = f / fp
-        x -= step
-        if abs(step) < 1e-14 * max(1.0, x):
+        xa = x[active]
+        step = sps.jv(p, xa) / sps.jvp(p, xa)
+        x[active] = xa - step
+        active[active] = np.abs(step) >= 1e-14 * np.maximum(1.0, x[active])
+        if not active.any():
             break
-    return float(x)
+    return float(x[0]) if ms.ndim == 0 else x.reshape(ms.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -138,25 +183,36 @@ def bessel_j_zero(p: float, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def laguerre(n: int, p: float, x: float) -> float:
-    """Generalized Laguerre polynomial L_n^{(p)}(x) by the stable recurrence."""
+def laguerre(n: int, p: float, x):
+    """Generalized Laguerre polynomial L_n^{(p)}(x) by the stable recurrence;
+    x a float or an array."""
     if n < 0:
         raise SpecfunError("n must be >= 0")
     if n == 0:
-        return 1.0
+        return 1.0 if np.ndim(x) == 0 else np.ones(np.shape(x))
     lm, l = 1.0, 1.0 + p - x
     for j in range(1, n):
         lm, l = l, ((2 * j + 1 + p - x) * l - (j + p) * lm) / (j + 1)
     return l
 
 
-def l_fn(n: int, p: float, x: float) -> float:
-    """l_n^{(p)}(x) = x^{p+1/2} e^{-x^2/2} L_n^{(p)}(x^2)."""
-    if x < 0:
+def l_fn(n: int, p: float, x):
+    """l_n^{(p)}(x) = x^{p+1/2} e^{-x^2/2} L_n^{(p)}(x^2); x a float, or an
+    array, where it is evaluated elementwise by numpy."""
+    if np.ndim(x) == 0:
+        if x < 0:
+            raise SpecfunError("x must be >= 0")
+        if x == 0:
+            return 0.0 if p + 0.5 > 0 else math.inf
+        return x ** (p + 0.5) * math.exp(-x * x / 2.0) * laguerre(n, p, x * x)
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
         raise SpecfunError("x must be >= 0")
-    if x == 0:
-        return 0.0 if p + 0.5 > 0 else math.inf
-    return x ** (p + 0.5) * math.exp(-x * x / 2.0) * laguerre(n, p, x * x)
+    zero = x == 0
+    out = np.full(x.shape, 0.0 if p + 0.5 > 0 else math.inf)
+    y = x[~zero]
+    out[~zero] = y ** (p + 0.5) * np.exp(-y * y / 2.0) * laguerre(n, p, y * y)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -172,51 +228,70 @@ def _euler_accelerate(partials: Sequence[float]) -> float:
     return row[0]
 
 
-# Convergence tolerance and panel budget of hankel_transform.
+# Convergence tolerance, panel budget and panels per quadrature of
+# hankel_transform.
 _HANKEL_TOL = 1e-10
 _HANKEL_MAX_PANELS = 80
+_HANKEL_BATCH = 6
 
 
-def hankel_transform(f: Callable[[float], float], p: float, x: float) -> float:
-    """(H_p f)(x) = integral_0^inf (x y)^{1/2} J_p(x y) f(y) dy.
+def hankel_transform(f: Callable[[np.ndarray], np.ndarray], p: float, x: float) -> float:
+    """(H_p f)(x) = integral_0^inf (x y)^{1/2} J_p(x y) f(y) dy, for an f
+    that maps a float array of y to an array of values.
 
-    The y-axis is split at the scaled zeros of J_p; panels are integrated
-    adaptively and the alternating panel tail is Euler-accelerated.  Raises
-    HankelConvergenceError if neither plain nor accelerated summation
-    stabilizes within the panel budget.
+    The y-axis is split into panels at the scaled zeros j_(p,m)/x of J_p.
+    Each batch of _HANKEL_BATCH panels is one call of mellin's quad, in
+    which every panel is a start subinterval and an integrand of its own,
+    so each meets its own tolerance.  For p < 1, (x y)^(1/2) J_p(x y) ~
+    y^(p+1/2) has an unbounded second derivative at 0 (p != +-1/2), which
+    bisection would chase for twenty rounds, so the first panel [0, e] is
+    integrated in t = e (y/e)^(1/4), where the power is t^(4p+5).  The
+    panels are summed until three in a row fall under _HANKEL_TOL/10 (six
+    at least); at _HANKEL_MAX_PANELS the alternating tail is
+    Euler-accelerated instead.  Raises HankelConvergenceError if that does
+    not stabilize either, or if a panel's quadrature misses its tolerance.
     """
     if x <= 0:
         raise SpecfunError("x must be positive")
     if p <= -1:
         raise SpecfunError("order must exceed -1")
 
-    def integrand(y: float) -> float:
-        if y == 0.0:
-            return 0.0
-        return math.sqrt(x * y) * sps.jv(p, x * y) * f(y)
-
-    panels = []
-    a = 0.0
-    m = 1
+    panels: list[float] = []
+    edge = 0.0
     while True:
-        b = bessel_j_zero(p, m) / x
-        val, _ = quad(integrand, a, b, epsabs=1e-13, epsrel=1e-11, limit=200)
-        panels.append(val)
-        a = b
-        m += 1
-        if len(panels) >= 6 and all(abs(v) < _HANKEL_TOL / 10 for v in panels[-3:]):
-            break
-        if len(panels) >= _HANKEL_MAX_PANELS:
-            partials = np.cumsum(panels)
-            acc1 = _euler_accelerate(partials[-12:])
-            acc2 = _euler_accelerate(partials[-13:-1])
-            if abs(acc1 - acc2) < _HANKEL_TOL:
-                return float(acc1)
-            raise HankelConvergenceError(
-                f"Hankel transform tail did not stabilize at x={x} "
-                f"(last panels {panels[-3:]})"
-            )
-    return float(sum(panels))
+        ends = bessel_j_zero(p, np.arange(len(panels) + 1, len(panels) + 1 + _HANKEL_BATCH)) / x
+        starts = np.concatenate([[edge], ends[:-1]])
+
+        def columns(t: np.ndarray) -> np.ndarray:
+            """The integrand at t, in the column of the panel t lies in."""
+            col = np.searchsorted(ends, t)
+            y, dy = t, 1.0
+            if edge == 0.0 and p < 1.0:
+                first, u = col == 0, t / ends[0]
+                y, dy = np.where(first, ends[0] * u**4, t), np.where(first, 4.0 * u**3, 1.0)
+            out = np.zeros((t.size, _HANKEL_BATCH))
+            out[np.arange(t.size), col] = np.sqrt(x * y) * sps.jv(p, x * y) * f(y) * dy
+            return out
+
+        try:
+            values = quad(columns, starts, ends)[0].real
+        except MellinError as exc:
+            raise HankelConvergenceError(f"Hankel panel quadrature failed at x={x}: {exc}") from exc
+        for v in values.tolist():
+            panels.append(v)
+            if len(panels) >= 6 and all(abs(v) < _HANKEL_TOL / 10 for v in panels[-3:]):
+                return float(sum(panels))
+            if len(panels) >= _HANKEL_MAX_PANELS:
+                partials = np.cumsum(panels)
+                acc1 = _euler_accelerate(partials[-12:])
+                acc2 = _euler_accelerate(partials[-13:-1])
+                if abs(acc1 - acc2) < _HANKEL_TOL:
+                    return float(acc1)
+                raise HankelConvergenceError(
+                    f"Hankel transform tail did not stabilize at x={x} "
+                    f"(last panels {panels[-3:]})"
+                )
+        edge = ends[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def test_05_hankel_eigenfunctions_and_involution():
         warnings.simplefilter("ignore", IntegrationWarning)
         transformed = np.array([hankel_transform(f, 1.0, float(y)) for y in grid])
         spline = CubicSpline(grid, transformed)
-        g = lambda y: float(spline(y)) if y <= 12.0 else 0.0
+        g = lambda y: np.where(y <= 12.0, spline(y), 0.0)
         worst_inv = max(
             abs(hankel_transform(g, 1.0, float(x)) - f(float(x)))
             for x in np.linspace(0.2, 3.0, 7)

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -707,3 +710,14 @@ class TestFlags:
         for flag, value in self.FLAG_VALUES.items():
             if flag not in reads:
                 assert self.rejects(capsys, command, flag, value), flag
+
+
+def test_import_leaves_scipy_integrate_out():
+    # every quadrature is conespec.mellin.quad; scipy.integrate (with the
+    # scipy.sparse and scipy.linalg it pulls in) is not part of start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, conespec.cli; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

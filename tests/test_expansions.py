@@ -1,5 +1,6 @@
 """Tests for the log-power expansion algebra."""
 
+import cmath
 import math
 
 import mpmath
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from conespec.expansions import (
+    EXPONENT_TOL,
     AsymptoticExpansion,
     ExpandableFunction,
     Location,
@@ -30,6 +32,7 @@ from conespec.expansions import (
     tail_times_monomial,
     times_monomial,
 )
+from conespec.expansions import _merge_keys
 from conespec.sal import TestFunction
 
 TestFunction.__test__ = False  # not a test class, despite the name
@@ -44,6 +47,48 @@ class TestAsymptoticExpansion:
         )
         assert len(e.terms) == 1
         assert e.coefficient(0.5, 0) == pytest.approx(3.0)
+
+    @staticmethod
+    def _pairwise_merge(terms):
+        """The merge as a loop over the keys found so far (quadratic), the
+        reference for _merge_keys."""
+        merged = {}
+        for t in terms:
+            key = next((k for k in merged
+                        if abs(k[0] - t.exponent.real) <= EXPONENT_TOL
+                        and abs(k[1] - t.exponent.imag) <= EXPONENT_TOL
+                        and k[2] == t.log_power), None)
+            if key is None:
+                merged[(t.exponent.real, t.exponent.imag, t.log_power)] = t.coefficient
+            else:
+                merged[key] = merged[key] + t.coefficient
+        return list(merged.items())
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_merge_matches_the_pairwise_loop(self, seed):
+        # exponents at a few centres, moved by 0 to 5 tolerances in either
+        # part (so chains of near keys form), some at magnitudes where the
+        # float spacing exceeds the tolerance, and a few non-finite ones;
+        # the merged terms must be bit for bit the pairwise loop's
+        rng = np.random.default_rng(seed)
+        centres = [0.0, -1.5, 2.0 + 0.5j, 7.25j, 1e4, -3e5 + 1e4j, 1e300]
+        steps = np.array([0.0, 0.3, 0.9, 1.0, 1.1, 2.0, 5.0]) * EXPONENT_TOL
+        terms = []
+        for _ in range(int(rng.integers(1, 60))):
+            z = complex(centres[rng.integers(len(centres))])
+            z += complex(rng.choice(steps) * rng.choice([-1, 1]),
+                         rng.choice(steps) * rng.choice([-1, 1]))
+            if rng.random() < 0.03:
+                z = complex(rng.choice([math.inf, -math.inf, math.nan]), z.imag)
+            terms.append(LogPowerTerm(complex(rng.normal(), rng.normal()), z,
+                                      int(rng.integers(0, 3))))
+        want = self._pairwise_merge(terms)
+        assert repr(_merge_keys(terms)) == repr(want)
+        finite = [t for t in terms if cmath.isfinite(t.exponent)]
+        e = AsymptoticExpansion(Location.AT_ZERO, tuple(finite), 1e301)
+        assert repr(e.terms) == repr(tuple(sorted(
+            (LogPowerTerm(c, complex(k[0], k[1]), k[2]) for k, c in self._pairwise_merge(finite)
+             if c != 0), key=lambda t: (t.exponent.real, t.exponent.imag, t.log_power))))
 
     def test_drops_zero_terms(self):
         e = AsymptoticExpansion(

@@ -529,6 +529,35 @@ class TestQuad:
         # every subinterval evaluated: the 8 first ones and two per bisection
         assert (sum(calls) + 8) // 2 == mellin.QUAD_LIMIT
 
+    def test_block_columns_match_single_calls(self):
+        # five integrands in one evaluation: each column meets its own
+        # tolerance, at least as refined as when it is integrated alone
+        w, z = -1.0 + 3.0j, 0.5 + 30.0j
+        fns = [lambda x: np.exp(w * x) + 1j * x**2 / (1.0 + x**2),
+               lambda x: np.power(x, z - 1) * np.exp(-x),
+               lambda x: np.cos(40.0 * x) * np.exp(-x),
+               lambda x: 1e-9 * np.sin(x),
+               lambda x: np.sqrt(x)]
+        values, errors = mellin.quad(lambda x: np.stack([f(x) for f in fns], axis=1), 0.2, 6.0)
+        assert values.shape == errors.shape == (len(fns),)
+        for f, value, error in zip(fns, values, errors):
+            alone, _ = mellin.quad(f, 0.2, 6.0)
+            assert abs(value - alone) <= 1e-13 * abs(alone)
+            assert error <= max(mellin.QUAD_ABS_TOL, mellin.QUAD_REL_TOL * abs(value))
+
+    def test_start_pieces(self):
+        # arrays a, b start from the pieces [a_i, b_i] and integrate over
+        # their union, one evaluation of all their nodes first
+        sizes = []
+
+        def fn(x):
+            sizes.append(x.size)
+            return np.exp(-x)
+
+        value, _ = mellin.quad(fn, np.array([0.0, 1.0, 2.5]), np.array([1.0, 2.5, 4.0]))
+        assert sizes[0] == 3 * 21
+        assert value == pytest.approx(1.0 - math.exp(-4.0), rel=1e-14)
+
     def test_non_finite_integrand_raises(self):
         with pytest.raises(MellinError, match="non-finite"):
             mellin.quad(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0)

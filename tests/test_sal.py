@@ -17,6 +17,7 @@ from conespec.expansions import (
     LogPowerTerm,
     Remainder,
     add_functions,
+    cutoff_times_monomial,
     exponential_decay,
     global_monomial,
     monomial_restricted,
@@ -34,6 +35,7 @@ from conespec.sal import (
     expand_phi_x_over_t,
     sal_separable,
 )
+from conespec.mellin import MellinError, regularized_integral, regularized_moments
 
 TestFunction.__test__ = False  # not a test class, despite the name
 
@@ -93,6 +95,55 @@ class TestReport:
         d = rep.to_json_dict()
         assert d["variable"] == "t"
         assert d["terms"][0]["provenance"] == "taylor"
+
+
+def gaussian_phi(n_jets: int = 13) -> TestFunction:
+    derivs = [0.0 if j % 2 else (-1.0) ** (j // 2) * math.factorial(j) / math.factorial(j // 2)
+              for j in range(n_jets)]
+    return TestFunction(lambda x: math.exp(-x * x), tuple(derivs))
+
+
+class TestMoments:
+    # the families of moments the engines take: phi's boundary moments with
+    # complex and integer exponents and log powers, and the Taylor moments
+    # x^j F of a function with a cut log term and a tail
+    FAMILIES = [
+        (exp_phi().as_expandable(),
+         [(-1.3879733, 0), (-1.3879733, 1), (-2.0, 0), (-2.0, 1), (-2.0, 2), (0.4 - 1.5j, 2),
+          (-0.5, 0), (3.0, 1)]),
+        (gaussian_phi().as_expandable(), [(-3.0, 0), (-3.0, 1), (-0.7 + 2.0j, 1), (5.5, 0)]),
+        (add_functions(scale_function(cutoff_times_monomial(-1.3, 1), 1.6),
+                       scale_function(monomial_restricted(-2.5, 0, "unit_tail"), -0.8)),
+         [(float(j), 0) for j in range(5)]),
+    ]
+
+    @pytest.mark.parametrize("f, monomials", FAMILIES)
+    def test_batched_moments_match_one_at_a_time(self, f, monomials):
+        batched = regularized_moments(f, monomials)
+        for (beta, k), moment in zip(monomials, batched):
+            alone = regularized_integral(times_monomial(f, beta, k))
+            assert abs(moment - alone) <= 1e-12 * max(1.0, abs(alone))
+
+    def test_one_quadrature_per_side(self, monkeypatch):
+        calls = []
+        quad = mellin.quad
+
+        def counting_quad(fn, a, b):
+            calls.append((a, b))
+            return quad(fn, a, b)
+
+        monkeypatch.setattr(mellin, "quad", counting_quad)
+        f, monomials = self.FAMILIES[0]
+        regularized_moments(f, monomials)
+        assert len(calls) == 2
+
+    def test_orders_are_checked_per_moment(self):
+        f = exp_phi().as_expandable()
+        with pytest.raises(MellinError):
+            regularized_integral(times_monomial(f, -13.0, 0))
+        with pytest.raises(MellinError):
+            regularized_moments(f, [(0.0, 0), (-13.0, 0)])
+        assert regularized_moments(f, []).shape == (0,)
 
 
 class TestExpandPhiTx:

@@ -13,6 +13,7 @@ from dirichlet_checks import continuation_consistency
 from conespec.specfun import (
     EULER_GAMMA,
     FiniteSpectrumProvider,
+    HankelConvergenceError,
     HurwitzZetaProvider,
     PowerShiftSquaredProvider,
     RiemannZetaProvider,
@@ -140,6 +141,34 @@ class TestBessel:
         for m, z in enumerate(sps.jn_zeros(1, 4), start=1):
             assert bessel_j_zero(1.0, m) == pytest.approx(z, rel=1e-10)
 
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0, 4.7, 12.0, 25.5, 26.0, 38.2, 50.3, 60.0])
+    def test_bessel_j_zeros_match_mpmath(self, p):
+        # McMahon's expansion alone went wrong from p = 26 on: at p = 50.3
+        # it gave 63.13, 68.03, 117.56, 68.03, 76.78 for m = 1..5
+        m = np.arange(1, 11)
+        zeros = bessel_j_zero(p, m)
+        want = np.array([float(mpmath.besseljzero(p, int(k))) for k in m])
+        assert np.all(np.abs(zeros - want) <= 1e-10 * want)
+        assert np.all(np.diff(zeros) > 0)
+        # an element of the batch is the zero computed alone
+        assert [bessel_j_zero(p, int(k)) for k in m] == zeros.tolist()
+
+    @pytest.mark.parametrize("p", [-0.9, -0.4, 0.7])
+    def test_bessel_j_zeros_below_order_one(self, p):
+        # mpmath has no negative orders: J_p changes sign at each zero, and
+        # at nothing else on a fine grid up to the last one
+        zeros = bessel_j_zero(p, np.arange(1, 31))
+        assert np.abs(sps.jv(p, zeros)).max() <= 1e-13
+        grid = np.linspace(1e-3, zeros[-1] + 0.5, 200001)
+        changes = np.flatnonzero(np.diff(np.sign(sps.jv(p, grid))))
+        assert len(changes) == len(zeros)
+        assert np.all((grid[changes] < zeros) & (zeros <= grid[changes + 1]))
+
+    @pytest.mark.parametrize("m", [0, -2, 1.0, True])
+    def test_bessel_j_zero_rejects_bad_indices(self, m):
+        with pytest.raises(SpecfunError):
+            bessel_j_zero(0.5, m)
+
 
 class TestLaguerre:
     def test_matches_scipy(self):
@@ -156,6 +185,17 @@ class TestLaguerre:
             x ** (p + 0.5) * math.exp(-x * x / 2.0), rel=1e-12
         )
         assert l_fn(0, 1.0, 0.0) == 0.0
+
+    def test_arrays_match_scalars(self):
+        x = np.array([0.0, 0.3, 1.2, 2.0, 4.5])
+        for n in range(5):
+            for p in (-0.4, 0.5, 3.0):
+                assert laguerre(n, p, x) == pytest.approx(
+                    [laguerre(n, p, float(v)) for v in x], rel=1e-14, abs=1e-300)
+                assert l_fn(n, p, x) == pytest.approx(
+                    [l_fn(n, p, float(v)) for v in x], rel=1e-14, abs=1e-300)
+        with pytest.raises(SpecfunError):
+            l_fn(1, 0.5, np.array([1.0, -0.1]))
 
     def test_l_fn_orthogonality(self):
         from scipy.integrate import quad
@@ -175,6 +215,23 @@ class TestHankel:
                 assert hankel_transform(f, p, x) == pytest.approx(
                     l_fn(0, p, x), rel=1e-8, abs=1e-10
                 )
+
+    @pytest.mark.parametrize("p", [-0.4, 0.5, 5.0, 12.0])
+    def test_eigenfunctions_match_mpmath(self, p):
+        # H_p l_n^(p) = (-1)^n l_n^(p), with the right side in mpmath
+        for n in range(5):
+            for x in np.linspace(0.2, 4.0, 9):
+                got = hankel_transform(lambda y: l_fn(n, p, y), p, float(x))
+                with mpmath.workdps(30):
+                    X = mpmath.mpf(float(x))
+                    want = float((-1) ** n * X ** (p + 0.5) * mpmath.exp(-X * X / 2)
+                                 * mpmath.laguerre(n, p, X * X))
+                assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_quadrature_failure_is_a_convergence_error(self):
+        # 1/|y - 1| is not integrable: the panel around 1 runs out of subintervals
+        with pytest.raises(HankelConvergenceError, match="panel quadrature"):
+            hankel_transform(lambda y: 1.0 / np.abs(y - 1.0), 0.5, 1.0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(SpecfunError):
