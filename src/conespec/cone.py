@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,6 +21,7 @@ from scipy.special import loggamma
 
 from .sal import ExpansionReport, ReportTerm
 from .specfun import (
+    _TERMS_CAP,
     DirichletSeriesProvider,
     HurwitzZetaProvider,
     RiemannZetaProvider,
@@ -195,35 +197,36 @@ class SpectralDatum:
         )
 
 
-def _head_terms(provider: DirichletSeriesProvider, v_max: float) -> list:
-    """The provider's (weight, value) terms with value up to v_max."""
-    return provider.terms_below(v_max * (1 + 1e-9) + 1e-12)
-
-
 def _split_terms(pairs, head):
     """Match explicit (weight, value) pairs against a provider's head terms.
 
     A pair claims the first unclaimed head term within relative 1e-9 of its
     value whose weight agrees; if terms of that value remain but none agrees,
-    the provider contradicts the data.  Returns the unmatched pairs and the
-    head terms no pair claimed.
+    the provider contradicts the data.  The head's values are nondecreasing,
+    so the terms near a value are found by bisection.  Returns the unmatched
+    pairs and the head terms no pair claimed.
     """
-    remaining = list(head)
+    if not head:
+        return list(pairs), []
+    values = [u for _, u in head]
+    claimed = set()
     unmatched = []
     for w, v in pairs:
-        near = [
-            j for j, (_, u) in enumerate(remaining) if abs(u - v) <= 1e-9 * max(1.0, v)
-        ]
-        if not near:
-            unmatched.append((w, v))
-            continue
-        for j in near:
-            if abs(remaining[j][0] - w) <= 1e-9 * (1.0 + abs(w)):
-                del remaining[j]
+        tol = 1e-9 * max(1.0, v)
+        near = False
+        # twice the tolerance brackets every value the test below accepts
+        for j in range(bisect_left(values, v - 2 * tol), bisect_right(values, v + 2 * tol)):
+            if j in claimed or not abs(values[j] - v) <= tol:
+                continue
+            near = True
+            if abs(head[j][0] - w) <= 1e-9 * (1.0 + abs(w)):
+                claimed.add(j)
                 break
         else:
-            raise ConeError(f"tail provider disagrees with data weight at value {v}")
-    return unmatched, remaining
+            if near:
+                raise ConeError(f"tail provider disagrees with data weight at value {v}")
+            unmatched.append((w, v))
+    return unmatched, [term for j, term in enumerate(head) if j not in claimed]
 
 
 def _series_part(provider, part: str, z: complex, pairs=()) -> complex:
@@ -235,11 +238,80 @@ def _series_part(provider, part: str, z: complex, pairs=()) -> complex:
     return total
 
 
-def _unmatched_pairs(pairs, provider):
-    """The explicit (weight, value) pairs the provider does not enumerate."""
-    if provider is None or not pairs:
-        return list(pairs)
-    return _split_terms(pairs, _head_terms(provider, max(v for _, v in pairs)))[0]
+class _TermPlan:
+    """The s-independent half of the fold over (weight, value) data and a provider.
+
+    `orders` are the data's Bessel orders, for the fold.  The data are
+    matched once against the provider's terms up to their 1e-9 matching
+    window, or up to `reach` if that is larger: `unmatched()` lists the data
+    the provider does not enumerate, `remaining()` the terms no datum
+    claimed.  `head(threshold)` appends the terms between the window and the
+    head bound, which no datum can claim, and gives the fold its arrays.
+    The terms are read from the provider once for both, up to the larger
+    bound asked for first, and again only when a larger bound is asked for.
+    """
+
+    def __init__(self, pairs: list, provider, orders: list, reach: float):
+        self.provider, self._pairs, self._orders = provider, pairs, orders
+        self._terms, self._read_to, self._arrays = [], -math.inf, None
+        self._matching = (pairs, [], 0) if provider is None else None
+        if provider is not None:
+            self._top = max(v for _, v in pairs) if pairs else 0.0
+            self._window = max(reach, self._top + 1e-9 * max(1.0, self._top)) if pairs else reach
+
+    def _read(self, bound: float) -> None:
+        """Hold the provider's terms up to at least `bound` (at most _TERMS_CAP)."""
+        if bound > self._read_to and len(self._terms) < _TERMS_CAP:
+            self._terms, self._read_to, self._arrays = self.provider.terms_below(bound), bound, None
+            self._values = [v for _, v in self._terms]
+
+    def _match(self) -> tuple[list, list, int]:
+        """(unmatched, remaining, number of terms in the window), matched once."""
+        if self._matching is None:
+            self._read(self._window)
+            n_window = bisect_right(self._values, self._window)
+            self._matching = (*_split_terms(self._pairs, self._terms[:n_window]), n_window)
+        return self._matching
+
+    def unmatched(self) -> list:
+        return self._match()[0]
+
+    def remaining(self) -> list:
+        return self._match()[1]
+
+    def head(self, threshold: float):
+        """The fold's explicit orders and weights (the data's, then sqrt(value)
+        and weight of each head term that no datum claimed) and the weights
+        and values of all head terms, as arrays.  The head holds the terms up
+        to the larger of threshold^2 and the top datum; without a provider it
+        is empty, and its weights and values are None."""
+        if self.provider is None:
+            if self._arrays is None:
+                self._arrays = (np.array(self._orders, dtype=float),
+                                np.array([w for w, _ in self._pairs], dtype=complex), None, None)
+            return self._arrays
+        lam_head = threshold * threshold
+        if self._pairs:
+            lam_head = max(lam_head, self._top)
+        bound = lam_head * (1 + 1e-9) + 1e-12
+        self._read(max(bound, self._window))
+        _, remaining, n_window = self._match()
+        if self._arrays is None:
+            free = remaining + self._terms[n_window:]
+            self._free_values = [v for _, v in remaining]
+            self._arrays = (
+                np.array(list(self._orders) + [math.sqrt(v) for _, v in free], dtype=float),
+                np.array([w for w, _ in self._pairs + free], dtype=complex),
+                np.array([w for w, _ in self._terms], dtype=complex),
+                np.array(self._values, dtype=float),
+            )
+        n = bisect_right(self._values, bound)
+        if n == len(self._terms):
+            return self._arrays
+        orders, weights, head_w, head_v = self._arrays
+        # the unclaimed window terms up to the bound, then the terms past the window
+        k = len(self._pairs) + bisect_right(self._free_values, bound) + max(0, n - n_window)
+        return orders[:k], weights[:k], head_w[:n], head_v[:n]
 
 
 @dataclass(frozen=True)
@@ -262,13 +334,15 @@ class CrossSectionSpectrum:
         object.__setattr__(self, "data", tuple(self.data))
         if self.p_overrides is not None and len(self.p_overrides) != len(self.data):
             raise ConeError("p_overrides must align with data")
+        pairs, orders = [], []
         for i, d in enumerate(self.data):
             if d.eigenvalue < 0:
                 raise ConeError("cross-section eigenvalues must be nonnegative")
-            if self.p_of(i) <= -1:
-                raise ConeError(
-                    f"Bessel order p={self.p_of(i)} <= -1 at eigenvalue {d.eigenvalue}"
-                )
+            orders.append(self.p_of(i))
+            if orders[i] <= -1:
+                raise ConeError(f"Bessel order p={orders[i]} <= -1 at eigenvalue {d.eigenvalue}")
+            pairs.append((d.weight, d.eigenvalue))
+        object.__setattr__(self, "_plan", _TermPlan(pairs, self.tail, orders, 0.0))
 
     def p_value(self, lam: float) -> float:
         root = math.sqrt(lam)
@@ -280,8 +354,7 @@ class CrossSectionSpectrum:
         return self.p_value(self.data[i].eigenvalue)
 
     def _unmatched(self):
-        pairs = [(d.weight, d.eigenvalue) for d in self.data]
-        return [(w, v) for w, v in _unmatched_pairs(pairs, self.tail) if v > 0]
+        return [(w, v) for w, v in self._plan.unmatched() if v > 0]
 
     # -- zeta of A (eigenvalue variable), data and tail combined ------------
 
@@ -352,77 +425,144 @@ def _gamma_quotient(p: float, s: complex) -> complex:
     return cmath.exp(log_gamma(p + 1 - s) - log_gamma(p + s))
 
 
-def _gamma_quotient_sum(explicit, s: complex) -> complex:
-    """sum w Gamma(p+1-s) / Gamma(p+s) over (weight, order p) pairs, with one
-    loggamma call per Gamma factor.
+def _head_zeros(orders: np.ndarray, s: complex) -> list:
+    """Indices of the orders p with p + s on a nonpositive integer; ConeError at
+    the first p, in order, with p + 1 - s on one.  Only a real s can put them
+    there, so only then are the orders checked, one by one (a few Python
+    checks cost less than numpy masks over a short list)."""
+    if abs(s.imag) > 1e-12:
+        return []
+    ps = orders.tolist()
+    # a real part above 1/2 rules an order out before the full check
+    for p in ps:
+        if p + 1 - s.real <= 0.5 and _is_nonpositive_integer(p + 1 - s):
+            raise ConeError(f"Gamma pole in the quotient at p={p}, s={s}")
+    return [i for i, p in enumerate(ps) if p + s.real <= 0.5 and _is_nonpositive_integer(p + s)]
 
-    As in `_gamma_quotient`, the first pair on a pole raises, in order, and a
-    reciprocal-Gamma zero adds 0.  Only a real s can put p+1-s or p+s on a
-    nonpositive integer, so only then are the pairs checked, one by one (a
-    few Python checks cost less than numpy masks over a short list).  A sum
-    that overflows is redone pair by pair, so that the overflowing pair
-    raises as `cmath.exp` does.
+
+def _head_sums(orders: np.ndarray, weights: np.ndarray, s, points: list) -> list:
+    """sum w Gamma(p+1-s) / Gamma(p+s) over (weight, order p), per point, with
+    one loggamma pass over (points x orders).
+
+    `s` is a Python complex or a column of the points.  As in
+    `_gamma_quotient`, an order on a pole raises and a reciprocal-Gamma zero
+    adds 0.  Each point's sum is its own product with the weights, as a
+    single 2-D product may round differently.  A sum that overflows is redone
+    pair by pair, so that the overflowing pair raises as `cmath.exp` does.
     """
-    if not explicit:
-        return 0.0 + 0.0j
-    zero = []
-    if abs(s.imag) <= 1e-12:
-        # a real part above 1/2 rules a pair out before the full check
-        for _, p in explicit:
-            if p + 1 - s.real <= 0.5 and _is_nonpositive_integer(p + 1 - s):
-                raise ConeError(f"Gamma pole in the quotient at p={p}, s={s}")
-        zero = [i for i, (_, p) in enumerate(explicit)
-                if p + s.real <= 0.5 and _is_nonpositive_integer(p + s)]
-    weights = np.array([w for w, _ in explicit], dtype=complex)
-    orders = np.array([p for _, p in explicit], dtype=float)
+    if not len(orders):
+        return [0.0 + 0.0j] * len(points)
+    zeros = [_head_zeros(orders, x) for x in points]
     with np.errstate(all="ignore"):
         q = np.exp(loggamma(orders + (1 - s)) - loggamma(orders + s))
-        if zero:
-            q[zero] = 0.0
-        total = complex(weights @ q)
-    if not cmath.isfinite(total):
-        return sum(w * _gamma_quotient(p, s) for w, p in explicit)
-    return total
+        rows = [q] if q.ndim == 1 else q
+        for row, zero in zip(rows, zeros):
+            if zero:
+                row[zero] = 0.0
+        totals = [complex(weights @ row) for row in rows]
+    for i, total in enumerate(totals):
+        if not cmath.isfinite(total):
+            totals[i] = sum(w * _gamma_quotient(p, points[i])
+                            for w, p in zip(weights.tolist(), orders.tolist()))
+    return totals
 
 
-def _phi_pieces(spec: CrossSectionSpectrum, s: complex, order: int, head_threshold: float):
+@lru_cache(maxsize=None)
+def _fold_shifts(order: int) -> tuple[tuple, np.ndarray]:
+    """The nonzero Q_k up to `order`, and their k as a read-only array."""
+    q = gamma_ratio_expansion(order).q_complex
+    ks = np.array([k for k, qk in enumerate(q) if qk], dtype=float)
+    ks.flags.writeable = False
+    return tuple(q[int(k)] for k in ks), ks
+
+
+def _points(s) -> list:
+    """A Python complex as a list of one point; an array as its Python complexes."""
+    return [s] if isinstance(s, complex) else s.tolist()
+
+
+def _phi_pieces(spec: CrossSectionSpectrum, s, order: int, head_threshold: float):
     """Head/tail decomposition of the Gamma-quotient sum over the spectrum.
 
-    Returns (head_value, tail_terms) where tail_terms lists the successive
-    Q_k corrections; their last magnitude is the truncation error estimate.
-    The tail makes one provider call over all shifts z_k = (2s-1+k)/2 whose
-    Q_k is nonzero.
+    `s` is a Python complex or a 1-D complex array of points.  Returns
+    (head_values, tail_terms), one entry per point: the exact head sum, and
+    the list of successive Q_k corrections, whose last magnitude is the
+    truncation error estimate.  The s-independent half is the spectrum's
+    plan, built once: the orders, weights and matching of the data against
+    the provider's terms.  Per call the head gains the provider terms up to
+    the head threshold, and there is one loggamma pass over (points x
+    orders), one array pole check, one provider call and one power sum over
+    (points x shifts z_k = (2s-1+k)/2) whose Q_k is nonzero.  Each point's
+    pieces are bit-identical to its call alone.
     """
-    s = complex(s)
+    orders, weights, head_w, head_v = spec._plan.head(head_threshold)
+    points = _points(s)
+    column = s if isinstance(s, complex) else s[:, None]
+    head_values = _head_sums(orders, weights, column, points)
+    tail_terms = [[] for _ in points]
     provider = spec.tail
-    lam_head = head_threshold * head_threshold
-    if spec.data:
-        lam_head = max(lam_head, max(d.eigenvalue for d in spec.data))
-    head = _head_terms(provider, lam_head) if provider is not None else []
-    _, remaining = _split_terms([(d.weight, d.eigenvalue) for d in spec.data], head)
-    explicit = [(d.weight, spec.p_of(i)) for i, d in enumerate(spec.data)]  # (weight, order p)
-    explicit += [(w, math.sqrt(lam)) for w, lam in remaining]
+    if provider is not None and points:
+        qs, ks = _fold_shifts(order)
+        z = (2 * column - 1 + ks) / 2.0
+        pole = provider.is_pole(z)
+        if pole.any():
+            raise ConeError(f"tail provider pole hit at argument {complex(z.flat[pole.argmax()])}")
+        tz = provider.zeta(z) - _power_sum(head_w, head_v, z)
+        for terms, x, row in zip(tail_terms, points, [tz] if tz.ndim == 1 else tz):
+            terms.extend(_poly_eval(qk, x) * t for qk, t in zip(qs, row.tolist()))
+    return head_values, tail_terms
 
-    head_value = _gamma_quotient_sum(explicit, s)
 
-    tail_terms = []
-    if provider is not None:
-        q = gamma_ratio_expansion(order).q_complex
-        ks = [k for k, qk in enumerate(q) if qk]
-        z = (2 * s - 1 + np.array(ks, dtype=float)) / 2.0
-        for zk in z:
-            if provider.is_pole(complex(zk)):
-                raise ConeError(f"tail provider pole hit at argument {complex(zk)}")
-        tz = provider.zeta(z) - _power_sum(head, z)
-        tail_terms = [_poly_eval(q[k], s) * complex(t) for k, t in zip(ks, tz)]
-    return head_value, tail_terms
+def _batch(fn, s) -> tuple:
+    """fn over a scalar s or an array of points.
+
+    fn takes a Python complex or a 1-D complex array and returns a tuple of
+    lists, one entry per point.  A scalar gives the entries of its one point,
+    an array gives arrays of its shape.  A batch that raises is redone point
+    by point, in order, so that its first bad point raises its own error.
+    """
+    if isinstance(s, (int, float, complex)) or np.ndim(s) == 0:
+        return tuple(out[0] for out in fn(complex(s)))
+    s = np.asarray(s, dtype=complex)
+    try:
+        outs = fn(s.ravel())
+    except Exception as exc:
+        error = exc
+    else:
+        return tuple(np.array(out).reshape(s.shape) for out in outs)
+    for x in s.flat:
+        fn(complex(x))
+    raise error
+
+
+def _zeta_hat_points(specs, s, order: int, head_threshold: float) -> list:
+    """zeta-hat over each spectrum of `specs` at each point of `s` (a Python
+    complex or a 1-D complex array): per spectrum, the list of values and the
+    list of error estimates.  The spectra share each point's prefactor."""
+    points = _points(s)
+    for x in points:
+        if _is_nonpositive_integer(x - 0.5):
+            raise ConeError(f"pole of the zeta function at s={x}")
+    prefs = [gamma(x - 0.5) * rgamma(x) / (2.0 * SQRT_PI) for x in points]
+    out = []
+    for spec in specs:
+        head_values, tail_terms = _phi_pieces(spec, s, order, head_threshold)
+        out.append((
+            [pref * (head + sum(tail)) for pref, head, tail in zip(prefs, head_values, tail_terms)],
+            [abs(pref) * (abs(tail[-1]) if tail else 0.0) for pref, tail in zip(prefs, tail_terms)],
+        ))
+    return out
+
+
+# The default head threshold of the fold.
+_HEAD_THRESHOLD = 8.0
 
 
 def zeta_hat_operator_report(
     spec: CrossSectionSpectrum,
-    s: complex,
+    s,
     order: int = 6,
-    head_threshold: float = 8.0,
+    head_threshold: float = _HEAD_THRESHOLD,
 ) -> dict:
     """Regularized zeta function of the cone operator with cross-section spectrum `spec`.
 
@@ -430,29 +570,31 @@ def zeta_hat_operator_report(
     summed with exact Gamma quotients; the remainder is folded through the
     provider's continuation against the Gamma-ratio asymptotics.  Returns the
     value plus a truncation-error estimate (magnitude of the last tail term).
+    `s` may be an array: both are then arrays of its shape, each element
+    bit-identical to the point's call alone, and the batch raises the error
+    of its first bad point.
     """
-    s = complex(s)
-    if _is_nonpositive_integer(s - 0.5):
-        raise ConeError(f"pole of the zeta function at s={s}")
-    head_value, tail_terms = _phi_pieces(spec, s, order, head_threshold)
-    pref = gamma(s - 0.5) * rgamma(s) / (2.0 * SQRT_PI)
-    value = pref * (head_value + sum(tail_terms))
-    err = abs(pref) * (abs(tail_terms[-1]) if tail_terms else 0.0)
-    return {"value": value, "error_estimate": err}
+    value, error = _batch(lambda x: _zeta_hat_points((spec,), x, order, head_threshold)[0], s)
+    return {"value": value, "error_estimate": error}
 
 
 def zeta_hat_operator(
     spec: CrossSectionSpectrum,
-    s: complex,
+    s,
     order: int = 6,
-    head_threshold: float = 8.0,
-) -> complex:
+    head_threshold: float = _HEAD_THRESHOLD,
+):
     """The value of `zeta_hat_operator_report`."""
     return zeta_hat_operator_report(spec, s, order, head_threshold)["value"]
 
 
-def gamma_zeta_hat(spec: CrossSectionSpectrum, s: complex, order: int = 6) -> complex:
-    return gamma(complex(s)) * zeta_hat_operator(spec, s, order=order)
+def gamma_zeta_hat(spec: CrossSectionSpectrum, s, order: int = 6):
+    """Gamma(s) zeta_hat(s); `s` may be an array, as for `zeta_hat_operator`."""
+    def points(x):
+        g = [gamma(p) for p in _points(x)]
+        return ([gp * zp for gp, zp in zip(g, _points(zeta_hat_operator(spec, x, order=order)))],)
+
+    return _batch(points, s)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -543,14 +685,17 @@ class ShiftedIntegerEtaProvider(DirichletSeriesProvider):
         return complex(out) if out.ndim == 0 else out
 
     def term_iter(self):
-        pending = []
+        # k + a with weight +1 and k + 1 - a with weight -1, the smaller first
+        # (+1 first on a tie)
         k = 0
         while True:
-            pending.append((1.0, k + self.a))
-            pending.append((-1.0, k + 1.0 - self.a))
-            pending.sort(key=lambda t: t[1])
-            while pending and pending[0][1] < k + min(self.a, 1.0 - self.a):
-                yield pending.pop(0)
+            up, down = (1.0, k + self.a), (-1.0, k + 1.0 - self.a)
+            if down[1] < up[1]:
+                yield down
+                yield up
+            else:
+                yield up
+                yield down
             k += 1
 
 
@@ -573,6 +718,14 @@ class FirstOrderSpectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "s_data", tuple(self.s_data))
+        # signed eigenvalues (sign * weight, |eigenvalue|) against the eta
+        # provider's terms up to 1/2 at least
+        signed = [
+            ((1 if d.eigenvalue > 0 else -1) * d.weight, abs(d.eigenvalue))
+            for d in self.s_data
+            if d.eigenvalue != 0.0
+        ]
+        object.__setattr__(self, "_eta_plan", _TermPlan(signed, self.eta_provider, [], 0.5))
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FirstOrderSpectrum":
@@ -592,19 +745,21 @@ class FirstOrderSpectrum:
         )
 
     def small_negative_weight(self) -> complex:
-        return sum(
+        """Weight of the eigenvalues in (-1/2, 0): those of s_data, and those
+        the eta provider lists (as a negative weight at |eigenvalue|) that no
+        entry of s_data claimed."""
+        total = sum(
             (d.weight for d in self.s_data if -0.5 < d.eigenvalue < 0.0),
             0.0 + 0.0j,
         )
+        for w, v in self._eta_plan.remaining():
+            if v < 0.5 and complex(w).real < 0:
+                total -= w
+        return total
 
     def _eta_unmatched(self):
-        """Signed eigenvalues as (sign * weight, |eigenvalue|) the eta provider omits."""
-        signed = [
-            ((1 if d.eigenvalue > 0 else -1) * d.weight, abs(d.eigenvalue))
-            for d in self.s_data
-            if d.eigenvalue != 0.0
-        ]
-        return _unmatched_pairs(signed, self.eta_provider)
+        """Signed eigenvalues the eta provider omits."""
+        return self._eta_plan.unmatched()
 
     def eta_value(self, s: complex) -> complex:
         return _series_part(self.eta_provider, "zeta", s, self._eta_unmatched())
@@ -635,15 +790,24 @@ class FirstOrderSpectrum:
             overrides.append(abs(lam + shift) if abs(lam) >= 0.5 else lam + shift)
         return CrossSectionSpectrum(data=tuple(data), tail=tail, p_overrides=tuple(overrides))
 
+    @cached_property
+    def _squares(self) -> tuple[CrossSectionSpectrum, CrossSectionSpectrum]:
+        """The two shifted-square spectra, built once, so their plans are too."""
+        return self.shifted_square_spectrum(1), self.shifted_square_spectrum(-1)
 
-def eta_function_scalable(
-    spec: FirstOrderSpectrum, s: complex, order: int = 6
-) -> complex:
-    """eta-hat of D = d/dx + S/x: Gamma(s) times the zeta-hat difference of D*D and DD*."""
-    s = complex(s)
-    plus = zeta_hat_operator(spec.shifted_square_spectrum(1), s, order=order)
-    minus = zeta_hat_operator(spec.shifted_square_spectrum(-1), s, order=order)
-    return gamma(s) * (plus - minus)
+
+def eta_function_scalable(spec: FirstOrderSpectrum, s, order: int = 6):
+    """eta-hat of D = d/dx + S/x: Gamma(s) times the zeta-hat difference of D*D and DD*.
+
+    `s` may be an array, as for `zeta_hat_operator`.
+    """
+    squares = spec._squares
+
+    def points(x):
+        (plus, _), (minus, _) = _zeta_hat_points(squares, x, order, _HEAD_THRESHOLD)
+        return ([gamma(p) * (a - b) for p, a, b in zip(_points(x), plus, minus)],)
+
+    return _batch(points, s)[0]
 
 
 # Cutoff of the alpha_k series shared by eta_hat_residues and index_first_order.

@@ -561,15 +561,15 @@ def riemann_zeta(s):
 
 
 def laurent_fit(
-    f: Callable[[complex], complex], s0: complex = 0.0, h: float = 1e-3
+    f: Callable[[np.ndarray], np.ndarray], s0: complex = 0.0, h: float = 1e-3
 ) -> tuple[complex, complex]:
     """Richardson-refined central-difference fit of (Res_1, Res_0) at a simple pole.
 
-    f is evaluated once at each of s0 +/- h and s0 +/- 2h; both coefficients
-    are second-order differences refined to fourth order.
+    f is called once, on the array [s0+h, s0-h, s0+2h, s0-2h], and returns
+    its four values; both coefficients are second-order differences refined
+    to fourth order.
     """
-    f1p, f1m = f(s0 + h), f(s0 - h)
-    f2p, f2m = f(s0 + 2 * h), f(s0 - 2 * h)
+    f1p, f1m, f2p, f2m = np.asarray(f(np.array([s0 + h, s0 - h, s0 + 2 * h, s0 - 2 * h]))).tolist()
     res1 = (4.0 * ((f1p - f1m) * h / 2.0) - (f2p - f2m) * (2 * h) / 2.0) / 3.0
     res0 = (4.0 * ((f1p + f1m) / 2.0) - (f2p + f2m) / 2.0) / 3.0
     return res1, res0
@@ -579,16 +579,14 @@ def laurent_fit(
 _TERMS_CAP = 100000
 
 
-def _power_sum(pairs: Sequence[tuple[complex, float]], s):
-    """sum_j w_j v_j^-s over (weight, value) pairs with values v_j > 0, as one
+def _power_sum(weights: np.ndarray, values: np.ndarray, s):
+    """sum_j w_j v_j^-s over arrays of weights and values v_j > 0, as one
     product of the matrix exp(-s log v_j) with the weights.  `s` may be an
     array; scalars give a complex."""
     s = np.asarray(s, dtype=complex)
-    if not pairs:
+    if not len(values):
         return 0.0 + 0.0j if s.ndim == 0 else np.zeros(s.shape, dtype=complex)
-    weights = np.array([w for w, _ in pairs], dtype=complex)
-    logs = np.log(np.array([v for _, v in pairs], dtype=float))
-    out = np.exp(np.multiply.outer(-s, logs)) @ weights
+    out = np.exp(np.multiply.outer(-s, np.log(values))) @ weights
     return complex(out) if out.ndim == 0 else out
 
 
@@ -622,8 +620,23 @@ class DirichletSeriesProvider:
     def pole_locations(self) -> tuple[complex, ...]:
         return ()
 
-    def is_pole(self, s: complex, tol: float = 1e-8) -> bool:
-        return any(abs(complex(s) - p) <= tol for p in self.pole_locations())
+    # pole_locations(), built once by is_pole, and as an array for arrays of s
+    _poles = _pole_array = None
+
+    def is_pole(self, s, tol: float = 1e-8):
+        """Whether s lies within tol of a pole.  An array of s gives a bool
+        array of its shape, one check over all its points and poles."""
+        if self._poles is None:
+            self._poles = tuple(self.pole_locations())
+        if isinstance(s, (int, float, complex)):
+            s = complex(s)
+            return any(abs(s - p) <= tol for p in self._poles)
+        s = np.asarray(s, dtype=complex)
+        if not self._poles:
+            return np.zeros(s.shape, dtype=bool)
+        if self._pole_array is None:
+            self._pole_array = np.array(self._poles, dtype=complex)
+        return np.logical_or.reduce(np.abs(np.subtract.outer(s, self._pole_array)) <= tol, axis=-1)
 
     def residue_at(self, s0: complex) -> complex:
         if not self.is_pole(s0, tol=1e-6):
@@ -646,9 +659,11 @@ class FiniteSpectrumProvider(DirichletSeriesProvider):
         self.pairs = tuple(sorted(pairs, key=lambda t: t[1]))
         if any(nu <= 0 for _, nu in self.pairs):
             raise SpecfunError("nu values must be positive")
+        self._weights = np.array([w for w, _ in self.pairs], dtype=complex)
+        self._values = np.array([nu for _, nu in self.pairs], dtype=float)
 
     def zeta(self, s):
-        return _power_sum(self.pairs, s)
+        return _power_sum(self._weights, self._values, s)
 
     def term_iter(self):
         yield from self.pairs
@@ -726,12 +741,14 @@ class PowerShiftSquaredProvider(DirichletSeriesProvider):
             raise SpecfunError("|delta| must be < 1")
         self.gamma_pow = gamma_pow
         self.delta = delta
+        self._head_values = np.array(
+            [(float(n) ** gamma_pow + delta) ** 2 for n in range(1, _POWER_SHIFT_HEAD + 1)]
+        )
 
     def zeta(self, s):
         s = np.asarray(s, dtype=complex)
         g, d = self.gamma_pow, self.delta
-        head = _power_sum([(1.0, (float(n) ** g + d) ** 2)
-                           for n in range(1, _POWER_SHIFT_HEAD + 1)], s)
+        head = _power_sum(np.ones(_POWER_SHIFT_HEAD, dtype=complex), self._head_values, s)
         # C(-2s, m) d^m for m = 0.._POWER_SHIFT_TERMS, as running products of
         # d (-2s - i) / (i + 1)
         i = np.arange(_POWER_SHIFT_TERMS)

@@ -296,6 +296,16 @@ class TestEta:
         assert doc["res0_re"] == pytest.approx(-0.5, rel=1e-8)
         assert "value_re" not in doc
 
+    @pytest.mark.parametrize("s_data", [[], [{"lambda": -0.25}]])
+    def test_tail_eigenvalue_in_minus_half_to_zero_counts_once(self, capsys, s_data):
+        # a = 0.75 puts the eigenvalue a - 1 = -0.25 in (-1/2, 0); it enters
+        # res0 whether or not s_data lists it (it read 0.5 without it)
+        payload = json.dumps(
+            {"s_data": s_data, "eta_tail": {"kind": "shifted-integer", "a": 0.75}})
+        code, out, _ = run(capsys, "eta", "--in", payload)
+        assert code == 0
+        assert json.loads(out)["res0_re"] == pytest.approx(-1.5, rel=1e-12)
+
     def test_value_at_s(self, capsys):
         payload = json.dumps(
             {"s_data": [{"lambda": 0.8, "weight_re": 1.0}], "eta_tail": {"kind": "none"}}

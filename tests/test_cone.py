@@ -41,6 +41,7 @@ from conespec.specfun import (
     HurwitzZetaProvider,
     PowerShiftSquaredProvider,
     RiemannZetaProvider,
+    SpecfunError,
     digamma,
     gamma_ratio_expansion,
     log_gamma,
@@ -473,6 +474,208 @@ class TestZetaHatOperator:
         assert 0 <= rep["error_estimate"] < 1e-6
 
 
+
+def _bits(values) -> bytes:
+    """The bytes of complex values, so that equality is bit for bit."""
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+def _random_tail(rng, kind):
+    if kind == "riemann":
+        return RiemannZetaProvider(rng.uniform(0.5, 3.0), rng.uniform(1.5, 3.0))
+    if kind == "hurwitz":
+        return HurwitzZetaProvider(rng.uniform(0.2, 2.0), rng.uniform(0.5, 2.0), rng.uniform(1.5, 3.0))
+    if kind == "power-shift":
+        return PowerShiftSquaredProvider(rng.uniform(0.3, 1.0), rng.uniform(-0.6, 0.6))
+    return ShiftedIntegerEtaProvider(rng.uniform(0.05, 0.95))
+
+
+def _random_cross_spectrum(rng, kind) -> CrossSectionSpectrum:
+    """A tail with free data and with data on some of its own terms."""
+    tail = _random_tail(rng, kind)
+    data = [SpectralDatum(float(rng.uniform(0.0, 90.0)),
+                          complex(rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5)))
+            for _ in range(rng.integers(0, 5))]
+    head = tail.terms_below(40.0)
+    for j in rng.choice(len(head), size=min(2, len(head)), replace=False):
+        w, v = head[j]
+        data.append(SpectralDatum(v, complex(w)))
+    return CrossSectionSpectrum(data=tuple(data), tail=tail, negative_below=rng.uniform(0.0, 0.5))
+
+
+def _random_points(rng, n) -> np.ndarray:
+    """Real and complex s off the poles."""
+    re = rng.uniform(-1.4, 3.4, n)
+    return re + 1j * rng.uniform(-8.0, 8.0, n) * rng.integers(0, 2, n)
+
+
+def _first_error(fn, points):
+    """The error of fn at the first point where it raises."""
+    for x in points:
+        try:
+            fn(complex(x))
+        except Exception as exc:
+            return exc
+    raise AssertionError("no point raises")
+
+
+class TestBatchedFold:
+    KINDS = ("riemann", "hurwitz", "power-shift", "shifted-integer")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zeta_hat_elements_equal_their_scalar_calls(self, kind):
+        rng = np.random.default_rng(self.KINDS.index(kind) + 1)
+        for _ in range(6):
+            spec = _random_cross_spectrum(rng, kind)
+            s = _random_points(rng, 7)
+            report = zeta_hat_operator_report(spec, s)
+            # the same spectrum, and a new one whose plan is built by the call
+            for other in (spec, CrossSectionSpectrum(spec.data, spec.tail, spec.negative_below)):
+                alone = [zeta_hat_operator_report(other, complex(x)) for x in s]
+                assert _bits(report["value"]) == _bits([r["value"] for r in alone])
+                assert report["error_estimate"].tobytes() == np.array(
+                    [r["error_estimate"] for r in alone]).tobytes()
+            assert _bits(zeta_hat_operator(spec, s)) == _bits(report["value"])
+            assert _bits(gamma_zeta_hat(spec, s)) == _bits(
+                [gamma_zeta_hat(spec, complex(x)) for x in s])
+
+    @pytest.mark.parametrize("kind", ("riemann", "power-shift", "shifted-integer"))
+    def test_eta_elements_equal_their_scalar_calls(self, kind):
+        rng = np.random.default_rng(7)
+        for _ in range(6):
+            if kind == "power-shift":
+                g = rng.uniform(0.3, 1.0)
+                plus, minus = PowerShiftSquaredProvider(g, 0.5), PowerShiftSquaredProvider(g, -0.5)
+            else:
+                plus, minus = _random_tail(rng, "hurwitz"), _random_tail(rng, "riemann")
+            spec = FirstOrderSpectrum(
+                s_data=tuple(SpectralDatum(float(x), rng.choice([1.0, 2.0]))
+                             for x in rng.uniform(-3.0, 3.0, rng.integers(0, 5))),
+                eta_provider=_random_tail(rng, kind), a_plus_tail=plus, a_minus_tail=minus)
+            s = _random_points(rng, 6)
+            got = eta_function_scalable(spec, s)
+            assert _bits(got) == _bits([eta_function_scalable(spec, complex(x)) for x in s])
+
+    def test_scalars_and_shapes(self):
+        spec = circle_spectrum()
+        value = zeta_hat_operator(spec, 1.6)
+        assert type(value) is complex and type(gamma_zeta_hat(spec, 1.6)) is complex
+        assert type(zeta_hat_operator_report(spec, 1.6)["error_estimate"]) is float
+        grid = np.array([[1.6, 2.0 + 1.0j], [0.7 - 3.0j, 2.5]])
+        got = zeta_hat_operator(spec, grid)
+        assert got.shape == grid.shape
+        assert _bits(got) == _bits([[zeta_hat_operator(spec, complex(x)) for x in row]
+                                    for row in grid])
+
+    def test_point_order_does_not_change_values(self):
+        rng = np.random.default_rng(11)
+        for kind in self.KINDS:
+            spec = _random_cross_spectrum(rng, kind)
+            s = _random_points(rng, 9)
+            perm = rng.permutation(len(s))
+            assert _bits(zeta_hat_operator(spec, s[perm])) == _bits(zeta_hat_operator(spec, s)[perm])
+            assert _bits(gamma_zeta_hat(spec, s[::-1])) == _bits(gamma_zeta_hat(spec, s)[::-1])
+
+    def test_batch_raises_the_error_of_its_first_bad_point(self):
+        circle = circle_spectrum()
+        # s = 1 puts z_0 = 1/2 on the provider pole, -1/2 is a pole of zeta-hat,
+        # p = 2 meets Gamma(p+1-s) at s = 3, and Gamma(1e2+1-s) overflows at s = -300.25
+        heads = CrossSectionSpectrum(data=(SpectralDatum(1e4, 1.0), SpectralDatum(4.0, 1.0)))
+        shifted = FirstOrderSpectrum(
+            s_data=(SpectralDatum(0.8, 1.0),), eta_provider=RiemannZetaProvider(1.0, 1.0),
+            a_plus_tail=PowerShiftSquaredProvider(1.0, 0.5),
+            a_minus_tail=PowerShiftSquaredProvider(1.0, -0.5))
+        cases = [
+            (zeta_hat_operator, circle, [1.6, 1.0, -0.5]),
+            (zeta_hat_operator, circle, [2.0 + 1.0j, -0.5, 1.0]),
+            (zeta_hat_operator_report, circle, [1.0, 2.0]),
+            (zeta_hat_operator, heads, [1.3, -300.25, 3.0]),
+            (zeta_hat_operator, heads, [1.3, 3.0, -300.25]),
+            (gamma_zeta_hat, circle, [0.3, 0.0, 1.0]),
+            (gamma_zeta_hat, circle, [0.3, 1.0, 0.0]),
+            (eta_function_scalable, shifted, [1.3, 0.0, -0.5]),
+            (eta_function_scalable, shifted, [1.3, -0.5, 0.0]),
+        ]
+        kinds = set()
+        for fn, spec, points in cases:
+            want = _first_error(lambda x: fn(spec, x), points)
+            with pytest.raises(type(want)) as got:
+                fn(spec, np.array(points))
+            assert str(got.value) == str(want)
+            kinds.add(type(want))
+        assert kinds == {ConeError, OverflowError, SpecfunError}
+
+    def test_plan_reads_the_provider_terms_once(self):
+        calls = []
+
+        class Counted(RiemannZetaProvider):
+            def terms_below(self, nu_max):
+                calls.append(nu_max)
+                return super().terms_below(nu_max)
+
+        spec = CrossSectionSpectrum(
+            data=(SpectralDatum(4.0, 2.0), SpectralDatum(30.0, 1.0)), tail=Counted(2.0, 2.0))
+        zeta_hat_operator(spec, 1.6)
+        zeta_hat_operator(spec, np.array([2.3, 0.7 + 1.0j]))
+        residues_at_zero(spec)
+        laurent_fit(lambda s: gamma_zeta_hat(spec, s))
+        assert len(calls) == 1
+        # the squares of an eta spectrum are built once, with their plans
+        first = FirstOrderSpectrum(s_data=(SpectralDatum(0.8, 1.0),), a_plus_tail=Counted(1.0, 2.0),
+                                   a_minus_tail=Counted(1.0, 2.0))
+        for s in (1.45, 2.0 + 1.0j, np.array([1.1, 1.7])):
+            eta_function_scalable(first, s)
+        assert len(calls) == 3
+
+
+def _split_terms_quadratic(pairs, head):
+    """The matching as a quadratic scan: the reference for `_split_terms`."""
+    remaining = list(head)
+    unmatched = []
+    for w, v in pairs:
+        near = [j for j, (_, u) in enumerate(remaining) if abs(u - v) <= 1e-9 * max(1.0, v)]
+        if not near:
+            unmatched.append((w, v))
+            continue
+        for j in near:
+            if abs(remaining[j][0] - w) <= 1e-9 * (1.0 + abs(w)):
+                del remaining[j]
+                break
+        else:
+            raise ConeError(f"tail provider disagrees with data weight at value {v}")
+    return unmatched, remaining
+
+
+class TestTermMatching:
+    def test_bisection_matches_the_quadratic_scan(self):
+        # near-duplicate values around the 1e-9 window, below and above 1,
+        # with weights that agree (to within 1e-9) and weights that disagree
+        rng = np.random.default_rng(14)
+        nudges = [0.0, 0.0, 3e-10, -6e-10, 9e-10, -1.0e-9, 1.2e-9, -2.5e-9, 5e-9]
+        outcomes = {"matched": 0, "raised": 0}
+        for _ in range(40):
+            base = rng.uniform(0.05, 4.0, rng.integers(1, 5)).tolist()
+            head = sorted(((float(rng.choice([1.0, 2.0, -1.0])), b * (1.0 + rng.choice(nudges))
+                            + rng.choice(nudges)) for b in base for _ in range(rng.integers(1, 4))),
+                          key=lambda t: t[1])
+            pairs = []
+            for _ in range(rng.integers(1, 7)):
+                w, v = head[rng.integers(len(head))]
+                v = v * (1.0 + rng.choice(nudges)) + rng.choice(nudges)
+                w = rng.choice([w, w * (1.0 + 5e-10), w + 1.0, 3.0])
+                pairs.append((complex(w), float(v)))
+            pairs.append((1.0, 7.5))
+            results = []
+            for split in (_split_terms, _split_terms_quadratic):
+                try:
+                    results.append(split(pairs, head))
+                except ConeError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1], (pairs, head)
+            outcomes["raised" if isinstance(results[0], str) else "matched"] += 1
+        assert min(outcomes.values()) >= 5, outcomes
+
+
 class TestResiduesAtZero:
     def test_circle_residues_vanish(self):
         res1, res0 = residues_at_zero(circle_spectrum())
@@ -878,11 +1081,13 @@ class TestLaurentFit:
         assert res0 == pytest.approx(3.0, rel=1e-9)
 
     def test_four_evaluations(self):
-        points = []
+        # one call of f, on exactly the four points
+        calls = []
 
         def f(s):
-            points.append(s)
+            calls.append(np.array(s))
             return 2.0 / (s - 0.5) + 3.0
 
         laurent_fit(f, 0.5, h=1e-3)
-        assert sorted(points) == [0.5 - 2e-3, 0.5 - 1e-3, 0.5 + 1e-3, 0.5 + 2e-3]
+        assert len(calls) == 1
+        assert sorted(calls[0].tolist()) == [0.5 - 2e-3, 0.5 - 1e-3, 0.5 + 1e-3, 0.5 + 2e-3]
