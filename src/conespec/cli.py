@@ -79,30 +79,33 @@ def _emit_table(columns: dict, args) -> None:
     the list of its row dicts.
 
     A column is a float shared by every row, formatted once, or a float
-    array with one entry per row; at least one column is an array.  Cells
-    are formatted from Python floats: JSON takes float.__repr__ as `json`
-    does, and a numpy scalar would print its type.
+    array with one entry per row; at least one column is an array.  The
+    whole table is one format string, the row template once per row, applied
+    with one `%` to the varying cells as Python floats in row order: `%r` is
+    float.__repr__, as `json` writes a float, and `%.16e` is
+    format(v, ".16e").  A float's text holds no `%`, so a shared column's
+    text goes into the template as it is.
     """
     csv = args.format == "csv"
-    cell = (lambda v: format(v, ".16e")) if csv else float.__repr__
+    spec = "%.16e" if csv else "%r"
     fields, varying = [], []
     for key in sorted(columns):
         col = columns[key]
         if not np.isfinite(col).all():
             raise NonFiniteResultError(f"result holds non-finite values in {key}")
         if isinstance(col, float):
-            text = cell(col)
+            # float(): a numpy scalar's %r would print its type
+            text = spec % float(col)
         else:
-            varying.append(list(map(cell, col.tolist())))
-            text = "%s"
+            varying.append(col)
+            text = spec
         fields.append(text if csv else f'    "{key}": {text}')
+    n_rows = len(varying[0])
     if csv:
-        row = ",".join(fields)
-        text = "\n".join([",".join(sorted(columns))] + [row % cells for cells in zip(*varying)])
+        table = ",".join(sorted(columns)) + ("\n" + ",".join(fields)) * n_rows
     else:
-        row = "  {\n" + ",\n".join(fields) + "\n  }"
-        text = "[\n" + ",\n".join(row % cells for cells in zip(*varying)) + "\n]"
-    _write(text + "\n", args)
+        table = "[\n" + ",\n".join(["  {\n" + ",\n".join(fields) + "\n  }"] * n_rows) + "\n]"
+    _write(table % tuple(np.column_stack(varying).ravel().tolist()) + "\n", args)
 
 
 def _write(text: str, args) -> None:

@@ -130,14 +130,16 @@ def zeta_hat_lp(p, s):
 
 
 def _zeta_hat_lp_array(p, s) -> np.ndarray | complex:
-    """`zeta_hat_lp` with one loggamma call per Gamma factor over the grid.
+    """`zeta_hat_lp` with one loggamma call per Gamma factor over its own
+    arguments: Gamma(s - 1/2) and Gamma(s) over the points of s, the other
+    two over the broadcast grid.
 
     Points off the domain, on a pole, or with |Re log value| > 708 (where
     cmath.exp rescales against overflow, and Python's complex division signs
     an underflowed zero) go through the scalar path in grid order, so the
     first bad point raises the scalar's error.
     """
-    p, s = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(s, dtype=complex))
+    p, s = np.asarray(p, dtype=float), np.asarray(s, dtype=complex)
     with np.errstate(all="ignore"):
         bad = ~((p > -1) & (p < math.inf) & np.isfinite(s))
         bad |= _nonpositive_integer_mask(s - 0.5) | _nonpositive_integer_mask(p + 1 - s)
@@ -145,6 +147,7 @@ def _zeta_hat_lp_array(p, s) -> np.ndarray | complex:
         log_v = loggamma(s - 0.5) + loggamma(p + 1 - s) - loggamma(s) - loggamma(p + s)
         v = np.exp(log_v)
         scalar = bad | (~zero & (np.abs(log_v.real) > 708.0))
+    p, s = np.broadcast_arrays(p, s)
     out = np.empty(p.shape, dtype=complex)
     # part by part, as Python's complex / float rounds; numpy's complex
     # division multiplies by a reciprocal
@@ -252,7 +255,7 @@ class _TermPlan:
     """
 
     def __init__(self, pairs: list, provider, orders: list, reach: float):
-        self.provider, self._pairs, self._orders = provider, pairs, orders
+        self.provider, self._pairs, self.orders = provider, pairs, orders
         self._terms, self._read_to, self._arrays = [], -math.inf, None
         self._matching = (pairs, [], 0) if provider is None else None
         if provider is not None:
@@ -287,7 +290,7 @@ class _TermPlan:
         is empty, and its weights and values are None."""
         if self.provider is None:
             if self._arrays is None:
-                self._arrays = (np.array(self._orders, dtype=float),
+                self._arrays = (np.array(self.orders, dtype=float),
                                 np.array([w for w, _ in self._pairs], dtype=complex), None, None)
             return self._arrays
         lam_head = threshold * threshold
@@ -300,7 +303,7 @@ class _TermPlan:
             free = remaining + self._terms[n_window:]
             self._free_values = [v for _, v in remaining]
             self._arrays = (
-                np.array(list(self._orders) + [math.sqrt(v) for _, v in free], dtype=float),
+                np.array(list(self.orders) + [math.sqrt(v) for _, v in free], dtype=float),
                 np.array([w for w, _ in self._pairs + free], dtype=complex),
                 np.array([w for w, _ in self._terms], dtype=complex),
                 np.array(self._values, dtype=float),
@@ -622,8 +625,7 @@ def residues_at_zero(spec: CrossSectionSpectrum) -> tuple[complex, complex]:
         bj = float(b_pos_fraction(j))
         res0 += (-1) ** j * bj / j * spec.res1_zeta_a(j - 0.5)
     i_zero = 0.0 + 0.0j
-    for i, d in enumerate(spec.data):
-        p = spec.p_of(i)
+    for p, d in zip(spec._plan.orders, spec.data):
         if p < 0:
             i_zero += 2.0 * p * d.weight
     res0 -= i_zero
@@ -865,8 +867,8 @@ def _orders_and_weights(spec: CrossSectionSpectrum) -> tuple[np.ndarray, np.ndar
     """Bessel orders and weights of a finite spectrum, as arrays."""
     if spec.tail is not None:
         raise ConeError("fiber trace needs a finite spectrum")
-    orders = np.array([spec.p_of(i) for i in range(len(spec.data))], dtype=float)
-    return orders, np.array([d.weight for d in spec.data], dtype=complex)
+    orders, weights, _, _ = spec._plan.head(0.0)
+    return orders, weights
 
 
 def k_trace_operator(spec: CrossSectionSpectrum, t: float) -> complex:

@@ -127,7 +127,11 @@ class TestZetaLp:
         assert out == table_oracle(grid_oracle(argv), fmt)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("constant", [("s_im", "s_re"), ("p", "s_im")], ids=["p", "s-re"])
+    @pytest.mark.parametrize(
+        "constant",
+        [("s_im", "s_re"), ("p", "s_im"), (), ("p", "s_im", "s_re", "value_im")],
+        ids=["p", "s-re", "all-varying", "one-varying"],
+    )
     @pytest.mark.parametrize("n", [1, 5])
     def test_table_writer_matches_row_dicts(self, capsys, fmt, constant, n):
         # every edge value in every column, shared or varying
@@ -142,6 +146,15 @@ class TestZetaLp:
         rows = [{k: c if isinstance(c, float) else float(c[j]) for k, c in columns.items()}
                 for j in range(n)]
         assert capsys.readouterr().out == table_oracle(rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_table_writer_refuses_non_finite_shared_column(self, tmp_path, fmt, bad):
+        out_file = tmp_path / "out"
+        columns = {"p": np.linspace(0.5, 2.5, 5), "s_im": bad, "s_re": 0.8}
+        with pytest.raises(cli.NonFiniteResultError, match="s_im"):
+            cli._emit_table(columns, SimpleNamespace(format=fmt, out=str(out_file)))
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

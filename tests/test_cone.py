@@ -14,6 +14,7 @@ from scipy.special import gamma as sc_gamma
 
 from dirichlet_checks import continuation_consistency
 
+from conespec import cone
 from conespec.cone import (
     ConeError,
     CrossSectionSpectrum,
@@ -177,6 +178,30 @@ class TestZetaHatLp:
         # |value| ~ 1e307, where cmath.exp rescales against overflow
         ps, s = np.linspace(0.3, 0.7, 41), -98.3 + 0.3j
         self.assert_bits_equal(zeta_hat_lp(ps, s), self.scalar_loop(ps, [s] * len(ps)))
+
+    def test_s_only_factors_run_on_the_shape_of_s(self, monkeypatch):
+        shapes = []
+        real = cone.loggamma
+
+        def recording(z):
+            shapes.append(np.shape(z))
+            return real(z)
+
+        monkeypatch.setattr(cone, "loggamma", recording)
+        ps = np.linspace(0.3, 0.7, 41)
+        # s = 0 and -2 are zeros of 1/Gamma(s); at s = -98.3 + 0.3j the
+        # value is ~1e307, where |Re log v| > 708: both take the scalar path
+        for s in (0.8, 0.0, -2.0, -98.3 + 0.3j):
+            shapes.clear()
+            got = zeta_hat_lp(ps, s)
+            assert shapes == [(), ps.shape, (), ps.shape]
+            self.assert_bits_equal(got, self.scalar_loop(ps, [s] * len(ps)))
+        ss = np.array([0.8, 0.0, -2.0, -98.3 + 0.3j, 1.3 - 0.4j])
+        shapes.clear()
+        grid = zeta_hat_lp(ps[:, None], ss[None, :])
+        assert shapes == [(1, 5), (41, 5), (1, 5), (41, 5)]
+        for j, s in enumerate(ss):
+            self.assert_bits_equal(grid[:, j], self.scalar_loop(ps, [s] * len(ps)))
 
     def test_array_matches_scalar_loop_on_s_re_grid(self):
         # p = 1.2: zeros at s = 0, -1, -2, -3 and p + s = 0, -1; poles at
