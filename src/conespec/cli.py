@@ -196,24 +196,12 @@ def _check_tol(tol: Optional[float]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _phi_test_function(name: str) -> sal.TestFunction:
+def _phi(name) -> expansions.ExpandableFunction:
+    """sal-expand's phi: e^-x or e^-x^2, with Taylor terms through x^12."""
     if name == "exp":
-        return sal.TestFunction(
-            evaluator=lambda x: math.exp(-x),
-            derivatives_at_zero=tuple((-1.0) ** j for j in range(13)),
-        )
+        return expansions.exponential_decay(13)
     if name == "gauss":
-        derivs = []
-        for j in range(13):
-            if j % 2:
-                derivs.append(0.0)
-            else:
-                m = j // 2
-                derivs.append((-1.0) ** m * math.factorial(2 * m) / math.factorial(m))
-        return sal.TestFunction(
-            evaluator=lambda x: math.exp(-x * x),
-            derivatives_at_zero=tuple(derivs),
-        )
+        return expansions.gaussian_decay(12)
     raise ValueError(f"unknown test function {name!r}; use 'exp' or 'gauss'")
 
 
@@ -327,7 +315,7 @@ def _cmd_deficiency(args, payload: dict) -> int:
 
 
 def _cmd_sal_expand(args, payload: dict) -> int:
-    phi = _phi_test_function(payload.get("phi", "exp"))
+    phi = _phi(payload.get("phi", "exp"))
     fams = payload.get("families", [])
     if not fams:
         raise ValueError("families must be a nonempty list")
@@ -341,7 +329,7 @@ def _cmd_sal_expand(args, payload: dict) -> int:
         )
         F = piece if F is None else expansions.add_functions(F, piece)
     order = _pick(args, payload, "order", "order")
-    q = float(order) if order is not None else None
+    q = float(_int_input(order, "order")) if order is not None else None
     report = sal.expand_phi_tx(phi, F, q)
     _emit(report.to_json_dict(), args)
     return EXIT_OK

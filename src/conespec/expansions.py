@@ -360,12 +360,6 @@ class ExpandableFunction:
     def q(self) -> float:
         return self.expansion_at_infinity.remainder_order
 
-    def remainder_at_zero(self, x):
-        return self.remainder_zero(x)
-
-    def remainder_at_infinity(self, x):
-        return self.remainder_infinity(x)
-
 
 def _minus_terms(v: np.ndarray, expansion: AsymptoticExpansion, x: np.ndarray) -> np.ndarray:
     """v minus each stored term of `expansion` at x in turn (log x computed once)."""

@@ -16,9 +16,13 @@ Every Taylor/boundary coefficient is a regularized moment from the mellin
 module (pole tolerance mellin.POLE_TOL = 1e-8), and all the moments of one
 function come from one mellin.regularized_moments call: one quadrature per
 side of the cut; there is no independent numeric path.  One helper emits
-the boundary and log-correction families of both engines; phi's jet is read
-through TestFunction.taylor_coefficient, which raises SalError when it is
-too short.
+the boundary and log-correction families of both engines.
+
+phi is an ExpandableFunction whose terms at 0 are its Taylor series (x^j, j
+a non-negative integer, no log) and whose expansion at infinity is empty;
+the engines refuse any other phi with SalError.  phi^(j)(0)/j! is read from
+phi's expansion at 0, and SalError is raised when j reaches its remainder
+order p.
 """
 
 from __future__ import annotations
@@ -44,38 +48,43 @@ class SalError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """A rapidly decaying smooth function on [0, infinity) with jet data at 0.
+def TestFunction(evaluator: Callable[[float], float],
+                 derivatives_at_zero: Sequence[float]) -> ExpandableFunction:
+    """phi from a scalar callable and its jet, derivatives_at_zero[j] =
+    phi^(j)(0): the Taylor leaf of order len(derivatives_at_zero) that the
+    engines take, whose evaluator maps the scalar callable over the points
+    of an array.  Only phi's values are known, so it states no derivative.
 
-    derivatives_at_zero[j] is phi^(j)(0).  The expansion at infinity is
-    empty with remainder order 40: x^n phi^(m)(x) stays bounded for n, m up
-    to 40.
+    It exists for callers that hold phi as a scalar callable (the benchmark
+    tasks), and goes once they build expandable leaves such as
+    exponential_decay and gaussian_decay.
     """
+    terms = tuple(LogPowerTerm(d / math.factorial(j), float(j), 0)
+                  for j, d in enumerate(derivatives_at_zero))
 
-    evaluator: Callable[[float], float]
-    derivatives_at_zero: tuple[float, ...]
+    def mapped(x: np.ndarray) -> np.ndarray:
+        return np.array([evaluator(v) for v in x.tolist()], dtype=float)
 
-    def __call__(self, x: float) -> float:
-        return self.evaluator(x)
+    return _taylor_leaf(mapped, terms, float(len(derivatives_at_zero)), None)
 
-    def taylor_coefficient(self, j: int) -> float:
-        if j >= len(self.derivatives_at_zero):
-            raise SalError(f"derivative data at 0 missing for order {j}")
-        return self.derivatives_at_zero[j] / math.factorial(j)
 
-    def as_expandable(self) -> ExpandableFunction:
-        """View phi as an expandable function (Taylor at 0, rapid decay at
-        infinity), whose evaluator maps phi over an array of points.  Only
-        phi's values are known, so it states no derivative."""
-        n = len(self.derivatives_at_zero)
-        terms = tuple(LogPowerTerm(self.taylor_coefficient(j), float(j), 0) for j in range(n))
-        phi = self.evaluator
+def _check_phi(phi: ExpandableFunction) -> None:
+    """Refuse a phi that is not a Taylor series at 0 and rapidly decaying at
+    infinity."""
+    if phi.expansion_at_infinity.terms:
+        raise SalError("phi's expansion at infinity must be empty")
+    for t in phi.expansion_at_zero.terms:
+        e = t.exponent
+        if t.log_power or e.imag or e.real < 0 or not e.real.is_integer():
+            raise SalError(f"phi's terms at 0 must be x^j with j a non-negative integer, "
+                           f"not x^{e} log^{t.log_power} x")
 
-        def mapped(x: np.ndarray) -> np.ndarray:
-            return np.array([phi(v) for v in x.tolist()], dtype=float)
 
-        return _taylor_leaf(mapped, terms, float(n), None)
+def _taylor_coefficient(phi: ExpandableFunction, j: int) -> complex:
+    """phi^(j)(0)/j!, from phi's expansion at 0."""
+    if j >= phi.p:
+        raise SalError(f"phi's expansion at 0 stops before order {j}")
+    return phi.expansion_at_zero.coefficient(float(j), 0)
 
 
 @dataclass(frozen=True)
@@ -104,11 +113,11 @@ class ExpansionReport:
             sorted(self.terms, key=lambda t: (t.exponent.real, t.exponent.imag, t.log_power))
         )
 
-    def coefficient(self, exponent: complex, log_power: int, tol: float = 1e-9) -> complex:
+    def coefficient(self, exponent: complex, log_power: int) -> complex:
         e = complex(exponent)
         return sum(
             (t.coefficient for t in self.terms
-             if abs(t.exponent - e) <= tol and t.log_power == log_power),
+             if abs(t.exponent - e) <= 1e-9 and t.log_power == log_power),
             0.0 + 0.0j,
         )
 
@@ -169,14 +178,14 @@ def _is_negative_integer(beta: complex, lo: float) -> Optional[int]:
     return None
 
 
-def _log_correction(phi: TestFunction, beta: complex, k: int, exponent: complex,
+def _log_correction(phi: ExpandableFunction, beta: complex, k: int, exponent: complex,
                     sign: float, lo: float, scale: complex) -> list[ReportTerm]:
     """For an integer beta = -n-1 in [lo, -1], the scale rule on phi's x^n term:
     scale * sign^(k+1) phi^(n)(0)/n! log^(k+1)(u)/(k+1) at u^exponent."""
     n = _is_negative_integer(beta, lo)
     if n is None:
         return []
-    coef = sign ** (k + 1) * phi.taylor_coefficient(n) * scale / (k + 1)
+    coef = sign ** (k + 1) * _taylor_coefficient(phi, n) * scale / (k + 1)
     return [ReportTerm(exponent, k + 1, coef, "log-correction")]
 
 
@@ -186,15 +195,16 @@ def _boundary_family(families, sign: float, lo: float) -> list[ReportTerm]:
     the log-correction of an integer beta in [lo, -1].
 
     log^k(x u^sign) expands binomially over log x + sign log u.  Every
-    family's jet is read first; then the moments x^beta log^i x of each
-    phi, over all its families, come from one regularized_moments call.
+    family's Taylor coefficient is read first; then the moments x^beta
+    log^i x of each phi, over all its families, come from one
+    regularized_moments call.
     """
     corrections = [_log_correction(phi, beta, k, exponent, sign, lo, scale)
                    for phi, beta, k, exponent, scale in families]
     wanted: dict = {}
     for phi, beta, k, _, _ in families:
         wanted.setdefault(id(phi), (phi, []))[1].extend((beta, i) for i in range(k + 1))
-    moments = {key: iter(regularized_moments(phi.as_expandable(), monomials).tolist())
+    moments = {key: iter(regularized_moments(phi, monomials).tolist())
                for key, (phi, monomials) in wanted.items()}
     out: list[ReportTerm] = []
     for (phi, beta, k, exponent, scale), correction in zip(families, corrections):
@@ -206,18 +216,22 @@ def _boundary_family(families, sign: float, lo: float) -> list[ReportTerm]:
 
 
 def expand_phi_tx(
-    phi: TestFunction, F: ExpandableFunction, q: Optional[float] = None
+    phi: ExpandableFunction, F: ExpandableFunction, q: Optional[float] = None
 ) -> ExpansionReport:
     """Small-t expansion of reg-int phi(t x) F(x) dx through order t^q.
 
-    q (default F.q) is capped at MAX_EXPANSION_ORDER + 1 and may not exceed F.q.
+    q (default F.q) is capped at MAX_EXPANSION_ORDER + 1, may not exceed F.q
+    and may not be negative.
     """
+    _check_phi(phi)
     q = min(F.q if q is None else q, float(MAX_EXPANSION_ORDER + 1))
+    if not q >= 0:
+        raise SalError(f"order {q} is negative")
     if q > F.q:
         raise SalError(f"order {q} exceeds F's remainder order {F.q} at infinity")
 
     # Taylor family: t^j phi^(j)(0)/j! reg-int x^j F, for j < q
-    taylor = [(j, phi.taylor_coefficient(j)) for j in range(int(math.ceil(q - 1e-9)))]
+    taylor = [(j, _taylor_coefficient(phi, j)) for j in range(int(math.ceil(q - 1e-9)))]
     taylor = [(j, cj) for j, cj in taylor if cj != 0]
     moments = regularized_moments(F, [(float(j), 0) for j, _ in taylor]).tolist()
     terms = [ReportTerm(float(j), 0, cj * moment, "taylor")
@@ -233,7 +247,7 @@ def expand_phi_tx(
 
 
 def expand_phi_x_over_t(
-    phi: TestFunction, F: ExpandableFunction, q: Optional[float] = None
+    phi: ExpandableFunction, F: ExpandableFunction, q: Optional[float] = None
 ) -> ExpansionReport:
     """Small-t expansion of reg-int phi(x) F(x/t) dx.
 
@@ -273,7 +287,7 @@ class SeparableSigma:
     omitting x_jets is then exact.
     """
 
-    boundary_terms: tuple[tuple[TestFunction, complex, int], ...]
+    boundary_terms: tuple[tuple[ExpandableFunction, complex, int], ...]
     remainder: Optional[Callable[[float, float], complex]] = None
     remainder_bound: Optional[float] = None
     remainder_log_power: int = 0
@@ -325,7 +339,8 @@ def sal_separable(sigma: SeparableSigma, p: int) -> ExpansionReport:
     """
     if p < 0 or p > MAX_EXPANSION_ORDER:
         raise SalError(f"order p must lie in [0, {MAX_EXPANSION_ORDER}]")
-    for _, alpha, _k in sigma.boundary_terms:
+    for phi, alpha, _k in sigma.boundary_terms:
+        _check_phi(phi)
         if complex(alpha).real <= -p - 1:
             raise SalError(f"boundary family exponent {alpha} outside Re alpha > -p-1")
     _check_remainder_bound(sigma, p)

@@ -58,9 +58,7 @@ from conespec.mellin import (
     regularized_integral_partial,
     scale_rule,
 )
-from conespec.sal import TestFunction, expand_phi_tx
-
-TestFunction.__test__ = False
+from conespec.sal import expand_phi_tx
 from conespec.specfun import (
     RiemannZetaProvider,
     bessel_i_scaled,
@@ -149,7 +147,7 @@ def test_03_fuchs_identity_and_vertical_decay():
 
 
 def test_04_parameter_expansion_matches_quadrature():
-    phi = TestFunction(lambda x: math.exp(-x * x), (1.0, 0.0, -2.0, 0.0, 12.0, 0.0))
+    phi = gaussian_decay(4)  # Taylor terms 1, -x^2, x^4/2; remainder order 6
     report = expand_phi_tx(phi, exponential_decay(), q=5)
     coeffs = [report.coefficient(float(j), 0).real for j in range(5)]
     expected = [1.0, 0.0, -2.0, 0.0, 12.0]

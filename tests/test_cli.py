@@ -517,6 +517,32 @@ class TestSalExpand:
         assert out == "" and "invalid input" in err and "remainder order" in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ("--in", '{"families": [{"alpha": -1.0}], "order": -1}'),
+        ("--in", '{"families": [{"alpha": -1.0}]}', "--order", "-1"),
+    ], ids=["payload", "flag"])
+    def test_negative_order_is_schema_error(self, capsys, argv):
+        # it printed remainder_order -1.0 with a t^0 term below it, exit 0
+        code, out, err = run(capsys, "sal-expand", *argv)
+        assert code == 2
+        assert out == "" and "order -1.0 is negative" in err
+
+    def test_gauss_at_order_13(self, capsys):
+        # the Taylor family through t^12 reads phi's x^12 coefficient; the
+        # boundary moments are reg-int x^beta e^-x^2 dx = Gamma((beta+1)/2)/2
+        payload = json.dumps({"phi": "gauss", "families": [{"alpha": -6.5}, {"alpha": -6.0}],
+                              "order": 13})
+        code, out, _ = run(capsys, "sal-expand", "--in", payload)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["remainder_order"] == 13.0
+        by_key = {(t["re_exp"], t["log_pow"]): t["re_coef"] for t in doc["terms"]}
+        assert set(by_key) == {(5.5, 0), (5.0, 0)}
+        for beta in (-6.5, -6.0):
+            assert by_key[(-beta - 1, 0)] == pytest.approx(math.gamma((beta + 1) / 2) / 2,
+                                                           rel=1e-11)
+
+
 class TestInputBoundary:
     @pytest.mark.parametrize("payload", ["[1, 2]", "null", '"text"', "3.5"])
     def test_non_object_payload_is_schema_error(self, capsys, tmp_path, payload):
@@ -598,8 +624,9 @@ class TestInputBoundary:
             ("heat-trace", "--in", '{"spectrum": {"data": [{"lambda": 1.0}]}, '
              '"phi_moments": [1, 1, 1], "m": 1.9}'),
             ("sal-expand", "--in", '{"families": [{"alpha": -1.0, "k": 0.5}], "order": 3}'),
+            ("sal-expand", "--in", '{"families": [{"alpha": -1.0}], "order": 0.5}'),
         ],
-        ids=["order", "m", "k"],
+        ids=["order", "m", "k", "sal order"],
     )
     def test_fractional_integer_input_is_schema_error(self, capsys, argv):
         # int() would truncate: "m": 1.9 printed the "m": 1 expansion with exit 0
@@ -618,8 +645,9 @@ class TestInputBoundary:
             ("heat-trace", "--in", '{"spectrum": {"data": [{"lambda": 1.0}]}, '
              '"phi_moments": [1, 1, 1], "m": true}'),
             ("sal-expand", "--in", '{"families": [{"alpha": -1.0, "k": "1"}], "order": 3}'),
+            ("sal-expand", "--in", '{"families": [{"alpha": -1.0}], "order": true}'),
         ],
-        ids=["order", "m", "k"],
+        ids=["order", "m", "k", "sal order"],
     )
     def test_non_numeric_integer_input_is_schema_error(self, capsys, argv):
         # int() would take "m": true as m = 1 and "order": "4" as 4

@@ -385,10 +385,8 @@ _TAYLOR_LEAVES = {
     "fuchs_derivative": (lambda: fuchs_derivative(exponential_decay()),
                          lambda b: math.gamma(b + 2)),
     "gaussian_decay": (gaussian_decay, lambda b: math.gamma((b + 1) / 2) / 2),
-    "cli exp": (lambda: cli._phi_test_function("exp").as_expandable(),
-                lambda b: math.gamma(b + 1)),
-    "cli gauss": (lambda: cli._phi_test_function("gauss").as_expandable(),
-                  lambda b: math.gamma((b + 1) / 2) / 2),
+    "cli exp": (lambda: cli._phi("exp"), lambda b: math.gamma(b + 1)),
+    "cli gauss": (lambda: cli._phi("gauss"), lambda b: math.gamma((b + 1) / 2) / 2),
 }
 
 

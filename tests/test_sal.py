@@ -19,10 +19,14 @@ from conespec.expansions import (
     add_functions,
     cutoff_times_monomial,
     exponential_decay,
+    gaussian_decay,
     global_monomial,
     monomial_restricted,
     rescale_argument,
     scale_function,
+    smooth_cutoff,
+    smooth_step_up,
+    tail_times_monomial,
     times_monomial,
 )
 from conespec.sal import (
@@ -30,49 +34,48 @@ from conespec.sal import (
     ReportTerm,
     SalError,
     SeparableSigma,
-    TestFunction,
     expand_phi_tx,
     expand_phi_x_over_t,
     sal_separable,
 )
 from conespec.mellin import MellinError, regularized_integral, regularized_moments
 
-TestFunction.__test__ = False  # not a test class, despite the name
-
 EULER_GAMMA = 0.5772156649015329
-
-
-def exp_phi(n_jets: int = 12) -> TestFunction:
-    return TestFunction(
-        evaluator=lambda x: math.exp(-x),
-        derivatives_at_zero=tuple((-1.0) ** j for j in range(n_jets)),
-    )
 
 
 class TestTestFunction:
     def test_taylor_coefficient(self):
-        phi = exp_phi()
-        assert phi.taylor_coefficient(3) == pytest.approx(-1.0 / 6.0)
-        with pytest.raises(SalError):
-            phi.taylor_coefficient(99)
+        phi = exponential_decay()
+        assert sal._taylor_coefficient(phi, 3) == pytest.approx(-1.0 / 6.0)
+        with pytest.raises(SalError, match="order 12"):
+            sal._taylor_coefficient(phi, 12)
 
     def test_jet_consistency(self):
-        # the declared jets are the Taylor coefficients of the functions
-        # (mpmath's numerical derivatives leave ~1e-36 where they vanish)
-        for phi, mp_phi in ((exp_phi(), lambda x: mpmath.exp(-x)),
-                            (cli._phi_test_function("exp"), lambda x: mpmath.exp(-x)),
-                            (cli._phi_test_function("gauss"), lambda x: mpmath.exp(-x * x))):
-            n = len(phi.derivatives_at_zero)
+        # the CLI's leaves hold the Taylor coefficients of their functions
+        # through x^12 (mpmath's numerical derivatives leave ~1e-36 where
+        # they vanish)
+        for phi, mp_phi in ((cli._phi("exp"), lambda x: mpmath.exp(-x)),
+                            (cli._phi("gauss"), lambda x: mpmath.exp(-x * x))):
             with mpmath.workdps(30):
-                want = mpmath.taylor(mp_phi, 0, n - 1)
-            for j in range(n):
-                assert phi.taylor_coefficient(j) == pytest.approx(float(want[j]), rel=1e-15,
-                                                                  abs=1e-20)
+                want = mpmath.taylor(mp_phi, 0, 12)
+            for j in range(13):
+                assert sal._taylor_coefficient(phi, j) == pytest.approx(
+                    float(want[j]), rel=1e-15, abs=1e-20)
 
-    def test_as_expandable(self):
-        f = exp_phi().as_expandable()
-        assert f(0.7) == pytest.approx(math.exp(-0.7))
-        assert f.expansion_at_zero.coefficient(2.0, 0) == pytest.approx(0.5)
+    def test_thin_constructor_matches_leaf(self):
+        # sal.TestFunction builds from a scalar callable and its jet the
+        # Taylor leaf the engines take; it agrees with the stock leaf
+        phi = sal.TestFunction(lambda x: math.exp(-x), tuple((-1.0) ** j for j in range(13)))
+        assert phi(0.7) == pytest.approx(math.exp(-0.7))
+        assert phi.p == 13 and phi.derivative is None
+        F = add_functions(exponential_decay(), global_monomial(-2.703268218679219, 1))
+        got = expand_phi_x_over_t(phi, F, q=4.0)
+        want = expand_phi_x_over_t(exponential_decay(13), F, q=4.0)
+        assert got.remainder_order == want.remainder_order
+        assert len(got.terms) == len(want.terms) == 6
+        for r in want.terms:
+            assert abs(got.coefficient(r.exponent, r.log_power) - r.coefficient) <= (
+                1e-13 * abs(r.coefficient))
 
 
 class TestReport:
@@ -97,21 +100,15 @@ class TestReport:
         assert d["terms"][0]["provenance"] == "taylor"
 
 
-def gaussian_phi(n_jets: int = 13) -> TestFunction:
-    derivs = [0.0 if j % 2 else (-1.0) ** (j // 2) * math.factorial(j) / math.factorial(j // 2)
-              for j in range(n_jets)]
-    return TestFunction(lambda x: math.exp(-x * x), tuple(derivs))
-
-
 class TestMoments:
     # the families of moments the engines take: phi's boundary moments with
     # complex and integer exponents and log powers, and the Taylor moments
     # x^j F of a function with a cut log term and a tail
     FAMILIES = [
-        (exp_phi().as_expandable(),
+        (exponential_decay(),
          [(-1.3879733, 0), (-1.3879733, 1), (-2.0, 0), (-2.0, 1), (-2.0, 2), (0.4 - 1.5j, 2),
           (-0.5, 0), (3.0, 1)]),
-        (gaussian_phi().as_expandable(), [(-3.0, 0), (-3.0, 1), (-0.7 + 2.0j, 1), (5.5, 0)]),
+        (gaussian_decay(), [(-3.0, 0), (-3.0, 1), (-0.7 + 2.0j, 1), (5.5, 0)]),
         (add_functions(scale_function(cutoff_times_monomial(-1.3, 1), 1.6),
                        scale_function(monomial_restricted(-2.5, 0, "unit_tail"), -0.8)),
          [(float(j), 0) for j in range(5)]),
@@ -138,7 +135,7 @@ class TestMoments:
         assert len(calls) == 2
 
     def test_orders_are_checked_per_moment(self):
-        f = exp_phi().as_expandable()
+        f = exponential_decay()
         with pytest.raises(MellinError):
             regularized_integral(times_monomial(f, -13.0, 0))
         with pytest.raises(MellinError):
@@ -149,7 +146,7 @@ class TestMoments:
 class TestExpandPhiTx:
     def test_pure_taylor_geometric(self):
         # reg-int e^{-t x} e^{-x} dx = 1/(1+t): coefficients (-1)^j
-        rep = expand_phi_tx(exp_phi(), exponential_decay(), q=6.0)
+        rep = expand_phi_tx(exponential_decay(), exponential_decay(), q=6.0)
         for j in range(6):
             assert rep.coefficient(float(j), 0) == pytest.approx(
                 (-1.0) ** j, rel=1e-9, abs=1e-9
@@ -164,7 +161,7 @@ class TestExpandPhiTx:
             # the x^4 moment of the tail remainder converges slowly; the
             # coefficients below are checked at 1e-8 regardless
             warnings.simplefilter("ignore", IntegrationWarning)
-            rep = expand_phi_tx(exp_phi(), F, q=5.0)
+            rep = expand_phi_tx(exponential_decay(), F, q=5.0)
         assert rep.coefficient(0.0, 1) == pytest.approx(-1.0)
         assert rep.coefficient(0.0, 0) == pytest.approx(-EULER_GAMMA, rel=1e-8)
         for j in range(1, 5):
@@ -176,13 +173,13 @@ class TestExpandPhiTx:
 
     def test_provenance_labels(self):
         F = monomial_restricted(-1.0, 0, support="unit_tail")
-        rep = expand_phi_tx(exp_phi(), F, q=3.0)
+        rep = expand_phi_tx(exponential_decay(), F, q=3.0)
         kinds = {r.provenance for r in rep.terms}
         assert kinds == {"taylor", "boundary", "log-correction"}
 
     def test_no_log_correction_for_nonintegar_exponent(self):
         F = monomial_restricted(-1.5, 0, support="unit_tail")
-        rep = expand_phi_tx(exp_phi(), F, q=3.0)
+        rep = expand_phi_tx(exponential_decay(), F, q=3.0)
         assert all(r.provenance != "log-correction" for r in rep.terms)
         # the boundary exponent surfaces at t^{1/2}
         assert abs(rep.coefficient(0.5, 0)) > 0
@@ -193,30 +190,87 @@ class TestExpandPhiTx:
         # (at q = 1 the Taylor family needs phi(0) alone)
         F = monomial_restricted(-2.0, 0, support="unit_tail")
         with pytest.raises(SalError, match="order 1"):
-            expand_phi_tx(exp_phi(1), F, q=1.0)
+            expand_phi_tx(exponential_decay(1), F, q=1.0)
 
     def test_short_jet_for_taylor_family_raises(self):
         # through t^5 the Taylor family needs phi^(j)(0) for j <= 5
-        assert len(expand_phi_tx(exp_phi(6), exponential_decay(), q=6.0).terms) == 6
+        assert len(expand_phi_tx(exponential_decay(6), exponential_decay(), q=6.0).terms) == 6
         with pytest.raises(SalError, match="order 3"):
-            expand_phi_tx(exp_phi(3), exponential_decay(), q=6.0)
+            expand_phi_tx(exponential_decay(3), exponential_decay(), q=6.0)
 
     def test_order_beyond_remainder_raises(self):
         # x^-1 on (0, inf), declared with remainder order 4 at infinity
         F = global_monomial(-1.0, 0, order_margin=4.0)
-        assert expand_phi_tx(exp_phi(), F, q=4.0).remainder_order == 4.0
+        assert expand_phi_tx(exponential_decay(), F, q=4.0).remainder_order == 4.0
         for q in (4.5, 40.0):
             with pytest.raises(SalError):
-                expand_phi_tx(exp_phi(), F, q=q)
+                expand_phi_tx(exponential_decay(), F, q=q)
+
+    def test_negative_order_raises(self):
+        with pytest.raises(SalError, match="negative"):
+            expand_phi_tx(exponential_decay(), exponential_decay(), q=-1.0)
+
+    @pytest.mark.parametrize("phi, message", [
+        (global_monomial(-0.5), "at infinity"),
+        (cutoff_times_monomial(0.0, 1), "terms at 0"),
+        (cutoff_times_monomial(-0.5, 0), "terms at 0"),
+    ], ids=["x^-1/2", "cutoff log x", "cutoff x^-1/2"])
+    def test_phi_that_is_not_a_taylor_leaf_raises(self, phi, message):
+        # phi must be a Taylor series at 0 and decay rapidly at infinity
+        F = monomial_restricted(-1.5, 0, support="unit_tail")
+        with pytest.raises(SalError, match=message):
+            expand_phi_tx(phi, F, q=2.0)
+        with pytest.raises(SalError, match=message):
+            expand_phi_x_over_t(phi, F, q=2.0)
+        with pytest.raises(SalError, match=message):
+            sal_separable(SeparableSigma(boundary_terms=((phi, -0.5, 0),)), p=1)
+
+    def test_cutoff_phi_matches_mpmath(self):
+        # phi = smooth_cutoff is 1 on (0, 1], so its Taylor series is 1 with
+        # p = 9.  For F = psi(x) x^-2.5 log x + e^-x (psi = smooth_step_up)
+        # the expansion of integral phi(t x) F(x) dx is exact up to e^(-1/t):
+        # phi(t x) - 1 vanishes below x = 1/t, where psi = 1 already.
+        phi = cutoff_times_monomial(0.0, 0)
+        assert phi.p == 9.0
+        F = add_functions(tail_times_monomial(-2.5, 1), exponential_decay())
+        rep = expand_phi_tx(phi, F, q=4.0)
+        assert {(r.exponent, r.log_power) for r in rep.terms} == {(0, 0), (1.5, 1), (1.5, 0)}
+
+        def mp_cut(y):
+            if y <= 1 or y >= 2:
+                return mpmath.mpf(y <= 1)
+            u = y - 1
+            return 1 / (1 + mpmath.exp(1 / (1 - u) - 1 / u))
+
+        def mp_f(x):
+            if x <= 0.5:
+                step = 0
+            elif x >= 1:
+                step = 1
+            else:
+                u = 2 * x - 1
+                step = 1 / (1 + mpmath.exp(1 / u - 1 / (1 - u)))
+            return step * x**-2.5 * mpmath.log(x) + mpmath.exp(-x)
+
+        for y in (1.2, 1.5, 1.9):
+            assert float(mp_cut(y)) == pytest.approx(smooth_cutoff(y), rel=1e-14)
+            x = y / 2
+            assert float(mp_f(x) - mpmath.exp(-x)) == pytest.approx(
+                smooth_step_up(x) * x**-2.5 * math.log(x), rel=1e-14)
+        for t in (0.01, 0.02):
+            with mpmath.workdps(30):
+                want = mpmath.quad(lambda x: mp_cut(t * x) * mp_f(x),
+                                   [0, 0.5, 1, 1 / t, 2 / t])
+            assert rep.evaluate(t) == pytest.approx(complex(want), rel=1e-14)
 
     def test_log_correction_within_pole_tol(self):
         # an exponent within POLE_TOL of -1 is treated as -1 by the moments
         # (regular part of the block) and so also gets the log-correction
         near = monomial_restricted(-1.0 + 5e-9, 0, support="unit_tail")
-        rep = expand_phi_tx(exp_phi(), near, q=2.0)
+        rep = expand_phi_tx(exponential_decay(), near, q=2.0)
         assert "log-correction" in {r.provenance for r in rep.terms}
         far = monomial_restricted(-1.0 + 1e-6, 0, support="unit_tail")
-        rep = expand_phi_tx(exp_phi(), far, q=2.0)
+        rep = expand_phi_tx(exponential_decay(), far, q=2.0)
         assert "log-correction" not in {r.provenance for r in rep.terms}
 
 
@@ -242,7 +296,7 @@ class TestExpandPhiTx:
 
         monkeypatch.setattr(sal, "_boundary_family", traced_boundary)
         monkeypatch.setattr(mellin, "quad", guarded_quad)
-        rep = expand_phi_tx(exp_phi(), F, q=4.0)
+        rep = expand_phi_tx(exponential_decay(), F, q=4.0)
         assert {r.provenance for r in rep.terms} == {"boundary"}
 
 
@@ -251,7 +305,7 @@ class TestExpandPhiXOverT:
         # reg-int e^{-x} F(x/t) dx for F = x^{-1} on [0,1]:
         # t log t + t * integral_0^t (e^{-x}-1)/x dx
         F = monomial_restricted(-1.0, 0, support="unit_interval")
-        rep = expand_phi_x_over_t(exp_phi(), F, q=4.0)
+        rep = expand_phi_x_over_t(exponential_decay(), F, q=4.0)
         assert rep.coefficient(1.0, 1) == pytest.approx(1.0)
         assert rep.coefficient(1.0, 0) == pytest.approx(0.0, abs=1e-10)
         for j in range(1, 4):
@@ -273,7 +327,7 @@ class TestExpandPhiXOverT:
         F = add_functions(exponential_decay(), global_monomial(beta, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error", IntegrationWarning)
-            rep = expand_phi_x_over_t(exp_phi(13), F, q=4.0)
+            rep = expand_phi_x_over_t(exponential_decay(13), F, q=4.0)
         with mpmath.workdps(30):
             gamma_b = complex(mpmath.gamma(beta + 1))
             dgamma_b = complex(mpmath.gamma(beta + 1) * mpmath.digamma(beta + 1))
@@ -286,7 +340,7 @@ class TestExpandPhiXOverT:
     def test_short_jet_for_zero_side_log_correction_raises(self):
         F = monomial_restricted(-2.0, 0, support="unit_interval")
         with pytest.raises(SalError):
-            expand_phi_x_over_t(exp_phi(1), F, q=3.0)
+            expand_phi_x_over_t(exponential_decay(1), F, q=3.0)
 
 
 class TestSeparable:
@@ -315,7 +369,7 @@ class TestSeparable:
             Remainder(lambda z: -np.exp(-z) / z),
         )
         return SeparableSigma(
-            boundary_terms=((exp_phi(), -1.0, 0),),
+            boundary_terms=((exponential_decay(), -1.0, 0),),
             remainder=lambda x, z: -math.exp(-x) * math.exp(-z) / z,
             remainder_bound=1.0,
             x_jets=(jet0,),
@@ -344,19 +398,19 @@ class TestSeparable:
             sal_separable(self.frullani_sigma(), p=99)
 
     def test_rejects_exponent_outside_range(self):
-        sigma = SeparableSigma(boundary_terms=((exp_phi(), -2.5, 0),))
+        sigma = SeparableSigma(boundary_terms=((exponential_decay(), -2.5, 0),))
         with pytest.raises(SalError):
             sal_separable(sigma, p=1)
 
     def test_rejects_duplicate_family(self):
         with pytest.raises(SalError):
             SeparableSigma(
-                boundary_terms=((exp_phi(), -1.0, 0), (exp_phi(), -1.0, 0))
+                boundary_terms=((exponential_decay(), -1.0, 0), (exponential_decay(), -1.0, 0))
             )
 
     def test_declared_bound_violation_raises(self):
         sigma = SeparableSigma(
-            boundary_terms=((exp_phi(), -0.5, 0),),
+            boundary_terms=((exponential_decay(), -0.5, 0),),
             remainder=lambda x, z: 1.0 / z,
             remainder_bound=1e-12,
         )
