@@ -11,14 +11,14 @@ The remainder pieces of f, which f carries with the interval outside which
 they vanish, are integrated over that interval only; where it misses the
 side of the cut there is no quadrature.  Remainders take arrays, and `quad`
 is one adaptive, complex-valued Gauss-Kronrod rule (QUADPACK's G10/K21
-pair, Piessens et al. 1983) that evaluates all open subintervals' nodes in
-one call per round and bisects the subintervals with the largest error
-estimates until the total meets QUAD_ABS_TOL or QUAD_REL_TOL; it raises
-MellinError when QUAD_LIMIT subintervals do not.  It is the package's only
-quadrature (specfun's Hankel transform runs on it too).  Its integrand may
-return a block of integrands that share one evaluation, each meeting its
-own tolerance: `regularized_moments` takes the moments x^beta log^k x of a
-function that way, one quadrature per side for all of them.
+pair, Piessens et al. 1983) over a block of integrands that share one
+evaluation, each meeting QUAD_ABS_TOL or QUAD_REL_TOL on its own; a single
+integrand is a block of one column.  It raises MellinError when QUAD_LIMIT
+subintervals do not meet them, or a bound, an integrand value, an integral
+or an error estimate is not finite.  It is the package's only quadrature
+(specfun's Hankel transform runs on it too).  `regularized_moments` takes
+the moments x^beta log^k x of a function as one block, one quadrature per
+side for all of them.
 
 The regularized integral of f is the constant Laurent coefficient of Mf at
 z = 1; the regularized limit is the coefficient of x^0 log^0 x in the
@@ -145,52 +145,47 @@ def _symmetric(half: np.ndarray) -> np.ndarray:
 
 _NODES = np.concatenate([-_KRONROD_X[:-1], _KRONROD_X[::-1]])
 _WK = _symmetric(_KRONROD_W)
-_WKG = np.stack([_WK, _symmetric(_GAUSS_W)], axis=1)
+# complex, so that a round's product with the complex node values casts nothing
+_WKG = np.stack([_WK, _symmetric(_GAUSS_W)], axis=1).astype(complex)
 # the rounding floor of an error estimate, per unit of integral of |f|
 _ROUNDING = 50.0 * np.finfo(float).eps
 
 
 def _gauss_kronrod(fn: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
-    """K21 values and QUADPACK error estimates on the intervals [lo, hi], from
-    one call of fn on all their nodes: one per interval, or, when fn returns
-    a block, one row per interval with one column per integrand."""
+    """K21 values and QUADPACK error estimates on the intervals [lo, hi] from
+    one call of fn on all their nodes, one row per interval and one column
+    per integrand (a 1-D result is one column), and the ndim of fn's result."""
     half = 0.5 * (hi - lo)
     x = (lo + half)[:, None] + half[:, None] * _NODES
     f = np.asarray(fn(x.reshape(-1)), dtype=complex)
-    if not np.isfinite(f).all():
-        raise MellinError("non-finite integrand value")
-    m = f.shape[1] if f.ndim == 2 else 0
-    if m:  # one row of 21 node values per interval and integrand
-        f = f.reshape(len(lo), _NODES.size, m).transpose(0, 2, 1).reshape(-1, _NODES.size)
-        half = np.repeat(half, m)
-    else:
-        f = f.reshape(x.shape)
-    k, g = (f @ _WKG).T
-    resabs = np.abs(f) @ _WK * half
-    resasc = np.abs(f - 0.5 * k[:, None]) @ _WK * half
-    # QUADPACK scales |K - G| by the spread of f (a constant f has none and
-    # is integrated exactly), and floors it at the rounding of the sum
-    ratio = np.divide(200.0 * np.abs(k - g) * half, resasc, out=np.ones_like(resasc),
-                      where=resasc > 0)
-    err = resasc * np.minimum(1.0, ratio) ** 1.5
-    err = np.maximum(err, _ROUNDING * resabs)
-    if m:
-        return (k * half).reshape(-1, m), err.reshape(-1, m)
-    return k * half, err
+    # one row of 21 node values per interval and integrand
+    rows = f.reshape(len(lo), _NODES.size, -1).transpose(0, 2, 1).reshape(-1, _NODES.size)
+    shape, half = (len(lo), -1), half[:, None]
+    k, g = (rows @ _WKG).T
+    resabs = (np.abs(rows) @ _WK).reshape(shape) * half
+    resasc = (np.abs(rows - 0.5 * k[:, None]) @ _WK).reshape(shape) * half
+    # QUADPACK scales |K - G| by the spread of f, and floors it at the
+    # rounding of the sum.  A constant f has no spread and is integrated
+    # exactly: its error is 0 whatever the ratio, whose 0/0 the 1 avoids.
+    ratio = (200.0 * np.abs(k - g)).reshape(shape) * half / (resasc + (resasc == 0))
+    err = np.maximum(resasc * np.minimum(1.0, ratio) ** 1.5, _ROUNDING * resabs)
+    return k.reshape(shape) * half, err, f.ndim
 
 
-def _worst(err: np.ndarray, abserr, tol) -> np.ndarray:
-    """The subintervals to bisect, worst first: those of largest error
-    estimate, as many as leave the others' sum within tol/2.  In a block,
-    each integrand that misses its tol_j has its own sum within tol_j/2, and
-    a subinterval ranks by its worst error over tol_j among them."""
-    if err.ndim == 1:
-        order = np.argsort(err)
-        return order[np.cumsum(err[order]) > tol / 2][::-1]
-    missed = abserr > tol
-    e, t = err[:, missed], tol[missed]
-    order = np.argsort((e / t).max(axis=1))
-    return order[(np.cumsum(e[order], axis=0) > t / 2).any(axis=1)][::-1]
+def _worst(err: np.ndarray, excess: np.ndarray, tol: np.ndarray, room: int):
+    """The subintervals to bisect, worst first and at most `room`, and the
+    others in order.  Each integrand that misses its tol_j (excess_j > 0)
+    keeps the sum of its error estimates over the others within tol_j/2, and
+    a subinterval ranks by its worst error over tol_j among those integrands."""
+    # an integrand that meets its tolerance neither ranks nor splits
+    tol = np.where(excess > 0, tol, np.inf)
+    order = np.maximum.reduce(err / tol, axis=1).argsort()
+    # each column's running sum grows along `order`, so the rows past its
+    # tol_j/2 are a suffix of `order`; their union starts at the first row
+    # that any column passes, the first True in reading order
+    over = np.add.accumulate(err.take(order, axis=0), axis=0) > tol / 2
+    start = max(over.argmax() // len(tol), len(order) - room)
+    return order[start:][::-1], np.sort(order[:start])
 
 
 # The first round's equal subintervals.  A remainder that decays like
@@ -202,9 +197,9 @@ _START = np.arange(_START_PIECES) / _START_PIECES
 
 def quad(fn: Callable[[np.ndarray], np.ndarray], a, b):
     """(integral of fn over [a, b], error estimate) for a complex-valued fn
-    that maps a float array of n points to n values, or to an (n, m) block
-    of m integrands that share one evaluation, whose integrals and error
-    estimates come back as arrays of m.
+    that maps a float array of n points to an (n, m) block of m integrands
+    that share one evaluation, as arrays of m; a fn that returns n values is
+    one column, and gets a complex and a float.
 
     The first round splits [a, b] into _START_PIECES equal subintervals, or,
     for arrays a and b, starts from the subintervals [a_i, b_i] and
@@ -212,39 +207,45 @@ def quad(fn: Callable[[np.ndarray], np.ndarray], a, b):
     of every new subinterval, and then bisects the subintervals with the
     largest error estimates, as many as leave the others' sum within half
     the tolerance max(QUAD_ABS_TOL, QUAD_REL_TOL |integral|), which each
-    integrand of a block meets on its own (see _worst).  MellinError when
-    QUAD_LIMIT subintervals do not meet it, or fn is not finite.
+    integrand meets on its own (see _worst).  MellinError when a or b, or a
+    round's integrand values, integrals or error estimates, are not finite
+    (so every round returns, raises or bisects), or when QUAD_LIMIT
+    subintervals do not meet the tolerance.
     """
+    if not np.isfinite((a, b)).all():
+        raise MellinError(f"quadrature over [{a}, {b}]: a bound is not finite")
     if np.ndim(a) == 0:
         lo = a + (b - a) * _START
         hi = np.append(lo[1:], b)
     else:
         lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    val, err = _gauss_kronrod(fn, lo, hi)
+    val, err, ndim = _gauss_kronrod(fn, lo, hi)
     while True:
-        total, abserr = val.sum(axis=0), err.sum(axis=0)
-        if val.ndim == 1:  # one integrand: Python scalars, cheaper than numpy's
-            tol = max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total))
-            if abserr <= tol:
-                return complex(total), float(abserr)
-        else:
-            tol = np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(total))
-            if (abserr <= tol).all():
-                return total, abserr
+        total, abserr = np.add.reduce(val, axis=0), np.add.reduce(err, axis=0)
+        tol = np.maximum(QUAD_ABS_TOL, QUAD_REL_TOL * np.abs(total))
+        # finite exactly when abserr and tol are (a non-finite f, K or estimate
+        # leaves NaN or inf in one), and <= 0 exactly when abserr <= tol
+        excess = abserr - tol
+        if not 0.0 < excess.max() < np.inf:  # met by every integrand, or not finite
+            if not np.isfinite(excess).all():
+                raise MellinError(f"quadrature over [{lo.min()}, {hi.max()}]: a non-finite "
+                                  f"integrand value, integral or error estimate")
+            if ndim == 1:
+                return complex(total[0]), float(abserr[0])
+            return total, abserr
         room = QUAD_LIMIT - len(lo)
         if room <= 0:
-            worst = np.argmax(np.ravel(abserr / tol))
+            worst = np.argmax(abserr / tol)
             raise MellinError(f"quadrature over [{lo.min()}, {hi.max()}] missed its tolerance "
-                              f"{np.ravel(tol)[worst]:.3g} with {QUAD_LIMIT} subintervals "
-                              f"(error estimate {np.ravel(abserr)[worst]:.3g})")
-        split = _worst(err, abserr, tol)[:room]
+                              f"{tol[worst]:.3g} with {QUAD_LIMIT} subintervals "
+                              f"(error estimate {abserr[worst]:.3g})")
+        split, kept = _worst(err, excess, tol, room)
         mid = 0.5 * (lo[split] + hi[split])
         new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
-        new_val, new_err = _gauss_kronrod(fn, new_lo, new_hi)
-        keep = np.ones(len(lo), dtype=bool)
-        keep[split] = False
-        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
-        val, err = np.concatenate([val[keep], new_val]), np.concatenate([err[keep], new_err])
+        new_val, new_err, _ = _gauss_kronrod(fn, new_lo, new_hi)
+        lo, hi = np.concatenate([lo[kept], new_lo]), np.concatenate([hi[kept], new_hi])
+        val = np.concatenate([val.take(kept, axis=0), new_val])
+        err = np.concatenate([err.take(kept, axis=0), new_err])
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +367,11 @@ def _remainder_integral(f: ExpandableFunction, z: complex, c: float, side: Side,
         r = np.asarray(r_of(x), dtype=complex)
         live = r != 0
         w = np.power(t[live], power) * r[live]
-        if monomials is None:
-            out = np.zeros(t.shape, dtype=complex)
-            out[live] = w
-        else:
+        if monomials is not None:
             xl = x[live][:, None]
-            out = np.zeros((t.size, len(monomials)), dtype=complex)
-            out[live] = np.power(xl, betas) * np.log(xl) ** ks * w[:, None]
+            w = np.power(xl, betas) * np.log(xl) ** ks * w[:, None]
+        out = np.zeros((t.size,) + w.shape[1:], dtype=complex)
+        out[live] = w
         return out
 
     if side is Side.ZERO_TO_C:
@@ -393,8 +392,8 @@ def _regular_value(f: ExpandableFunction, z: complex, c: float, sides=tuple(Side
 def _check(f: ExpandableFunction, cut: float) -> None:
     if f.p <= 0 or f.q <= 0:
         raise MellinError("need positive remainder orders p, q at both endpoints")
-    if cut <= 0:
-        raise MellinError("cut must be positive")
+    if not 0 < cut < math.inf:
+        raise MellinError(f"cut must be positive and finite, not {cut}")
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +515,8 @@ def scale_rule(f: ExpandableFunction, lam: float, cut: float = 1.0) -> complex:
                         - sum_k a_{-1,k} log^{k+1}(lam)/(k+1) ),
     the correction being minus the term sum of the x**-1 terms with cut lam.
     """
-    if lam <= 0:
-        raise MellinError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise MellinError(f"lam must be positive and finite, not {lam}")
     x_inverse = [
         (sign, t) for sign, t in _signed_terms(f, tuple(Side))
         if abs(1.0 + t.exponent) <= POLE_TOL

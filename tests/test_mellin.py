@@ -461,6 +461,29 @@ class TestFuchsPowers:
                 assert md(z) == pytest.approx(z * want, rel=1e-12)
 
 
+def _capped(fn):
+    """fn, refusing to run past 500 rounds (QUAD_LIMIT allows at most 392),
+    so that a quadrature that never stops fails instead of hanging."""
+    rounds = []
+
+    def counted(x):
+        rounds.append(x.size)
+        if len(rounds) > 500:
+            raise AssertionError("quadrature did not stop")
+        return fn(x)
+    return counted
+
+
+# five integrands: smooth, on a vertical line, oscillating, tiny, and with a
+# singular derivative at 0
+_W, _Z = -1.0 + 3.0j, 0.5 + 30.0j
+QUAD_INTEGRANDS = [lambda x: np.exp(_W * x) + 1j * x**2 / (1.0 + x**2),
+                   lambda x: np.power(x, _Z - 1) * np.exp(-x),
+                   lambda x: np.cos(40.0 * x) * np.exp(-x),
+                   lambda x: 1e-9 * np.sin(x),
+                   lambda x: np.sqrt(x)]
+
+
 class TestQuad:
     @staticmethod
     def _check(fn, want, a, b):
@@ -530,12 +553,7 @@ class TestQuad:
     def test_block_columns_match_single_calls(self):
         # five integrands in one evaluation: each column meets its own
         # tolerance, at least as refined as when it is integrated alone
-        w, z = -1.0 + 3.0j, 0.5 + 30.0j
-        fns = [lambda x: np.exp(w * x) + 1j * x**2 / (1.0 + x**2),
-               lambda x: np.power(x, z - 1) * np.exp(-x),
-               lambda x: np.cos(40.0 * x) * np.exp(-x),
-               lambda x: 1e-9 * np.sin(x),
-               lambda x: np.sqrt(x)]
+        fns = QUAD_INTEGRANDS
         values, errors = mellin.quad(lambda x: np.stack([f(x) for f in fns], axis=1), 0.2, 6.0)
         assert values.shape == errors.shape == (len(fns),)
         for f, value, error in zip(fns, values, errors):
@@ -556,6 +574,68 @@ class TestQuad:
         assert sizes[0] == 3 * 21
         assert value == pytest.approx(1.0 - math.exp(-4.0), rel=1e-14)
 
+    def test_single_integrand_is_a_one_column_block(self):
+        # one path: n values are the (n, 1) block, round for round and bit
+        # for bit, unwrapped to a complex and a float at the return
+        for f in QUAD_INTEGRANDS:
+            sizes, block_sizes = [], []
+            value, error = mellin.quad(lambda x: sizes.append(x.size) or f(x), 0.2, 6.0)
+            values, errors = mellin.quad(
+                lambda x: block_sizes.append(x.size) or f(x)[:, None], 0.2, 6.0)
+            assert type(value) is complex and type(error) is float
+            assert values.shape == errors.shape == (1,)
+            assert repr((value, error)) == repr((complex(values[0]), float(errors[0])))
+            assert sizes == block_sizes
+
     def test_non_finite_integrand_raises(self):
         with pytest.raises(MellinError, match="non-finite"):
             mellin.quad(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0)
+
+    @pytest.mark.parametrize("block", [False, True])
+    def test_overflowing_integral_raises(self, block):
+        # f = 1e308 is finite, but K = sum w f is not, and K - G is NaN:
+        # a NaN error estimate neither meets the tolerance nor selects a
+        # subinterval to bisect, so the round must raise
+        fn = ((lambda x: np.stack([x, 1e308 + 0 * x], axis=1)) if block
+              else (lambda x: 1e308 + 0 * x))
+        with pytest.raises(MellinError, match="non-finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            mellin.quad(_capped(fn), 0.0, 1.0)
+
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0),
+                                      (np.array([0.0, 1.0]), np.array([1.0, math.inf]))])
+    def test_non_finite_bound_raises(self, a, b):
+        with pytest.raises(MellinError, match="bound is not finite"):
+            mellin.quad(_capped(np.exp), a, b)
+
+
+class TestNonFiniteCuts:
+    """A cut or a scale that is not finite raises.  Unchecked, a cut at inf
+    or NaN starts the remainder quadrature from NaN nodes, which the
+    remainder's support mask reads as 0, so that it never meets its
+    tolerance; other cases return 0 or NaN."""
+
+    F = add_functions(exponential_decay(), cutoff_times_monomial(-1.0, 1))
+
+    @pytest.fixture(autouse=True)
+    def _capped_quad(self, monkeypatch):
+        quad = mellin.quad
+        monkeypatch.setattr(mellin, "quad", lambda fn, a, b: quad(_capped(fn), a, b))
+
+    @pytest.mark.parametrize("cut", [math.inf, math.nan, 0.0, -1.0])
+    def test_regularized_integral(self, cut):
+        with pytest.raises(MellinError, match="cut must be positive and finite"):
+            regularized_integral(self.F, cut)
+        with pytest.raises(MellinError, match="cut must be positive and finite"):
+            mellin_transform(self.F, cut)
+
+    @pytest.mark.parametrize("side", list(Side))
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_partials(self, c, side):
+        with pytest.raises(MellinError, match="cut must be positive and finite"):
+            regularized_integral_partial(self.F, c, side)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0])
+    def test_scale_rule(self, lam):
+        with pytest.raises(MellinError, match="lam must be positive and finite"):
+            scale_rule(self.F, lam)
