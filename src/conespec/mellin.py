@@ -209,8 +209,9 @@ def quad(fn: Callable[[np.ndarray], np.ndarray], a, b):
     the tolerance max(QUAD_ABS_TOL, QUAD_REL_TOL |integral|), which each
     integrand meets on its own (see _worst).  MellinError when a or b, or a
     round's integrand values, integrals or error estimates, are not finite
-    (so every round returns, raises or bisects), or when QUAD_LIMIT
-    subintervals do not meet the tolerance.
+    (so every round returns, raises or bisects), when b < a (a negative
+    width would make every error estimate negative), or when QUAD_LIMIT
+    subintervals do not meet the tolerance.  a == b gives 0.
     """
     if not np.isfinite((a, b)).all():
         raise MellinError(f"quadrature over [{a}, {b}]: a bound is not finite")
@@ -219,6 +220,8 @@ def quad(fn: Callable[[np.ndarray], np.ndarray], a, b):
         hi = np.append(lo[1:], b)
     else:
         lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if (hi < lo).any():
+        raise MellinError(f"quadrature over [{a}, {b}]: b < a")
     val, err, ndim = _gauss_kronrod(fn, lo, hi)
     while True:
         total, abserr = np.add.reduce(val, axis=0), np.add.reduce(err, axis=0)

@@ -473,22 +473,102 @@ def evaluate_ratio(exp_: GammaRatioExpansion, nu: float, s: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-# Least number of direct terms; most direct terms summed in one block; the
+# Least number of direct terms; most terms (elements x k x shifts) summed in
+# one block, 256 kB of complex temporaries (larger blocks took page faults
+# on every call under Linux/glibc: 175 a call for a 4 x 4 batch of
+# PowerShiftSquaredProvider at Im s = 20 with 27 x 151 terms a block, none
+# at this size); the
 # Euler-Maclaurin coefficients B_2j/(2j)! for j = 1..12; the offsets -1..22
 # that give s-1 and the factors s+i of the Pochhammer symbols (s)_(2j-1).
 _HURWITZ_N_DIRECT = 30
-_HURWITZ_BLOCK = 4096
+_HURWITZ_BLOCK = 16384
 _HURWITZ_EM_COEFFS = np.array(
     [float(bernoulli_fraction(2 * j)) / math.factorial(2 * j) for j in range(1, 13)]
 )
 _HURWITZ_OFFSETS = np.arange(-1.0, 23.0, dtype=complex)
 
 
-def _hurwitz_s_domain(finite: bool, off_pole: bool) -> None:
-    if not finite:
-        raise SpecfunError("Hurwitz zeta needs a finite s")
-    if not off_pole:
-        raise SpecfunError("Hurwitz zeta pole at s=1")
+def _hurwitz_s_error(finite: bool) -> SpecfunError:
+    return SpecfunError("Hurwitz zeta pole at s=1" if finite else "Hurwitz zeta needs a finite s")
+
+
+def _hurwitz_shifted(s, a, shifts):
+    """zeta(s + shift_m, a) for a 1-D float array of real shifts, on a new
+    last axis.  shifts=None is hurwitz_zeta: zeta(s, a) alone, with no shift
+    axis and no table, and a complex for scalars.
+
+    All shifts share an element's N = max(30, |Im s| + 10) and its complex
+    powers: (a+k)^(-s-shift_m) is (a+k)^-s, raised once per element and
+    k < N, times the real table (a+k)^-shift_m, which does not depend on s.
+    Each (element, shift) sums its N terms in order and adds its own
+    Euler-Maclaurin tail at a+N, so that its value does not depend on the
+    rest of the batch.  The terms are summed in blocks of k small enough
+    that elements x k x shifts stays within 16384 (or one k per block).
+    """
+    # every step works on trailing axes, k or 1 after a shift axis of its
+    # own if any, so that scalars and arrays take the same numpy loops;
+    # Python scalars are checked without numpy reductions; n is N, or a
+    # column of them, and a Python a stays one; size is the number of
+    # elements (more where s and a share an axis, which only shrinks blocks)
+    col = (..., None) if shifts is None else (..., None, None)
+    if isinstance(s, (int, float, complex)):
+        s = complex(s)
+        dist = abs(s - 1.0) if shifts is None else min(abs(s - 1.0 + x) for x in shifts.tolist())
+        if not (cmath.isfinite(s) and dist >= 1e-13):
+            raise _hurwitz_s_error(cmath.isfinite(s))
+        n_min = n_max = max(_HURWITZ_N_DIRECT, int(abs(s.imag)) + 10)
+        n, minus_s, size = float(n_max), np.array(-s)[col], 1
+    else:
+        s = np.asarray(s, dtype=complex)
+        dist = np.abs(s - 1.0 if shifts is None else np.add.outer(s - 1.0, shifts))
+        im = np.abs(s.imag)
+        finite = np.maximum.reduce(dist, axis=None) < math.inf  # NaN fails too
+        if not (finite and np.minimum.reduce(dist, axis=None) >= 1e-13):
+            raise _hurwitz_s_error(finite)
+        n_min, n_max = (max(_HURWITZ_N_DIRECT, int(r(im, axis=None)) + 10)
+                        for r in (np.minimum.reduce, np.maximum.reduce))
+        n = (float(n_max) if n_min == n_max
+             else np.maximum(im // 1.0 + 10.0, _HURWITZ_N_DIRECT)[col])
+        minus_s, size = -s[col], s.size
+    if isinstance(a, (int, float)):
+        a_positive, a_col = a > 0, float(a)
+    else:
+        a = np.asarray(a, dtype=float)
+        a_positive, a_col, size = np.minimum.reduce(a, axis=None) > 0, a[col], size * a.size
+    if not a_positive:
+        raise SpecfunError("a must be positive")
+    if shifts is None:
+        step = _HURWITZ_BLOCK // size or 1
+    else:
+        step, minus_shifts = _HURWITZ_BLOCK // (size * len(shifts)) or 1, -shifts[:, None]
+    # running sums in order, carried from block to block, so that the zeros
+    # past an element's own N leave its value as it is alone; with shifts,
+    # (a+k)^(-s-shift_m) is the one complex power (a+k)^-s times the real
+    # table (a+k)^-shift_m, and likewise at a+N
+    total = 0.0
+    for k0 in range(0, n_max, step):
+        k_end = min(n_max, k0 + step)
+        k = np.arange(float(k0), k_end)
+        terms = np.power(a_col + k, minus_s)
+        if shifts is not None:
+            terms = terms * np.power(a_col + k, minus_shifts)
+        if n_min < k_end:
+            terms = np.where(k < n, terms, 0.0)
+        if k0:
+            terms[..., :1] += total
+        total = np.add.accumulate(terms, axis=-1)[..., -1:]
+    a_n = a_col + n
+    power_n = np.power(a_n, minus_s)
+    if shifts is not None:
+        power_n, minus_s = power_n * np.power(a_n, minus_shifts), minus_s + minus_shifts
+    shifted = _HURWITZ_OFFSETS - minus_s
+    # (s)_(2j-1) (a+N)^(1-2j) is the running product of (s+i)/(a+N), i < 2j-1;
+    # numpy divides a complex by the real a+N as the product with 1/(a+N),
+    # so the product written out gives the same values, cheaper
+    em = np.multiply.accumulate(shifted[..., 1:] * (1.0 / a_n), axis=-1)[..., ::2]
+    corrections = np.add.reduce(em * _HURWITZ_EM_COEFFS, axis=-1, keepdims=True, initial=0.5)
+    total = total + power_n * (a_n / shifted[..., :1] + corrections)
+    return complex(total[0]) if total.ndim == 1 else total[..., 0]
 
 
 def hurwitz_zeta(s, a):
@@ -499,56 +579,18 @@ def hurwitz_zeta(s, a):
     B_2j/(2j)! (s)_(2j-1) (a+N)^(-s-2j+1).  `s` may be an array and `a`
     broadcasts against it; the result is a complex array, or a complex for
     scalars, and an element's value does not depend on the rest of the batch.
+    This is the zero-shift column of the shifted Hurwitz kernel, which also
+    gives zeta(s + shift_m, a) for real shifts from the same N complex
+    powers (a+k)^-s per element, each times a real table (a+k)^-shift_m;
+    PowerShiftSquaredProvider's 27 tails cost N complex powers per element
+    there, where 27 calls of hurwitz_zeta cost 27 N.
 
     Domain: finite s != 1 and a > 0, else SpecfunError.  It meets mpmath to
     a relative 5e-13 on a grid of Re s in [1/2, 10], |Im s| <= 50 and
     a in [0.05, 13].  For Re s < 1/2 the 12 corrections fall short (ROADMAP
     item 1).
     """
-    # every step works on columns (a trailing axis), so that scalars and
-    # arrays take the same numpy loops; Python scalars are checked without
-    # numpy reductions; n is N, or a column of them, and a Python a stays one
-    if isinstance(s, (int, float, complex)):
-        s = complex(s)
-        _hurwitz_s_domain(cmath.isfinite(s), abs(s - 1.0) >= 1e-13)
-        n_min = n_max = max(_HURWITZ_N_DIRECT, int(abs(s.imag)) + 10)
-        n, minus_s = float(n_max), np.array([-s])
-    else:
-        s = np.asarray(s, dtype=complex)
-        dist, im = np.abs(s - 1.0), np.abs(s.imag)
-        _hurwitz_s_domain(np.maximum.reduce(dist, axis=None) < math.inf,  # NaN fails too
-                          np.minimum.reduce(dist, axis=None) >= 1e-13)
-        n_min, n_max = (max(_HURWITZ_N_DIRECT, int(r(im, axis=None)) + 10)
-                        for r in (np.minimum.reduce, np.maximum.reduce))
-        n = (float(n_max) if n_min == n_max
-             else np.maximum(im // 1.0 + 10.0, _HURWITZ_N_DIRECT)[..., None])
-        minus_s = -s[..., None]
-    if isinstance(a, (int, float)):
-        a_positive, a_col = a > 0, float(a)
-    else:
-        a = np.asarray(a, dtype=float)
-        a_positive, a_col = np.minimum.reduce(a, axis=None) > 0, a[..., None]
-    if not a_positive:
-        raise SpecfunError("a must be positive")
-    a_n = a_col + n
-    # running sums in order, carried from block to block, so that the zeros
-    # past an element's own N leave its value as it is alone
-    total = 0.0
-    for k0 in range(0, n_max, _HURWITZ_BLOCK):
-        k_end = min(n_max, k0 + _HURWITZ_BLOCK)
-        k = np.arange(float(k0), k_end)
-        terms = np.power(a_col + k, minus_s)
-        if n_min < k_end:
-            terms = np.where(k < n, terms, 0.0)
-        if k0:
-            terms[..., :1] += total
-        total = np.add.accumulate(terms, axis=-1)[..., -1:]
-    shifted = _HURWITZ_OFFSETS - minus_s
-    # (s)_(2j-1) (a+N)^(1-2j) is the running product of (s+i)/(a+N), i < 2j-1
-    em = np.multiply.accumulate(shifted[..., 1:] / a_n, axis=-1)[..., ::2]
-    corrections = np.add.reduce(em * _HURWITZ_EM_COEFFS, axis=-1, keepdims=True, initial=0.5)
-    total = total + np.power(a_n, minus_s) * (a_n / shifted[..., :1] + corrections)
-    return complex(total[0]) if total.ndim == 1 else total[..., 0]
+    return _hurwitz_shifted(s, a, None)
 
 
 def riemann_zeta(s):
@@ -731,7 +773,15 @@ class PowerShiftSquaredProvider(DirichletSeriesProvider):
     """zeta(s) = sum_{n>=1} ((n^gamma + delta)^2)^-s, for |delta| < 1.
 
     Continued by an exact head (n <= _POWER_SHIFT_HEAD) plus the binomial
-    expansion of (1 + delta n^-gamma)^(-2s) against Hurwitz zeta tails.
+    expansion of (1 + delta n^-gamma)^(-2s) against the Hurwitz zeta tails
+    zeta(2 gamma s + gamma m, 13), m = 0.._POWER_SHIFT_TERMS.  The 27 tails
+    differ by the real shifts gamma m, so they come from one call of the
+    shifted Hurwitz kernel: an element raises each 13+k, k < N, to one
+    complex power -2 gamma s, times a real table (13+k)^(-gamma m) that does
+    not depend on s, so it costs N complex powers where 27 separate Hurwitz
+    values cost 27 N.  Head and tails are summed in order, so an element of
+    an array call is bit-identical to its scalar call.  The domain is
+    hurwitz_zeta's: accurate for Re(2 gamma s) >= 1/2 (ROADMAP item 1).
     """
 
     def __init__(self, gamma_pow: float, delta: float):
@@ -744,17 +794,19 @@ class PowerShiftSquaredProvider(DirichletSeriesProvider):
         self._head_values = np.array(
             [(float(n) ** gamma_pow + delta) ** 2 for n in range(1, _POWER_SHIFT_HEAD + 1)]
         )
+        # the real shifts gamma m of the Hurwitz tails, m = 0.._POWER_SHIFT_TERMS
+        self._shifts = gamma_pow * np.arange(_POWER_SHIFT_TERMS + 1.0)
 
     def zeta(self, s):
         s = np.asarray(s, dtype=complex)
-        g, d = self.gamma_pow, self.delta
-        head = _power_sum(np.ones(_POWER_SHIFT_HEAD, dtype=complex), self._head_values, s)
+        # the head summed in order, so that an element's value does not
+        # depend on the rest of the batch
+        head = np.add.accumulate(np.power(self._head_values, -s[..., None]), axis=-1)[..., -1]
         # C(-2s, m) d^m for m = 0.._POWER_SHIFT_TERMS, as running products of
         # d (-2s - i) / (i + 1)
         i = np.arange(_POWER_SHIFT_TERMS)
-        binom = np.multiply.accumulate(d * (-2.0 * s[..., None] - i) / (i + 1.0), axis=-1)
-        m = np.arange(_POWER_SHIFT_TERMS + 1)
-        tails = hurwitz_zeta(2 * g * s[..., None] + g * m, float(_POWER_SHIFT_HEAD + 1))
+        binom = np.multiply.accumulate(self.delta * (-2.0 * s[..., None] - i) / (i + 1.0), axis=-1)
+        tails = _hurwitz_shifted(2 * self.gamma_pow * s, float(_POWER_SHIFT_HEAD + 1), self._shifts)
         out = head + tails[..., 0] + np.add.reduce(binom * tails[..., 1:], axis=-1)
         return complex(out) if out.ndim == 0 else out
 

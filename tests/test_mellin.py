@@ -608,6 +608,20 @@ class TestQuad:
         with pytest.raises(MellinError, match="bound is not finite"):
             mellin.quad(_capped(np.exp), a, b)
 
+    @pytest.mark.parametrize("fn", [lambda x: x**-0.9, np.sqrt])
+    @pytest.mark.parametrize("a, b", [(1.0, 0.0), (np.array([0.0, 1.0]), np.array([1.0, 0.5]))])
+    def test_reversed_bounds_raise(self, fn, a, b):
+        # a negative width makes every error estimate negative, so the first
+        # round would meet any tolerance with a wrong value (-6.27 for
+        # x^-0.9 over [1, 0], where -10 is due)
+        with pytest.raises(MellinError, match="b < a"):
+            mellin.quad(_capped(fn), a, b)
+
+    def test_empty_interval_is_zero(self):
+        for fn in (lambda x: x**-0.9, np.sqrt):
+            value, abserr = mellin.quad(fn, 0.5, 0.5)
+            assert value == 0.0 and abserr == 0.0
+
 
 class TestNonFiniteCuts:
     """A cut or a scale that is not finite raises.  Unchecked, a cut at inf

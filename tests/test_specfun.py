@@ -18,6 +18,7 @@ from conespec.specfun import (
     PowerShiftSquaredProvider,
     RiemannZetaProvider,
     SpecfunError,
+    _hurwitz_shifted,
     _poly_eval,
     b_pos_fraction,
     bernoulli_fraction,
@@ -374,8 +375,8 @@ class TestZeta:
                 hurwitz_zeta(s, a)
 
     def test_array_equals_elementwise_bit_for_bit(self):
-        # ragged term counts N = max(30, |Im s| + 10), one past a block of
-        # 4096 terms, a broadcast against s, and a 2-d batch
+        # ragged term counts N = max(30, |Im s| + 10), one that spans
+        # several blocks of the batch, a broadcast against s, and a 2-d batch
         s = np.array([2.5, 0.6 + 3.0j, 5.0 - 45.2j, 0.75 + 4200.5j, 3.3 + 60.0j, 1.0 + 1e-3j])
         a = np.array([[0.3], [1.0], [13.0]])
         got = hurwitz_zeta(s, a)
@@ -397,6 +398,44 @@ class TestZeta:
                         assert abs(hurwitz_zeta(s, a) - want) <= 5e-13 * abs(want), (s, a)
         finally:
             mpmath.mp.dps = 15
+
+
+class TestShiftedHurwitz:
+    """The kernel behind hurwitz_zeta and PowerShiftSquaredProvider: zeta(s + shift_m, a)
+    for real shifts from one complex power per element and term."""
+
+    # ragged term counts N = max(30, |Im s| + 10), and one element whose
+    # N = 4210 spans several blocks of k
+    S = np.array([2.5, 0.6 + 3.0j, 5.0 - 45.2j, 0.75 + 4200.5j, 3.3 + 60.0j, 1.0 + 1e-3j])
+    A = np.array([[0.3], [1.0], [13.0]])
+    SHIFTS = np.array([0.0, 0.25, 1.0 / 3.0, 2.0, 7.5, 26.0])
+
+    def test_zero_shift_column_is_hurwitz_zeta(self):
+        # bit for bit: scalar and array s, Python and array a
+        for s in (2.5, 0.6 + 3.0j, 5.0 - 45.2j, 0.75 + 4200.5j):
+            for a in (0.3, 1.0, 13.0):
+                assert _hurwitz_shifted(s, a, self.SHIFTS)[0] == hurwitz_zeta(s, a)
+        for a in (0.3, 13.0, self.A):
+            got = _hurwitz_shifted(self.S, a, self.SHIFTS)
+            assert got.shape == np.broadcast_shapes(self.S.shape, np.shape(a)) + (6,)
+            assert np.array_equal(got[..., 0], hurwitz_zeta(self.S, a))
+
+    def test_shifted_columns_match_hurwitz_zeta(self):
+        got = _hurwitz_shifted(self.S, self.A, self.SHIFTS)
+        want = hurwitz_zeta(self.S[:, None] + self.SHIFTS, self.A[..., None])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_element_does_not_depend_on_its_batch(self):
+        got = _hurwitz_shifted(self.S, self.A, self.SHIFTS)
+        for i, a in enumerate(self.A[:, 0]):
+            for j, s in enumerate(self.S):
+                assert np.array_equal(got[i, j], _hurwitz_shifted(complex(s), float(a), self.SHIFTS))
+
+    def test_poles_of_every_shift_raise(self):
+        # zeta(s + shift, a) has its pole at s = 1 - shift
+        for s in (1.0 - 7.5, np.array([2.0, -1.0])):
+            with pytest.raises(SpecfunError, match="pole"):
+                _hurwitz_shifted(s, 0.5, self.SHIFTS)
 
 
 class TestProviders:
@@ -458,7 +497,39 @@ class TestProviders:
             for j, sj in enumerate(s):
                 want = per_term(prov, complex(sj))
                 assert got[j] == pytest.approx(want, rel=1e-12)
-                assert prov.zeta(complex(sj)) == pytest.approx(got[j], rel=1e-14)
+                # an element's value does not depend on its batch
+                assert prov.zeta(complex(sj)) == got[j]
+                assert prov.zeta(s[j:j + 1])[0] == got[j]
+            # nor on the batch's shape, for ragged term counts
+            grid = np.array([[0.55, 6.5 + 40.0j], [1.7 - 11.0j, 3.1 + 0.2j]])
+            assert np.array_equal(prov.zeta(grid), [[prov.zeta(complex(x)) for x in row]
+                                                    for row in grid])
+
+    # gamma, delta and points off the real axis, which holds every pole
+    SWEEP_GAMMAS = (0.25, 1.0 / 3.0, 0.5, 1.0, 1.5, 2.0)
+    SWEEP_DELTAS = (0.5, -0.5, 0.3, -0.9)
+    SWEEP_POINTS = (0.3 + 50.0j, 1.1 - 7.3j, 2.45 + 0.9j, 4.0 - 31.0j, 0.8 + 19.5j)
+
+    def test_power_shift_matches_mpmath(self):
+        # the same continuation (exact head n <= 12 and 27 binomial terms
+        # against zeta(2 gamma s + gamma m, 13)) at 30 digits; the Hurwitz
+        # values do not depend on delta, so each is taken once
+        with mpmath.workdps(30):
+            for g in self.SWEEP_GAMMAS:
+                provs = [PowerShiftSquaredProvider(g, d) for d in self.SWEEP_DELTAS]
+                got = np.array([prov.zeta(np.array(self.SWEEP_POINTS)) for prov in provs])
+                for j, s in enumerate(self.SWEEP_POINTS):
+                    sm, gm = mpmath.mpc(s), mpmath.mpf(g)
+                    tails = [mpmath.zeta(2 * gm * sm + gm * m, 13) for m in range(27)]
+                    for i, d in enumerate(self.SWEEP_DELTAS):
+                        dm = mpmath.mpf(d)
+                        want = sum(((n**gm + dm) ** 2) ** (-sm) for n in range(1, 13))
+                        binom = mpmath.mpf(1)
+                        for m, tail in enumerate(tails):
+                            want += binom * dm**m * tail
+                            binom *= (-2 * sm - m) / (m + 1)
+                        err = abs(got[i, j] - complex(want)) / abs(complex(want))
+                        assert err <= 1e-11, (g, d, s, err)
 
     def test_providers_broadcast_over_s(self):
         s = np.array([[0.9 + 1.0j, 2.0], [3.5 - 7.0j, 1.2]])
