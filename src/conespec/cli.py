@@ -245,7 +245,7 @@ def _cmd_zeta_op(args, payload: dict) -> int:
     spec_json = payload["spectrum"] if "spectrum" in payload else payload
     spec = cone.CrossSectionSpectrum.from_json_dict(spec_json)
     s = _complex_s(args, payload)
-    order = _int_input(_pick(args, payload, "order", "order", 6), "order")
+    order = _int_input(_pick(args, payload, "order", "order", cone.FOLD_ORDER), "order")
     rep = cone.zeta_hat_operator_report(spec, s, order=order)
     v = rep["value"]
     _emit(

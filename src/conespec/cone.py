@@ -21,6 +21,7 @@ from scipy.special import loggamma
 
 from .sal import ExpansionReport, ReportTerm
 from .specfun import (
+    _INTEGER_TOL,
     _TERMS_CAP,
     DirichletSeriesProvider,
     HurwitzZetaProvider,
@@ -44,6 +45,7 @@ SQRT_PI = math.sqrt(math.pi)
 
 __all__ = [
     "ConeError",
+    "FOLD_ORDER",
     "SpectralDatum",
     "CrossSectionSpectrum",
     "FirstOrderSpectrum",
@@ -232,7 +234,7 @@ def _split_terms(pairs, head):
     return unmatched, [term for j, term in enumerate(head) if j not in claimed]
 
 
-def _series_part(provider, part: str, z: complex, pairs=()) -> complex:
+def _series_part(provider, part: str, z: complex, pairs) -> complex:
     """provider.<part>(z) ("zeta", "value_at" or "residue_at"; 0 without a
     provider) plus sum w * v^-z over the (weight, value) pairs."""
     total = getattr(provider, part)(z) if provider is not None else 0.0 + 0.0j
@@ -365,7 +367,7 @@ class CrossSectionSpectrum:
         return _series_part(self.tail, "zeta", z, self._unmatched())
 
     def res1_zeta_a(self, z0: complex) -> complex:
-        return _series_part(self.tail, "residue_at", z0)
+        return _series_part(self.tail, "residue_at", z0, ())
 
     def res0_zeta_a(self, z0: complex) -> complex:
         return _series_part(self.tail, "value_at", z0, self._unmatched())
@@ -419,6 +421,15 @@ def _provider_from_json(
 # ---------------------------------------------------------------------------
 
 
+# Order of the fold's Gamma-ratio expansion.  Only zeta_hat_operator(_report)
+# (and so `conespec zeta-op --order`) fold at another order.
+FOLD_ORDER = 6
+
+# Head threshold of the fold: the provider terms below its square are summed
+# with exact Gamma quotients.
+_HEAD_THRESHOLD = 8.0
+
+
 def _gamma_quotient(p: float, s: complex) -> complex:
     """Gamma(p+1-s) / Gamma(p+s)."""
     if _is_nonpositive_integer(p + 1 - s):
@@ -433,7 +444,7 @@ def _head_zeros(orders: np.ndarray, s: complex) -> list:
     the first p, in order, with p + 1 - s on one.  Only a real s can put them
     there, so only then are the orders checked, one by one (a few Python
     checks cost less than numpy masks over a short list)."""
-    if abs(s.imag) > 1e-12:
+    if abs(s.imag) > _INTEGER_TOL:
         return []
     ps = orders.tolist()
     # a real part above 1/2 rules an order out before the full check
@@ -480,11 +491,17 @@ def _fold_shifts(order: int) -> tuple[tuple, np.ndarray]:
 
 
 def _points(s) -> list:
-    """A Python complex as a list of one point; an array as its Python complexes."""
-    return [s] if isinstance(s, complex) else s.tolist()
+    """A Python complex as a list of one point; an array as its Python
+    complexes.  ConeError for a non-finite point, before any Gamma factor of
+    the fold sees it."""
+    points = [s] if isinstance(s, complex) else s.tolist()
+    for x in points:
+        if not cmath.isfinite(x):
+            raise ConeError(f"s must be finite, not {x}")
+    return points
 
 
-def _phi_pieces(spec: CrossSectionSpectrum, s, order: int, head_threshold: float):
+def _phi_pieces(spec: CrossSectionSpectrum, s, order: int):
     """Head/tail decomposition of the Gamma-quotient sum over the spectrum.
 
     `s` is a Python complex or a 1-D complex array of points.  Returns
@@ -498,7 +515,7 @@ def _phi_pieces(spec: CrossSectionSpectrum, s, order: int, head_threshold: float
     (points x shifts z_k = (2s-1+k)/2) whose Q_k is nonzero.  Each point's
     pieces are bit-identical to its call alone.
     """
-    orders, weights, head_w, head_v = spec._plan.head(head_threshold)
+    orders, weights, head_w, head_v = spec._plan.head(_HEAD_THRESHOLD)
     points = _points(s)
     column = s if isinstance(s, complex) else s[:, None]
     head_values = _head_sums(orders, weights, column, points)
@@ -538,7 +555,7 @@ def _batch(fn, s) -> tuple:
     raise error
 
 
-def _zeta_hat_points(specs, s, order: int, head_threshold: float) -> list:
+def _zeta_hat_points(specs, s, order: int) -> list:
     """zeta-hat over each spectrum of `specs` at each point of `s` (a Python
     complex or a 1-D complex array): per spectrum, the list of values and the
     list of error estimates.  The spectra share each point's prefactor."""
@@ -549,7 +566,7 @@ def _zeta_hat_points(specs, s, order: int, head_threshold: float) -> list:
     prefs = [gamma(x - 0.5) * rgamma(x) / (2.0 * SQRT_PI) for x in points]
     out = []
     for spec in specs:
-        head_values, tail_terms = _phi_pieces(spec, s, order, head_threshold)
+        head_values, tail_terms = _phi_pieces(spec, s, order)
         out.append((
             [pref * (head + sum(tail)) for pref, head, tail in zip(prefs, head_values, tail_terms)],
             [abs(pref) * (abs(tail[-1]) if tail else 0.0) for pref, tail in zip(prefs, tail_terms)],
@@ -557,45 +574,35 @@ def _zeta_hat_points(specs, s, order: int, head_threshold: float) -> list:
     return out
 
 
-# The default head threshold of the fold.
-_HEAD_THRESHOLD = 8.0
-
-
-def zeta_hat_operator_report(
-    spec: CrossSectionSpectrum,
-    s,
-    order: int = 6,
-    head_threshold: float = _HEAD_THRESHOLD,
-) -> dict:
+def zeta_hat_operator_report(spec: CrossSectionSpectrum, s, order: int = FOLD_ORDER) -> dict:
     """Regularized zeta function of the cone operator with cross-section spectrum `spec`.
 
     Enumerated eigenvalues (and provider terms below the head threshold) are
     summed with exact Gamma quotients; the remainder is folded through the
     provider's continuation against the Gamma-ratio asymptotics.  Returns the
     value plus a truncation-error estimate (magnitude of the last tail term).
-    `s` may be an array: both are then arrays of its shape, each element
-    bit-identical to the point's call alone, and the batch raises the error
-    of its first bad point.
+    The expansion runs to `order` (FOLD_ORDER by default), and the head to
+    _HEAD_THRESHOLD.  `s` may be an array: both are then arrays of its shape,
+    each element bit-identical to the point's call alone, and the batch
+    raises the error of its first bad point.  A non-finite s raises
+    ConeError.
     """
-    value, error = _batch(lambda x: _zeta_hat_points((spec,), x, order, head_threshold)[0], s)
+    value, error = _batch(lambda x: _zeta_hat_points((spec,), x, order)[0], s)
     return {"value": value, "error_estimate": error}
 
 
-def zeta_hat_operator(
-    spec: CrossSectionSpectrum,
-    s,
-    order: int = 6,
-    head_threshold: float = _HEAD_THRESHOLD,
-):
+def zeta_hat_operator(spec: CrossSectionSpectrum, s, order: int = FOLD_ORDER):
     """The value of `zeta_hat_operator_report`."""
-    return zeta_hat_operator_report(spec, s, order, head_threshold)["value"]
+    return zeta_hat_operator_report(spec, s, order)["value"]
 
 
-def gamma_zeta_hat(spec: CrossSectionSpectrum, s, order: int = 6):
-    """Gamma(s) zeta_hat(s); `s` may be an array, as for `zeta_hat_operator`."""
+def gamma_zeta_hat(spec: CrossSectionSpectrum, s):
+    """Gamma(s) zeta_hat(s), folded at FOLD_ORDER; `s` may be an array, as for
+    `zeta_hat_operator`."""
     def points(x):
         g = [gamma(p) for p in _points(x)]
-        return ([gp * zp for gp, zp in zip(g, _points(zeta_hat_operator(spec, x, order=order)))],)
+        (values, _), = _zeta_hat_points((spec,), x, FOLD_ORDER)
+        return ([gp * zp for gp, zp in zip(g, values)],)
 
     return _batch(points, s)[0]
 
@@ -767,7 +774,7 @@ class FirstOrderSpectrum:
         return _series_part(self.eta_provider, "zeta", s, self._eta_unmatched())
 
     def eta_res1(self, s0: complex) -> complex:
-        return _series_part(self.eta_provider, "residue_at", s0)
+        return _series_part(self.eta_provider, "residue_at", s0, ())
 
     def eta_res0(self, s0: complex) -> complex:
         return _series_part(self.eta_provider, "value_at", s0, self._eta_unmatched())
@@ -798,32 +805,23 @@ class FirstOrderSpectrum:
         return self.shifted_square_spectrum(1), self.shifted_square_spectrum(-1)
 
 
-def eta_function_scalable(spec: FirstOrderSpectrum, s, order: int = 6):
+def eta_function_scalable(spec: FirstOrderSpectrum, s):
     """eta-hat of D = d/dx + S/x: Gamma(s) times the zeta-hat difference of D*D and DD*.
 
-    `s` may be an array, as for `zeta_hat_operator`.
+    Both are folded at FOLD_ORDER.  `s` may be an array, as for
+    `zeta_hat_operator`.
     """
     squares = spec._squares
 
     def points(x):
-        (plus, _), (minus, _) = _zeta_hat_points(squares, x, order, _HEAD_THRESHOLD)
+        (plus, _), (minus, _) = _zeta_hat_points(squares, x, FOLD_ORDER)
         return ([gamma(p) * (a - b) for p, a, b in zip(_points(x), plus, minus)],)
 
     return _batch(points, s)[0]
 
 
-# Cutoff of the alpha_k series shared by eta_hat_residues and index_first_order.
+# Cutoff of the alpha_k series of eta_hat_residues.
 _ALPHA_K_MAX = 6
-
-
-def _alpha_terms(spec: FirstOrderSpectrum) -> list[complex]:
-    """alpha_k * Res_1 eta(S, 2k) for k = 1.._ALPHA_K_MAX, skipping vanishing residues."""
-    out = []
-    for k in range(1, _ALPHA_K_MAX + 1):
-        r = spec.eta_res1(2.0 * k)
-        if r != 0:
-            out.append(eta_alpha_constant(k) * r)
-    return out
 
 
 def eta_hat_residues(spec: FirstOrderSpectrum) -> tuple[complex, complex]:
@@ -841,21 +839,23 @@ def eta_hat_residues(spec: FirstOrderSpectrum) -> tuple[complex, complex]:
         - spec.kernel_weight()
         - 2.0 * spec.small_negative_weight()
     )
-    for term in _alpha_terms(spec):
-        res0 += term
+    for k in range(1, _ALPHA_K_MAX + 1):
+        r = spec.eta_res1(2.0 * k)
+        if r != 0:
+            res0 += eta_alpha_constant(k) * r
     return res1, res0
 
 
 def index_first_order(spec: FirstOrderSpectrum, interior_term: complex) -> complex:
-    """Index of the minimal extension of d/dx + S/x with the given interior term."""
-    out = (
-        complex(interior_term)
-        - 0.5 * (spec.eta_res0(0.0) + spec.kernel_weight())
-        - spec.small_negative_weight()
-    )
-    for term in _alpha_terms(spec):
-        out += 0.5 * term
-    return out
+    """Index of the minimal extension of d/dx + S/x with the given interior term.
+
+    interior_term plus half of Res_0 eta-hat(0) without its term
+    eta_alpha_constant(0) Res_1 eta(S, 0); as Res_1 eta-hat(0) is
+    -Res_1 eta(S, 0)/2, that is interior_term + Res_0/2 + eta_alpha_constant(0)
+    Res_1, with (Res_1, Res_0) of `eta_hat_residues`.
+    """
+    res1, res0 = eta_hat_residues(spec)
+    return complex(interior_term) + 0.5 * res0 + eta_alpha_constant(0) * res1
 
 
 # ---------------------------------------------------------------------------

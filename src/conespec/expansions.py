@@ -261,6 +261,16 @@ def empty_expansion(location: Location, remainder_order: float) -> AsymptoticExp
     return AsymptoticExpansion(location, (), remainder_order)
 
 
+# Remainder order of the leaves' empty expansions (a function that vanishes
+# near the endpoint, or a Taylor leaf at infinity).
+_EMPTY_ORDER = 40.0
+
+# How far past its exponent a monomial leaf declares its remainder order:
+# Re alpha + 1 + _ORDER_MARGIN at 0 and -Re alpha - 1 + _ORDER_MARGIN at
+# infinity, where its expansion is exact.
+_ORDER_MARGIN = 8.0
+
+
 def _batch(fn: Callable[[np.ndarray], np.ndarray], x):
     """fn on x as a flat float array, shaped like x: a complex array, or a
     complex for a scalar x, which is evaluated as a batch of one so that it
@@ -621,11 +631,13 @@ def rescale_argument(f: ExpandableFunction, lam: float) -> ExpandableFunction:
 # ---------------------------------------------------------------------------
 
 
-def global_monomial(alpha: complex, k: int = 0, order_margin: float = 8.0) -> ExpandableFunction:
+def global_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
     """x**alpha * log(x)**k on all of (0, infinity); both expansions exact.
 
-    Its derivative is alpha x**(alpha-1) log**k x + k x**(alpha-1) log**(k-1) x
-    (a zero function for alpha = k = 0).
+    Being exact, they declare the remainder orders Re alpha + 1 + 8 at 0 and
+    -Re alpha - 1 + 8 at infinity.  Its derivative is
+    alpha x**(alpha-1) log**k x + k x**(alpha-1) log**(k-1) x (a zero
+    function for alpha = k = 0).
     """
     a = complex(alpha)
 
@@ -633,18 +645,16 @@ def global_monomial(alpha: complex, k: int = 0, order_margin: float = 8.0) -> Ex
         return _monomial(x, a, k)
 
     def derivative() -> ExpandableFunction:
-        d = scale_function(global_monomial(a - 1, k, order_margin), a)
+        d = scale_function(global_monomial(a - 1, k), a)
         if k:
-            d = add_functions(d, scale_function(global_monomial(a - 1, k - 1, order_margin), k))
+            d = add_functions(d, scale_function(global_monomial(a - 1, k - 1), k))
         return d
 
-    pz = a.real + 1 + order_margin
-    qi = -a.real - 1 + order_margin
     term = (LogPowerTerm(1.0, a, k),)
     return ExpandableFunction(
         ev,
-        AsymptoticExpansion(Location.AT_ZERO, term, pz),
-        AsymptoticExpansion(Location.AT_INFINITY, term, qi),
+        AsymptoticExpansion(Location.AT_ZERO, term, a.real + 1 + _ORDER_MARGIN),
+        AsymptoticExpansion(Location.AT_INFINITY, term, -a.real - 1 + _ORDER_MARGIN),
         _ZERO_REMAINDER,
         _ZERO_REMAINDER,
         derivative,
@@ -652,13 +662,15 @@ def global_monomial(alpha: complex, k: int = 0, order_margin: float = 8.0) -> Ex
 
 
 def monomial_restricted(
-    alpha: complex, k: int = 0, support: str = "unit_interval", order_margin: float = 8.0
+    alpha: complex, k: int = 0, support: str = "unit_interval"
 ) -> ExpandableFunction:
     """x**alpha log**k x on [0,1] (support="unit_interval") or [1,inf).
 
-    The remainder is minus the monomial beyond 1 at the end the support
-    reaches, and the function itself at the other end.  It jumps at 1, so
-    it states no derivative.
+    The expansion at the end the support reaches is the monomial, with the
+    remainder order Re alpha + 1 + 8 at 0 or -Re alpha - 1 + 8 at infinity;
+    the other end's is empty, of order 40.  The remainder is minus the
+    monomial beyond 1 at the end the support reaches, and the function
+    itself at the other end.  It jumps at 1, so it states no derivative.
     """
     a = complex(alpha)
     term = (LogPowerTerm(1.0, a, k),)
@@ -667,15 +679,15 @@ def monomial_restricted(
     if support == "unit_interval":
         def ev(x: np.ndarray) -> np.ndarray:
             return _where(x, x <= 1.0, mono)
-        e0 = AsymptoticExpansion(Location.AT_ZERO, term, a.real + 1 + order_margin)
-        ei = empty_expansion(Location.AT_INFINITY, 40.0)
+        e0 = AsymptoticExpansion(Location.AT_ZERO, term, a.real + 1 + _ORDER_MARGIN)
+        ei = empty_expansion(Location.AT_INFINITY, _EMPTY_ORDER)
         r0 = Remainder(lambda x: _where(x, x > 1.0, minus), 1.0)
         ri = Remainder(ev, 0.0, 1.0)
     elif support == "unit_tail":
         def ev(x: np.ndarray) -> np.ndarray:
             return _where(x, x >= 1.0, mono)
-        e0 = empty_expansion(Location.AT_ZERO, 40.0)
-        ei = AsymptoticExpansion(Location.AT_INFINITY, term, -a.real - 1 + order_margin)
+        e0 = empty_expansion(Location.AT_ZERO, _EMPTY_ORDER)
+        ei = AsymptoticExpansion(Location.AT_INFINITY, term, -a.real - 1 + _ORDER_MARGIN)
         r0 = Remainder(ev, 1.0)
         ri = Remainder(lambda x: _where(x, x < 1.0, minus), 0.0, 1.0)
     else:
@@ -718,7 +730,7 @@ def _taylor_leaf(f: Callable[[np.ndarray], np.ndarray], terms: tuple[LogPowerTer
         )
 
     return leaf(f, AsymptoticExpansion(Location.AT_ZERO, terms, order),
-                empty_expansion(Location.AT_INFINITY, 40.0), 0)
+                empty_expansion(Location.AT_INFINITY, _EMPTY_ORDER), 0)
 
 
 def exponential_decay(taylor_order: int = 12) -> ExpandableFunction:
@@ -794,8 +806,8 @@ def _compact_leaf(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
     def ev(x: np.ndarray) -> np.ndarray:
         return _where(x, (lo < x) & (x < hi), fn)
 
-    return ExpandableFunction(ev, empty_expansion(Location.AT_ZERO, 40.0),
-                              empty_expansion(Location.AT_INFINITY, 40.0),
+    return ExpandableFunction(ev, empty_expansion(Location.AT_ZERO, _EMPTY_ORDER),
+                              empty_expansion(Location.AT_INFINITY, _EMPTY_ORDER),
                               Remainder(ev, lo, hi), Remainder(ev, lo, hi))
 
 
@@ -815,8 +827,8 @@ def cutoff_times_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
     term = (LogPowerTerm(1.0, a, k),)
     return ExpandableFunction(
         ev,
-        AsymptoticExpansion(Location.AT_ZERO, term, a.real + 1 + 8.0),
-        empty_expansion(Location.AT_INFINITY, 40.0),
+        AsymptoticExpansion(Location.AT_ZERO, term, a.real + 1 + _ORDER_MARGIN),
+        empty_expansion(Location.AT_INFINITY, _EMPTY_ORDER),
         Remainder(lambda x: (smooth_cutoff(x) - 1.0) * _monomial(x, a, k), 1.0),
         Remainder(ev, 0.0, 2.0),
         lambda: _monomial_rule(
@@ -841,8 +853,8 @@ def tail_times_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
     term = (LogPowerTerm(1.0, a, k),)
     return ExpandableFunction(
         ev,
-        empty_expansion(Location.AT_ZERO, 40.0),
-        AsymptoticExpansion(Location.AT_INFINITY, term, -a.real - 1 + 8.0),
+        empty_expansion(Location.AT_ZERO, _EMPTY_ORDER),
+        AsymptoticExpansion(Location.AT_INFINITY, term, -a.real - 1 + _ORDER_MARGIN),
         Remainder(ev, 0.5),
         Remainder(lambda x: (smooth_step_up(x) - 1.0) * _monomial(x, a, k), 0.0, 1.0),
         lambda: _monomial_rule(

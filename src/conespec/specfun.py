@@ -49,14 +49,20 @@ class HankelConvergenceError(SpecfunError):
 # ---------------------------------------------------------------------------
 
 
-def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
+# Distance within which a point counts as a nonpositive integer (a Gamma pole).
+_INTEGER_TOL = 1e-12
+
+
+def _is_nonpositive_integer(z: complex) -> bool:
     z = complex(z)
-    return abs(z.imag) <= tol and z.real <= 0.5 and abs(z.real - round(z.real)) <= tol
+    return (abs(z.imag) <= _INTEGER_TOL and z.real <= 0.5
+            and abs(z.real - round(z.real)) <= _INTEGER_TOL)
 
 
-def _nonpositive_integer_mask(z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _nonpositive_integer_mask(z: np.ndarray) -> np.ndarray:
     """`_is_nonpositive_integer` elementwise over a complex array."""
-    return (np.abs(z.imag) <= tol) & (z.real <= 0.5) & (np.abs(z.real - np.round(z.real)) <= tol)
+    return ((np.abs(z.imag) <= _INTEGER_TOL) & (z.real <= 0.5)
+            & (np.abs(z.real - np.round(z.real)) <= _INTEGER_TOL))
 
 
 def gamma(z: complex) -> complex:
@@ -143,8 +149,8 @@ def _olver_z(w: np.ndarray) -> np.ndarray:
 
 
 def bessel_j_zero(p: float, m):
-    """The m-th positive zero j_(p,m) of J_p, for p > -1 and m >= 1, an int
-    or an int array (then an array of the zeros).
+    """The m-th positive zero j_(p,m) of J_p, for finite p > -1 and m >= 1,
+    an int or an int array (then an array of the zeros); else SpecfunError.
 
     Newton's method from a start within 0.2 of the zero, well inside its
     half-spacing (at least 1.5): McMahon's expansion in 1/(m + p/2 - 1/4)
@@ -154,8 +160,8 @@ def bessel_j_zero(p: float, m):
     takes one vectorized Newton pass; each zero stops where its own step
     falls under 1e-14 max(1, x), so its value does not depend on the batch.
     """
-    if p <= -1:
-        raise SpecfunError("order must exceed -1")
+    if not -1 < p < math.inf:  # NaN fails too
+        raise SpecfunError(f"order must be finite and exceed -1, not {p}")
     ms = np.asarray(m)
     if ms.dtype.kind not in "iu" or np.any(ms < 1):
         raise SpecfunError("m must be an integer >= 1")
@@ -250,11 +256,12 @@ def hankel_transform(f: Callable[[np.ndarray], np.ndarray], p: float, x: float) 
     at least); at _HANKEL_MAX_PANELS the alternating tail is
     Euler-accelerated instead.  Raises HankelConvergenceError if that does
     not stabilize either, or if a panel's quadrature misses its tolerance.
+    Domain: finite x > 0 and finite p > -1, else SpecfunError.
     """
-    if x <= 0:
-        raise SpecfunError("x must be positive")
-    if p <= -1:
-        raise SpecfunError("order must exceed -1")
+    if not 0 < x < math.inf:  # NaN fails too
+        raise SpecfunError(f"x must be finite and positive, not {x}")
+    if not -1 < p < math.inf:
+        raise SpecfunError(f"order must be finite and exceed -1, not {p}")
 
     panels: list[float] = []
     edge = 0.0
@@ -531,12 +538,13 @@ def _hurwitz_shifted(s, a, shifts):
              else np.maximum(im // 1.0 + 10.0, _HURWITZ_N_DIRECT)[col])
         minus_s, size = -s[col], s.size
     if isinstance(a, (int, float)):
-        a_positive, a_col = a > 0, float(a)
+        a_ok, a_col = 0 < a < math.inf, float(a)
     else:
         a = np.asarray(a, dtype=float)
-        a_positive, a_col, size = np.minimum.reduce(a, axis=None) > 0, a[col], size * a.size
-    if not a_positive:
-        raise SpecfunError("a must be positive")
+        a_ok = np.minimum.reduce(a, axis=None) > 0 and np.maximum.reduce(a, axis=None) < math.inf
+        a_col, size = a[col], size * a.size
+    if not a_ok:  # NaN fails too
+        raise SpecfunError("a must be finite and positive")
     if shifts is None:
         step = _HURWITZ_BLOCK // size or 1
     else:
@@ -585,7 +593,7 @@ def hurwitz_zeta(s, a):
     PowerShiftSquaredProvider's 27 tails cost N complex powers per element
     there, where 27 calls of hurwitz_zeta cost 27 N.
 
-    Domain: finite s != 1 and a > 0, else SpecfunError.  It meets mpmath to
+    Domain: finite s != 1 and finite a > 0, else SpecfunError.  It meets mpmath to
     a relative 5e-13 on a grid of Re s in [1/2, 10], |Im s| <= 50 and
     a in [0.05, 13].  For Re s < 1/2 the 12 corrections fall short (ROADMAP
     item 1).
@@ -602,15 +610,20 @@ def riemann_zeta(s):
 # ---------------------------------------------------------------------------
 
 
+# Step h of laurent_fit's differences.
+_LAURENT_STEP = 1e-3
+
+
 def laurent_fit(
-    f: Callable[[np.ndarray], np.ndarray], s0: complex = 0.0, h: float = 1e-3
+    f: Callable[[np.ndarray], np.ndarray], s0: complex = 0.0
 ) -> tuple[complex, complex]:
     """Richardson-refined central-difference fit of (Res_1, Res_0) at a simple pole.
 
-    f is called once, on the array [s0+h, s0-h, s0+2h, s0-2h], and returns
-    its four values; both coefficients are second-order differences refined
-    to fourth order.
+    f is called once, on the array [s0+h, s0-h, s0+2h, s0-2h] with the step
+    h = 1e-3, and returns its four values; both coefficients are
+    second-order differences refined to fourth order.
     """
+    h = _LAURENT_STEP
     f1p, f1m, f2p, f2m = np.asarray(f(np.array([s0 + h, s0 - h, s0 + 2 * h, s0 - 2 * h]))).tolist()
     res1 = (4.0 * ((f1p - f1m) * h / 2.0) - (f2p - f2m) * (2 * h) / 2.0) / 3.0
     res0 = (4.0 * ((f1p + f1m) / 2.0) - (f2p + f2m) / 2.0) / 3.0
@@ -619,6 +632,9 @@ def laurent_fit(
 
 # Most terms a provider enumerates below a threshold.
 _TERMS_CAP = 100000
+
+# Distance within which a provider's residue_at and value_at take s0 for its pole.
+_AT_POLE = 1e-6
 
 
 def _power_sum(weights: np.ndarray, values: np.ndarray, s):
@@ -681,13 +697,13 @@ class DirichletSeriesProvider:
         return np.logical_or.reduce(np.abs(np.subtract.outer(s, self._pole_array)) <= tol, axis=-1)
 
     def residue_at(self, s0: complex) -> complex:
-        if not self.is_pole(s0, tol=1e-6):
+        if not self.is_pole(s0, tol=_AT_POLE):
             return 0.0
         return laurent_fit(self.zeta, s0)[0]
 
     def value_at(self, s0: complex) -> complex:
         """Finite part (constant Laurent coefficient) at s0."""
-        if not self.is_pole(s0, tol=1e-6):
+        if not self.is_pole(s0, tol=_AT_POLE):
             return self.zeta(s0)
         return laurent_fit(self.zeta, s0)[1]
 
@@ -715,10 +731,12 @@ class HurwitzZetaProvider(DirichletSeriesProvider):
     """zeta(s) = scale * zeta_H(exponent*s, a) = sum_j scale*((a+j)^exponent)^-s."""
 
     def __init__(self, a: float, scale: float = 1.0, exponent: float = 1.0):
-        if a <= 0:
-            raise SpecfunError("a must be positive")
-        if exponent <= 0:
-            raise SpecfunError("exponent must be positive")
+        if not 0 < a < math.inf:  # NaN fails too
+            raise SpecfunError(f"a must be finite and positive, not {a}")
+        if not 0 < exponent < math.inf:
+            raise SpecfunError(f"exponent must be finite and positive, not {exponent}")
+        if not cmath.isfinite(scale):
+            raise SpecfunError(f"scale must be finite, not {scale}")
         self.a = a
         self.scale = scale
         self.exponent = exponent
@@ -736,12 +754,12 @@ class HurwitzZetaProvider(DirichletSeriesProvider):
         return (complex(1.0 / self.exponent),)
 
     def residue_at(self, s0):
-        if abs(complex(s0) - 1.0 / self.exponent) <= 1e-6:
+        if abs(complex(s0) - 1.0 / self.exponent) <= _AT_POLE:
             return self.scale / self.exponent
         return 0.0
 
     def value_at(self, s0):
-        if abs(complex(s0) - 1.0 / self.exponent) <= 1e-6:
+        if abs(complex(s0) - 1.0 / self.exponent) <= _AT_POLE:
             return -self.scale * digamma(self.a)
         return self.zeta(s0)
 
@@ -785,10 +803,10 @@ class PowerShiftSquaredProvider(DirichletSeriesProvider):
     """
 
     def __init__(self, gamma_pow: float, delta: float):
-        if not (0 < gamma_pow):
-            raise SpecfunError("gamma_pow must be positive")
-        if abs(delta) >= 1:
-            raise SpecfunError("|delta| must be < 1")
+        if not 0 < gamma_pow < math.inf:  # NaN fails too
+            raise SpecfunError(f"gamma_pow must be finite and positive, not {gamma_pow}")
+        if not abs(delta) < 1:
+            raise SpecfunError(f"|delta| must be < 1, not {delta}")
         self.gamma_pow = gamma_pow
         self.delta = delta
         self._head_values = np.array(
@@ -826,6 +844,6 @@ class PowerShiftSquaredProvider(DirichletSeriesProvider):
         g, d = self.gamma_pow, self.delta
         for m in range(_POWER_SHIFT_TERMS + 1):
             loc = (1 - g * m) / (2 * g)
-            if abs(complex(s0) - loc) <= 1e-6:
+            if abs(complex(s0) - loc) <= _AT_POLE:
                 return _complex_binom(-2 * complex(loc), m) * d**m / (2 * g)
         return 0.0

@@ -568,6 +568,18 @@ class TestInputBoundary:
         assert out == "" and "s must be finite" in err
 
     @pytest.mark.parametrize(
+        "tail",
+        [{"kind": "hurwitz", "a": math.inf}, {"kind": "riemann", "exponent": math.inf},
+         {"kind": "riemann", "scale": math.nan}],
+        ids=["a-inf", "exponent-inf", "scale-nan"],
+    )
+    def test_non_finite_tail_parameter_is_schema_error(self, capsys, tail):
+        code, out, err = run(capsys, "zeta-op", "--in", json.dumps({"data": [], "tail": tail}),
+                             "--s-re", "1.6")
+        assert code == 2
+        assert out == "" and "must be finite" in err
+
+    @pytest.mark.parametrize(
         "datum",
         [{"lambda": math.nan}, {"lambda": math.inf}, {"lambda": 1.0, "weight_re": math.nan},
          {"lambda": 1.0, "weight_im": -math.inf}],

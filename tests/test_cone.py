@@ -448,10 +448,12 @@ class TestZetaHatOperator:
         with pytest.raises(OverflowError):
             zeta_hat_operator(big, -300.25)
 
-    def test_head_threshold_independence(self):
+    def test_head_threshold_independence(self, monkeypatch):
         spec = circle_spectrum()
-        a = zeta_hat_operator(spec, 1.6, head_threshold=8.0)
-        b = zeta_hat_operator(spec, 1.6, head_threshold=20.0)
+        assert cone._HEAD_THRESHOLD == 8.0
+        a = zeta_hat_operator(spec, 1.6)
+        monkeypatch.setattr(cone, "_HEAD_THRESHOLD", 20.0)
+        b = zeta_hat_operator(spec, 1.6)
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_integer_orders_against_direct_sum(self):
@@ -629,6 +631,33 @@ class TestBatchedFold:
             assert str(got.value) == str(want)
             kinds.add(type(want))
         assert kinds == {ConeError, OverflowError, SpecfunError}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.3, math.inf),
+                                     complex(math.nan, 1.0)])
+    def test_non_finite_s_raises_cone_error(self, bad):
+        # before any Gamma factor: NaN used to pass through to the value, and
+        # +-inf to raise OverflowError from the pole check of Gamma
+        circle = circle_spectrum()
+        lone = CrossSectionSpectrum(data=(SpectralDatum(2.0, 1.0),))
+        first = FirstOrderSpectrum(s_data=(SpectralDatum(0.8, 1.0),))
+        shifted = FirstOrderSpectrum(
+            s_data=(SpectralDatum(0.8, 1.0),), eta_provider=RiemannZetaProvider(1.0, 1.0),
+            a_plus_tail=PowerShiftSquaredProvider(1.0, 0.5),
+            a_minus_tail=PowerShiftSquaredProvider(1.0, -0.5))
+        cases = [(zeta_hat_operator, lone), (zeta_hat_operator, circle),
+                 (zeta_hat_operator_report, circle), (gamma_zeta_hat, lone),
+                 (gamma_zeta_hat, circle), (eta_function_scalable, first),
+                 (eta_function_scalable, shifted)]
+        for fn, spec in cases:
+            for s in (bad, np.array([1.6, bad]), np.array([[2.3 + 0.5j, 1.6], [bad, bad]])):
+                with pytest.raises(ConeError, match="s must be finite"):
+                    fn(spec, s)
+        # the batch still raises the error of its first bad point
+        for points in ([1.6, bad, 1.0], [1.6, 1.0, bad]):
+            want = _first_error(lambda x: zeta_hat_operator(circle, x), points)
+            with pytest.raises(ConeError) as got:
+                zeta_hat_operator(circle, np.array(points))
+            assert str(got.value) == str(want)
 
     def test_plan_reads_the_provider_terms_once(self):
         calls = []
@@ -1113,6 +1142,6 @@ class TestLaurentFit:
             calls.append(np.array(s))
             return 2.0 / (s - 0.5) + 3.0
 
-        laurent_fit(f, 0.5, h=1e-3)
+        laurent_fit(f, 0.5)
         assert len(calls) == 1
         assert sorted(calls[0].tolist()) == [0.5 - 2e-3, 0.5 - 1e-3, 0.5 + 1e-3, 0.5 + 2e-3]

@@ -1,5 +1,6 @@
 """Tests for the singular-asymptotics expansion engines."""
 
+import dataclasses
 import math
 import warnings
 
@@ -200,7 +201,9 @@ class TestExpandPhiTx:
 
     def test_order_beyond_remainder_raises(self):
         # x^-1 on (0, inf), declared with remainder order 4 at infinity
-        F = global_monomial(-1.0, 0, order_margin=4.0)
+        F = global_monomial(-1.0)
+        F = dataclasses.replace(F, expansion_at_infinity=dataclasses.replace(
+            F.expansion_at_infinity, remainder_order=4.0))
         assert expand_phi_tx(exponential_decay(), F, q=4.0).remainder_order == 4.0
         for q in (4.5, 40.0):
             with pytest.raises(SalError):

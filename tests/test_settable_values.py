@@ -54,3 +54,14 @@ def test_main_prints_modules_and_total(tmp_path, capsys):
     (tmp_path / "two.py").write_text("def f(x=1):\n    return x\n")
     assert settable_values.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines() == ["one 8", "two 1", "total 9"]
+
+
+# The count of src/conespec.  A change that adds a settable value raises this
+# bound in the same diff and says why in CHANGES.md.
+MAX_SETTABLE = 45
+
+
+def test_the_library_stays_within_its_count():
+    total = sum(settable_values.count(path.read_text())
+                for path in (ROOT / "src" / "conespec").glob("*.py"))
+    assert total <= MAX_SETTABLE

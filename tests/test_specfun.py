@@ -170,6 +170,12 @@ class TestBessel:
         with pytest.raises(SpecfunError):
             bessel_j_zero(0.5, m)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_bessel_j_zero_rejects_a_non_finite_order(self, p):
+        for m in (1, np.array([1, 2])):
+            with pytest.raises(SpecfunError, match="finite"):
+                bessel_j_zero(p, m)
+
 
 class TestLaguerre:
     def test_matches_scipy(self):
@@ -239,6 +245,14 @@ class TestHankel:
             hankel_transform(lambda y: math.exp(-y), 0.5, 0.0)
         with pytest.raises(SpecfunError):
             hankel_transform(lambda y: math.exp(-y), -1.5, 1.0)
+
+    @pytest.mark.parametrize("p, x", [(0.5, math.inf), (0.5, math.nan), (math.inf, 1.0),
+                                      (math.nan, 1.0)])
+    def test_non_finite_arguments_are_input_errors(self, p, x):
+        # a domain error, not the convergence failure of the panels
+        with pytest.raises(SpecfunError, match="finite") as got:
+            hankel_transform(lambda y: np.exp(-y), p, x)
+        assert type(got.value) is SpecfunError
 
 
 class TestBernoulli:
@@ -374,6 +388,13 @@ class TestZeta:
             with pytest.raises(SpecfunError):
                 hurwitz_zeta(s, a)
 
+    @pytest.mark.parametrize("a", [math.inf, math.nan])
+    def test_non_finite_a_raises(self, a):
+        for s in (2.0, np.array([2.0, 0.7 + 3.0j])):
+            for a_arg in (a, np.array([1.0, a])):
+                with pytest.raises(SpecfunError, match="finite"):
+                    hurwitz_zeta(s, a_arg)
+
     def test_array_equals_elementwise_bit_for_bit(self):
         # ragged term counts N = max(30, |Im s| + 10), one that spans
         # several blocks of the batch, a broadcast against s, and a 2-d batch
@@ -439,6 +460,21 @@ class TestShiftedHurwitz:
 
 
 class TestProviders:
+    @pytest.mark.parametrize("make, args", [
+        (HurwitzZetaProvider, (math.inf,)),
+        (HurwitzZetaProvider, (math.nan,)),
+        (HurwitzZetaProvider, (0.5, math.inf)),
+        (HurwitzZetaProvider, (0.5, 1.0, math.inf)),
+        (HurwitzZetaProvider, (0.5, 1.0, math.nan)),
+        (RiemannZetaProvider, (math.nan,)),
+        (PowerShiftSquaredProvider, (math.inf, 0.3)),
+        (PowerShiftSquaredProvider, (math.nan, 0.3)),
+        (PowerShiftSquaredProvider, (1.0, math.nan)),
+    ])
+    def test_non_finite_parameters_raise(self, make, args):
+        with pytest.raises(SpecfunError, match="finite|delta"):
+            make(*args)
+
     def test_finite_spectrum(self):
         prov = FiniteSpectrumProvider([(2.0, 4.0), (1.0, 1.0)])
         assert prov.zeta(1.0) == pytest.approx(1.0 + 0.5)
