@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -172,12 +172,69 @@ def _merge_keys(terms: tuple[LogPowerTerm, ...]) -> list[tuple[tuple[float, floa
     return list(zip(found, coefficients))
 
 
+def _outside(t: LogPowerTerm, location: Location, order: float) -> bool:
+    """Whether a remainder of the stated order cannot hold the term's exponent:
+    Re alpha > p - 1 at 0, Re beta < -q - 1 at infinity (1e-9 of slack)."""
+    if location is Location.AT_ZERO:
+        return t.exponent.real > order - 1 + 1e-9
+    return t.exponent.real < -order - 1 - 1e-9
+
+
+def _normal_form(terms: tuple[LogPowerTerm, ...], location: Location, order: float
+                 ) -> tuple[LogPowerTerm, ...]:
+    """The terms merged by key (see _merge_keys), without zero coefficients,
+    with complex exponents, and sorted by (sgn Re alpha, Im alpha, k), sgn = 1
+    at 0 and -1 at infinity; ValueError for a term outside the order."""
+    out = [
+        LogPowerTerm(c, complex(k[0], k[1]), k[2])
+        for k, c in _merge_keys(terms)
+        if c != 0
+    ]
+    out.sort(key=_term_sort_key(location))
+    for t in out:
+        if _outside(t, location, order):
+            bound = "alpha <= p-1 with p" if location is Location.AT_ZERO else "beta >= -q-1 with q"
+            raise ValueError(f"term exponent {t.exponent} violates Re {bound}={order}")
+    return tuple(out)
+
+
+def _is_normal(terms: tuple[LogPowerTerm, ...], location: Location, order: float) -> bool:
+    """Whether _normal_form returns the terms as they are, by one pass: every
+    exponent is a complex and every coefficient non-zero, the keys
+    (sgn Re alpha, Im alpha, k) rise strictly, two neighbours lie more than
+    2 EXPONENT_TOL apart in Re alpha or share their exponent, and the last
+    term lies inside the order.  Then no two terms of one log power lie
+    within EXPONENT_TOL of each other, so none merge, and the sort keeps the
+    order."""
+    sgn = 1.0 if location is Location.AT_ZERO else -1.0
+    prev = prev_exponent = None
+    for t in terms:
+        e = t.exponent
+        if type(e) is not complex or t.coefficient == 0:
+            return False
+        key = (sgn * e.real, e.imag, t.log_power)
+        if prev is not None and not (prev < key and (key[0] - prev[0] > 2.0 * EXPONENT_TOL
+                                                     or e == prev_exponent)):
+            return False
+        prev, prev_exponent = key, e
+    return prev is None or not _outside(terms[-1], location, order)
+
+
 @dataclass(frozen=True)
 class AsymptoticExpansion:
     """A finite, sorted, deduplicated log-power expansion with remainder order.
 
     remainder_order is p at 0 (remainder O(x**p)) and q at infinity
     (remainder O(x**-q)).
+
+    The terms are kept in normal form: complex exponents and non-zero
+    coefficients, terms of one log power within EXPONENT_TOL of each other
+    merged into the first, keys (sgn Re alpha, Im alpha, k) strictly rising
+    (sgn = 1 at 0 and -1 at infinity), and every term inside the remainder
+    order (Re alpha <= p - 1 at 0, Re beta >= -q - 1 at infinity), else
+    ValueError.  Terms that are already in normal form, with neighbours more
+    than 2 EXPONENT_TOL apart in Re alpha or sharing their exponent, are
+    kept as given after one linear check; any others are normalised.
     """
 
     location: Location
@@ -185,26 +242,10 @@ class AsymptoticExpansion:
     remainder_order: float
 
     def __post_init__(self):
-        out = [
-            LogPowerTerm(c, complex(k[0], k[1]), k[2])
-            for k, c in _merge_keys(self.terms)
-            if c != 0
-        ]
-        out.sort(key=_term_sort_key(self.location))
-        for t in out:
-            if self.location is Location.AT_ZERO:
-                if t.exponent.real > self.remainder_order - 1 + 1e-9:
-                    raise ValueError(
-                        f"term exponent {t.exponent} violates Re alpha <= p-1 "
-                        f"with p={self.remainder_order}"
-                    )
-            else:
-                if t.exponent.real < -self.remainder_order - 1 - 1e-9:
-                    raise ValueError(
-                        f"term exponent {t.exponent} violates Re beta >= -q-1 "
-                        f"with q={self.remainder_order}"
-                    )
-        object.__setattr__(self, "terms", tuple(out))
+        terms = self.terms if type(self.terms) is tuple else tuple(self.terms)
+        if not _is_normal(terms, self.location, self.remainder_order):
+            terms = _normal_form(terms, self.location, self.remainder_order)
+        object.__setattr__(self, "terms", terms)
 
     # -- queries ---------------------------------------------------------
 
@@ -372,12 +413,28 @@ class ExpandableFunction:
 
 
 def _minus_terms(v: np.ndarray, expansion: AsymptoticExpansion, x: np.ndarray) -> np.ndarray:
-    """v minus each stored term of `expansion` at x in turn (log x computed once)."""
+    """v minus each stored term of `expansion` at x in turn, as one block of
+    (terms x points) values under v: one complex power and one product with
+    the coefficients for all terms, a log factor on the rows with k > 0 (log
+    x computed once), and one subtract.reduce down the rows.  The reduce is a
+    left fold in term order, so each value is bit for bit v - t_1 - t_2 ...
+    """
     terms = expansion.terms
-    lx = np.log(x) if any(t.log_power for t in terms) else None
-    for t in terms:
-        v = v - _term_value(t, x, lx)
-    return v
+    if not terms:
+        return v
+    block = np.empty((len(terms) + 1, x.size), dtype=complex)
+    block[0] = v
+    rows = block[1:]
+    np.power(x, np.array([t.exponent for t in terms])[:, None], out=rows)
+    # coefficient times power, in that order: numpy's complex product need
+    # not commute bit for bit
+    np.multiply(np.array([t.coefficient for t in terms], dtype=complex)[:, None], rows, out=rows)
+    if any(t.log_power for t in terms):
+        lx = np.log(x)
+        for row, t in zip(rows, terms):
+            if t.log_power:
+                row *= lx**t.log_power
+    return np.subtract.reduce(block, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +515,7 @@ def scale_function(f: ExpandableFunction, c: complex) -> ExpandableFunction:
     def scale_exp(e: AsymptoticExpansion) -> AsymptoticExpansion:
         return AsymptoticExpansion(
             e.location,
-            tuple(replace(t, coefficient=c * t.coefficient) for t in e.terms),
+            tuple(LogPowerTerm(c * t.coefficient, t.exponent, t.log_power) for t in e.terms),
             e.remainder_order,
         )
 
@@ -736,7 +793,7 @@ def _taylor_leaf(f: Callable[[np.ndarray], np.ndarray], terms: tuple[LogPowerTer
 def exponential_decay(taylor_order: int = 12) -> ExpandableFunction:
     """e^{-x} with its Taylor expansion at 0 and empty expansion at infinity."""
     terms = tuple(
-        LogPowerTerm((-1.0) ** j / math.factorial(j), float(j), 0)
+        LogPowerTerm((-1.0) ** j / math.factorial(j), complex(j), 0)
         for j in range(taylor_order)
     )
     return _taylor_leaf(lambda x: np.exp(-x), terms, float(taylor_order),
@@ -755,7 +812,7 @@ def gaussian_decay(taylor_order: int = 12) -> ExpandableFunction:
     """e^{-x^2} with its Taylor expansion at 0; its n-th derivative is
     (-1)**n H_n(x) e^{-x^2}."""
     terms = tuple(
-        LogPowerTerm((-1.0) ** m / math.factorial(m), float(2 * m), 0)
+        LogPowerTerm((-1.0) ** m / math.factorial(m), complex(2 * m), 0)
         for m in range(taylor_order // 2 + 1)
     )
     return _taylor_leaf(lambda x: np.exp(-(x**2)), terms, float(2 * (taylor_order // 2) + 2),

@@ -213,15 +213,20 @@ def quad(fn: Callable[[np.ndarray], np.ndarray], a, b):
     width would make every error estimate negative), or when QUAD_LIMIT
     subintervals do not meet the tolerance.  a == b gives 0.
     """
-    if not np.isfinite((a, b)).all():
-        raise MellinError(f"quadrature over [{a}, {b}]: a bound is not finite")
-    if np.ndim(a) == 0:
+    # a Python float bound skips np.ndim, and scalar bounds skip numpy's checks
+    if isinstance(a, (int, float)) or np.ndim(a) == 0:
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise MellinError(f"quadrature over [{a}, {b}]: a bound is not finite")
+        if b < a:
+            raise MellinError(f"quadrature over [{a}, {b}]: b < a")
         lo = a + (b - a) * _START
-        hi = np.append(lo[1:], b)
+        hi = np.concatenate([lo[1:], [b]])
     else:
+        if not np.isfinite((a, b)).all():
+            raise MellinError(f"quadrature over [{a}, {b}]: a bound is not finite")
         lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if (hi < lo).any():
-        raise MellinError(f"quadrature over [{a}, {b}]: b < a")
+        if (hi < lo).any():
+            raise MellinError(f"quadrature over [{a}, {b}]: b < a")
     val, err, ndim = _gauss_kronrod(fn, lo, hi)
     while True:
         total, abserr = np.add.reduce(val, axis=0), np.add.reduce(err, axis=0)

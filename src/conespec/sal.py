@@ -59,8 +59,9 @@ def TestFunction(evaluator: Callable[[float], float],
     tasks), and goes once they build expandable leaves such as
     exponential_decay and gaussian_decay.
     """
-    terms = tuple(LogPowerTerm(d / math.factorial(j), float(j), 0)
-                  for j, d in enumerate(derivatives_at_zero))
+    coefficients = [d / math.factorial(j) for j, d in enumerate(derivatives_at_zero)]
+    # without the zero terms, which the expansion would drop
+    terms = tuple(LogPowerTerm(c, complex(j), 0) for j, c in enumerate(coefficients) if c != 0)
 
     def mapped(x: np.ndarray) -> np.ndarray:
         return np.array([evaluator(v) for v in x.tolist()], dtype=float)

@@ -66,24 +66,37 @@ def _nonpositive_integer_mask(z: np.ndarray) -> np.ndarray:
 
 
 def gamma(z: complex) -> complex:
-    """Gamma function; raises on the poles at 0, -1, -2, ..."""
+    """Gamma function.  Domain: finite z off the poles at 0, -1, -2, ...,
+    where it raises."""
+    if not cmath.isfinite(z):
+        raise SpecfunError(f"gamma argument must be finite, not {z}")
     if _is_nonpositive_integer(z):
         raise SpecfunError(f"gamma pole at z={z}")
     return complex(sps.gamma(complex(z)))
 
 
 def log_gamma(z: complex) -> complex:
+    """The principal branch of log Gamma (scipy.special.loggamma).  Domain:
+    finite z off the poles at 0, -1, -2, ..., where it raises."""
+    if not cmath.isfinite(z):
+        raise SpecfunError(f"log_gamma argument must be finite, not {z}")
     if _is_nonpositive_integer(z):
         raise SpecfunError(f"log_gamma pole at z={z}")
     return complex(sps.loggamma(complex(z)))
 
 
 def rgamma(z: complex) -> complex:
-    """1/Gamma(z); entire, zero at nonpositive integers."""
+    """1/Gamma(z); entire, zero at nonpositive integers.  Domain: finite z."""
+    if not cmath.isfinite(z):
+        raise SpecfunError(f"rgamma argument must be finite, not {z}")
     return complex(sps.rgamma(complex(z)))
 
 
 def digamma(z: complex) -> complex:
+    """Gamma'/Gamma.  Domain: finite z off the poles at 0, -1, -2, ..., where
+    it raises."""
+    if not cmath.isfinite(z):
+        raise SpecfunError(f"digamma argument must be finite, not {z}")
     if _is_nonpositive_integer(z):
         raise SpecfunError(f"digamma pole at z={z}")
     return complex(sps.digamma(complex(z)))
@@ -95,10 +108,11 @@ def digamma(z: complex) -> complex:
 
 
 def bessel_j(p: float, x: float) -> float:
-    if p <= -1:
-        raise SpecfunError("order must exceed -1")
-    if x < 0:
-        raise SpecfunError("argument must be nonnegative")
+    """J_p(x) by scipy.special.jv.  Domain: finite p > -1 and finite x >= 0."""
+    if not -1 < p < math.inf:  # NaN fails too
+        raise SpecfunError("order must be finite and exceed -1")
+    if not 0 <= x < math.inf:
+        raise SpecfunError("argument must be finite and nonnegative")
     return float(sps.jv(p, x))
 
 

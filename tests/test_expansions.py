@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conespec.expansions import (
     EXPONENT_TOL,
@@ -32,7 +34,8 @@ from conespec.expansions import (
     tail_times_monomial,
     times_monomial,
 )
-from conespec.expansions import _merge_keys
+from conespec.expansions import _is_normal, _merge_keys, _minus_terms, _normal_form
+from conespec import sal
 
 
 class TestAsymptoticExpansion:
@@ -135,6 +138,94 @@ class TestAsymptoticExpansion:
         assert e2.location is Location.AT_INFINITY
         assert e2.remainder_order == e.remainder_order
         assert e2.terms == e.terms
+
+
+# Exponents near a few centres, at most a few tolerances apart, so that
+# near and equal keys, and one exponent with several log powers, are common.
+_CENTRES = [0.0, 1.0, -1.5, 2.5, 0.5j, 2.0 - 0.25j]
+_SHIFTS = [0.0, 0.0, 3e-13, -7e-13, EXPONENT_TOL, 1.5e-12, -2.5e-12]
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def _term(draw, near: bool):
+    z = complex(draw(st.sampled_from(_CENTRES)))
+    if near:
+        z += complex(draw(st.sampled_from(_SHIFTS)), draw(st.sampled_from([0.0, 0.0, 4e-13])))
+    kind = draw(st.sampled_from(["complex", "complex", "float", "non-finite"]))
+    if kind == "non-finite":
+        bad = draw(st.sampled_from(_NON_FINITE))
+        z = complex(bad, z.imag) if draw(st.booleans()) else complex(z.real, bad)
+    exponent = z.real if kind == "float" and z.imag == 0 else z
+    coefficient = draw(st.sampled_from([0.0, -0.0, 0j, 1.0, -2.5, 0.5 + 1j, 1e-300, 3]))
+    return LogPowerTerm(coefficient, exponent, draw(st.integers(0, 3)))
+
+
+@st.composite
+def _expansion_input(draw):
+    """(terms, location, order): terms at the centres or near them, as
+    drawn, sorted by the location's key, or in the normaliser's own output."""
+    location = draw(st.sampled_from(list(Location)))
+    order = draw(st.sampled_from([1.0, 3.0, 50.0]))
+    terms = tuple(draw(st.lists(_term(draw(st.booleans())), max_size=8)))
+    arrange = draw(st.sampled_from(["as drawn", "sorted", "normal", "normal"]))
+    if arrange == "sorted":
+        sgn = 1.0 if location is Location.AT_ZERO else -1.0
+        terms = tuple(sorted(terms, key=lambda t: (sgn * t.exponent.real, t.exponent.imag,
+                                                   t.log_power)))
+    elif arrange == "normal":
+        try:
+            terms = _normal_form(terms, location, order)
+        except ValueError:
+            pass
+    return terms, location, order
+
+
+def _outcome(build):
+    """The terms build() returns as (repr coefficient, repr exponent, k), or
+    its ValueError."""
+    try:
+        terms = build()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return [(repr(t.coefficient), repr(t.exponent), t.log_power) for t in terms]
+
+
+class TestNormalForm:
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(_expansion_input())
+    def test_construction_is_the_normaliser_bit_for_bit(self, case):
+        terms, location, order = case
+        want = _outcome(lambda: _normal_form(terms, location, order))
+        assert _outcome(lambda: AsymptoticExpansion(location, terms, order).terms) == want
+        # the check accepts only what the normaliser returns as it is
+        if _is_normal(terms, location, order):
+            assert want == _outcome(lambda: terms)
+
+    def test_normal_terms_are_kept_as_given(self):
+        terms = (LogPowerTerm(2.0, complex(-1.0), 0), LogPowerTerm(1j, complex(-1.0), 1),
+                 LogPowerTerm(-1.0, 0.5 + 0.25j, 2))
+        e = AsymptoticExpansion(Location.AT_ZERO, terms, 3.0)
+        assert e.terms is terms
+        # a float exponent, a zero coefficient or a neighbour within
+        # 2 EXPONENT_TOL sends them through the normaliser
+        for bad in (LogPowerTerm(1.0, 1.0, 0), LogPowerTerm(0.0, 1 + 0j, 0),
+                    LogPowerTerm(1.0, 0.5 + 1.5e-12 + 0.25j, 2)):
+            assert not _is_normal(terms + (bad,), Location.AT_ZERO, 3.0)
+
+    def test_stock_constructors_build_normal_terms(self, monkeypatch):
+        # the leaves, sal's test function and the scaling need no normalising
+        import conespec.expansions as expansions
+
+        calls = []
+        real = expansions._normal_form
+        monkeypatch.setattr(expansions, "_normal_form",
+                            lambda *args: calls.append(args) or real(*args))
+        for f in (exponential_decay(), gaussian_decay(), global_monomial(-0.5 + 1j, 2),
+                  cutoff_times_monomial(0.7, 1), tail_times_monomial(-0.4, 0),
+                  sal.TestFunction(math.exp, (1.0, 0.0, -2.0, -0.0, 12.0))):
+            scale_function(f, 2.5 - 1j)
+        assert calls == []
 
 
 def _assert_rounding_point(leaf):
@@ -570,3 +661,40 @@ class TestArrayContract:
             batch = step(xs)
             assert batch.dtype == float
             assert [step(float(x)) for x in xs] == batch.tolist()
+
+
+def _minus_in_turn(v, e, x):
+    """v minus each of e's terms in turn: the reference for _minus_terms."""
+    lx = np.log(x)
+    for t in e.terms:
+        term = t.coefficient * np.power(x, t.exponent)
+        v = v - (term * lx**t.log_power if t.log_power else term)
+    return v
+
+
+def _assert_bits_equal(got, want):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+_finite = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+class TestMinusTerms:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(_finite, _finite, _finite, _finite, st.integers(0, 4)),
+                    min_size=1, max_size=14),
+           st.integers(0, 2**32 - 1))
+    def test_block_is_the_loop_bit_for_bit(self, rows, seed):
+        terms = tuple(LogPowerTerm(complex(a, b), complex(c, d), k) for a, b, c, d, k in rows)
+        e = AsymptoticExpansion(Location.AT_ZERO, terms, 10.0)
+        rng = np.random.default_rng(seed)
+        x = np.exp(rng.uniform(-5.0, 5.0, int(rng.integers(1, 50))))
+        for v in (rng.normal(size=x.size), rng.normal(size=x.size) + 1j * rng.normal(size=x.size)):
+            _assert_bits_equal(_minus_terms(v, e, x), _minus_in_turn(v, e, x))
+
+    @pytest.mark.parametrize("name", sorted(_array_cases()))
+    def test_leaves_bit_for_bit(self, name):
+        f = _array_cases()[name]
+        x = np.logspace(-3.0, 2.0, 37)
+        for e in (f.expansion_at_zero, f.expansion_at_infinity):
+            _assert_bits_equal(_minus_terms(f(x), e, x), _minus_in_turn(f(x), e, x))

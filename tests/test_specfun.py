@@ -34,6 +34,7 @@ from conespec.specfun import (
     hurwitz_zeta,
     l_fn,
     laguerre,
+    log_gamma,
     rgamma,
     riemann_zeta,
 )
@@ -58,8 +59,39 @@ class TestGammaFamily:
             2.0 - EULER_GAMMA - 2.0 * math.log(2.0), rel=1e-12
         )
 
+    # NaN and infinities in either part; -inf made round() raise OverflowError
+    # in the pole test, and NaN came back as a NaN value
+    NON_FINITE = [math.nan, math.inf, -math.inf, complex(0.5, math.inf),
+                  complex(math.nan, 1.0), complex(-math.inf, 0.0)]
+
+    def test_gamma_rejects_a_non_finite_argument(self):
+        for z in self.NON_FINITE:
+            with pytest.raises(SpecfunError, match="finite"):
+                gamma(z)
+
+    def test_log_gamma_rejects_a_non_finite_argument(self):
+        for z in self.NON_FINITE:
+            with pytest.raises(SpecfunError, match="finite"):
+                log_gamma(z)
+
+    def test_digamma_rejects_a_non_finite_argument(self):
+        for z in self.NON_FINITE:
+            with pytest.raises(SpecfunError, match="finite"):
+                digamma(z)
+
+    def test_rgamma_rejects_a_non_finite_argument(self):
+        for z in self.NON_FINITE:
+            with pytest.raises(SpecfunError, match="finite"):
+                rgamma(z)
+
 
 class TestBessel:
+    @pytest.mark.parametrize("p, x", [(math.nan, 1.0), (0.5, math.inf), (0.5, math.nan)])
+    def test_bessel_j_rejects_non_finite_arguments(self, p, x):
+        # each returned NaN
+        with pytest.raises(SpecfunError, match="finite"):
+            bessel_j(p, x)
+
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.5, 7.0])
     def test_bessel_i_matches_scipy(self, p):
         for x in (0.05, 0.8, 3.0, 12.0, 60.0, 400.0):
