@@ -1,4 +1,4 @@
-"""Command-line surface: data ingestion, dispatch, emission, verification.
+"""Command-line surface: payload readers, dispatch, emission, verification.
 
 Exit codes: 0 success, 2 schema/input violations, 3 numerical
 non-convergence, 4 internal oracle mismatch in verify mode.
@@ -14,7 +14,6 @@ import os
 import random
 import sys
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -137,10 +136,7 @@ def _load_payload(args) -> dict:
     if os.path.exists(text):
         with open(text) as fh:
             text = fh.read()
-    payload = json.loads(text, parse_int=_json_int)
-    if not isinstance(payload, dict):
-        raise ValueError(f"--in must hold a JSON object, not {type(payload).__name__}")
-    return payload
+    return _object(json.loads(text, parse_int=_json_int), "--in")
 
 
 def _pick(args, payload: dict, flag: str, key: str, default=None):
@@ -151,23 +147,9 @@ def _pick(args, payload: dict, flag: str, key: str, default=None):
     return payload.get(key, default)
 
 
-def _int_input(value, name: str) -> int:
-    """An integer input; a non-finite or fractional number is an input error,
-    neither an overflow nor truncated, and so is a boolean or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{name} must be finite and integral, not {value}")
-    return int(value)
-
-
 def _complex_s(args, payload) -> complex:
-    s_re = _pick(args, payload, "s_re", "s_re", 1.0)
-    s_im = _pick(args, payload, "s_im", "s_im", 0.0)
-    s = complex(float(s_re), float(s_im))
-    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-        raise ValueError(f"s must be finite, not {s}")
-    return s
+    return complex(_number(_pick(args, payload, "s_re", "s_re", 1.0), "s_re"),
+                   _number(_pick(args, payload, "s_im", "s_im", 0.0), "s_im"))
 
 
 def _parse_grid(spec: str):
@@ -186,23 +168,182 @@ def _parse_grid(spec: str):
         return name, start + np.arange(count) * step
 
 
-def _check_tol(tol: Optional[float]) -> None:
-    if tol is not None and not (1e-12 <= tol <= 1e-4):
-        raise ValueError("tolerance must lie in [1e-12, 1e-4]")
+# ---------------------------------------------------------------------------
+# Payload readers: the only code that knows the --in format
+# ---------------------------------------------------------------------------
+#
+# Each reader takes a value and its path in the payload, such as
+# spectrum.data[1].lambda, and raises ValueError naming that path.  A
+# required field that is missing reads as None, and is refused as such.
 
 
-# ---------------------------------------------------------------------------
-# Test functions
-# ---------------------------------------------------------------------------
+def _at(path: str, key: str) -> str:
+    """The path of field `key` of the object at `path` ("" is the payload)."""
+    return f"{path}.{key}" if path else key
+
+
+def _number(value, path: str) -> float:
+    """A finite JSON number.  A string, a boolean or NaN/Infinity is an input
+    error, not a number that float() would read."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{path} must be a JSON number, not {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{path} must be finite, not {value}")
+    return float(value)
+
+
+def _integer(value, path: str) -> int:
+    """An integer input; a non-finite or fractional number is an input error,
+    neither an overflow nor truncated, and so is a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{path} must be an integer, not {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{path} must be finite and integral, not {value}")
+    return int(value)
+
+
+def _boolean(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{path} must be a JSON boolean, not {value!r}")
+    return value
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{path} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _array(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{path} must be a JSON array, not {type(value).__name__}")
+    return value
+
+
+def _name(value, path: str, names: tuple) -> str:
+    """One of a fixed set of names."""
+    if not (isinstance(value, str) and value in names):
+        raise ValueError(f"{path} must be one of {', '.join(map(repr, names))}, not {value!r}")
+    return value
+
+
+def _numbers(value, path: str) -> list:
+    """An array of finite numbers, as complex values."""
+    return [complex(_number(v, f"{path}[{i}]")) for i, v in enumerate(_array(value, path))]
+
+
+def _spectral_data(value, path: str) -> tuple:
+    """An array of {"lambda", "weight_re" (default 1), "weight_im" (default 0)}."""
+    data = []
+    for i, entry in enumerate(_array(value, path)):
+        at = f"{path}[{i}]"
+        entry = _object(entry, at)
+        weight = complex(_number(entry.get("weight_re", 1.0), f"{at}.weight_re"),
+                         _number(entry.get("weight_im", 0.0), f"{at}.weight_im"))
+        data.append(cone.SpectralDatum(_number(entry.get("lambda"), f"{at}.lambda"), weight))
+    return tuple(data)
+
+
+def _tail(value, path: str, kinds: tuple, exponent: float):
+    """The tail provider an object names: None for kind "none" (the default),
+    else one of `kinds`, with the caller's default exponent."""
+    spec = _object(value, path)
+    kind = _name(spec.get("kind", "none"), f"{path}.kind", ("none",) + kinds)
+    if kind == "none":
+        return None
+    if kind == "shifted-integer":
+        return cone.ShiftedIntegerEtaProvider(_number(spec.get("a"), f"{path}.a"))
+    scale = _number(spec.get("scale", 1.0), f"{path}.scale")
+    exponent = _number(spec.get("exponent", exponent), f"{path}.exponent")
+    if kind == "riemann":
+        return specfun.RiemannZetaProvider(scale, exponent)
+    return specfun.HurwitzZetaProvider(_number(spec.get("a"), f"{path}.a"), scale, exponent)
+
+
+def _cross_section(value, path: str) -> cone.CrossSectionSpectrum:
+    """data, a "riemann"/"hurwitz" tail (exponent 2 by default) and
+    p_choice.negative_below (default 0)."""
+    d = _object(value, path)
+    p_choice = _object(d.get("p_choice", {}), _at(path, "p_choice"))
+    return cone.CrossSectionSpectrum(
+        data=_spectral_data(d.get("data", []), _at(path, "data")),
+        tail=_tail(d.get("tail", {}), _at(path, "tail"), ("riemann", "hurwitz"), 2.0),
+        negative_below=_number(p_choice.get("negative_below", 0.0),
+                               _at(path, "p_choice.negative_below")),
+    )
+
+
+def _first_order(payload: dict) -> cone.FirstOrderSpectrum:
+    """s_data and a "shifted-integer"/"riemann" eta_tail (exponent 1 by default)."""
+    return cone.FirstOrderSpectrum(
+        s_data=_spectral_data(payload.get("s_data", []), "s_data"),
+        eta_provider=_tail(payload.get("eta_tail", {}), "eta_tail",
+                           ("shifted-integer", "riemann"), 1.0),
+    )
+
+
+def _graded(payload: dict) -> deficiency.GradedSpectrum:
+    """kernel_plus and kernel_minus (default 0), positive [{"mu", "weight"
+    (default 1)}], the threshold "lambda" (default 0.5) and "fredholm"."""
+    positive = []
+    for i, entry in enumerate(_array(payload.get("positive", []), "positive")):
+        at = f"positive[{i}]"
+        entry = _object(entry, at)
+        positive.append((_number(entry.get("mu"), f"{at}.mu"),
+                         complex(_number(entry.get("weight", 1), f"{at}.weight"))))
+    return deficiency.GradedSpectrum(
+        kernel_plus=complex(_number(payload.get("kernel_plus", 0), "kernel_plus")),
+        kernel_minus=complex(_number(payload.get("kernel_minus", 0), "kernel_minus")),
+        positive=tuple(positive),
+        threshold=_number(payload.get("lambda", 0.5), "lambda"),
+        fredholm=_boolean(payload.get("fredholm", False), "fredholm"),
+    )
+
+
+def _families(value) -> expansions.ExpandableFunction:
+    """The sum of coef * x^alpha * log^k x over a nonempty array of
+    {"alpha", "k" (default 0), "coef" (default 1)}."""
+    F = None
+    for i, fam in enumerate(_array(value, "families")):
+        at = f"families[{i}]"
+        fam = _object(fam, at)
+        piece = expansions.scale_function(
+            expansions.global_monomial(complex(_number(fam.get("alpha"), f"{at}.alpha")),
+                                       _integer(fam.get("k", 0), f"{at}.k")),
+            complex(_number(fam.get("coef", 1.0), f"{at}.coef")),
+        )
+        F = piece if F is None else expansions.add_functions(F, piece)
+    if F is None:
+        raise ValueError("families must be a nonempty list")
+    return F
 
 
 def _phi(name) -> expansions.ExpandableFunction:
     """sal-expand's phi: e^-x or e^-x^2, with Taylor terms through x^12."""
-    if name == "exp":
+    if _name(name, "phi", ("exp", "gauss")) == "exp":
         return expansions.exponential_decay(13)
-    if name == "gauss":
-        return expansions.gaussian_decay(12)
-    raise ValueError(f"unknown test function {name!r}; use 'exp' or 'gauss'")
+    return expansions.gaussian_decay(12)
+
+
+def _report_json(report: sal.ExpansionReport) -> dict:
+    """An ExpansionReport as JSON, its terms sorted by exponent and log power."""
+    terms = sorted(report.terms, key=lambda t: (t.exponent.real, t.exponent.imag, t.log_power))
+    return {
+        "variable": report.variable,
+        "remainder_order": float(report.remainder_order),
+        "remainder_log_power": int(report.remainder_log_power),
+        "terms": [
+            {
+                "re_exp": r.exponent.real,
+                "im_exp": r.exponent.imag,
+                "log_pow": r.log_power,
+                "re_coef": complex(r.coefficient).real,
+                "im_coef": complex(r.coefficient).imag,
+                "provenance": r.provenance,
+            }
+            for r in terms
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +362,7 @@ def _cmd_zeta_lp(args, payload: dict) -> int:
         elif name in ("s-re", "s_re"):
             if p_default is None:
                 raise ValueError("--p is required")
-            p = float(p_default)
+            p = _number(p_default, "p")
             # set part by part: v + 1j*s_im would lose the sign of s_im = -0.0
             ss = np.empty(len(values), dtype=complex)
             ss.real, ss.imag = values, s.imag
@@ -234,7 +375,7 @@ def _cmd_zeta_lp(args, payload: dict) -> int:
         return EXIT_OK
     if p_default is None:
         raise ValueError("--p is required")
-    p = float(p_default)
+    p = _number(p_default, "p")
     v = cone.zeta_hat_lp(p, s)
     _emit({"p": p, "s_re": s.real, "s_im": s.imag, "value_re": v.real, "value_im": v.imag},
           args)
@@ -242,10 +383,12 @@ def _cmd_zeta_lp(args, payload: dict) -> int:
 
 
 def _cmd_zeta_op(args, payload: dict) -> int:
-    spec_json = payload["spectrum"] if "spectrum" in payload else payload
-    spec = cone.CrossSectionSpectrum.from_json_dict(spec_json)
+    if "spectrum" in payload:
+        spec = _cross_section(payload["spectrum"], "spectrum")
+    else:
+        spec = _cross_section(payload, "")
     s = _complex_s(args, payload)
-    order = _int_input(_pick(args, payload, "order", "order", cone.FOLD_ORDER), "order")
+    order = _integer(_pick(args, payload, "order", "order", cone.FOLD_ORDER), "order")
     rep = cone.zeta_hat_operator_report(spec, s, order=order)
     v = rep["value"]
     _emit(
@@ -262,7 +405,7 @@ def _cmd_zeta_op(args, payload: dict) -> int:
 
 
 def _cmd_eta(args, payload: dict) -> int:
-    spec = cone.FirstOrderSpectrum.from_json_dict(payload)
+    spec = _first_order(payload)
     res1, res0 = cone.eta_hat_residues(spec)
     out = {
         "res1_re": res1.real,
@@ -270,7 +413,8 @@ def _cmd_eta(args, payload: dict) -> int:
         "res0_re": res0.real,
         "res0_im": res0.imag,
     }
-    if args.s_re is not None or args.s_im is not None or "s_re" in payload:
+    if (args.s_re is not None or args.s_im is not None
+            or "s_re" in payload or "s_im" in payload):
         s = _complex_s(args, payload)
         v = cone.eta_function_scalable(spec, s)
         out.update(
@@ -281,21 +425,21 @@ def _cmd_eta(args, payload: dict) -> int:
 
 
 def _cmd_heat_trace(args, payload: dict) -> int:
-    spec = cone.CrossSectionSpectrum.from_json_dict(payload["spectrum"])
-    nu = float(payload.get("nu", 2.0))
-    mu = float(payload.get("mu", 2.0))
-    m = _int_input(payload.get("m", 1), "m")
-    phi_moments = [complex(v) for v in payload["phi_moments"]]
+    spec = _cross_section(payload.get("spectrum"), "spectrum")
+    nu = _number(payload.get("nu", 2.0), "nu")
+    mu = _number(payload.get("mu", 2.0), "mu")
+    m = _integer(payload.get("m", 1), "m")
+    phi_moments = _numbers(payload.get("phi_moments"), "phi_moments")
     b_coeffs = payload.get("b_coeffs")
     if b_coeffs is not None:
-        b_coeffs = [complex(v) for v in b_coeffs]
+        b_coeffs = _numbers(b_coeffs, "b_coeffs")
     report = cone.heat_trace_expansion(spec, nu, mu, m, phi_moments, b_coeffs)
-    _emit(report.to_json_dict(), args)
+    _emit(_report_json(report), args)
     return EXIT_OK
 
 
 def _cmd_deficiency(args, payload: dict) -> int:
-    g = deficiency.GradedSpectrum.from_json_dict(payload)
+    g = _graded(payload)
     n_plus, n_minus = deficiency.deficiency_indices(g)
     if g.fredholm and n_plus != n_minus:
         raise ValueError(
@@ -316,22 +460,11 @@ def _cmd_deficiency(args, payload: dict) -> int:
 
 def _cmd_sal_expand(args, payload: dict) -> int:
     phi = _phi(payload.get("phi", "exp"))
-    fams = payload.get("families", [])
-    if not fams:
-        raise ValueError("families must be a nonempty list")
-    F = None
-    for fam in fams:
-        piece = expansions.scale_function(
-            expansions.global_monomial(
-                complex(fam["alpha"]), _int_input(fam.get("k", 0), "k")
-            ),
-            complex(fam.get("coef", 1.0)),
-        )
-        F = piece if F is None else expansions.add_functions(F, piece)
+    F = _families(payload.get("families", []))
     order = _pick(args, payload, "order", "order")
-    q = float(_int_input(order, "order")) if order is not None else None
+    q = float(_integer(order, "order")) if order is not None else None
     report = sal.expand_phi_tx(phi, F, q)
-    _emit(report.to_json_dict(), args)
+    _emit(_report_json(report), args)
     return EXIT_OK
 
 
@@ -499,19 +632,18 @@ _FLAG_SPECS = {
     "--s-im": {"dest": "s_im", "type": float},
     "--in": {"dest": "infile"},
     "--order": {"type": int},
-    "--tol": {"type": float},
     "--grid": {},
     "--seed": {"type": int},
 }
 
 # (handler(args, payload), flags it reads besides --out and --format)
 _COMMANDS = {
-    "zeta-lp": (_cmd_zeta_lp, ("--p", "--s-re", "--s-im", "--in", "--tol", "--grid")),
-    "zeta-op": (_cmd_zeta_op, ("--s-re", "--s-im", "--in", "--tol", "--order")),
-    "eta": (_cmd_eta, ("--s-re", "--s-im", "--in", "--tol")),
-    "heat-trace": (_cmd_heat_trace, ("--in", "--tol")),
+    "zeta-lp": (_cmd_zeta_lp, ("--p", "--s-re", "--s-im", "--in", "--grid")),
+    "zeta-op": (_cmd_zeta_op, ("--s-re", "--s-im", "--in", "--order")),
+    "eta": (_cmd_eta, ("--s-re", "--s-im", "--in")),
+    "heat-trace": (_cmd_heat_trace, ("--in",)),
     "deficiency": (_cmd_deficiency, ("--in",)),
-    "sal-expand": (_cmd_sal_expand, ("--in", "--tol", "--order")),
+    "sal-expand": (_cmd_sal_expand, ("--in", "--order")),
     "verify": (_cmd_verify, ("--seed",)),
 }
 
@@ -545,7 +677,6 @@ def main(argv=None) -> int:
         commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         payload = _load_payload(args)
-        _check_tol(getattr(args, "tol", None))
         return _COMMANDS[args.command][0](args, payload)
     except (HankelConvergenceError, MellinError, NonFiniteResultError, OverflowError) as exc:
         print(f"error: non-convergence: {exc}", file=sys.stderr)

@@ -24,8 +24,6 @@ from .specfun import (
     _INTEGER_TOL,
     _TERMS_CAP,
     DirichletSeriesProvider,
-    HurwitzZetaProvider,
-    RiemannZetaProvider,
     _is_nonpositive_integer,
     _nonpositive_integer_mask,
     _poly_eval,
@@ -180,26 +178,6 @@ class SpectralDatum:
     def __post_init__(self):
         if not (math.isfinite(self.eigenvalue) and cmath.isfinite(self.weight)):
             raise ConeError(f"spectral data must be finite, not {self}")
-
-    def validate_non_equivariant(self) -> None:
-        if abs(self.weight.imag) > 0 or self.weight.real < 0:
-            raise ConeError(
-                "non-equivariant weights must be real and nonnegative"
-            )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": self.eigenvalue,
-            "weight_re": complex(self.weight).real,
-            "weight_im": complex(self.weight).imag,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SpectralDatum":
-        return cls(
-            eigenvalue=float(d["lambda"]),
-            weight=complex(float(d.get("weight_re", 1.0)), float(d.get("weight_im", 0.0))),
-        )
 
 
 def _split_terms(pairs, head):
@@ -371,49 +349,6 @@ class CrossSectionSpectrum:
 
     def res0_zeta_a(self, z0: complex) -> complex:
         return _series_part(self.tail, "value_at", z0, self._unmatched())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "data": [d.to_json_dict() for d in self.data],
-            "tail": {"kind": "none"} if self.tail is None else self.tail.to_json_dict(),
-            "p_choice": {"negative_below": self.negative_below},
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CrossSectionSpectrum":
-        """Data, a "riemann"/"hurwitz" tail (exponent 2 by default), p_choice."""
-        p_choice = _json_object(d.get("p_choice", {}), "p_choice")
-        return cls(
-            data=tuple(SpectralDatum.from_json_dict(e) for e in d.get("data", [])),
-            tail=_provider_from_json(d, "tail", ("riemann", "hurwitz"), 2.0),
-            negative_below=float(p_choice.get("negative_below", 0.0)),
-        )
-
-
-def _json_object(value, name: str) -> dict:
-    """A nested JSON field that must be an object."""
-    if not isinstance(value, dict):
-        raise ConeError(f"{name} must be a JSON object, not {type(value).__name__}")
-    return value
-
-
-def _provider_from_json(
-    d: dict, field: str, kinds: tuple, exponent: float
-) -> Optional[DirichletSeriesProvider]:
-    """The tail provider d[field] names: None for kind "none" (the default),
-    else one of `kinds`, with the caller's default exponent."""
-    spec = _json_object(d.get(field, {}), field)
-    kind = spec.get("kind", "none")
-    if kind == "none":
-        return None
-    if kind not in kinds:
-        raise ConeError(f"unknown tail kind {kind!r}")
-    if kind == "shifted-integer":
-        return ShiftedIntegerEtaProvider(float(spec["a"]))
-    scale, exponent = float(spec.get("scale", 1.0)), float(spec.get("exponent", exponent))
-    if kind == "riemann":
-        return RiemannZetaProvider(scale, exponent)
-    return HurwitzZetaProvider(float(spec["a"]), scale, exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +652,7 @@ class FirstOrderSpectrum:
     not enumerate are added on top).  `a_plus_tail` / `a_minus_tail` continue
     the zeta functions of (S +/- 1/2)^2 for the assembled eta route; a
     spectrum with an eta provider needs both there, since nothing derives
-    them from it (`from_json_dict` sets the eta provider only).
+    them from it (`conespec eta` sets the eta provider only).
     """
 
     s_data: tuple[SpectralDatum, ...]
@@ -735,16 +670,6 @@ class FirstOrderSpectrum:
             if d.eigenvalue != 0.0
         ]
         object.__setattr__(self, "_eta_plan", _TermPlan(signed, self.eta_provider, [], 0.5))
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FirstOrderSpectrum":
-        """s_data and a "shifted-integer"/"riemann" eta_tail (exponent 1 by default)."""
-        return cls(
-            s_data=tuple(SpectralDatum.from_json_dict(e) for e in d.get("s_data", [])),
-            eta_provider=_provider_from_json(
-                d, "eta_tail", ("shifted-integer", "riemann"), 1.0
-            ),
-        )
 
     # -- simple spectral sums ----------------------------------------------
 

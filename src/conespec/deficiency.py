@@ -78,30 +78,6 @@ class GradedSpectrum:
                     "this operation needs nonnegative integer weights"
                 )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kernel_plus": _num_out(self.kernel_plus),
-            "kernel_minus": _num_out(self.kernel_minus),
-            "positive": [
-                {"mu": mu, "weight": _num_out(w)} for mu, w in self.positive
-            ],
-            "lambda": self.threshold,
-            "fredholm": self.fredholm,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GradedSpectrum":
-        return cls(
-            kernel_plus=complex(d.get("kernel_plus", 0)),
-            kernel_minus=complex(d.get("kernel_minus", 0)),
-            positive=tuple(
-                (float(e["mu"]), complex(e.get("weight", 1)))
-                for e in d.get("positive", [])
-            ),
-            threshold=float(d.get("lambda", 0.5)),
-            fredholm=bool(d.get("fredholm", False)),
-        )
-
 
 def _num_out(w: complex):
     w = complex(w)

@@ -266,37 +266,6 @@ class AsymptoticExpansion:
             raise ValueError("x must be positive")
         return _terms_sum(self.terms, x)
 
-    # -- serialization ---------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "location": self.location.value,
-            "remainder_order": float(self.remainder_order),
-            "terms": [
-                {
-                    "re_exp": t.exponent.real,
-                    "im_exp": t.exponent.imag,
-                    "log_pow": t.log_power,
-                    "re_coef": complex(t.coefficient).real,
-                    "im_coef": complex(t.coefficient).imag,
-                }
-                for t in self.terms
-            ],
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "AsymptoticExpansion":
-        loc = Location.AT_ZERO if d["location"] == "zero" else Location.AT_INFINITY
-        terms = tuple(
-            LogPowerTerm(
-                complex(t["re_coef"], t.get("im_coef", 0.0)),
-                complex(t["re_exp"], t.get("im_exp", 0.0)),
-                int(t["log_pow"]),
-            )
-            for t in d["terms"]
-        )
-        return AsymptoticExpansion(loc, terms, float(d["remainder_order"]))
-
 
 def empty_expansion(location: Location, remainder_order: float) -> AsymptoticExpansion:
     return AsymptoticExpansion(location, (), remainder_order)

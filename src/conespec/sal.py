@@ -109,11 +109,6 @@ class ExpansionReport:
     remainder_order: float
     remainder_log_power: int = 0
 
-    def sorted_terms(self) -> tuple[ReportTerm, ...]:
-        return tuple(
-            sorted(self.terms, key=lambda t: (t.exponent.real, t.exponent.imag, t.log_power))
-        )
-
     def coefficient(self, exponent: complex, log_power: int) -> complex:
         e = complex(exponent)
         return sum(
@@ -128,24 +123,6 @@ class ExpansionReport:
             (r.coefficient * complex(t) ** r.exponent * lt**r.log_power for r in self.terms),
             0.0 + 0.0j,
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "variable": self.variable,
-            "remainder_order": float(self.remainder_order),
-            "remainder_log_power": int(self.remainder_log_power),
-            "terms": [
-                {
-                    "re_exp": r.exponent.real,
-                    "im_exp": r.exponent.imag,
-                    "log_pow": r.log_power,
-                    "re_coef": complex(r.coefficient).real,
-                    "im_coef": complex(r.coefficient).imag,
-                    "provenance": r.provenance,
-                }
-                for r in self.sorted_terms()
-            ],
-        }
 
 
 def _merge_terms(terms: Sequence[ReportTerm]) -> tuple[ReportTerm, ...]:

@@ -721,9 +721,6 @@ class DirichletSeriesProvider:
             return self.zeta(s0)
         return laurent_fit(self.zeta, s0)[1]
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "opaque"}
-
 
 class FiniteSpectrumProvider(DirichletSeriesProvider):
     def __init__(self, pairs: Sequence[tuple[complex, float]]):
@@ -776,10 +773,6 @@ class HurwitzZetaProvider(DirichletSeriesProvider):
         if abs(complex(s0) - 1.0 / self.exponent) <= _AT_POLE:
             return -self.scale * digamma(self.a)
         return self.zeta(s0)
-
-    def to_json_dict(self) -> dict:
-        d = {"kind": "riemann"} if self.a == 1.0 else {"kind": "hurwitz", "a": self.a}
-        return {**d, "scale": self.scale, "exponent": self.exponent}
 
 
 class RiemannZetaProvider(HurwitzZetaProvider):

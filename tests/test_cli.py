@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import ast
 import json
 import math
 import os
@@ -253,16 +254,6 @@ class TestZetaLp:
         )
         assert code == 3 and out == ""
 
-    def test_tol_outside_contract(self, capsys):
-        code, _, _ = run(
-            capsys, "zeta-lp", "--p", "0.5", "--s-re", "1.0", "--tol", "1e-2"
-        )
-        assert code == 2
-        code, _, _ = run(
-            capsys, "zeta-lp", "--p", "0.5", "--s-re", "1.0", "--tol", "1e-13"
-        )
-        assert code == 2
-
 
 class TestZetaOp:
     def test_circle_spectrum(self, capsys):
@@ -339,6 +330,13 @@ class TestEta:
         # the residues need no squared tails
         code, out, _ = run(capsys, "eta", "--in", payload)
         assert code == 0 and "value_re" not in json.loads(out)
+
+    def test_s_im_alone_in_the_payload_gives_the_value(self, capsys):
+        # either part of s asks for the value, in the payload as with the flags
+        data = {"s_data": [{"lambda": 0.8, "weight_re": 1.0}]}
+        code, out, _ = run(capsys, "eta", "--in", json.dumps({**data, "s_im": 0.5}))
+        assert code == 0 and json.loads(out)["s_re"] == 1.0
+        assert out == run(capsys, "eta", "--in", json.dumps(data), "--s-im", "0.5")[1]
 
     def test_unknown_tail(self, capsys):
         payload = json.dumps({"s_data": [], "eta_tail": {"kind": "spooky"}})
@@ -559,13 +557,13 @@ class TestInputBoundary:
             ("zeta-op", "--in", CIRCLE_PAYLOAD, "--s-re", "nan"),
             ("zeta-op", "--in", CIRCLE_PAYLOAD, "--s-re", "0.4", "--s-im", "inf"),
             ("eta", "--in", json.dumps({"s_data": [{"lambda": 0.8}]}), "--s-re", "nan"),
-            ("eta", "--in", json.dumps({"s_data": [{"lambda": 0.8}], "s_re": "-inf"})),
+            ("eta", "--in", json.dumps({"s_data": [{"lambda": 0.8}], "s_re": -math.inf})),
         ],
     )
     def test_non_finite_s_is_schema_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
-        assert out == "" and "s must be finite" in err
+        assert out == "" and re.search(r"\bs_(re|im) must be finite", err)
 
     @pytest.mark.parametrize(
         "tail",
@@ -595,7 +593,8 @@ class TestInputBoundary:
         }[command]
         code, out, err = run(capsys, command, "--in", json.dumps(payload))
         assert code == 2
-        assert out == "" and "spectral data must be finite" in err
+        key = next(k for k, v in datum.items() if not math.isfinite(v))
+        assert out == "" and re.search(rf"data\[0\]\.{key} must be finite", err)
 
     @pytest.mark.parametrize(
         "argv",
@@ -676,6 +675,53 @@ class TestInputBoundary:
             assert code == 2
             assert out == "" and "beyond the float range" in err
 
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            # a string, a boolean or an array is not a number
+            ("zeta-lp", '{"p": "0.5"}', "p"),
+            ("zeta-op", '{"tail": {"kind": "riemann"}, "s_re": true}', "s_re"),
+            ("zeta-op", '{"data": [{"lambda": 1.0, "weight_re": true}], "s_re": 1.6}',
+             "data[0].weight_re"),
+            ("sal-expand", '{"families": [{"alpha": "-1.5"}], "order": 3}', "families[0].alpha"),
+            ("sal-expand", '{"families": [{"alpha": -1.5, "coef": "2j"}], "order": 3}',
+             "families[0].coef"),
+            ("deficiency", '{"kernel_plus": "1"}', "kernel_plus"),
+            ("heat-trace", '{"spectrum": {"data": [{"lambda": 1.0}]}, "phi_moments": "123"}',
+             "phi_moments"),
+            ("heat-trace", '{"spectrum": {"data": [{"lambda": 1.0}]}, "nu": "2", '
+             '"phi_moments": [1, 1, 1]}', "nu"),
+            ("heat-trace", '{"spectrum": {"data": [{"lambda": 1.0}]}, '
+             '"phi_moments": [1, [1], 1]}', "phi_moments[1]"),
+            # NaN and Infinity are not finite numbers
+            ("deficiency", '{"positive": [{"mu": NaN}]}', "positive[0].mu"),
+            ("zeta-op", '{"tail": {"kind": "riemann"}, "p_choice": {"negative_below": NaN}, '
+             '"s_re": 1.6}', "p_choice.negative_below"),
+            ("deficiency", '{"positive": [{"mu": 0.3}], "lambda": Infinity}', "lambda"),
+            ("deficiency", '{"positive": [{"mu": 0.3, "weight": Infinity}]}',
+             "positive[0].weight"),
+            ("deficiency", '{"kernel_plus": NaN}', "kernel_plus"),
+            # the other readers: boolean, integer, object, array, name
+            ("deficiency", '{"kernel_plus": 1, "kernel_minus": 1, "fredholm": "false"}',
+             "fredholm"),
+            ("sal-expand", '{"families": [{"alpha": -1.0, "k": "1"}], "order": 3}',
+             "families[0].k"),
+            ("zeta-op", '{"data": [5], "s_re": 1.6}', "data[0]"),
+            ("heat-trace", '{"spectrum": 5, "phi_moments": [1, 1, 1]}', "spectrum"),
+            ("eta", '{"s_data": {"lambda": 0.8}}', "s_data"),
+            ("sal-expand", '{"phi": 5, "families": [{"alpha": -1.0}]}', "phi"),
+            ("eta", '{"eta_tail": {"kind": "hurwitz", "a": 0.5}}', "eta_tail.kind"),
+            ("zeta-op", '{"spectrum": {"tail": {"kind": "riemann", "scale": "2"}}, "s_re": 1.6}',
+             "spectrum.tail.scale"),
+            # a required field that is missing
+            ("deficiency", '{"positive": [{"weight": 1}]}', "positive[0].mu"),
+        ],
+    )
+    def test_malformed_payload_names_its_field(self, capsys, command, payload, field):
+        code, out, err = run(capsys, command, "--in", payload)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: invalid input: {field} must be "), err
+
     def test_overflowing_value_is_nonconvergence(self, capsys, tmp_path):
         code, out, err = run(capsys, "zeta-lp", "--p", "0.5", "--s-re", "-110", "--s-im", "0.3")
         assert code == 3
@@ -716,7 +762,7 @@ class TestVerify:
 class TestFlags:
     FLAG_VALUES = {
         "--p": "1", "--s-re": "1.5", "--s-im": "0.5", "--in": "{}", "--order": "4",
-        "--tol": "1e-8", "--grid": "p=0.5:2.5:3", "--seed": "1",
+        "--grid": "p=0.5:2.5:3", "--seed": "1",
     }
 
     def rejects(self, capsys, *argv) -> bool:
@@ -764,7 +810,6 @@ class TestFlags:
 
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     def test_dead_t_flag_is_input_error(self, capsys, command):
-        # also not taken as an abbreviation of --tol
         assert self.rejects(capsys, command, "--t", "1e-6")
 
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
@@ -773,6 +818,29 @@ class TestFlags:
         for flag, value in self.FLAG_VALUES.items():
             if flag not in reads:
                 assert self.rejects(capsys, command, flag, value), flag
+
+
+def test_only_the_cli_knows_the_wire_format():
+    # one module reads and writes the JSON payloads: no other imports json,
+    # and none keeps a serializer or a payload parser of its own
+    src = os.path.dirname(os.path.abspath(cli.__file__))
+    gone = {"_json_object", "_provider_from_json", "_check_tol", "validate_non_equivariant"}
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        imports, defs = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imports.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imports.add(node.module)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.add(node.name)
+        if name != "cli.py":
+            assert "json" not in imports, name
+        assert not {d for d in defs if d.endswith("_json_dict")} | (defs & gone), name
 
 
 def test_import_leaves_scipy_integrate_out():

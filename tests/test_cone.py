@@ -14,7 +14,7 @@ from scipy.special import gamma as sc_gamma
 
 from dirichlet_checks import continuation_consistency
 
-from conespec import cone
+from conespec import cli, cone
 from conespec.cone import (
     ConeError,
     CrossSectionSpectrum,
@@ -250,18 +250,6 @@ class TestZetaHatLp:
 
 
 class TestSpectrumData:
-    def test_spectral_datum_json_round_trip(self):
-        d = SpectralDatum(2.25, 1.0 + 0.5j)
-        d2 = SpectralDatum.from_json_dict(d.to_json_dict())
-        assert d2 == d
-
-    def test_validate_non_equivariant(self):
-        SpectralDatum(1.0, 2.0).validate_non_equivariant()
-        with pytest.raises(ConeError):
-            SpectralDatum(1.0, -1.0).validate_non_equivariant()
-        with pytest.raises(ConeError):
-            SpectralDatum(1.0, 1.0 + 1.0j).validate_non_equivariant()
-
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ConeError):
             CrossSectionSpectrum(data=(SpectralDatum(-1.0, 1.0),))
@@ -280,10 +268,11 @@ class TestSpectrumData:
             SpectralDatum(lam, weight)
         weight = complex(weight)
         entry = {"lambda": lam, "weight_re": weight.real, "weight_im": weight.imag}
-        with pytest.raises(ConeError):
-            CrossSectionSpectrum.from_json_dict({"data": [entry]})
-        with pytest.raises(ConeError):
-            FirstOrderSpectrum.from_json_dict({"s_data": [entry]})
+        # the CLI's readers refuse the payload and name the field
+        with pytest.raises(ValueError, match=r"^spectrum\.data\[0\]\.\w+ must be finite"):
+            cli._cross_section({"data": [entry]}, "spectrum")
+        with pytest.raises(ValueError, match=r"^s_data\[0\]\.\w+ must be finite"):
+            cli._first_order({"s_data": [entry]})
 
     def test_p_overrides_must_align(self):
         with pytest.raises(ConeError):
@@ -323,46 +312,47 @@ class TestSpectrumData:
             residues_at_zero(spec)
 
     def test_json_round_trip_with_tail(self):
+        # the CLI's reader carries every field of the payload into the spectrum
         d = {
-            "data": [{"lambda": 0.25, "weight_re": 1.0, "weight_im": 0.0}],
+            "data": [{"lambda": 0.25, "weight_re": 1.0, "weight_im": -0.5}],
             "tail": {"kind": "riemann", "scale": 2},
             "p_choice": {"negative_below": 1.0},
         }
-        spec = CrossSectionSpectrum.from_json_dict(d)
+        spec = cli._cross_section(d, "")
         assert spec.negative_below == 1.0
-        assert spec.tail is not None and spec.tail.scale == 2.0
-        d2 = spec.to_json_dict()
-        assert d2["tail"] == {"kind": "riemann", "scale": 2, "exponent": 2.0}
-        assert CrossSectionSpectrum.from_json_dict(d2).data == spec.data
+        assert spec.data == (SpectralDatum(0.25, 1.0 - 0.5j),)
+        assert type(spec.tail) is RiemannZetaProvider
+        assert (spec.tail.scale, spec.tail.exponent) == (2.0, 2.0)
         tail = {"kind": "hurwitz", "a": 0.7, "scale": 1.5, "exponent": 2.3}
-        spec = CrossSectionSpectrum.from_json_dict({"data": [], "tail": tail})
-        assert spec.to_json_dict()["tail"] == tail
+        spec = cli._cross_section({"data": [], "tail": tail}, "")
+        assert (spec.tail.a, spec.tail.scale, spec.tail.exponent) == (0.7, 1.5, 2.3)
+        assert cli._cross_section({}, "").tail is None
 
     def test_json_unknown_tail_kind(self):
-        with pytest.raises(ConeError):
-            CrossSectionSpectrum.from_json_dict({"data": [], "tail": {"kind": "x"}})
+        with pytest.raises(ValueError, match=r"^spectrum\.tail\.kind must be one of"):
+            cli._cross_section({"data": [], "tail": {"kind": "x"}}, "spectrum")
 
     def test_json_tail_kinds_per_spectrum(self):
-        # one parser; each spectrum keeps its own tail kinds and default exponent
+        # one reader; each spectrum keeps its own tail kinds and default exponent
         riemann = {"kind": "riemann", "scale": 2}
-        cross = CrossSectionSpectrum.from_json_dict({"tail": riemann})
-        first = FirstOrderSpectrum.from_json_dict({"eta_tail": riemann})
+        cross = cli._cross_section({"tail": riemann}, "")
+        first = cli._first_order({"eta_tail": riemann})
         assert type(cross.tail) is type(first.eta_provider) is RiemannZetaProvider
         assert (cross.tail.scale, cross.tail.exponent) == (2.0, 2.0)
         assert (first.eta_provider.scale, first.eta_provider.exponent) == (2.0, 1.0)
-        hurwitz = CrossSectionSpectrum.from_json_dict({"tail": {"kind": "hurwitz", "a": 0.5}})
+        hurwitz = cli._cross_section({"tail": {"kind": "hurwitz", "a": 0.5}}, "")
         assert (hurwitz.tail.a, hurwitz.tail.exponent) == (0.5, 2.0)
         shifted = {"kind": "shifted-integer", "a": 0.3}
-        eta = FirstOrderSpectrum.from_json_dict(
+        eta = cli._first_order(
             {"s_data": [{"lambda": -0.7, "weight_re": 2.0}], "eta_tail": shifted}
         )
         assert isinstance(eta.eta_provider, ShiftedIntegerEtaProvider)
         assert eta.s_data == (SpectralDatum(-0.7, 2.0),)
-        assert FirstOrderSpectrum.from_json_dict({}).eta_provider is None
-        with pytest.raises(ConeError):
-            CrossSectionSpectrum.from_json_dict({"tail": shifted})
-        with pytest.raises(ConeError):
-            FirstOrderSpectrum.from_json_dict({"eta_tail": {"kind": "hurwitz", "a": 0.5}})
+        assert cli._first_order({}).eta_provider is None
+        with pytest.raises(ValueError, match=r"^tail\.kind must be one of"):
+            cli._cross_section({"tail": shifted}, "")
+        with pytest.raises(ValueError, match=r"^eta_tail\.kind must be one of"):
+            cli._first_order({"eta_tail": {"kind": "hurwitz", "a": 0.5}})
 
 
 class TestZetaHatOperator:

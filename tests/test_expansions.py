@@ -128,17 +128,6 @@ class TestAsymptoticExpansion:
         with pytest.raises(ValueError):
             e.evaluate(-1.0)
 
-    def test_json_round_trip(self):
-        e = AsymptoticExpansion(
-            Location.AT_INFINITY,
-            (LogPowerTerm(1.5 + 0.5j, -1.0 + 2.0j, 2),),
-            3.0,
-        )
-        e2 = AsymptoticExpansion.from_json_dict(e.to_json_dict())
-        assert e2.location is Location.AT_INFINITY
-        assert e2.remainder_order == e.remainder_order
-        assert e2.terms == e.terms
-
 
 # Exponents near a few centres, at most a few tolerances apart, so that
 # near and equal keys, and one exponent with several log powers, are common.

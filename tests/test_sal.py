@@ -95,10 +95,20 @@ class TestReport:
         assert rep.evaluate(t) == pytest.approx(2.0 * math.log(t) - t)
 
     def test_json_sorted(self):
-        rep = ExpansionReport("t", (ReportTerm(1.0, 0, 1.0, "taylor"),), 2.0)
-        d = rep.to_json_dict()
-        assert d["variable"] == "t"
-        assert d["terms"][0]["provenance"] == "taylor"
+        # the CLI writes the terms sorted by exponent, then log power
+        rep = ExpansionReport("t", (ReportTerm(1.0, 0, 1.0, "taylor"),
+                                    ReportTerm(0.5j, 1, 2.0 - 1.0j, "boundary"),
+                                    ReportTerm(0.5j, 0, 3.0, "log-correction")), 2.0)
+        d = cli._report_json(rep)
+        assert (d["variable"], d["remainder_order"], d["remainder_log_power"]) == ("t", 2.0, 0)
+        assert d["terms"] == [
+            {"re_exp": 0.0, "im_exp": 0.5, "log_pow": 0, "re_coef": 3.0, "im_coef": 0.0,
+             "provenance": "log-correction"},
+            {"re_exp": 0.0, "im_exp": 0.5, "log_pow": 1, "re_coef": 2.0, "im_coef": -1.0,
+             "provenance": "boundary"},
+            {"re_exp": 1.0, "im_exp": 0.0, "log_pow": 0, "re_coef": 1.0, "im_coef": 0.0,
+             "provenance": "taylor"},
+        ]
 
 
 class TestMoments:

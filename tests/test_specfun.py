@@ -615,9 +615,6 @@ class TestProviders:
             for s in (2.5, 0.3 + 4.0j, -1.7, 1.0 / exponent + 0.01):
                 assert riemann.zeta(s) == hurwitz.zeta(s)
             assert riemann.terms_below(500.0) == hurwitz.terms_below(500.0)
-            assert riemann.to_json_dict() == {
-                "kind": "riemann", "scale": scale, "exponent": exponent
-            }
 
     def test_provider_rejects_nonpositive_exponent(self):
         for exponent in (0.0, -2.0):

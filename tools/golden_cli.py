@@ -103,6 +103,27 @@ EDGE_CASES = [
     (["sal-expand", "--in", '{"families": [{"alpha": -1.0}]}', "--order", "7"], None),
     (["sal-expand", "--in", '{"families": []}'], None),
     (["sal-expand", "--in", '{"families": [{"alpha": -1.0, "k": "1"}], "order": 3}'], None),
+    # malformed payloads: each is an input error that names its field
+    (["zeta-lp", "--in", '{"p": "0.5"}'], None),
+    (["zeta-op", "--in", '{"tail": {"kind": "riemann"}, "s_re": true}'], None),
+    (["zeta-op", "--in", '{"data": [{"lambda": 1.0, "weight_re": true}], "s_re": 1.6}'], None),
+    (["zeta-op", "--in", '{"tail": {"kind": "riemann"}, "p_choice": {"negative_below": NaN}}'],
+     None),
+    (["zeta-op", "--in", '{"data": [5], "s_re": 1.6}'], None),
+    (["eta", "--in", '{"s_data": {"lambda": 0.8}}'], None),
+    (["eta", "--in", '{"s_data": [{"lambda": 0.8, "weight_re": 1.0}], "s_im": 0.5}'], None),
+    (["heat-trace", "--in", '{"spectrum": {"data": [{"lambda": 1.0}]}, "phi_moments": "123"}'],
+     None),
+    (["heat-trace", "--in", '{"spectrum": 5, "phi_moments": [1, 1, 1]}'], None),
+    (["deficiency", "--in", '{"kernel_plus": "1"}'], None),
+    (["deficiency", "--in", '{"kernel_plus": NaN}'], None),
+    (["deficiency", "--in", '{"positive": [{"mu": NaN}]}'], None),
+    (["deficiency", "--in", '{"positive": [{"mu": 0.3}], "lambda": Infinity}'], None),
+    (["deficiency", "--in", '{"positive": [{"mu": 0.3, "weight": Infinity}]}'], None),
+    (["deficiency", "--in", '{"kernel_plus": 1, "kernel_minus": 1, "fredholm": "false"}'], None),
+    (["sal-expand", "--in", '{"families": [{"alpha": "-1.5"}], "order": 3}'], None),
+    (["sal-expand", "--in", '{"families": [{"alpha": -1.5, "coef": "2j"}], "order": 3}'], None),
+    (["sal-expand", "--in", '{"phi": 5, "families": [{"alpha": -1.0}]}'], None),
     (["verify", "--seed", "0"], None),
     (["verify", "--seed", "5", "--format", "csv"], None),
 ]
