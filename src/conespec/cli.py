@@ -129,14 +129,16 @@ def _json_int(text: str) -> int:
     return n
 
 
-def _load_payload(args) -> dict:
+def _load_payload(args):
+    """The --in JSON value, or {} without --in; each command reads it as an
+    object of its own fields."""
     if not getattr(args, "infile", None):
         return {}
     text = args.infile
     if os.path.exists(text):
         with open(text) as fh:
             text = fh.read()
-    return _object(json.loads(text, parse_int=_json_int), "--in")
+    return json.loads(text, parse_int=_json_int)
 
 
 def _pick(args, payload: dict, flag: str, key: str, default=None):
@@ -174,7 +176,8 @@ def _parse_grid(spec: str):
 #
 # Each reader takes a value and its path in the payload, such as
 # spectrum.data[1].lambda, and raises ValueError naming that path.  A
-# required field that is missing reads as None, and is refused as such.
+# required field that is missing reads as None, and is refused as such; a
+# key that is not a field of its object is refused too.
 
 
 def _at(path: str, key: str) -> str:
@@ -208,9 +211,15 @@ def _boolean(value, path: str) -> bool:
     return value
 
 
-def _object(value, path: str) -> dict:
+def _object(value, path: str, fields: tuple) -> dict:
+    """A JSON object whose keys are among `fields`.  The payload itself has
+    the path "", and is the --in object."""
     if not isinstance(value, dict):
-        raise ValueError(f"{path} must be a JSON object, not {type(value).__name__}")
+        raise ValueError(f"{path or '--in'} must be a JSON object, not {type(value).__name__}")
+    for key in value:
+        if key not in fields:
+            raise ValueError(f"{_at(path, key)} is not a field of {path or 'the payload'}, "
+                             f"which takes {', '.join(fields)}")
     return value
 
 
@@ -237,18 +246,28 @@ def _spectral_data(value, path: str) -> tuple:
     data = []
     for i, entry in enumerate(_array(value, path)):
         at = f"{path}[{i}]"
-        entry = _object(entry, at)
+        entry = _object(entry, at, ("lambda", "weight_re", "weight_im"))
         weight = complex(_number(entry.get("weight_re", 1.0), f"{at}.weight_re"),
                          _number(entry.get("weight_im", 0.0), f"{at}.weight_im"))
         data.append(cone.SpectralDatum(_number(entry.get("lambda"), f"{at}.lambda"), weight))
     return tuple(data)
 
 
+# The fields of a tail object besides "kind", by kind.
+_TAIL_FIELDS = {
+    "none": (),
+    "shifted-integer": ("a",),
+    "riemann": ("scale", "exponent"),
+    "hurwitz": ("a", "scale", "exponent"),
+}
+
+
 def _tail(value, path: str, kinds: tuple, exponent: float):
     """The tail provider an object names: None for kind "none" (the default),
     else one of `kinds`, with the caller's default exponent."""
-    spec = _object(value, path)
+    spec = _object(value, path, ("kind", "a", "scale", "exponent"))
     kind = _name(spec.get("kind", "none"), f"{path}.kind", ("none",) + kinds)
+    _object(spec, path, ("kind",) + _TAIL_FIELDS[kind])
     if kind == "none":
         return None
     if kind == "shifted-integer":
@@ -260,11 +279,14 @@ def _tail(value, path: str, kinds: tuple, exponent: float):
     return specfun.HurwitzZetaProvider(_number(spec.get("a"), f"{path}.a"), scale, exponent)
 
 
+_CROSS_SECTION_FIELDS = ("data", "tail", "p_choice")
+
+
 def _cross_section(value, path: str) -> cone.CrossSectionSpectrum:
     """data, a "riemann"/"hurwitz" tail (exponent 2 by default) and
     p_choice.negative_below (default 0)."""
-    d = _object(value, path)
-    p_choice = _object(d.get("p_choice", {}), _at(path, "p_choice"))
+    d = _object(value, path, _CROSS_SECTION_FIELDS)
+    p_choice = _object(d.get("p_choice", {}), _at(path, "p_choice"), ("negative_below",))
     return cone.CrossSectionSpectrum(
         data=_spectral_data(d.get("data", []), _at(path, "data")),
         tail=_tail(d.get("tail", {}), _at(path, "tail"), ("riemann", "hurwitz"), 2.0),
@@ -285,10 +307,11 @@ def _first_order(payload: dict) -> cone.FirstOrderSpectrum:
 def _graded(payload: dict) -> deficiency.GradedSpectrum:
     """kernel_plus and kernel_minus (default 0), positive [{"mu", "weight"
     (default 1)}], the threshold "lambda" (default 0.5) and "fredholm"."""
+    _object(payload, "", ("kernel_plus", "kernel_minus", "positive", "lambda", "fredholm"))
     positive = []
     for i, entry in enumerate(_array(payload.get("positive", []), "positive")):
         at = f"positive[{i}]"
-        entry = _object(entry, at)
+        entry = _object(entry, at, ("mu", "weight"))
         positive.append((_number(entry.get("mu"), f"{at}.mu"),
                          complex(_number(entry.get("weight", 1), f"{at}.weight"))))
     return deficiency.GradedSpectrum(
@@ -306,7 +329,7 @@ def _families(value) -> expansions.ExpandableFunction:
     F = None
     for i, fam in enumerate(_array(value, "families")):
         at = f"families[{i}]"
-        fam = _object(fam, at)
+        fam = _object(fam, at, ("alpha", "k", "coef"))
         piece = expansions.scale_function(
             expansions.global_monomial(complex(_number(fam.get("alpha"), f"{at}.alpha")),
                                        _integer(fam.get("k", 0), f"{at}.k")),
@@ -352,14 +375,21 @@ def _report_json(report: sal.ExpansionReport) -> dict:
 
 
 def _cmd_zeta_lp(args, payload: dict) -> int:
+    _object(payload, "", ("p", "s_re", "s_im"))
     s = _complex_s(args, payload)
     p_default = _pick(args, payload, "p", "p")
     if args.grid:
         name, values = _parse_grid(args.grid)
-        if name == "p":
+        key = {"p": "p", "s-re": "s_re", "s_re": "s_re"}.get(name)
+        if key is None:
+            raise ValueError(f"zeta-lp grids run over 'p' or 's-re', not {name!r}")
+        if _pick(args, payload, key, key) is not None:
+            raise ValueError(f"{key}: the grid gives {key}, so neither its flag nor the "
+                             f"payload's {key} may be given")
+        if key == "p":
             vals = cone.zeta_hat_lp(values, s)
             columns = {"p": values, "s_re": s.real}
-        elif name in ("s-re", "s_re"):
+        else:
             if p_default is None:
                 raise ValueError("--p is required")
             p = _number(p_default, "p")
@@ -368,8 +398,6 @@ def _cmd_zeta_lp(args, payload: dict) -> int:
             ss.real, ss.imag = values, s.imag
             vals = cone.zeta_hat_lp(p, ss)
             columns = {"p": p, "s_re": values}
-        else:
-            raise ValueError(f"zeta-lp grids run over 'p' or 's-re', not {name!r}")
         _emit_table({**columns, "s_im": s.imag, "value_re": vals.real, "value_im": vals.imag},
                     args)
         return EXIT_OK
@@ -383,10 +411,14 @@ def _cmd_zeta_lp(args, payload: dict) -> int:
 
 
 def _cmd_zeta_op(args, payload: dict) -> int:
-    if "spectrum" in payload:
+    # the spectrum under "spectrum", or its fields inline
+    others = ("s_re", "s_im", "order")
+    if isinstance(payload, dict) and "spectrum" in payload:
+        _object(payload, "", ("spectrum",) + others)
         spec = _cross_section(payload["spectrum"], "spectrum")
     else:
-        spec = _cross_section(payload, "")
+        _object(payload, "", _CROSS_SECTION_FIELDS + others)
+        spec = _cross_section({k: v for k, v in payload.items() if k not in others}, "")
     s = _complex_s(args, payload)
     order = _integer(_pick(args, payload, "order", "order", cone.FOLD_ORDER), "order")
     rep = cone.zeta_hat_operator_report(spec, s, order=order)
@@ -405,6 +437,7 @@ def _cmd_zeta_op(args, payload: dict) -> int:
 
 
 def _cmd_eta(args, payload: dict) -> int:
+    _object(payload, "", ("s_data", "eta_tail", "s_re", "s_im"))
     spec = _first_order(payload)
     res1, res0 = cone.eta_hat_residues(spec)
     out = {
@@ -425,6 +458,7 @@ def _cmd_eta(args, payload: dict) -> int:
 
 
 def _cmd_heat_trace(args, payload: dict) -> int:
+    _object(payload, "", ("spectrum", "nu", "mu", "m", "phi_moments", "b_coeffs"))
     spec = _cross_section(payload.get("spectrum"), "spectrum")
     nu = _number(payload.get("nu", 2.0), "nu")
     mu = _number(payload.get("mu", 2.0), "mu")
@@ -459,6 +493,7 @@ def _cmd_deficiency(args, payload: dict) -> int:
 
 
 def _cmd_sal_expand(args, payload: dict) -> int:
+    _object(payload, "", ("phi", "families", "order"))
     phi = _phi(payload.get("phi", "exp"))
     F = _families(payload.get("families", []))
     order = _pick(args, payload, "order", "order")

@@ -498,7 +498,10 @@ def evaluate_ratio(exp_: GammaRatioExpansion, nu: float, s: complex) -> complex:
 # one block, 256 kB of complex temporaries (larger blocks took page faults
 # on every call under Linux/glibc: 175 a call for a 4 x 4 batch of
 # PowerShiftSquaredProvider at Im s = 20 with 27 x 151 terms a block, none
-# at this size); the
+# at this size), and most values of the Euler-Maclaurin tails in one block
+# (rows x 24 offsets, held three times at once; 227 rows a block took no
+# faults for 8 to 128 elements of 27 shifts, 682 rows took 145 to 368 a
+# call in some runs); the
 # Euler-Maclaurin coefficients B_2j/(2j)! for j = 1..12; the offsets -1..22
 # that give s-1 and the factors s+i of the Pochhammer symbols (s)_(2j-1).
 _HURWITZ_N_DIRECT = 30
@@ -513,6 +516,19 @@ def _hurwitz_s_error(finite: bool) -> SpecfunError:
     return SpecfunError("Hurwitz zeta pole at s=1" if finite else "Hurwitz zeta needs a finite s")
 
 
+def _hurwitz_tail(minus_s, a_n):
+    """The Euler-Maclaurin tail of the Hurwitz sum past a+N, over (a+N)^-s:
+    (a+N)/(s-1) + 1/2 + sum_j B_2j/(2j)! (s)_(2j-1) (a+N)^(1-2j), j = 1..12,
+    for -s and a+N that broadcast and end in an axis of length 1."""
+    shifted = _HURWITZ_OFFSETS - minus_s
+    # (s)_(2j-1) (a+N)^(1-2j) is the running product of (s+i)/(a+N), i < 2j-1;
+    # numpy divides a complex by the real a+N as the product with 1/(a+N),
+    # so the product written out gives the same values, cheaper
+    em = np.multiply.accumulate(shifted[..., 1:] * (1.0 / a_n), axis=-1)[..., ::2]
+    corrections = np.add.reduce(em * _HURWITZ_EM_COEFFS, axis=-1, keepdims=True, initial=0.5)
+    return a_n / shifted[..., :1] + corrections
+
+
 def _hurwitz_shifted(s, a, shifts):
     """zeta(s + shift_m, a) for a 1-D float array of real shifts, on a new
     last axis.  shifts=None is hurwitz_zeta: zeta(s, a) alone, with no shift
@@ -524,7 +540,9 @@ def _hurwitz_shifted(s, a, shifts):
     Each (element, shift) sums its N terms in order and adds its own
     Euler-Maclaurin tail at a+N, so that its value does not depend on the
     rest of the batch.  The terms are summed in blocks of k small enough
-    that elements x k x shifts stays within 16384 (or one k per block).
+    that elements x k x shifts stays within 16384 (or one k per block), and
+    the tails in blocks of (element, shift) rows small enough that rows x 24
+    x 3 does.
     """
     # every step works on trailing axes, k or 1 after a shift axis of its
     # own if any, so that scalars and arrays take the same numpy loops;
@@ -583,13 +601,22 @@ def _hurwitz_shifted(s, a, shifts):
     power_n = np.power(a_n, minus_s)
     if shifts is not None:
         power_n, minus_s = power_n * np.power(a_n, minus_shifts), minus_s + minus_shifts
-    shifted = _HURWITZ_OFFSETS - minus_s
-    # (s)_(2j-1) (a+N)^(1-2j) is the running product of (s+i)/(a+N), i < 2j-1;
-    # numpy divides a complex by the real a+N as the product with 1/(a+N),
-    # so the product written out gives the same values, cheaper
-    em = np.multiply.accumulate(shifted[..., 1:] * (1.0 / a_n), axis=-1)[..., ::2]
-    corrections = np.add.reduce(em * _HURWITZ_EM_COEFFS, axis=-1, keepdims=True, initial=0.5)
-    total = total + power_n * (a_n / shifted[..., :1] + corrections)
+    # the tail in blocks of (element, shift) rows, each holding three arrays
+    # of rows x 24 offsets at once, within _HURWITZ_BLOCK; a batch of one
+    # block keeps its shape
+    rows, block_rows = power_n.shape, _HURWITZ_BLOCK // (3 * len(_HURWITZ_OFFSETS))
+    if power_n.size <= block_rows:
+        tail = _hurwitz_tail(minus_s, a_n)
+    else:
+        minus_s, a_n = (np.broadcast_to(x, rows).reshape(-1, 1) for x in (minus_s, a_n))
+        tail = np.concatenate([
+            _hurwitz_tail(minus_s[r:r + block_rows], a_n[r:r + block_rows])
+            for r in range(0, len(a_n), block_rows)
+        ]).reshape(rows)
+    # tail is a named array, not a temporary: numpy reuses a temporary of
+    # 256 kB or more in place, which would swap the factors of the product,
+    # and a complex product is not commutative to the bit
+    total = total + power_n * tail
     return complex(total[0]) if total.ndim == 1 else total[..., 0]
 
 
@@ -807,7 +834,19 @@ class PowerShiftSquaredProvider(DirichletSeriesProvider):
     values cost 27 N.  Head and tails are summed in order, so an element of
     an array call is bit-identical to its scalar call.  The domain is
     hurwitz_zeta's: accurate for Re(2 gamma s) >= 1/2 (ROADMAP item 1).
+
+    The table of the 27 tails depends on gamma and s alone, not on delta,
+    so the class keeps the last one it computed, read-only, keyed by
+    (gamma, s.shape, s.tobytes()), and reuses it when the key matches.  The
+    eta-hat of d/dx + S/x with S = {n^gamma} folds (S + 1/2)^2 and
+    (S - 1/2)^2, whose tails are the delta = +1/2 and -1/2 providers of
+    one gamma at the same points; so the second of the two shares the
+    first's table, and gives the values of its own kernel call bit for bit.
     """
+
+    # (key, tails) of the last table, replaced as one tuple, so that a
+    # thread reads a key with its own table
+    _last_tails = (None, None)
 
     def __init__(self, gamma_pow: float, delta: float):
         if not 0 < gamma_pow < math.inf:  # NaN fails too
@@ -831,7 +870,13 @@ class PowerShiftSquaredProvider(DirichletSeriesProvider):
         # d (-2s - i) / (i + 1)
         i = np.arange(_POWER_SHIFT_TERMS)
         binom = np.multiply.accumulate(self.delta * (-2.0 * s[..., None] - i) / (i + 1.0), axis=-1)
-        tails = _hurwitz_shifted(2 * self.gamma_pow * s, float(_POWER_SHIFT_HEAD + 1), self._shifts)
+        key = (self.gamma_pow, s.shape, s.tobytes())
+        last_key, tails = PowerShiftSquaredProvider._last_tails
+        if key != last_key:
+            tails = _hurwitz_shifted(2 * self.gamma_pow * s, float(_POWER_SHIFT_HEAD + 1),
+                                     self._shifts)
+            tails.flags.writeable = False
+            PowerShiftSquaredProvider._last_tails = (key, tails)
         out = head + tails[..., 0] + np.add.reduce(binom * tails[..., 1:], axis=-1)
         return complex(out) if out.ndim == 0 else out
 

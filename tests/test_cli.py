@@ -183,6 +183,23 @@ class TestZetaLp:
         code, _, _ = run(capsys, "zeta-lp", "--s-re", "0.8", "--grid", "t=0:1:3")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, payload, field",
+        [
+            (("--p", "1.0", "--s-re", "1.2", "--grid", "p=0:1:2"), None, "p"),
+            (("--s-re", "1.2", "--grid", "p=0:1:2"), {"p": 1.0}, "p"),
+            (("--p", "1.0", "--s-re", "1.2", "--grid", "s-re=0.3:0.9:3"), None, "s_re"),
+            (("--p", "1.0", "--grid", "s-re=0.3:0.9:3"), {"s_re": 1.2}, "s_re"),
+        ],
+        ids=["p-flag", "p-payload", "s_re-flag", "s_re-payload"],
+    )
+    def test_grid_variable_given_twice_is_schema_error(self, capsys, argv, payload, field):
+        # the grid gives its variable: a flag or payload value for it is not read
+        extra = () if payload is None else ("--in", json.dumps(payload))
+        code, out, err = run(capsys, "zeta-lp", *argv, *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: invalid input: {field}: the grid gives {field}"), err
+
     def test_s_re_grid_keeps_negative_zero_s_im(self, capsys):
         code, out, _ = run(
             capsys, "zeta-lp", "--p", "1.5", "--s-im", "-0.0", "--grid", "s-re=0.3:0.9:3"
@@ -721,6 +738,42 @@ class TestInputBoundary:
         code, out, err = run(capsys, command, "--in", payload)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: invalid input: {field} must be "), err
+
+    @pytest.mark.parametrize(
+        "command, payload, path",
+        [
+            ("deficiency", {"kernel_plus": 1, "positve": [{"mu": 0.3}]}, "positve"),
+            ("deficiency", {"positive": [{"mu": 0.3, "wieght": 2}]}, "positive[0].wieght"),
+            ("zeta-lp", {"p": 1.0, "s": 1.2}, "s"),
+            # the spectrum under "spectrum" or inline, not both
+            ("zeta-op", {"spectrum": json.loads(CIRCLE_PAYLOAD), "data": [], "s_re": 1.6},
+             "data"),
+            ("zeta-op", {"tail": {"kind": "riemann"}, "s_re": 1.6, "grid": 3}, "grid"),
+            ("zeta-op", {"data": [{"lambda": 1.0, "weight": 2.0}], "tail": {"kind": "riemann"}},
+             "data[0].weight"),
+            ("zeta-op", {"tail": {"kind": "riemann"}, "p_choice": {"negative": 0.5}},
+             "p_choice.negative"),
+            # a tail's fields depend on its kind
+            ("zeta-op", {"tail": {"kind": "riemann", "a": 1.5}}, "tail.a"),
+            ("zeta-op", {"spectrum": {"tail": {"kind": "hurwitz", "a": 1.5, "shift": 1}}},
+             "spectrum.tail.shift"),
+            ("eta", {"s_data": [], "eta_tail": {"kind": "shifted-integer", "a": 0.3,
+                                                "scale": 2}}, "eta_tail.scale"),
+            ("eta", {"eta_tail": {"exponent": 1}}, "eta_tail.exponent"),
+            ("eta", {"s_data": [{"lambda": 0.8, "weight_re": 1.0}], "order": 4}, "order"),
+            ("heat-trace", {"spectrum": {"data": [{"lambda": 1.0}]}, "phi_moments": [1, 1],
+                            "tail": {"kind": "riemann"}}, "tail"),
+            ("heat-trace", {"spectrum": {"data": [{"lambda": 1.0}], "s_re": 1.0},
+                            "phi_moments": [1, 1]}, "spectrum.s_re"),
+            ("sal-expand", {"families": [{"alpha": -1.0, "log": 1}]}, "families[0].log"),
+            ("sal-expand", {"families": [{"alpha": -1.0}], "k": 1}, "k"),
+        ],
+    )
+    def test_unknown_key_names_its_path(self, capsys, command, payload, path):
+        # a misspelt or misplaced key used to be ignored, its data dropped, exit 0
+        code, out, err = run(capsys, command, "--in", json.dumps(payload))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: invalid input: {path} is not a field of "), err
 
     def test_overflowing_value_is_nonconvergence(self, capsys, tmp_path):
         code, out, err = run(capsys, "zeta-lp", "--p", "0.5", "--s-re", "-110", "--s-im", "0.3")

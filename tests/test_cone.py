@@ -14,7 +14,7 @@ from scipy.special import gamma as sc_gamma
 
 from dirichlet_checks import continuation_consistency
 
-from conespec import cli, cone
+from conespec import cli, cone, specfun
 from conespec.cone import (
     ConeError,
     CrossSectionSpectrum,
@@ -886,6 +886,44 @@ class TestEta:
             s_data=(), eta_provider=ShiftedIntegerEtaProvider(0.25)
         )
         assert continuation_consistency(spec.eta_provider, (4.0, 5.0)) < 1e-6
+
+
+class TestPowerShiftEtaTable:
+    """The (S + 1/2)^2 and (S - 1/2)^2 tails of S = {n^gamma} share one table
+    of Hurwitz values per eta-hat evaluation."""
+
+    POINTS = (1.3 + 0.4j, np.array([[1.3 + 0.4j, 2.1 - 3.0j], [0.7 + 1.0j, 1.6]]))
+
+    @staticmethod
+    def spec() -> FirstOrderSpectrum:
+        return FirstOrderSpectrum(
+            s_data=(SpectralDatum(0.8, 1.0),), eta_provider=RiemannZetaProvider(1.0, 1.0),
+            a_plus_tail=PowerShiftSquaredProvider(1.0, 0.5),
+            a_minus_tail=PowerShiftSquaredProvider(1.0, -0.5))
+
+    def test_bit_identical_with_the_table_kept_or_cleared(self, monkeypatch):
+        spec = self.spec()
+        kept = [eta_function_scalable(spec, s) for s in self.POINTS]
+        zeta = PowerShiftSquaredProvider.zeta
+
+        def cleared(prov, s):
+            PowerShiftSquaredProvider._last_tails = (None, None)
+            return zeta(prov, s)
+
+        monkeypatch.setattr(PowerShiftSquaredProvider, "zeta", cleared)
+        for s, want in zip(self.POINTS, kept):
+            assert _bits(eta_function_scalable(spec, s)) == _bits(want)
+
+    def test_one_kernel_call_per_evaluation(self, monkeypatch):
+        spec, calls = self.spec(), []
+        kernel = specfun._hurwitz_shifted
+        monkeypatch.setattr(specfun, "_hurwitz_shifted",
+                            lambda *args: calls.append(args) or kernel(*args))
+        for s in self.POINTS:
+            PowerShiftSquaredProvider._last_tails = (None, None)
+            del calls[:]
+            eta_function_scalable(spec, s)
+            assert len(calls) == 1
 
 
 class TestIndex:

@@ -1,6 +1,8 @@
 """Tests for the special-function layer."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +12,7 @@ import scipy.special as sps
 
 from dirichlet_checks import continuation_consistency
 
+from conespec import specfun
 from conespec.specfun import (
     EULER_GAMMA,
     FiniteSpectrumProvider,
@@ -484,11 +487,114 @@ class TestShiftedHurwitz:
             for j, s in enumerate(self.S):
                 assert np.array_equal(got[i, j], _hurwitz_shifted(complex(s), float(a), self.SHIFTS))
 
+    def test_batches_equal_their_scalar_calls(self):
+        # the Euler-Maclaurin tail runs in blocks of (element, shift) rows; 700
+        # elements make 18900 rows, 300 kB per complex column, past the 256 kB
+        # from which numpy reuses a temporary in place and swaps the factors
+        # of a product, and 17000 elements do so without shifts
+        rng = np.random.default_rng(5)
+        shifts = np.arange(27.0)
+        for shape in ((64,), (8, 8), (700,)):
+            s = rng.uniform(0.6, 4.0, shape) + 1j * rng.uniform(-30.0, 30.0, shape)
+            got = _hurwitz_shifted(s, 13.0, shifts)
+            assert got.shape == shape + (27,)
+            want = [_hurwitz_shifted(complex(x), 13.0, shifts) for x in s.flat]
+            assert np.array_equal(got.reshape(-1, 27), want)
+        s = rng.uniform(0.6, 4.0, 17000) + 1j * rng.uniform(-30.0, 30.0, 17000)
+        assert np.array_equal(hurwitz_zeta(s, 0.7), [hurwitz_zeta(x, 0.7) for x in s.tolist()])
+
     def test_poles_of_every_shift_raise(self):
         # zeta(s + shift, a) has its pole at s = 1 - shift
         for s in (1.0 - 7.5, np.array([2.0, -1.0])):
             with pytest.raises(SpecfunError, match="pole"):
                 _hurwitz_shifted(s, 0.5, self.SHIFTS)
+
+
+class TestPowerShiftTable:
+    """PowerShiftSquaredProvider keeps the last table of its Hurwitz tails,
+    keyed by gamma and the shape and bytes of s, and shares it across delta."""
+
+    S = np.array([0.55, 0.8 + 2.0j, 1.7 - 11.0j, 3.1])
+
+    @pytest.fixture(autouse=True)
+    def cleared(self):
+        PowerShiftSquaredProvider._last_tails = (None, None)
+        yield
+        PowerShiftSquaredProvider._last_tails = (None, None)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The arguments of every kernel call."""
+        calls = []
+
+        def kernel(*args):
+            calls.append(args)
+            return _hurwitz_shifted(*args)
+
+        monkeypatch.setattr(specfun, "_hurwitz_shifted", kernel)
+        return calls
+
+    @staticmethod
+    def fresh(prov, s) -> bytes:
+        """The bytes of prov.zeta(s) from a kernel call of its own."""
+        PowerShiftSquaredProvider._last_tails = (None, None)
+        return np.asarray(prov.zeta(s)).tobytes()
+
+    def test_the_delta_pair_shares_one_kernel_call(self, calls):
+        plus, minus = PowerShiftSquaredProvider(1.0, 0.5), PowerShiftSquaredProvider(1.0, -0.5)
+        for s in (self.S, 1.3 + 0.4j):
+            del calls[:]
+            got = [np.asarray(prov.zeta(s)).tobytes() for prov in (plus, minus)]
+            assert len(calls) == 1
+            assert got == [self.fresh(plus, s), self.fresh(minus, s)]
+
+    @pytest.mark.parametrize("gamma_pow, s", [
+        (0.5, S),  # another gamma
+        (1.0, S[::-1]),  # another s
+        (1.0, S.reshape(2, 2)),  # the same bytes in another shape
+        (1.0, np.where(S.imag == 0, S.conj(), S)),  # equal to S, with -0.0 imaginary parts
+    ], ids=["gamma", "s", "shape", "negative-zero"])
+    def test_another_key_reuses_nothing(self, calls, gamma_pow, s):
+        PowerShiftSquaredProvider(1.0, 0.5).zeta(self.S)
+        prov = PowerShiftSquaredProvider(gamma_pow, -0.5)
+        got = np.asarray(prov.zeta(s)).tobytes()
+        assert len(calls) == 2
+        assert got == self.fresh(prov, s)
+
+    def test_the_kept_table_is_read_only(self):
+        PowerShiftSquaredProvider(1.0, 0.5).zeta(self.S)
+        key, tails = PowerShiftSquaredProvider._last_tails
+        assert key == (1.0, (4,), self.S.tobytes())
+        assert tails.shape == (4, 27) and not tails.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tails[0, 0] = 0.0
+
+    def test_threads_read_a_key_with_its_own_table(self):
+        # four threads on two cores, switching often, each with its own
+        # gamma and s: a key paired with another thread's table would show
+        cases = [(PowerShiftSquaredProvider(g, d), self.S * g)
+                 for g, d in ((1.0, 0.5), (1.0, -0.5), (0.5, 0.3), (2.0, -0.9))]
+        want = [self.fresh(prov, s) for prov, s in cases]
+        bad = []
+
+        def work(i):
+            prov, s = cases[i]
+            for _ in range(40):
+                if np.asarray(prov.zeta(s)).tobytes() != want[i]:
+                    bad.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert bad == []
 
 
 class TestProviders:

@@ -124,6 +124,13 @@ EDGE_CASES = [
     (["sal-expand", "--in", '{"families": [{"alpha": "-1.5"}], "order": 3}'], None),
     (["sal-expand", "--in", '{"families": [{"alpha": -1.5, "coef": "2j"}], "order": 3}'], None),
     (["sal-expand", "--in", '{"phi": 5, "families": [{"alpha": -1.0}]}'], None),
+    # a key that is not a field of its object, and a grid's variable given again
+    (["deficiency", "--in", '{"kernel_plus": 1, "positve": [{"mu": 0.3}]}'], None),
+    (["zeta-op", "--in", "@in"], {"spectrum": json.loads(_CIRCLE), "data": [], "s_re": 1.6}),
+    (["zeta-op", "--in", '{"data": [], "tail": {"kind": "riemann", "a": 1.5}}', "--s-re", "1.6"],
+     None),
+    (["zeta-lp", "--p", "1.0", "--grid", "p=0:1:2", "--s-re", "1.2"], None),
+    (["zeta-lp", "--in", "@in", "--grid", "p=0:1:2"], {"p": 1.0, "s_re": 1.2}),
     (["verify", "--seed", "0"], None),
     (["verify", "--seed", "5", "--format", "csv"], None),
 ]
