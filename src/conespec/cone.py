@@ -111,7 +111,9 @@ def zeta_hat_lp(p, s):
     The regularized zeta function of L_p.  Domain: finite p > -1 and finite s
     off the poles s = 1/2 - n and s = p + 1 + n.  Python scalars return a
     complex; arrays of p and s broadcast to a complex array whose entries are
-    bit-identical to the scalar values.
+    bit-identical to the scalar values.  At real s the value is real: the
+    k pi that loggamma puts in the imaginary parts at negative arguments
+    cancel only to rounding, and a nonzero imaginary residue becomes 0.0.
     """
     if not (isinstance(p, (int, float)) and isinstance(s, (int, float, complex))):
         return _zeta_hat_lp_array(p, s)
@@ -125,8 +127,9 @@ def zeta_hat_lp(p, s):
     if _is_nonpositive_integer(s) or _is_nonpositive_integer(p + s):
         # a reciprocal-Gamma zero with no compensating pole
         return 0.0 + 0.0j
-    log_v = log_gamma(s - 0.5) + log_gamma(p + 1 - s) - log_gamma(s) - log_gamma(p + s)
-    return cmath.exp(log_v) / (2.0 * SQRT_PI)
+    log_v = loggamma(s - 0.5) + loggamma(p + 1 - s) - loggamma(s) - loggamma(p + s)
+    v = cmath.exp(log_v) / (2.0 * SQRT_PI)
+    return complex(v.real, 0.0) if s.imag == 0 and v.imag != 0 else v
 
 
 def _zeta_hat_lp_array(p, s) -> np.ndarray | complex:
@@ -153,6 +156,7 @@ def _zeta_hat_lp_array(p, s) -> np.ndarray | complex:
     # division multiplies by a reciprocal
     out.real = v.real / (2.0 * SQRT_PI)
     out.imag = v.imag / (2.0 * SQRT_PI)
+    out.imag[(s.imag == 0) & (out.imag != 0)] = 0.0
     out[zero] = 0.0
     for i in np.flatnonzero(scalar):
         out.flat[i] = zeta_hat_lp(float(p.flat[i]), complex(s.flat[i]))

@@ -103,21 +103,6 @@ def _term_sort_key(location: Location):
     return key
 
 
-def _separated(keys: list[tuple[float, float, int]]) -> bool:
-    """Whether the keys (Re alpha, Im alpha, k) are finite and no two unequal
-    keys of one log power lie within 2 EXPONENT_TOL of each other.  Sorted
-    by (k, Re, Im), two such keys leave between them a neighbouring pair
-    that is unequal and as close in Re, or equal in Re and as close in Im."""
-    if len(keys) < 2:
-        return True
-    ordered = sorted([(k, re, im) for re, im, k in keys])
-    if not math.isfinite(sum([re + im for _, re, im in ordered])):
-        return False
-    return not any(a[0] == b[0] and a != b and b[1] - a[1] <= 2.0 * EXPONENT_TOL
-                   and (b[1] != a[1] or b[2] - a[2] <= 2.0 * EXPONENT_TOL)
-                   for a, b in zip(ordered, ordered[1:]))
-
-
 # The side of the square cells in which _merge_keys files exponents: the
 # exponents within EXPONENT_TOL of z lie in the 2 x 2 cells nearest to z,
 # with a margin of a quarter cell for the rounding of z / _CELL.
@@ -140,21 +125,15 @@ def _merge_keys(terms: tuple[LogPowerTerm, ...]) -> list[tuple[tuple[float, floa
     real and imaginary parts both lie within EXPONENT_TOL of its exponent's,
     and else starts a key of its own.
 
-    Where the terms' keys are _separated, that merges the equal ones, by
-    dictionary.  Else the keys are filed by cell, and a term looks at the
-    keys of the four cells nearest to it: O(n log n) either way, where a
-    loop over the keys found so far is quadratic.
+    The keys are filed by cell, and a term looks only at the keys of the
+    four cells nearest to it, where a loop over the keys found so far is
+    quadratic.
     """
-    keys = [(t.exponent.real, t.exponent.imag, t.log_power) for t in terms]
-    if _separated(keys):
-        merged: dict = {}
-        for key, t in zip(keys, terms):
-            merged[key] = merged[key] + t.coefficient if key in merged else t.coefficient
-        return list(merged.items())
     found: list[tuple[float, float, int]] = []
     coefficients: list = []
     cells: dict = {}
-    for (re, im, k), t in zip(keys, terms):
+    for t in terms:
+        re, im, k = t.exponent.real, t.exponent.imag, t.log_power
         (own_re, near_re), (own_im, near_im) = _cell(re), _cell(im)
         hit = None
         for cr in near_re:

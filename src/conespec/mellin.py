@@ -40,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .expansions import ExpandableFunction, LogPowerTerm, _times_monomial
+from .expansions import ExpandableFunction, Location, LogPowerTerm, _times_monomial
 
 QUAD_ABS_TOL = 1e-12
 QUAD_REL_TOL = 1e-10
@@ -505,14 +505,9 @@ def regularized_moments(f: ExpandableFunction, monomials) -> np.ndarray:
     return np.array([_term_sum(signed, 1.0, 1.0) for signed in terms]) + remainder
 
 
-class At(enum.Enum):
-    ZERO = "zero"
-    INFINITY = "infinity"
-
-
-def regularized_limit(f: ExpandableFunction, at: At) -> complex:
+def regularized_limit(f: ExpandableFunction, at: Location) -> complex:
     """Coefficient of x^0 log^0 x in the expansion at the endpoint."""
-    e = f.expansion_at_zero if at is At.ZERO else f.expansion_at_infinity
+    e = f.expansion_at_zero if at is Location.AT_ZERO else f.expansion_at_infinity
     return e.coefficient(0.0, 0)
 
 

@@ -1,6 +1,6 @@
 """Special-function kernel.
 
-Gamma-family wrappers, Bessel J and its zeros, the exponentially scaled
+Gamma-family wrappers, the zeros of Bessel J, the exponentially scaled
 modified Bessel I (the Amos routine behind scipy.special.ive), Laguerre
 polynomials and the l_n^(p) eigenfamily of the Hankel transform, the Hankel
 transform itself, exact Bernoulli numbers, the asymptotic expansion of the
@@ -107,15 +107,6 @@ def digamma(z: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def bessel_j(p: float, x: float) -> float:
-    """J_p(x) by scipy.special.jv.  Domain: finite p > -1 and finite x >= 0."""
-    if not -1 < p < math.inf:  # NaN fails too
-        raise SpecfunError("order must be finite and exceed -1")
-    if not 0 <= x < math.inf:
-        raise SpecfunError("argument must be finite and nonnegative")
-    return float(sps.jv(p, x))
-
-
 def bessel_i_scaled(p, x):
     """I_p(x) * exp(-x) by the Amos routine (scipy.special.ive); overflow-safe.
 
@@ -134,12 +125,6 @@ def bessel_i_scaled(p, x):
         raise SpecfunError("I_p(0) is infinite for p < 0")
     out = sps.ive(p, x)
     return float(out) if out.ndim == 0 else out
-
-
-def bessel_i(p: float, x: float) -> float:
-    if x > 700.0:
-        raise SpecfunError("unscaled I_p overflows; use bessel_i_scaled")
-    return bessel_i_scaled(p, x) * math.exp(x)
 
 
 def _airy_zero(m: np.ndarray) -> np.ndarray:
@@ -394,9 +379,9 @@ def _poly_eval(coeffs: Sequence[complex], s: complex) -> complex:
     return out
 
 
-def _bernoulli_poly(n: int, sign: int) -> Poly:
-    """B_n(sign * s) = sum_d C(n, d) B_(n-d) (sign s)^d."""
-    return tuple(math.comb(n, d) * bernoulli_fraction(n - d) * sign**d for d in range(n + 1))
+def _bernoulli_poly(n: int) -> Poly:
+    """B_n(s) = sum_d C(n, d) B_(n-d) s^d."""
+    return tuple(math.comb(n, d) * bernoulli_fraction(n - d) for d in range(n + 1))
 
 
 @dataclass(frozen=True)
@@ -404,7 +389,6 @@ class GammaRatioExpansion:
     """Gamma(nu-s+1)/Gamma(nu+s) = nu^(1-2s) sum_k Q_k(s) nu^-k."""
 
     q_polys: tuple[Poly, ...]
-    r_polys: tuple[Poly, ...]  # r_polys[k] is R_k for k >= 2; entries 0,1 empty
     max_order: int
     q_complex: tuple[tuple[complex, ...], ...]  # the Q_k rounded once, for _poly_eval
 
@@ -412,8 +396,7 @@ class GammaRatioExpansion:
         return self.q_polys[k]
 
     def validate(self) -> None:
-        """Structural facts: Q_0=1, Q_1=0, the printed Q_2/R_2 anchors,
-        R_k odd of degree <= k+1 with linear coefficient 2 B_k / k, and the
+        """Structural facts: Q_0=1, Q_1=0, the printed Q_2 anchor, and the
         even-k linear coefficient of Q_k."""
         assert self.q_polys[0] == (Fraction(1),), "Q_0 != 1"
         if self.max_order >= 1:
@@ -422,40 +405,27 @@ class GammaRatioExpansion:
             assert self.q_polys[2] == (
                 Fraction(0), Fraction(1, 6), Fraction(-1, 2), Fraction(1, 3)
             ), "Q_2 anchor failed"
-            assert self.r_polys[2] == (
-                Fraction(0), Fraction(1, 6), Fraction(0), Fraction(1, 3)
-            ), "R_2 anchor failed"
-        for k in range(2, self.max_order + 1):
-            rk = self.r_polys[k]
-            assert len(rk) <= k + 2, f"deg R_{k} > {k + 1}"
-            for d, c in enumerate(rk):
-                if d % 2 == 0:
-                    assert c == 0, f"R_{k} not odd"
-            lin = rk[1] if len(rk) > 1 else Fraction(0)
-            assert lin == 2 * bernoulli_fraction(k) / k, f"R_{k} linear coeff"
-            if k % 2 == 0 and k >= 4:
-                qlin = self.q_polys[k][1] if len(self.q_polys[k]) > 1 else Fraction(0)
-                expect = 2 * (-1) ** (k // 2 - 1) * b_pos_fraction(k // 2) / k
-                assert qlin == expect, f"Q_{k} linear coeff"
+        for k in range(4, self.max_order + 1, 2):
+            qlin = self.q_polys[k][1] if len(self.q_polys[k]) > 1 else Fraction(0)
+            expect = 2 * (-1) ** (k // 2 - 1) * b_pos_fraction(k // 2) / k
+            assert qlin == expect, f"Q_{k} linear coeff"
 
 
 @lru_cache(maxsize=None)
 def gamma_ratio_expansion(max_order: int) -> GammaRatioExpansion:
-    """The Q_k up to max_order <= MAX_RATIO_ORDER, and the odd R_k of the
-    symmetric ratio Gamma(nu-s)/Gamma(nu+s), in exact rational arithmetic.
+    """The Q_k up to max_order <= MAX_RATIO_ORDER, in exact rational arithmetic.
 
     DLMF 5.11.8 gives log Gamma(nu+a)/Gamma(nu+b) = (a-b) log nu + sum_m
     (-1)^(m+1) (B_(m+1)(a) - B_(m+1)(b)) / (m(m+1)) nu^-m.  At a = 1-s, b = s
     the sum is sum_m c_m nu^-m with c_m = (1 - (-1)^(m+1)) B_(m+1)(s) / (m(m+1)),
     0 for odd m, and Q_k = sum_(j=1..k) (j/k) c_j Q_(k-j) are the
-    coefficients of its exponential.  At a = -s, b = s the coefficients are
-    the R_m.
+    coefficients of its exponential.
     """
     if not 0 <= max_order <= MAX_RATIO_ORDER:
         raise SpecfunError(f"max_order must lie in [0, {MAX_RATIO_ORDER}], not {max_order}")
     n = max_order
     c = [()] + [
-        _poly_scale(_bernoulli_poly(m + 1, 1), Fraction(1 - (-1) ** (m + 1), m * (m + 1)))
+        _poly_scale(_bernoulli_poly(m + 1), Fraction(1 - (-1) ** (m + 1), m * (m + 1)))
         for m in range(1, n + 1)
     ]
     q_polys = [(Fraction(1),)]
@@ -464,15 +434,8 @@ def gamma_ratio_expansion(max_order: int) -> GammaRatioExpansion:
         for j in range(1, k + 1):
             qk = _poly_add(qk, _poly_mul(_poly_scale(c[j], Fraction(j, k)), q_polys[k - j]))
         q_polys.append(qk)
-    r_polys = [(), ()] + [
-        _poly_scale(
-            _poly_add(_bernoulli_poly(m + 1, -1), _poly_scale(_bernoulli_poly(m + 1, 1), -1)),
-            Fraction((-1) ** (m + 1), m * (m + 1)),
-        )
-        for m in range(2, n + 1)
-    ]
     q_complex = tuple(tuple(complex(c) for c in qk) for qk in q_polys)
-    exp_ = GammaRatioExpansion(tuple(q_polys), tuple(r_polys), n, q_complex)
+    exp_ = GammaRatioExpansion(tuple(q_polys), n, q_complex)
     exp_.validate()
     return exp_
 

@@ -11,6 +11,7 @@ from scipy.special import gamma as sc_gamma
 
 from conespec import cli, mellin
 from conespec.expansions import (
+    Location,
     add_functions,
     cutoff_times_monomial,
     exponential_decay,
@@ -26,7 +27,6 @@ from conespec.expansions import (
 )
 from conespec.mellin import (
     POLE_TOL,
-    At,
     MellinError,
     MellinPoleError,
     PoleData,
@@ -275,10 +275,10 @@ class TestPartialsAndLimits:
     def test_regularized_limit(self):
         f = times_monomial(exponential_decay(), -1.0)
         # e^{-x}/x = 1/x - 1 + x/2 - ...: the constant coefficient is -1
-        assert regularized_limit(f, At.ZERO) == pytest.approx(-1.0)
-        assert regularized_limit(tail_times_monomial(0.0, 0), At.INFINITY) == pytest.approx(
-            1.0
-        )
+        assert regularized_limit(f, Location.AT_ZERO) == pytest.approx(-1.0)
+        assert regularized_limit(
+            tail_times_monomial(0.0, 0), Location.AT_INFINITY
+        ) == pytest.approx(1.0)
 
 
 class TestScaleRule:

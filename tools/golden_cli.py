@@ -131,6 +131,9 @@ EDGE_CASES = [
      None),
     (["zeta-lp", "--p", "1.0", "--grid", "p=0:1:2", "--s-re", "1.2"], None),
     (["zeta-lp", "--in", "@in", "--grid", "p=0:1:2"], {"p": 1.0, "s_re": 1.2}),
+    # real p and s: the imaginary parts of the four log-Gammas cancel to 0.0
+    (["zeta-lp", "--p", "0", "--s-re", "1.2"], None),
+    (["zeta-lp", "--p", "0.5", "--s-re", "1.7"], None),
     (["verify", "--seed", "0"], None),
     (["verify", "--seed", "5", "--format", "csv"], None),
 ]
