@@ -271,7 +271,11 @@ def _tail(value, path: str, kinds: tuple, exponent: float):
     if kind == "none":
         return None
     if kind == "shifted-integer":
-        return cone.ShiftedIntegerEtaProvider(_number(spec.get("a"), f"{path}.a"))
+        # {n + a : n in Z}, signed: the families a and 1 - a of weights +1 and -1
+        a = _number(spec.get("a"), f"{path}.a")
+        if not 0 < a < 1:
+            raise ValueError(f"{path}.a must be in (0, 1), not {a}")
+        return specfun.HurwitzZetaProvider(a) + specfun.HurwitzZetaProvider(1 - a, -1.0)
     scale = _number(spec.get("scale", 1.0), f"{path}.scale")
     exponent = _number(spec.get("exponent", exponent), f"{path}.exponent")
     if kind == "riemann":

@@ -33,7 +33,6 @@ from .specfun import (
     digamma,
     gamma,
     gamma_ratio_expansion,
-    hurwitz_zeta,
     laurent_fit,
     log_gamma,
     rgamma,
@@ -47,7 +46,6 @@ __all__ = [
     "SpectralDatum",
     "CrossSectionSpectrum",
     "FirstOrderSpectrum",
-    "ShiftedIntegerEtaProvider",
     "heat_kernel_lp",
     "k_trace_lp",
     "k_trace_operator",
@@ -611,40 +609,6 @@ def eta_alpha_constant(k: int) -> float:
     if k == 0:
         return 1.0 - digamma(-0.5) / 2.0
     return float(_eta_alpha_fraction(k))
-
-
-class ShiftedIntegerEtaProvider(DirichletSeriesProvider):
-    """Signed series for the symmetric operator with spectrum {n + a : n in Z}.
-
-    eta(s) = zeta_H(s, a) - zeta_H(s, 1-a) for 0 < a < 1; the two Hurwitz
-    poles at s=1 cancel, so the continuation is entire.
-    """
-
-    def __init__(self, a: float):
-        if not 0 < a < 1:
-            raise ConeError("a must lie in (0, 1)")
-        self.a = a
-        self._a_pair = np.array([a, 1.0 - a])
-
-    def zeta(self, s):
-        # a and 1-a on a leading axis of their own, against every element of s
-        both = hurwitz_zeta(s, self._a_pair.reshape((2,) + (1,) * np.ndim(s)))
-        out = both[0] - both[1]
-        return complex(out) if out.ndim == 0 else out
-
-    def term_iter(self):
-        # k + a with weight +1 and k + 1 - a with weight -1, the smaller first
-        # (+1 first on a tie)
-        k = 0
-        while True:
-            up, down = (1.0, k + self.a), (-1.0, k + 1.0 - self.a)
-            if down[1] < up[1]:
-                yield down
-                yield up
-            else:
-                yield up
-                yield down
-            k += 1
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,13 @@ integrand block of one column per panel; scipy.integrate is not imported.
 from __future__ import annotations
 
 import cmath
+import heapq
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -600,7 +603,7 @@ def hurwitz_zeta(s, a):
     Domain: finite s != 1 and finite a > 0, else SpecfunError.  It meets mpmath to
     a relative 5e-13 on a grid of Re s in [1/2, 10], |Im s| <= 50 and
     a in [0.05, 13].  For Re s < 1/2 the 12 corrections fall short (ROADMAP
-    item 1).
+    item 14).
     """
     return _hurwitz_shifted(s, a, None)
 
@@ -655,9 +658,8 @@ def _power_sum(weights: np.ndarray, values: np.ndarray, s):
 class DirichletSeriesProvider:
     """zeta(s) = sum_j a_j nu_j^-s with an explicit meromorphic continuation.
 
-    Subclasses implement `zeta` and `term_iter`; the pole ledger defaults to
-    empty and residue/finite-part extraction to the Richardson-refined
-    `laurent_fit` of `zeta` at the pole.
+    Subclasses implement `zeta`, `term_iter`, `residue_at` and `value_at`,
+    and list their poles in `pole_locations` (none by default).
     """
 
     def zeta(self, s):
@@ -701,35 +703,37 @@ class DirichletSeriesProvider:
         return np.logical_or.reduce(np.abs(np.subtract.outer(s, self._pole_array)) <= tol, axis=-1)
 
     def residue_at(self, s0: complex) -> complex:
-        if not self.is_pole(s0, tol=_AT_POLE):
-            return 0.0
-        return laurent_fit(self.zeta, s0)[0]
+        """Residue at s0: 0 unless s0 lies within _AT_POLE of a pole."""
+        raise NotImplementedError
 
     def value_at(self, s0: complex) -> complex:
-        """Finite part (constant Laurent coefficient) at s0."""
-        if not self.is_pole(s0, tol=_AT_POLE):
-            return self.zeta(s0)
-        return laurent_fit(self.zeta, s0)[1]
+        """Finite part (constant Laurent coefficient) at s0: zeta(s0) unless
+        s0 lies within _AT_POLE of a pole."""
+        raise NotImplementedError
 
 
-class FiniteSpectrumProvider(DirichletSeriesProvider):
-    def __init__(self, pairs: Sequence[tuple[complex, float]]):
-        # pairs of (weight, nu), nu > 0
-        self.pairs = tuple(sorted(pairs, key=lambda t: t[1]))
-        if any(nu <= 0 for _, nu in self.pairs):
-            raise SpecfunError("nu values must be positive")
-        self._weights = np.array([w for w, _ in self.pairs], dtype=complex)
-        self._values = np.array([nu for _, nu in self.pairs], dtype=float)
-
-    def zeta(self, s):
-        return _power_sum(self._weights, self._values, s)
-
-    def term_iter(self):
-        yield from self.pairs
+def _family_terms(w: float, a: float, e: float):
+    """(w, (a + j)^e) for j = 0, 1, 2, ..."""
+    for j in itertools.count():
+        yield (w, (a + j) ** e)
 
 
 class HurwitzZetaProvider(DirichletSeriesProvider):
-    """zeta(s) = scale * zeta_H(exponent*s, a) = sum_j scale*((a+j)^exponent)^-s."""
+    """A finite sum of Hurwitz families (w, a, e), held in `families`:
+    zeta(s) = sum w zeta_H(e s, a) = sum over the families and j >= 0 of
+    w ((a+j)^e)^-s.
+
+    HurwitzZetaProvider(a, scale, exponent) is the one family (scale, a,
+    exponent), and p + q holds the families of p, then those of q.  The
+    signed spectrum {n + a : n in Z} of a symmetric operator, 0 < a < 1, is
+    HurwitzZetaProvider(a) + HurwitzZetaProvider(1 - a, -1.0).  The terms
+    are the families' terms merged by value, the earlier family first on a
+    tie.  A family has its one pole at 1/e, with residue w/e and finite part
+    -w psi(a); so at each pole of the ledger the residue is the sum of w/e
+    over the families with that pole, and the finite part adds the other
+    families' values there, both exact.  Each sum runs over the families in
+    order, so one family's value is w zeta_H(e s, a) to the bit.
+    """
 
     def __init__(self, a: float, scale: float = 1.0, exponent: float = 1.0):
         if not 0 < a < math.inf:  # NaN fails too
@@ -738,31 +742,35 @@ class HurwitzZetaProvider(DirichletSeriesProvider):
             raise SpecfunError(f"exponent must be finite and positive, not {exponent}")
         if not cmath.isfinite(scale):
             raise SpecfunError(f"scale must be finite, not {scale}")
-        self.a = a
-        self.scale = scale
-        self.exponent = exponent
+        self.families = ((scale, a, exponent),)
+
+    def __add__(self, other: HurwitzZetaProvider) -> HurwitzZetaProvider:
+        total = HurwitzZetaProvider.__new__(HurwitzZetaProvider)
+        total.families = self.families + other.families
+        return total
 
     def zeta(self, s):
-        return self.scale * hurwitz_zeta(self.exponent * s, self.a)
+        return reduce(operator.add, [w * hurwitz_zeta(e * s, a) for w, a, e in self.families])
 
     def term_iter(self):
-        j = 0
-        while True:
-            yield (self.scale, (self.a + j) ** self.exponent)
-            j += 1
+        terms = [_family_terms(*family) for family in self.families]
+        return heapq.merge(*terms, key=lambda t: t[1]) if len(terms) > 1 else terms[0]
 
     def pole_locations(self):
-        return (complex(1.0 / self.exponent),)
+        return tuple(dict.fromkeys(complex(1.0 / e) for _, _, e in self.families))
 
     def residue_at(self, s0):
-        if abs(complex(s0) - 1.0 / self.exponent) <= _AT_POLE:
-            return self.scale / self.exponent
-        return 0.0
+        on_pole = [w / e for w, _, e in self.families if abs(complex(s0) - 1.0 / e) <= _AT_POLE]
+        return reduce(operator.add, on_pole) if on_pole else 0.0
 
     def value_at(self, s0):
-        if abs(complex(s0) - 1.0 / self.exponent) <= _AT_POLE:
-            return -self.scale * digamma(self.a)
-        return self.zeta(s0)
+        if not self.is_pole(s0, tol=_AT_POLE):
+            return self.zeta(s0)
+        return reduce(operator.add, [
+            -w * digamma(a) if abs(complex(s0) - 1.0 / e) <= _AT_POLE
+            else w * hurwitz_zeta(e * s0, a)
+            for w, a, e in self.families
+        ])
 
 
 class RiemannZetaProvider(HurwitzZetaProvider):
@@ -796,7 +804,7 @@ class PowerShiftSquaredProvider(DirichletSeriesProvider):
     not depend on s, so it costs N complex powers where 27 separate Hurwitz
     values cost 27 N.  Head and tails are summed in order, so an element of
     an array call is bit-identical to its scalar call.  The domain is
-    hurwitz_zeta's: accurate for Re(2 gamma s) >= 1/2 (ROADMAP item 1).
+    hurwitz_zeta's: accurate for Re(2 gamma s) >= 1/2 (ROADMAP item 14).
 
     The table of the 27 tails depends on gamma and s alone, not on delta,
     so the class keeps the last one it computed, read-only, keyed by
@@ -862,3 +870,9 @@ class PowerShiftSquaredProvider(DirichletSeriesProvider):
             if abs(complex(s0) - loc) <= _AT_POLE:
                 return _complex_binom(-2 * complex(loc), m) * d**m / (2 * g)
         return 0.0
+
+    def value_at(self, s0):
+        # the one fitted finite part of the providers (ROADMAP item 9)
+        if not self.is_pole(s0, tol=_AT_POLE):
+            return self.zeta(s0)
+        return laurent_fit(self.zeta, s0)[1]

@@ -728,6 +728,8 @@ class TestInputBoundary:
             ("eta", '{"s_data": {"lambda": 0.8}}', "s_data"),
             ("sal-expand", '{"phi": 5, "families": [{"alpha": -1.0}]}', "phi"),
             ("eta", '{"eta_tail": {"kind": "hurwitz", "a": 0.5}}', "eta_tail.kind"),
+            # a shifted-integer a outside (0, 1)
+            ("eta", '{"eta_tail": {"kind": "shifted-integer", "a": 1.0}}', "eta_tail.a"),
             ("zeta-op", '{"spectrum": {"tail": {"kind": "riemann", "scale": "2"}}, "s_re": 1.6}',
              "spectrum.tail.scale"),
             # a required field that is missing

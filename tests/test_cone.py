@@ -19,7 +19,6 @@ from conespec.cone import (
     ConeError,
     CrossSectionSpectrum,
     FirstOrderSpectrum,
-    ShiftedIntegerEtaProvider,
     SpectralDatum,
     _split_terms,
     eta_alpha_constant,
@@ -54,6 +53,11 @@ SQRT_PI = math.sqrt(math.pi)
 def circle_spectrum() -> CrossSectionSpectrum:
     """Laplacian of the unit circle: eigenvalues j^2 with weight 2."""
     return CrossSectionSpectrum(data=(), tail=RiemannZetaProvider(2.0, 2.0))
+
+
+def shifted_integer(a: float) -> HurwitzZetaProvider:
+    """The signed spectrum {n + a : n in Z}: the CLI's shifted-integer eta tail."""
+    return HurwitzZetaProvider(a) + HurwitzZetaProvider(1 - a, -1.0)
 
 
 class TestHeatKernel:
@@ -335,10 +339,10 @@ class TestSpectrumData:
         assert spec.negative_below == 1.0
         assert spec.data == (SpectralDatum(0.25, 1.0 - 0.5j),)
         assert type(spec.tail) is RiemannZetaProvider
-        assert (spec.tail.scale, spec.tail.exponent) == (2.0, 2.0)
+        assert spec.tail.families == ((2.0, 1.0, 2.0),)
         tail = {"kind": "hurwitz", "a": 0.7, "scale": 1.5, "exponent": 2.3}
         spec = cli._cross_section({"data": [], "tail": tail}, "")
-        assert (spec.tail.a, spec.tail.scale, spec.tail.exponent) == (0.7, 1.5, 2.3)
+        assert spec.tail.families == ((1.5, 0.7, 2.3),)
         assert cli._cross_section({}, "").tail is None
 
     def test_json_unknown_tail_kind(self):
@@ -351,15 +355,16 @@ class TestSpectrumData:
         cross = cli._cross_section({"tail": riemann}, "")
         first = cli._first_order({"eta_tail": riemann})
         assert type(cross.tail) is type(first.eta_provider) is RiemannZetaProvider
-        assert (cross.tail.scale, cross.tail.exponent) == (2.0, 2.0)
-        assert (first.eta_provider.scale, first.eta_provider.exponent) == (2.0, 1.0)
+        assert cross.tail.families == ((2.0, 1.0, 2.0),)
+        assert first.eta_provider.families == ((2.0, 1.0, 1.0),)
         hurwitz = cli._cross_section({"tail": {"kind": "hurwitz", "a": 0.5}}, "")
-        assert (hurwitz.tail.a, hurwitz.tail.exponent) == (0.5, 2.0)
+        assert hurwitz.tail.families == ((1.0, 0.5, 2.0),)
         shifted = {"kind": "shifted-integer", "a": 0.3}
         eta = cli._first_order(
             {"s_data": [{"lambda": -0.7, "weight_re": 2.0}], "eta_tail": shifted}
         )
-        assert isinstance(eta.eta_provider, ShiftedIntegerEtaProvider)
+        assert eta.eta_provider.families == shifted_integer(0.3).families == (
+            (1.0, 0.3, 1.0), (-1.0, 0.7, 1.0))
         assert eta.s_data == (SpectralDatum(-0.7, 2.0),)
         assert cli._first_order({}).eta_provider is None
         with pytest.raises(ValueError, match=r"^tail\.kind must be one of"):
@@ -517,7 +522,7 @@ def _random_tail(rng, kind):
         return HurwitzZetaProvider(rng.uniform(0.2, 2.0), rng.uniform(0.5, 2.0), rng.uniform(1.5, 3.0))
     if kind == "power-shift":
         return PowerShiftSquaredProvider(rng.uniform(0.3, 1.0), rng.uniform(-0.6, 0.6))
-    return ShiftedIntegerEtaProvider(rng.uniform(0.05, 0.95))
+    return shifted_integer(rng.uniform(0.05, 0.95))
 
 
 def _random_cross_spectrum(rng, kind) -> CrossSectionSpectrum:
@@ -778,7 +783,7 @@ class TestEta:
             eta_alpha_constant(-1)
 
     def test_shifted_integer_provider(self):
-        prov = ShiftedIntegerEtaProvider(0.25)
+        prov = shifted_integer(0.25)
         # zeta_H(0, 1/4) - zeta_H(0, 3/4) = 1/2
         assert prov.zeta(0.0) == pytest.approx(0.5, rel=1e-10)
         assert prov.zeta(3.0) == pytest.approx(
@@ -789,9 +794,7 @@ class TestEta:
             ),
             abs=1e-4,
         )
-        with pytest.raises(ConeError):
-            ShiftedIntegerEtaProvider(1.5)
-        # one Hurwitz call for a and 1-a broadcasts over s of any shape
+        # the two Hurwitz families broadcast over s of any shape
         for s in (np.array([0.0, 3.0, 0.6 + 2.0j]), np.array([[2.5, 1.2 - 7.0j], [0.9, 4.0]])):
             got = prov.zeta(s)
             assert got.shape == s.shape
@@ -866,7 +869,7 @@ class TestEta:
 
     def test_symmetric_data_matches_in_any_order(self):
         # the provider lists +0.5 and -0.5 as (+1, 0.5) and (-1, 0.5)
-        prov = ShiftedIntegerEtaProvider(0.5)
+        prov = shifted_integer(0.5)
         results = []
         for order in ((-0.5, 0.5), (0.5, -0.5)):
             spec = FirstOrderSpectrum(
@@ -896,7 +899,7 @@ class TestEta:
 
     def test_consistency_check_on_providers(self):
         spec = FirstOrderSpectrum(
-            s_data=(), eta_provider=ShiftedIntegerEtaProvider(0.25)
+            s_data=(), eta_provider=shifted_integer(0.25)
         )
         assert continuation_consistency(spec.eta_provider, (4.0, 5.0)) < 1e-6
 
@@ -943,7 +946,7 @@ class TestIndex:
     def test_shifted_integer_index(self):
         # spectrum Z + 1/4: eta(0) = 1/2, no kernel, no small negatives
         spec = FirstOrderSpectrum(
-            s_data=(), eta_provider=ShiftedIntegerEtaProvider(0.25)
+            s_data=(), eta_provider=shifted_integer(0.25)
         )
         interior = 1.0
         assert index_first_order(spec, interior) == pytest.approx(

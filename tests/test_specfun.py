@@ -15,7 +15,6 @@ from dirichlet_checks import continuation_consistency
 from conespec import specfun
 from conespec.specfun import (
     EULER_GAMMA,
-    FiniteSpectrumProvider,
     HankelConvergenceError,
     HurwitzZetaProvider,
     PowerShiftSquaredProvider,
@@ -584,12 +583,6 @@ class TestProviders:
         with pytest.raises(SpecfunError, match="finite|delta"):
             make(*args)
 
-    def test_finite_spectrum(self):
-        prov = FiniteSpectrumProvider([(2.0, 4.0), (1.0, 1.0)])
-        assert prov.zeta(1.0) == pytest.approx(1.0 + 0.5)
-        assert [nu for _, nu in prov.term_iter()] == [1.0, 4.0]
-        assert prov.pole_locations() == ()
-
     def test_riemann_provider_continuation(self):
         prov = RiemannZetaProvider(scale=2.0, exponent=2.0)
         assert prov.zeta(1.0) == pytest.approx(2.0 * math.pi**2 / 6.0, rel=1e-12)
@@ -678,8 +671,8 @@ class TestProviders:
 
     def test_providers_broadcast_over_s(self):
         s = np.array([[0.9 + 1.0j, 2.0], [3.5 - 7.0j, 1.2]])
-        for prov in (FiniteSpectrumProvider([(2.0, 4.0), (1.0 - 0.5j, 1.0)]),
-                     HurwitzZetaProvider(0.25, 1.5, 2.0), RiemannZetaProvider(2.0, 2.0)):
+        for prov in (HurwitzZetaProvider(0.25, 1.5, 2.0), RiemannZetaProvider(2.0, 2.0),
+                     HurwitzZetaProvider(0.25, 1.5, 2.0) + HurwitzZetaProvider(1.5, -0.5, 1.0)):
             got = prov.zeta(s)
             assert got.shape == (2, 2)
             for idx in np.ndindex(2, 2):
@@ -699,3 +692,76 @@ class TestProviders:
                 RiemannZetaProvider(1.0, exponent)
             with pytest.raises(SpecfunError):
                 HurwitzZetaProvider(0.5, 1.0, exponent)
+
+
+def shifted_integer(a: float) -> HurwitzZetaProvider:
+    """The signed spectrum {n + a : n in Z}, 0 < a < 1, as two Hurwitz families."""
+    return HurwitzZetaProvider(a) + HurwitzZetaProvider(1 - a, -1.0)
+
+
+class TestHurwitzFamilies:
+    """A HurwitzZetaProvider is a sum of families (w, a, e), closed under +."""
+
+    def test_sum_holds_the_families_in_order(self):
+        p, q = HurwitzZetaProvider(0.3, 2.0, 1.5), RiemannZetaProvider(-1.0, 2.0)
+        assert p.families == ((2.0, 0.3, 1.5),)
+        assert (p + q).families == ((2.0, 0.3, 1.5), (-1.0, 1.0, 2.0))
+        assert (q + p + p).families == ((-1.0, 1.0, 2.0), (2.0, 0.3, 1.5), (2.0, 0.3, 1.5))
+        assert type(q + p) is HurwitzZetaProvider
+        # the summands are left as they were
+        assert p.families == ((2.0, 0.3, 1.5),) and q.families == ((-1.0, 1.0, 2.0),)
+
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.7])
+    def test_two_families_are_the_hurwitz_difference_to_the_bit(self, a):
+        prov = shifted_integer(a)
+        for s in (0.6 + 2.0j, 3.0, 1.7 - 11.0j, -0.4 + 0.3j):
+            assert prov.zeta(s) == hurwitz_zeta(s, a) - hurwitz_zeta(s, 1 - a)
+        grid = np.array([[0.6 + 2.0j, 3.0], [1.7 - 11.0j, 4.5 + 40.0j]])
+        want = hurwitz_zeta(grid, a) - hurwitz_zeta(grid, 1 - a)
+        got = prov.zeta(grid)
+        assert got.shape == (2, 2)
+        assert got.tobytes() == want.tobytes()
+
+    def test_terms_merge_by_value(self):
+        assert shifted_integer(0.25).terms_below(2.0) == [
+            (1.0, 0.25), (-1.0, 0.75), (1.0, 1.25), (-1.0, 1.75)]
+        assert shifted_integer(0.75).terms_below(2.0) == [
+            (-1.0, 0.25), (1.0, 0.75), (-1.0, 1.25), (1.0, 1.75)]
+        # on a tie the earlier family, here the +1 one, comes first
+        assert shifted_integer(0.5).terms_below(2.0) == [
+            (1.0, 0.5), (-1.0, 0.5), (1.0, 1.5), (-1.0, 1.5)]
+
+    @pytest.mark.parametrize("a", [0.1, 0.25, 0.5, 0.8])
+    def test_cancelling_poles_leave_the_reflection_value(self, a):
+        # the residues 1 and -1 at s = 1 cancel; the finite part is
+        # psi(1 - a) - psi(a) = pi cot(pi a)
+        prov = shifted_integer(a)
+        assert prov.pole_locations() == (1.0,)
+        assert prov.residue_at(1.0) == 0
+        want = math.pi / math.tan(math.pi * a)
+        assert abs(prov.value_at(1.0) - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_two_exponents_meet_mpmath_at_both_poles(self):
+        # poles at 1/2 and 2/3; each family's value at the other's pole has
+        # Re(e s) >= 3/4, inside hurwitz_zeta's domain
+        families = ((1.5, 0.3, 2.0), (-0.7, 0.8, 1.5))
+        prov = HurwitzZetaProvider(0.3, 1.5, 2.0) + HurwitzZetaProvider(0.8, -0.7, 1.5)
+        assert prov.pole_locations() == (0.5, 2.0 / 3.0)
+        with mpmath.workdps(60):
+            f = lambda s: sum(w * mpmath.zeta(e * s, a) for w, a, e in families)
+            h = mpmath.mpf("1e-25")
+            for s0 in (mpmath.mpf(1) / 2, mpmath.mpf(2) / 3):
+                # symmetric differences: the residue and the finite part to O(h^2)
+                res = (f(s0 + h) - f(s0 - h)) * h / 2
+                fin = (f(s0 + h) + f(s0 - h)) / 2
+                got_res, got_fin = prov.residue_at(float(s0)), prov.value_at(float(s0))
+                assert abs(got_res - complex(res)) <= 1e-12 * abs(complex(res))
+                assert abs(got_fin - complex(fin)) <= 1e-12 * abs(complex(fin))
+        # off the ledger: no residue, and the value is zeta
+        assert prov.residue_at(2.5) == 0.0
+        assert prov.value_at(2.5) == prov.zeta(2.5)
+
+    def test_a_sum_continues_its_terms(self):
+        for prov in (shifted_integer(0.3),
+                     HurwitzZetaProvider(0.3, 1.5, 2.0) + RiemannZetaProvider(-0.7, 1.5)):
+            assert continuation_consistency(prov, (4.0, 5.0 + 1.0j), n_terms=6000) < 1e-6
