@@ -23,10 +23,9 @@ import cmath
 import heapq
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -712,12 +711,6 @@ class DirichletSeriesProvider:
         raise NotImplementedError
 
 
-def _family_terms(w: float, a: float, e: float):
-    """(w, (a + j)^e) for j = 0, 1, 2, ..."""
-    for j in itertools.count():
-        yield (w, (a + j) ** e)
-
-
 class HurwitzZetaProvider(DirichletSeriesProvider):
     """A finite sum of Hurwitz families (w, a, e), held in `families`:
     zeta(s) = sum w zeta_H(e s, a) = sum over the families and j >= 0 of
@@ -750,27 +743,31 @@ class HurwitzZetaProvider(DirichletSeriesProvider):
         return total
 
     def zeta(self, s):
-        return reduce(operator.add, [w * hurwitz_zeta(e * s, a) for w, a, e in self.families])
+        parts = [w * hurwitz_zeta(e * s, a) for w, a, e in self.families]
+        return sum(parts[1:], parts[0])
 
     def term_iter(self):
-        terms = [_family_terms(*family) for family in self.families]
-        return heapq.merge(*terms, key=lambda t: t[1]) if len(terms) > 1 else terms[0]
+        def family(w, a, e):
+            for j in itertools.count():
+                yield (w, (a + j) ** e)
+        return heapq.merge(*(family(*f) for f in self.families), key=lambda t: t[1])
 
     def pole_locations(self):
         return tuple(dict.fromkeys(complex(1.0 / e) for _, _, e in self.families))
 
     def residue_at(self, s0):
         on_pole = [w / e for w, _, e in self.families if abs(complex(s0) - 1.0 / e) <= _AT_POLE]
-        return reduce(operator.add, on_pole) if on_pole else 0.0
+        return sum(on_pole[1:], on_pole[0]) if on_pole else 0.0
 
     def value_at(self, s0):
         if not self.is_pole(s0, tol=_AT_POLE):
             return self.zeta(s0)
-        return reduce(operator.add, [
+        parts = [
             -w * digamma(a) if abs(complex(s0) - 1.0 / e) <= _AT_POLE
             else w * hurwitz_zeta(e * s0, a)
             for w, a, e in self.families
-        ])
+        ]
+        return sum(parts[1:], parts[0])
 
 
 class RiemannZetaProvider(HurwitzZetaProvider):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as sc_gamma
 
-from dirichlet_checks import continuation_consistency
+from dirichlet_checks import continuation_consistency, shifted_integer
 
 from conespec import cli, cone, specfun
 from conespec.cone import (
@@ -53,11 +53,6 @@ SQRT_PI = math.sqrt(math.pi)
 def circle_spectrum() -> CrossSectionSpectrum:
     """Laplacian of the unit circle: eigenvalues j^2 with weight 2."""
     return CrossSectionSpectrum(data=(), tail=RiemannZetaProvider(2.0, 2.0))
-
-
-def shifted_integer(a: float) -> HurwitzZetaProvider:
-    """The signed spectrum {n + a : n in Z}: the CLI's shifted-integer eta tail."""
-    return HurwitzZetaProvider(a) + HurwitzZetaProvider(1 - a, -1.0)
 
 
 class TestHeatKernel:

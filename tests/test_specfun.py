@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from dirichlet_checks import continuation_consistency
+from dirichlet_checks import continuation_consistency, shifted_integer
 
 from conespec import specfun
 from conespec.specfun import (
@@ -692,11 +692,6 @@ class TestProviders:
                 RiemannZetaProvider(1.0, exponent)
             with pytest.raises(SpecfunError):
                 HurwitzZetaProvider(0.5, 1.0, exponent)
-
-
-def shifted_integer(a: float) -> HurwitzZetaProvider:
-    """The signed spectrum {n + a : n in Z}, 0 < a < 1, as two Hurwitz families."""
-    return HurwitzZetaProvider(a) + HurwitzZetaProvider(1 - a, -1.0)
 
 
 class TestHurwitzFamilies:
