@@ -154,15 +154,19 @@ def _complex_s(args, payload) -> complex:
                    _number(_pick(args, payload, "s_im", "s_im", 0.0), "s_im"))
 
 
+# Most points a --grid may ask for.
+_GRID_MAX = 10**6
+
+
 def _parse_grid(spec: str):
-    """name=start:stop:count, inclusive linear grid start + i*step as an array."""
+    """name=start:stop:count: the inclusive grid start + i*step, _GRID_MAX points at most."""
     name, _, rng = spec.partition("=")
     parts = rng.split(":")
     if not name or len(parts) != 3:
         raise ValueError(f"bad grid spec {spec!r}; expected name=start:stop:count")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1:
-        raise ValueError("grid count must be >= 1")
+    if not 1 <= count <= _GRID_MAX:
+        raise ValueError(f"--grid count must lie in [1, {_GRID_MAX}], not {count}")
     if count == 1:
         return name, np.array([start])
     step = (stop - start) / (count - 1)

@@ -189,10 +189,10 @@ def _split_terms(pairs, head):
     value whose weight agrees; if terms of that value remain but none agrees,
     the provider contradicts the data.  The head's values are nondecreasing,
     so the terms near a value are found by bisection.  Returns the unmatched
-    pairs and the head terms no pair claimed.
+    pairs and the head terms no pair claimed.  No pair reaches past the top
+    value plus its tolerance, so a longer head gives the same unmatched
+    pairs, and its extra terms are unclaimed.
     """
-    if not head:
-        return list(pairs), []
     values = [u for _, u in head]
     claimed = set()
     unmatched = []
@@ -227,75 +227,64 @@ class _TermPlan:
     """The s-independent half of the fold over (weight, value) data and a provider.
 
     `orders` are the data's Bessel orders, for the fold.  The data are
-    matched once against the provider's terms up to their 1e-9 matching
-    window, or up to `reach` if that is larger: `unmatched()` lists the data
+    matched against every provider term read: `unmatched()` lists the data
     the provider does not enumerate, `remaining()` the terms no datum
-    claimed.  `head(threshold)` appends the terms between the window and the
-    head bound, which no datum can claim, and gives the fold its arrays.
-    The terms are read from the provider once for both, up to the larger
-    bound asked for first, and again only when a larger bound is asked for.
+    claimed.  No datum claims a term past the window, the top datum plus its
+    1e-9 tolerance (or `reach` if that is larger), so the match does not
+    depend on how far the terms were read.  `unmatched()` and `remaining()`
+    read to the window, `head(threshold)` to the head bound too; the terms
+    are read again only when a larger bound is asked for.
     """
 
     def __init__(self, pairs: list, provider, orders: list, reach: float):
         self.provider, self._pairs, self.orders = provider, pairs, orders
-        self._terms, self._read_to, self._arrays = [], -math.inf, None
-        self._matching = (pairs, [], 0) if provider is None else None
-        if provider is not None:
-            self._top = max(v for _, v in pairs) if pairs else 0.0
-            self._window = max(reach, self._top + 1e-9 * max(1.0, self._top)) if pairs else reach
+        self._terms, self._values, self._read_to, self._arrays = [], [], -math.inf, None
+        self._matching = (pairs, [])
+        self._top = max((v for _, v in pairs), default=0.0)
+        self._window = max(reach, self._top + 1e-9 * max(1.0, self._top)) if pairs else reach
 
     def _read(self, bound: float) -> None:
-        """Hold the provider's terms up to at least `bound` (at most _TERMS_CAP)."""
-        if bound > self._read_to and len(self._terms) < _TERMS_CAP:
-            self._terms, self._read_to, self._arrays = self.provider.terms_below(bound), bound, None
-            self._values = [v for _, v in self._terms]
-
-    def _match(self) -> tuple[list, list, int]:
-        """(unmatched, remaining, number of terms in the window), matched once."""
-        if self._matching is None:
-            self._read(self._window)
-            n_window = bisect_right(self._values, self._window)
-            self._matching = (*_split_terms(self._pairs, self._terms[:n_window]), n_window)
-        return self._matching
+        """Hold the provider's terms up to at least `bound` (at most _TERMS_CAP),
+        matched against the data; a match that raises keeps nothing."""
+        if self.provider is not None and bound > self._read_to and len(self._terms) < _TERMS_CAP:
+            terms = self.provider.terms_below(bound)
+            self._matching = _split_terms(self._pairs, terms)
+            self._terms, self._read_to, self._arrays = terms, bound, None
+            self._values = [v for _, v in terms]
 
     def unmatched(self) -> list:
-        return self._match()[0]
+        self._read(self._window)
+        return self._matching[0]
 
     def remaining(self) -> list:
-        return self._match()[1]
+        self._read(self._window)
+        return self._matching[1]
 
     def head(self, threshold: float):
         """The fold's explicit orders and weights (the data's, then sqrt(value)
         and weight of each head term that no datum claimed) and the weights
         and values of all head terms, as arrays.  The head holds the terms up
-        to the larger of threshold^2 and the top datum; without a provider it
-        is empty, and its weights and values are None."""
-        if self.provider is None:
-            if self._arrays is None:
-                self._arrays = (np.array(self.orders, dtype=float),
-                                np.array([w for w, _ in self._pairs], dtype=complex), None, None)
-            return self._arrays
-        lam_head = threshold * threshold
-        if self._pairs:
-            lam_head = max(lam_head, self._top)
-        bound = lam_head * (1 + 1e-9) + 1e-12
+        to the larger of threshold^2 and the top datum; ConeError if _TERMS_CAP
+        of them were read and the head may hold more."""
+        bound = max(threshold * threshold, self._top) * (1 + 1e-9) + 1e-12
         self._read(max(bound, self._window))
-        _, remaining, n_window = self._match()
+        n = bisect_right(self._values, bound)
+        if n == len(self._terms) >= _TERMS_CAP:
+            raise ConeError(f"the fold reads at most {_TERMS_CAP} tail terms, and the tail has "
+                            f"as many below the head bound {bound:.6g}")
         if self._arrays is None:
-            free = remaining + self._terms[n_window:]
+            remaining = self._matching[1]
             self._free_values = [v for _, v in remaining]
             self._arrays = (
-                np.array(list(self.orders) + [math.sqrt(v) for _, v in free], dtype=float),
-                np.array([w for w, _ in self._pairs + free], dtype=complex),
+                np.array(list(self.orders) + [math.sqrt(v) for _, v in remaining], dtype=float),
+                np.array([w for w, _ in self._pairs + remaining], dtype=complex),
                 np.array([w for w, _ in self._terms], dtype=complex),
                 np.array(self._values, dtype=float),
             )
-        n = bisect_right(self._values, bound)
         if n == len(self._terms):
             return self._arrays
         orders, weights, head_w, head_v = self._arrays
-        # the unclaimed window terms up to the bound, then the terms past the window
-        k = len(self._pairs) + bisect_right(self._free_values, bound) + max(0, n - n_window)
+        k = len(self._pairs) + bisect_right(self._free_values, bound)
         return orders[:k], weights[:k], head_w[:n], head_v[:n]
 
 
@@ -446,11 +435,12 @@ def _phi_pieces(spec: CrossSectionSpectrum, s, order: int):
     the list of successive Q_k corrections, whose last magnitude is the
     truncation error estimate.  The s-independent half is the spectrum's
     plan, built once: the orders, weights and matching of the data against
-    the provider's terms.  Per call the head gains the provider terms up to
-    the head threshold, and there is one loggamma pass over (points x
-    orders), one array pole check, one provider call and one power sum over
-    (points x shifts z_k = (2s-1+k)/2) whose Q_k is nonzero.  Each point's
-    pieces are bit-identical to its call alone.
+    the provider's terms, the same whichever read the terms first, the
+    residues or the fold, and ConeError for a head of _TERMS_CAP terms.  Per
+    call there is one loggamma pass over (points x orders), one array pole
+    check, one provider call and one power sum over (points x shifts z_k =
+    (2s-1+k)/2) whose Q_k is nonzero.  Each point's pieces are bit-identical
+    to its call alone.
     """
     orders, weights, head_w, head_v = spec._plan.head(_HEAD_THRESHOLD)
     points = _points(s)
@@ -659,18 +649,14 @@ class FirstOrderSpectrum:
                 total -= w
         return total
 
-    def _eta_unmatched(self):
-        """Signed eigenvalues the eta provider omits."""
-        return self._eta_plan.unmatched()
-
     def eta_value(self, s: complex) -> complex:
-        return _series_part(self.eta_provider, "zeta", s, self._eta_unmatched())
+        return _series_part(self.eta_provider, "zeta", s, self._eta_plan.unmatched())
 
     def eta_res1(self, s0: complex) -> complex:
         return _series_part(self.eta_provider, "residue_at", s0, ())
 
     def eta_res0(self, s0: complex) -> complex:
-        return _series_part(self.eta_provider, "value_at", s0, self._eta_unmatched())
+        return _series_part(self.eta_provider, "value_at", s0, self._eta_plan.unmatched())
 
     # -- squared-shift spectra ---------------------------------------------
 
@@ -760,8 +746,7 @@ def _orders_and_weights(spec: CrossSectionSpectrum) -> tuple[np.ndarray, np.ndar
     """Bessel orders and weights of a finite spectrum, as arrays."""
     if spec.tail is not None:
         raise ConeError("fiber trace needs a finite spectrum")
-    orders, weights, _, _ = spec._plan.head(0.0)
-    return orders, weights
+    return spec._plan.head(0.0)[:2]
 
 
 def k_trace_operator(spec: CrossSectionSpectrum, t: float) -> complex:

@@ -103,51 +103,23 @@ def _term_sort_key(location: Location):
     return key
 
 
-# The side of the square cells in which _merge_keys files exponents: the
-# exponents within EXPONENT_TOL of z lie in the 2 x 2 cells nearest to z,
-# with a margin of a quarter cell for the rounding of z / _CELL.
-_CELL = 4.0 * EXPONENT_TOL
-
-
-def _cell(v: float):
-    """The cell index of v, and the two indices nearest to v (v's own among
-    them); v itself stands for its index where v / _CELL is not finite."""
-    c = v / _CELL
-    if not math.isfinite(c):
-        return v, (v,)
-    i = math.floor(c)
-    return i, ((i - 1, i) if c - i < 0.5 else (i, i + 1))
-
-
 def _merge_keys(terms: tuple[LogPowerTerm, ...]) -> list[tuple[tuple[float, float, int], complex]]:
     """(key, summed coefficient) per key (Re alpha, Im alpha, k), in the order
     the keys first appear.  A term joins the first key of its log power whose
     real and imaginary parts both lie within EXPONENT_TOL of its exponent's,
-    and else starts a key of its own.
-
-    The keys are filed by cell, and a term looks only at the keys of the
-    four cells nearest to it, where a loop over the keys found so far is
-    quadratic.
-    """
+    and else starts a key of its own: a scan over the keys found so far, as
+    an expansion of the calculus holds a few dozen terms at most."""
     found: list[tuple[float, float, int]] = []
     coefficients: list = []
-    cells: dict = {}
     for t in terms:
         re, im, k = t.exponent.real, t.exponent.imag, t.log_power
-        (own_re, near_re), (own_im, near_im) = _cell(re), _cell(im)
-        hit = None
-        for cr in near_re:
-            for ci in near_im:
-                for i in cells.get((cr, ci, k), ()):
-                    if (abs(found[i][0] - re) <= EXPONENT_TOL and abs(found[i][1] - im) <= EXPONENT_TOL
-                            and (hit is None or i < hit)):
-                        hit = i
-        if hit is None:
-            cells.setdefault((own_re, own_im, k), []).append(len(found))
+        for i, (fre, fim, fk) in enumerate(found):
+            if fk == k and abs(fre - re) <= EXPONENT_TOL and abs(fim - im) <= EXPONENT_TOL:
+                coefficients[i] = coefficients[i] + t.coefficient
+                break
+        else:
             found.append((re, im, k))
             coefficients.append(t.coefficient)
-        else:
-            coefficients[hit] = coefficients[hit] + t.coefficient
     return list(zip(found, coefficients))
 
 

@@ -183,6 +183,15 @@ class TestZetaLp:
         code, _, _ = run(capsys, "zeta-lp", "--s-re", "0.8", "--grid", "t=0:1:3")
         assert code == 2
 
+    def test_grid_count_over_the_bound_is_schema_error(self, capsys, tmp_path):
+        # refused before numpy allocates the grid
+        out_file = tmp_path / "out"
+        code, out, err = run(capsys, "zeta-lp", "--s-re", "1.5", "--grid",
+                             f"p=0:40:{cli._GRID_MAX + 1}", "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert f"--grid count must lie in [1, {cli._GRID_MAX}]" in err
+        assert not out_file.exists()
+
     @pytest.mark.parametrize(
         "argv, payload, field",
         [
@@ -299,6 +308,16 @@ class TestZetaOp:
     def test_malformed_json(self, capsys):
         code, _, _ = run(capsys, "zeta-op", "--in", "{not json", "--s-re", "1.6")
         assert code == 2
+
+    def test_head_past_the_term_cap_is_schema_error(self, capsys):
+        # 100000 terms of j^0.2 lie below 10, the head bound is 64
+        dense = {"data": [], "tail": {"kind": "riemann", "exponent": 0.2}}
+        code, out, err = run(capsys, "zeta-op", "--in", json.dumps(dense), "--s-re", "1.6")
+        assert (code, out) == (2, "") and "at most 100000 tail terms" in err
+        # the fitted heat trace reads no head
+        code, _, _ = run(capsys, "heat-trace", "--in", json.dumps(
+            {"spectrum": dense, "phi_moments": [1, 1, 1], "b_coeffs": [0.5, 0.25, 0.125]}))
+        assert code == 0
 
     @pytest.mark.parametrize("order", ["-1", "11"])
     def test_order_outside_the_expansion_is_schema_error(self, capsys, order):

@@ -684,6 +684,36 @@ class TestBatchedFold:
             eta_function_scalable(first, s)
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_plan_match_does_not_depend_on_how_far_it_read(self, kind):
+        # data on tail terms; one plan reads to its window first (the
+        # residues' reach), the other past the head bound first
+        rng = np.random.default_rng(self.KINDS.index(kind) + 20)
+        for _ in range(6):
+            spec = _random_cross_spectrum(rng, kind)
+            window_first, head_first, residues_first, fold_first = (
+                CrossSectionSpectrum(spec.data, spec.tail, spec.negative_below) for _ in range(4))
+            window_first._plan.unmatched()
+            head_first._plan.head(20.0)
+            assert window_first._plan.unmatched() == head_first._plan.unmatched()
+            for a, b in zip(window_first._plan.head(8.0), head_first._plan.head(8.0)):
+                assert a.tobytes() == b.tobytes()
+            s = _random_points(rng, 3)
+            res = residues_at_zero(residues_first)
+            value = zeta_hat_operator(residues_first, s)
+            assert _bits(value) == _bits(zeta_hat_operator(fold_first, s))
+            assert _bits(res) == _bits(residues_at_zero(fold_first))
+
+    def test_head_past_the_term_cap_raises(self):
+        # the 100000th term of j^0.2 is 10, far below the head bound 64: the
+        # fold must not pass the unread head terms to the Gamma-ratio expansion
+        spec = CrossSectionSpectrum(data=(), tail=RiemannZetaProvider(1.0, 0.2))
+        with pytest.raises(ConeError, match="at most 100000 tail terms.*head bound 64"):
+            zeta_hat_operator(spec, 1.6)
+        # the residues read only to the top datum
+        dense = CrossSectionSpectrum(data=(SpectralDatum(1.0, 1.0),), tail=spec.tail)
+        assert all(cmath.isfinite(r) for r in residues_at_zero(dense))
+
 
 def _split_terms_quadratic(pairs, head):
     """The matching as a quadratic scan: the reference for `_split_terms`."""

@@ -69,6 +69,9 @@ EDGE_CASES = [
     (["zeta-op", "--in", _CIRCLE, "--s-re", "1.6", "--order", "10"], None),
     (["zeta-op", "--in", _CIRCLE, "--s-re", "1.6", "--order", "11"], None),
     (["zeta-op", "--in", _CIRCLE, "--s-re", "1.6", "--order", "-1"], None),
+    # 100000 tail terms below 10, short of the head bound 64
+    (["zeta-op", "--in", '{"data": [], "tail": {"kind": "riemann", "exponent": 0.2}}',
+      "--s-re", "1.6"], None),
     (["zeta-op", "--in", "@in"], {"spectrum": json.loads(_CIRCLE), "s_re": 1.6, "order": 6.5}),
     (["zeta-op", "--in", "@in"], {"spectrum": json.loads(_CIRCLE), "s_re": 1.6, "order": "4"}),
     (["eta", "--in", _ETA_DATA, "--s-re", "0.6"], None),
