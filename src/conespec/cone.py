@@ -182,21 +182,21 @@ class SpectralDatum:
             raise ConeError(f"spectral data must be finite, not {self}")
 
 
-def _split_terms(pairs, head):
-    """Match explicit (weight, value) pairs against a provider's head terms.
+def _split_terms(claims, head):
+    """Match (weight, value) claims against a provider's head terms.
 
-    A pair claims the first unclaimed head term within relative 1e-9 of its
+    A claim takes the first untaken head term within relative 1e-9 of its
     value whose weight agrees; if terms of that value remain but none agrees,
     the provider contradicts the data.  The head's values are nondecreasing,
-    so the terms near a value are found by bisection.  Returns the unmatched
-    pairs and the head terms no pair claimed.  No pair reaches past the top
-    value plus its tolerance, so a longer head gives the same unmatched
-    pairs, and its extra terms are unclaimed.
+    so the terms near a value are found by bisection.  Returns the positions
+    of the claims no term matched and the head terms no claim took.  No
+    claim reaches past the top value plus its tolerance, so a longer head
+    gives the same unmatched claims, and its extra terms are untaken.
     """
     values = [u for _, u in head]
     claimed = set()
     unmatched = []
-    for w, v in pairs:
+    for i, (w, v) in enumerate(claims):
         tol = 1e-9 * max(1.0, v)
         near = False
         # twice the tolerance brackets every value the test below accepts
@@ -210,7 +210,7 @@ def _split_terms(pairs, head):
         else:
             if near:
                 raise ConeError(f"tail provider disagrees with data weight at value {v}")
-            unmatched.append((w, v))
+            unmatched.append(i)
     return unmatched, [term for j, term in enumerate(head) if j not in claimed]
 
 
@@ -224,67 +224,68 @@ def _series_part(provider, part: str, z: complex, pairs) -> complex:
 
 
 class _TermPlan:
-    """The s-independent half of the fold over (weight, value) data and a provider.
+    """The s-independent half of the fold over a provider.
 
-    `orders` are the data's Bessel orders, for the fold.  The data are
-    matched against every provider term read: `unmatched()` lists the data
-    the provider does not enumerate, `remaining()` the terms no datum
-    claimed.  No datum claims a term past the window, the top datum plus its
-    1e-9 tolerance (or `reach` if that is larger), so the match does not
-    depend on how far the terms were read.  `unmatched()` and `remaining()`
-    read to the window, `head(threshold)` to the head bound too; the terms
-    are read again only when a larger bound is asked for.
+    `folded` holds the (weight, Bessel order) terms the fold adds to the
+    provider's; `claims` the (weight, value) data matched against every
+    provider term read: `unmatched()` gives the positions of the claims the
+    provider does not enumerate, `remaining()` the terms no claim took.  No
+    claim takes a term past the window, the top claim plus its 1e-9
+    tolerance (or `reach` if that is larger), so the match does not depend
+    on how far the terms were read.  `unmatched()` and `remaining()` read to
+    the window, `head(threshold)` to the head bound too; a read of
+    _TERMS_CAP terms raises ConeError, as more may lie below its bound.
     """
 
-    def __init__(self, pairs: list, provider, orders: list, reach: float):
-        self.provider, self._pairs, self.orders = provider, pairs, orders
+    def __init__(self, provider, folded: list, claims: list, reach: float):
+        self.provider, self.folded, self.claims = provider, folded, claims
         self._terms, self._values, self._read_to, self._arrays = [], [], -math.inf, None
-        self._matching = (pairs, [])
-        self._top = max((v for _, v in pairs), default=0.0)
-        self._window = max(reach, self._top + 1e-9 * max(1.0, self._top)) if pairs else reach
+        self._matching = (list(range(len(claims))), [])
+        self._top = max((v for _, v in claims), default=0.0)
+        self._window = max(reach, self._top + 1e-9 * max(1.0, self._top)) if claims else reach
 
-    def _read(self, bound: float) -> None:
-        """Hold the provider's terms up to at least `bound` (at most _TERMS_CAP),
-        matched against the data; a match that raises keeps nothing."""
-        if self.provider is not None and bound > self._read_to and len(self._terms) < _TERMS_CAP:
+    def _read(self, bound: float, what: str) -> None:
+        """Hold the provider's terms up to at least `bound`, matched against
+        the claims; a read or match that raises keeps nothing."""
+        if self.provider is not None and bound > self._read_to:
             terms = self.provider.terms_below(bound)
-            self._matching = _split_terms(self._pairs, terms)
+            if len(terms) >= _TERMS_CAP:
+                raise ConeError(f"at most {_TERMS_CAP} tail terms are read, and the tail has "
+                                f"as many below the {what} {bound:.6g}")
+            self._matching = _split_terms(self.claims, terms)
             self._terms, self._read_to, self._arrays = terms, bound, None
             self._values = [v for _, v in terms]
 
     def unmatched(self) -> list:
-        self._read(self._window)
+        self._read(self._window, "match window")
         return self._matching[0]
 
     def remaining(self) -> list:
-        self._read(self._window)
+        self._read(self._window, "match window")
         return self._matching[1]
 
     def head(self, threshold: float):
-        """The fold's explicit orders and weights (the data's, then sqrt(value)
-        and weight of each head term that no datum claimed) and the weights
-        and values of all head terms, as arrays.  The head holds the terms up
-        to the larger of threshold^2 and the top datum; ConeError if _TERMS_CAP
-        of them were read and the head may hold more."""
+        """The fold's explicit orders and weights (the folded terms', then
+        sqrt(value) and weight of each head term that no claim took) and the
+        weights and values of all head terms, as arrays.  The head holds the
+        terms up to the larger of threshold^2 and the top claim."""
         bound = max(threshold * threshold, self._top) * (1 + 1e-9) + 1e-12
-        self._read(max(bound, self._window))
+        self._read(max(bound, self._window), "head bound")
         n = bisect_right(self._values, bound)
-        if n == len(self._terms) >= _TERMS_CAP:
-            raise ConeError(f"the fold reads at most {_TERMS_CAP} tail terms, and the tail has "
-                            f"as many below the head bound {bound:.6g}")
         if self._arrays is None:
             remaining = self._matching[1]
             self._free_values = [v for _, v in remaining]
             self._arrays = (
-                np.array(list(self.orders) + [math.sqrt(v) for _, v in remaining], dtype=float),
-                np.array([w for w, _ in self._pairs + remaining], dtype=complex),
+                np.array([p for _, p in self.folded] + [math.sqrt(v) for _, v in remaining],
+                         dtype=float),
+                np.array([w for w, _ in self.folded] + [w for w, _ in remaining], dtype=complex),
                 np.array([w for w, _ in self._terms], dtype=complex),
                 np.array(self._values, dtype=float),
             )
         if n == len(self._terms):
             return self._arrays
         orders, weights, head_w, head_v = self._arrays
-        k = len(self._pairs) + bisect_right(self._free_values, bound)
+        k = len(self.folded) + bisect_right(self._free_values, bound)
         return orders[:k], weights[:k], head_w[:n], head_v[:n]
 
 
@@ -295,40 +296,36 @@ class CrossSectionSpectrum:
     `tail` carries the zeta function of A (in the eigenvalue variable); where
     its enumeration overlaps `data` the two must agree, and `data` may extend
     below or beyond it.  `negative_below` selects the negative Bessel order
-    -sqrt(lambda) for eigenvalues under the threshold; `p_overrides` pins the
-    order per entry instead.
+    -sqrt(lambda) for eigenvalues under the threshold.
     """
 
     data: tuple[SpectralDatum, ...]
     tail: Optional[DirichletSeriesProvider] = None
     negative_below: float = 0.0
-    p_overrides: Optional[tuple[Optional[float], ...]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "data", tuple(self.data))
-        if self.p_overrides is not None and len(self.p_overrides) != len(self.data):
-            raise ConeError("p_overrides must align with data")
-        pairs, orders = [], []
-        for i, d in enumerate(self.data):
+        claims, folded = [], []
+        for d in self.data:
             if d.eigenvalue < 0:
                 raise ConeError("cross-section eigenvalues must be nonnegative")
-            orders.append(self.p_of(i))
-            if orders[i] <= -1:
-                raise ConeError(f"Bessel order p={orders[i]} <= -1 at eigenvalue {d.eigenvalue}")
-            pairs.append((d.weight, d.eigenvalue))
-        object.__setattr__(self, "_plan", _TermPlan(pairs, self.tail, orders, 0.0))
+            p = self.p_value(d.eigenvalue)
+            if p <= -1:
+                raise ConeError(f"Bessel order p={p} <= -1 at eigenvalue {d.eigenvalue}")
+            claims.append((d.weight, d.eigenvalue))
+            folded.append((d.weight, p))
+        object.__setattr__(self, "_plan", _TermPlan(self.tail, folded, claims, 0.0))
 
     def p_value(self, lam: float) -> float:
         root = math.sqrt(lam)
         return -root if lam < self.negative_below else root
 
     def p_of(self, i: int) -> float:
-        if self.p_overrides is not None and self.p_overrides[i] is not None:
-            return self.p_overrides[i]
         return self.p_value(self.data[i].eigenvalue)
 
     def _unmatched(self):
-        return [(w, v) for w, v in self._plan.unmatched() if v > 0]
+        data = [self.data[i] for i in self._plan.unmatched()]
+        return [(d.weight, d.eigenvalue) for d in data if d.eigenvalue > 0]
 
     # -- zeta of A (eigenvalue variable), data and tail combined ------------
 
@@ -427,27 +424,26 @@ def _points(s) -> list:
     return points
 
 
-def _phi_pieces(spec: CrossSectionSpectrum, s, order: int):
+def _phi_pieces(plan: _TermPlan, s, order: int):
     """Head/tail decomposition of the Gamma-quotient sum over the spectrum.
 
     `s` is a Python complex or a 1-D complex array of points.  Returns
     (head_values, tail_terms), one entry per point: the exact head sum, and
     the list of successive Q_k corrections, whose last magnitude is the
-    truncation error estimate.  The s-independent half is the spectrum's
-    plan, built once: the orders, weights and matching of the data against
-    the provider's terms, the same whichever read the terms first, the
-    residues or the fold, and ConeError for a head of _TERMS_CAP terms.  Per
-    call there is one loggamma pass over (points x orders), one array pole
+    truncation error estimate.  The s-independent half is the plan, built
+    once per spectrum: the orders, weights and matching of the claims
+    against the provider's terms, the same whichever read the terms first,
+    the residues or the fold.  Per call there is one loggamma pass over (points x orders), one array pole
     check, one provider call and one power sum over (points x shifts z_k =
     (2s-1+k)/2) whose Q_k is nonzero.  Each point's pieces are bit-identical
     to its call alone.
     """
-    orders, weights, head_w, head_v = spec._plan.head(_HEAD_THRESHOLD)
+    orders, weights, head_w, head_v = plan.head(_HEAD_THRESHOLD)
     points = _points(s)
     column = s if isinstance(s, complex) else s[:, None]
     head_values = _head_sums(orders, weights, column, points)
     tail_terms = [[] for _ in points]
-    provider = spec.tail
+    provider = plan.provider
     if provider is not None and points:
         qs, ks = _fold_shifts(order)
         z = (2 * column - 1 + ks) / 2.0
@@ -482,18 +478,18 @@ def _batch(fn, s) -> tuple:
     raise error
 
 
-def _zeta_hat_points(specs, s, order: int) -> list:
-    """zeta-hat over each spectrum of `specs` at each point of `s` (a Python
-    complex or a 1-D complex array): per spectrum, the list of values and the
-    list of error estimates.  The spectra share each point's prefactor."""
+def _zeta_hat_points(plans, s, order: int) -> list:
+    """zeta-hat over each fold plan of `plans` at each point of `s` (a Python
+    complex or a 1-D complex array): per plan, the list of values and the
+    list of error estimates.  The plans share each point's prefactor."""
     points = _points(s)
     for x in points:
         if _is_nonpositive_integer(x - 0.5):
             raise ConeError(f"pole of the zeta function at s={x}")
     prefs = [gamma(x - 0.5) * rgamma(x) / (2.0 * SQRT_PI) for x in points]
     out = []
-    for spec in specs:
-        head_values, tail_terms = _phi_pieces(spec, s, order)
+    for plan in plans:
+        head_values, tail_terms = _phi_pieces(plan, s, order)
         out.append((
             [pref * (head + sum(tail)) for pref, head, tail in zip(prefs, head_values, tail_terms)],
             [abs(pref) * (abs(tail[-1]) if tail else 0.0) for pref, tail in zip(prefs, tail_terms)],
@@ -514,7 +510,7 @@ def zeta_hat_operator_report(spec: CrossSectionSpectrum, s, order: int = FOLD_OR
     raises the error of its first bad point.  A non-finite s raises
     ConeError.
     """
-    value, error = _batch(lambda x: _zeta_hat_points((spec,), x, order)[0], s)
+    value, error = _batch(lambda x: _zeta_hat_points((spec._plan,), x, order)[0], s)
     return {"value": value, "error_estimate": error}
 
 
@@ -528,7 +524,7 @@ def gamma_zeta_hat(spec: CrossSectionSpectrum, s):
     `zeta_hat_operator`."""
     def points(x):
         g = [gamma(p) for p in _points(x)]
-        (values, _), = _zeta_hat_points((spec,), x, FOLD_ORDER)
+        (values, _), = _zeta_hat_points((spec._plan,), x, FOLD_ORDER)
         return ([gp * zp for gp, zp in zip(g, values)],)
 
     return _batch(points, s)[0]
@@ -559,9 +555,9 @@ def residues_at_zero(spec: CrossSectionSpectrum) -> tuple[complex, complex]:
         bj = float(b_pos_fraction(j))
         res0 += (-1) ** j * bj / j * spec.res1_zeta_a(j - 0.5)
     i_zero = 0.0 + 0.0j
-    for p, d in zip(spec._plan.orders, spec.data):
+    for w, p in spec._plan.folded:
         if p < 0:
-            i_zero += 2.0 * p * d.weight
+            i_zero += 2.0 * p * w
     res0 -= i_zero
     return res1, res0
 
@@ -606,11 +602,17 @@ class FirstOrderSpectrum:
     """Spectral data of the self-adjoint cross-section operator S.
 
     `s_data` lists signed eigenvalues with weights; `eta_provider` continues
-    the signed series eta(S, s) (full spectrum; entries of `s_data` it does
-    not enumerate are added on top).  `a_plus_tail` / `a_minus_tail` continue
-    the zeta functions of (S +/- 1/2)^2 for the assembled eta route; a
-    spectrum with an eta provider needs both there, since nothing derives
-    them from it (`conespec eta` sets the eta provider only).
+    the signed series eta(S, s) over the full spectrum.  `a_plus_tail` /
+    `a_minus_tail` continue the zeta functions of (S +/- 1/2)^2 for the
+    assembled eta route; a spectrum with an eta provider needs both there,
+    since nothing derives them from it (`conespec eta` sets the eta provider
+    only).  Duplicates are decided once, in S: an entry mu != 0 is the eta
+    provider's if it lists |mu| (to relative 1e-9) at weight sign(mu) times
+    the entry's, and ConeError if it lists |mu| at other weights only.
+    Every other entry, the kernel always, is added on top of the eta
+    provider and of both squared tails, at order |mu +/- 1/2| (mu +/- 1/2 if
+    |mu| < 1/2); nothing is matched against a squared tail, so without an
+    eta provider every entry is added on top.
     """
 
     s_data: tuple[SpectralDatum, ...]
@@ -620,14 +622,13 @@ class FirstOrderSpectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "s_data", tuple(self.s_data))
-        # signed eigenvalues (sign * weight, |eigenvalue|) against the eta
-        # provider's terms up to 1/2 at least
-        signed = [
-            ((1 if d.eigenvalue > 0 else -1) * d.weight, abs(d.eigenvalue))
-            for d in self.s_data
-            if d.eigenvalue != 0.0
-        ]
-        object.__setattr__(self, "_eta_plan", _TermPlan(signed, self.eta_provider, [], 0.5))
+        # the nonzero eigenvalues, by position in s_data, claim (sign * weight,
+        # |eigenvalue|) among the eta provider's terms up to 1/2 at least
+        signed = {i: d for i, d in enumerate(self.s_data) if d.eigenvalue != 0.0}
+        claims = [((1 if d.eigenvalue > 0 else -1) * d.weight, abs(d.eigenvalue))
+                  for d in signed.values()]
+        object.__setattr__(self, "_signed", list(signed))
+        object.__setattr__(self, "_eta_plan", _TermPlan(self.eta_provider, [], claims, 0.5))
 
     # -- simple spectral sums ----------------------------------------------
 
@@ -649,39 +650,36 @@ class FirstOrderSpectrum:
                 total -= w
         return total
 
+    def _eta_unmatched(self) -> list:
+        """The claims of the entries the eta provider does not list."""
+        return [self._eta_plan.claims[j] for j in self._eta_plan.unmatched()]
+
     def eta_value(self, s: complex) -> complex:
-        return _series_part(self.eta_provider, "zeta", s, self._eta_plan.unmatched())
+        return _series_part(self.eta_provider, "zeta", s, self._eta_unmatched())
 
     def eta_res1(self, s0: complex) -> complex:
         return _series_part(self.eta_provider, "residue_at", s0, ())
 
     def eta_res0(self, s0: complex) -> complex:
-        return _series_part(self.eta_provider, "value_at", s0, self._eta_plan.unmatched())
-
-    # -- squared-shift spectra ---------------------------------------------
-
-    def shifted_square_spectrum(self, sign: int) -> CrossSectionSpectrum:
-        """(S + sign/2)^2 with orders |lambda + sign/2|, signed for |lambda| < 1/2.
-
-        ConeError when S has an eta provider but (S + sign/2)^2 no tail:
-        the spectrum beyond s_data would be dropped.
-        """
-        tail = self.a_plus_tail if sign > 0 else self.a_minus_tail
-        if tail is None and self.eta_provider is not None:
-            raise ConeError("the eta tail continues eta(S) only; the eta value needs the "
-                            "zeta functions of (S +/- 1/2)^2 as tails too")
-        shift = 0.5 * sign
-        data, overrides = [], []
-        for d in self.s_data:
-            lam = d.eigenvalue
-            data.append(SpectralDatum((lam + shift) ** 2, d.weight))
-            overrides.append(abs(lam + shift) if abs(lam) >= 0.5 else lam + shift)
-        return CrossSectionSpectrum(data=tuple(data), tail=tail, p_overrides=tuple(overrides))
+        return _series_part(self.eta_provider, "value_at", s0, self._eta_unmatched())
 
     @cached_property
-    def _squares(self) -> tuple[CrossSectionSpectrum, CrossSectionSpectrum]:
-        """The two shifted-square spectra, built once, so their plans are too."""
-        return self.shifted_square_spectrum(1), self.shifted_square_spectrum(-1)
+    def _squares(self) -> tuple[_TermPlan, _TermPlan]:
+        """The fold plans of (S + 1/2)^2 and (S - 1/2)^2, built once: each
+        squared tail plus the entries the eta provider does not list.
+        ConeError when S has an eta provider but a square has no tail: the
+        spectrum beyond s_data would be dropped."""
+        if self.eta_provider is not None and None in (self.a_plus_tail, self.a_minus_tail):
+            raise ConeError("the eta tail continues eta(S) only; the eta value needs the "
+                            "zeta functions of (S +/- 1/2)^2 as tails too")
+        free = {self._signed[j] for j in self._eta_plan.unmatched()}
+        mus = [(d.weight, d.eigenvalue) for i, d in enumerate(self.s_data)
+               if d.eigenvalue == 0.0 or i in free]
+        return tuple(
+            _TermPlan(tail, [(w, abs(mu + shift) if abs(mu) >= 0.5 else mu + shift)
+                             for w, mu in mus], [], 0.0)
+            for tail, shift in ((self.a_plus_tail, 0.5), (self.a_minus_tail, -0.5))
+        )
 
 
 def eta_function_scalable(spec: FirstOrderSpectrum, s):

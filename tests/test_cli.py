@@ -319,6 +319,14 @@ class TestZetaOp:
             {"spectrum": dense, "phi_moments": [1, 1, 1], "b_coeffs": [0.5, 0.25, 0.125]}))
         assert code == 0
 
+    def test_match_window_past_the_term_cap_is_schema_error(self, capsys):
+        # a datum on the 200000th term of j^0.2, past the 100000 terms read
+        dense = {"data": [{"lambda": 200000.0**0.2, "weight_re": 1.0}],
+                 "tail": {"kind": "riemann", "exponent": 0.2}}
+        code, out, err = run(capsys, "heat-trace", "--in", json.dumps(
+            {"spectrum": dense, "phi_moments": [1, 1, 1], "b_coeffs": [0.5, 0.25, 0.125]}))
+        assert (code, out) == (2, "") and "at most 100000 tail terms" in err
+
     @pytest.mark.parametrize("order", ["-1", "11"])
     def test_order_outside_the_expansion_is_schema_error(self, capsys, order):
         code, out, err = run(capsys, "zeta-op", "--in", CIRCLE_PAYLOAD, "--s-re", "1.6",

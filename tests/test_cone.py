@@ -286,12 +286,6 @@ class TestSpectrumData:
         with pytest.raises(ValueError, match=r"^s_data\[0\]\.\w+ must be finite"):
             cli._first_order({"s_data": [entry]})
 
-    def test_p_overrides_must_align(self):
-        with pytest.raises(ConeError):
-            CrossSectionSpectrum(
-                data=(SpectralDatum(1.0, 1.0),), p_overrides=(1.0, 2.0)
-            )
-
     def test_negative_below_selects_sign(self):
         spec = CrossSectionSpectrum(
             data=(SpectralDatum(0.25, 1.0), SpectralDatum(4.0, 1.0)),
@@ -714,15 +708,29 @@ class TestBatchedFold:
         dense = CrossSectionSpectrum(data=(SpectralDatum(1.0, 1.0),), tail=spec.tail)
         assert all(cmath.isfinite(r) for r in residues_at_zero(dense))
 
+    def test_match_window_past_the_term_cap_raises(self):
+        # a datum on the 200000th term of j^0.2: the match must not stop at
+        # the 100000th term and count the datum on top of the tail
+        top = 200000.0**0.2
+        spec = CrossSectionSpectrum(data=(SpectralDatum(top, 1.0),),
+                                    tail=RiemannZetaProvider(1.0, 0.2))
+        for query in (lambda: residues_at_zero(spec), lambda: spec.zeta_a(6.0)):
+            with pytest.raises(ConeError, match="at most 100000 tail terms.*match window 11.487"):
+                query()
+        first = FirstOrderSpectrum(s_data=(SpectralDatum(-top, 1.0),),
+                                   eta_provider=RiemannZetaProvider(1.0, 0.2))
+        with pytest.raises(ConeError, match="at most 100000 tail terms.*match window 11.487"):
+            eta_hat_residues(first)
+
 
 def _split_terms_quadratic(pairs, head):
     """The matching as a quadratic scan: the reference for `_split_terms`."""
     remaining = list(head)
     unmatched = []
-    for w, v in pairs:
+    for i, (w, v) in enumerate(pairs):
         near = [j for j, (_, u) in enumerate(remaining) if abs(u - v) <= 1e-9 * max(1.0, v)]
         if not near:
-            unmatched.append((w, v))
+            unmatched.append(i)
             continue
         for j in near:
             if abs(remaining[j][0] - w) <= 1e-9 * (1.0 + abs(w)):
@@ -906,7 +914,9 @@ class TestEta:
 
     def test_shifted_square_spectra(self):
         # D*D and DD* see (S + 1/2)^2 and (S - 1/2)^2; inside (-1/2, 1/2) the
-        # order keeps its sign, so DD* gets a negative order
+        # order keeps its sign, so DD* gets a negative order.  Without an eta
+        # provider every entry is folded on top of the tail, and no tail term
+        # is claimed: (0.5 + 1/2)^2 = 1 keeps the tail's 1 of weight 1
         plus_tail, minus_tail = RiemannZetaProvider(1.0, 2.0), RiemannZetaProvider(2.0, 2.0)
         xs = (-1.25, -0.3, 0.0, 0.2, 0.5, 2.0)
         spec = FirstOrderSpectrum(
@@ -914,13 +924,56 @@ class TestEta:
             a_plus_tail=plus_tail,
             a_minus_tail=minus_tail,
         )
-        plus, minus = spec.shifted_square_spectrum(1), spec.shifted_square_spectrum(-1)
-        assert plus.tail is plus_tail and minus.tail is minus_tail
-        assert [d.eigenvalue for d in plus.data] == [(x + 0.5) ** 2 for x in xs]
-        assert [d.eigenvalue for d in minus.data] == [(x - 0.5) ** 2 for x in xs]
-        assert plus.p_overrides == (0.75, 0.2, 0.5, 0.7, 1.0, 2.5)
-        assert minus.p_overrides == (1.75, -0.8, -0.5, -0.3, 0.0, 1.5)
-        assert all(d.weight == 1.5 for d in plus.data + minus.data)
+        plus, minus = spec._squares
+        assert plus.provider is plus_tail and minus.provider is minus_tail
+        for plan, orders in ((plus, [0.75, 0.2, 0.5, 0.7, 1.0, 2.5]),
+                             (minus, [1.75, -0.8, -0.5, -0.3, 0.0, 1.5])):
+            head = plan.provider.terms_below(64.0)
+            got_orders, got_weights, head_w, head_v = plan.head(8.0)
+            assert got_orders.tolist() == orders + [math.sqrt(v) for _, v in head]
+            assert got_weights.tolist() == [1.5] * len(xs) + [w for w, _ in head]
+            assert head_w.tolist() == [w for w, _ in head]
+            assert head_v.tolist() == [v for _, v in head]
+
+    @pytest.mark.parametrize("family", ["power", "hurwitz"])
+    def test_an_unlisted_entry_adds_its_two_orders(self, family):
+        # duplicates are decided in S: an entry the eta provider does not list
+        # adds Gamma(s) w (zeta_hat_lp(p+, s) - zeta_hat_lp(p-, s)) at the
+        # orders |mu +/- 1/2| (signed inside (-1/2, 1/2)), even where its
+        # square equals a squared tail's term, as (0 - 1/2)^2 = (1 - 1/2)^2
+        if family == "power":
+            eta, tails, listed = RiemannZetaProvider(1.0, 1.0), [
+                PowerShiftSquaredProvider(1.0, 0.5), PowerShiftSquaredProvider(1.0, -0.5)], 1.0
+        else:
+            eta, tails, listed = HurwitzZetaProvider(0.7), [
+                HurwitzZetaProvider(1.2, 1.0, 2.0), HurwitzZetaProvider(0.2, 1.0, 2.0)], 1.7
+
+        def eta_hat(s_data, s):
+            spec = FirstOrderSpectrum(s_data=s_data, eta_provider=eta, a_plus_tail=tails[0],
+                                      a_minus_tail=tails[1])
+            return eta_function_scalable(spec, s)
+
+        base_data = (SpectralDatum(-1.6, 2.0),)
+        for s in (1.3 + 0.4j, np.array([[1.3 + 0.4j, 2.1 - 3.0j], [0.7 + 1.0j, 1.6 + 0.2j]])):
+            base = eta_hat(base_data, s)
+            for mu in (0.0, 0.3, -0.3, -2.5):
+                p_plus, p_minus = (abs(mu + 0.5), abs(mu - 0.5)) if abs(mu) >= 0.5 else (
+                    mu + 0.5, mu - 0.5)
+                added = sc_gamma(s) * (zeta_hat_lp(p_plus, s) - zeta_hat_lp(p_minus, s))
+                got = eta_hat(base_data + (SpectralDatum(mu, 1.0),), s)
+                assert np.all(np.abs(got - (base + added)) <= 1e-12 * np.abs(got)), mu
+            assert _bits(eta_hat(base_data + (SpectralDatum(listed, 1.0),), s)) == _bits(base)
+
+    def test_value_and_residues_refuse_the_same_data(self):
+        # -1 is listed by the provider as 1 with weight +1
+        spec = FirstOrderSpectrum(
+            s_data=(SpectralDatum(-1.0, 1.0),), eta_provider=RiemannZetaProvider(1.0, 1.0),
+            a_plus_tail=PowerShiftSquaredProvider(1.0, 0.5),
+            a_minus_tail=PowerShiftSquaredProvider(1.0, -0.5))
+        for query in (lambda: eta_function_scalable(spec, 1.3 + 0.4j),
+                      lambda: eta_hat_residues(spec)):
+            with pytest.raises(ConeError, match="disagrees with data weight at value 1"):
+                query()
 
     def test_consistency_check_on_providers(self):
         spec = FirstOrderSpectrum(

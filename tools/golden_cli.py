@@ -72,6 +72,11 @@ EDGE_CASES = [
     # 100000 tail terms below 10, short of the head bound 64
     (["zeta-op", "--in", '{"data": [], "tail": {"kind": "riemann", "exponent": 0.2}}',
       "--s-re", "1.6"], None),
+    # a datum on the 200000th term of j^0.2, past the 100000 terms the match reads
+    (["heat-trace", "--in", "@in"],
+     {"spectrum": {"data": [{"lambda": 200000.0**0.2}],
+                   "tail": {"kind": "riemann", "exponent": 0.2}},
+      "phi_moments": [1, 1, 1], "b_coeffs": [0.5, 0.25, 0.125]}),
     (["zeta-op", "--in", "@in"], {"spectrum": json.loads(_CIRCLE), "s_re": 1.6, "order": 6.5}),
     (["zeta-op", "--in", "@in"], {"spectrum": json.loads(_CIRCLE), "s_re": 1.6, "order": "4"}),
     (["eta", "--in", _ETA_DATA, "--s-re", "0.6"], None),
