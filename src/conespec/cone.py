@@ -21,9 +21,12 @@ from scipy.special import loggamma
 
 from .sal import ExpansionReport, ReportTerm
 from .specfun import (
+    _EPS,
     _INTEGER_TOL,
     _TERMS_CAP,
     DirichletSeriesProvider,
+    SpecfunError,
+    _gamma_ratio,
     _is_nonpositive_integer,
     _nonpositive_integer_mask,
     _poly_eval,
@@ -34,7 +37,6 @@ from .specfun import (
     gamma,
     gamma_ratio_expansion,
     laurent_fit,
-    log_gamma,
     rgamma,
 )
 
@@ -239,7 +241,8 @@ class _TermPlan:
 
     def __init__(self, provider, folded: list, claims: list, reach: float):
         self.provider, self.folded, self.claims = provider, folded, claims
-        self._terms, self._values, self._read_to, self._arrays = [], [], -math.inf, None
+        self._terms, self._values, self._read_to = [], [], -math.inf
+        self._arrays = self._exact = None
         self._matching = (list(range(len(claims))), [])
         self._top = max((v for _, v in claims), default=0.0)
         self._window = max(reach, self._top + 1e-9 * max(1.0, self._top)) if claims else reach
@@ -253,7 +256,7 @@ class _TermPlan:
                 raise ConeError(f"at most {_TERMS_CAP} tail terms are read, and the tail has "
                                 f"as many below the {what} {bound:.6g}")
             self._matching = _split_terms(self.claims, terms)
-            self._terms, self._read_to, self._arrays = terms, bound, None
+            self._terms, self._read_to, self._arrays, self._exact = terms, bound, None, None
             self._values = [v for _, v in terms]
 
     def unmatched(self) -> list:
@@ -263,6 +266,28 @@ class _TermPlan:
     def remaining(self) -> list:
         self._read(self._window, "match window")
         return self._matching[1]
+
+    def exact(self) -> list:
+        """The (weight, order) terms summed exactly beside a closed-form
+        tail: the folded terms, and (minus the weight, sqrt(value)) for each
+        provider term a claim took, but a taken term equal to a folded term
+        (a datum at the term's own order and weight) cancels it instead, as
+        their quotients would cancel exactly.  Reads to the window only."""
+        self._read(self._window, "match window")
+        if self._exact is None:
+            # `remaining` keeps the untaken terms in order, so a term it
+            # does not hold next was taken
+            remaining, exact = iter(self._matching[1]), list(self.folded)
+            left = next(remaining, None)
+            for w, v in self._terms:
+                if (w, v) == left:
+                    left = next(remaining, None)
+                elif (w, math.sqrt(v)) in exact:
+                    exact.remove((w, math.sqrt(v)))
+                else:
+                    exact.append((-w, math.sqrt(v)))
+            self._exact = exact
+        return self._exact
 
     def head(self, threshold: float):
         """The fold's explicit orders and weights (the folded terms', then
@@ -344,8 +369,9 @@ class CrossSectionSpectrum:
 # ---------------------------------------------------------------------------
 
 
-# Order of the fold's Gamma-ratio expansion.  Only zeta_hat_operator(_report)
-# (and so `conespec zeta-op --order`) fold at another order.
+# Order of the fold's Gamma-ratio expansion, for tails without a closed-form
+# Gamma-ratio sum.  Only zeta_hat_operator(_report) (and so `conespec zeta-op
+# --order`) fold at another order.
 FOLD_ORDER = 6
 
 # Head threshold of the fold: the provider terms below its square are summed
@@ -353,13 +379,12 @@ FOLD_ORDER = 6
 _HEAD_THRESHOLD = 8.0
 
 
-def _gamma_quotient(p: float, s: complex) -> complex:
-    """Gamma(p+1-s) / Gamma(p+s)."""
+def _gamma_quotient(p: float, s: complex) -> tuple[complex, float]:
+    """Gamma(p+1-s) / Gamma(p+s), and the bound on its relative rounding of
+    `_gamma_ratio`; ConeError on a pole."""
     if _is_nonpositive_integer(p + 1 - s):
         raise ConeError(f"Gamma pole in the quotient at p={p}, s={s}")
-    if _is_nonpositive_integer(p + s):
-        return 0.0 + 0.0j
-    return cmath.exp(log_gamma(p + 1 - s) - log_gamma(p + s))
+    return _gamma_ratio(p + 1 - s, p + s)
 
 
 def _head_zeros(orders: np.ndarray, s: complex) -> list:
@@ -399,7 +424,7 @@ def _head_sums(orders: np.ndarray, weights: np.ndarray, s, points: list) -> list
         totals = [complex(weights @ row) for row in rows]
     for i, total in enumerate(totals):
         if not cmath.isfinite(total):
-            totals[i] = sum(w * _gamma_quotient(p, points[i])
+            totals[i] = sum(w * _gamma_quotient(p, points[i])[0]
                             for w, p in zip(weights.tolist(), orders.tolist()))
     return totals
 
@@ -425,35 +450,63 @@ def _points(s) -> list:
 
 
 def _phi_pieces(plan: _TermPlan, s, order: int):
-    """Head/tail decomposition of the Gamma-quotient sum over the spectrum.
+    """The Gamma-quotient sum Phi over the spectrum, with its error.
 
     `s` is a Python complex or a 1-D complex array of points.  Returns
-    (head_values, tail_terms), one entry per point: the exact head sum, and
-    the list of successive Q_k corrections, whose last magnitude is the
-    truncation error estimate.  The s-independent half is the plan, built
-    once per spectrum: the orders, weights and matching of the claims
-    against the provider's terms, the same whichever read the terms first,
-    the residues or the fold.  Per call there is one loggamma pass over (points x orders), one array pole
-    check, one provider call and one power sum over (points x shifts z_k =
-    (2s-1+k)/2) whose Q_k is nonzero.  Each point's pieces are bit-identical
-    to its call alone.
+    (values, errors), one entry per point.  The s-independent half is the
+    plan, built once per spectrum: the orders, weights and matching of the
+    claims against the provider's terms, the same whichever read the terms
+    first, the residues or the fold.  `order` is checked whenever there is a
+    provider, on either route.
+
+    - Closed form (`gamma_ratio_sum` of the provider): Phi is the provider's
+      value plus the exact quotients of the folded terms and minus those of
+      the provider terms the claims took.  The plan reads to its match
+      window only.  The error bounds the rounding of the quotients, and of
+      zeta-hat's prefactor Gamma(s-1/2)/Gamma(s) relative to Phi, which
+      that prefactor multiplies.
+    - Otherwise the fold: the exact quotients of the folded terms and of the
+      provider terms up to _HEAD_THRESHOLD^2 that no claim took, plus the
+      remainder folded through the provider's continuation against the
+      Gamma-ratio expansion to `order`.  Per call there is one loggamma pass
+      over (points x orders), one array pole check, one provider call and
+      one power sum over (points x shifts z_k = (2s-1+k)/2) whose Q_k is
+      nonzero; the error is the magnitude of the last Q_k correction.
+
+    Each point's values and errors are bit-identical to its call alone.
     """
-    orders, weights, head_w, head_v = plan.head(_HEAD_THRESHOLD)
-    points = _points(s)
-    column = s if isinstance(s, complex) else s[:, None]
-    head_values = _head_sums(orders, weights, column, points)
-    tail_terms = [[] for _ in points]
-    provider = plan.provider
-    if provider is not None and points:
+    provider, points = plan.provider, _points(s)
+    if provider is not None:
         qs, ks = _fold_shifts(order)
+        try:
+            closed = provider.gamma_ratio_sum(s)
+        except SpecfunError as exc:
+            raise ConeError(str(exc)) from None
+        if closed is not None:
+            values, errors = ([part] if isinstance(s, complex) else part.tolist() for part in closed)
+            terms = plan.exact()
+            for i, x in enumerate(points):
+                for w, p in terms:
+                    q, rounding = _gamma_quotient(p, x)
+                    values[i] += w * q
+                    errors[i] += _EPS * abs(w * q) * rounding
+                # 0 where the prefactor is, at s = 0, -1, -2, ...
+                errors[i] += _EPS * abs(values[i]) * _gamma_ratio(x - 0.5, x)[1]
+            return values, errors
+    orders, weights, head_w, head_v = plan.head(_HEAD_THRESHOLD)
+    column = s if isinstance(s, complex) else s[:, None]
+    heads = _head_sums(orders, weights, column, points)
+    tails = [[] for _ in points]
+    if provider is not None and points:
         z = (2 * column - 1 + ks) / 2.0
         pole = provider.is_pole(z)
         if pole.any():
             raise ConeError(f"tail provider pole hit at argument {complex(z.flat[pole.argmax()])}")
         tz = provider.zeta(z) - _power_sum(head_w, head_v, z)
-        for terms, x, row in zip(tail_terms, points, [tz] if tz.ndim == 1 else tz):
+        for terms, x, row in zip(tails, points, [tz] if tz.ndim == 1 else tz):
             terms.extend(_poly_eval(qk, x) * t for qk, t in zip(qs, row.tolist()))
-    return head_values, tail_terms
+    return ([head + sum(tail) for head, tail in zip(heads, tails)],
+            [abs(tail[-1]) if tail else 0.0 for tail in tails])
 
 
 def _batch(fn, s) -> tuple:
@@ -479,7 +532,7 @@ def _batch(fn, s) -> tuple:
 
 
 def _zeta_hat_points(plans, s, order: int) -> list:
-    """zeta-hat over each fold plan of `plans` at each point of `s` (a Python
+    """zeta-hat over each plan of `plans` at each point of `s` (a Python
     complex or a 1-D complex array): per plan, the list of values and the
     list of error estimates.  The plans share each point's prefactor."""
     points = _points(s)
@@ -489,26 +542,31 @@ def _zeta_hat_points(plans, s, order: int) -> list:
     prefs = [gamma(x - 0.5) * rgamma(x) / (2.0 * SQRT_PI) for x in points]
     out = []
     for plan in plans:
-        head_values, tail_terms = _phi_pieces(plan, s, order)
-        out.append((
-            [pref * (head + sum(tail)) for pref, head, tail in zip(prefs, head_values, tail_terms)],
-            [abs(pref) * (abs(tail[-1]) if tail else 0.0) for pref, tail in zip(prefs, tail_terms)],
-        ))
+        phis, errors = _phi_pieces(plan, s, order)
+        out.append(([pref * phi for pref, phi in zip(prefs, phis)],
+                    [abs(pref) * error for pref, error in zip(prefs, errors)]))
     return out
 
 
 def zeta_hat_operator_report(spec: CrossSectionSpectrum, s, order: int = FOLD_ORDER) -> dict:
     """Regularized zeta function of the cone operator with cross-section spectrum `spec`.
 
-    Enumerated eigenvalues (and provider terms below the head threshold) are
-    summed with exact Gamma quotients; the remainder is folded through the
-    provider's continuation against the Gamma-ratio asymptotics.  Returns the
-    value plus a truncation-error estimate (magnitude of the last tail term).
-    The expansion runs to `order` (FOLD_ORDER by default), and the head to
-    _HEAD_THRESHOLD.  `s` may be an array: both are then arrays of its shape,
-    each element bit-identical to the point's call alone, and the batch
-    raises the error of its first bad point.  A non-finite s raises
-    ConeError.
+    zeta_hat(s) = Gamma(s-1/2) / (2 sqrt(pi) Gamma(s)) Phi(s), with Phi the
+    sum of w Gamma(p+1-s) / Gamma(p+s) over the Bessel orders p.  Where the
+    tail provider states Phi in closed form (`gamma_ratio_sum`: every tail
+    (a+j)^2, j >= 0, such as a Hurwitz or Riemann tail of exponent 2), the
+    value is exact: that Phi plus the exact quotients of the data, minus
+    those of the tail terms the data replace, with no fold; `order` is
+    checked but not used, and the error estimate bounds the rounding of the
+    Gamma quotients and of the prefactor.  Otherwise enumerated eigenvalues
+    (and provider terms below the head threshold _HEAD_THRESHOLD) are summed
+    with exact Gamma quotients and the remainder is folded through the
+    provider's continuation against the Gamma-ratio asymptotics to `order`
+    (FOLD_ORDER by default); the error estimate is the truncation, the
+    magnitude of the last tail term.  Returns the value and the error
+    estimate.  `s` may be an array: both are then arrays of its shape, each
+    element bit-identical to the point's call alone, and the batch raises
+    the error of its first bad point.  A non-finite s raises ConeError.
     """
     value, error = _batch(lambda x: _zeta_hat_points((spec._plan,), x, order)[0], s)
     return {"value": value, "error_estimate": error}
@@ -520,8 +578,8 @@ def zeta_hat_operator(spec: CrossSectionSpectrum, s, order: int = FOLD_ORDER):
 
 
 def gamma_zeta_hat(spec: CrossSectionSpectrum, s):
-    """Gamma(s) zeta_hat(s), folded at FOLD_ORDER; `s` may be an array, as for
-    `zeta_hat_operator`."""
+    """Gamma(s) zeta_hat(s), exact or folded at FOLD_ORDER as in
+    `zeta_hat_operator`; `s` may be an array, as there."""
     def points(x):
         g = [gamma(p) for p in _points(x)]
         (values, _), = _zeta_hat_points((spec._plan,), x, FOLD_ORDER)
@@ -685,8 +743,8 @@ class FirstOrderSpectrum:
 def eta_function_scalable(spec: FirstOrderSpectrum, s):
     """eta-hat of D = d/dx + S/x: Gamma(s) times the zeta-hat difference of D*D and DD*.
 
-    Both are folded at FOLD_ORDER.  `s` may be an array, as for
-    `zeta_hat_operator`.
+    Each is exact or folded at FOLD_ORDER as in `zeta_hat_operator`, by its
+    squared tail.  `s` may be an array, as for `zeta_hat_operator`.
     """
     squares = spec._squares
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -293,6 +294,21 @@ class TestZetaOp:
             cone.zeta_hat_operator(spec, 1.6).real, rel=1e-12
         )
         assert doc["error_estimate"] < 1e-6
+
+    def test_exponent_2_tail_below_the_fold_range(self, capsys):
+        # the default riemann tail j^2 has Gauss's closed form; the fold
+        # printed 3.1e7 here, with exit 0
+        code, out, _ = run(capsys, "zeta-op", "--in", '{"data": [], "tail": {"kind": "riemann"}}',
+                           "--s-re", "-5.3")
+        assert code == 0
+        doc = json.loads(out)
+        s = mpmath.mpf(-5.3)
+        with mpmath.workdps(30):
+            want = (mpmath.gamma(s - 0.5) * mpmath.gamma(2 - s) * mpmath.rgamma(s) ** 2
+                    / (4 * mpmath.sqrt(mpmath.pi) * (s - 1)))
+        assert doc["value_re"] == pytest.approx(float(want), rel=1e-12)
+        assert round(doc["value_re"], 2) == -827.46
+        assert abs(doc["value_im"]) <= doc["error_estimate"] < 1e-9
 
     def test_bad_tail_kind(self, capsys):
         code, _, _ = run(

@@ -418,11 +418,12 @@ class TestZetaHatOperator:
     def test_batched_fold_matches_the_per_shift_loop(self):
         # to 1e-12 relative, or, where zeta(z_k) and the head sum cancel (at
         # order 10 and s = 2.3-4i the summands reach 1e9 times the value), to
-        # a few roundings of the summands
+        # a few roundings of the summands; exponent-2 tails have a closed
+        # form and no fold, so the tails here have exponent 2.4
         hurwitz = CrossSectionSpectrum(
             data=(SpectralDatum(0.25, 1.0), SpectralDatum(3.0, 2.0), SpectralDatum(90.0, 0.5)),
-            tail=HurwitzZetaProvider(1.5, 1.0, 2.0), negative_below=0.5)
-        for spec in (circle_spectrum(), hurwitz,
+            tail=HurwitzZetaProvider(1.5, 1.0, 2.4), negative_below=0.5)
+        for spec in (CrossSectionSpectrum(data=(), tail=RiemannZetaProvider(2.0, 2.4)), hurwitz,
                      CrossSectionSpectrum(data=(), tail=PowerShiftSquaredProvider(1.0 / 3.0, 0.3))):
             for s in (0.5 + 0.3j, 0.7 + 1.1j, 1.6, 2.3 - 4.0j, 0.9 + 12.0j):
                 for order in (2, 6, 10):
@@ -984,16 +985,17 @@ class TestEta:
 
 class TestPowerShiftEtaTable:
     """The (S + 1/2)^2 and (S - 1/2)^2 tails of S = {n^gamma} share one table
-    of Hurwitz values per eta-hat evaluation."""
+    of Hurwitz values per eta-hat evaluation.  At gamma = 1 the tails have a
+    closed form and no table, so S = {n^(1/2)} here."""
 
     POINTS = (1.3 + 0.4j, np.array([[1.3 + 0.4j, 2.1 - 3.0j], [0.7 + 1.0j, 1.6]]))
 
     @staticmethod
     def spec() -> FirstOrderSpectrum:
         return FirstOrderSpectrum(
-            s_data=(SpectralDatum(0.8, 1.0),), eta_provider=RiemannZetaProvider(1.0, 1.0),
-            a_plus_tail=PowerShiftSquaredProvider(1.0, 0.5),
-            a_minus_tail=PowerShiftSquaredProvider(1.0, -0.5))
+            s_data=(SpectralDatum(0.8, 1.0),), eta_provider=RiemannZetaProvider(1.0, 0.5),
+            a_plus_tail=PowerShiftSquaredProvider(0.5, 0.5),
+            a_minus_tail=PowerShiftSquaredProvider(0.5, -0.5))
 
     def test_bit_identical_with_the_table_kept_or_cleared(self, monkeypatch):
         spec = self.spec()
@@ -1018,6 +1020,240 @@ class TestPowerShiftEtaTable:
             del calls[:]
             eta_function_scalable(spec, s)
             assert len(calls) == 1
+
+
+def _mp_quotient(p, s):
+    """Gamma(p+1-s) / Gamma(p+s) in mpmath, 0 where Gamma(p+s) has a pole."""
+    return mpmath.gamma(p + 1 - s) * mpmath.rgamma(p + s)
+
+
+def _mp_families(families, s):
+    """Gauss's sum over (w, a) families, sum w Gamma(a+1-s) / (2 (s-1) Gamma(a+s-1)),
+    and the sum of the magnitudes of its terms."""
+    terms = [mpmath.mpc(w) * mpmath.gamma(a + 1 - s) * mpmath.rgamma(a + s - 1) / (2 * (s - 1))
+             for w, a in families]
+    return mpmath.fsum(terms), mpmath.fsum(abs(x) for x in terms)
+
+
+def _mp_prefactor(s):
+    return mpmath.gamma(s - 0.5) * mpmath.rgamma(s) / (2 * mpmath.sqrt(mpmath.pi))
+
+
+def _gauss_families(provider):
+    """The (w, a) families of an exponent-2 tail."""
+    if isinstance(provider, PowerShiftSquaredProvider):
+        return [(1.0, 1.0 + provider.delta)]
+    return [(w, a) for w, a, _ in provider.families]
+
+
+class _NoClosedForm(HurwitzZetaProvider):
+    """A Hurwitz tail that states no Gamma-ratio sum, so that it is folded."""
+
+    def gamma_ratio_sum(self, s):
+        return None
+
+
+def _gauss_points(rng, n, re=(-8.0, 6.0), im=50.0, orders=()):
+    """Points with Re s in `re` and |Im s| <= im, a quarter of them real.  A
+    real point keeps 1e-3 from the integers and half-integers, and from
+    p + Z and -p + Z for each order p, where Gamma(p+1-s) has its poles and
+    1/Gamma(p+s) its zeros."""
+    out = []
+    while len(out) < n:
+        x = complex(rng.uniform(*re), rng.uniform(-im, im) if rng.random() < 0.75 else 0.0)
+        if x.imag == 0 and any(abs((x.real - c + 0.5) % 1.0 - 0.5) < 1e-3
+                               for p in (0.0, 0.5, *orders) for c in (p, -p)):
+            continue
+        out.append(x)
+    return out
+
+
+class TestGaussTail:
+    """Tails (a+j)^2, j >= 0, take Gauss's closed form of the Gamma-ratio sum:
+    Hurwitz and Riemann tails of exponent 2 and PowerShiftSquaredProvider(1, delta)."""
+
+    TAILS = (
+        HurwitzZetaProvider(0.5, 2.0, 2.0), HurwitzZetaProvider(0.8, 1.0, 2.0),
+        HurwitzZetaProvider(1.5, 0.7, 2.0), HurwitzZetaProvider(2.3, 1.0, 2.0),
+        RiemannZetaProvider(2.0, 2.0), PowerShiftSquaredProvider(1.0, 0.5),
+        PowerShiftSquaredProvider(1.0, -0.5), PowerShiftSquaredProvider(1.0, 0.3),
+        HurwitzZetaProvider(0.7, 1.0, 2.0) + HurwitzZetaProvider(1.3, -0.5, 2.0),
+    )
+
+    def test_data_free_tails_meet_mpmath(self):
+        # zeta_hat and Gamma(s) zeta_hat to 1e-12 relative, and the error
+        # estimate bounds the true error
+        rng = np.random.default_rng(16)
+        with mpmath.workdps(30):
+            for tail in self.TAILS:
+                spec = CrossSectionSpectrum(data=(), tail=tail)
+                families = _gauss_families(tail)
+                for s in _gauss_points(rng, 25, orders=[a for _, a in families]):
+                    rep = zeta_hat_operator_report(spec, s)
+                    ms = mpmath.mpc(s)
+                    want = _mp_prefactor(ms) * _mp_families(families, ms)[0]
+                    err = float(abs(mpmath.mpc(rep["value"]) - want))
+                    assert err <= 1e-12 * float(abs(want)), (families, s)
+                    assert err <= rep["error_estimate"] < 1e-10 * float(abs(want)), s
+                    got = gamma_zeta_hat(spec, s)
+                    assert abs(mpmath.mpc(got) - mpmath.gamma(ms) * want) <= 1e-12 * abs(
+                        mpmath.gamma(ms) * want), s
+                # near a zero of 1/Gamma(a+s-1) the rounding of a+s-1 rules the
+                # error, and the estimate still bounds it
+                a = families[0][1]
+                for s in (-2.0 - a + 1e-4, -6.0 - a - 1e-6, -6.0 - a + 3e-6j):
+                    rep = zeta_hat_operator_report(spec, s)
+                    ms = mpmath.mpc(s)
+                    want = _mp_prefactor(ms) * _mp_families(families, ms)[0]
+                    assert abs(mpmath.mpc(rep["value"]) - want) <= rep["error_estimate"], s
+
+    def test_data_and_negative_orders_meet_mpmath(self):
+        # a datum on a tail term replaces it, at the datum's own signed order
+        # (below negative_below) and value (within the match's 1e-9 of the
+        # term's); one off the tail adds its quotient
+        rng = np.random.default_rng(17)
+        with mpmath.workdps(30):
+            for tail in self.TAILS:
+                families = _gauss_families(tail)
+                head = tail.terms_below(30.0)
+                claimed = [head[0], head[2]]
+                data = [SpectralDatum(head[0][1], complex(head[0][0])),
+                        SpectralDatum(head[2][1] * (1 + 3e-10), complex(head[2][0]))]
+                data += [SpectralDatum(3.7, 1.5 - 0.5j), SpectralDatum(0.09, 1.0)]
+                spec = CrossSectionSpectrum(data=tuple(data), tail=tail, negative_below=0.9)
+                orders = [spec.p_of(i) for i in range(len(data))]
+                for s in _gauss_points(rng, 12, orders=[a for _, a in families] + orders):
+                    rep = zeta_hat_operator_report(spec, s)
+                    ms = mpmath.mpc(s)
+                    phi, scale = _mp_families(families, ms)
+                    extra = [mpmath.mpc(d.weight) * _mp_quotient(p, ms)
+                             for d, p in zip(data, orders)]
+                    extra += [-mpmath.mpc(w) * _mp_quotient(mpmath.sqrt(v), ms) for w, v in claimed]
+                    want = _mp_prefactor(ms) * (phi + mpmath.fsum(extra))
+                    bound = abs(_mp_prefactor(ms)) * (scale + mpmath.fsum(abs(x) for x in extra))
+                    err = float(abs(mpmath.mpc(rep["value"]) - want))
+                    assert err <= rep["error_estimate"] < 1e-10 * float(bound), (s, err)
+
+    def test_eta_meets_mpmath(self):
+        # Gamma(s) (zeta_hat((S + 1/2)^2) - zeta_hat((S - 1/2)^2)) with both
+        # squares Gauss tails; the entries the eta provider does not list add
+        # their orders |mu +/- 1/2| (mu +/- 1/2 inside (-1/2, 1/2))
+        rng = np.random.default_rng(18)
+        a = 0.7
+        # the eta provider lists 1 + a, or 2, of the entries
+        cases = [
+            (HurwitzZetaProvider(a), HurwitzZetaProvider(a + 0.5, 1.0, 2.0),
+             HurwitzZetaProvider(a - 0.5, 1.0, 2.0), 1.0 + a),
+            (RiemannZetaProvider(1.0, 1.0), PowerShiftSquaredProvider(1.0, 0.5),
+             PowerShiftSquaredProvider(1.0, -0.5), 2.0),
+        ]
+        with mpmath.workdps(30):
+            for eta, plus, minus, listed in cases:
+                for s_data in ((), (SpectralDatum(0.0, 2.0), SpectralDatum(0.3, 1.0),
+                                    SpectralDatum(-2.5, 1.0), SpectralDatum(1.0 + a, 1.0),
+                                    SpectralDatum(2.0, 1.0))):
+                    spec = FirstOrderSpectrum(s_data=s_data, eta_provider=eta,
+                                              a_plus_tail=plus, a_minus_tail=minus)
+                    free = [(d.weight, d.eigenvalue) for d in s_data if d.eigenvalue != listed]
+                    # every order is 0.2 or 0.8 modulo 1, or a multiple of 1/2
+                    for s in _gauss_points(rng, 10, orders=[0.2]):
+                        ms = mpmath.mpc(s)
+                        total, scale = mpmath.mpf(0), mpmath.mpf(0)
+                        for tail, shift, sign in ((plus, 0.5, 1), (minus, -0.5, -1)):
+                            phi, size = _mp_families(_gauss_families(tail), ms)
+                            extra = [w * _mp_quotient(abs(mu + shift) if abs(mu) >= 0.5
+                                                      else mu + shift, ms) for w, mu in free]
+                            total += sign * (phi + mpmath.fsum(extra))
+                            scale += size + mpmath.fsum(abs(x) for x in extra)
+                        pref = mpmath.gamma(ms) * _mp_prefactor(ms)
+                        got = eta_function_scalable(spec, s)
+                        assert abs(mpmath.mpc(got) - pref * total) <= 1e-12 * abs(pref) * scale, s
+
+    def test_direct_sum_at_re_s_above_two(self):
+        # mpmath's Levin-accelerated sum of Gamma(p+1-s)/Gamma(p+s) over the
+        # orders p = a + j, independent of Gauss's formula
+        rng = np.random.default_rng(19)
+        with mpmath.workdps(30):
+            for tail in (HurwitzZetaProvider(0.5, 2.0, 2.0), RiemannZetaProvider(1.0, 2.0),
+                         PowerShiftSquaredProvider(1.0, 0.3)):
+                (w, a), = _gauss_families(tail)
+                spec = CrossSectionSpectrum(data=(), tail=tail)
+                for s in _gauss_points(rng, 3, re=(2.0, 6.0), orders=[a]):
+                    ms = mpmath.mpc(s)
+                    direct = w * mpmath.nsum(lambda j: _mp_quotient(a + j, ms), [0, mpmath.inf],
+                                             method="levin")
+                    want = _mp_prefactor(ms) * direct
+                    assert abs(mpmath.mpc(zeta_hat_operator(spec, s)) - want) <= 1e-12 * abs(want)
+
+    def test_agrees_with_the_fold_where_it_claims_1e_10(self):
+        # the same tail without its closed form is folded at order 10; where
+        # the fold's estimate is below 1e-10 the two agree to 1e-10.  The
+        # estimate is the truncation only, so the fold's rounding, eps times
+        # the magnitudes it adds, joins it: where the provider's zeta and the
+        # head sum cancel, the fold misses by more (a = 1, s = 5.34 - 3.36i:
+        # estimate 3.3e-12, off by 2.5e-10; a = 0.5 at Re s > 3: estimate 0)
+        rng = np.random.default_rng(20)
+        compared = 0
+        for a in (0.5, 0.8, 1.0, 1.5, 2.3):
+            exact = CrossSectionSpectrum(data=(), tail=HurwitzZetaProvider(a, 2.0, 2.0))
+            folded = CrossSectionSpectrum(data=(), tail=_NoClosedForm(a, 2.0, 2.0))
+            points = _gauss_points(rng, 40, re=(1.2, 6.0), im=5.0, orders=[a])
+            points += _gauss_points(rng, 40, orders=[a])
+            for s in points:
+                fold = zeta_hat_operator_report(folded, s, order=10)
+                _, scale = TestZetaHatOperator._fold_per_shift(folded, s, 10)
+                if fold["error_estimate"] + 2.2e-16 * scale < 1e-10:
+                    compared += 1
+                    assert abs(zeta_hat_operator(exact, s) - fold["value"]) <= 1e-10, (a, s)
+        assert compared >= 20
+
+    def test_poles_raise_and_reciprocal_zeros_add_nothing(self):
+        for tail, a in ((HurwitzZetaProvider(1.5, 1.0, 2.0), 1.5),
+                        (RiemannZetaProvider(2.0, 2.0), 1.0),
+                        (PowerShiftSquaredProvider(1.0, 0.3), 1.3)):
+            spec = CrossSectionSpectrum(data=(), tail=tail)
+            for s in (1.0, 1.0 + 1e-9, a + 1.0, a + 2.0):
+                for fn in (zeta_hat_operator, zeta_hat_operator_report, gamma_zeta_hat):
+                    with pytest.raises(ConeError, match="pole"):
+                        fn(spec, s)
+            first = FirstOrderSpectrum(s_data=(), a_plus_tail=tail, a_minus_tail=tail)
+            with pytest.raises(ConeError, match="pole of the Gamma-ratio sum at s="):
+                eta_function_scalable(first, 1.0)
+        # a + s - 1 = 0, -1: 1/Gamma(a+s-1) vanishes, and so does the tail
+        spec = CrossSectionSpectrum(data=(), tail=HurwitzZetaProvider(1.25, 1.0, 2.0))
+        for s in (-0.25, -1.25):
+            assert zeta_hat_operator(spec, s) == 0 and gamma_zeta_hat(spec, s) == 0
+        # and s = 0, -1 are no poles: the fold raised there, at z_k = 1/2
+        for s in (0.0, -1.0):
+            assert zeta_hat_operator(circle_spectrum(), s) == 0
+
+    def test_order_is_checked_and_not_used(self):
+        spec = circle_spectrum()
+        values = {_bits(zeta_hat_operator(spec, 1.6 + 0.3j, order=k)) for k in (0, 2, 6, 10)}
+        assert len(values) == 1
+        for order in (-1, 11):
+            with pytest.raises(SpecfunError, match=r"max_order must lie in \[0, 10\]"):
+                zeta_hat_operator_report(spec, 1.6, order=order)
+
+    def test_elements_equal_their_scalar_calls(self):
+        rng = np.random.default_rng(21)
+        s = np.array(_gauss_points(rng, 9)).reshape(3, 3)
+        for tail in self.TAILS:
+            w, v = tail.terms_below(20.0)[1]
+            spec = CrossSectionSpectrum(
+                data=(SpectralDatum(v, complex(w)), SpectralDatum(0.05, 1.0)), tail=tail,
+                negative_below=0.1)
+            report = zeta_hat_operator_report(spec, s)
+            alone = [[zeta_hat_operator_report(spec, complex(x)) for x in row] for row in s]
+            assert _bits(report["value"]) == _bits([[r["value"] for r in row] for row in alone])
+            assert report["error_estimate"].tobytes() == np.array(
+                [[r["error_estimate"] for r in row] for row in alone]).tobytes()
+            assert _bits(gamma_zeta_hat(spec, s)) == _bits(
+                [[gamma_zeta_hat(spec, complex(x)) for x in row] for row in s])
+            first = FirstOrderSpectrum(s_data=(SpectralDatum(0.0, 1.0), SpectralDatum(-0.3, 2.0)),
+                                       a_plus_tail=tail, a_minus_tail=tail)
+            assert _bits(eta_function_scalable(first, s)) == _bits(
+                [[eta_function_scalable(first, complex(x)) for x in row] for row in s])
 
 
 class TestIndex:

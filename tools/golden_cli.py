@@ -61,6 +61,8 @@ EDGE_CASES = [
     (["zeta-lp", "--in", "@in"], {"p": 2.0, "s_re": 0.7, "s_im": 0.1}),
     (["zeta-op", "--in", _CIRCLE, "--s-re", "1.6"], None),
     (["zeta-op", "--in", _CIRCLE, "--s-re", "-5.3"], None),
+    # exponent 2 by default: Gauss's closed form, -827.46 (the fold printed 3.1e7)
+    (["zeta-op", "--in", '{"data": [], "tail": {"kind": "riemann"}}', "--s-re", "-5.3"], None),
     (["zeta-op", "--in", _CIRCLE, "--s-re", "nan"], None),
     (["zeta-op", "--in", _CIRCLE, "--s-re", "0.4", "--s-im", "inf"], None),
     (["zeta-op", "--in", _HURWITZ, "--s-re", "0.7", "--s-im", "1.1", "--format", "csv"], None),
