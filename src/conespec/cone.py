@@ -30,7 +30,6 @@ from .specfun import (
     _is_nonpositive_integer,
     _nonpositive_integer_mask,
     _poly_eval,
-    _power_sum,
     b_pos_fraction,
     bessel_i_scaled,
     digamma,
@@ -289,6 +288,12 @@ class _TermPlan:
             self._exact = exact
         return self._exact
 
+    @cached_property
+    def real(self) -> bool:
+        """Whether every weight is real: the folded terms' and the provider's."""
+        return (all(w.imag == 0 for w, _ in self.folded)
+                and (self.provider is None or self.provider.real_weights()))
+
     def head(self, threshold: float):
         """The fold's explicit orders and weights (the folded terms', then
         sqrt(value) and weight of each head term that no claim took) and the
@@ -453,7 +458,9 @@ def _phi_pieces(plan: _TermPlan, s, order: int):
     """The Gamma-quotient sum Phi over the spectrum, with its error.
 
     `s` is a Python complex or a 1-D complex array of points.  Returns
-    (values, errors), one entry per point.  The s-independent half is the
+    (values, errors): the values, one per point, and a function that gives
+    the list of their error estimates, so that a caller that reads only the
+    values does not pay for them.  The s-independent half is the
     plan, built once per spectrum: the orders, weights and matching of the
     claims against the provider's terms, the same whichever read the terms
     first, the residues or the fold.  `order` is checked whenever there is a
@@ -471,7 +478,12 @@ def _phi_pieces(plan: _TermPlan, s, order: int):
       Gamma-ratio expansion to `order`.  Per call there is one loggamma pass
       over (points x orders), one array pole check, one provider call and
       one power sum over (points x shifts z_k = (2s-1+k)/2) whose Q_k is
-      nonzero; the error is the magnitude of the last Q_k correction.
+      nonzero.  The error is the magnitude of the last Q_k correction plus
+      a bound on the rounding of the subtraction each correction
+      multiplies, eps sum_k |Q_k(s)| (|zeta(z_k) - head_k| + 2 sum_head
+      |w v^-z_k|), at least eps sum_k |Q_k(s)| (|zeta(z_k)| + sum_head
+      |w v^-z_k|): where the provider's zeta and the head sum cancel, that
+      rounding is the error.
 
     Each point's values and errors are bit-identical to its call alone.
     """
@@ -483,30 +495,47 @@ def _phi_pieces(plan: _TermPlan, s, order: int):
         except SpecfunError as exc:
             raise ConeError(str(exc)) from None
         if closed is not None:
-            values, errors = ([part] if isinstance(s, complex) else part.tolist() for part in closed)
+            values, bounds = ([part] if isinstance(s, complex) else part.tolist() for part in closed)
             terms = plan.exact()
             for i, x in enumerate(points):
                 for w, p in terms:
                     q, rounding = _gamma_quotient(p, x)
                     values[i] += w * q
-                    errors[i] += _EPS * abs(w * q) * rounding
+                    bounds[i] += _EPS * abs(w * q) * rounding
+
+            def closed_errors():
                 # 0 where the prefactor is, at s = 0, -1, -2, ...
-                errors[i] += _EPS * abs(values[i]) * _gamma_ratio(x - 0.5, x)[1]
-            return values, errors
+                return [bound + _EPS * abs(value) * _gamma_ratio(x - 0.5, x)[1]
+                        for bound, value, x in zip(bounds, values, points)]
+
+            return values, closed_errors
     orders, weights, head_w, head_v = plan.head(_HEAD_THRESHOLD)
     column = s if isinstance(s, complex) else s[:, None]
     heads = _head_sums(orders, weights, column, points)
+    n, folded = len(points), provider is not None and bool(points)
     tails = [[] for _ in points]
-    if provider is not None and points:
+    if folded:
         z = (2 * column - 1 + ks) / 2.0
         pole = provider.is_pole(z)
         if pole.any():
             raise ConeError(f"tail provider pole hit at argument {complex(z.flat[pole.argmax()])}")
-        tz = provider.zeta(z) - _power_sum(head_w, head_v, z)
-        for terms, x, row in zip(tails, points, [tz] if tz.ndim == 1 else tz):
-            terms.extend(_poly_eval(qk, x) * t for qk, t in zip(qs, row.tolist()))
-    return ([head + sum(tail) for head, tail in zip(heads, tails)],
-            [abs(tail[-1]) if tail else 0.0 for tail in tails])
+        # the head's v^-z, one product with its weights for the sum and, for
+        # the error, one of the magnitudes
+        powers = np.exp(np.multiply.outer(-z, np.log(head_v)))
+        rows = (provider.zeta(z) - powers @ head_w).reshape(n, -1).tolist()
+        q_at = [[_poly_eval(qk, x) for qk in qs] for x in points]
+        tails = [[q * t for q, t in zip(qx, row)] for qx, row in zip(q_at, rows)]
+
+    def fold_errors():
+        if not folded:
+            return [0.0] * n
+        sizes = (np.abs(powers) @ np.abs(head_w)).reshape(n, -1).tolist()
+        # |zeta| + size <= |zeta - head| + 2 size
+        return [abs(tail[-1]) + _EPS * sum([abs(q) * (abs(t) + 2.0 * m)
+                                            for q, t, m in zip(qx, row, size)])
+                for tail, qx, row, size in zip(tails, q_at, rows, sizes)]
+
+    return [head + sum(tail) for head, tail in zip(heads, tails)], fold_errors
 
 
 def _batch(fn, s) -> tuple:
@@ -531,10 +560,23 @@ def _batch(fn, s) -> tuple:
     raise error
 
 
+def _real_at_real(values: list, s, real: bool) -> list:
+    """The values at the points of `s` (a Python complex or a 1-D complex
+    array), with imaginary part 0.0 at each real point when the weights are
+    `real`: the k pi parts that loggamma gives at negative arguments cancel
+    there only to rounding."""
+    if not real:
+        return values
+    if isinstance(s, complex):
+        return [complex(values[0].real, 0.0)] if s.imag == 0 else values
+    return [complex(v.real, 0.0) if x.imag == 0 else v for v, x in zip(values, s.tolist())]
+
+
 def _zeta_hat_points(plans, s, order: int) -> list:
     """zeta-hat over each plan of `plans` at each point of `s` (a Python
-    complex or a 1-D complex array): per plan, the list of values and the
-    list of error estimates.  The plans share each point's prefactor."""
+    complex or a 1-D complex array): per plan, the list of values and a
+    function that gives the list of error estimates.  The plans share each
+    point's prefactor."""
     points = _points(s)
     for x in points:
         if _is_nonpositive_integer(x - 0.5):
@@ -543,9 +585,14 @@ def _zeta_hat_points(plans, s, order: int) -> list:
     out = []
     for plan in plans:
         phis, errors = _phi_pieces(plan, s, order)
-        out.append(([pref * phi for pref, phi in zip(prefs, phis)],
-                    [abs(pref) * error for pref, error in zip(prefs, errors)]))
+        out.append(([pref * phi for pref, phi in zip(prefs, phis)], _scaled(prefs, errors)))
     return out
+
+
+def _scaled(prefs: list, errors):
+    """The error function of zeta-hat from that of Phi: |prefactor| times
+    each estimate."""
+    return lambda: [abs(pref) * error for pref, error in zip(prefs, errors())]
 
 
 def zeta_hat_operator_report(spec: CrossSectionSpectrum, s, order: int = FOLD_ORDER) -> dict:
@@ -563,27 +610,38 @@ def zeta_hat_operator_report(spec: CrossSectionSpectrum, s, order: int = FOLD_OR
     with exact Gamma quotients and the remainder is folded through the
     provider's continuation against the Gamma-ratio asymptotics to `order`
     (FOLD_ORDER by default); the error estimate is the truncation, the
-    magnitude of the last tail term.  Returns the value and the error
+    magnitude of the last tail term, plus the rounding of the provider's
+    value minus the head it folds.  At a real s with real weights (data and
+    tail) the value is real.  Returns the value and the error
     estimate.  `s` may be an array: both are then arrays of its shape, each
     element bit-identical to the point's call alone, and the batch raises
     the error of its first bad point.  A non-finite s raises ConeError.
     """
-    value, error = _batch(lambda x: _zeta_hat_points((spec._plan,), x, order)[0], s)
+    def points(x):
+        values, errors = _zeta_hat_points((spec._plan,), x, order)[0]
+        return _real_at_real(values, x, spec._plan.real), errors()
+
+    value, error = _batch(points, s)
     return {"value": value, "error_estimate": error}
 
 
 def zeta_hat_operator(spec: CrossSectionSpectrum, s, order: int = FOLD_ORDER):
-    """The value of `zeta_hat_operator_report`."""
-    return zeta_hat_operator_report(spec, s, order)["value"]
+    """The value of `zeta_hat_operator_report`, without its error estimate."""
+    def points(x):
+        (values, _), = _zeta_hat_points((spec._plan,), x, order)
+        return (_real_at_real(values, x, spec._plan.real),)
+
+    return _batch(points, s)[0]
 
 
 def gamma_zeta_hat(spec: CrossSectionSpectrum, s):
     """Gamma(s) zeta_hat(s), exact or folded at FOLD_ORDER as in
-    `zeta_hat_operator`; `s` may be an array, as there."""
+    `zeta_hat_operator`, and real at a real s with real weights; `s` may be
+    an array, as there."""
     def points(x):
         g = [gamma(p) for p in _points(x)]
         (values, _), = _zeta_hat_points((spec._plan,), x, FOLD_ORDER)
-        return ([gp * zp for gp, zp in zip(g, values)],)
+        return (_real_at_real([gp * zp for gp, zp in zip(g, values)], x, spec._plan.real),)
 
     return _batch(points, s)[0]
 
@@ -744,13 +802,15 @@ def eta_function_scalable(spec: FirstOrderSpectrum, s):
     """eta-hat of D = d/dx + S/x: Gamma(s) times the zeta-hat difference of D*D and DD*.
 
     Each is exact or folded at FOLD_ORDER as in `zeta_hat_operator`, by its
-    squared tail.  `s` may be an array, as for `zeta_hat_operator`.
+    squared tail.  At a real s with real weights the value is real.  `s` may
+    be an array, as for `zeta_hat_operator`.
     """
     squares = spec._squares
 
     def points(x):
         (plus, _), (minus, _) = _zeta_hat_points(squares, x, FOLD_ORDER)
-        return ([gamma(p) * (a - b) for p, a, b in zip(_points(x), plus, minus)],)
+        return (_real_at_real([gamma(p) * (a - b) for p, a, b in zip(_points(x), plus, minus)],
+                              x, all(plan.real for plan in squares)),)
 
     return _batch(points, s)[0]
 

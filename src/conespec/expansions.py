@@ -37,16 +37,32 @@ compactly supported leaf that states no derivative of its own.
 their values only) state none.  The algebra builds each derivative out of
 itself: sum, scaling, the chain rule for dilation and power substitution,
 and the product rule for a monomial factor.
+
+A function may state its Mellin transform Mf(z) = integral_0^inf x^(z-1)
+f(x) dx in closed form, continued to its strip, the way it states its
+derivative; `mellin` then takes the value there instead of the term sum
+and the remainder quadrature.  e^-x states Gamma(z) and e^-x^2
+Gamma(z/2)/2 (DLMF 5.2.1), each derivative of theirs
+M[f'](z) = -(z-1) Mf(z-1), and the global monomial 0.  The algebra carries
+it: c Mf for a scaling, Mf + Mg for a sum of two that state one,
+lam^-z Mf(z) for a dilation, Mf(z+beta) for a factor x^beta (none with a
+log factor) and Mf(z/sigma)/|sigma| for x -> x^sigma.  The cutoff, step
+and restricted monomials, the compactly supported slopes and sal's test
+functions state none.  For a float z and real coefficients the value is a
+float, from the real Gamma; otherwise it is exp(log Gamma) and
+exp(-z log lam).
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
+from scipy.special import gamma, loggamma
 
 EXPONENT_TOL = 1e-12
 
@@ -303,7 +319,10 @@ class ExpandableFunction:
     each endpoint, each with the interval where it lives.  `derivative`, when
     the function states one, builds f' as an ExpandableFunction; it is
     called on demand, since a chain of derivatives (e^-x's) need not end.
-    `differentiate` refuses a function that states none.
+    `differentiate` refuses a function that states none.  `mellin`, when
+    the function states it, is its Mellin transform in closed form, the
+    continuation of Mf to the strip 1 - p < Re z < 1 + q (see the module
+    docstring).
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -312,6 +331,7 @@ class ExpandableFunction:
     remainder_zero: Remainder
     remainder_infinity: Remainder
     derivative: Optional[Callable[[], "ExpandableFunction"]] = None
+    mellin: Optional[Callable[[complex], complex]] = None
 
     def __post_init__(self):
         if self.expansion_at_zero.location is not Location.AT_ZERO:
@@ -404,6 +424,27 @@ def _stated(derivative: Callable[[], ExpandableFunction],
     return derivative if all(g.derivative is not None for g in operands) else None
 
 
+def _transform(mellin: Callable[[complex], complex],
+               *operands: ExpandableFunction) -> Optional[Callable[[complex], complex]]:
+    """The Mellin transform of a result, when every operand states its own."""
+    return mellin if all(g.mellin is not None for g in operands) else None
+
+
+def _real(c: complex):
+    """c as a float when its imaginary part is 0, so that a real closed form
+    stays real."""
+    c = complex(c)
+    return c.real if c.imag == 0 else c
+
+
+def _gamma(z):
+    """Gamma(z) off its poles: the real Gamma for a float z, exp(log Gamma z)
+    for a complex one."""
+    if isinstance(z, complex):
+        return cmath.exp(complex(loggamma(z)))
+    return float(gamma(z))
+
+
 def add_functions(f: ExpandableFunction, g: ExpandableFunction) -> ExpandableFunction:
     """f + g; the remainders add, together with the terms `add` absorbs."""
     fe, ge = f.evaluator, g.evaluator
@@ -416,6 +457,7 @@ def add_functions(f: ExpandableFunction, g: ExpandableFunction) -> ExpandableFun
         _sum_remainders(f.remainder_zero, g.remainder_zero, _terms_remainder(absorbed0)),
         _sum_remainders(f.remainder_infinity, g.remainder_infinity, _terms_remainder(absorbed_i)),
         _stated(lambda: add_functions(differentiate(f), differentiate(g)), f, g),
+        _transform(lambda z: f.mellin(z) + g.mellin(z), f, g),
     )
 
 
@@ -430,7 +472,7 @@ def _transformed(r: Remainder, fn: Callable[[np.ndarray], np.ndarray],
 
 def scale_function(f: ExpandableFunction, c: complex) -> ExpandableFunction:
     """c f, with the remainders scaled."""
-    fe = f.evaluator
+    fe, cm = f.evaluator, _real(c)
 
     def scale_exp(e: AsymptoticExpansion) -> AsymptoticExpansion:
         return AsymptoticExpansion(
@@ -450,6 +492,7 @@ def scale_function(f: ExpandableFunction, c: complex) -> ExpandableFunction:
         scale_rem(f.remainder_zero),
         scale_rem(f.remainder_infinity),
         _stated(lambda: scale_function(differentiate(f), c), f),
+        _transform(lambda z: cm * f.mellin(z), f),
     )
 
 
@@ -460,7 +503,8 @@ def substitute_power(f: ExpandableFunction, sigma: float) -> ExpandableFunction:
     exactly, so the remainders are r(x**sigma) on the preimages of their
     supports, plus the mapped terms that the order |sigma| p (or |sigma| q)
     absorbs; for sigma < 0 the endpoints swap roles.  The derivative is the
-    chain rule, sigma x**(sigma-1) f'(x**sigma).
+    chain rule, sigma x**(sigma-1) f'(x**sigma), and the Mellin transform
+    Mf(z/sigma)/|sigma|.
     """
     if sigma == 0:
         raise ValueError("sigma must be nonzero")
@@ -488,6 +532,7 @@ def substitute_power(f: ExpandableFunction, sigma: float) -> ExpandableFunction:
         lambda x: fe(x**sigma), e0, ei, r0, ri,
         _stated(lambda: scale_function(
             times_monomial(substitute_power(differentiate(f), sigma), sigma - 1), sigma), f),
+        _transform(lambda z: f.mellin(z / sigma) / abs(sigma), f),
     )
 
 
@@ -540,12 +585,13 @@ def times_monomial(f: ExpandableFunction, beta: complex, k: int = 0) -> Expandab
 
     The remainders take the same factor, as the stored terms' complex power,
     plus the shifted terms the new remainder order absorbs.  The derivative
-    is the product rule.
+    is the product rule; the Mellin transform is Mf(z+beta) without a log
+    factor (k = 0), and none with one.
     """
     b = complex(beta)
     if b == 0 and k == 0:
         return f
-    fe = f.evaluator
+    fe, shift = f.evaluator, _real(b)
 
     def ev(x: np.ndarray) -> np.ndarray:
         return _monomial(x, b, k) * fe(x)
@@ -559,7 +605,8 @@ def times_monomial(f: ExpandableFunction, beta: complex, k: int = 0) -> Expandab
     e0, r0 = side(f.expansion_at_zero, f.remainder_zero)
     ei, ri = side(f.expansion_at_infinity, f.remainder_infinity)
     return ExpandableFunction(ev, e0, ei, r0, ri, _stated(lambda: _monomial_rule(
-        times_monomial(differentiate(f), b, k), lambda c, j: times_monomial(f, c, j), b, k), f))
+        times_monomial(differentiate(f), b, k), lambda c, j: times_monomial(f, c, j), b, k), f),
+        None if k else _transform(lambda z: f.mellin(z + shift), f))
 
 
 def rescale_argument(f: ExpandableFunction, lam: float) -> ExpandableFunction:
@@ -568,7 +615,7 @@ def rescale_argument(f: ExpandableFunction, lam: float) -> ExpandableFunction:
     a (lam x)**alpha log**k(lam x) expands binomially over
     log(lam x) = log lam + log x, exactly, so the remainders are r(lam x) on
     their supports divided by lam.  The derivative is the chain rule,
-    lam f'(lam x).
+    lam f'(lam x), and the Mellin transform lam^-z Mf(z).
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -600,6 +647,8 @@ def rescale_argument(f: ExpandableFunction, lam: float) -> ExpandableFunction:
         rescale_rem(f.remainder_zero),
         rescale_rem(f.remainder_infinity),
         _stated(lambda: scale_function(rescale_argument(differentiate(f), lam), lam), f),
+        _transform(lambda z: (cmath.exp(-z * ll) if isinstance(z, complex) else math.exp(-z * ll))
+                   * f.mellin(z), f),
     )
 
 
@@ -614,7 +663,8 @@ def global_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
     Being exact, they declare the remainder orders Re alpha + 1 + 8 at 0 and
     -Re alpha - 1 + 8 at infinity.  Its derivative is
     alpha x**(alpha-1) log**k x + k x**(alpha-1) log**(k-1) x (a zero
-    function for alpha = k = 0).
+    function for alpha = k = 0), and its Mellin transform 0: the two sides'
+    continued integrals cancel.
     """
     a = complex(alpha)
 
@@ -635,6 +685,7 @@ def global_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
         _ZERO_REMAINDER,
         _ZERO_REMAINDER,
         derivative,
+        lambda z: 0.0,
     )
 
 
@@ -674,11 +725,12 @@ def monomial_restricted(
 
 def _taylor_leaf(f: Callable[[np.ndarray], np.ndarray], terms: tuple[LogPowerTerm, ...],
                  order: float,
-                 nth_derivative: Optional[Callable[[int], Callable[[np.ndarray], np.ndarray]]]
-                 ) -> ExpandableFunction:
+                 nth_derivative: Optional[Callable[[int], Callable[[np.ndarray], np.ndarray]]],
+                 mellin: Optional[Callable[[complex], complex]]) -> ExpandableFunction:
     """f with Taylor terms of remainder order `order` at 0 and an empty
     expansion at infinity; nth_derivative(n) is the closed form of f's n-th
-    derivative, or None for a leaf that states no derivative.
+    derivative, or None for a leaf that states no derivative, and `mellin`
+    f's Mellin transform, or None for a leaf that states none.
 
     The zero-side remainder is f minus the terms on [x0, inf) and 0 below
     x0, where the first omitted order falls under rounding:
@@ -686,10 +738,11 @@ def _taylor_leaf(f: Callable[[np.ndarray], np.ndarray], terms: tuple[LogPowerTer
     it is an alternating series bounded by its first term, so below x0 it is
     under one ulp of the first term.  The remainder at infinity is f.  Each
     derivative is the same kind of leaf: the closed form, with the termwise
-    derivative of both expansions and the x0 of its own terms.
+    derivative of both expansions and the x0 of its own terms, and the
+    Mellin transform -(z-1) M(z-1) of its parent's M.
     """
     def leaf(g: Callable[[np.ndarray], np.ndarray], e0: AsymptoticExpansion, ei: AsymptoticExpansion,
-             n: int) -> ExpandableFunction:
+             n: int, m: Optional[Callable[[complex], complex]]) -> ExpandableFunction:
         x0 = 0.0
         if e0.terms:
             first, last = e0.terms[0], e0.terms[-1]
@@ -703,21 +756,24 @@ def _taylor_leaf(f: Callable[[np.ndarray], np.ndarray], terms: tuple[LogPowerTer
             Remainder(g),
             None if nth_derivative is None else lambda: leaf(
                 nth_derivative(n + 1), _differentiate_expansion(e0),
-                _differentiate_expansion(ei), n + 1),
+                _differentiate_expansion(ei), n + 1,
+                None if m is None else lambda z: -(z - 1) * m(z - 1)),
+            m,
         )
 
     return leaf(f, AsymptoticExpansion(Location.AT_ZERO, terms, order),
-                empty_expansion(Location.AT_INFINITY, _EMPTY_ORDER), 0)
+                empty_expansion(Location.AT_INFINITY, _EMPTY_ORDER), 0, mellin)
 
 
 def exponential_decay(taylor_order: int = 12) -> ExpandableFunction:
-    """e^{-x} with its Taylor expansion at 0 and empty expansion at infinity."""
+    """e^{-x} with its Taylor expansion at 0 and empty expansion at infinity;
+    its Mellin transform is Gamma(z)."""
     terms = tuple(
         LogPowerTerm((-1.0) ** j / math.factorial(j), complex(j), 0)
         for j in range(taylor_order)
     )
     return _taylor_leaf(lambda x: np.exp(-x), terms, float(taylor_order),
-                        lambda n: lambda x: (-1.0) ** n * np.exp(-x))
+                        lambda n: lambda x: (-1.0) ** n * np.exp(-x), _gamma)
 
 
 def _hermite(n: int, x: np.ndarray) -> np.ndarray:
@@ -730,13 +786,14 @@ def _hermite(n: int, x: np.ndarray) -> np.ndarray:
 
 def gaussian_decay(taylor_order: int = 12) -> ExpandableFunction:
     """e^{-x^2} with its Taylor expansion at 0; its n-th derivative is
-    (-1)**n H_n(x) e^{-x^2}."""
+    (-1)**n H_n(x) e^{-x^2}, and its Mellin transform Gamma(z/2)/2."""
     terms = tuple(
         LogPowerTerm((-1.0) ** m / math.factorial(m), complex(2 * m), 0)
         for m in range(taylor_order // 2 + 1)
     )
     return _taylor_leaf(lambda x: np.exp(-(x**2)), terms, float(2 * (taylor_order // 2) + 2),
-                        lambda n: lambda x: (-1.0) ** n * _hermite(n, x) * np.exp(-(x**2)))
+                        lambda n: lambda x: (-1.0) ** n * _hermite(n, x) * np.exp(-(x**2)),
+                        lambda z: _gamma(z / 2) / 2)
 
 
 def _step_pair(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,14 @@ part of its block where it sits on the pole) plus the remainder quadrature.
 So the partial integrals over [0, c] and [c, inf) add up to the regularized
 integral with cut c.  One tolerance, POLE_TOL = 1e-8, decides that a point is
 on a pole, for the evaluator's guard, the pole ledger and the term sum.
+
+A function that states its Mellin transform in closed form (`f.mellin`: the
+exponential and Gaussian leaves and what the algebra builds from them and
+from global monomials) takes it over both sides at every z that lies more
+than POLE_TOL from the pole -alpha of each stored term, with neither term
+sum nor quadrature: off the poles the continuation does not depend on the
+cut.  Partial integrals, points on or near a pole (a cancelled one too)
+and functions that state no transform keep the term sum and quadrature.
 """
 
 from __future__ import annotations
@@ -387,12 +395,33 @@ def _remainder_integral(f: ExpandableFunction, z: complex, c: float, side: Side,
     return c**z * quad(lambda u: weighted(u, c / u, -z - 1), c / hi, c / lo)[0]
 
 
+def _closed_form(f: ExpandableFunction, z: complex) -> Optional[complex]:
+    """f's stated Mf at z, when f states one and z lies more than POLE_TOL
+    from the pole -alpha of every stored term; else None.  A real z is
+    passed as a float, so that a real closed form stays real.
+    MellinError for a value that is not finite."""
+    if f.mellin is None:
+        return None
+    for t in f.expansion_at_zero.terms + f.expansion_at_infinity.terms:
+        if abs(z + t.exponent) <= POLE_TOL:
+            return None
+    value = complex(f.mellin(z.real if z.imag == 0 else z))
+    if not cmath.isfinite(value):
+        raise MellinError(f"closed-form Mellin transform at z={z} is not finite")
+    return value
+
+
 def _regular_value(f: ExpandableFunction, z: complex, c: float, sides=tuple(Side)) -> complex:
     """Constant Laurent coefficient at z of the Mellin integral of f over `sides`.
 
-    Over both sides this is Mf at z (cut c) off its poles; one side is the
-    partial transform over [0, c] or [c, inf).
+    Over both sides this is Mf at z (cut c) off its poles, the closed form
+    where f states one (see `_closed_form`); one side is the partial
+    transform over [0, c] or [c, inf).
     """
+    if len(sides) == len(Side):
+        value = _closed_form(f, complex(z))
+        if value is not None:
+            return value
     remainder = sum(_remainder_integral(f, z, c, side, None) for side in sides)
     return _term_sum(_signed_terms(f, sides), z, c) + remainder
 
@@ -484,25 +513,33 @@ def regularized_moments(f: ExpandableFunction, monomials) -> np.ndarray:
     cut at 1, for each (beta, k) of `monomials`: the values of
     regularized_integral(times_monomial(f, beta, k)), as a complex array.
 
-    The remainder integrals of all the moments come from one quadrature per
-    side of the cut, over a block of one column per moment, so f's
-    remainders are evaluated once per node.  Each moment's term part is
-    exact: the term sum of f's terms shifted by (beta, k), with the ones its
-    remainder order absorbs, which times_monomial would leave to quadrature.
-    MellinError where a shifted remainder order is not positive.
+    A moment (beta, 0) of a function that states its Mellin transform is
+    Mf(1 + beta) where 1 + beta is off the terms' poles (see
+    `_closed_form`).  The remainder integrals of the other moments come from
+    one quadrature per side of the cut, over a block of one column per
+    moment, so f's remainders are evaluated once per node; there is none if
+    no moment is left.  Each such moment's term part is exact: the term sum
+    of f's terms shifted by (beta, k), with the ones its remainder order
+    absorbs, which times_monomial would leave to quadrature.  MellinError
+    where a shifted remainder order is not positive, on either route.
     """
-    if not monomials:
-        return np.zeros(0, dtype=complex)
-    terms = []
+    values, rest, terms = [], [], []
     for beta, k in monomials:
         e0, absorbed0 = _times_monomial(f.expansion_at_zero, beta, k)
         ei, absorbed_i = _times_monomial(f.expansion_at_infinity, beta, k)
         if e0.remainder_order <= 0 or ei.remainder_order <= 0:
             raise MellinError("need positive remainder orders p, q at both endpoints")
-        terms.append([(1.0, t) for t in e0.terms + absorbed0]
-                     + [(-1.0, t) for t in ei.terms + absorbed_i])
-    remainder = sum(_remainder_integral(f, 1.0, 1.0, side, monomials) for side in Side)
-    return np.array([_term_sum(signed, 1.0, 1.0) for signed in terms]) + remainder
+        values.append(None if k else _closed_form(f, 1.0 + complex(beta)))
+        if values[-1] is None:
+            rest.append((beta, k))
+            terms.append([(1.0, t) for t in e0.terms + absorbed0]
+                         + [(-1.0, t) for t in ei.terms + absorbed_i])
+    if rest:
+        remainder = sum(_remainder_integral(f, 1.0, 1.0, side, rest) for side in Side)
+        quadrature = iter((np.array([_term_sum(signed, 1.0, 1.0) for signed in terms])
+                           + remainder).tolist())
+        values = [next(quadrature) if v is None else v for v in values]
+    return np.array(values, dtype=complex)
 
 
 def regularized_limit(f: ExpandableFunction, at: Location) -> complex:

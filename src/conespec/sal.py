@@ -53,7 +53,8 @@ def TestFunction(evaluator: Callable[[float], float],
     """phi from a scalar callable and its jet, derivatives_at_zero[j] =
     phi^(j)(0): the Taylor leaf of order len(derivatives_at_zero) that the
     engines take, whose evaluator maps the scalar callable over the points
-    of an array.  Only phi's values are known, so it states no derivative.
+    of an array.  Only phi's values are known, so it states no derivative
+    and no Mellin transform.
 
     It exists for callers that hold phi as a scalar callable (the benchmark
     tasks), and goes once they build expandable leaves such as
@@ -66,7 +67,7 @@ def TestFunction(evaluator: Callable[[float], float],
     def mapped(x: np.ndarray) -> np.ndarray:
         return np.array([evaluator(v) for v in x.tolist()], dtype=float)
 
-    return _taylor_leaf(mapped, terms, float(len(derivatives_at_zero)), None)
+    return _taylor_leaf(mapped, terms, float(len(derivatives_at_zero)), None, None)
 
 
 def _check_phi(phi: ExpandableFunction) -> None:

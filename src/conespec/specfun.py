@@ -712,22 +712,13 @@ def _gauss_sum(families, s):
     return np.array(values).reshape(shape), np.array(errors).reshape(shape)
 
 
-def _power_sum(weights: np.ndarray, values: np.ndarray, s):
-    """sum_j w_j v_j^-s over arrays of weights and values v_j > 0, as one
-    product of the matrix exp(-s log v_j) with the weights.  `s` may be an
-    array; scalars give a complex."""
-    s = np.asarray(s, dtype=complex)
-    if not len(values):
-        return 0.0 + 0.0j if s.ndim == 0 else np.zeros(s.shape, dtype=complex)
-    out = np.exp(np.multiply.outer(-s, np.log(values))) @ weights
-    return complex(out) if out.ndim == 0 else out
-
-
 class DirichletSeriesProvider:
     """zeta(s) = sum_j a_j nu_j^-s with an explicit meromorphic continuation.
 
     Subclasses implement `zeta`, `term_iter`, `residue_at` and `value_at`,
-    and list their poles in `pole_locations` (none by default).
+    list their poles in `pole_locations` (none by default) and say in
+    `real_weights` whether every a_j is real (not by default), which makes
+    the cone's zeta-hat and eta-hat real at a real s.
     """
 
     def zeta(self, s):
@@ -751,6 +742,10 @@ class DirichletSeriesProvider:
 
     def pole_locations(self) -> tuple[complex, ...]:
         return ()
+
+    def real_weights(self) -> bool:
+        """Whether every weight a_j is real; False unless the provider says so."""
+        return False
 
     # pole_locations(), built once by is_pole, and as an array for arrays of s
     _poles = _pole_array = None
@@ -832,6 +827,9 @@ class HurwitzZetaProvider(DirichletSeriesProvider):
 
     def pole_locations(self):
         return tuple(dict.fromkeys(complex(1.0 / e) for _, _, e in self.families))
+
+    def real_weights(self):
+        return all(complex(w).imag == 0 for w, _, _ in self.families)
 
     def residue_at(self, s0):
         on_pole = [w / e for w, _, e in self.families if abs(complex(s0) - 1.0 / e) <= _AT_POLE]
@@ -937,6 +935,9 @@ class PowerShiftSquaredProvider(DirichletSeriesProvider):
         while True:
             yield (1.0, (float(n) ** self.gamma_pow + self.delta) ** 2)
             n += 1
+
+    def real_weights(self):
+        return True
 
     def gamma_ratio_sum(self, s):
         """At gamma = 1 the terms are (n + delta)^2, n >= 1: Gauss's sum of

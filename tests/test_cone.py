@@ -1256,6 +1256,86 @@ class TestGaussTail:
                 [[eta_function_scalable(first, complex(x)) for x in row] for row in s])
 
 
+class TestRealValuesAtRealPoints:
+    # at a real s with real weights the k pi parts that loggamma gives at
+    # negative arguments cancel only to rounding: a residue of 6.1e-13 on
+    # the closed form below, 1.3e-17 on the fold and 5.2e-16 on eta; the
+    # value is real, as zeta_hat_lp's is
+    POWER = FirstOrderSpectrum(
+        s_data=(SpectralDatum(0.0, 1.0), SpectralDatum(0.3, 2.0)),
+        eta_provider=RiemannZetaProvider(1.0, 1.0),
+        a_plus_tail=PowerShiftSquaredProvider(1.0, 0.5),
+        a_minus_tail=PowerShiftSquaredProvider(1.0, -0.5))
+
+    @staticmethod
+    def _spectra():
+        return (CrossSectionSpectrum(data=(), tail=RiemannZetaProvider(1.0, 2.0)),
+                CrossSectionSpectrum(data=(SpectralDatum(1.0, 1.0),),
+                                     tail=HurwitzZetaProvider(0.5, 2.0, 2.4)),
+                CrossSectionSpectrum(data=(SpectralDatum(2.0, 1.0), SpectralDatum(0.5, 3.0))))
+
+    def test_real_weights_give_real_values(self):
+        points = (-5.3, -1.3, 0.7, 1.7, 4.2)
+        for spec in self._spectra():
+            for s in points:
+                assert zeta_hat_operator(spec, s).imag == 0.0
+                assert gamma_zeta_hat(spec, s).imag == 0.0
+        for s in points:
+            assert eta_function_scalable(self.POWER, s).imag == 0.0
+        # the closed form's value meets mpmath (its residue was 6.1e-13)
+        got = zeta_hat_operator(self._spectra()[0], -5.3)
+        with mpmath.workdps(30):
+            ms = mpmath.mpf(-5.3)
+            want = _mp_prefactor(ms) * _mp_families([(1.0, 1.0)], ms)[0]
+        assert abs(got - complex(want)) <= 1e-12 * abs(complex(want))
+
+    def test_only_real_points_of_a_batch_move(self):
+        s = np.array([-1.3, 0.7 + 1.0j, -5.3 - 0.0j, 2.2 + 1e-3j])
+        for spec in self._spectra():
+            batch = zeta_hat_operator(spec, s)
+            assert batch[0].imag == 0.0 and batch[2].imag == 0.0
+            for x, v in zip(s, batch):
+                assert v == zeta_hat_operator(spec, complex(x))
+            assert batch[1].imag != 0.0 and batch[3].imag != 0.0
+        batch = eta_function_scalable(self.POWER, s)
+        assert batch[0].imag == 0.0 and batch[2].imag == 0.0 and batch[1].imag != 0.0
+
+    def test_a_complex_weight_keeps_its_imaginary_part(self):
+        for tail in (None, HurwitzZetaProvider(0.5, 2.0 + 1.0j, 2.4),
+                     HurwitzZetaProvider(1.5, 1.0, 2.0) + HurwitzZetaProvider(2.5, 1.0j, 2.0)):
+            weight = 1.0 if tail is not None else 1.0 - 0.5j
+            spec = CrossSectionSpectrum(data=(SpectralDatum(1.0, weight),), tail=tail)
+            assert abs(zeta_hat_operator(spec, 1.7).imag) > 1e-3
+
+
+class TestFoldRounding:
+    # where the provider's zeta and the head sum cancel, the fold's
+    # subtraction leaves its rounding, eps sum_k |Q_k| (|zeta| + the head's
+    # magnitudes), as the error: its estimate was 0.0 here, on an error of
+    # 9.8e-4
+    @pytest.mark.parametrize("s", [5.3 + 2j, 4.1 - 1.5j, 6.2])
+    def test_estimate_covers_the_error_where_the_tail_cancels(self, s):
+        spec = CrossSectionSpectrum(data=(), tail=HurwitzZetaProvider(0.5, 2.0, 2.4))
+        rep = zeta_hat_operator_report(spec, s, order=10)
+        with mpmath.workdps(30):
+            ms = mpmath.mpc(s)
+            direct = 2 * mpmath.nsum(lambda j: _mp_quotient((0.5 + j) ** 1.2, ms),
+                                     [0, mpmath.inf], method="levin")
+            want = _mp_prefactor(ms) * direct
+        assert float(abs(mpmath.mpc(rep["value"]) - want)) <= rep["error_estimate"], s
+
+    def test_estimate_covers_the_error_of_a_folded_gauss_tail(self):
+        # the exponent-2 tail without its closed form, against Gauss's sum
+        # (the estimate was 3.3e-12 on an error of 2.5e-10 at a = 1)
+        for a, s in ((1.0, 5.34 - 3.36j), (0.5, 3.7 + 0.4j), (0.5, 5.5 - 2j)):
+            spec = CrossSectionSpectrum(data=(), tail=_NoClosedForm(a, 2.0, 2.0))
+            rep = zeta_hat_operator_report(spec, s, order=10)
+            with mpmath.workdps(30):
+                ms = mpmath.mpc(s)
+                want = _mp_prefactor(ms) * _mp_families([(2.0, a)], ms)[0]
+            assert float(abs(mpmath.mpc(rep["value"]) - want)) <= rep["error_estimate"], (a, s)
+
+
 class TestIndex:
     def test_shifted_integer_index(self):
         # spectrum Z + 1/4: eta(0) = 1/2, no kernel, no small negatives

@@ -112,6 +112,9 @@ EDGE_CASES = [
     (["sal-expand", "--in", '{"families": [{"alpha": -1.0}], "order": 40}'], None),
     (["sal-expand", "--in", '{"families": [{"alpha": -1.0}]}', "--order", "7"], None),
     (["sal-expand", "--in", '{"families": []}'], None),
+    # the boundary moment x^-1.5 e^-x^2 is Gamma(-1/4)/2, a real closed form
+    (["sal-expand", "--in", '{"phi": "gauss", "families": [{"alpha": -1.5, "k": 0}], "order": 3}'],
+     None),
     (["sal-expand", "--in", '{"families": [{"alpha": -1.0, "k": "1"}], "order": 3}'], None),
     # malformed payloads: each is an input error that names its field
     (["zeta-lp", "--in", '{"p": "0.5"}'], None),
