@@ -454,13 +454,13 @@ def _points(s) -> list:
     return points
 
 
-def _phi_pieces(plan: _TermPlan, s, order: int):
+def _phi_pieces(plan: _TermPlan, s, order: int, estimate: bool):
     """The Gamma-quotient sum Phi over the spectrum, with its error.
 
     `s` is a Python complex or a 1-D complex array of points.  Returns
-    (values, errors): the values, one per point, and a function that gives
-    the list of their error estimates, so that a caller that reads only the
-    values does not pay for them.  The s-independent half is the
+    (values, errors), one entry per point; errors is None unless `estimate`
+    is set, so that a caller that reads only the values does not pay for
+    them.  The s-independent half is the
     plan, built once per spectrum: the orders, weights and matching of the
     claims against the provider's terms, the same whichever read the terms
     first, the residues or the fold.  `order` is checked whenever there is a
@@ -502,13 +502,11 @@ def _phi_pieces(plan: _TermPlan, s, order: int):
                     q, rounding = _gamma_quotient(p, x)
                     values[i] += w * q
                     bounds[i] += _EPS * abs(w * q) * rounding
-
-            def closed_errors():
-                # 0 where the prefactor is, at s = 0, -1, -2, ...
-                return [bound + _EPS * abs(value) * _gamma_ratio(x - 0.5, x)[1]
-                        for bound, value, x in zip(bounds, values, points)]
-
-            return values, closed_errors
+            if not estimate:
+                return values, None
+            # 0 where the prefactor is, at s = 0, -1, -2, ...
+            return values, [bound + _EPS * abs(value) * _gamma_ratio(x - 0.5, x)[1]
+                            for bound, value, x in zip(bounds, values, points)]
     orders, weights, head_w, head_v = plan.head(_HEAD_THRESHOLD)
     column = s if isinstance(s, complex) else s[:, None]
     heads = _head_sums(orders, weights, column, points)
@@ -525,17 +523,16 @@ def _phi_pieces(plan: _TermPlan, s, order: int):
         rows = (provider.zeta(z) - powers @ head_w).reshape(n, -1).tolist()
         q_at = [[_poly_eval(qk, x) for qk in qs] for x in points]
         tails = [[q * t for q, t in zip(qx, row)] for qx, row in zip(q_at, rows)]
-
-    def fold_errors():
-        if not folded:
-            return [0.0] * n
-        sizes = (np.abs(powers) @ np.abs(head_w)).reshape(n, -1).tolist()
-        # |zeta| + size <= |zeta - head| + 2 size
-        return [abs(tail[-1]) + _EPS * sum([abs(q) * (abs(t) + 2.0 * m)
-                                            for q, t, m in zip(qx, row, size)])
-                for tail, qx, row, size in zip(tails, q_at, rows, sizes)]
-
-    return [head + sum(tail) for head, tail in zip(heads, tails)], fold_errors
+    values = [head + sum(tail) for head, tail in zip(heads, tails)]
+    if not estimate:
+        return values, None
+    if not folded:
+        return values, [0.0] * n
+    sizes = (np.abs(powers) @ np.abs(head_w)).reshape(n, -1).tolist()
+    # |zeta| + size <= |zeta - head| + 2 size
+    return values, [abs(tail[-1]) + _EPS * sum([abs(q) * (abs(t) + 2.0 * m)
+                                                for q, t, m in zip(qx, row, size)])
+                    for tail, qx, row, size in zip(tails, q_at, rows, sizes)]
 
 
 def _batch(fn, s) -> tuple:
@@ -572,11 +569,11 @@ def _real_at_real(values: list, s, real: bool) -> list:
     return [complex(v.real, 0.0) if x.imag == 0 else v for v, x in zip(values, s.tolist())]
 
 
-def _zeta_hat_points(plans, s, order: int) -> list:
+def _zeta_hat_points(plans, s, order: int, estimate: bool) -> list:
     """zeta-hat over each plan of `plans` at each point of `s` (a Python
-    complex or a 1-D complex array): per plan, the list of values and a
-    function that gives the list of error estimates.  The plans share each
-    point's prefactor."""
+    complex or a 1-D complex array): per plan, the list of values and, when
+    `estimate` is set, the list of error estimates (else None).  The plans
+    share each point's prefactor."""
     points = _points(s)
     for x in points:
         if _is_nonpositive_integer(x - 0.5):
@@ -584,15 +581,23 @@ def _zeta_hat_points(plans, s, order: int) -> list:
     prefs = [gamma(x - 0.5) * rgamma(x) / (2.0 * SQRT_PI) for x in points]
     out = []
     for plan in plans:
-        phis, errors = _phi_pieces(plan, s, order)
-        out.append(([pref * phi for pref, phi in zip(prefs, phis)], _scaled(prefs, errors)))
+        phis, errors = _phi_pieces(plan, s, order, estimate)
+        out.append(([pref * phi for pref, phi in zip(prefs, phis)],
+                    None if errors is None
+                    else [abs(pref) * error for pref, error in zip(prefs, errors)]))
     return out
 
 
-def _scaled(prefs: list, errors):
-    """The error function of zeta-hat from that of Phi: |prefactor| times
-    each estimate."""
-    return lambda: [abs(pref) * error for pref, error in zip(prefs, errors())]
+def _zeta_hat(spec: CrossSectionSpectrum, s, order: int, estimate: bool) -> tuple:
+    """The values of zeta-hat at `s` and, when `estimate` is set, their
+    error estimates, through `_batch`: the body of `zeta_hat_operator_report`
+    and of `zeta_hat_operator`."""
+    def points(x):
+        (values, errors), = _zeta_hat_points((spec._plan,), x, order, estimate)
+        values = _real_at_real(values, x, spec._plan.real)
+        return (values, errors) if estimate else (values,)
+
+    return _batch(points, s)
 
 
 def zeta_hat_operator_report(spec: CrossSectionSpectrum, s, order: int = FOLD_ORDER) -> dict:
@@ -617,21 +622,13 @@ def zeta_hat_operator_report(spec: CrossSectionSpectrum, s, order: int = FOLD_OR
     element bit-identical to the point's call alone, and the batch raises
     the error of its first bad point.  A non-finite s raises ConeError.
     """
-    def points(x):
-        values, errors = _zeta_hat_points((spec._plan,), x, order)[0]
-        return _real_at_real(values, x, spec._plan.real), errors()
-
-    value, error = _batch(points, s)
+    value, error = _zeta_hat(spec, s, order, True)
     return {"value": value, "error_estimate": error}
 
 
 def zeta_hat_operator(spec: CrossSectionSpectrum, s, order: int = FOLD_ORDER):
     """The value of `zeta_hat_operator_report`, without its error estimate."""
-    def points(x):
-        (values, _), = _zeta_hat_points((spec._plan,), x, order)
-        return (_real_at_real(values, x, spec._plan.real),)
-
-    return _batch(points, s)[0]
+    return _zeta_hat(spec, s, order, False)[0]
 
 
 def gamma_zeta_hat(spec: CrossSectionSpectrum, s):
@@ -640,7 +637,7 @@ def gamma_zeta_hat(spec: CrossSectionSpectrum, s):
     an array, as there."""
     def points(x):
         g = [gamma(p) for p in _points(x)]
-        (values, _), = _zeta_hat_points((spec._plan,), x, FOLD_ORDER)
+        (values, _), = _zeta_hat_points((spec._plan,), x, FOLD_ORDER, False)
         return (_real_at_real([gp * zp for gp, zp in zip(g, values)], x, spec._plan.real),)
 
     return _batch(points, s)[0]
@@ -808,7 +805,7 @@ def eta_function_scalable(spec: FirstOrderSpectrum, s):
     squares = spec._squares
 
     def points(x):
-        (plus, _), (minus, _) = _zeta_hat_points(squares, x, FOLD_ORDER)
+        (plus, _), (minus, _) = _zeta_hat_points(squares, x, FOLD_ORDER, False)
         return (_real_at_real([gamma(p) * (a - b) for p, a, b in zip(_points(x), plus, minus)],
                               x, all(plan.real for plan in squares)),)
 

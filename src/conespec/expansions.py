@@ -44,7 +44,9 @@ derivative; `mellin` then takes the value there instead of the term sum
 and the remainder quadrature.  e^-x states Gamma(z) and e^-x^2
 Gamma(z/2)/2 (DLMF 5.2.1), each derivative of theirs
 M[f'](z) = -(z-1) Mf(z-1), and the global monomial 0.  The algebra carries
-it: c Mf for a scaling, Mf + Mg for a sum of two that state one,
+it: c Mf for a scaling, Mf + Mg for a sum of two that state one (no
+value where the two cancel to under 2^-10 of their size, as they do near
+a pole the sum cancels),
 lam^-z Mf(z) for a dilation, Mf(z+beta) for a factor x^beta (none with a
 log factor) and Mf(z/sigma)/|sigma| for x -> x^sigma.  The cutoff, step
 and restricted monomials, the compactly supported slopes and sal's test
@@ -247,6 +249,11 @@ _EMPTY_ORDER = 40.0
 # infinity, where its expansion is exact.
 _ORDER_MARGIN = 8.0
 
+# The least size of a sum of two stated Mellin transforms against the sum
+# of their sizes, 2^-10: a sum that cancels more than 10 bits states no
+# value at that point (see `_mellin_sum`).
+_CANCELLATION = 2.0**-10
+
 
 def _batch(fn: Callable[[np.ndarray], np.ndarray], x):
     """fn on x as a flat float array, shaped like x: a complex array, or a
@@ -418,16 +425,22 @@ def differentiate(f: ExpandableFunction) -> ExpandableFunction:
     return f.derivative()
 
 
-def _stated(derivative: Callable[[], ExpandableFunction],
-            *operands: ExpandableFunction) -> Optional[Callable[[], ExpandableFunction]]:
-    """The derivative of a result, when every operand states its own."""
-    return derivative if all(g.derivative is not None for g in operands) else None
+def _if_all(rule: Callable, attr: str, *operands: ExpandableFunction) -> Optional[Callable]:
+    """A result's `attr` (its derivative or its Mellin transform), `rule`,
+    when every operand states its own."""
+    return rule if all(getattr(g, attr) is not None for g in operands) else None
 
 
-def _transform(mellin: Callable[[complex], complex],
-               *operands: ExpandableFunction) -> Optional[Callable[[complex], complex]]:
-    """The Mellin transform of a result, when every operand states its own."""
-    return mellin if all(g.mellin is not None for g in operands) else None
+def _mellin_sum(f: ExpandableFunction, g: ExpandableFunction) -> Callable[[complex], complex]:
+    """M_f + M_g, nan where the two cancel to under _CANCELLATION of their
+    size, so that the sum keeps its digits: near a pole the sum cancels,
+    each part is about r/(z - pole), and so is its rounding.  `mellin`
+    takes the term sum and quadrature wherever the value is not finite."""
+    def mellin(z):
+        a, b = f.mellin(z), g.mellin(z)
+        return a + b if abs(a + b) >= _CANCELLATION * (abs(a) + abs(b)) else math.nan
+
+    return mellin
 
 
 def _real(c: complex):
@@ -456,8 +469,8 @@ def add_functions(f: ExpandableFunction, g: ExpandableFunction) -> ExpandableFun
         ei,
         _sum_remainders(f.remainder_zero, g.remainder_zero, _terms_remainder(absorbed0)),
         _sum_remainders(f.remainder_infinity, g.remainder_infinity, _terms_remainder(absorbed_i)),
-        _stated(lambda: add_functions(differentiate(f), differentiate(g)), f, g),
-        _transform(lambda z: f.mellin(z) + g.mellin(z), f, g),
+        _if_all(lambda: add_functions(differentiate(f), differentiate(g)), "derivative", f, g),
+        _if_all(_mellin_sum(f, g), "mellin", f, g),
     )
 
 
@@ -491,8 +504,8 @@ def scale_function(f: ExpandableFunction, c: complex) -> ExpandableFunction:
         scale_exp(f.expansion_at_infinity),
         scale_rem(f.remainder_zero),
         scale_rem(f.remainder_infinity),
-        _stated(lambda: scale_function(differentiate(f), c), f),
-        _transform(lambda z: cm * f.mellin(z), f),
+        _if_all(lambda: scale_function(differentiate(f), c), "derivative", f),
+        _if_all(lambda z: cm * f.mellin(z), "mellin", f),
     )
 
 
@@ -530,9 +543,10 @@ def substitute_power(f: ExpandableFunction, sigma: float) -> ExpandableFunction:
     ei, ri = side(Location.AT_INFINITY, *infinity)
     return ExpandableFunction(
         lambda x: fe(x**sigma), e0, ei, r0, ri,
-        _stated(lambda: scale_function(
-            times_monomial(substitute_power(differentiate(f), sigma), sigma - 1), sigma), f),
-        _transform(lambda z: f.mellin(z / sigma) / abs(sigma), f),
+        _if_all(lambda: scale_function(
+            times_monomial(substitute_power(differentiate(f), sigma), sigma - 1), sigma),
+            "derivative", f),
+        _if_all(lambda z: f.mellin(z / sigma) / abs(sigma), "mellin", f),
     )
 
 
@@ -604,9 +618,10 @@ def times_monomial(f: ExpandableFunction, beta: complex, k: int = 0) -> Expandab
 
     e0, r0 = side(f.expansion_at_zero, f.remainder_zero)
     ei, ri = side(f.expansion_at_infinity, f.remainder_infinity)
-    return ExpandableFunction(ev, e0, ei, r0, ri, _stated(lambda: _monomial_rule(
-        times_monomial(differentiate(f), b, k), lambda c, j: times_monomial(f, c, j), b, k), f),
-        None if k else _transform(lambda z: f.mellin(z + shift), f))
+    return ExpandableFunction(ev, e0, ei, r0, ri, _if_all(lambda: _monomial_rule(
+        times_monomial(differentiate(f), b, k), lambda c, j: times_monomial(f, c, j), b, k),
+        "derivative", f),
+        None if k else _if_all(lambda z: f.mellin(z + shift), "mellin", f))
 
 
 def rescale_argument(f: ExpandableFunction, lam: float) -> ExpandableFunction:
@@ -646,9 +661,10 @@ def rescale_argument(f: ExpandableFunction, lam: float) -> ExpandableFunction:
         transform(f.expansion_at_infinity),
         rescale_rem(f.remainder_zero),
         rescale_rem(f.remainder_infinity),
-        _stated(lambda: scale_function(rescale_argument(differentiate(f), lam), lam), f),
-        _transform(lambda z: (cmath.exp(-z * ll) if isinstance(z, complex) else math.exp(-z * ll))
-                   * f.mellin(z), f),
+        _if_all(lambda: scale_function(rescale_argument(differentiate(f), lam), lam),
+                "derivative", f),
+        _if_all(lambda z: (cmath.exp(-z * ll) if isinstance(z, complex) else math.exp(-z * ll))
+                * f.mellin(z), "mellin", f),
     )
 
 

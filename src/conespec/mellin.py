@@ -32,10 +32,13 @@ on a pole, for the evaluator's guard, the pole ledger and the term sum.
 A function that states its Mellin transform in closed form (`f.mellin`: the
 exponential and Gaussian leaves and what the algebra builds from them and
 from global monomials) takes it over both sides at every z that lies more
-than POLE_TOL from the pole -alpha of each stored term, with neither term
-sum nor quadrature: off the poles the continuation does not depend on the
-cut.  Partial integrals, points on or near a pole (a cancelled one too)
-and functions that state no transform keep the term sum and quadrature.
+than POLE_TOL from the pole -alpha of each stored term and where its value
+is finite, with neither term sum nor quadrature: off the poles the
+continuation does not depend on the cut.  Partial integrals, points on or
+near a pole and functions that state no transform keep the term sum and
+quadrature; so do the poles that no stored term marks, where the stated
+value is not finite, and the points near them, where a stated sum cancels
+(see `expansions._mellin_sum`).
 """
 
 from __future__ import annotations
@@ -396,19 +399,20 @@ def _remainder_integral(f: ExpandableFunction, z: complex, c: float, side: Side,
 
 
 def _closed_form(f: ExpandableFunction, z: complex) -> Optional[complex]:
-    """f's stated Mf at z, when f states one and z lies more than POLE_TOL
-    from the pole -alpha of every stored term; else None.  A real z is
-    passed as a float, so that a real closed form stays real.
-    MellinError for a value that is not finite."""
+    """f's stated Mf at z, when f states one, z lies more than POLE_TOL
+    from the pole -alpha of every stored term and the stated value is
+    finite; else None.  A real z is passed as a float, so that a real
+    closed form stays real.  The value is not finite on a pole that no
+    stored term marks, because the terms cancelled or were differentiated
+    away (e^-x's derivative at z = 1 is -0 Gamma(0)), and a sum that
+    cancels to a few digits states none."""
     if f.mellin is None:
         return None
     for t in f.expansion_at_zero.terms + f.expansion_at_infinity.terms:
         if abs(z + t.exponent) <= POLE_TOL:
             return None
     value = complex(f.mellin(z.real if z.imag == 0 else z))
-    if not cmath.isfinite(value):
-        raise MellinError(f"closed-form Mellin transform at z={z} is not finite")
-    return value
+    return value if cmath.isfinite(value) else None
 
 
 def _regular_value(f: ExpandableFunction, z: complex, c: float, sides=tuple(Side)) -> complex:

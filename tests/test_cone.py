@@ -1188,10 +1188,10 @@ class TestGaussTail:
     def test_agrees_with_the_fold_where_it_claims_1e_10(self):
         # the same tail without its closed form is folded at order 10; where
         # the fold's estimate is below 1e-10 the two agree to 1e-10.  The
-        # estimate is the truncation only, so the fold's rounding, eps times
-        # the magnitudes it adds, joins it: where the provider's zeta and the
-        # head sum cancel, the fold misses by more (a = 1, s = 5.34 - 3.36i:
-        # estimate 3.3e-12, off by 2.5e-10; a = 0.5 at Re s > 3: estimate 0)
+        # estimate is the truncation plus the fold's rounding, eps times the
+        # magnitudes it adds, so the points where the provider's zeta and the
+        # head sum cancel (a = 1, s = 5.34 - 3.36i: off by 2.5e-10) fall out
+        # of the comparison; 98 of the 400 points are compared
         rng = np.random.default_rng(20)
         compared = 0
         for a in (0.5, 0.8, 1.0, 1.5, 2.3):
@@ -1201,8 +1201,7 @@ class TestGaussTail:
             points += _gauss_points(rng, 40, orders=[a])
             for s in points:
                 fold = zeta_hat_operator_report(folded, s, order=10)
-                _, scale = TestZetaHatOperator._fold_per_shift(folded, s, 10)
-                if fold["error_estimate"] + 2.2e-16 * scale < 1e-10:
+                if fold["error_estimate"] < 1e-10:
                     compared += 1
                     assert abs(zeta_hat_operator(exact, s) - fold["value"]) <= 1e-10, (a, s)
         assert compared >= 20

@@ -242,3 +242,29 @@ class TestRoute:
         assert mellin_transform(f).regular(near) == mellin_transform(plain).regular(near)
         assert regularized_moments(exponential_decay(), [(-1.0, 0)])[0] == regularized_moments(
             dataclasses.replace(exponential_decay(), mellin=None), [(-1.0, 0)])[0]
+
+    def test_poles_that_no_term_marks_take_the_term_sum(self):
+        # e^-x's derivative drops the x^0 term, so no stored term marks the
+        # pole at z = 1 of -(z-1) Gamma(z-1), where the stated form is
+        # -0 * inf; z Gamma(z), the Fuchs derivative's, is 0 * inf at z = 0
+        for f in (differentiate(exponential_decay()), differentiate(gaussian_decay())):
+            assert abs(regularized_integral(f) + 1) <= 1e-12
+            assert regularized_integral(f) == regularized_integral(
+                dataclasses.replace(f, mellin=None))
+            assert abs(regularized_moments(f, [(0.0, 0)])[0] + 1) <= 1e-12
+        assert abs(mellin_transform(fuchs_derivative(exponential_decay()))(0.0) - 1) <= 1e-12
+
+    def test_a_sum_near_the_pole_it_cancels_takes_the_term_sum(self):
+        # e^-x - e^-x^2: the parts' poles at z = 0 cancel, and no stored term
+        # marks it; near it the parts are about 1/z each, so their sum would
+        # lose digits (6e-10 relative at z = 1e-6)
+        f = add_functions(exponential_decay(), scale_function(gaussian_decay(), -1.0))
+        plain = dataclasses.replace(f, mellin=None)
+        with mpmath.workdps(40):
+            for z in (1e-9, 1e-6, 1e-4 + 1e-4j, 1e-3j, -1e-3, 0.001):
+                mz = mpmath.mpc(z)
+                w = complex(mpmath.gamma(mz) - mpmath.gamma(mz / 2) / 2)
+                got = mellin_transform(f)(z)
+                assert got == mellin_transform(plain)(z), z
+                assert abs(got - w) <= 1e-12 * abs(w), z
+        assert mellin_transform(f)(0.0) == pytest.approx(-float(mpmath.euler) / 2, rel=1e-12)
