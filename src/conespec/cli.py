@@ -20,7 +20,7 @@ import numpy as np
 from . import cone, deficiency, expansions, mellin, sal, specfun
 from .cone import ConeError
 from .deficiency import DeficiencyError
-from .mellin import MellinError
+from .mellin import MellinDomainError, MellinError
 from .sal import SalError
 from .specfun import HankelConvergenceError, SpecfunError
 
@@ -721,6 +721,8 @@ def main(argv=None) -> int:
     try:
         payload = _load_payload(args)
         return _COMMANDS[args.command][0](args, payload)
+    except MellinDomainError as exc:  # before MellinError: an input error
+        error = exc
     except (HankelConvergenceError, MellinError, NonFiniteResultError, OverflowError) as exc:
         print(f"error: non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
@@ -734,8 +736,9 @@ def main(argv=None) -> int:
         SalError,
         SpecfunError,
     ) as exc:
-        print(f"error: invalid input: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        error = exc
+    print(f"error: invalid input: {error}", file=sys.stderr)
+    return EXIT_SCHEMA
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@
 Heat kernel and zeta function of the one-dimensional model operator L_p,
 operator-valued zeta/eta functions assembled from cross-section spectra,
 their residues at the origin, small-time heat-trace expansions, and the
-spectral side of the index formula for first-order cone operators.
+spectral side of the index formula for first-order cone operators.  Every
+explicit Gamma quotient of the Gamma-ratio sum Phi, in the fold's head and
+beside a closed-form tail, comes from `specfun.gamma_quotients`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .specfun import (
     _TERMS_CAP,
     DirichletSeriesProvider,
     SpecfunError,
-    _gamma_ratio,
     _is_nonpositive_integer,
     _nonpositive_integer_mask,
     _poly_eval,
@@ -34,6 +35,7 @@ from .specfun import (
     bessel_i_scaled,
     digamma,
     gamma,
+    gamma_quotients,
     gamma_ratio_expansion,
     laurent_fit,
     rgamma,
@@ -266,12 +268,12 @@ class _TermPlan:
         self._read(self._window, "match window")
         return self._matching[1]
 
-    def exact(self) -> list:
-        """The (weight, order) terms summed exactly beside a closed-form
+    def exact(self) -> tuple[np.ndarray, np.ndarray]:
+        """Orders and weights of the terms summed exactly beside a closed-form
         tail: the folded terms, and (minus the weight, sqrt(value)) for each
         provider term a claim took, but a taken term equal to a folded term
-        (a datum at the term's own order and weight) cancels it instead, as
-        their quotients would cancel exactly.  Reads to the window only."""
+        (a datum at its order and weight) cancels it instead, as their
+        quotients would cancel exactly.  Reads to the window only."""
         self._read(self._window, "match window")
         if self._exact is None:
             # `remaining` keeps the untaken terms in order, so a term it
@@ -285,7 +287,8 @@ class _TermPlan:
                     exact.remove((w, math.sqrt(v)))
                 else:
                     exact.append((-w, math.sqrt(v)))
-            self._exact = exact
+            self._exact = (np.array([p for _, p in exact], dtype=float),
+                           np.array([w for w, _ in exact], dtype=complex))
         return self._exact
 
     @cached_property
@@ -384,54 +387,28 @@ FOLD_ORDER = 6
 _HEAD_THRESHOLD = 8.0
 
 
-def _gamma_quotient(p: float, s: complex) -> tuple[complex, float]:
-    """Gamma(p+1-s) / Gamma(p+s), and the bound on its relative rounding of
-    `_gamma_ratio`; ConeError on a pole."""
-    if _is_nonpositive_integer(p + 1 - s):
-        raise ConeError(f"Gamma pole in the quotient at p={p}, s={s}")
-    return _gamma_ratio(p + 1 - s, p + s)
-
-
-def _head_zeros(orders: np.ndarray, s: complex) -> list:
-    """Indices of the orders p with p + s on a nonpositive integer; ConeError at
-    the first p, in order, with p + 1 - s on one.  Only a real s can put them
-    there, so only then are the orders checked, one by one (a few Python
-    checks cost less than numpy masks over a short list)."""
-    if abs(s.imag) > _INTEGER_TOL:
-        return []
-    ps = orders.tolist()
-    # a real part above 1/2 rules an order out before the full check
-    for p in ps:
-        if p + 1 - s.real <= 0.5 and _is_nonpositive_integer(p + 1 - s):
-            raise ConeError(f"Gamma pole in the quotient at p={p}, s={s}")
-    return [i for i, p in enumerate(ps) if p + s.real <= 0.5 and _is_nonpositive_integer(p + s)]
-
-
-def _head_sums(orders: np.ndarray, weights: np.ndarray, s, points: list) -> list:
-    """sum w Gamma(p+1-s) / Gamma(p+s) over (weight, order p), per point, with
-    one loggamma pass over (points x orders).
-
-    `s` is a Python complex or a column of the points.  As in
-    `_gamma_quotient`, an order on a pole raises and a reciprocal-Gamma zero
-    adds 0.  Each point's sum is its own product with the weights, as a
-    single 2-D product may round differently.  A sum that overflows is redone
-    pair by pair, so that the overflowing pair raises as `cmath.exp` does.
-    """
+def _quotient_sums(orders: np.ndarray, weights: np.ndarray, s, points: list, estimate: bool):
+    """sum w Gamma(p+1-s) / Gamma(p+s) over (weight, order p) at each point
+    (`s` is a Python complex or a column of the points), from one
+    `gamma_quotients` pass, and with `estimate` the bound eps sum |w q|
+    (rounding of q) on its rounding (else None).  ConeError at the first
+    order, in order, with p + 1 - s on a pole, at the first point with one.
+    Each point's sum is its own product with the weights, as a single 2-D
+    product may round differently."""
     if not len(orders):
-        return [0.0 + 0.0j] * len(points)
-    zeros = [_head_zeros(orders, x) for x in points]
-    with np.errstate(all="ignore"):
-        q = np.exp(loggamma(orders + (1 - s)) - loggamma(orders + s))
-        rows = [q] if q.ndim == 1 else q
-        for row, zero in zip(rows, zeros):
-            if zero:
-                row[zero] = 0.0
-        totals = [complex(weights @ row) for row in rows]
-    for i, total in enumerate(totals):
-        if not cmath.isfinite(total):
-            totals[i] = sum(w * _gamma_quotient(p, points[i])[0]
-                            for w, p in zip(weights.tolist(), orders.tolist()))
-    return totals
+        return [0.0 + 0.0j] * len(points), [0.0] * len(points)
+    for x in points:
+        # only a real point puts p + 1 - s on a pole, and only where it is <= 1/2
+        if abs(x.imag) <= _INTEGER_TOL:
+            for p in orders.tolist():
+                if p + 1 - x.real <= 0.5 and _is_nonpositive_integer(p + 1 - x):
+                    raise ConeError(f"Gamma pole in the quotient at p={p}, s={x}")
+    q, rounding = gamma_quotients(orders + (1 - s), orders + s, estimate)
+    rows = [q] if q.ndim == 1 else q
+    sums = [complex(weights @ row) for row in rows]
+    if not estimate:
+        return sums, None
+    return sums, (_EPS * (np.abs(weights * q) * rounding).sum(axis=-1)).reshape(-1).tolist()
 
 
 @lru_cache(maxsize=None)
@@ -475,7 +452,7 @@ def _phi_pieces(plan: _TermPlan, s, order: int, estimate: bool):
     - Otherwise the fold: the exact quotients of the folded terms and of the
       provider terms up to _HEAD_THRESHOLD^2 that no claim took, plus the
       remainder folded through the provider's continuation against the
-      Gamma-ratio expansion to `order`.  Per call there is one loggamma pass
+      Gamma-ratio expansion to `order`.  Per call there is one quotient pass
       over (points x orders), one array pole check, one provider call and
       one power sum over (points x shifts z_k = (2s-1+k)/2) whose Q_k is
       nonzero.  The error is the magnitude of the last Q_k correction plus
@@ -488,28 +465,26 @@ def _phi_pieces(plan: _TermPlan, s, order: int, estimate: bool):
     Each point's values and errors are bit-identical to its call alone.
     """
     provider, points = plan.provider, _points(s)
+    column = s if isinstance(s, complex) else s[:, None]
     if provider is not None:
         qs, ks = _fold_shifts(order)
         try:
-            closed = provider.gamma_ratio_sum(s)
+            closed = provider.gamma_ratio_sum(points, estimate)
         except SpecfunError as exc:
             raise ConeError(str(exc)) from None
         if closed is not None:
-            values, bounds = ([part] if isinstance(s, complex) else part.tolist() for part in closed)
-            terms = plan.exact()
-            for i, x in enumerate(points):
-                for w, p in terms:
-                    q, rounding = _gamma_quotient(p, x)
-                    values[i] += w * q
-                    bounds[i] += _EPS * abs(w * q) * rounding
+            values, bounds = closed
+            sums, roundings = _quotient_sums(*plan.exact(), column, points, estimate)
+            values = [value + total for value, total in zip(values, sums)]
             if not estimate:
                 return values, None
             # 0 where the prefactor is, at s = 0, -1, -2, ...
-            return values, [bound + _EPS * abs(value) * _gamma_ratio(x - 0.5, x)[1]
-                            for bound, value, x in zip(bounds, values, points)]
+            x = np.array(points, dtype=complex)
+            prefactor = gamma_quotients(x - 0.5, x, True)[1].tolist()
+            return values, [b + r + _EPS * abs(value) * pref for b, r, value, pref
+                            in zip(bounds, roundings, values, prefactor)]
     orders, weights, head_w, head_v = plan.head(_HEAD_THRESHOLD)
-    column = s if isinstance(s, complex) else s[:, None]
-    heads = _head_sums(orders, weights, column, points)
+    heads = _quotient_sums(orders, weights, column, points, False)[0]
     n, folded = len(points), provider is not None and bool(points)
     tails = [[] for _ in points]
     if folded:

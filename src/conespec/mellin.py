@@ -68,6 +68,10 @@ class MellinPoleError(MellinError):
     """Evaluation requested within POLE_TOL of a ledger pole."""
 
 
+class MellinDomainError(MellinError):
+    """A remainder order, cut or dilation that is not positive (and finite)."""
+
+
 @dataclass(frozen=True)
 class PoleData:
     """location and principal-part coefficients c_k of (z-location)**(-k), k=1..m."""
@@ -411,7 +415,8 @@ def _closed_form(f: ExpandableFunction, z: complex) -> Optional[complex]:
     for t in f.expansion_at_zero.terms + f.expansion_at_infinity.terms:
         if abs(z + t.exponent) <= POLE_TOL:
             return None
-    value = complex(f.mellin(z.real if z.imag == 0 else z))
+    # + 0j: a stated 0 times a negative scale is -0.0, and the term sum's +0.0
+    value = complex(f.mellin(z.real if z.imag == 0 else z)) + 0j
     return value if cmath.isfinite(value) else None
 
 
@@ -432,9 +437,9 @@ def _regular_value(f: ExpandableFunction, z: complex, c: float, sides=tuple(Side
 
 def _check(f: ExpandableFunction, cut: float) -> None:
     if f.p <= 0 or f.q <= 0:
-        raise MellinError("need positive remainder orders p, q at both endpoints")
+        raise MellinDomainError("need positive remainder orders p, q at both endpoints")
     if not 0 < cut < math.inf:
-        raise MellinError(f"cut must be positive and finite, not {cut}")
+        raise MellinDomainError(f"cut must be positive and finite, not {cut}")
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +529,7 @@ def regularized_moments(f: ExpandableFunction, monomials) -> np.ndarray:
     moment, so f's remainders are evaluated once per node; there is none if
     no moment is left.  Each such moment's term part is exact: the term sum
     of f's terms shifted by (beta, k), with the ones its remainder order
-    absorbs, which times_monomial would leave to quadrature.  MellinError
+    absorbs, which times_monomial would leave to quadrature.  MellinDomainError
     where a shifted remainder order is not positive, on either route.
     """
     values, rest, terms = [], [], []
@@ -532,7 +537,7 @@ def regularized_moments(f: ExpandableFunction, monomials) -> np.ndarray:
         e0, absorbed0 = _times_monomial(f.expansion_at_zero, beta, k)
         ei, absorbed_i = _times_monomial(f.expansion_at_infinity, beta, k)
         if e0.remainder_order <= 0 or ei.remainder_order <= 0:
-            raise MellinError("need positive remainder orders p, q at both endpoints")
+            raise MellinDomainError("need positive remainder orders p, q at both endpoints")
         values.append(None if k else _closed_form(f, 1.0 + complex(beta)))
         if values[-1] is None:
             rest.append((beta, k))
@@ -560,7 +565,7 @@ def scale_rule(f: ExpandableFunction, lam: float, cut: float = 1.0) -> complex:
     the correction being minus the term sum of the x**-1 terms with cut lam.
     """
     if not 0 < lam < math.inf:
-        raise MellinError(f"lam must be positive and finite, not {lam}")
+        raise MellinDomainError(f"lam must be positive and finite, not {lam}")
     x_inverse = [
         (sign, t) for sign, t in _signed_terms(f, tuple(Side))
         if abs(1.0 + t.exponent) <= POLE_TOL

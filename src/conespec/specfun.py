@@ -1,12 +1,14 @@
 """Special-function kernel.
 
-Gamma-family wrappers, the zeros of Bessel J, the exponentially scaled
-modified Bessel I (the Amos routine behind scipy.special.ive), Laguerre
-polynomials and the l_n^(p) eigenfamily of the Hankel transform, the Hankel
-transform itself, exact Bernoulli numbers, the asymptotic expansion of the
-Gamma ratio Gamma(nu-s+1)/Gamma(nu+s) up to order MAX_RATIO_ORDER = 10
-(exact coefficients from the Bernoulli polynomials of DLMF 5.11.8), Hurwitz
-zeta by Euler-Maclaurin, and Dirichlet series providers with meromorphic
+Gamma-family wrappers, with `gamma_quotients`, which computes every explicit
+Gamma quotient of the cone's Gamma-ratio sum Phi (and of Gauss's sums); the
+zeros of Bessel J, the exponentially scaled modified Bessel I (the Amos
+routine behind scipy.special.ive), Laguerre polynomials and the l_n^(p)
+eigenfamily of the Hankel transform, the Hankel transform itself, exact
+Bernoulli numbers, the asymptotic expansion of the Gamma ratio
+Gamma(nu-s+1)/Gamma(nu+s) up to order MAX_RATIO_ORDER = 10 (exact
+coefficients from the Bernoulli polynomials of DLMF 5.11.8), Hurwitz zeta by
+Euler-Maclaurin, and Dirichlet series providers with meromorphic
 continuation.
 
 Arrays: the zeros of J_p come as a batch from one vectorized Newton pass;
@@ -62,9 +64,12 @@ def _is_nonpositive_integer(z: complex) -> bool:
 
 
 def _nonpositive_integer_mask(z: np.ndarray) -> np.ndarray:
-    """`_is_nonpositive_integer` elementwise over a complex array."""
-    return ((np.abs(z.imag) <= _INTEGER_TOL) & (z.real <= 0.5)
-            & (np.abs(z.real - np.round(z.real)) <= _INTEGER_TOL))
+    """`_is_nonpositive_integer` elementwise; the tests past Re z <= 1/2 run if any passes."""
+    x = z.real
+    near = x <= 0.5
+    if np.count_nonzero(near):
+        near &= (np.abs(z.imag) <= _INTEGER_TOL) & (np.abs(x - np.rint(x)) <= _INTEGER_TOL)
+    return near
 
 
 def gamma(z: complex) -> complex:
@@ -102,6 +107,50 @@ def digamma(z: complex) -> complex:
     if _is_nonpositive_integer(z):
         raise SpecfunError(f"digamma pole at z={z}")
     return complex(sps.digamma(complex(z)))
+
+
+_QUOTIENT_ULPS = 16.0
+_EPS = float(np.finfo(float).eps)
+_LOG_MAX = math.log(np.finfo(float).max)  # exp overflows above it
+
+
+def gamma_quotients(u: np.ndarray, v: np.ndarray, estimate: bool):
+    """Gamma(u) / Gamma(v) elementwise over complex arrays u and v that
+    broadcast, as exp(log Gamma(u) - log Gamma(v)), and with `estimate` a
+    bound on each quotient's relative rounding in units of eps (else None).
+    Every explicit Gamma quotient of the cone's Phi comes from here.
+
+    u must be off the poles, which each caller checks in its own terms.  A
+    quotient is 0, with bound 0, where v is a nonpositive integer, and
+    OverflowError where its magnitude exceeds the largest double.  Each
+    quotient depends on its own u and v alone.
+
+    The bound is _QUOTIENT_ULPS (the exponential, a product or two and a
+    sum), plus |log Gamma(u)| + |log Gamma(v)| (the rounding of the loggamma
+    values), plus (|u| + |v| + 1)(|psi(u)| + |psi(v)|) (that of arguments
+    summed from numbers up to |u| + |v| + 1), with |psi(z)| <= log(|z| + 2)
+    + 5 + 1/d for d the distance from z to the nearest pole: psi(z) is log z
+    - 1/(2z) - ... for Re z >= 1/2, and the reflection psi(1-z) - pi cot(pi
+    z) adds at most about 1/d + pi below.
+    """
+    log_u, log_v = sps.loggamma(u), sps.loggamma(v)
+    log_q = log_u - log_v
+    # checked first, so that exp cannot overflow (loggamma is nan on a pole of v)
+    if np.count_nonzero(log_q.real > _LOG_MAX):
+        raise OverflowError("a Gamma quotient exceeds the largest double")
+    q = np.exp(log_q)
+    zero = _nonpositive_integer_mask(v)
+    if np.count_nonzero(zero):
+        q[np.broadcast_to(zero, q.shape)] = 0.0
+    if not estimate:
+        return q, None
+    with np.errstate(all="ignore"):
+        size_u, size_v = np.abs(u), np.abs(v)
+        psi = (np.log((size_u + 2.0) * (size_v + 2.0)) + 10.0
+               + 1.0 / np.abs(u - np.minimum(0.0, np.rint(u.real)))
+               + 1.0 / np.abs(v - np.minimum(0.0, np.rint(v.real))))
+        bound = _QUOTIENT_ULPS + np.abs(log_u) + np.abs(log_v) + (size_u + size_v + 1.0) * psi
+    return q, np.where(zero, 0.0, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +448,19 @@ class GammaRatioExpansion:
 
     def validate(self) -> None:
         """Structural facts: Q_0=1, Q_1=0, the printed Q_2 anchor, and the
-        even-k linear coefficient of Q_k."""
-        assert self.q_polys[0] == (Fraction(1),), "Q_0 != 1"
-        if self.max_order >= 1:
-            assert self.q_polys[1] == (), "Q_1 != 0"
-        if self.max_order >= 2:
-            assert self.q_polys[2] == (
-                Fraction(0), Fraction(1, 6), Fraction(-1, 2), Fraction(1, 3)
-            ), "Q_2 anchor failed"
+        even-k linear coefficient of Q_k.  SpecfunError names the first that
+        fails (a check that holds under `python -O` too)."""
+        if self.q_polys[0] != (Fraction(1),):
+            raise SpecfunError("Q_0 != 1")
+        if self.max_order >= 1 and self.q_polys[1] != ():
+            raise SpecfunError("Q_1 != 0")
+        if self.max_order >= 2 and self.q_polys[2] != (
+                Fraction(0), Fraction(1, 6), Fraction(-1, 2), Fraction(1, 3)):
+            raise SpecfunError("Q_2 anchor failed")
         for k in range(4, self.max_order + 1, 2):
             qlin = self.q_polys[k][1] if len(self.q_polys[k]) > 1 else Fraction(0)
-            expect = 2 * (-1) ** (k // 2 - 1) * b_pos_fraction(k // 2) / k
-            assert qlin == expect, f"Q_{k} linear coeff"
+            if qlin != 2 * (-1) ** (k // 2 - 1) * b_pos_fraction(k // 2) / k:
+                raise SpecfunError(f"Q_{k} linear coeff")
 
 
 @lru_cache(maxsize=None)
@@ -643,73 +693,38 @@ _TERMS_CAP = 100000
 _AT_POLE = 1e-6
 
 
-# Rounding of a Gamma quotient Gamma(u)/Gamma(v) = exp(log Gamma(u) - log
-# Gamma(v)) besides that of its loggamma values and arguments, relative and
-# in units of eps: the exponential, a product or two and a sum.
-_QUOTIENT_ULPS = 16.0
-_EPS = float(np.finfo(float).eps)
-
 # Distance of s from 1 within which the Gamma-ratio sum of a family raises.
 _GAUSS_POLE = 1e-8
 
 
-def _gamma_ratio(u: complex, v: complex) -> tuple[complex, float]:
-    """Gamma(u) / Gamma(v) as exp(log Gamma(u) - log Gamma(v)), and a bound on
-    its relative rounding in units of eps; (0, 0) for v on a nonpositive
-    integer.  u must be off the poles; an overflow raises OverflowError, as
-    `cmath.exp` does.
-
-    The bound is _QUOTIENT_ULPS, plus |log Gamma(u)| + |log Gamma(v)| for
-    the rounding of the loggamma values, plus (|u| + |v| + 1)(|psi(u)| +
-    |psi(v)|) for that of arguments summed from numbers no larger than
-    |u| + |v| + 1; it grows near a pole or zero of the quotient.  |psi(z)|
-    is bounded by log(|z| + 2) + 5 + 1/d, with d the distance from z to the
-    nearest pole 0, -1, -2, ...: for Re z >= 1/2, psi(z) is log z - 1/(2z)
-    - ..., and for Re z < 1/2 the reflection psi(1-z) - pi cot(pi z) adds
-    at most about 1/d + pi.  (That bound held against scipy's psi at 2e5
-    points with |Re z|, |Im z| <= 60, many near a pole.)
-    """
-    if _is_nonpositive_integer(v):
-        return 0.0 + 0.0j, 0.0
-    log_u, log_v = complex(sps.loggamma(u)), complex(sps.loggamma(v))
-    size_u, size_v = abs(u), abs(v)
-    psi = (math.log((size_u + 2.0) * (size_v + 2.0)) + 10.0
-           + 1.0 / abs(u - min(0.0, round(u.real))) + 1.0 / abs(v - min(0.0, round(v.real))))
-    return cmath.exp(log_u - log_v), (_QUOTIENT_ULPS + abs(log_u) + abs(log_v)
-                                      + (size_u + size_v + 1.0) * psi)
-
-
-def _gauss_sum(families, s):
-    """sum w Gamma(a+1-s) / (2 (s-1) Gamma(a+s-1)) over the (w, a) families,
-    and a bound on its rounding, as (value, error).
+def _gauss_sum(families, points: list, estimate: bool):
+    """sum w Gamma(a+1-s) / (2 (s-1) Gamma(a+s-1)) over the (w, a) families at
+    each s of `points`, and with `estimate` bounds on their rounding (else
+    None), as (values, errors) lists.
 
     By Gauss's sum 2F1(alpha, 1; beta; 1) (DLMF 15.4.20) a family is the
     Gamma-ratio sum sum_(j>=0) Gamma(a+j+1-s) / Gamma(a+j+s) of the orders
     a + j, for Re s > 1, and continues it to every s off its poles: s = 1
     and a+1-s on a nonpositive integer raise SpecfunError, and a+s-1 on one
     gives 0.  The error is eps times the sum of |w q| times the rounding
-    bound of `_gamma_ratio` over the quotients q, over |2 (s-1)|.  `s` may
-    be an array, which gives arrays of its shape; each point is summed on
-    its own, family by family.
+    bound of `gamma_quotients` over the quotients q, over |2 (s-1)|.  Each
+    point is checked and summed on its own, family by family.
     """
-    shape = None if isinstance(s, (int, float, complex)) else np.shape(s)
-    points = [complex(s)] if shape is None else np.asarray(s, dtype=complex).ravel().tolist()
-    values, errors = [], []
     for x in points:
         if not abs(x - 1.0) > _GAUSS_POLE:
             raise SpecfunError(f"pole of the Gamma-ratio sum at s={x}")
-        total, bound = 0.0 + 0.0j, 0.0
-        for w, a in families:
+        for _, a in families:
             if _is_nonpositive_integer(a + 1.0 - x):
                 raise SpecfunError(f"Gamma pole in the Gamma-ratio sum at a={a}, s={x}")
-            q, rounding = _gamma_ratio(a + 1.0 - x, a + x - 1.0)
-            total += w * q
-            bound += abs(w * q) * rounding
-        values.append(total / (2.0 * (x - 1.0)))
-        errors.append(_EPS * bound / abs(2.0 * (x - 1.0)))
-    if shape is None:
-        return values[0], errors[0]
-    return np.array(values).reshape(shape), np.array(errors).reshape(shape)
+    q, rounding = gamma_quotients(np.array([[a + 1.0 - x for _, a in families] for x in points]),
+                                  np.array([[a + x - 1.0 for _, a in families] for x in points]),
+                                  estimate)
+    terms = [[w * qj for (w, _), qj in zip(families, row)] for row in q.tolist()]
+    values = [sum(row, 0.0 + 0.0j) / (2.0 * (x - 1.0)) for row, x in zip(terms, points)]
+    if not estimate:
+        return values, None
+    return values, [_EPS * sum([abs(t) * r for t, r in zip(row, rs)], 0.0)
+                    / abs(2.0 * (x - 1.0)) for row, rs, x in zip(terms, rounding.tolist(), points)]
 
 
 class DirichletSeriesProvider:
@@ -774,13 +789,13 @@ class DirichletSeriesProvider:
         s0 lies within _AT_POLE of a pole."""
         raise NotImplementedError
 
-    def gamma_ratio_sum(self, s):
+    def gamma_ratio_sum(self, points: list, estimate: bool):
         """Phi(s) = sum_j a_j Gamma(p_j+1-s) / Gamma(p_j+s) over the Bessel
-        orders p_j = sqrt(nu_j), continued from Re s > 1 in closed form, and
-        a bound on its rounding, as (value, error); None where the provider
-        states no closed form, as by default.  Providers whose terms are
-        families w (a+j)^2, j >= 0, state Gauss's sum (`_gauss_sum`).  `s`
-        may be an array, as for `zeta`."""
+        orders p_j = sqrt(nu_j), continued from Re s > 1 in closed form, at
+        each complex s of `points`, and with `estimate` bounds on its
+        rounding (else None), as (values, errors) lists; None where the
+        provider states no closed form, as by default.  Tails of families w
+        (a+j)^2, j >= 0, state Gauss's sum (`_gauss_sum`)."""
         return None
 
 
@@ -845,11 +860,11 @@ class HurwitzZetaProvider(DirichletSeriesProvider):
         ]
         return sum(parts[1:], parts[0])
 
-    def gamma_ratio_sum(self, s):
+    def gamma_ratio_sum(self, points, estimate):
         """Gauss's sum when every family has exponent 2, else None."""
         if any(e != 2.0 for _, _, e in self.families):
             return None
-        return _gauss_sum([(w, a) for w, a, _ in self.families], s)
+        return _gauss_sum([(w, a) for w, a, _ in self.families], points, estimate)
 
 
 class RiemannZetaProvider(HurwitzZetaProvider):
@@ -939,10 +954,11 @@ class PowerShiftSquaredProvider(DirichletSeriesProvider):
     def real_weights(self):
         return True
 
-    def gamma_ratio_sum(self, s):
+    def gamma_ratio_sum(self, points, estimate):
         """At gamma = 1 the terms are (n + delta)^2, n >= 1: Gauss's sum of
         the family (1, 1 + delta).  Else None."""
-        return _gauss_sum([(1.0, 1.0 + self.delta)], s) if self.gamma_pow == 1 else None
+        if self.gamma_pow == 1:
+            return _gauss_sum([(1.0, 1.0 + self.delta)], points, estimate)
 
     def pole_locations(self):
         g = self.gamma_pow

@@ -574,6 +574,14 @@ class TestSalExpand:
         assert code == 2
         assert out == "" and "invalid input" in err and "remainder order" in err
 
+    def test_remainder_order_not_positive_is_schema_error(self, capsys):
+        # alpha = -9 leaves no positive remainder order for the moments of
+        # phi: a deterministic refusal of the input, which exited 3
+        payload = json.dumps({"phi": "exp", "families": [{"alpha": -9.0}]})
+        code, out, err = run(capsys, "sal-expand", "--in", payload)
+        assert (code, out) == (2, "")
+        assert err == ("error: invalid input: need positive remainder orders p, q at both "
+                       "endpoints\n")
 
     @pytest.mark.parametrize("argv", [
         ("--in", '{"families": [{"alpha": -1.0}], "order": -1}'),

@@ -1049,7 +1049,7 @@ def _gauss_families(provider):
 class _NoClosedForm(HurwitzZetaProvider):
     """A Hurwitz tail that states no Gamma-ratio sum, so that it is folded."""
 
-    def gamma_ratio_sum(self, s):
+    def gamma_ratio_sum(self, points, estimate):
         return None
 
 

@@ -27,6 +27,7 @@ from conespec.expansions import (
 )
 from conespec.mellin import (
     POLE_TOL,
+    MellinDomainError,
     MellinError,
     MellinPoleError,
     PoleData,
@@ -38,6 +39,7 @@ from conespec.mellin import (
     regularized_integral,
     regularized_integral_partial,
     regularized_limit,
+    regularized_moments,
     scale_rule,
 )
 
@@ -665,3 +667,16 @@ class TestNonFiniteCuts:
     def test_scale_rule(self, lam):
         with pytest.raises(MellinError, match="lam must be positive and finite"):
             scale_rule(self.F, lam)
+
+    def test_refusals_are_domain_errors(self):
+        # a MellinError that refuses its input, which the CLI reports as an
+        # input error (exit 2), not as non-convergence
+        e = exponential_decay()
+        refusals = [lambda: regularized_integral(self.F, math.inf),
+                    lambda: regularized_integral_partial(self.F, 0.0, Side.ZERO_TO_C),
+                    lambda: mellin_transform(self.F, -1.0), lambda: scale_rule(self.F, 0.0),
+                    lambda: regularized_integral(times_monomial(e, -20.0)),
+                    lambda: regularized_moments(e, [(0.5, 0), (-13.0, 0)])]
+        for refuse in refusals:
+            with pytest.raises(MellinDomainError):
+                refuse()

@@ -3,6 +3,7 @@ route `mellin` takes with them."""
 
 import dataclasses
 import importlib.util
+import math
 from pathlib import Path
 
 import mpmath
@@ -138,6 +139,17 @@ class TestClosedForms:
         f = scale_function(global_monomial(-0.6, 2), 3.0)
         assert f.mellin(1.7) == 0.0 and f.mellin(0.3 + 4j) == 0.0
         assert regularized_integral(f) == 0.0
+
+    def test_a_negative_scale_of_a_stated_zero_gives_plus_zero(self):
+        # c * 0.0 is -0.0 for c < 0; the stated route gives +0.0 in both
+        # parts, as the term sum and quadrature did
+        f = scale_function(global_monomial(0.5), -2.0)
+        values = [regularized_integral(f), scale_rule(f, 1.7),
+                  *(mellin_transform(f)(z) for z in (0.3, 0.3 + 0.2j, -0.7 - 2.5j)),
+                  *regularized_moments(f, [(-0.25, 0), (0.5, 0)]).tolist()]
+        for value in values:
+            assert value == 0
+            assert math.copysign(1.0, value.real) == math.copysign(1.0, value.imag) == 1.0
 
     def test_functions_that_state_no_transform(self):
         for f in (cutoff_times_monomial(-1.5, 1), tail_times_monomial(0.5),

@@ -1,5 +1,6 @@
 """Tests for the special-function layer."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -29,6 +30,7 @@ from conespec.specfun import (
     digamma,
     evaluate_ratio,
     gamma,
+    gamma_quotients,
     gamma_ratio_expansion,
     hankel_transform,
     hurwitz_zeta,
@@ -360,6 +362,82 @@ class TestGammaRatio:
         for n in range(11):
             exp_ = gamma_ratio_expansion(n)
             assert exp_.q_polys == top.q_polys[: n + 1]
+
+    @pytest.mark.parametrize("k, poly, what", [
+        (0, (Fraction(2),), "Q_0"),
+        (1, (Fraction(1, 7),), "Q_1"),
+        (2, (Fraction(0), Fraction(1, 6), Fraction(-1, 2)), "Q_2"),
+        (4, (Fraction(0), Fraction(1, 3)), "Q_4"),
+    ])
+    def test_validate_raises_on_a_corrupted_q(self, k, poly, what):
+        # a SpecfunError, not an assert, so that the check holds under python -O
+        exp_ = gamma_ratio_expansion(6)
+        q_polys = exp_.q_polys[:k] + (poly,) + exp_.q_polys[k + 1:]
+        with pytest.raises(SpecfunError, match=what):
+            dataclasses.replace(exp_, q_polys=q_polys).validate()
+
+
+def _quotient_sample(rng, n):
+    """(u, v) pairs with |Re|, |Im| <= 60: a third uniform, a third with u or
+    v within 1e-10..1e-1 of a pole -k (u never nearer than 1e-10), and a
+    third at 40 <= |Im| <= 60."""
+    u = rng.uniform(-60, 60, n) + 1j * rng.uniform(-60, 60, n)
+    v = rng.uniform(-60, 60, n) + 1j * rng.uniform(-60, 60, n)
+    near = np.arange(n) % 3 == 1
+    gap = 10.0 ** rng.uniform(-10, -1, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+    pole = -rng.integers(0, 60, n) + gap
+    on_u = near & (rng.uniform(0, 1, n) < 0.5)
+    u[on_u], v[near & ~on_u] = pole[on_u], pole[near & ~on_u]
+    high = np.arange(n) % 3 == 2
+    for z in (u, v):
+        z.imag[high] = rng.choice([-1.0, 1.0], high.sum()) * rng.uniform(40, 60, high.sum())
+    return u, v
+
+
+class TestGammaQuotients:
+    """specfun.gamma_quotients: every explicit Gamma quotient of Phi."""
+
+    def test_rounding_bound_holds_against_50_digits(self):
+        rng = np.random.default_rng(20241020)
+        u, v = _quotient_sample(rng, 3000)
+        q, bound = gamma_quotients(u, v, True)
+        assert np.all(q != 0) and np.all(bound > 0)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for uj, vj, qj, bj in zip(u.tolist(), v.tolist(), q.tolist(), bound.tolist()):
+                want = mpmath.gamma(mpmath.mpc(uj)) * mpmath.rgamma(mpmath.mpc(vj))
+                err = float(abs(mpmath.mpc(qj) - want))
+                assert err <= np.finfo(float).eps * abs(qj) * bj, (uj, vj, qj, err)
+                worst = max(worst, err / (np.finfo(float).eps * abs(qj) * bj))
+        # the bound is not vacuous: some quotients use a good part of it
+        assert worst > 1e-2
+
+    def test_zero_overflow_and_independence(self):
+        # 1/Gamma(v) is 0 on a nonpositive integer, within _INTEGER_TOL too
+        u = np.array([1.5 + 0j, 2.5 + 0.1j, 0.3 + 0j, 4.0 + 1j])
+        v = np.array([-3.0 + 0j, -3.0 + 1e-13j, 0j, 2.0 - 1j])
+        q, bound = gamma_quotients(u, v, True)
+        assert q[:3].tolist() == [0j, 0j, 0j] and bound[:3].tolist() == [0.0, 0.0, 0.0]
+        assert q[3] == pytest.approx(complex(mpmath.gamma(4 + 1j) / mpmath.gamma(2 - 1j)),
+                                     rel=1e-14)
+        # |Gamma(401.25) / Gamma(-200.25)| exceeds the largest double
+        with pytest.raises(OverflowError):
+            gamma_quotients(np.array([1.5 + 0j, 401.25 + 0j]), np.array([2.0 + 0j, -200.25 + 0j]),
+                            False)
+        # each quotient is the one of its own (u, v), bit for bit, in any batch
+        rng = np.random.default_rng(3)
+        u, v = _quotient_sample(rng, 60)
+        grid, _ = gamma_quotients(u.reshape(6, 10), v.reshape(6, 10), False)
+        for j in range(60):
+            one, _ = gamma_quotients(u[j:j + 1], v[j:j + 1], False)
+            assert grid.flat[j] == one[0]
+        # u and v broadcast, zeros included
+        v[:3] = [-2.0, 0.0, -7.0 + 1e-13j]
+        outer, bounds = gamma_quotients(u[:5, None], v[None, :8], True)
+        for i in range(5):
+            row, row_bounds = gamma_quotients(np.full(8, u[i]), v[:8], True)
+            assert np.array_equal(outer[i], row) and np.array_equal(bounds[i], row_bounds)
+        assert not outer[:, :3].any() and not bounds[:, :3].any()
 
 
 class TestZeta:

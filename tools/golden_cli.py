@@ -116,6 +116,8 @@ EDGE_CASES = [
     (["sal-expand", "--in", '{"phi": "gauss", "families": [{"alpha": -1.5, "k": 0}], "order": 3}'],
      None),
     (["sal-expand", "--in", '{"families": [{"alpha": -1.0, "k": "1"}], "order": 3}'], None),
+    # no positive remainder order is left for the moments of phi: exit 2
+    (["sal-expand", "--in", '{"phi": "exp", "families": [{"alpha": -9.0}]}'], None),
     # malformed payloads: each is an input error that names its field
     (["zeta-lp", "--in", '{"p": "0.5"}'], None),
     (["zeta-op", "--in", '{"tail": {"kind": "riemann"}, "s_re": true}'], None),
