@@ -43,22 +43,31 @@ f(x) dx in closed form, continued to its strip, the way it states its
 derivative; `mellin` then takes the value there instead of the term sum
 and the remainder quadrature.  e^-x states Gamma(z) and e^-x^2
 Gamma(z/2)/2 (DLMF 5.2.1), each derivative of theirs
-M[f'](z) = -(z-1) Mf(z-1), and the global monomial 0.  The algebra carries
-it: c Mf for a scaling, Mf + Mg for a sum of two that state one (no
-value where the two cancel to under 2^-10 of their size, as they do near
-a pole the sum cancels),
-lam^-z Mf(z) for a dilation, Mf(z+beta) for a factor x^beta (none with a
-log factor) and Mf(z/sigma)/|sigma| for x -> x^sigma.  The cutoff, step
-and restricted monomials, the compactly supported slopes and sal's test
-functions state none.  For a float z and real coefficients the value is a
-float, from the real Gamma; otherwise it is exp(log Gamma) and
-exp(-z log lam).
+M[f'](z) = -(z-1) Mf(z-1), the global monomial 0, and the monomial
+restricted to [0,1] or [1,inf) +-(-1)^k k!/w^(k+1), w = z + alpha.  The
+cutoff and step leaves and their compactly supported slopes state theirs
+through one fixed Gauss-Legendre rule on the transition interval, (1, 2)
+or (1/2, 1): z -> sum_i c_i x_i^(z-1), with the weights times the leaf's
+values c_i computed once per leaf, on first use.  A slope's transform is
+that integral, which is entire; a cutoff's or step's is the continued
+integral of the monomial over the step's plateau, or over the hull of its
+support, plus or minus the rule's integral of the step, or of one minus it
+(see `_step_mellin`).  Past |Im z| = 50 the rule states no value (nan).
+The algebra carries it: c Mf for a scaling, Mf + Mg for a sum of two that
+state one (no value where the two cancel to under 2^-10 of their size, as
+they do near a pole the sum cancels), lam^-z Mf(z) for a dilation,
+Mf(z+beta) for a factor x^beta (none with a log factor) and
+Mf(z/sigma)/|sigma| for x -> x^sigma.  sal's test functions state none.
+For a float z and real coefficients the value is a float, from the real
+Gamma, the real monomial block and the real rule; otherwise it is
+exp(log Gamma) and exp(-z log lam).
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -253,6 +262,14 @@ _ORDER_MARGIN = 8.0
 # of their sizes, 2^-10: a sum that cancels more than 10 bits states no
 # value at that point (see `_mellin_sum`).
 _CANCELLATION = 2.0**-10
+
+# The fixed Gauss-Legendre rule that states the Mellin transform over a
+# transition interval (see `_rule_mellin`), and the |Im z| past which it
+# states none: x^(i Im z) turns up to 5.5 times over (1, 2) at 50.  Against
+# mpmath at |Im w| <= 50, the cutoff and step transforms with log power
+# k <= 6 meet 2e-13 relative with 128 nodes, where 80 reach 1.4e-12 (k = 4).
+_RULE_NODES = 128
+_RULE_MAX_IM = 50.0
 
 
 def _batch(fn: Callable[[np.ndarray], np.ndarray], x):
@@ -715,8 +732,10 @@ def monomial_restricted(
     the other end's is empty, of order 40.  The remainder is minus the
     monomial beyond 1 at the end the support reaches, and the function
     itself at the other end.  It jumps at 1, so it states no derivative.
+    Its Mellin transform is +-(-1)**k k!/(z+alpha)**(k+1), + on [0,1].
     """
     a = complex(alpha)
+    shift = _real(a)
     term = (LogPowerTerm(1.0, a, k),)
     mono = lambda x: _monomial(x, a, k)
     minus = lambda x: -_monomial(x, a, k)
@@ -727,6 +746,7 @@ def monomial_restricted(
         ei = empty_expansion(Location.AT_INFINITY, _EMPTY_ORDER)
         r0 = Remainder(lambda x: _where(x, x > 1.0, minus), 1.0)
         ri = Remainder(ev, 0.0, 1.0)
+        sign = 1.0
     elif support == "unit_tail":
         def ev(x: np.ndarray) -> np.ndarray:
             return _where(x, x >= 1.0, mono)
@@ -734,9 +754,11 @@ def monomial_restricted(
         ei = AsymptoticExpansion(Location.AT_INFINITY, term, -a.real - 1 + _ORDER_MARGIN)
         r0 = Remainder(ev, 1.0)
         ri = Remainder(lambda x: _where(x, x < 1.0, minus), 0.0, 1.0)
+        sign = -1.0
     else:
         raise ValueError("support must be 'unit_interval' or 'unit_tail'")
-    return ExpandableFunction(ev, e0, ei, r0, ri)
+    return ExpandableFunction(ev, e0, ei, r0, ri, None,
+                              lambda z: sign * _block(z + shift, k, 1.0))
 
 
 def _taylor_leaf(f: Callable[[np.ndarray], np.ndarray], terms: tuple[LogPowerTerm, ...],
@@ -849,16 +871,113 @@ def _step_slope(u: np.ndarray) -> np.ndarray:
     return g1 * g2 * (1.0 / u**2 + 1.0 / (1.0 - u) ** 2) / (g1 + g2) ** 2
 
 
-def _compact_leaf(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
-                  ) -> ExpandableFunction:
-    """fn on (lo, hi) and 0 outside: empty expansions, with the function as
-    both remainders.  It states no derivative."""
-    def ev(x: np.ndarray) -> np.ndarray:
-        return _where(x, (lo < x) & (x < hi), fn)
+def _legendre(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) for n = _RULE_NODES, by the three-term recurrence."""
+    n = _RULE_NODES
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / ((x - 1.0) * (x + 1.0))
 
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and weights of the _RULE_NODES-point Gauss-Legendre rule on
+    (-1, 1): six Newton steps on P_n from cos(pi (i - 1/4)/(n + 1/2)), which
+    meet the roots to an ulp, and the weights 2/((1 - x^2) P_n'(x)^2), within
+    2e-16 of 40-digit ones.  The positive half, mirrored."""
+    i = np.arange(1, _RULE_NODES // 2 + 1)
+    x = np.cos(np.pi * (i - 0.25) / (_RULE_NODES + 0.5))
+    for _ in range(6):
+        p, dp = _legendre(x)
+        x = x - p / dp
+    _, dp = _legendre(x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
+    return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
+
+
+def _rule_mellin(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
+                 ) -> Callable[[complex], complex]:
+    """z -> the integral of x^(z-1) fn(x) over (lo, hi), by the fixed
+    Gauss-Legendre rule on (lo, hi): sum_i c_i x_i^(z-1) with c_i the
+    weight times fn(x_i), computed on first use.  nan past |Im z| =
+    _RULE_MAX_IM, so that `mellin` integrates there by quadrature.  fn is
+    smooth on (lo, hi) (a smooth step or its slope, times log^k x), so the
+    rule converges without subdividing; a float z and a real fn give a
+    float."""
+    @functools.cache
+    def rule() -> tuple[np.ndarray, np.ndarray]:
+        t, weights = _gauss_legendre()
+        half = 0.5 * (hi - lo)
+        x = lo + half * (t + 1.0)
+        c = half * weights * np.asarray(fn(x), dtype=complex)
+        return np.log(x), c if c.imag.any() else c.real
+
+    def mellin(z):
+        if abs(z.imag) > _RULE_MAX_IM:
+            return math.nan
+        lx, c = rule()
+        return (c @ np.exp((z - 1.0) * lx)).item()
+
+    return mellin
+
+
+def _block(w, k: int, c: float):
+    """`mellin.monomial_block(w, k, c)`, the continued integral of
+    x^(w-1) log^k x over (0, c]: a float for a float w, and nan on its pole
+    w = 0 or where it overflows, which `mellin` takes as no value."""
+    from .mellin import monomial_block  # mellin imports this module
+
+    try:
+        return _real(monomial_block(w, k, c))
+    except (ZeroDivisionError, OverflowError):
+        return math.nan
+
+
+def _step_mellin(a: complex, k: int, lo: float, hi: float, rising: bool
+                 ) -> Callable[[complex], complex]:
+    """The Mellin transform of s(x) x^a log^k x, where s is the smooth step on
+    (lo, hi) that is 1 below lo (falling) or above hi (rising).  With
+    w = z + a, A_c = `mellin.monomial_block` and I_g the integral of
+    g(x) x^(w-1) log^k x over (lo, hi) by `_rule_mellin`, it is the
+    continued integral over the step's plateau plus I_s, or over the hull of
+    its support minus I_(1-s):
+
+        A_lo(w, k) + I_s = A_hi(w, k) - I_(1-s)     (falling),
+        -A_hi(w, k) + I_s = -A_lo(w, k) - I_(1-s)   (rising).
+
+    It takes the form whose block is the smaller in modulus: that form's
+    integral is then at most |Mf| plus its block, so its two parts cancel the
+    least.  (At Re w << 0, the falling step's 1/w and I_s would cancel to a
+    value of the order of 2^w/w.)"""
+    sign, plateau, support = (-1.0, hi, lo) if rising else (1.0, lo, hi)
+    step = _rule_mellin(lambda x: _smooth_step(x, lo, hi, rising) * np.log(x) ** k, lo, hi)
+    rest = _rule_mellin(lambda x: _smooth_step(x, lo, hi, not rising) * np.log(x) ** k, lo, hi)
+    shift = _real(a)
+
+    def mellin(z):
+        w = z + shift
+        on_plateau, on_support = sign * _block(w, k, plateau), sign * _block(w, k, support)
+        if abs(on_support) < abs(on_plateau):
+            return on_support - rest(w)
+        return on_plateau + step(w)
+
+    return mellin
+
+
+def _compact_leaf(slope: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+                  a: complex, k: int) -> ExpandableFunction:
+    """slope(x) x**a log**k x on (lo, hi) and 0 outside: empty expansions,
+    with the function as both remainders.  It states no derivative, and its
+    Mellin transform, which is entire, by the fixed rule on (lo, hi)."""
+    def ev(x: np.ndarray) -> np.ndarray:
+        return _where(x, (lo < x) & (x < hi), lambda y: slope(y) * _monomial(y, a, k))
+
+    rule, shift = _rule_mellin(lambda x: slope(x) * np.log(x) ** k, lo, hi), _real(a)
     return ExpandableFunction(ev, empty_expansion(Location.AT_ZERO, _EMPTY_ORDER),
                               empty_expansion(Location.AT_INFINITY, _EMPTY_ORDER),
-                              Remainder(ev, lo, hi), Remainder(ev, lo, hi))
+                              Remainder(ev, lo, hi), Remainder(ev, lo, hi), None,
+                              lambda z: rule(z + shift))
 
 
 def cutoff_times_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
@@ -867,7 +986,9 @@ def cutoff_times_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
     The remainder at 0, (phi - 1) x**alpha log**k x, vanishes on (0, 1]; the
     one at infinity, f itself, on [2, inf).  The derivative is the product
     rule: phi' x**alpha log**k x, a leaf on (1, 2) that states no derivative,
-    plus phi times the monomial's derivative.
+    plus phi times the monomial's derivative.  The Mellin transform is
+    (-1)**k k!/w**(k+1) plus the rule's integral of phi x**(w-1) log**k x
+    over (1, 2), w = z + alpha, or its other form (see `_step_mellin`).
     """
     a = complex(alpha)
 
@@ -882,8 +1003,9 @@ def cutoff_times_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
         Remainder(lambda x: (smooth_cutoff(x) - 1.0) * _monomial(x, a, k), 1.0),
         Remainder(ev, 0.0, 2.0),
         lambda: _monomial_rule(
-            _compact_leaf(lambda x: -_step_slope(x - 1.0) * _monomial(x, a, k), 1.0, 2.0),
+            _compact_leaf(lambda x: -_step_slope(x - 1.0), 1.0, 2.0, a, k),
             cutoff_times_monomial, a, k),
+        _step_mellin(a, k, 1.0, 2.0, False),
     )
 
 
@@ -893,7 +1015,9 @@ def tail_times_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
     The remainder at 0, f itself, vanishes on (0, 1/2]; the one at infinity,
     (psi - 1) x**alpha log**k x, on [1, inf).  The derivative is the product
     rule: psi' x**alpha log**k x, a leaf on (1/2, 1) that states no
-    derivative, plus psi times the monomial's derivative.
+    derivative, plus psi times the monomial's derivative.  The Mellin
+    transform mirrors the cutoff's: -(-1)**k k!/w**(k+1) plus the rule's
+    integral over (1/2, 1), or its other form (see `_step_mellin`).
     """
     a = complex(alpha)
 
@@ -908,7 +1032,7 @@ def tail_times_monomial(alpha: complex, k: int = 0) -> ExpandableFunction:
         Remainder(ev, 0.5),
         Remainder(lambda x: (smooth_step_up(x) - 1.0) * _monomial(x, a, k), 0.0, 1.0),
         lambda: _monomial_rule(
-            _compact_leaf(lambda x: 2.0 * _step_slope(2.0 * x - 1.0) * _monomial(x, a, k),
-                          0.5, 1.0),
+            _compact_leaf(lambda x: 2.0 * _step_slope(2.0 * x - 1.0), 0.5, 1.0, a, k),
             tail_times_monomial, a, k),
+        _step_mellin(a, k, 0.5, 1.0, True),
     )

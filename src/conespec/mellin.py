@@ -29,16 +29,20 @@ So the partial integrals over [0, c] and [c, inf) add up to the regularized
 integral with cut c.  One tolerance, POLE_TOL = 1e-8, decides that a point is
 on a pole, for the evaluator's guard, the pole ledger and the term sum.
 
-A function that states its Mellin transform in closed form (`f.mellin`: the
-exponential and Gaussian leaves and what the algebra builds from them and
-from global monomials) takes it over both sides at every z that lies more
-than POLE_TOL from the pole -alpha of each stored term and where its value
-is finite, with neither term sum nor quadrature: off the poles the
-continuation does not depend on the cut.  Partial integrals, points on or
-near a pole and functions that state no transform keep the term sum and
-quadrature; so do the poles that no stored term marks, where the stated
-value is not finite, and the points near them, where a stated sum cancels
-(see `expansions._mellin_sum`).
+A function that states its Mellin transform (`f.mellin`: every leaf of
+`expansions` and what the algebra builds from them, but no factor with a
+log power and no `sal.TestFunction`; the exponential and Gaussian leaves in
+closed form, the monomials exactly, and the cutoff and step leaves and
+their slopes by a fixed Gauss-Legendre rule on the transition interval)
+takes it over both sides at every z that lies more than POLE_TOL from the
+pole -alpha of each stored term and where its value is finite, with
+neither term sum nor quadrature: off the poles the continuation does not
+depend on the cut.  Partial integrals, points on or near a pole and
+functions that state no transform keep the term sum and quadrature; so do
+the poles that no stored term marks, where the stated value is not finite,
+the points near them, where a stated sum cancels (see
+`expansions._mellin_sum`), and the points past |Im z| = 50 on a cutoff or
+step piece, where the fixed rule states no value.
 """
 
 from __future__ import annotations

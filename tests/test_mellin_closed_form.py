@@ -2,8 +2,10 @@
 route `mellin` takes with them."""
 
 import dataclasses
+import functools
 import importlib.util
 import math
+import random
 from pathlib import Path
 
 import mpmath
@@ -152,11 +154,10 @@ class TestClosedForms:
             assert math.copysign(1.0, value.real) == math.copysign(1.0, value.imag) == 1.0
 
     def test_functions_that_state_no_transform(self):
-        for f in (cutoff_times_monomial(-1.5, 1), tail_times_monomial(0.5),
-                  monomial_restricted(-0.5, 0), differentiate(cutoff_times_monomial(-1.5)),
-                  TestFunction(lambda x: np.exp(-x), [(-1.0) ** j for j in range(13)]),
-                  add_functions(exponential_decay(), cutoff_times_monomial(-2.0)),
-                  times_monomial(exponential_decay(), -1.5, 1)):
+        phi = TestFunction(lambda x: np.exp(-x), [(-1.0) ** j for j in range(13)])
+        for f in (phi, add_functions(cutoff_times_monomial(-2.0), phi),
+                  times_monomial(exponential_decay(), -1.5, 1),
+                  times_monomial(cutoff_times_monomial(-1.5), 0.5, 1)):
             assert f.mellin is None
 
     def test_real_argument_and_coefficients_give_a_real_value(self):
@@ -174,6 +175,169 @@ class TestClosedForms:
             assert scale_rule(g, 1.7).imag == 0.0
             moments = regularized_moments(g, [(-1.5, 0), (0.25, 0), (2.0, 0)])
             assert not moments.imag.any()
+
+
+# -- the cutoff and step leaves: a fixed rule over the transition ------------
+
+
+def _mp_step(x, lo, hi, rising):
+    """The smooth step on (lo, hi) in mpmath, 1 towards 0 or towards infinity."""
+    u = (x - lo) / (hi - lo)
+    g1, g2 = mpmath.exp(-1 / u), mpmath.exp(-1 / (1 - u))
+    return (g1 if rising else g2) / (g1 + g2)
+
+
+# (lo, hi, rising, sign) of the cutoff and the step: Mf(z) is
+# sign (-1)^k k!/w^(k+1) plus the integral of step x^(w-1) log^k x over (lo, hi)
+_LEAVES = {"cutoff": (cutoff_times_monomial, 1, 2, False, 1),
+           "step": (tail_times_monomial, 0.5, 1, True, -1)}
+
+
+def _mp_pole(w, k):
+    """(-1)^k k!/w^(k+1), the continued integral of x^(w-1) log^k x over (0, 1]."""
+    return (-1) ** k * mpmath.factorial(k) / mpmath.mpc(w) ** (k + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_leaf(name, w, k):
+    """The Mellin transform of the cutoff or step times x^alpha log^k x, at
+    w = z + alpha, in 30-digit mpmath."""
+    _, lo, hi, rising, sign = _LEAVES[name]
+    with mpmath.workdps(30):
+        mw = mpmath.mpc(w)
+        step = mpmath.quad(lambda x: _mp_step(x, lo, hi, rising) * x ** (mw - 1)
+                           * mpmath.log(x) ** k, mpmath.linspace(lo, hi, 9))
+        return complex(sign * _mp_pole(w, k) + step)
+
+
+# Points w = z + alpha with Re w in [-20, 20] and |Im z| <= 50, on both sides
+# of the choice between a leaf's two forms, and on the vertical lines
+# 14 <= |Im z| <= 31; the point i takes (alpha, k) = _ALPHA_K[i % 5], and
+# alpha = k = 0 makes a leaf's derivative its slope alone.
+_W = (0.5, -20.0, 20.0, 3.7 - 50j, -19.5 + 49.5j, 19.0 + 44.0j, -7.3 + 14.2j,
+      11.6 - 30.9j, 0.02 + 21.5j, -0.4 - 31.0j, -2.1 - 44.3j, 4.3 + 46.6j)
+_ALPHA_K = ((-1.3, 0), (0.6, 1), (-2.5 + 0.75j, 2), (1.9, 3), (0.0, 0))
+
+
+def _transition_points():
+    """(alpha, k, w, z = w - alpha, the pole part's size k!/|w|^(k+1))."""
+    points = []
+    for i, w in enumerate(_W):
+        alpha, k = _ALPHA_K[i % len(_ALPHA_K)]
+        z = w - alpha
+        assert abs(z.imag) <= 50
+        points.append((alpha, k, w, z, math.factorial(k) / abs(w) ** (k + 1)))
+    return points
+
+
+def _meets(got, want, scale):
+    assert abs(got - want) <= 1e-12 * max(abs(want), scale), (got, want)
+
+
+class TestTransitionLeaves:
+    """The cutoff and step leaves, their slopes and the restricted monomials
+    state Mf, against mpmath to 1e-12 relative to max(|Mf|, k!/|w|^(k+1)),
+    the size of the pole part at w = z + alpha."""
+
+    @pytest.mark.parametrize("name", sorted(_LEAVES))
+    def test_leaf_meets_mpmath(self, name):
+        make = _LEAVES[name][0]
+        for alpha, k, w, z, scale in _transition_points():
+            _meets(make(alpha, k).mellin(z), _mp_leaf(name, w, k), scale)
+
+    @pytest.mark.parametrize("name,ws", [("cutoff", (-30.0, -40.0, -40 + 20j)),
+                                         ("step", (30.0, 40.0, 40 - 20j))])
+    def test_far_from_the_plateau_the_value_keeps_its_digits(self, name, ws):
+        # there the pole part and the rule's integral of the step would
+        # cancel to the small value (to 5e-11 of it at w = -40 + 20i); the
+        # block over the support minus the integral of one minus the step
+        # does not
+        make = _LEAVES[name][0]
+        for w in ws:
+            want = _mp_leaf(name, w, 0)
+            assert abs(make(0.0).mellin(w) - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("name", sorted(_LEAVES))
+    def test_derivative_through_the_slope_leaf(self, name):
+        # M[f'](z) = -(z-1) Mf(z-1): the slope leaf's transform plus the
+        # product rule's leaves (for alpha = k = 0, the slope leaf alone)
+        make = _LEAVES[name][0]
+        for alpha, k, w, z, scale in _transition_points():
+            f = differentiate(make(alpha, k))
+            _meets(f.mellin(z + 1), -z * _mp_leaf(name, w, k), abs(z) * scale)
+
+    def test_cutoff_fuchs_derivative_and_rescaling(self):
+        # M[-x f'](z) = z Mf(z) and M[f(lam x)](z) = lam^-z Mf(z)
+        for alpha, k, w, z, scale in _transition_points():
+            f, want = cutoff_times_monomial(alpha, k), _mp_leaf("cutoff", w, k)
+            _meets(fuchs_derivative(f).mellin(z), z * want, abs(z) * scale)
+            lam = 1.7 ** -complex(z)
+            _meets(rescale_argument(f, 1.7).mellin(z), lam * want, abs(lam) * scale)
+
+    def test_restricted_monomials_state_their_pole_part(self):
+        for alpha, k, w, z, scale in _transition_points():
+            want = complex(_mp_pole(w, k))
+            _meets(monomial_restricted(alpha, k).mellin(z), want, scale)
+            _meets(monomial_restricted(alpha, k, "unit_tail").mellin(z), -want, scale)
+
+    def test_a_float_z_and_real_alpha_give_a_float(self):
+        for f in (cutoff_times_monomial(-1.5, 1), tail_times_monomial(0.5, 2),
+                  monomial_restricted(-0.5), monomial_restricted(0.3, 1, "unit_tail"),
+                  differentiate(cutoff_times_monomial(-1.5)), differentiate(tail_times_monomial(0.0)),
+                  fuchs_derivative(cutoff_times_monomial(0.4, 2)),
+                  rescale_argument(cutoff_times_monomial(-2.2), 1.3)):
+            for z in (-15.3, 0.7, 1.0, 12.5):
+                assert type(f.mellin(z)) is float
+            assert regularized_integral(f).imag == 0.0
+            assert scale_rule(f, 1.7).imag == 0.0
+
+    def test_past_the_rule_s_reach_the_quadrature_takes_over(self):
+        # no stated value past |Im z| = 50, so the evaluator integrates
+        for f in (cutoff_times_monomial(-0.5, 1), differentiate(tail_times_monomial(0.3))):
+            assert math.isnan(f.mellin(0.5 + 50.5j))
+            plain = dataclasses.replace(f, mellin=None)
+            assert mellin_transform(f)(0.5 - 60j) == mellin_transform(plain)(0.5 - 60j)
+            assert math.isfinite(f.mellin(0.5 - 50j).real)
+
+
+def _calculus_piece(rng, kinds):
+    """A piece of a function of the calculus benchmark (bench/gen.py): a
+    scaled monomial, cutoff, e^-x or e^-x^2, or a rescaling or Fuchs
+    derivative of one of those."""
+    kind = rng.choice(kinds)
+    c = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
+    if kind in ("mono", "cut"):
+        leaf = global_monomial if kind == "mono" else cutoff_times_monomial
+        return scale_function(leaf(rng.uniform(-3.0, 2.0), rng.randrange(3)), c)
+    if kind in ("exp", "gauss"):
+        return scale_function(exponential_decay() if kind == "exp" else gaussian_decay(), c)
+    inner = _calculus_piece(rng, ("mono", "cut", "exp", "gauss"))
+    return rescale_argument(inner, rng.uniform(0.4, 2.8)) if kind == "resc" else (
+        fuchs_derivative(inner))
+
+
+def _cutoff_functions(n):
+    """n functions of one to three pieces, the first a cutoff, a rescaled
+    cutoff or a cutoff's Fuchs derivative, each with a point z of its strip
+    with |Im z| <= 50; z and 1 lie more than 1e-3 from every stored term's
+    pole."""
+    rng = random.Random(11)
+    out = []
+    while len(out) < n:
+        f = _calculus_piece(rng, ("cut",))
+        wrap = rng.choice(("cut", "resc", "fuchs"))
+        if wrap == "resc":
+            f = rescale_argument(f, rng.uniform(0.4, 2.8))
+        elif wrap == "fuchs":
+            f = fuchs_derivative(f)
+        for _ in range(rng.randrange(3)):
+            f = add_functions(f, _calculus_piece(
+                rng, ("mono", "cut", "exp", "gauss", "resc", "fuchs")))
+        z = complex(rng.uniform(-2.0, 3.0), rng.uniform(-50.0, 50.0))
+        poles = [-t.exponent for t in f.expansion_at_zero.terms + f.expansion_at_infinity.terms]
+        if all(abs(p - 1) > 1e-3 and abs(p - z) > 1e-3 for p in poles):
+            out.append((f, z))
+    return out
 
 
 def _no_quadrature(*args, **kwargs):
@@ -195,6 +359,24 @@ class TestRoute:
         mellin_transform(f)(1.3 + 7j)
         regularized_moments(f, [(-0.5, 0), (1.0, 0), (2.25, 0)])
 
+    def test_functions_with_a_cutoff_piece_need_no_quadrature(self, monkeypatch):
+        cases = _cutoff_functions(16)
+        monkeypatch.setattr(mellin, "quad", _no_quadrature)
+        got = [(regularized_integral(f), scale_rule(f, 1.9), mellin_transform(f)(z))
+               for f, z in cases]
+        monkeypatch.undo()
+        for (f, z), values in zip(cases, got):
+            plain = dataclasses.replace(f, mellin=None)
+            want = (regularized_integral(plain), scale_rule(plain, 1.9),
+                    mellin_transform(plain)(z))
+            for g, w in zip(values, want):
+                # within the quadrature's relative tolerance, QUAD_REL_TOL
+                assert abs(g - w) <= 1e-10 * max(1.0, abs(w)), (g, w)
+            # the partial integrals keep the term sum and the quadrature
+            for side in Side:
+                assert regularized_integral_partial(f, 0.7, side) == (
+                    regularized_integral_partial(plain, 0.7, side))
+
     @staticmethod
     def _counted(monkeypatch):
         calls = []
@@ -207,16 +389,21 @@ class TestRoute:
         monkeypatch.setattr(mellin, "quad", counting_quad)
         return calls
 
-    def test_a_cutoff_piece_keeps_the_quadrature(self, monkeypatch):
-        # the remainders of e^-x and of the cutoff live on both sides of 1
+    def test_a_cutoff_on_its_own_pole_keeps_the_quadrature(self, monkeypatch):
+        # z = 1 is the pole of the cutoff's x^-1 term: the constant Laurent
+        # coefficient comes from the term sum and the quadrature of the
+        # remainder on (1, 2), as without the stated transform
         calls = self._counted(monkeypatch)
-        f = add_functions(exponential_decay(), cutoff_times_monomial(-2.5, 1))
-        regularized_integral(f)
-        assert len(calls) == 2
-        scale_rule(f, 1.9)
-        assert len(calls) == 4
-        mellin_transform(f)(0.7 + 2j)
-        assert len(calls) == 6
+        for f in (cutoff_times_monomial(-1.0), add_functions(
+                exponential_decay(), scale_function(cutoff_times_monomial(-1.0, 1), -0.5))):
+            plain = dataclasses.replace(f, mellin=None)
+            for value in (lambda g: regularized_integral(g), lambda g: scale_rule(g, 1.9),
+                          lambda g: mellin_transform(g).regular(1.0 + 0.5 * POLE_TOL)):
+                start = len(calls)
+                got = value(f)
+                mid = len(calls)
+                assert mid > start and got == value(plain)
+                assert calls[start:mid] == calls[mid:]
 
     @pytest.mark.parametrize("make", CLOSED)
     def test_partial_integrals_keep_the_quadrature(self, make, monkeypatch):
