@@ -15,8 +15,9 @@ Arrays: the zeros of J_p come as a batch from one vectorized Newton pass;
 laguerre and l_fn broadcast over an array x (a scalar keeps its math path);
 hankel_transform takes an f that maps a float array to an array.  Its only
 quadrature is mellin's quad, the package's one Gauss-Kronrod rule, which it
-calls on batches of panels between consecutive zeros of J_p with an
-integrand block of one column per panel; scipy.integrate is not imported.
+calls on batches of panels between consecutive asymptotic zeros of J_p (the
+Newton starts of bessel_j_zero, one table per call) with an integrand block
+of one column per panel; scipy.integrate is not imported.
 """
 
 from __future__ import annotations
@@ -190,7 +191,9 @@ def _olver_z(w: np.ndarray) -> np.ndarray:
     w = (2/3)(-zeta)^(3/2)).  The left side is convex and increasing in z,
     and exceeds w at z = w + pi/2, so Newton's method from there decreases
     monotonically to the root; twelve steps reach it to rounding for every
-    w >= 1e-5 (p up to 2e5 in bessel_j_zero), each element on its own."""
+    w >= 1e-5 (p up to 2e5 in _bessel_j_zero_start, whose starts both
+    bessel_j_zero and hankel_transform's panel table take), each element
+    on its own."""
     z = w + 0.5 * math.pi
     for _ in range(12):
         r = np.sqrt(z * z - 1.0)
@@ -198,31 +201,47 @@ def _olver_z(w: np.ndarray) -> np.ndarray:
     return z
 
 
+def _bessel_j_zero_start(p: float, ms: np.ndarray) -> np.ndarray:
+    """Asymptotic starts for the zeros j_(p,m) of J_p, p > -1, at a float
+    array of indices m >= 1, with no Newton step.
+
+    McMahon's expansion in 1/(m + p/2 - 1/4) (DLMF 10.21.19) for p < 1, and
+    for p >= 1 the leading term p z(zeta), zeta = p^(-2/3) a_m, of Olver's
+    expansion (DLMF 10.21.43), which is uniform in m where McMahon's fails
+    for m small against p.  For p >= -0.99 and m <= 80 each start is within
+    0.2 of its zero, and consecutive zeros are at least 3.1 apart.  Below
+    p = -0.99 the first zero, which tends to 0 and which McMahon's start
+    overshoots by up to 0.35, starts from 2 sqrt((p+1)(p+2)) instead: the
+    power series of J_p puts it about (p+1)/4 (relative) above the zero,
+    under 0.25 % there.
+    """
+    if p >= 1.0:
+        return p * _olver_z((2.0 / 3.0) * (-_airy_zero(ms)) ** 1.5 / p)
+    beta = (ms + p / 2.0 - 0.25) * math.pi
+    mu = 4.0 * p * p
+    x = beta - (mu - 1) / (8 * beta) - 4 * (mu - 1) * (7 * mu - 31) / (3 * (8 * beta) ** 3)
+    if p < -0.99:
+        x = np.where(ms == 1, 2.0 * math.sqrt((p + 1.0) * (p + 2.0)), x)
+    return x
+
+
 def bessel_j_zero(p: float, m):
     """The m-th positive zero j_(p,m) of J_p, for finite p > -1 and m >= 1,
     an int or an int array (then an array of the zeros); else SpecfunError.
 
-    Newton's method from a start within 0.2 of the zero, well inside its
-    half-spacing (at least 1.5): McMahon's expansion in 1/(m + p/2 - 1/4)
-    (DLMF 10.21.19) for p < 1, and for p >= 1 the leading term p z(zeta),
-    zeta = p^(-2/3) a_m, of Olver's expansion (DLMF 10.21.43), which is
-    uniform in m where McMahon's fails for m small against p.  The batch
-    takes one vectorized Newton pass; each zero stops where its own step
-    falls under 1e-14 max(1, x), so its value does not depend on the batch.
+    Newton's method from the starts of _bessel_j_zero_start, each well
+    inside its zero's half-spacing (at least 1.5), or, for the first zero
+    below p = -0.99, within 0.25 % of it.  The batch takes one vectorized
+    Newton pass; each zero stops where its own step falls under
+    1e-14 max(1, x), so its value does not depend on the batch.  A zero
+    that is not finite raises SpecfunError.
     """
     if not -1 < p < math.inf:  # NaN fails too
         raise SpecfunError(f"order must be finite and exceed -1, not {p}")
     ms = np.asarray(m)
     if ms.dtype.kind not in "iu" or np.any(ms < 1):
         raise SpecfunError("m must be an integer >= 1")
-    ms = ms.astype(float)
-    if p < 1.0:
-        beta = (ms + p / 2.0 - 0.25) * math.pi
-        mu = 4.0 * p * p
-        x = beta - (mu - 1) / (8 * beta) - 4 * (mu - 1) * (7 * mu - 31) / (3 * (8 * beta) ** 3)
-    else:
-        x = p * _olver_z((2.0 / 3.0) * (-_airy_zero(ms)) ** 1.5 / p)
-    x = np.atleast_1d(x)
+    x = np.atleast_1d(_bessel_j_zero_start(p, ms.astype(float)))
     active = np.ones(x.shape, dtype=bool)
     for _ in range(50):
         xa = x[active]
@@ -231,6 +250,8 @@ def bessel_j_zero(p: float, m):
         active[active] = np.abs(step) >= 1e-14 * np.maximum(1.0, x[active])
         if not active.any():
             break
+    if not np.isfinite(x).all():
+        raise SpecfunError(f"Newton's method left a zero of J_{p} that is not finite")
     return float(x[0]) if ms.ndim == 0 else x.reshape(ms.shape)
 
 
@@ -254,21 +275,21 @@ def laguerre(n: int, p: float, x):
 
 def l_fn(n: int, p: float, x):
     """l_n^{(p)}(x) = x^{p+1/2} e^{-x^2/2} L_n^{(p)}(x^2); x a float, or an
-    array, where it is evaluated elementwise by numpy."""
+    array, where it is evaluated elementwise by numpy.  At x = 0 it is 0 for
+    p > -1/2 and L_n^(-1/2)(0) = C(n - 1/2, n) at p = -1/2; for p < -1/2 it
+    is infinite there, and x = 0 raises SpecfunError, as does x < 0."""
     if np.ndim(x) == 0:
         if x < 0:
             raise SpecfunError("x must be >= 0")
-        if x == 0:
-            return 0.0 if p + 0.5 > 0 else math.inf
+        if x == 0 and p < -0.5:
+            raise SpecfunError(f"l_n^(p)(0) is infinite for p = {p} < -1/2")
         return x ** (p + 0.5) * math.exp(-x * x / 2.0) * laguerre(n, p, x * x)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise SpecfunError("x must be >= 0")
-    zero = x == 0
-    out = np.full(x.shape, 0.0 if p + 0.5 > 0 else math.inf)
-    y = x[~zero]
-    out[~zero] = y ** (p + 0.5) * np.exp(-y * y / 2.0) * laguerre(n, p, y * y)
-    return out
+    if p < -0.5 and np.any(x == 0):
+        raise SpecfunError(f"l_n^(p)(0) is infinite for p = {p} < -1/2")
+    return x ** (p + 0.5) * np.exp(-x * x / 2.0) * laguerre(n, p, x * x)
 
 
 # ---------------------------------------------------------------------------
@@ -295,28 +316,34 @@ def hankel_transform(f: Callable[[np.ndarray], np.ndarray], p: float, x: float) 
     """(H_p f)(x) = integral_0^inf (x y)^{1/2} J_p(x y) f(y) dy, for an f
     that maps a float array of y to an array of values.
 
-    The y-axis is split into panels at the scaled zeros j_(p,m)/x of J_p.
-    Each batch of _HANKEL_BATCH panels is one call of mellin's quad, in
-    which every panel is a start subinterval and an integrand of its own,
-    so each meets its own tolerance.  For p < 1, (x y)^(1/2) J_p(x y) ~
-    y^(p+1/2) has an unbounded second derivative at 0 (p != +-1/2), which
-    bisection would chase for twenty rounds, so the first panel [0, e] is
-    integrated in t = e (y/e)^(1/4), where the power is t^(4p+5).  The
-    panels are summed until three in a row fall under _HANKEL_TOL/10 (six
-    at least); at _HANKEL_MAX_PANELS the alternating tail is
-    Euler-accelerated instead.  Raises HankelConvergenceError if that does
-    not stabilize either, or if a panel's quadrature misses its tolerance.
-    Domain: finite x > 0 and finite p > -1, else SpecfunError.
+    The y-axis is split into panels at ends near the scaled zeros
+    j_(p,m)/x of J_p: one table of _HANKEL_MAX_PANELS ends per call, from
+    the asymptotic starts of _bessel_j_zero_start with no Newton step.  The
+    integrand is analytic across an end, and each start is well inside its
+    zero's half-spacing, so each panel still holds one lobe of the
+    alternating integrand, as the Euler-accelerated tail needs (Longman's
+    method).  Each batch of _HANKEL_BATCH panels is one call of mellin's
+    quad, in which every panel is a start subinterval and an integrand of
+    its own, so each meets its own tolerance.  For p < 1, (x y)^(1/2)
+    J_p(x y) ~ y^(p+1/2) has an unbounded second derivative at 0
+    (p != +-1/2), which bisection would chase for twenty rounds, so the
+    first panel [0, e] is integrated in t = e (y/e)^(1/4), where the power
+    is t^(4p+5).  The panels are summed until three in a row fall under
+    _HANKEL_TOL/10 (six at least); at _HANKEL_MAX_PANELS the alternating
+    tail is Euler-accelerated instead.  Raises HankelConvergenceError if
+    that does not stabilize either, or if a panel's quadrature misses its
+    tolerance.  Domain: finite x > 0 and finite p > -1, else SpecfunError.
     """
     if not 0 < x < math.inf:  # NaN fails too
         raise SpecfunError(f"x must be finite and positive, not {x}")
     if not -1 < p < math.inf:
         raise SpecfunError(f"order must be finite and exceed -1, not {p}")
 
+    table = _bessel_j_zero_start(p, np.arange(1.0, _HANKEL_MAX_PANELS + 1.0)) / x
     panels: list[float] = []
     edge = 0.0
     while True:
-        ends = bessel_j_zero(p, np.arange(len(panels) + 1, len(panels) + 1 + _HANKEL_BATCH)) / x
+        ends = table[len(panels):len(panels) + _HANKEL_BATCH]
         starts = np.concatenate([[edge], ends[:-1]])
 
         def columns(t: np.ndarray) -> np.ndarray:
@@ -326,7 +353,7 @@ def hankel_transform(f: Callable[[np.ndarray], np.ndarray], p: float, x: float) 
             if edge == 0.0 and p < 1.0:
                 first, u = col == 0, t / ends[0]
                 y, dy = np.where(first, ends[0] * u**4, t), np.where(first, 4.0 * u**3, 1.0)
-            out = np.zeros((t.size, _HANKEL_BATCH))
+            out = np.zeros((t.size, ends.size))
             out[np.arange(t.size), col] = np.sqrt(x * y) * sps.jv(p, x * y) * f(y) * dy
             return out
 

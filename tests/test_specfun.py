@@ -170,16 +170,23 @@ class TestBessel:
         # an element of the batch is the zero computed alone
         assert [bessel_j_zero(p, int(k)) for k in m] == zeros.tolist()
 
-    @pytest.mark.parametrize("p", [-0.9, -0.4, 0.7])
+    @pytest.mark.parametrize("p", [-0.99999, -0.9999, -0.9995, -0.9, -0.4, 0.7])
     def test_bessel_j_zeros_below_order_one(self, p):
         # mpmath has no negative orders: J_p changes sign at each zero, and
-        # at nothing else on a fine grid up to the last one
+        # at nothing else on a fine grid up to the last one.  From p = -0.9995
+        # down, the first zero (0.0063 at p = -0.99999) lies below McMahon's
+        # start, and Newton's method from there stepped below 0 to nan
         zeros = bessel_j_zero(p, np.arange(1, 31))
         assert np.abs(sps.jv(p, zeros)).max() <= 1e-13
         grid = np.linspace(1e-3, zeros[-1] + 0.5, 200001)
         changes = np.flatnonzero(np.diff(np.sign(sps.jv(p, grid))))
         assert len(changes) == len(zeros)
         assert np.all((grid[changes] < zeros) & (zeros <= grid[changes + 1]))
+
+    def test_bessel_j_zero_raises_where_newton_is_not_finite(self, monkeypatch):
+        monkeypatch.setattr(sps, "jv", lambda p, x: np.full(np.shape(x), math.nan))
+        with pytest.raises(SpecfunError, match="not finite"):
+            bessel_j_zero(0.5, np.array([1, 2]))
 
     @pytest.mark.parametrize("m", [0, -2, 1.0, True])
     def test_bessel_j_zero_rejects_bad_indices(self, m):
@@ -220,6 +227,27 @@ class TestLaguerre:
         with pytest.raises(SpecfunError):
             l_fn(1, 0.5, np.array([1.0, -0.1]))
 
+    def test_l_fn_at_zero(self):
+        # x^(p+1/2) is 1 at x = 0 for p = -1/2, where l_n is L_n^(-1/2)(0) =
+        # C(n - 1/2, n); it is 0 above and infinite below
+        for n in range(5):
+            want = float(mpmath.laguerre(n, -0.5, 0))
+            assert want == pytest.approx(float(mpmath.binomial(n - 0.5, n)), rel=1e-15)
+            assert l_fn(n, -0.5, 0.0) == pytest.approx(want, rel=1e-14)
+            got = l_fn(n, -0.5, np.array([0.0, 0.7]))
+            assert got[0] == pytest.approx(want, rel=1e-14)
+            assert got[1] == pytest.approx(l_fn(n, -0.5, 0.7), rel=1e-14)
+            for p in (-0.4, 0.0, 2.5):
+                assert l_fn(n, p, 0.0) == 0.0
+                assert l_fn(n, p, np.zeros(2)).tolist() == [0.0, 0.0]
+            for p in (-0.9, -0.6):
+                with pytest.raises(SpecfunError, match="infinite"):
+                    l_fn(n, p, 0.0)
+                with pytest.raises(SpecfunError, match="infinite"):
+                    l_fn(n, p, np.array([0.7, 0.0]))
+                assert l_fn(n, p, np.array([0.7])) == pytest.approx([l_fn(n, p, 0.7)])
+        assert l_fn(2, -0.5, 0.0) == 0.375
+
     def test_l_fn_orthogonality(self):
         from scipy.integrate import quad
 
@@ -239,8 +267,8 @@ class TestHankel:
                     l_fn(0, p, x), rel=1e-8, abs=1e-10
                 )
 
-    @pytest.mark.parametrize("p", [-0.4, 0.5, 5.0, 12.0])
-    def test_eigenfunctions_match_mpmath(self, p):
+    @staticmethod
+    def _check_eigenfunctions(p):
         # H_p l_n^(p) = (-1)^n l_n^(p), with the right side in mpmath
         for n in range(5):
             for x in np.linspace(0.2, 4.0, 9):
@@ -250,6 +278,42 @@ class TestHankel:
                     want = float((-1) ** n * X ** (p + 0.5) * mpmath.exp(-X * X / 2)
                                  * mpmath.laguerre(n, p, X * X))
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("p", [-0.4, 0.5, 5.0, 12.0])
+    def test_eigenfunctions_match_mpmath(self, p):
+        self._check_eigenfunctions(p)
+
+    @pytest.mark.parametrize("p", [-0.4, 0.5, 5.0, 12.0])
+    def test_panels_take_no_newton_step(self, p, monkeypatch):
+        # the panel ends are the asymptotic starts of the zeros, not zeros
+        def refuse(*args):
+            raise AssertionError("a Newton step on the Hankel panels")
+        monkeypatch.setattr(specfun, "bessel_j_zero", refuse)
+        monkeypatch.setattr(sps, "jvp", refuse)
+        self._check_eigenfunctions(p)
+
+    @pytest.mark.parametrize("p", [-0.999, -0.9, -0.4, 0.0, 0.5, 1.0, 5.0, 12.0, 40.0, 1e3])
+    def test_panel_table(self, p):
+        # each end lies within 0.3 of its zero (0.2 for p >= -0.99, where
+        # zeros are at least 3.1 apart), so every panel holds one lobe
+        m = np.arange(1, specfun._HANKEL_MAX_PANELS + 1)
+        ends = specfun._bessel_j_zero_start(p, m.astype(float))
+        assert ends.shape == m.shape
+        assert ends[0] > 0 and np.all(np.diff(ends) > 0)
+        assert np.abs(ends - bessel_j_zero(p, m)).max() <= 0.3
+
+    def test_euler_tail(self, monkeypatch):
+        # H_0[sqrt(y)/(1+y^2)](x) = sqrt(x) K_0(x) (DLMF 10.22.46 with a = 1):
+        # the panels decay like m^(-1/2), so the sum reaches the panel budget
+        # and the alternating tail is Euler-accelerated
+        batches = []
+        counting = specfun.quad
+        monkeypatch.setattr(specfun, "quad", lambda *a: batches.append(1) or counting(*a))
+        for x in (0.5, 1.0, 2.0):
+            batches.clear()
+            got = hankel_transform(lambda y: np.sqrt(y) / (1.0 + y * y), 0.0, x)
+            assert abs(got - math.sqrt(x) * sps.k0(x)) <= 1e-10
+            assert len(batches) == -(-specfun._HANKEL_MAX_PANELS // specfun._HANKEL_BATCH)
 
     def test_quadrature_failure_is_a_convergence_error(self):
         # 1/|y - 1| is not integrable: the panel around 1 runs out of subintervals
