@@ -16,9 +16,13 @@ evaluation, each meeting QUAD_ABS_TOL or QUAD_REL_TOL on its own; a single
 integrand is a block of one column.  It raises MellinError when QUAD_LIMIT
 subintervals do not meet them, or a bound, an integrand value, an integral
 or an error estimate is not finite.  It is the package's only quadrature
-(specfun's Hankel transform runs on it too).  `regularized_moments` takes
-the moments x^beta log^k x of a function as one block, one quadrature per
-side for all of them.
+(specfun's Hankel transform runs on it too).  Both sides of the cut map
+onto t in (0, 1], by x = c t and x = c/t, so one quad call takes the
+remainder integrals of both sides, and of several functions and moments,
+as the columns of one block (`_remainder_block`).  `regularized_moments`
+takes the moments x^beta log^k x of a function that way, one quadrature
+for all of them on both sides, and the sal engines take those of every
+phi of a call in one.
 
 The regularized integral of f is the constant Laurent coefficient of Mf at
 z = 1; the regularized limit is the coefficient of x^0 log^0 x in the
@@ -365,45 +369,68 @@ def _term_sum(signed_terms, z: complex, c: float) -> complex:
     return total
 
 
-def _remainder_integral(f: ExpandableFunction, z: complex, c: float, side: Side, monomials):
-    """Quadrature of x^(z-1) times f's remainder over [0, c] or [c, inf),
-    clipped to the remainder's support; 0 without quadrature if that is empty.
-    With `monomials` a sequence of (beta, k), the integrand is a block with
-    one column x^beta log^k x per pair, and the result an array.
+def _remainder_block(columns, z: complex, c: float) -> list:
+    """The quadrature of x^(z-1) times a remainder over one side of the cut
+    c, clipped to the remainder's support, for each column (f, side,
+    monomials): with monomials None one integral, and with a sequence of
+    (beta, k) an array of one integral per pair, of x^beta log^k x times
+    the remainder.  A column whose support misses its side is 0 without
+    quadrature.
 
-    [c, inf) is mapped onto (0, 1] by x = c/u, where x**(z-1) dx is
-    c**z u**(-z-1) du: the power of the node u itself, not of the rounded
-    c/u, whose rounding the phase Im(z) log x would amplify.  The powers are
-    taken only where the remainder is nonzero, so a power that overflows
-    where the remainder has underflowed to 0 does not arise.
+    All the others are one quad call over t in (0, 1], on the hull of their
+    supports in t, in which each column is 0 outside its support and meets
+    its own tolerance.  [0, c] is mapped by x = c t and [c, inf) by
+    x = c/t, where x**(z-1) dx is c**z t**(z-1) dt and c**z t**(-z-1) dt:
+    the power of the node t itself, not of the rounded c/t, whose rounding
+    the phase Im(z) log x would amplify.  The powers are taken only where
+    the remainder is nonzero, so a power that overflows where the
+    remainder has underflowed to 0 does not arise.
     """
-    rem = f.remainder_zero if side is Side.ZERO_TO_C else f.remainder_infinity
-    lo, hi = (rem.lo, min(c, rem.hi)) if side is Side.ZERO_TO_C else (max(c, rem.lo), rem.hi)
-    if lo >= hi:
-        return 0.0 + 0.0j
-    r_of = rem.evaluator
-    if monomials is not None:
-        betas = np.array([complex(beta) for beta, _ in monomials])
-        if not betas.imag.any():
-            betas = betas.real
-        ks = np.array([k for _, k in monomials])
+    results: list = [0.0 + 0.0j if monomials is None else np.zeros(len(monomials), dtype=complex)
+                     for _, _, monomials in columns]
+    blocks, ends, width = [], [], 0
+    for i, (f, side, monomials) in enumerate(columns):
+        zero = side is Side.ZERO_TO_C
+        rem = f.remainder_zero if zero else f.remainder_infinity
+        lo, hi = (rem.lo, min(c, rem.hi)) if zero else (max(c, rem.lo), rem.hi)
+        if lo >= hi:
+            continue
+        lo, hi = (lo / c, hi / c) if zero else (c / hi, c / lo)
+        if monomials is None:
+            betas, ks, m = None, None, 1
+        else:
+            betas = np.array([complex(beta) for beta, _ in monomials])
+            betas, m = (betas if betas.imag.any() else betas.real), len(monomials)
+            ks = np.array([k for _, k in monomials])
+        blocks.append((i, rem.evaluator, zero, betas, ks, lo, hi, slice(width, width + m)))
+        ends += [lo, hi]
+        width += m
+    if not blocks:
+        return results
 
-    def weighted(t: np.ndarray, x: np.ndarray, power: complex) -> np.ndarray:
-        """t**power r(x), times each monomial of x, where r(x) is nonzero, and
-        0 elsewhere."""
-        r = np.asarray(r_of(x), dtype=complex)
-        live = r != 0
-        w = np.power(t[live], power) * r[live]
-        if monomials is not None:
-            xl = x[live][:, None]
-            w = np.power(xl, betas) * np.log(xl) ** ks * w[:, None]
-        out = np.zeros((t.size,) + w.shape[1:], dtype=complex)
-        out[live] = w
+    def integrands(t: np.ndarray) -> np.ndarray:
+        """Each column's integrand at the nodes t in its support, 0 at the others."""
+        out = np.zeros((t.size, width), dtype=complex)
+        for _, r_of, zero, betas, ks, lo, hi, cols in blocks:
+            live = (lo <= t) & (t <= hi)
+            ti = t[live]
+            if not ti.size:
+                continue
+            x = c * ti if zero else c / ti
+            r = np.asarray(r_of(x), dtype=complex)
+            nonzero = r != 0
+            w = (np.power(ti[nonzero], z - 1 if zero else -z - 1) * r[nonzero])[:, None]
+            if betas is not None:
+                xl = x[nonzero][:, None]
+                w = np.power(xl, betas) * np.log(xl) ** ks * w
+            live[live] = nonzero  # the nodes in the support where r is nonzero
+            out[:, cols][live] = w
         return out
 
-    if side is Side.ZERO_TO_C:
-        return quad(lambda x: weighted(x, x, z - 1), lo, hi)[0]
-    return c**z * quad(lambda u: weighted(u, c / u, -z - 1), c / hi, c / lo)[0]
+    total = c**z * quad(integrands, min(ends), max(ends))[0]
+    for i, _, _, betas, _, _, _, cols in blocks:
+        results[i] = complex(total[cols.start]) if betas is None else total[cols]
+    return results
 
 
 def _closed_form(f: ExpandableFunction, z: complex) -> Optional[complex]:
@@ -429,13 +456,19 @@ def _regular_value(f: ExpandableFunction, z: complex, c: float, sides=tuple(Side
 
     Over both sides this is Mf at z (cut c) off its poles, the closed form
     where f states one (see `_closed_form`); one side is the partial
-    transform over [0, c] or [c, inf).
+    transform over [0, c] or [c, inf).  Each side's remainder is a block of
+    its own: a block evaluates every column at each round's new nodes, and
+    the two remainders of one f often need different numbers of rounds, so
+    one block for both would evaluate the side that has converged again
+    (on 2 shared vCPUs, the benchmark's calculus pools took about 20 %
+    longer so for the regularized integrals and scale rules that reach
+    the quadrature).
     """
     if len(sides) == len(Side):
         value = _closed_form(f, complex(z))
         if value is not None:
             return value
-    remainder = sum(_remainder_integral(f, z, c, side, None) for side in sides)
+    remainder = sum(_remainder_block([(f, side, None)], z, c)[0] for side in sides)
     return _term_sum(_signed_terms(f, sides), z, c) + remainder
 
 
@@ -528,31 +561,47 @@ def regularized_moments(f: ExpandableFunction, monomials) -> np.ndarray:
 
     A moment (beta, 0) of a function that states its Mellin transform is
     Mf(1 + beta) where 1 + beta is off the terms' poles (see
-    `_closed_form`).  The remainder integrals of the other moments come from
-    one quadrature per side of the cut, over a block of one column per
-    moment, so f's remainders are evaluated once per node; there is none if
-    no moment is left.  Each such moment's term part is exact: the term sum
-    of f's terms shifted by (beta, k), with the ones its remainder order
-    absorbs, which times_monomial would leave to quadrature.  MellinDomainError
-    where a shifted remainder order is not positive, on either route.
+    `_closed_form`).  The remainder integrals of the other moments, on both
+    sides of the cut, come from one quadrature over a block of one column
+    per moment and side, so f's remainders are evaluated once per node;
+    there is none if no moment is left.  Each such moment's term part is
+    exact: the term sum of f's terms shifted by (beta, k), with the ones its
+    remainder order absorbs, which times_monomial would leave to
+    quadrature.  MellinDomainError where a shifted remainder order is not
+    positive, on either route.
     """
-    values, rest, terms = [], [], []
-    for beta, k in monomials:
-        e0, absorbed0 = _times_monomial(f.expansion_at_zero, beta, k)
-        ei, absorbed_i = _times_monomial(f.expansion_at_infinity, beta, k)
-        if e0.remainder_order <= 0 or ei.remainder_order <= 0:
-            raise MellinDomainError("need positive remainder orders p, q at both endpoints")
-        values.append(None if k else _closed_form(f, 1.0 + complex(beta)))
-        if values[-1] is None:
-            rest.append((beta, k))
-            terms.append([(1.0, t) for t in e0.terms + absorbed0]
-                         + [(-1.0, t) for t in ei.terms + absorbed_i])
-    if rest:
-        remainder = sum(_remainder_integral(f, 1.0, 1.0, side, rest) for side in Side)
+    return _moments([(f, monomials)])[0]
+
+
+def _moments(requests) -> list:
+    """regularized_moments(f, monomials) for each (f, monomials) of
+    `requests`, with the remainder integrals of every function's moments
+    that need them from one `_remainder_block` call: one quadrature for
+    all the functions and both sides of the cut."""
+    values, columns, terms = [], [], []
+    for f, monomials in requests:
+        values.append([])
+        rest = []
+        for beta, k in monomials:
+            e0, absorbed0 = _times_monomial(f.expansion_at_zero, beta, k)
+            ei, absorbed_i = _times_monomial(f.expansion_at_infinity, beta, k)
+            if e0.remainder_order <= 0 or ei.remainder_order <= 0:
+                raise MellinDomainError("need positive remainder orders p, q at both endpoints")
+            values[-1].append(None if k else _closed_form(f, 1.0 + complex(beta)))
+            if values[-1][-1] is None:
+                rest.append((beta, k))
+                terms.append([(1.0, t) for t in e0.terms + absorbed0]
+                             + [(-1.0, t) for t in ei.terms + absorbed_i])
+        if rest:
+            columns += [(f, side, rest) for side in Side]
+    if columns:
+        integrals = _remainder_block(columns, 1.0, 1.0)
+        remainder = np.concatenate([zero + infinity for zero, infinity
+                                    in zip(integrals[::2], integrals[1::2])])
         quadrature = iter((np.array([_term_sum(signed, 1.0, 1.0) for signed in terms])
                            + remainder).tolist())
-        values = [next(quadrature) if v is None else v for v in values]
-    return np.array(values, dtype=complex)
+        values = [[next(quadrature) if v is None else v for v in vs] for vs in values]
+    return [np.array(vs, dtype=complex) for vs in values]
 
 
 def regularized_limit(f: ExpandableFunction, at: Location) -> complex:

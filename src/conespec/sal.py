@@ -13,10 +13,11 @@ terms appear:
   (and the mirrored a-side family for the phi(x) F(x/t) variant).
 
 Every Taylor/boundary coefficient is a regularized moment from the mellin
-module (pole tolerance mellin.POLE_TOL = 1e-8), and all the moments of one
-function come from one mellin.regularized_moments call: one quadrature per
-side of the cut; there is no independent numeric path.  One helper emits
-the boundary and log-correction families of both engines.
+module (pole tolerance mellin.POLE_TOL = 1e-8): the Taylor moments of F
+from one mellin.regularized_moments call, and the boundary moments of every
+phi of an engine call from one remainder quadrature, for all of them on
+both sides of the cut; there is no independent numeric path.  One helper
+emits the boundary and log-correction families of both engines.
 
 phi is an ExpandableFunction whose terms at 0 are its Taylor series (x^j, j
 a non-negative integer, no log) and whose expansion at infinity is empty;
@@ -34,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .expansions import ExpandableFunction, LogPowerTerm, _taylor_leaf
-from .mellin import POLE_TOL, regularized_moments
+from .mellin import POLE_TOL, _moments, regularized_moments
 
 MAX_EXPANSION_ORDER = 12
 
@@ -175,16 +176,17 @@ def _boundary_family(families, sign: float, lo: float) -> list[ReportTerm]:
 
     log^k(x u^sign) expands binomially over log x + sign log u.  Every
     family's Taylor coefficient is read first; then the moments x^beta
-    log^i x of each phi, over all its families, come from one
-    regularized_moments call.
+    log^i x of every phi, over all its families, come from one
+    mellin._moments call: one remainder quadrature for all of them, on
+    both sides of the cut.
     """
     corrections = [_log_correction(phi, beta, k, exponent, sign, lo, scale)
                    for phi, beta, k, exponent, scale in families]
     wanted: dict = {}
     for phi, beta, k, _, _ in families:
         wanted.setdefault(id(phi), (phi, []))[1].extend((beta, i) for i in range(k + 1))
-    moments = {key: iter(regularized_moments(phi, monomials).tolist())
-               for key, (phi, monomials) in wanted.items()}
+    moments = {key: iter(block.tolist())
+               for key, block in zip(wanted, _moments(list(wanted.values())))}
     out: list[ReportTerm] = []
     for (phi, beta, k, exponent, scale), correction in zip(families, corrections):
         mk = moments[id(phi)]

@@ -306,10 +306,11 @@ def _euler_accelerate(partials: Sequence[float]) -> float:
 
 
 # Convergence tolerance, panel budget and panels per quadrature of
-# hankel_transform.
+# hankel_transform, and the equal start subintervals of its first panel.
 _HANKEL_TOL = 1e-10
 _HANKEL_MAX_PANELS = 80
 _HANKEL_BATCH = 6
+_HANKEL_FIRST_PIECES = 4
 
 
 def hankel_transform(f: Callable[[np.ndarray], np.ndarray], p: float, x: float) -> float:
@@ -328,11 +329,15 @@ def hankel_transform(f: Callable[[np.ndarray], np.ndarray], p: float, x: float) 
     J_p(x y) ~ y^(p+1/2) has an unbounded second derivative at 0
     (p != +-1/2), which bisection would chase for twenty rounds, so the
     first panel [0, e] is integrated in t = e (y/e)^(1/4), where the power
-    is t^(4p+5).  The panels are summed until three in a row fall under
-    _HANKEL_TOL/10 (six at least); at _HANKEL_MAX_PANELS the alternating
-    tail is Euler-accelerated instead.  Raises HankelConvergenceError if
-    that does not stabilize either, or if a panel's quadrature misses its
-    tolerance.  Domain: finite x > 0 and finite p > -1, else SpecfunError.
+    is t^(4p+5).  The first panel's integrand, (x y)^(p+1/2) times a
+    smooth factor near 0, piles up at its right end, where one start
+    subinterval would be bisected for a round or two; the first batch
+    starts it as _HANKEL_FIRST_PIECES equal subintervals instead, which
+    still make one column.  The panels are summed until three in a row
+    fall under _HANKEL_TOL/10 (six at least); at _HANKEL_MAX_PANELS the
+    alternating tail is Euler-accelerated instead.  Raises
+    HankelConvergenceError if that does not stabilize either, or if a
+    panel's quadrature misses its tolerance.  Domain: finite x > 0 and finite p > -1, else SpecfunError.
     """
     if not 0 < x < math.inf:  # NaN fails too
         raise SpecfunError(f"x must be finite and positive, not {x}")
@@ -344,7 +349,10 @@ def hankel_transform(f: Callable[[np.ndarray], np.ndarray], p: float, x: float) 
     edge = 0.0
     while True:
         ends = table[len(panels):len(panels) + _HANKEL_BATCH]
-        starts = np.concatenate([[edge], ends[:-1]])
+        lo, hi = np.concatenate([[edge], ends[:-1]]), ends
+        if edge == 0.0:
+            pieces = ends[0] * np.arange(_HANKEL_FIRST_PIECES + 1) / _HANKEL_FIRST_PIECES
+            lo, hi = np.concatenate([pieces[:-1], lo[1:]]), np.concatenate([pieces[1:], hi[1:]])
 
         def columns(t: np.ndarray) -> np.ndarray:
             """The integrand at t, in the column of the panel t lies in."""
@@ -358,7 +366,7 @@ def hankel_transform(f: Callable[[np.ndarray], np.ndarray], p: float, x: float) 
             return out
 
         try:
-            values = quad(columns, starts, ends)[0].real
+            values = quad(columns, lo, hi)[0].real
         except MellinError as exc:
             raise HankelConvergenceError(f"Hankel panel quadrature failed at x={x}: {exc}") from exc
         for v in values.tolist():

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import ast
+import importlib.util
 import json
 import math
 import os
@@ -15,6 +16,12 @@ import pytest
 
 from conespec import cli, cone
 from conespec.specfun import RiemannZetaProvider
+
+# the benchmark's independent oracles, in mpmath
+_spec = importlib.util.spec_from_file_location(
+    "oracles", os.path.join(os.path.dirname(__file__), "..", "bench", "oracles.py"))
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
 
 
 def run(capsys, *argv):
@@ -592,6 +599,21 @@ class TestSalExpand:
         code, out, err = run(capsys, "sal-expand", *argv)
         assert code == 2
         assert out == "" and "order -1.0 is negative" in err
+
+    @pytest.mark.parametrize("alpha, k", [(-7.0, 0), (-6.5, 1)])
+    def test_gauss_moments_on_a_taylor_pole(self, capsys, alpha, k):
+        # the boundary moments x^-7 e^-x^2 and x^-6.5 log x e^-x^2 sit on the
+        # pole of phi's x^6 Taylor term, so they take the remainder quadrature
+        payload = json.dumps({"phi": "gauss", "families": [{"alpha": alpha, "k": k}],
+                              "order": 13})
+        code, out, _ = run(capsys, "sal-expand", "--in", payload)
+        assert code == 0
+        got = {(t["re_exp"], t["log_pow"]): complex(t["re_coef"], t["im_coef"])
+               for t in json.loads(out)["terms"]}
+        want = oracles.expand_phi("gauss", [("mono", alpha, k, 1.0)], 13.0, "tx")
+        for key in set(got) | set(want):
+            w = want.get(key, 0.0)
+            assert abs(got.get(key, 0.0) - w) <= 1e-10 * max(1.0, abs(w)), key
 
     def test_gauss_at_order_13(self, capsys):
         # the Taylor family through t^12 reads phi's x^12 coefficient; the

@@ -132,7 +132,9 @@ class TestMoments:
             alone = regularized_integral(times_monomial(f, beta, k))
             assert abs(moment - alone) <= 1e-12 * max(1.0, abs(alone))
 
-    def test_one_quadrature_per_side(self, monkeypatch):
+    @staticmethod
+    def count_quad(monkeypatch) -> list:
+        """The (a, b) of every mellin.quad call from here on."""
         calls = []
         quad = mellin.quad
 
@@ -141,9 +143,34 @@ class TestMoments:
             return quad(fn, a, b)
 
         monkeypatch.setattr(mellin, "quad", counting_quad)
+        return calls
+
+    def test_one_quadrature_over_the_unit_interval(self, monkeypatch):
+        # both sides of the cut in one block, over t in (0, 1]
+        calls = self.count_quad(monkeypatch)
         f, monomials = self.FAMILIES[0]
         regularized_moments(f, monomials)
-        assert len(calls) == 2
+        assert len(calls) == 1
+        (a, b), = calls
+        assert (np.min(a), np.max(b)) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("first, second", [(0, 1), (0, 2), (1, 2)])
+    def test_a_block_of_two_functions_matches_each_alone(self, first, second):
+        (f, fm), (g, gm) = self.FAMILIES[first], self.FAMILIES[second]
+        both = mellin._moments([(f, fm), (g, gm)])
+        for block, (h, monomials) in zip(both, ((f, fm), (g, gm))):
+            alone = regularized_moments(h, monomials)
+            assert np.all(np.abs(block - alone) <= 1e-12 * np.maximum(1.0, np.abs(alone)))
+
+    def test_sal_separable_takes_one_quadrature_for_all_phi(self, monkeypatch):
+        exp = sal.TestFunction(lambda x: math.exp(-x), tuple((-1.0) ** j for j in range(13)))
+        gauss = sal.TestFunction(lambda x: math.exp(-x * x), tuple(
+            0.0 if j % 2 else (-1.0) ** (j // 2) * math.factorial(j) / math.factorial(j // 2)
+            for j in range(13)))
+        sigma = SeparableSigma(boundary_terms=((exp, -0.35, 1), (gauss, -1.36, 0)))
+        calls = self.count_quad(monkeypatch)
+        sal_separable(sigma, p=2)
+        assert len(calls) == 1
 
     def test_orders_are_checked_per_moment(self):
         f = exponential_decay()

@@ -13,7 +13,7 @@ import scipy.special as sps
 
 from dirichlet_checks import continuation_consistency, shifted_integer
 
-from conespec import specfun
+from conespec import mellin, specfun
 from conespec.specfun import (
     EULER_GAMMA,
     HankelConvergenceError,
@@ -278,7 +278,7 @@ class TestHankel:
                                  * mpmath.laguerre(n, p, X * X))
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
-    @pytest.mark.parametrize("p", [-0.4, 0.5, 5.0, 12.0])
+    @pytest.mark.parametrize("p", [-0.4, 0.5, 5.0, 12.0, 40.0])
     def test_eigenfunctions_match_mpmath(self, p):
         self._check_eigenfunctions(p)
 
@@ -300,6 +300,19 @@ class TestHankel:
         assert ends.shape == m.shape
         assert ends[0] > 0 and np.all(np.diff(ends) > 0)
         assert np.abs(ends - bessel_j_zero(p, m)).max() <= 0.3
+
+    def test_first_panel_needs_no_bisection(self, monkeypatch):
+        # the first panel starts as _HANKEL_FIRST_PIECES subintervals, on
+        # which its integrand, piled up at the right end, meets the
+        # tolerance in the first round: one Gauss-Kronrod round in all
+        rounds = []
+        gauss_kronrod = mellin._gauss_kronrod
+        monkeypatch.setattr(mellin, "_gauss_kronrod",
+                            lambda *a: rounds.append(1) or gauss_kronrod(*a))
+        p, x = 11.36, 1.43
+        got = hankel_transform(lambda y: l_fn(0, p, y), p, x)
+        assert len(rounds) == 1
+        assert abs(got - l_fn(0, p, x)) <= 1e-10 * max(1.0, abs(l_fn(0, p, x)))
 
     def test_euler_tail(self, monkeypatch):
         # H_0[sqrt(y)/(1+y^2)](x) = sqrt(x) K_0(x) (DLMF 10.22.46 with a = 1):

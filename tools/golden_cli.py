@@ -116,6 +116,11 @@ EDGE_CASES = [
     (["sal-expand", "--in", '{"phi": "gauss", "families": [{"alpha": -1.5, "k": 0}], "order": 3}'],
      None),
     (["sal-expand", "--in", '{"families": [{"alpha": -1.0, "k": "1"}], "order": 3}'], None),
+    # boundary moments on the pole of phi's x^6 Taylor term, by quadrature
+    (["sal-expand", "--in", '{"phi": "gauss", "families": [{"alpha": -7.0}], "order": 13}'],
+     None),
+    (["sal-expand", "--in",
+      '{"phi": "gauss", "families": [{"alpha": -6.5, "k": 1}], "order": 13}'], None),
     # no positive remainder order is left for the moments of phi: exit 2
     (["sal-expand", "--in", '{"phi": "exp", "families": [{"alpha": -9.0}]}'], None),
     # malformed payloads: each is an input error that names its field
