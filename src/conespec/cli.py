@@ -331,16 +331,24 @@ def _graded(payload: dict) -> deficiency.GradedSpectrum:
     )
 
 
+# The largest log power k of a family: past it k!, and so the pole
+# coefficient (-1)^k k! of a log-power block, is not a finite double.
+_MAX_LOG_POWER = 170
+
+
 def _families(value) -> expansions.ExpandableFunction:
     """The sum of coef * x^alpha * log^k x over a nonempty array of
-    {"alpha", "k" (default 0), "coef" (default 1)}."""
+    {"alpha", "k" (default 0, at most _MAX_LOG_POWER), "coef" (default 1)}."""
     F = None
     for i, fam in enumerate(_array(value, "families")):
         at = f"families[{i}]"
         fam = _object(fam, at, ("alpha", "k", "coef"))
+        k = _integer(fam.get("k", 0), f"{at}.k")
+        if k > _MAX_LOG_POWER:
+            raise ValueError(f"{at}.k must be at most {_MAX_LOG_POWER}, as {_MAX_LOG_POWER + 1}! "
+                             f"is past the largest double, not {k}")
         piece = expansions.scale_function(
-            expansions.global_monomial(complex(_number(fam.get("alpha"), f"{at}.alpha")),
-                                       _integer(fam.get("k", 0), f"{at}.k")),
+            expansions.global_monomial(complex(_number(fam.get("alpha"), f"{at}.alpha")), k),
             complex(_number(fam.get("coef", 1.0), f"{at}.coef")),
         )
         F = piece if F is None else expansions.add_functions(F, piece)

@@ -4,8 +4,9 @@ Heat kernel and zeta function of the one-dimensional model operator L_p,
 operator-valued zeta/eta functions assembled from cross-section spectra,
 their residues at the origin, small-time heat-trace expansions, and the
 spectral side of the index formula for first-order cone operators.  Every
-explicit Gamma quotient of the Gamma-ratio sum Phi, in the fold's head and
-beside a closed-form tail, comes from `specfun.gamma_quotients`.
+explicit Gamma quotient of the Gamma-ratio sum Phi (the data correction's,
+the fold's head's and the Gauss families') comes from one
+`specfun.gamma_quotients` call per evaluation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .specfun import (
     _INTEGER_TOL,
     _TERMS_CAP,
     DirichletSeriesProvider,
-    SpecfunError,
     _is_nonpositive_integer,
     _nonpositive_integer_mask,
     _poly_eval,
@@ -192,9 +192,9 @@ def _split_terms(claims, head):
     value whose weight agrees; if terms of that value remain but none agrees,
     the provider contradicts the data.  The head's values are nondecreasing,
     so the terms near a value are found by bisection.  Returns the positions
-    of the claims no term matched and the head terms no claim took.  No
-    claim reaches past the top value plus its tolerance, so a longer head
-    gives the same unmatched claims, and its extra terms are untaken.
+    of the claims no term matched and the set of positions of the head terms
+    the claims took.  No claim reaches past the top value plus its
+    tolerance, so a longer head gives the same match.
     """
     values = [u for _, u in head]
     claimed = set()
@@ -214,7 +214,7 @@ def _split_terms(claims, head):
             if near:
                 raise ConeError(f"tail provider disagrees with data weight at value {v}")
             unmatched.append(i)
-    return unmatched, [term for j, term in enumerate(head) if j not in claimed]
+    return unmatched, claimed
 
 
 def _series_part(provider, part: str, z: complex, pairs) -> complex:
@@ -227,24 +227,26 @@ def _series_part(provider, part: str, z: complex, pairs) -> complex:
 
 
 class _TermPlan:
-    """The s-independent half of the fold over a provider.
+    """The s-independent half of Phi over a provider.
 
-    `folded` holds the (weight, Bessel order) terms the fold adds to the
-    provider's; `claims` the (weight, value) data matched against every
+    `folded` holds the (weight, Bessel order) terms the spectrum adds to the
+    provider's, and `claims` the (weight, value) data matched against every
     provider term read: `unmatched()` gives the positions of the claims the
-    provider does not enumerate, `remaining()` the terms no claim took.  No
-    claim takes a term past the window, the top claim plus its 1e-9
+    provider does not enumerate, `remaining()` the terms no claim took, and
+    `exact()` the data correction, the folded terms minus the taken ones.
+    No claim takes a term past the window, the top claim plus its 1e-9
     tolerance (or `reach` if that is larger), so the match does not depend
-    on how far the terms were read.  `unmatched()` and `remaining()` read to
-    the window, `head(threshold)` to the head bound too; a read of
-    _TERMS_CAP terms raises ConeError, as more may lie below its bound.
+    on how far the terms were read.  These three read to the window,
+    `head(threshold)` to the head bound too; a read of _TERMS_CAP terms
+    raises ConeError, as more may lie below its bound.
     """
 
     def __init__(self, provider, folded: list, claims: list, reach: float):
         self.provider, self.folded, self.claims = provider, folded, claims
         self._terms, self._values, self._read_to = [], [], -math.inf
-        self._arrays = self._exact = None
-        self._matching = (list(range(len(claims))), [])
+        self._head = self._exact = None
+        self.replaced = []
+        self._matching = (list(range(len(claims))), set())
         self._top = max((v for _, v in claims), default=0.0)
         self._window = max(reach, self._top + 1e-9 * max(1.0, self._top)) if claims else reach
 
@@ -257,7 +259,7 @@ class _TermPlan:
                 raise ConeError(f"at most {_TERMS_CAP} tail terms are read, and the tail has "
                                 f"as many below the {what} {bound:.6g}")
             self._matching = _split_terms(self.claims, terms)
-            self._terms, self._read_to, self._arrays, self._exact = terms, bound, None, None
+            self._terms, self._read_to, self._head = terms, bound, None
             self._values = [v for _, v in terms]
 
     def unmatched(self) -> list:
@@ -266,27 +268,27 @@ class _TermPlan:
 
     def remaining(self) -> list:
         self._read(self._window, "match window")
-        return self._matching[1]
+        return [term for j, term in enumerate(self._terms) if j not in self._matching[1]]
 
     def exact(self) -> tuple[np.ndarray, np.ndarray]:
-        """Orders and weights of the terms summed exactly beside a closed-form
-        tail: the folded terms, and (minus the weight, sqrt(value)) for each
-        provider term a claim took, but a taken term equal to a folded term
-        (a datum at its order and weight) cancels it instead, as their
-        quotients would cancel exactly.  Reads to the window only."""
-        self._read(self._window, "match window")
+        """Orders and weights of the data correction, summed with exact
+        quotients beside whatever stands for the provider's terms: the folded
+        terms, then (minus the weight, sqrt(value)) for each provider term a
+        claim took, but a taken term equal to a folded term (a datum at its
+        order and weight) cancels it instead, as their quotients would cancel
+        exactly.  The taken terms that no folded term cancels come last;
+        `replaced` holds their positions among the provider's.  Built once, as
+        the match is the same however far the terms were read."""
         if self._exact is None:
-            # `remaining` keeps the untaken terms in order, so a term it
-            # does not hold next was taken
-            remaining, exact = iter(self._matching[1]), list(self.folded)
-            left = next(remaining, None)
-            for w, v in self._terms:
-                if (w, v) == left:
-                    left = next(remaining, None)
-                elif (w, math.sqrt(v)) in exact:
-                    exact.remove((w, math.sqrt(v)))
+            self._read(self._window, "match window")
+            exact = list(self.folded)
+            for j in sorted(self._matching[1]):
+                w, p = self._terms[j][0], math.sqrt(self._terms[j][1])
+                if (w, p) in exact:
+                    exact.remove((w, p))
                 else:
-                    exact.append((-w, math.sqrt(v)))
+                    self.replaced.append(j)
+            exact += [(-self._terms[j][0], math.sqrt(self._terms[j][1])) for j in self.replaced]
             self._exact = (np.array([p for _, p in exact], dtype=float),
                            np.array([w for w, _ in exact], dtype=complex))
         return self._exact
@@ -297,29 +299,24 @@ class _TermPlan:
         return (all(w.imag == 0 for w, _ in self.folded)
                 and (self.provider is None or self.provider.real_weights()))
 
-    def head(self, threshold: float):
-        """The fold's explicit orders and weights (the folded terms', then
-        sqrt(value) and weight of each head term that no claim took) and the
-        weights and values of all head terms, as arrays.  The head holds the
-        terms up to the larger of threshold^2 and the top claim."""
+    def head(self, threshold: float) -> tuple[np.ndarray, ...]:
+        """The provider's terms up to the larger of threshold^2 and the top
+        claim, as arrays: the orders sqrt(value) and weights of those but
+        the replaced terms (see `exact`), then the weights and values of
+        all of them."""
         bound = max(threshold * threshold, self._top) * (1 + 1e-9) + 1e-12
         self._read(max(bound, self._window), "head bound")
+        if self._head is None:
+            self.exact()
+            values = np.array(self._values, dtype=float)
+            weights = np.array([w for w, _ in self._terms], dtype=complex)
+            kept = (np.delete(np.arange(len(values)), self.replaced) if self.replaced
+                    else slice(None))
+            self._head = (np.sqrt(values)[kept], weights[kept], weights, values)
+        # every replaced term lies below the bound
         n = bisect_right(self._values, bound)
-        if self._arrays is None:
-            remaining = self._matching[1]
-            self._free_values = [v for _, v in remaining]
-            self._arrays = (
-                np.array([p for _, p in self.folded] + [math.sqrt(v) for _, v in remaining],
-                         dtype=float),
-                np.array([w for w, _ in self.folded] + [w for w, _ in remaining], dtype=complex),
-                np.array([w for w, _ in self._terms], dtype=complex),
-                np.array(self._values, dtype=float),
-            )
-        if n == len(self._terms):
-            return self._arrays
-        orders, weights, head_w, head_v = self._arrays
-        k = len(self.folded) + bisect_right(self._free_values, bound)
-        return orders[:k], weights[:k], head_w[:n], head_v[:n]
+        m, (orders, kept, weights, values) = n - len(self.replaced), self._head
+        return orders[:m], kept[:m], weights[:n], values[:n]
 
 
 @dataclass(frozen=True)
@@ -387,28 +384,8 @@ FOLD_ORDER = 6
 _HEAD_THRESHOLD = 8.0
 
 
-def _quotient_sums(orders: np.ndarray, weights: np.ndarray, s, points: list, estimate: bool):
-    """sum w Gamma(p+1-s) / Gamma(p+s) over (weight, order p) at each point
-    (`s` is a Python complex or a column of the points), from one
-    `gamma_quotients` pass, and with `estimate` the bound eps sum |w q|
-    (rounding of q) on its rounding (else None).  ConeError at the first
-    order, in order, with p + 1 - s on a pole, at the first point with one.
-    Each point's sum is its own product with the weights, as a single 2-D
-    product may round differently."""
-    if not len(orders):
-        return [0.0 + 0.0j] * len(points), [0.0] * len(points)
-    for x in points:
-        # only a real point puts p + 1 - s on a pole, and only where it is <= 1/2
-        if abs(x.imag) <= _INTEGER_TOL:
-            for p in orders.tolist():
-                if p + 1 - x.real <= 0.5 and _is_nonpositive_integer(p + 1 - x):
-                    raise ConeError(f"Gamma pole in the quotient at p={p}, s={x}")
-    q, rounding = gamma_quotients(orders + (1 - s), orders + s, estimate)
-    rows = [q] if q.ndim == 1 else q
-    sums = [complex(weights @ row) for row in rows]
-    if not estimate:
-        return sums, None
-    return sums, (_EPS * (np.abs(weights * q) * rounding).sum(axis=-1)).reshape(-1).tolist()
+# Distance of s from 1 within which a Gauss family's Gamma-ratio sum raises.
+_GAUSS_POLE = 1e-8
 
 
 @lru_cache(maxsize=None)
@@ -431,83 +408,130 @@ def _points(s) -> list:
     return points
 
 
+def _check_poles(orders: np.ndarray, families, points: list) -> None:
+    """ConeError at the first point, in order, on a pole of Phi's explicit
+    quotients: s = 1 or a + 1 - s on a nonpositive integer for a Gauss
+    family (w, a), then p + 1 - s on one for an order p, the first in order."""
+    for x in points:
+        if families:
+            if not abs(x - 1.0) > _GAUSS_POLE:
+                raise ConeError(f"pole of the Gamma-ratio sum at s={x}")
+            for _, a in families:
+                if _is_nonpositive_integer(a + 1.0 - x):
+                    raise ConeError(f"Gamma pole in the Gamma-ratio sum at a={a}, s={x}")
+        # only a real point puts p + 1 - s on a pole, and only where it is <= 1/2
+        if abs(x.imag) <= _INTEGER_TOL:
+            for p in orders.tolist():
+                if p + 1 - x.real <= 0.5 and _is_nonpositive_integer(p + 1 - x):
+                    raise ConeError(f"Gamma pole in the quotient at p={p}, s={x}")
+
+
 def _phi_pieces(plan: _TermPlan, s, order: int, estimate: bool):
     """The Gamma-quotient sum Phi over the spectrum, with its error.
 
     `s` is a Python complex or a 1-D complex array of points.  Returns
     (values, errors), one entry per point; errors is None unless `estimate`
     is set, so that a caller that reads only the values does not pay for
-    them.  The s-independent half is the
-    plan, built once per spectrum: the orders, weights and matching of the
-    claims against the provider's terms, the same whichever read the terms
-    first, the residues or the fold.  `order` is checked whenever there is a
-    provider, on either route.
+    them.  The s-independent half is the plan, built once per spectrum: the
+    data correction `exact()` (the data minus the provider terms they
+    claim), the same whichever read the terms first, the residues or the
+    fold.  `order` is checked whenever there is a provider, on every route.
 
-    - Closed form (`gamma_ratio_sum` of the provider): Phi is the provider's
-      value plus the exact quotients of the folded terms and minus those of
-      the provider terms the claims took.  The plan reads to its match
-      window only.  The error bounds the rounding of the quotients, and of
-      zeta-hat's prefactor Gamma(s-1/2)/Gamma(s) relative to Phi, which
-      that prefactor multiplies.
-    - Otherwise the fold: the exact quotients of the folded terms and of the
-      provider terms up to _HEAD_THRESHOLD^2 that no claim took, plus the
-      remainder folded through the provider's continuation against the
-      Gamma-ratio expansion to `order`.  Per call there is one quotient pass
-      over (points x orders), one array pole check, one provider call and
-      one power sum over (points x shifts z_k = (2s-1+k)/2) whose Q_k is
-      nonzero.  The error is the magnitude of the last Q_k correction plus
-      a bound on the rounding of the subtraction each correction
-      multiplies, eps sum_k |Q_k(s)| (|zeta(z_k) - head_k| + 2 sum_head
-      |w v^-z_k|), at least eps sum_k |Q_k(s)| (|zeta(z_k)| + sum_head
-      |w v^-z_k|): where the provider's zeta and the head sum cancel, that
-      rounding is the error.
+    Phi is an explicit sum plus a continuation of the provider's terms.
+    One `gamma_quotients` pass over (points x columns) gives every explicit
+    quotient: the data correction's, the provider's head terms' (where the
+    fold runs) and its Gauss families' (where it states them), u and v
+    p + (1-s) and p + s for an order p, (a+1) - s and (a+s) - 1 for a
+    family (w, a).  The explicit sum runs over the orders, and the
+    continuation is
+    - Gauss's sum, w Gamma(a+1-s) / (2 (s-1) Gamma(a+s-1)) over the
+      families, which is sum_(j>=0) w Gamma(a+j+1-s) / Gamma(a+j+s) for
+      Re s > 1 (DLMF 15.4.20) and continues it off s = 1;
+    - or the fold, where the provider states no families: its terms up to
+      the head bound, the larger of _HEAD_THRESHOLD^2 and the top claim,
+      are explicit, and its continuation minus that head is folded against
+      the Gamma-ratio expansion to `order`, one provider call and one power
+      sum over (points x shifts z_k = (2s-1+k)/2) whose Q_k is nonzero; a
+      replaced head term leaves the explicit sum with its correction, as
+      its poles, where Phi is finite, would cancel only to rounding;
+    - or nothing, without a provider.
+
+    The error has one rule on every route: the continuation's bound, plus
+    the rounding of the explicit quotients, eps sum |w q| (rounding of q),
+    plus that of zeta-hat's prefactor Gamma(s-1/2)/Gamma(s) relative to
+    Phi, which that prefactor multiplies.  Gauss's sum is bounded by its
+    quotients' rounding over |2 (s-1)|; the fold by the magnitude of the
+    last Q_k correction plus a bound on the rounding of the subtraction
+    each correction multiplies, eps sum_k |Q_k(s)| (|zeta(z_k) - head_k| +
+    2 sum_head |w v^-z_k|), at least eps sum_k |Q_k(s)| (|zeta(z_k)| +
+    sum_head |w v^-z_k|): where the provider's zeta and the head sum
+    cancel, that rounding is the error.
 
     Each point's values and errors are bit-identical to its call alone.
     """
     provider, points = plan.provider, _points(s)
-    column = s if isinstance(s, complex) else s[:, None]
+    s = s if isinstance(s, complex) else s[:, None]
+    families, fold = None, False
     if provider is not None:
         qs, ks = _fold_shifts(order)
-        try:
-            closed = provider.gamma_ratio_sum(points, estimate)
-        except SpecfunError as exc:
-            raise ConeError(str(exc)) from None
-        if closed is not None:
-            values, bounds = closed
-            sums, roundings = _quotient_sums(*plan.exact(), column, points, estimate)
-            values = [value + total for value, total in zip(values, sums)]
-            if not estimate:
-                return values, None
-            # 0 where the prefactor is, at s = 0, -1, -2, ...
-            x = np.array(points, dtype=complex)
-            prefactor = gamma_quotients(x - 0.5, x, True)[1].tolist()
-            return values, [b + r + _EPS * abs(value) * pref for b, r, value, pref
-                            in zip(bounds, roundings, values, prefactor)]
-    orders, weights, head_w, head_v = plan.head(_HEAD_THRESHOLD)
-    heads = _quotient_sums(orders, weights, column, points, False)[0]
-    n, folded = len(points), provider is not None and bool(points)
-    tails = [[] for _ in points]
-    if folded:
-        z = (2 * column - 1 + ks) / 2.0
+        families = provider.gauss_families()
+        fold = families is None
+    if fold:
+        # the head first, so that the data correction reads no further
+        head_p, kept_w, head_w, head_v = plan.head(_HEAD_THRESHOLD)
+    orders, weights = plan.exact()
+    if fold:
+        kept = len(orders) - len(plan.replaced)
+        orders = np.concatenate((orders[:kept], head_p))
+        weights = np.concatenate((weights[:kept], kept_w))
+    _check_poles(orders, families, points)
+    u, v = orders + (1 - s), orders + s
+    if families:
+        bases = np.array([a for _, a in families], dtype=float)
+        u = np.concatenate((u, (bases + 1.0) - s), axis=-1)
+        v = np.concatenate((v, (bases + s) - 1.0), axis=-1)
+    q, rounding = gamma_quotients(u, v, estimate)
+    n, width = len(points), len(orders)
+    # one row of quotients per point: the orders' columns, then the families'
+    rows = [q] if q.ndim == 1 else q
+    values = [complex(weights @ row[:width]) for row in rows]
+    bounds = [0.0] * n
+    if families:
+        shape = (n, len(families))
+        terms = [[w * qj for (w, _), qj in zip(families, row)]
+                 for row in q[..., width:].reshape(shape).tolist()]
+        values = [value + sum(row, 0.0 + 0.0j) / (2.0 * (x - 1.0))
+                  for value, row, x in zip(values, terms, points)]
+        if estimate:
+            bounds = [_EPS * sum([abs(t) * r for t, r in zip(row, rs)], 0.0) / abs(2.0 * (x - 1.0))
+                      for row, rs, x in zip(terms, rounding[..., width:].reshape(shape).tolist(),
+                                            points)]
+    elif fold and points:
+        z = (2 * s - 1 + ks) / 2.0
         pole = provider.is_pole(z)
         if pole.any():
             raise ConeError(f"tail provider pole hit at argument {complex(z.flat[pole.argmax()])}")
         # the head's v^-z, one product with its weights for the sum and, for
         # the error, one of the magnitudes
         powers = np.exp(np.multiply.outer(-z, np.log(head_v)))
-        rows = (provider.zeta(z) - powers @ head_w).reshape(n, -1).tolist()
+        diffs = (provider.zeta(z) - powers @ head_w).reshape(n, -1).tolist()
         q_at = [[_poly_eval(qk, x) for qk in qs] for x in points]
-        tails = [[q * t for q, t in zip(qx, row)] for qx, row in zip(q_at, rows)]
-    values = [head + sum(tail) for head, tail in zip(heads, tails)]
+        tails = [[q * t for q, t in zip(qx, row)] for qx, row in zip(q_at, diffs)]
+        values = [value + sum(tail) for value, tail in zip(values, tails)]
+        if estimate:
+            sizes = (np.abs(powers) @ np.abs(head_w)).reshape(n, -1).tolist()
+            # |zeta| + size <= |zeta - head| + 2 size
+            bounds = [abs(tail[-1]) + _EPS * sum([abs(q) * (abs(t) + 2.0 * m)
+                                                  for q, t, m in zip(qx, row, size)])
+                      for tail, qx, row, size in zip(tails, q_at, diffs, sizes)]
     if not estimate:
         return values, None
-    if not folded:
-        return values, [0.0] * n
-    sizes = (np.abs(powers) @ np.abs(head_w)).reshape(n, -1).tolist()
-    # |zeta| + size <= |zeta - head| + 2 size
-    return values, [abs(tail[-1]) + _EPS * sum([abs(q) * (abs(t) + 2.0 * m)
-                                                for q, t, m in zip(qx, row, size)])
-                    for tail, qx, row, size in zip(tails, q_at, rows, sizes)]
+    roundings = _EPS * (np.abs(weights * q[..., :width]) * rounding[..., :width]).sum(axis=-1)
+    # 0 where the prefactor is, at s = 0, -1, -2, ...
+    x = np.array(points, dtype=complex)
+    prefactor = gamma_quotients(x - 0.5, x, True)[1].tolist()
+    return values, [b + r + _EPS * abs(value) * pref for b, r, value, pref
+                    in zip(bounds, roundings.reshape(-1).tolist(), values, prefactor)]
 
 
 def _batch(fn, s) -> tuple:
@@ -579,23 +603,26 @@ def zeta_hat_operator_report(spec: CrossSectionSpectrum, s, order: int = FOLD_OR
     """Regularized zeta function of the cone operator with cross-section spectrum `spec`.
 
     zeta_hat(s) = Gamma(s-1/2) / (2 sqrt(pi) Gamma(s)) Phi(s), with Phi the
-    sum of w Gamma(p+1-s) / Gamma(p+s) over the Bessel orders p.  Where the
-    tail provider states Phi in closed form (`gamma_ratio_sum`: every tail
-    (a+j)^2, j >= 0, such as a Hurwitz or Riemann tail of exponent 2), the
-    value is exact: that Phi plus the exact quotients of the data, minus
-    those of the tail terms the data replace, with no fold; `order` is
-    checked but not used, and the error estimate bounds the rounding of the
-    Gamma quotients and of the prefactor.  Otherwise enumerated eigenvalues
-    (and provider terms below the head threshold _HEAD_THRESHOLD) are summed
-    with exact Gamma quotients and the remainder is folded through the
-    provider's continuation against the Gamma-ratio asymptotics to `order`
-    (FOLD_ORDER by default); the error estimate is the truncation, the
-    magnitude of the last tail term, plus the rounding of the provider's
-    value minus the head it folds.  At a real s with real weights (data and
-    tail) the value is real.  Returns the value and the error
-    estimate.  `s` may be an array: both are then arrays of its shape, each
-    element bit-identical to the point's call alone, and the batch raises
-    the error of its first bad point.  A non-finite s raises ConeError.
+    sum of w Gamma(p+1-s) / Gamma(p+s) over the Bessel orders p: the data's
+    quotients, minus those of the tail terms the data replace, summed
+    exactly, plus the tail's.  Where the tail provider states Gauss
+    families (`gauss_families`: every tail (a+j)^2, j >= 0, such as a
+    Hurwitz or Riemann tail of exponent 2), the tail's part is Gauss's
+    closed form and the value is exact for every s off its poles, with no
+    fold; `order` is checked but not used.  Otherwise the provider terms
+    below the head bound (_HEAD_THRESHOLD^2, or the top datum) are summed
+    exactly too and the remainder is folded through the provider's
+    continuation against the Gamma-ratio asymptotics to `order`
+    (FOLD_ORDER by default).  A finite spectrum has no tail part.  The
+    error estimate is the same sum on every route: the tail part's bound
+    (the rounding of Gauss's quotients, or the fold's truncation, the
+    magnitude of its last term, plus the rounding of the provider's value
+    minus the head it folds), plus the rounding of the exact quotients and
+    of the prefactor.  At a real s with real weights (data and tail) the
+    value is real.  Returns the value and the error estimate.  `s` may be
+    an array: both are then arrays of its shape, each element
+    bit-identical to the point's call alone, and the batch raises the error
+    of its first bad point.  A non-finite s raises ConeError.
     """
     value, error = _zeta_hat(spec, s, order, True)
     return {"value": value, "error_estimate": error}
@@ -834,7 +861,7 @@ def _orders_and_weights(spec: CrossSectionSpectrum) -> tuple[np.ndarray, np.ndar
     """Bessel orders and weights of a finite spectrum, as arrays."""
     if spec.tail is not None:
         raise ConeError("fiber trace needs a finite spectrum")
-    return spec._plan.head(0.0)[:2]
+    return spec._plan.exact()
 
 
 def k_trace_operator(spec: CrossSectionSpectrum, t: float) -> complex:

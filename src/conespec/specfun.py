@@ -1,7 +1,7 @@
 """Special-function kernel.
 
 Gamma-family wrappers, with `gamma_quotients`, which computes every explicit
-Gamma quotient of the cone's Gamma-ratio sum Phi (and of Gauss's sums); the
+Gamma quotient of the cone's Gamma-ratio sum Phi (Gauss's sums included); the
 zeros of Bessel J, the exponentially scaled modified Bessel I (the Amos
 routine behind scipy.special.ive), Laguerre polynomials and the l_n^(p)
 eigenfamily of the Hankel transform, the Hankel transform itself, exact
@@ -9,7 +9,8 @@ Bernoulli numbers, the asymptotic expansion of the Gamma ratio
 Gamma(nu-s+1)/Gamma(nu+s) up to order MAX_RATIO_ORDER = 10 (exact
 coefficients from the Bernoulli polynomials of DLMF 5.11.8), Hurwitz zeta by
 Euler-Maclaurin, and Dirichlet series providers with meromorphic
-continuation.
+continuation, which state their Gauss families as data where they have
+them.
 
 Arrays: the zeros of J_p come as a batch from one vectorized Newton pass;
 laguerre and l_fn broadcast over an array x (a scalar keeps its math path);
@@ -728,40 +729,6 @@ _TERMS_CAP = 100000
 _AT_POLE = 1e-6
 
 
-# Distance of s from 1 within which the Gamma-ratio sum of a family raises.
-_GAUSS_POLE = 1e-8
-
-
-def _gauss_sum(families, points: list, estimate: bool):
-    """sum w Gamma(a+1-s) / (2 (s-1) Gamma(a+s-1)) over the (w, a) families at
-    each s of `points`, and with `estimate` bounds on their rounding (else
-    None), as (values, errors) lists.
-
-    By Gauss's sum 2F1(alpha, 1; beta; 1) (DLMF 15.4.20) a family is the
-    Gamma-ratio sum sum_(j>=0) Gamma(a+j+1-s) / Gamma(a+j+s) of the orders
-    a + j, for Re s > 1, and continues it to every s off its poles: s = 1
-    and a+1-s on a nonpositive integer raise SpecfunError, and a+s-1 on one
-    gives 0.  The error is eps times the sum of |w q| times the rounding
-    bound of `gamma_quotients` over the quotients q, over |2 (s-1)|.  Each
-    point is checked and summed on its own, family by family.
-    """
-    for x in points:
-        if not abs(x - 1.0) > _GAUSS_POLE:
-            raise SpecfunError(f"pole of the Gamma-ratio sum at s={x}")
-        for _, a in families:
-            if _is_nonpositive_integer(a + 1.0 - x):
-                raise SpecfunError(f"Gamma pole in the Gamma-ratio sum at a={a}, s={x}")
-    q, rounding = gamma_quotients(np.array([[a + 1.0 - x for _, a in families] for x in points]),
-                                  np.array([[a + x - 1.0 for _, a in families] for x in points]),
-                                  estimate)
-    terms = [[w * qj for (w, _), qj in zip(families, row)] for row in q.tolist()]
-    values = [sum(row, 0.0 + 0.0j) / (2.0 * (x - 1.0)) for row, x in zip(terms, points)]
-    if not estimate:
-        return values, None
-    return values, [_EPS * sum([abs(t) * r for t, r in zip(row, rs)], 0.0)
-                    / abs(2.0 * (x - 1.0)) for row, rs, x in zip(terms, rounding.tolist(), points)]
-
-
 class DirichletSeriesProvider:
     """zeta(s) = sum_j a_j nu_j^-s with an explicit meromorphic continuation.
 
@@ -824,13 +791,11 @@ class DirichletSeriesProvider:
         s0 lies within _AT_POLE of a pole."""
         raise NotImplementedError
 
-    def gamma_ratio_sum(self, points: list, estimate: bool):
-        """Phi(s) = sum_j a_j Gamma(p_j+1-s) / Gamma(p_j+s) over the Bessel
-        orders p_j = sqrt(nu_j), continued from Re s > 1 in closed form, at
-        each complex s of `points`, and with `estimate` bounds on its
-        rounding (else None), as (values, errors) lists; None where the
-        provider states no closed form, as by default.  Tails of families w
-        (a+j)^2, j >= 0, state Gauss's sum (`_gauss_sum`)."""
+    def gauss_families(self):
+        """The (w, a) families whose terms w (a+j)^2, j >= 0, make up the
+        whole series, so that its Gamma-ratio sum over the Bessel orders
+        a + j has Gauss's closed form (`cone` sums it); None where the
+        provider states none, as by default."""
         return None
 
 
@@ -895,11 +860,10 @@ class HurwitzZetaProvider(DirichletSeriesProvider):
         ]
         return sum(parts[1:], parts[0])
 
-    def gamma_ratio_sum(self, points, estimate):
-        """Gauss's sum when every family has exponent 2, else None."""
-        if any(e != 2.0 for _, _, e in self.families):
-            return None
-        return _gauss_sum([(w, a) for w, a, _ in self.families], points, estimate)
+    def gauss_families(self):
+        """Every family, when each has exponent 2; else None."""
+        if all(e == 2.0 for _, _, e in self.families):
+            return [(w, a) for w, a, _ in self.families]
 
 
 class RiemannZetaProvider(HurwitzZetaProvider):
@@ -989,11 +953,11 @@ class PowerShiftSquaredProvider(DirichletSeriesProvider):
     def real_weights(self):
         return True
 
-    def gamma_ratio_sum(self, points, estimate):
-        """At gamma = 1 the terms are (n + delta)^2, n >= 1: Gauss's sum of
-        the family (1, 1 + delta).  Else None."""
+    def gauss_families(self):
+        """At gamma = 1 the terms are (n + delta)^2, n >= 1: the family
+        (1, 1 + delta).  Else None."""
         if self.gamma_pow == 1:
-            return _gauss_sum([(1.0, 1.0 + self.delta)], points, estimate)
+            return [(1.0, 1.0 + self.delta)]
 
     def pole_locations(self):
         g = self.gamma_pow

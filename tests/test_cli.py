@@ -590,6 +590,16 @@ class TestSalExpand:
         assert err == ("error: invalid input: need positive remainder orders p, q at both "
                        "endpoints\n")
 
+    @pytest.mark.parametrize("k", [171, 10**6])
+    def test_log_power_past_170_is_schema_error(self, capsys, k):
+        # a block builds k + 1 moment columns, and its pole coefficient
+        # (-1)^k k! is not a finite double past 170: k = 10^6 ended in a
+        # MemoryError traceback under a 1.5 GB address-space limit
+        payload = json.dumps({"families": [{"alpha": -0.5, "k": k}]})
+        code, out, err = run(capsys, "sal-expand", "--in", payload)
+        assert (code, out) == (2, "")
+        assert "invalid input" in err and "families[0].k must be at most 170" in err
+
     @pytest.mark.parametrize("argv", [
         ("--in", '{"families": [{"alpha": -1.0}], "order": -1}'),
         ("--in", '{"families": [{"alpha": -1.0}]}', "--order", "-1"),

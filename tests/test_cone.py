@@ -400,7 +400,8 @@ class TestZetaHatOperator:
         s = complex(s)
         lam_head = max([head_threshold**2] + [d.eigenvalue for d in spec.data])
         head = spec.tail.terms_below(lam_head * (1 + 1e-9) + 1e-12)
-        _, remaining = _split_terms([(d.weight, d.eigenvalue) for d in spec.data], head)
+        _, claimed = _split_terms([(d.weight, d.eigenvalue) for d in spec.data], head)
+        remaining = [term for j, term in enumerate(head) if j not in claimed]
         explicit = [(d.weight, spec.p_of(i)) for i, d in enumerate(spec.data)]
         explicit += [(w, math.sqrt(lam)) for w, lam in remaining]
         terms = [w * cmath.exp(log_gamma(p + 1 - s) - log_gamma(p + s)) for w, p in explicit]
@@ -688,10 +689,12 @@ class TestBatchedFold:
             spec = _random_cross_spectrum(rng, kind)
             window_first, head_first, residues_first, fold_first = (
                 CrossSectionSpectrum(spec.data, spec.tail, spec.negative_below) for _ in range(4))
-            window_first._plan.unmatched()
+            window_first._plan.exact()
             head_first._plan.head(20.0)
             assert window_first._plan.unmatched() == head_first._plan.unmatched()
-            for a, b in zip(window_first._plan.head(8.0), head_first._plan.head(8.0)):
+            # the data correction of the window equals that of the longer read
+            for a, b in zip(window_first._plan.exact() + window_first._plan.head(8.0),
+                            head_first._plan.exact() + head_first._plan.head(8.0)):
                 assert a.tobytes() == b.tobytes()
             s = _random_points(rng, 3)
             res = residues_at_zero(residues_first)
@@ -726,20 +729,21 @@ class TestBatchedFold:
 
 def _split_terms_quadratic(pairs, head):
     """The matching as a quadratic scan: the reference for `_split_terms`."""
-    remaining = list(head)
+    taken = set()
     unmatched = []
     for i, (w, v) in enumerate(pairs):
-        near = [j for j, (_, u) in enumerate(remaining) if abs(u - v) <= 1e-9 * max(1.0, v)]
+        near = [j for j, (_, u) in enumerate(head)
+                if j not in taken and abs(u - v) <= 1e-9 * max(1.0, v)]
         if not near:
             unmatched.append(i)
             continue
         for j in near:
-            if abs(remaining[j][0] - w) <= 1e-9 * (1.0 + abs(w)):
-                del remaining[j]
+            if abs(head[j][0] - w) <= 1e-9 * (1.0 + abs(w)):
+                taken.add(j)
                 break
         else:
             raise ConeError(f"tail provider disagrees with data weight at value {v}")
-    return unmatched, remaining
+    return unmatched, taken
 
 
 class TestTermMatching:
@@ -929,11 +933,15 @@ class TestEta:
         assert plus.provider is plus_tail and minus.provider is minus_tail
         for plan, orders in ((plus, [0.75, 0.2, 0.5, 0.7, 1.0, 2.5]),
                              (minus, [1.75, -0.8, -0.5, -0.3, 0.0, 1.5])):
+            # the data correction is the entries alone, and the head every
+            # tail term up to 8^2
+            got_orders, got_weights = plan.exact()
+            assert got_orders.tolist() == orders
+            assert got_weights.tolist() == [1.5] * len(xs)
             head = plan.provider.terms_below(64.0)
-            got_orders, got_weights, head_w, head_v = plan.head(8.0)
-            assert got_orders.tolist() == orders + [math.sqrt(v) for _, v in head]
-            assert got_weights.tolist() == [1.5] * len(xs) + [w for w, _ in head]
-            assert head_w.tolist() == [w for w, _ in head]
+            head_p, kept_w, head_w, head_v = plan.head(8.0)
+            assert head_p.tolist() == [math.sqrt(v) for _, v in head]
+            assert kept_w.tolist() == head_w.tolist() == [w for w, _ in head]
             assert head_v.tolist() == [v for _, v in head]
 
     @pytest.mark.parametrize("family", ["power", "hurwitz"])
@@ -1047,9 +1055,9 @@ def _gauss_families(provider):
 
 
 class _NoClosedForm(HurwitzZetaProvider):
-    """A Hurwitz tail that states no Gamma-ratio sum, so that it is folded."""
+    """A Hurwitz tail that states no Gauss families, so that it is folded."""
 
-    def gamma_ratio_sum(self, points, estimate):
+    def gauss_families(self):
         return None
 
 
@@ -1333,6 +1341,89 @@ class TestFoldRounding:
                 ms = mpmath.mpc(s)
                 want = _mp_prefactor(ms) * _mp_families([(2.0, a)], ms)[0]
             assert float(abs(mpmath.mpc(rep["value"]) - want)) <= rep["error_estimate"], (a, s)
+
+
+class TestOnePhiPass:
+    """Phi is one gamma_quotients pass over the data correction, the fold's
+    head and the Gauss families, plus their continuation, on every route."""
+
+    SPECTRA = {
+        "closed": CrossSectionSpectrum(data=(SpectralDatum(4.0, 2.0), SpectralDatum(3.0, 1.0)),
+                                       tail=RiemannZetaProvider(2.0, 2.0)),
+        "folded": CrossSectionSpectrum(data=(SpectralDatum(4.0, 2.0), SpectralDatum(3.0, 1.0)),
+                                       tail=RiemannZetaProvider(2.0, 2.4)),
+        "finite": CrossSectionSpectrum(data=(SpectralDatum(4.0, 2.0), SpectralDatum(3.0, 1.0))),
+    }
+
+    @pytest.mark.parametrize("route", sorted(SPECTRA))
+    def test_one_quotient_call_per_phi(self, monkeypatch, route):
+        spec, calls = self.SPECTRA[route], []
+        quotients = specfun.gamma_quotients
+        for module in (cone, specfun):
+            monkeypatch.setattr(module, "gamma_quotients",
+                                lambda *args: calls.append(args) or quotients(*args))
+        for s in (1.6 + 0.3j, np.array([2.3, 0.7 + 1.0j, -1.3 + 4.1j])):
+            for fn, want in ((zeta_hat_operator, 1), (gamma_zeta_hat, 1),
+                             # and one for the report's prefactor bound
+                             (zeta_hat_operator_report, 2)):
+                del calls[:]
+                fn(spec, s)
+                assert len(calls) == want, (fn, s)
+
+    @pytest.mark.parametrize("tail, value", [
+        (RiemannZetaProvider(1.3, 2.5), 2.0**2.5),
+        (PowerShiftSquaredProvider(0.5, 0.5), (math.sqrt(2.0) + 0.5) ** 2),
+        (RiemannZetaProvider(1.0, 2.0), 9.0)], ids=["riemann-2.5", "power-shift", "gauss"])
+    def test_a_repeated_tail_term_changes_no_bit(self, tail, value):
+        # a datum below 8^2 with the value and weight of a tail term replaces
+        # it by itself: the data correction is empty either way, on the
+        # folded tails as on the Gauss tail; the folded tails moved by
+        # 2.2e-16 and 4.5e-16
+        (w, v), = [(w, v) for w, v in tail.terms_below(64.0) if v == value]
+        bare = CrossSectionSpectrum(data=(), tail=tail)
+        repeated = CrossSectionSpectrum(data=(SpectralDatum(v, complex(w)),), tail=tail)
+        s = np.array([1.6 + 0.3j, -1.3 + 4.1j, 2.7, 0.3 - 9.0j])
+        assert _bits(zeta_hat_operator(repeated, s)) == _bits(zeta_hat_operator(bare, s))
+        for x in s:
+            got, want = (zeta_hat_operator_report(spec, complex(x)) for spec in (repeated, bare))
+            assert _bits(got["value"]) == _bits(want["value"])
+            assert got["error_estimate"] == want["error_estimate"]
+
+    def test_a_replaced_term_leaves_the_fold(self):
+        # a datum at the negative order -0.5^1.2 takes the tail's first term:
+        # the fold leaves that term's quotient out, whose poles at
+        # 0.5^1.2 + 1 + n would cancel against it only to rounding (it raised
+        # there, and lost eps / |s - pole| near them); the datum beside the
+        # tail that starts past the term is the same Phi
+        datum = (SpectralDatum(0.5**2.4, 1.0),)
+        replaced = CrossSectionSpectrum(datum, HurwitzZetaProvider(0.5, 1.0, 2.4), 1.0)
+        beside = CrossSectionSpectrum(datum, HurwitzZetaProvider(1.5, 1.0, 2.4), 1.0)
+        assert replaced._plan.unmatched() == [] and beside._plan.unmatched() == [0]
+        pole = 0.5**1.2 + 1.0
+        for s in (pole, pole + 1e-7, pole + 1.0, 1.6 + 0.3j, -1.3 + 4.1j):
+            got, want = (zeta_hat_operator_report(spec, s) for spec in (replaced, beside))
+            diff = abs(got["value"] - want["value"])
+            assert diff <= got["error_estimate"] + want["error_estimate"], s
+            if s in (pole, pole + 1e-7):
+                assert diff <= 1e-14 * abs(want["value"]), s
+
+    def test_finite_estimate_bounds_the_error(self):
+        # it read 0.0 at every point, on errors up to 3.8e-14 relative
+        rng = np.random.default_rng(22)
+        with mpmath.workdps(30):
+            for _ in range(80):
+                lams = rng.uniform(0.05, 60.0, rng.integers(2, 12)).tolist()
+                weights = rng.uniform(0.5, 3.0, len(lams)).tolist()
+                spec = CrossSectionSpectrum(
+                    data=tuple(SpectralDatum(lam, complex(w)) for lam, w in zip(lams, weights)))
+                s = complex(rng.uniform(-6.0, 6.0), rng.uniform(-20.0, 20.0))
+                rep = zeta_hat_operator_report(spec, s)
+                ms = mpmath.mpc(s)
+                want = _mp_prefactor(ms) * mpmath.fsum(
+                    w * _mp_quotient(mpmath.sqrt(lam), ms) for lam, w in zip(lams, weights))
+                err = float(abs(mpmath.mpc(rep["value"]) - want))
+                assert 0.0 < rep["error_estimate"], s
+                assert err <= rep["error_estimate"] <= 1e-11 * float(abs(want)), (s, err)
 
 
 class TestIndex:

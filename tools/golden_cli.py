@@ -123,6 +123,8 @@ EDGE_CASES = [
       '{"phi": "gauss", "families": [{"alpha": -6.5, "k": 1}], "order": 13}'], None),
     # no positive remainder order is left for the moments of phi: exit 2
     (["sal-expand", "--in", '{"phi": "exp", "families": [{"alpha": -9.0}]}'], None),
+    # a log power past 170, where k! is past the largest double: exit 2
+    (["sal-expand", "--in", '{"families": [{"alpha": -0.5, "k": 1000000}]}'], None),
     # malformed payloads: each is an input error that names its field
     (["zeta-lp", "--in", '{"p": "0.5"}'], None),
     (["zeta-op", "--in", '{"tail": {"kind": "riemann"}, "s_re": true}'], None),
