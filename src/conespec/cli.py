@@ -282,9 +282,9 @@ def _tail(value, path: str, kinds: tuple, exponent: float):
         return specfun.HurwitzZetaProvider(a) + specfun.HurwitzZetaProvider(1 - a, -1.0)
     scale = _number(spec.get("scale", 1.0), f"{path}.scale")
     exponent = _number(spec.get("exponent", exponent), f"{path}.exponent")
-    if kind == "riemann":
-        return specfun.RiemannZetaProvider(scale, exponent)
-    return specfun.HurwitzZetaProvider(_number(spec.get("a"), f"{path}.a"), scale, exponent)
+    # a riemann tail is the Hurwitz family a = 1
+    a = 1.0 if kind == "riemann" else _number(spec.get("a"), f"{path}.a")
+    return specfun.HurwitzZetaProvider(a, scale, exponent)
 
 
 _CROSS_SECTION_FIELDS = ("data", "tail", "p_choice")
@@ -602,7 +602,7 @@ def _verify_checks(seed: int):
 
     # residue assembly vs a Laurent fit, circle cross-section
     circle = cone.CrossSectionSpectrum(
-        data=(), tail=specfun.RiemannZetaProvider(scale=2.0, exponent=2.0)
+        data=(), tail=specfun.HurwitzZetaProvider(1.0, scale=2.0, exponent=2.0)
     )
     res1, res0 = cone.residues_at_zero(circle)
     f1, f0 = cone.laurent_fit(lambda s: cone.gamma_zeta_hat(circle, s))
@@ -612,7 +612,7 @@ def _verify_checks(seed: int):
     # eta residues: universal-constant route vs assembled eta-hat
     sqrt_spec = cone.FirstOrderSpectrum(
         s_data=(),
-        eta_provider=specfun.RiemannZetaProvider(scale=1.0, exponent=0.5),
+        eta_provider=specfun.HurwitzZetaProvider(1.0, scale=1.0, exponent=0.5),
         a_plus_tail=specfun.PowerShiftSquaredProvider(0.5, 0.5),
         a_minus_tail=specfun.PowerShiftSquaredProvider(0.5, -0.5),
     )

@@ -4,8 +4,8 @@ Heat kernel and zeta function of the one-dimensional model operator L_p,
 operator-valued zeta/eta functions assembled from cross-section spectra,
 their residues at the origin, small-time heat-trace expansions, and the
 spectral side of the index formula for first-order cone operators.  Every
-explicit Gamma quotient of the Gamma-ratio sum Phi (the data correction's,
-the fold's head's and the Gauss families') comes from one
+explicit Gamma quotient of the Gamma-ratio sum Phi (the data's, the
+provider's head terms' and the Gauss families') comes from one
 `specfun.gamma_quotients` call per evaluation.
 """
 
@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.special import loggamma
@@ -192,13 +192,12 @@ def _split_terms(claims, head):
     value whose weight agrees; if terms of that value remain but none agrees,
     the provider contradicts the data.  The head's values are nondecreasing,
     so the terms near a value are found by bisection.  Returns the positions
-    of the claims no term matched and the set of positions of the head terms
-    the claims took.  No claim reaches past the top value plus its
-    tolerance, so a longer head gives the same match.
+    of the claims no term matched and a dict from the position of each other
+    claim to that of the head term it took.  No claim reaches past the top
+    value plus its tolerance, so a longer head gives the same match.
     """
     values = [u for _, u in head]
-    claimed = set()
-    unmatched = []
+    taken, claimed, unmatched = {}, set(), []
     for i, (w, v) in enumerate(claims):
         tol = 1e-9 * max(1.0, v)
         near = False
@@ -208,13 +207,14 @@ def _split_terms(claims, head):
                 continue
             near = True
             if abs(head[j][0] - w) <= 1e-9 * (1.0 + abs(w)):
+                taken[i] = j
                 claimed.add(j)
                 break
         else:
             if near:
                 raise ConeError(f"tail provider disagrees with data weight at value {v}")
             unmatched.append(i)
-    return unmatched, claimed
+    return unmatched, taken
 
 
 def _series_part(provider, part: str, z: complex, pairs) -> complex:
@@ -226,27 +226,54 @@ def _series_part(provider, part: str, z: complex, pairs) -> complex:
     return total
 
 
+class _Columns(NamedTuple):
+    """Phi's column layout over a plan: the explicit columns' Bessel orders
+    and weights, the Gauss families' bases a and weights w (or None), and
+    the fold's head terms' weights and log values (or None)."""
+
+    orders: np.ndarray
+    weights: np.ndarray
+    bases: Optional[np.ndarray]
+    family_weights: Optional[np.ndarray]
+    head_weights: Optional[np.ndarray]
+    head_logs: Optional[np.ndarray]
+
+
+def _pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """(w, x) pairs as an array of the x and one of the complex w."""
+    return (np.array([x for _, x in pairs], dtype=float),
+            np.array([w for w, _ in pairs], dtype=complex))
+
+
 class _TermPlan:
     """The s-independent half of Phi over a provider.
 
-    `folded` holds the (weight, Bessel order) terms the spectrum adds to the
-    provider's, and `claims` the (weight, value) data matched against every
+    `folded` holds the (weight, Bessel order) terms of the spectrum's
+    entries, and `claims` the (weight, value) data matched against every
     provider term read: `unmatched()` gives the positions of the claims the
-    provider does not enumerate, `remaining()` the terms no claim took, and
-    `exact()` the data correction, the folded terms minus the taken ones.
+    provider does not enumerate, and `remaining()` the terms no claim took.
     No claim takes a term past the window, the top claim plus its 1e-9
     tolerance (or `reach` if that is larger), so the match does not depend
-    on how far the terms were read.  These three read to the window,
-    `head(threshold)` to the head bound too; a read of _TERMS_CAP terms
-    raises ConeError, as more may lie below its bound.
+    on how far the terms were read.  A read of _TERMS_CAP terms raises
+    ConeError, as more may lie below its bound.
+
+    `columns`, built on first use, is Phi's column layout: the data at
+    their own signed orders but those that claim a term at a positive order,
+    which the term stands for, then the provider's terms up to a bound B
+    (read with a margin of 1e-9 relative plus 1e-12) that no datum at a
+    negative order replaced (its value is below 1, as the order is above
+    -1); the continuation starts past B.  On the fold, B is the larger of
+    _HEAD_THRESHOLD^2 and the top claim.  On the Gauss route, B is the top
+    value a datum replaces (claim or term), no term is read past the window
+    if none does, and each family (w, a) becomes (w, a + n), n the count of
+    its (a+j)^2 up to B; a higher B would make the explicit terms and the
+    continuation cancel.
     """
 
     def __init__(self, provider, folded: list, claims: list, reach: float):
         self.provider, self.folded, self.claims = provider, folded, claims
         self._terms, self._values, self._read_to = [], [], -math.inf
-        self._head = self._exact = None
-        self.replaced = []
-        self._matching = (list(range(len(claims))), set())
+        self._matching = (list(range(len(claims))), {})
         self._top = max((v for _, v in claims), default=0.0)
         self._window = max(reach, self._top + 1e-9 * max(1.0, self._top)) if claims else reach
 
@@ -259,7 +286,7 @@ class _TermPlan:
                 raise ConeError(f"at most {_TERMS_CAP} tail terms are read, and the tail has "
                                 f"as many below the {what} {bound:.6g}")
             self._matching = _split_terms(self.claims, terms)
-            self._terms, self._read_to, self._head = terms, bound, None
+            self._terms, self._read_to = terms, bound
             self._values = [v for _, v in terms]
 
     def unmatched(self) -> list:
@@ -268,30 +295,8 @@ class _TermPlan:
 
     def remaining(self) -> list:
         self._read(self._window, "match window")
-        return [term for j, term in enumerate(self._terms) if j not in self._matching[1]]
-
-    def exact(self) -> tuple[np.ndarray, np.ndarray]:
-        """Orders and weights of the data correction, summed with exact
-        quotients beside whatever stands for the provider's terms: the folded
-        terms, then (minus the weight, sqrt(value)) for each provider term a
-        claim took, but a taken term equal to a folded term (a datum at its
-        order and weight) cancels it instead, as their quotients would cancel
-        exactly.  The taken terms that no folded term cancels come last;
-        `replaced` holds their positions among the provider's.  Built once, as
-        the match is the same however far the terms were read."""
-        if self._exact is None:
-            self._read(self._window, "match window")
-            exact = list(self.folded)
-            for j in sorted(self._matching[1]):
-                w, p = self._terms[j][0], math.sqrt(self._terms[j][1])
-                if (w, p) in exact:
-                    exact.remove((w, p))
-                else:
-                    self.replaced.append(j)
-            exact += [(-self._terms[j][0], math.sqrt(self._terms[j][1])) for j in self.replaced]
-            self._exact = (np.array([p for _, p in exact], dtype=float),
-                           np.array([w for w, _ in exact], dtype=complex))
-        return self._exact
+        taken = set(self._matching[1].values())
+        return [term for j, term in enumerate(self._terms) if j not in taken]
 
     @cached_property
     def real(self) -> bool:
@@ -299,24 +304,34 @@ class _TermPlan:
         return (all(w.imag == 0 for w, _ in self.folded)
                 and (self.provider is None or self.provider.real_weights()))
 
-    def head(self, threshold: float) -> tuple[np.ndarray, ...]:
-        """The provider's terms up to the larger of threshold^2 and the top
-        claim, as arrays: the orders sqrt(value) and weights of those but
-        the replaced terms (see `exact`), then the weights and values of
-        all of them."""
-        bound = max(threshold * threshold, self._top) * (1 + 1e-9) + 1e-12
-        self._read(max(bound, self._window), "head bound")
-        if self._head is None:
-            self.exact()
-            values = np.array(self._values, dtype=float)
-            weights = np.array([w for w, _ in self._terms], dtype=complex)
-            kept = (np.delete(np.arange(len(values)), self.replaced) if self.replaced
-                    else slice(None))
-            self._head = (np.sqrt(values)[kept], weights[kept], weights, values)
-        # every replaced term lies below the bound
-        n = bisect_right(self._values, bound)
-        m, (orders, kept, weights, values) = n - len(self.replaced), self._head
-        return orders[:m], kept[:m], weights[:n], values[:n]
+    @cached_property
+    def columns(self) -> _Columns:
+        if self.provider is None:
+            return _Columns(*_pair_arrays(self.folded), None, None, None, None)
+        families = self.provider.gauss_families()
+        self._read(self._window, "match window")
+        terms, taken = self._terms, self._matching[1]
+        # the replaced terms' positions, each with the larger of its value and its claim's
+        replaced = {j: max(self.claims[i][1], terms[j][1]) for i, j in taken.items()
+                    if self.folded[i][1] < 0}
+        explicit = [f for i, f in enumerate(self.folded) if i not in taken or f[1] < 0]
+        if families is None or replaced:
+            top = (max(replaced.values()) if families is not None
+                   else max(_HEAD_THRESHOLD * _HEAD_THRESHOLD, self._top))
+            bound = top * (1 + 1e-9) + 1e-12
+            self._read(max(bound, self._window), "head bound")
+            terms = self._terms[:bisect_right(self._values, bound)]
+            explicit += [(w, math.sqrt(v)) for j, (w, v) in enumerate(terms) if j not in replaced]
+            if families is None:
+                values, weights = _pair_arrays(terms)
+                return _Columns(*_pair_arrays(explicit), None, None, weights, np.log(values))
+            counts = [sum((a + j) ** 2 <= bound for j in range(len(terms) + 1))
+                      for _, a in families]
+            if sum(counts) != len(terms):
+                raise ConeError(f"the tail's {len(terms)} terms up to {bound:.6g} are not "
+                                f"the first terms of its Gauss families")
+            families = [(w, a + n) for (w, a), n in zip(families, counts)]
+        return _Columns(*_pair_arrays(explicit), *_pair_arrays(families), None, None)
 
 
 @dataclass(frozen=True)
@@ -326,7 +341,9 @@ class CrossSectionSpectrum:
     `tail` carries the zeta function of A (in the eigenvalue variable); where
     its enumeration overlaps `data` the two must agree, and `data` may extend
     below or beyond it.  `negative_below` selects the negative Bessel order
-    -sqrt(lambda) for eigenvalues under the threshold.
+    -sqrt(lambda) for eigenvalues under the threshold.  A datum that
+    matches a tail term is that term at a positive order, and replaces it
+    at a negative one, at its own order and value (see `_TermPlan`).
     """
 
     data: tuple[SpectralDatum, ...]
@@ -408,15 +425,15 @@ def _points(s) -> list:
     return points
 
 
-def _check_poles(orders: np.ndarray, families, points: list) -> None:
+def _check_poles(orders: np.ndarray, bases, points: list) -> None:
     """ConeError at the first point, in order, on a pole of Phi's explicit
-    quotients: s = 1 or a + 1 - s on a nonpositive integer for a Gauss
-    family (w, a), then p + 1 - s on one for an order p, the first in order."""
+    quotients: s = 1 or a + 1 - s on a nonpositive integer for a Gauss base
+    a (if `bases` is not None), then p + 1 - s on one for an order p."""
     for x in points:
-        if families:
+        if bases is not None:
             if not abs(x - 1.0) > _GAUSS_POLE:
                 raise ConeError(f"pole of the Gamma-ratio sum at s={x}")
-            for _, a in families:
+            for a in bases.tolist():
                 if _is_nonpositive_integer(a + 1.0 - x):
                     raise ConeError(f"Gamma pole in the Gamma-ratio sum at a={a}, s={x}")
         # only a real point puts p + 1 - s on a pole, and only where it is <= 1/2
@@ -432,28 +449,20 @@ def _phi_pieces(plan: _TermPlan, s, order: int, estimate: bool):
     `s` is a Python complex or a 1-D complex array of points.  Returns
     (values, errors), one entry per point; errors is None unless `estimate`
     is set, so that a caller that reads only the values does not pay for
-    them.  The s-independent half is the plan, built once per spectrum: the
-    data correction `exact()` (the data minus the provider terms they
-    claim), the same whichever read the terms first, the residues or the
-    fold.  `order` is checked whenever there is a provider, on every route.
+    them.  `order` is checked whenever there is a provider, on every route.
 
-    Phi is an explicit sum plus a continuation of the provider's terms.
-    One `gamma_quotients` pass over (points x columns) gives every explicit
-    quotient: the data correction's, the provider's head terms' (where the
-    fold runs) and its Gauss families' (where it states them), u and v
-    p + (1-s) and p + s for an order p, (a+1) - s and (a+s) - 1 for a
-    family (w, a).  The explicit sum runs over the orders, and the
-    continuation is
+    Phi is a sum over the plan's column layout (`_TermPlan.columns`, built
+    once per spectrum) plus a continuation of the provider's terms past its
+    head bound B.  One `gamma_quotients` pass over (points x columns) gives
+    every quotient, u and v p + (1-s) and p + s for an order p, (a+1) - s
+    and (a+s) - 1 for a family (w, a); the continuation is
     - Gauss's sum, w Gamma(a+1-s) / (2 (s-1) Gamma(a+s-1)) over the
       families, which is sum_(j>=0) w Gamma(a+j+1-s) / Gamma(a+j+s) for
       Re s > 1 (DLMF 15.4.20) and continues it off s = 1;
-    - or the fold, where the provider states no families: its terms up to
-      the head bound, the larger of _HEAD_THRESHOLD^2 and the top claim,
-      are explicit, and its continuation minus that head is folded against
-      the Gamma-ratio expansion to `order`, one provider call and one power
-      sum over (points x shifts z_k = (2s-1+k)/2) whose Q_k is nonzero; a
-      replaced head term leaves the explicit sum with its correction, as
-      its poles, where Phi is finite, would cancel only to rounding;
+    - or the fold, where the provider states no families: its continuation
+      minus its terms up to B is folded against the Gamma-ratio expansion
+      to `order`, one provider call and one power sum over (points x shifts
+      z_k = (2s-1+k)/2) whose Q_k is nonzero;
     - or nothing, without a provider.
 
     The error has one rule on every route: the continuation's bound, plus
@@ -471,23 +480,12 @@ def _phi_pieces(plan: _TermPlan, s, order: int, estimate: bool):
     """
     provider, points = plan.provider, _points(s)
     s = s if isinstance(s, complex) else s[:, None]
-    families, fold = None, False
     if provider is not None:
         qs, ks = _fold_shifts(order)
-        families = provider.gauss_families()
-        fold = families is None
-    if fold:
-        # the head first, so that the data correction reads no further
-        head_p, kept_w, head_w, head_v = plan.head(_HEAD_THRESHOLD)
-    orders, weights = plan.exact()
-    if fold:
-        kept = len(orders) - len(plan.replaced)
-        orders = np.concatenate((orders[:kept], head_p))
-        weights = np.concatenate((weights[:kept], kept_w))
-    _check_poles(orders, families, points)
+    orders, weights, bases, family_weights, head_w, head_logs = plan.columns
+    _check_poles(orders, bases, points)
     u, v = orders + (1 - s), orders + s
-    if families:
-        bases = np.array([a for _, a in families], dtype=float)
+    if bases is not None:
         u = np.concatenate((u, (bases + 1.0) - s), axis=-1)
         v = np.concatenate((v, (bases + s) - 1.0), axis=-1)
     q, rounding = gamma_quotients(u, v, estimate)
@@ -496,24 +494,23 @@ def _phi_pieces(plan: _TermPlan, s, order: int, estimate: bool):
     rows = [q] if q.ndim == 1 else q
     values = [complex(weights @ row[:width]) for row in rows]
     bounds = [0.0] * n
-    if families:
-        shape = (n, len(families))
-        terms = [[w * qj for (w, _), qj in zip(families, row)]
-                 for row in q[..., width:].reshape(shape).tolist()]
+    if bases is not None:
+        shape = (n, len(bases))
+        terms = (q[..., width:].reshape(shape) * family_weights).tolist()
         values = [value + sum(row, 0.0 + 0.0j) / (2.0 * (x - 1.0))
                   for value, row, x in zip(values, terms, points)]
         if estimate:
             bounds = [_EPS * sum([abs(t) * r for t, r in zip(row, rs)], 0.0) / abs(2.0 * (x - 1.0))
                       for row, rs, x in zip(terms, rounding[..., width:].reshape(shape).tolist(),
                                             points)]
-    elif fold and points:
+    elif head_w is not None and points:
         z = (2 * s - 1 + ks) / 2.0
         pole = provider.is_pole(z)
         if pole.any():
             raise ConeError(f"tail provider pole hit at argument {complex(z.flat[pole.argmax()])}")
         # the head's v^-z, one product with its weights for the sum and, for
         # the error, one of the magnitudes
-        powers = np.exp(np.multiply.outer(-z, np.log(head_v)))
+        powers = np.exp(np.multiply.outer(-z, head_logs))
         diffs = (provider.zeta(z) - powers @ head_w).reshape(n, -1).tolist()
         q_at = [[_poly_eval(qk, x) for qk in qs] for x in points]
         tails = [[q * t for q, t in zip(qx, row)] for qx, row in zip(q_at, diffs)]
@@ -603,26 +600,27 @@ def zeta_hat_operator_report(spec: CrossSectionSpectrum, s, order: int = FOLD_OR
     """Regularized zeta function of the cone operator with cross-section spectrum `spec`.
 
     zeta_hat(s) = Gamma(s-1/2) / (2 sqrt(pi) Gamma(s)) Phi(s), with Phi the
-    sum of w Gamma(p+1-s) / Gamma(p+s) over the Bessel orders p: the data's
-    quotients, minus those of the tail terms the data replace, summed
-    exactly, plus the tail's.  Where the tail provider states Gauss
-    families (`gauss_families`: every tail (a+j)^2, j >= 0, such as a
-    Hurwitz or Riemann tail of exponent 2), the tail's part is Gauss's
-    closed form and the value is exact for every s off its poles, with no
-    fold; `order` is checked but not used.  Otherwise the provider terms
-    below the head bound (_HEAD_THRESHOLD^2, or the top datum) are summed
-    exactly too and the remainder is folded through the provider's
-    continuation against the Gamma-ratio asymptotics to `order`
-    (FOLD_ORDER by default).  A finite spectrum has no tail part.  The
-    error estimate is the same sum on every route: the tail part's bound
-    (the rounding of Gauss's quotients, or the fold's truncation, the
-    magnitude of its last term, plus the rounding of the provider's value
-    minus the head it folds), plus the rounding of the exact quotients and
-    of the prefactor.  At a real s with real weights (data and tail) the
-    value is real.  Returns the value and the error estimate.  `s` may be
-    an array: both are then arrays of its shape, each element
-    bit-identical to the point's call alone, and the batch raises the error
-    of its first bad point.  A non-finite s raises ConeError.
+    sum of w Gamma(p+1-s) / Gamma(p+s) over the Bessel orders p.  The data
+    and the tail's terms up to a head bound B are summed exactly (a datum
+    on a tail term is that term at a positive order and replaces it at a
+    negative one), and the tail past B is continued.  Where the tail provider states Gauss families
+    (`gauss_families`: every tail (a+j)^2, j >= 0, such as a Hurwitz tail
+    of exponent 2), B is the top value a datum replaces (no term if none
+    does) and the continuation is Gauss's closed form of the families past
+    B, exact for every s off its poles; `order` is checked but not used.
+    Otherwise B is the larger of _HEAD_THRESHOLD^2 and the top datum, and
+    the tail past B is folded through the provider's continuation against
+    the Gamma-ratio asymptotics to `order` (FOLD_ORDER by default).  A
+    finite spectrum has no tail part.  The error estimate is the same sum
+    on every route: the continuation's bound (the rounding of Gauss's
+    quotients, or the fold's truncation, the magnitude of its last term,
+    plus the rounding of the provider's value minus the head it folds),
+    plus the rounding of the exact quotients and of the prefactor.  At a
+    real s with real weights (data and tail) the value is real.  Returns
+    the value and the error estimate.  `s` may be an array: both are then
+    arrays of its shape, each element bit-identical to the point's call
+    alone, and the batch raises the error of its first bad point.  A
+    non-finite s raises ConeError.
     """
     value, error = _zeta_hat(spec, s, order, True)
     return {"value": value, "error_estimate": error}
@@ -861,7 +859,7 @@ def _orders_and_weights(spec: CrossSectionSpectrum) -> tuple[np.ndarray, np.ndar
     """Bessel orders and weights of a finite spectrum, as arrays."""
     if spec.tail is not None:
         raise ConeError("fiber trace needs a finite spectrum")
-    return spec._plan.exact()
+    return spec._plan.columns[:2]
 
 
 def k_trace_operator(spec: CrossSectionSpectrum, t: float) -> complex:

@@ -317,6 +317,27 @@ class TestZetaOp:
         assert round(doc["value_re"], 2) == -827.46
         assert abs(doc["value_im"]) <= doc["error_estimate"] < 1e-9
 
+    def test_a_replaced_gauss_term_is_finite_at_its_pole(self, capsys):
+        # the datum 0.09 at the order -0.3 replaces the tail's first term,
+        # whose quotient has its pole at s = 1.3: it exited 2 there, and 1e-7
+        # from it printed a value 3.4e-3 off
+        payload = json.dumps({"data": [{"lambda": 0.09, "weight_re": 1.0}],
+                              "tail": {"kind": "hurwitz", "a": 0.3, "exponent": 2},
+                              "p_choice": {"negative_below": 1.0}})
+        for s in (1.3, 1.3000001):
+            code, out, _ = run(capsys, "zeta-op", "--in", payload, "--s-re", repr(s))
+            assert code == 0
+            doc = json.loads(out)
+            with mpmath.workdps(30):
+                ms = mpmath.mpf(s)
+                phi = (mpmath.gamma(0.7 - ms) * mpmath.rgamma(ms - 0.3)
+                       + mpmath.gamma(mpmath.mpf(0.3) + 2 - ms)
+                       * mpmath.rgamma(mpmath.mpf(0.3) + ms) / (2 * (ms - 1)))
+                want = mpmath.gamma(ms - 0.5) * mpmath.rgamma(ms) * phi / (2 * mpmath.sqrt(
+                    mpmath.pi))
+            err = abs(doc["value_re"] - float(want))
+            assert err <= min(doc["error_estimate"], 1e-14 * abs(float(want))), s
+
     def test_bad_tail_kind(self, capsys):
         code, _, _ = run(
             capsys,

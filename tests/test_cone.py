@@ -327,7 +327,8 @@ class TestSpectrumData:
         spec = cli._cross_section(d, "")
         assert spec.negative_below == 1.0
         assert spec.data == (SpectralDatum(0.25, 1.0 - 0.5j),)
-        assert type(spec.tail) is RiemannZetaProvider
+        # a riemann tail is the Hurwitz family a = 1
+        assert type(spec.tail) is HurwitzZetaProvider
         assert spec.tail.families == ((2.0, 1.0, 2.0),)
         tail = {"kind": "hurwitz", "a": 0.7, "scale": 1.5, "exponent": 2.3}
         spec = cli._cross_section({"data": [], "tail": tail}, "")
@@ -343,7 +344,7 @@ class TestSpectrumData:
         riemann = {"kind": "riemann", "scale": 2}
         cross = cli._cross_section({"tail": riemann}, "")
         first = cli._first_order({"eta_tail": riemann})
-        assert type(cross.tail) is type(first.eta_provider) is RiemannZetaProvider
+        assert type(cross.tail) is type(first.eta_provider) is HurwitzZetaProvider
         assert cross.tail.families == ((2.0, 1.0, 2.0),)
         assert first.eta_provider.families == ((2.0, 1.0, 1.0),)
         hurwitz = cli._cross_section({"tail": {"kind": "hurwitz", "a": 0.5}}, "")
@@ -400,8 +401,8 @@ class TestZetaHatOperator:
         s = complex(s)
         lam_head = max([head_threshold**2] + [d.eigenvalue for d in spec.data])
         head = spec.tail.terms_below(lam_head * (1 + 1e-9) + 1e-12)
-        _, claimed = _split_terms([(d.weight, d.eigenvalue) for d in spec.data], head)
-        remaining = [term for j, term in enumerate(head) if j not in claimed]
+        _, taken = _split_terms([(d.weight, d.eigenvalue) for d in spec.data], head)
+        remaining = [term for j, term in enumerate(head) if j not in taken.values()]
         explicit = [(d.weight, spec.p_of(i)) for i, d in enumerate(spec.data)]
         explicit += [(w, math.sqrt(lam)) for w, lam in remaining]
         terms = [w * cmath.exp(log_gamma(p + 1 - s) - log_gamma(p + s)) for w, p in explicit]
@@ -504,6 +505,16 @@ class TestZetaHatOperator:
 def _bits(values) -> bytes:
     """The bytes of complex values, so that equality is bit for bit."""
     return np.asarray(values, dtype=complex).tobytes()
+
+
+def _layout(plan) -> list:
+    """A plan's column layout: the bytes of its arrays."""
+    return [None if x is None else x.tobytes() for x in plan.columns]
+
+
+def _families(columns) -> list:
+    """A column layout's Gauss families (w, a)."""
+    return list(zip(columns.family_weights.tolist(), columns.bases.tolist()))
 
 
 def _random_tail(rng, kind):
@@ -689,13 +700,11 @@ class TestBatchedFold:
             spec = _random_cross_spectrum(rng, kind)
             window_first, head_first, residues_first, fold_first = (
                 CrossSectionSpectrum(spec.data, spec.tail, spec.negative_below) for _ in range(4))
-            window_first._plan.exact()
-            head_first._plan.head(20.0)
+            window_first._plan.unmatched()
+            head_first._plan._read(400.0, "head bound")
             assert window_first._plan.unmatched() == head_first._plan.unmatched()
-            # the data correction of the window equals that of the longer read
-            for a, b in zip(window_first._plan.exact() + window_first._plan.head(8.0),
-                            head_first._plan.exact() + head_first._plan.head(8.0)):
-                assert a.tobytes() == b.tobytes()
+            # the column layout after the window equals that after the longer read
+            assert _layout(window_first._plan) == _layout(head_first._plan)
             s = _random_points(rng, 3)
             res = residues_at_zero(residues_first)
             value = zeta_hat_operator(residues_first, s)
@@ -729,17 +738,17 @@ class TestBatchedFold:
 
 def _split_terms_quadratic(pairs, head):
     """The matching as a quadratic scan: the reference for `_split_terms`."""
-    taken = set()
+    taken = {}
     unmatched = []
     for i, (w, v) in enumerate(pairs):
         near = [j for j, (_, u) in enumerate(head)
-                if j not in taken and abs(u - v) <= 1e-9 * max(1.0, v)]
+                if j not in taken.values() and abs(u - v) <= 1e-9 * max(1.0, v)]
         if not near:
             unmatched.append(i)
             continue
         for j in near:
             if abs(head[j][0] - w) <= 1e-9 * (1.0 + abs(w)):
-                taken.add(j)
+                taken[i] = j
                 break
         else:
             raise ConeError(f"tail provider disagrees with data weight at value {v}")
@@ -931,18 +940,25 @@ class TestEta:
         )
         plus, minus = spec._squares
         assert plus.provider is plus_tail and minus.provider is minus_tail
-        for plan, orders in ((plus, [0.75, 0.2, 0.5, 0.7, 1.0, 2.5]),
-                             (minus, [1.75, -0.8, -0.5, -0.3, 0.0, 1.5])):
-            # the data correction is the entries alone, and the head every
-            # tail term up to 8^2
-            got_orders, got_weights = plan.exact()
-            assert got_orders.tolist() == orders
-            assert got_weights.tolist() == [1.5] * len(xs)
-            head = plan.provider.terms_below(64.0)
-            head_p, kept_w, head_w, head_v = plan.head(8.0)
-            assert head_p.tolist() == [math.sqrt(v) for _, v in head]
-            assert kept_w.tolist() == head_w.tolist() == [w for w, _ in head]
-            assert head_v.tolist() == [v for _, v in head]
+        # the same squares over tails that state no Gauss families are folded
+        folded = FirstOrderSpectrum(s_data=spec.s_data, a_plus_tail=_NoClosedForm(1.0, 1.0, 2.0),
+                                    a_minus_tail=_NoClosedForm(1.0, 2.0, 2.0))
+        for plan, fold, orders in zip(spec._squares, folded._squares,
+                                      ([0.75, 0.2, 0.5, 0.7, 1.0, 2.5],
+                                       [1.75, -0.8, -0.5, -0.3, 0.0, 1.5])):
+            # the explicit columns are the entries alone on the Gauss route,
+            # whose one family holds every tail term
+            columns = plan.columns
+            assert columns.orders.tolist() == orders
+            assert columns.weights.tolist() == [1.5] * len(xs)
+            assert _families(columns) == [(plan.provider.families[0][0], 1.0)]
+            # the fold adds every tail term up to 8^2, which it also subtracts
+            head = fold.provider.terms_below(64.0)
+            columns = fold.columns
+            assert columns.orders.tolist() == orders + [math.sqrt(v) for _, v in head]
+            assert columns.weights.tolist() == [1.5] * len(xs) + [w for w, _ in head]
+            assert columns.head_weights.tolist() == [w for w, _ in head]
+            assert columns.head_logs.tolist() == [math.log(v) for _, v in head]
 
     @pytest.mark.parametrize("family", ["power", "hurwitz"])
     def test_an_unlisted_entry_adds_its_two_orders(self, family):
@@ -1116,26 +1132,33 @@ class TestGaussTail:
                     assert abs(mpmath.mpc(rep["value"]) - want) <= rep["error_estimate"], s
 
     def test_data_and_negative_orders_meet_mpmath(self):
-        # a datum on a tail term replaces it, at the datum's own signed order
-        # (below negative_below) and value (within the match's 1e-9 of the
-        # term's); one off the tail adds its quotient
+        # a datum on a tail term replaces it at a negative order (below
+        # negative_below), at the datum's own order; at a positive order it
+        # is the term, bit-equal (head[0]) or within the match's 1e-9 of it
+        # (head[2]); one off the tail adds its quotient
         rng = np.random.default_rng(17)
         with mpmath.workdps(30):
             for tail in self.TAILS:
                 families = _gauss_families(tail)
                 head = tail.terms_below(30.0)
-                claimed = [head[0], head[2]]
                 data = [SpectralDatum(head[0][1], complex(head[0][0])),
                         SpectralDatum(head[2][1] * (1 + 3e-10), complex(head[2][0]))]
                 data += [SpectralDatum(3.7, 1.5 - 0.5j), SpectralDatum(0.09, 1.0)]
                 spec = CrossSectionSpectrum(data=tuple(data), tail=tail, negative_below=0.9)
+                on_term = CrossSectionSpectrum(
+                    data=(data[0], SpectralDatum(head[2][1], data[1].weight), *data[2:]),
+                    tail=tail, negative_below=0.9)
                 orders = [spec.p_of(i) for i in range(len(data))]
+                assert orders[1] > 0
+                claimed = [head[0]] if orders[0] < 0 else []
+                free = [(d, p) for i, (d, p) in enumerate(zip(data, orders))
+                        if i >= 2 or p < 0]
                 for s in _gauss_points(rng, 12, orders=[a for _, a in families] + orders):
                     rep = zeta_hat_operator_report(spec, s)
+                    assert rep == zeta_hat_operator_report(on_term, s), s
                     ms = mpmath.mpc(s)
                     phi, scale = _mp_families(families, ms)
-                    extra = [mpmath.mpc(d.weight) * _mp_quotient(p, ms)
-                             for d, p in zip(data, orders)]
+                    extra = [mpmath.mpc(d.weight) * _mp_quotient(p, ms) for d, p in free]
                     extra += [-mpmath.mpc(w) * _mp_quotient(mpmath.sqrt(v), ms) for w, v in claimed]
                     want = _mp_prefactor(ms) * (phi + mpmath.fsum(extra))
                     bound = abs(_mp_prefactor(ms)) * (scale + mpmath.fsum(abs(x) for x in extra))
@@ -1344,8 +1367,9 @@ class TestFoldRounding:
 
 
 class TestOnePhiPass:
-    """Phi is one gamma_quotients pass over the data correction, the fold's
-    head and the Gauss families, plus their continuation, on every route."""
+    """Phi is one gamma_quotients pass over the plan's column layout (the
+    data, the provider's head and the Gauss families), plus their
+    continuation, on every route."""
 
     SPECTRA = {
         "closed": CrossSectionSpectrum(data=(SpectralDatum(4.0, 2.0), SpectralDatum(3.0, 1.0)),
@@ -1375,13 +1399,14 @@ class TestOnePhiPass:
         (PowerShiftSquaredProvider(0.5, 0.5), (math.sqrt(2.0) + 0.5) ** 2),
         (RiemannZetaProvider(1.0, 2.0), 9.0)], ids=["riemann-2.5", "power-shift", "gauss"])
     def test_a_repeated_tail_term_changes_no_bit(self, tail, value):
-        # a datum below 8^2 with the value and weight of a tail term replaces
-        # it by itself: the data correction is empty either way, on the
-        # folded tails as on the Gauss tail; the folded tails moved by
-        # 2.2e-16 and 4.5e-16
+        # a datum below 8^2 with the value and weight of a tail term is that
+        # term, which stands for it: the column layout is the same either
+        # way, on the folded tails as on the Gauss tail; the folded tails
+        # moved by 2.2e-16 and 4.5e-16
         (w, v), = [(w, v) for w, v in tail.terms_below(64.0) if v == value]
         bare = CrossSectionSpectrum(data=(), tail=tail)
         repeated = CrossSectionSpectrum(data=(SpectralDatum(v, complex(w)),), tail=tail)
+        assert _layout(repeated._plan) == _layout(bare._plan)
         s = np.array([1.6 + 0.3j, -1.3 + 4.1j, 2.7, 0.3 - 9.0j])
         assert _bits(zeta_hat_operator(repeated, s)) == _bits(zeta_hat_operator(bare, s))
         for x in s:
@@ -1424,6 +1449,117 @@ class TestOnePhiPass:
                 err = float(abs(mpmath.mpc(rep["value"]) - want))
                 assert 0.0 < rep["error_estimate"], s
                 assert err <= rep["error_estimate"] <= 1e-11 * float(abs(want)), (s, err)
+
+
+class TestReplacedGaussTerm:
+    """A datum at a negative order that replaces a Gauss tail's term: the
+    family starts past the term, with no column for the term beside the
+    datum's, so that Phi is finite at the term's pole."""
+
+    # (tail, cutoff): the data are the tail's terms below the cutoff, each
+    # at its negative order
+    CASES = {
+        "hurwitz": (HurwitzZetaProvider(0.3, 1.0, 2.0), 0.5),
+        "two-families": (HurwitzZetaProvider(0.3, 1.0, 2.0)
+                         + HurwitzZetaProvider(0.8, 2.0, 2.0), 0.9),
+        "two-families-one-replaced": (HurwitzZetaProvider(0.3, 1.0, 2.0)
+                                      + HurwitzZetaProvider(0.8, 2.0, 2.0), 0.5),
+        "power-shift": (PowerShiftSquaredProvider(1.0, -0.4), 0.5),
+    }
+
+    @staticmethod
+    def _reference(tail, data, s):
+        """zeta-hat in mpmath: the data's quotients at their negative orders,
+        and each family past the terms they replace."""
+        ms = mpmath.mpc(s)
+        lams = [d.eigenvalue for d in data]
+        families = [(w, mpmath.mpf(a) + sum(1 for lam in lams if abs(lam - a * a) < 1e-9))
+                    for w, a in _gauss_families(tail)]
+        phi = _mp_families(families, ms)[0] + mpmath.fsum(
+            mpmath.mpc(d.weight) * _mp_quotient(-mpmath.sqrt(d.eigenvalue), ms) for d in data)
+        return _mp_prefactor(ms) * phi
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_finite_at_the_replaced_terms_pole(self, case):
+        # the replaced term's poles sqrt(v) + 1 + n: at n = 0 only that term
+        # had one, so zeta-hat meets mpmath to 1e-14 there and 1e-7 from it;
+        # at n >= 1 the tail's next term has its pole, and 1e-7 from it the
+        # estimate bounds the error
+        tail, cutoff = self.CASES[case]
+        data = tuple(SpectralDatum(v, complex(w)) for w, v in tail.terms_below(cutoff))
+        spec = CrossSectionSpectrum(data, tail, negative_below=1.0)
+        assert data and spec._plan.unmatched() == []
+        with mpmath.workdps(30):
+            for d in data:
+                for n in range(4):
+                    pole = math.sqrt(d.eigenvalue) + 1.0 + n
+                    if n:
+                        with pytest.raises(ConeError, match="Gamma pole"):
+                            zeta_hat_operator(spec, pole)
+                    for s in ((pole, pole + 1e-7, pole - 1e-7) if n == 0
+                              else (pole + 1e-7, pole - 1e-7)):
+                        rep = zeta_hat_operator_report(spec, s)
+                        want = self._reference(tail, data, s)
+                        err = float(abs(mpmath.mpc(rep["value"]) - want))
+                        assert err <= rep["error_estimate"], (s, err)
+                        if n == 0:
+                            assert err <= 1e-14 * float(abs(want)), (s, err)
+
+    def test_the_roadmap_example(self):
+        # it raised at s = 1.3, and was 3.4e-3 off 1e-7 from it; the datum is
+        # a column at its own order, and the family starts at 1.3
+        tail = HurwitzZetaProvider(0.3, 1.0, 2.0)
+        spec = CrossSectionSpectrum((SpectralDatum(0.09, 1.0),), tail, negative_below=1.0)
+        columns = spec._plan.columns
+        assert columns.orders.tolist() == [-0.3] and _families(columns) == [(1.0, 1.3)]
+        with mpmath.workdps(30):
+            for s in (1.3, 1.3 + 1e-7):
+                rep = zeta_hat_operator_report(spec, s)
+                want = self._reference(tail, spec.data, s)
+                err = float(abs(mpmath.mpc(rep["value"]) - want))
+                assert err <= min(rep["error_estimate"], 1e-14 * float(abs(want))), s
+        # on the fold, the replaced term leaves the head's columns too
+        folded = CrossSectionSpectrum(spec.data, _NoClosedForm(0.3, 1.0, 2.0), negative_below=1.0)
+        head = tail.terms_below(64.0 * (1 + 1e-9) + 1e-12)
+        assert folded._plan.columns.orders.tolist() == [-0.3] + [
+            math.sqrt(v) for _, v in head[1:]]
+        assert folded._plan.columns.head_weights.tolist() == [w for w, _ in head]
+
+    def test_families_that_miss_the_head_raise(self):
+        # families whose first terms are not the tail's terms up to B cannot
+        # start past them
+        class Misstated(HurwitzZetaProvider):
+            def gauss_families(self):
+                return [(1.0, 0.35)]
+
+        spec = CrossSectionSpectrum((SpectralDatum(0.09, 1.0),), Misstated(0.3, 1.0, 2.0),
+                                    negative_below=1.0)
+        with pytest.raises(ConeError, match="not the first terms of its Gauss families"):
+            zeta_hat_operator(spec, 1.6)
+
+    @pytest.mark.parametrize("change", ["none", "decimal", "relative-3e-10"])
+    def test_data_on_the_terms_leave_the_family_whole(self, change):
+        # 40 data at the tail's first 40 terms (bit-equal, typed as decimals,
+        # or 3e-10 relative above) are those terms, so the family stays whole
+        # and Phi is the tail's.  Started past them, it cancelled against
+        # their explicit quotients: 5.4e1 relative at s = -5.3 for the first
+        # choice of B, 1.4e-5 for data 3e-10 above the terms
+        tail = HurwitzZetaProvider(0.7, 1.0, 2.0)
+        terms = tail.terms_below(2000.0)[:40]
+        lams = {"none": [v for _, v in terms], "decimal": [round(v, 2) for _, v in terms],
+                "relative-3e-10": [v * (1 + 3e-10) for _, v in terms]}[change]
+        assert (lams == [v for _, v in terms]) == (change == "none")
+        spec = CrossSectionSpectrum(tuple(SpectralDatum(lam, 1.0) for lam in lams), tail)
+        assert len(lams) == 40 and spec._plan.unmatched() == []
+        assert spec._plan.columns.orders.size == 0
+        assert _families(spec._plan.columns) == [(1.0, 0.7)]
+        with mpmath.workdps(30):
+            for s in (-5.3, -8.3 + 1j, -2.2 + 0.5j):
+                ms = mpmath.mpc(s)
+                want = _mp_prefactor(ms) * _mp_families([(1.0, 0.7)], ms)[0]
+                rep = zeta_hat_operator_report(spec, s)
+                err = abs(mpmath.mpc(rep["value"]) - want)
+                assert err <= min(rep["error_estimate"], 1e-12 * abs(want)), s
 
 
 class TestIndex:

@@ -38,6 +38,9 @@ _HURWITZ = json.dumps({
     "tail": {"kind": "hurwitz", "a": 1.5, "scale": 1.0, "exponent": 2.0},
     "p_choice": {"negative_below": 0.5},
 })
+_REPLACED = ('{"data": [{"lambda": 0.09, "weight_re": 1.0}], '
+             '"tail": {"kind": "hurwitz", "a": 0.3, "exponent": 2}, '
+             '"p_choice": {"negative_below": 1.0}}')
 _ETA_DATA = '{"s_data": [{"lambda": 0.8, "weight_re": 1.0}]}'
 
 # (argv, payload written to the @in file or None); @out is a fresh file
@@ -71,6 +74,10 @@ EDGE_CASES = [
     (["zeta-op", "--in", _CIRCLE, "--s-re", "1.6", "--order", "10"], None),
     (["zeta-op", "--in", _CIRCLE, "--s-re", "1.6", "--order", "11"], None),
     (["zeta-op", "--in", _CIRCLE, "--s-re", "1.6", "--order", "-1"], None),
+    # a datum at the negative order -0.3 replaces the Gauss tail's first term
+    # 0.09: finite at that term's pole s = 1.3 and next to it
+    (["zeta-op", "--in", _REPLACED, "--s-re", "1.3"], None),
+    (["zeta-op", "--in", _REPLACED, "--s-re", "1.3000001"], None),
     # 100000 tail terms below 10, short of the head bound 64
     (["zeta-op", "--in", '{"data": [], "tail": {"kind": "riemann", "exponent": 0.2}}',
       "--s-re", "1.6"], None),
